@@ -14,6 +14,12 @@ round's register:
 Eve's per-round loot is an :class:`EveRecord`; her post-protocol attempt to
 read Alice's teleported message out of that loot is
 :func:`eve_recover_attempt`.
+
+The intercepts never copy a register per round: isra and ema hand back one
+shared post-intercept register per input state (and fake qubit), and imra
+picks one of the two memoized branches of the input state, so a run's
+rounds share their states (see the round-branch tree in
+:mod:`wshare.protocol`).
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from .statevec import (
     apply_cnot,
     make_basis_state,
     make_message_state,
-    measure_qubit,
+    measure_shared,
     reduced_fidelity,
     relabel,
     tensor,
@@ -39,6 +45,10 @@ from .teleport import TeleportResult, apply_correction
 ATTACK_KINDS = ("none", "imra", "isra", "ema")
 
 EVE_LABEL = "e"
+
+# Bound on the memoized post-intercept registers (one per input state and
+# fake qubit).
+_JOINT_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -60,13 +70,14 @@ def imra_intercept(
     state: StateVector, rand: np.random.Generator, round_index: int = 0
 ) -> tuple[StateVector, EveRecord]:
     """Measure the in-flight qubit in Z and forward a matching eigenstate."""
-    branch = measure_qubit(state, "b", Basis.Z, rand)
+    branch = measure_shared(state, "b", Basis.Z, rand.random())
     return branch.post_state, EveRecord(round_index, "imra", bit=branch.outcome)
 
 
-@functools.lru_cache(maxsize=None)
-def _fake_qubit(x: float, y: float) -> StateVector:
-    return make_message_state(x, y, label="b")
+@functools.lru_cache(maxsize=_JOINT_CACHE_SIZE)
+def _isra_joint(state: StateVector, x: float, y: float) -> StateVector:
+    stored = relabel(state, {"b": EVE_LABEL})
+    return tensor(stored, make_message_state(x, y, label="b"))
 
 
 def isra_intercept(
@@ -75,28 +86,32 @@ def isra_intercept(
     """Store the genuine qubit as ``e`` and inject a fake x|0> + y|1> as ``b``."""
     if abs(x * x + y * y - 1.0) > 1e-9:
         raise ValueError(f"fake-qubit amplitudes not normalized: x^2+y^2 = {x * x + y * y:.6g}")
-    stored = relabel(state, {"b": EVE_LABEL})
-    return tensor(stored, _fake_qubit(x, y)), EveRecord(round_index, "isra", stored_label=EVE_LABEL)
+    return _isra_joint(state, x, y), EveRecord(round_index, "isra", stored_label=EVE_LABEL)
+
+
+@functools.lru_cache(maxsize=_JOINT_CACHE_SIZE)
+def _ema_joint(state: StateVector) -> StateVector:
+    joint = tensor(state, make_basis_state([0], [EVE_LABEL]))
+    return apply_cnot(joint, "b", EVE_LABEL)
 
 
 def ema_intercept(state: StateVector, round_index: int = 0) -> tuple[StateVector, EveRecord]:
     """Entangle a fresh |0> ancilla onto the in-flight qubit with a CNOT."""
-    joint = tensor(state, make_basis_state([0], [EVE_LABEL]))
-    return apply_cnot(joint, "b", EVE_LABEL), EveRecord(round_index, "ema", stored_label=EVE_LABEL)
+    return _ema_joint(state), EveRecord(round_index, "ema", stored_label=EVE_LABEL)
 
 
 @dataclass
 class AttackModel:
     """A configured adversary plus her accumulated per-round memory.
 
-    One instance is bound to one protocol run; ``records`` grows by exactly
-    one entry per attacked round.
+    One instance is bound to one protocol run; ``records`` maps each
+    attacked round's index to its record, in interception order.
     """
 
     kind: str
     x: float | None = None
     y: float | None = None
-    records: list[EveRecord] = field(default_factory=list)
+    records: dict[int, EveRecord] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.kind not in ATTACK_KINDS:
@@ -137,14 +152,11 @@ class AttackModel:
             state, record = isra_intercept(state, self.x, self.y, round_index)
         else:
             state, record = ema_intercept(state, round_index)
-        self.records.append(record)
+        self.records[round_index] = record
         return state
 
     def record_for(self, round_index: int) -> EveRecord | None:
-        for rec in self.records:
-            if rec.round_index == round_index:
-                return rec
-        return None
+        return self.records.get(round_index)
 
 
 def eve_recover_attempt(

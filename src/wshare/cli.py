@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -122,7 +123,8 @@ def _build_parser() -> _Parser:
     subparsers.add_parser("run", parents=[common], help="execute one protocol run")
     sweep = subparsers.add_parser("sweep", parents=[common, grids],
                                   help="Monte Carlo trials over a parameter grid")
-    sweep.add_argument("--workers", type=int, help="parallel processes over grid points")
+    sweep.add_argument("--workers", type=int,
+                       help="parallel processes over grid points (at most one per point and per CPU)")
     subparsers.add_parser("curves", parents=[common, grids],
                           help="analytic success curves against sequence length")
     subparsers.add_parser("teleport-demo", parents=[common],
@@ -143,6 +145,59 @@ def _load_scenario(path: str) -> dict:
     return {str(key).replace("-", "_"): value for key, value in data.items()}
 
 
+_INT_KEYS = ("n", "trials", "seed", "workers")
+_FLOAT_KEYS = ("d", "p", "isra_y")
+_OPTIONAL_KEYS = ("out", "y_values", "p_values", "d_values", "n_values")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """A JSON number that converts to a float (no boolean, no huge integer)."""
+    return isinstance(value, float) or (_is_int(value) and abs(value) <= sys.float_info.max)
+
+
+def _scenario_value(name: str, value):
+    """One scenario-file value, converted to the config's type.
+
+    The JSON type must be exactly right: an integer (not a boolean or a
+    float) for counts and seeds, a number for probabilities and amplitudes,
+    a string for names and paths, and a list or the flag's comma-separated
+    string for grids.  ``null`` is taken only where the default is unset.
+    """
+    if value is None and name in _OPTIONAL_KEYS:
+        return None
+    if name in _INT_KEYS:
+        if _is_int(value):
+            return value
+        expected = "an integer"
+    elif name in _FLOAT_KEYS:
+        if _is_number(value):
+            return float(value)
+        expected = "a number"
+    elif name.endswith("_values"):
+        ints = name == "n_values"
+        if isinstance(value, str):
+            try:
+                return _int_list(value) if ints else _float_list(value)
+            except ValueError:
+                pass
+        elif isinstance(value, list) and all(_is_int(v) if ints else _is_number(v) for v in value):
+            return tuple(value) if ints else tuple(float(v) for v in value)
+        kind = "integers" if ints else "numbers"
+        expected = f"a list of {kind} or a comma-separated string of them"
+    else:
+        if isinstance(value, str):
+            return value
+        expected = "a string"
+    shown = json.dumps(value)
+    if len(shown) > 60:
+        shown = shown[:57] + "..."
+    raise UsageError(f"scenario key {name!r} must be {expected}, got {shown}")
+
+
 def _build_scenario(args: argparse.Namespace) -> ScenarioConfig:
     """Merge defaults < scenario file < explicit flags into one config."""
     cfg = ScenarioConfig(verb=args.verb, trials=_VERB_TRIALS[args.verb])
@@ -152,22 +207,7 @@ def _build_scenario(args: argparse.Namespace) -> ScenarioConfig:
     if unknown:
         raise UsageError(f"unknown scenario keys: {', '.join(sorted(unknown))}")
     for name, value in file_values.items():
-        current = getattr(cfg, name)
-        try:
-            if name.endswith("_values"):
-                caster = _int_list if name == "n_values" else _float_list
-                value = caster(value) if isinstance(value, str) else tuple(
-                    int(v) if name == "n_values" else float(v) for v in value
-                )
-            elif isinstance(current, bool):
-                value = bool(value)
-            elif isinstance(current, int) and not isinstance(value, bool):
-                value = int(value)
-            elif isinstance(current, float):
-                value = float(value)
-        except (TypeError, ValueError):
-            raise UsageError(f"scenario key {name!r} has a bad value: {value!r}")
-        setattr(cfg, name, value)
+        setattr(cfg, name, _scenario_value(name, value))
     for name in known:
         flag = getattr(args, name, None)
         if flag is not None:
@@ -249,9 +289,12 @@ def _json_value(value):
 
 
 def _open_out(cfg: ScenarioConfig):
-    if cfg.out:
+    if not cfg.out:
+        return None
+    try:
         return open(cfg.out, "w", newline="")
-    return None
+    except OSError as exc:
+        raise UsageError(f"cannot write output file {cfg.out!r}: {exc.strerror}")
 
 
 def _emit_rows(columns: list[str], rows: list[dict], cfg: ScenarioConfig,
@@ -430,8 +473,9 @@ def sweep_grid(cfg: ScenarioConfig) -> list[dict]:
                     grid_index += 1
     for point in points:  # validate every grid point before any work
         _protocol_config(cfg, n=point[5], d=point[4], p=point[3])
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    workers = min(cfg.workers, len(points), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_sweep_point, points))
     return [_sweep_point(point) for point in points]
 

@@ -34,6 +34,20 @@ round for round.
 
 Detection never yields false positives in either mode: every honest
 measurement branch of the W state satisfies all four rules.
+
+**The round-branch tree.**  Every round of a run starts from one shared
+template register (the cached W state, after the attack's intercept) and
+goes through the same fixed measurements: home ``c`` in Z, then ``a`` and
+``b`` in the directive basis, or ``c`` alone in confirmation.  The states a
+round can reach therefore form a small finite tree that depends only on the
+attack, its fake-qubit amplitude and the directive basis, never on the
+round.  :func:`~wshare.statevec.measure_shared` memoizes both branches of
+each node, keyed by the identity of the shared immutable state, and a round
+walks the tree with one uniform draw per measurement, in exactly the order
+and with exactly the outcomes, probabilities and amplitudes that sampling
+:func:`~wshare.statevec.measure_qubit` on a fresh copy would give.  The
+home-qubit discard of a pair node is cached the same way.  All caches are
+bounded and filled lazily, on first use.
 """
 
 from __future__ import annotations
@@ -44,7 +58,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attacks import AttackModel
-from .statevec import Basis, StateVector, discard_qubit, make_w_state, measure_qubit
+from .statevec import Basis, StateVector, discard_qubit, make_w_state, measure_shared
 
 CHECKER_MODES = ("paper_analytic", "strict")
 
@@ -262,8 +276,14 @@ def extract_pairs(rounds, positions) -> DistilledPairSet:
         if rs.home_bit != 0:
             raise ValueError(f"round {t} home outcome was 1; it holds no pair")
         out_positions.append(t)
-        out_states.append(discard_qubit(rs.state, "c"))
+        out_states.append(_pair_state(rs.state))
     return DistilledPairSet(tuple(out_positions), tuple(out_states))
+
+
+@functools.lru_cache(maxsize=256)
+def _pair_state(home_zero: StateVector) -> StateVector:
+    """The pair left by a home-0 node: memoized, since the rounds share it."""
+    return discard_qubit(home_zero, "c")
 
 
 @functools.cache
@@ -306,14 +326,15 @@ def run_protocol(
     rc_results: list[int] = []
     ra_results: list[int] = []
     rb_results: list[int] = []
-    for dd in directives:
+    # One uniform per measurement, in the order c, a, b of each directive.
+    for dd, (uc, ua, ub) in zip(directives, rand.random((len(directives), 3)).tolist()):
         rs = rounds[dd.position - 1]
         rs.directive_basis = dd.basis
-        branch = measure_qubit(rs.state, "c", Basis.Z, rand)
+        branch = measure_shared(rs.state, "c", Basis.Z, uc)
         rs.state, rs.rc = branch.post_state, branch.outcome
-        branch = measure_qubit(rs.state, "a", dd.basis, rand)
+        branch = measure_shared(rs.state, "a", dd.basis, ua)
         rs.state, rs.ra = branch.post_state, branch.outcome
-        branch = measure_qubit(rs.state, "b", dd.basis, rand)
+        branch = measure_shared(rs.state, "b", dd.basis, ub)
         rs.state, rs.rb = branch.post_state, branch.outcome
         rc_results.append(rs.rc)
         ra_results.append(rs.ra)
@@ -342,9 +363,9 @@ def run_protocol(
     sacrificed = {dd.position for dd in directives}
     surviving = [t for t in range(1, config.n + 1) if t not in sacrificed]
     home_bits: list[int] = []
-    for t in surviving:
+    for t, u in zip(surviving, rand.random(len(surviving)).tolist()):
         rs = rounds[t - 1]
-        branch = measure_qubit(rs.state, "c", Basis.Z, rand)
+        branch = measure_shared(rs.state, "c", Basis.Z, u)
         rs.state, rs.home_bit = branch.post_state, branch.outcome
         home_bits.append(branch.outcome)
     kept = distill_positions(home_bits)

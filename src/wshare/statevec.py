@@ -13,11 +13,14 @@ Conventions used throughout the package:
   or ``|+>``), bit 1 the second.
 * Randomness always comes from an explicit ``numpy.random.Generator``;
   nothing in this module touches global RNG state.
+* A branch of probability at or below ``_ZERO_PROB`` is never sampled: a
+  draw that lands on one takes the other branch instead.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +28,8 @@ import numpy as np
 _RSQRT2 = 1.0 / np.sqrt(2.0)
 # Branches with squared norm at or below this are treated as impossible.
 _ZERO_PROB = 1e-15
+# Bound on the memoized measurement nodes of :func:`measure_shared`.
+_BRANCH_CACHE_SIZE = 1024
 
 
 class Basis(enum.Enum):
@@ -296,9 +301,11 @@ def _branch_weights(t: np.ndarray, basis: Basis) -> tuple[float, np.ndarray | No
 
 def _collapsed(s: StateVector, ax: int, basis: Basis, outcome: int,
                projection: np.ndarray, probability: float) -> StateVector:
-    """Rebuild the register with qubit ``ax`` collapsed onto ``outcome``."""
-    if probability <= _ZERO_PROB:
-        raise RuntimeError("cannot collapse onto a zero-probability branch")
+    """Rebuild the register with qubit ``ax`` collapsed onto ``outcome``.
+
+    ``probability`` is above ``_ZERO_PROB``: callers never pick an
+    impossible branch.
+    """
     post = np.zeros((projection.shape[0], 2, projection.shape[1]), dtype=complex)
     scaled = projection / np.sqrt(probability)
     if basis is Basis.Z:
@@ -310,6 +317,15 @@ def _collapsed(s: StateVector, ax: int, basis: Basis, outcome: int,
     return StateVector._trusted(post.reshape(-1), s.labels)
 
 
+def _clamped(p0: float) -> float:
+    """P(outcome 0) as the sampler uses it, with impossible branches at 0 or 1."""
+    if p0 <= _ZERO_PROB:
+        return 0.0
+    if 1.0 - p0 <= _ZERO_PROB:
+        return 1.0
+    return p0
+
+
 def measure_qubit(s: StateVector, q: str, basis: Basis, rand: np.random.Generator) -> MeasurementBranch:
     """Sample a single-qubit measurement and collapse the register.
 
@@ -319,7 +335,7 @@ def measure_qubit(s: StateVector, q: str, basis: Basis, rand: np.random.Generato
     """
     ax = s.axis(q)
     p0, proj0, proj1 = _branch_weights(s._split(ax), basis)
-    outcome = 0 if rand.random() < p0 else 1
+    outcome = 0 if rand.random() < _clamped(p0) else 1
     probability = p0 if outcome == 0 else 1.0 - p0
     projection = proj0 if outcome == 0 else proj1
     post = _collapsed(s, ax, basis, outcome, projection, probability)
@@ -343,51 +359,83 @@ def enumerate_qubit(s: StateVector, q: str, basis: Basis) -> list[MeasurementBra
     return branches
 
 
+@functools.lru_cache(maxsize=_BRANCH_CACHE_SIZE)
+def _branch_node(s: StateVector, q: str, basis: Basis) -> tuple[float, MeasurementBranch, MeasurementBranch]:
+    zero, one = enumerate_qubit(s, q, basis)
+    return _clamped(zero.probability), zero, one
+
+
+def measure_shared(s: StateVector, q: str, basis: Basis, u: float) -> MeasurementBranch:
+    """:func:`measure_qubit` with its uniform draw ``u`` given, memoized.
+
+    Both branches of measuring ``q`` on ``s`` are built once, by
+    :func:`enumerate_qubit`, and cached by the identity of ``s`` (a bounded
+    cache, keyed like ``StateVector`` hashes: by object).  Outcome 0 iff
+    ``u`` falls below P(outcome 0), so the outcome, probability and
+    post-state are bit for bit those ``measure_qubit`` returns on the same
+    draw.  Pays off on states that many rounds share, and on the
+    post-states it hands back, which are shared in turn.
+    """
+    threshold, zero, one = _branch_node(s, q, basis)
+    return zero if u < threshold else one
+
+
+def _bell_residuals(s: StateVector, q1: str, q2: str) -> tuple[tuple[int, int], list[np.ndarray], list[float]]:
+    """Register axes of (q1, q2), then the unnormalized residual of the other
+    qubits and its probability for each Bell outcome, in BELL_NAMES order."""
+    if q1 == q2:
+        raise ValueError("Bell measurement needs two distinct qubits")
+    axes = (s.axis(q1), s.axis(q2))
+    t = np.moveaxis(s._tensor_view(), axes, (0, 1))
+    residuals = [np.einsum("ij,ij...->...", mat.conj(), t) for mat in _BELL_MATRICES]
+    return axes, residuals, [float(np.sum(np.abs(res) ** 2)) for res in residuals]
+
+
+def _bell_branch(s: StateVector, axes: tuple[int, int], k: int,
+                 res: np.ndarray, probability: float) -> BellOutcome:
+    """Bell outcome ``k`` built from its residual and probability."""
+    name, bits, mat = BELL_NAMES[k], _BELL_BITS[k], _BELL_MATRICES[k]
+    if probability <= _ZERO_PROB:
+        return BellOutcome(name, bits, max(probability, 0.0), None, None)
+    res_normed = res / np.sqrt(probability)
+    post_t = np.multiply.outer(mat, res_normed)
+    post = np.moveaxis(post_t, (0, 1), axes).reshape(-1)
+    rest_labels = tuple(l for i, l in enumerate(s.labels) if i not in axes)
+    residual = StateVector(res_normed.reshape(-1), rest_labels) if rest_labels else None
+    return BellOutcome(name, bits, probability, StateVector(post, s.labels), residual)
+
+
 def enumerate_bell(s: StateVector, q1: str, q2: str) -> list[BellOutcome]:
     """All four Bell-measurement branches on qubits (q1, q2).
 
     Outcomes are listed in the fixed order psi+, psi-, phi+, phi-.
     """
-    if q1 == q2:
-        raise ValueError("Bell measurement needs two distinct qubits")
-    axes = (s.axis(q1), s.axis(q2))
-    t = np.moveaxis(s._tensor_view(), axes, (0, 1))
-    rest_labels = tuple(l for l in s.labels if l not in (q1, q2))
-    outcomes = []
-    for name, bits, mat in zip(BELL_NAMES, _BELL_BITS, _BELL_MATRICES):
-        res = np.einsum("ij,ij...->...", mat.conj(), t)
-        probability = float(np.sum(np.abs(res) ** 2))
-        if probability <= _ZERO_PROB:
-            outcomes.append(BellOutcome(name, bits, max(probability, 0.0), None, None))
-            continue
-        res_normed = res / np.sqrt(probability)
-        post_t = np.multiply.outer(mat, res_normed)
-        post = np.moveaxis(post_t, (0, 1), axes).reshape(-1)
-        residual = StateVector(res_normed.reshape(-1), rest_labels) if rest_labels else None
-        outcomes.append(BellOutcome(name, bits, probability, StateVector(post, s.labels), residual))
-    return outcomes
+    axes, residuals, probabilities = _bell_residuals(s, q1, q2)
+    return [_bell_branch(s, axes, k, res, probability)
+            for k, (res, probability) in enumerate(zip(residuals, probabilities))]
 
 
 def bell_measure(s: StateVector, q1: str, q2: str, rand: np.random.Generator) -> BellOutcome:
     """Sample a Bell measurement on (q1, q2) with Born probabilities.
 
     One uniform draw walks the cumulative distribution in the fixed
-    psi+, psi-, phi+, phi- order.
+    psi+, psi-, phi+, phi- order; only the drawn branch is built, exactly
+    as :func:`enumerate_bell` builds it.
     """
-    outcomes = enumerate_bell(s, q1, q2)
+    axes, residuals, probabilities = _bell_residuals(s, q1, q2)
     draw = rand.random()
     acc = 0.0
     chosen = None
-    for oc in outcomes:
-        if oc.probability <= _ZERO_PROB:
+    for k, probability in enumerate(probabilities):
+        if probability <= _ZERO_PROB:
             continue
-        chosen = oc
-        acc += oc.probability
+        chosen = k
+        acc += probability
         if draw < acc:
             break
     if chosen is None:
         raise RuntimeError("no Bell branch has positive probability")
-    return chosen
+    return _bell_branch(s, axes, chosen, residuals[chosen], probabilities[chosen])
 
 
 # ---------------------------------------------------------------------------

@@ -137,7 +137,9 @@ def test_intercept_dispatch_accumulates_records():
     state = make_w_state()
     for t in (1, 2, 3):
         attack.intercept(state, t, rng)
-    assert [r.round_index for r in attack.records] == [1, 2, 3]
+    assert list(attack.records) == [1, 2, 3]
+    assert [r.round_index for r in attack.records.values()] == [1, 2, 3]
+    assert attack.record_for(2) is attack.records[2]
     assert attack.record_for(2).kind == "imra"
     assert attack.record_for(99) is None
 
@@ -148,7 +150,7 @@ def test_none_attack_is_passthrough():
     w = make_w_state()
     out = attack.intercept(w, 1, rng)
     assert out is w
-    assert attack.records == []
+    assert attack.records == {}
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +165,7 @@ def test_recover_requires_attack_and_result():
     rec = None
     rng = np.random.default_rng(0)
     attack.intercept(make_w_state(), 1, rng)
-    rec = attack.records[0]
+    rec = attack.records[1]
     with pytest.raises(RuntimeError):
         eve_recover_attempt(attack, rec, None, msg)
 
@@ -174,7 +176,7 @@ def test_imra_recovery_equals_classical_channel():
     rng = np.random.default_rng(21)
     attack = AttackModel.imra()
     post = attack.intercept(make_w_state(), 1, rng)
-    rec = attack.records[0]
+    rec = attack.records[1]
     pair = home_zero_branch(post)
     msg = random_message(rng)
     res = teleport(msg, pair, rng)
@@ -188,7 +190,7 @@ def test_isra_recovery_is_perfect():
     rng = np.random.default_rng(4)
     attack = AttackModel.isra(y=0.8)
     post = attack.intercept(make_w_state(), 1, rng)
-    rec = attack.records[0]
+    rec = attack.records[1]
     pair = home_zero_branch(post)  # labels (a, e, b)
     for _ in range(5):
         msg = random_message(rng)
@@ -202,7 +204,7 @@ def test_ema_recovery_fidelity():
     rng = np.random.default_rng(6)
     attack = AttackModel.ema()
     post = attack.intercept(make_w_state(), 1, rng)
-    rec = attack.records[0]
+    rec = attack.records[1]
     pair = home_zero_branch(post)
     assert_allclose(pair.amplitudes, corrupted_channel(pair.labels).amplitudes, atol=1e-12)
     for a, b in [(0.6, 0.8), (1.0, 0.0), (RS2, RS2 * 1j)]:

@@ -5,10 +5,14 @@ import io
 import json
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wshare.cli import CURVE_COLUMNS, SWEEP_COLUMNS
+from wshare import cli
+from wshare.cli import CURVE_COLUMNS, SWEEP_COLUMNS, ScenarioConfig, UsageError, _scenario_value, main
 
 
 def run_cli(*args, cwd=None):
@@ -232,3 +236,103 @@ def test_version_flag():
     proc = run_cli("--version")
     assert proc.returncode == 0
     assert "wshare" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# input boundary: scenario value types and the worker cap
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        {"n": True},  # would run as n = 1
+        {"n": 2.7},  # would run as n = 2
+        {"out": 99},  # would be opened as file descriptor 99
+        {"seed": "3"},
+        {"d": False},
+        {"isra-y": [0.5]},
+        {"mode": 1},
+        {"y-values": [0.5, True]},
+        {"n-values": [1, 2.0]},
+        {"n-values": "1,2.5"},
+        {"d": 10 ** 400},  # an integer beyond the float range
+        {"out": "no-such-dir/out.txt"},
+    ],
+)
+def test_bad_scenario_values_exit_one(scenario, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["run", "--scenario", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+SCENARIO_KEYS = sorted({f.name for f in fields(ScenarioConfig)} - {"verb"})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(SCENARIO_KEYS), JSON_VALUES)
+def test_scenario_value_is_exactly_typed_or_rejected(name, value):
+    # Any JSON value either raises UsageError or comes back as exactly the
+    # config field's type; booleans never pass for numbers, floats never
+    # for integers.
+    try:
+        parsed = _scenario_value(name, value)
+    except UsageError:
+        return
+    assert not isinstance(value, bool)
+    default = getattr(ScenarioConfig(verb="run"), name)
+    if parsed is None:
+        assert value is None and default is None
+    elif name.endswith("_values"):
+        item_type = int if name == "n_values" else float
+        assert type(parsed) is tuple and all(type(v) is item_type for v in parsed)
+    elif default is None:
+        assert type(parsed) is str
+    else:
+        assert type(parsed) is type(default)
+        assert type(value) is type(default) or (type(default) is float and type(value) is int)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["n", "trials", "seed", "workers"]), st.integers(-10 ** 6, 10 ** 6))
+def test_scenario_integers_pass_through(name, value):
+    assert _scenario_value(name, value) == value
+
+
+class RecordingPool:
+    """ProcessPoolExecutor stand-in: records max_workers, maps in-process."""
+
+    seen: list = []
+
+    def __init__(self, max_workers):
+        RecordingPool.seen.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "workers,points,cpus,expected",
+    [(1000, 3, 8, 3), (1000, 6, 4, 4), (2, 6, 4, 2), (1000, 6, None, None), (5, 1, 8, None)],
+)
+def test_workers_capped_by_grid_points_and_cpus(workers, points, cpus, expected, monkeypatch):
+    RecordingPool.seen = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    grid = tuple(range(1, points + 1))
+    cfg = ScenarioConfig(verb="sweep", d=0.0, trials=100, n_values=grid, workers=workers)
+    rows = cli.sweep_grid(cfg)
+    assert tuple(row["n"] for row in rows) == grid
+    assert RecordingPool.seen == ([] if expected is None else [expected])

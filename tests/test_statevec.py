@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from wshare.attacks import imra_intercept
 from wshare.statevec import (
     Basis,
     StateVector,
@@ -20,6 +21,7 @@ from wshare.statevec import (
     make_message_state,
     make_w_state,
     measure_qubit,
+    measure_shared,
     reduced_density,
     reduced_fidelity,
     relabel,
@@ -329,8 +331,91 @@ def test_bell_enumeration_complete(seed):
     assert sum(o.probability for o in outcomes) == pytest.approx(1.0, abs=1e-12)
 
 
+class FixedDraw:
+    """Stand-in generator whose every uniform draw is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+# |0> with a 3e-8 sliver of |1>: P(1) ~ 9e-16, at or below the threshold
+# under which a branch counts as impossible and has no post-state.
+NEARLY_ZERO = StateVector(np.array([1.0, 3e-8]), ("b",))
+NEARLY_ONE = StateVector(np.array([3e-8, 1.0]), ("b",))
+
+
+def test_near_certain_draw_takes_the_branch_that_has_a_state():
+    zero, one = enumerate_qubit(NEARLY_ZERO, "b", Basis.Z)
+    assert 0.0 < one.probability <= 1e-15 and one.post_state is None
+    above = float(np.nextafter(zero.probability, 1.0))
+    assert zero.probability < above < 1.0  # outcome 1 by the bare Born rule
+    for branch in (measure_qubit(NEARLY_ZERO, "b", Basis.Z, FixedDraw(above)),
+                   measure_shared(NEARLY_ZERO, "b", Basis.Z, above)):
+        assert branch.outcome == 0
+        assert branch.probability == zero.probability
+        assert np.array_equal(branch.post_state.amplitudes, zero.post_state.amplitudes)
+    post, record = imra_intercept(NEARLY_ZERO, FixedDraw(above))
+    assert record.bit == 0
+    assert np.array_equal(post.amplitudes, zero.post_state.amplitudes)
+
+
+def test_near_impossible_first_branch_is_never_drawn():
+    zero, one = enumerate_qubit(NEARLY_ONE, "b", Basis.Z)
+    assert 0.0 < zero.probability <= 1e-15 and zero.post_state is None
+    for branch in (measure_qubit(NEARLY_ONE, "b", Basis.Z, FixedDraw(0.0)),
+                   measure_shared(NEARLY_ONE, "b", Basis.Z, 0.0)):
+        assert branch.outcome == 1
+        assert np.array_equal(branch.post_state.amplitudes, one.post_state.amplitudes)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 31 - 1), st.sampled_from([Basis.Z, Basis.X]),
+       st.sampled_from(["a", "b", "c"]))
+def test_memoized_branches_match_measure_qubit_bit_for_bit(seed, basis, label):
+    rng = np.random.default_rng(seed)
+    s = random_state(rng, ("a", "b", "c"))
+    p0 = enumerate_qubit(s, label, basis)[0].probability
+    for u in [*rng.random(8).tolist(), p0, float(np.nextafter(p0, 0.0))]:  # and both sides of p0
+        sampled = measure_qubit(s, label, basis, FixedDraw(u))
+        shared = measure_shared(s, label, basis, u)
+        assert shared.outcome == sampled.outcome
+        assert shared.probability == sampled.probability
+        assert shared.post_state.labels == sampled.post_state.labels
+        assert np.array_equal(shared.post_state.amplitudes, sampled.post_state.amplitudes)
+    # a repeated lookup hands back the very same branch objects
+    assert measure_shared(s, label, basis, 0.0) is measure_shared(s, label, basis, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # Bell measurement
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 31 - 1))
+def test_bell_measure_builds_the_enumerated_branch_of_its_draw(seed):
+    # bell_measure builds only the drawn branch; it must be the one the
+    # four-branch oracle puts under the same draw, amplitude for amplitude.
+    rng = np.random.default_rng(seed)
+    s = random_state(rng, ("m", "a", "b", "e"))
+    state = rng.bit_generator.state
+    draw = rng.random()
+    rng.bit_generator.state = state
+    sampled = bell_measure(s, "m", "a", rng)
+    acc, expected = 0.0, None
+    for oc in enumerate_bell(s, "m", "a"):
+        expected = oc
+        acc += oc.probability
+        if draw < acc:
+            break
+    assert (sampled.name, sampled.bits, sampled.probability) == (
+        expected.name, expected.bits, expected.probability)
+    assert np.array_equal(sampled.post_state.amplitudes, expected.post_state.amplitudes)
+    assert sampled.residual.labels == expected.residual.labels == ("b", "e")
+    assert np.array_equal(sampled.residual.amplitudes, expected.residual.amplitudes)
+
 
 
 def test_bell_measure_on_bell_pair_is_certain():
