@@ -149,7 +149,8 @@ class AttackModel:
         if self.kind == "imra":
             state, record = imra_intercept(state, rand, round_index)
         elif self.kind == "isra":
-            state, record = isra_intercept(state, self.x, self.y, round_index)
+            state = _isra_joint(state, self.x, self.y)  # x, y checked in __post_init__
+            record = EveRecord(round_index, "isra", stored_label=EVE_LABEL)
         else:
             state, record = ema_intercept(state, round_index)
         self.records[round_index] = record
@@ -169,9 +170,9 @@ def eve_recover_attempt(
 
     Eve listens to Alice's Bell broadcast and applies Bob's correction to
     her own holdings: a fresh eigenstate of her recorded bit (imra), or her
-    stored/entangled qubit still inside the post-teleportation register
-    (isra/ema).  ``message`` is the original single-qubit state she is
-    trying to recover.
+    stored/entangled qubit, which stays in the teleportation's residual
+    register (isra/ema).  ``message`` is the original single-qubit state
+    she is trying to recover.
     """
     if attack.kind == "none":
         raise ValueError("no attack was active: Eve holds no qubit to reconstruct from")
@@ -181,5 +182,5 @@ def eve_recover_attempt(
         copy = make_basis_state([record.bit], ["E"])
         copy = apply_correction(copy, "E", result.correction)
         return reduced_fidelity(copy, "E", message)
-    post = apply_correction(result.post_state, record.stored_label, result.correction)
-    return reduced_fidelity(post, record.stored_label, message)
+    held = apply_correction(result.residual, record.stored_label, result.correction)
+    return reduced_fidelity(held, record.stored_label, message)

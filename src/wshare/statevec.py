@@ -30,6 +30,8 @@ _RSQRT2 = 1.0 / np.sqrt(2.0)
 _ZERO_PROB = 1e-15
 # Bound on the memoized measurement nodes of :func:`measure_shared`.
 _BRANCH_CACHE_SIZE = 1024
+# Z's action on the middle axis of a (before, 2, after) view.
+_Z_SIGNS = np.array([1.0, -1.0]).reshape(1, 2, 1)
 
 
 class Basis(enum.Enum):
@@ -87,6 +89,11 @@ class StateVector:
     def _split(self, ax: int) -> np.ndarray:
         """View shaped (before, 2, after) with the middle axis = qubit ``ax``."""
         return self.amplitudes.reshape(1 << ax, 2, -1)
+
+    def _rows(self, ax: int) -> np.ndarray:
+        """Amplitudes shaped (2, rest): row j holds qubit ``ax`` = j, the
+        other qubits flattened in register order."""
+        return self._split(ax).transpose(1, 0, 2).reshape(2, -1)
 
     @classmethod
     def _trusted(cls, amps: np.ndarray, labels: tuple[str, ...]) -> "StateVector":
@@ -252,31 +259,25 @@ def discard_qubit(s: StateVector, q: str) -> StateVector:
 
 def apply_x(s: StateVector, q: str) -> StateVector:
     """Pauli X (bit flip) on one qubit."""
-    ax = s.axis(q)
-    post = s.amplitudes.copy().reshape((2,) * s.num_qubits)
-    view = np.moveaxis(post, ax, 0)
-    view[[0, 1]] = view[[1, 0]]
-    return StateVector(post.reshape(-1), s.labels)
+    t = s._split(s.axis(q))
+    return StateVector._trusted(t[:, [1, 0]].reshape(-1), s.labels)
 
 
 def apply_z(s: StateVector, q: str) -> StateVector:
     """Pauli Z (phase flip) on one qubit."""
-    ax = s.axis(q)
-    post = s.amplitudes.copy().reshape((2,) * s.num_qubits)
-    view = np.moveaxis(post, ax, 0)
-    view[1] *= -1.0
-    return StateVector(post.reshape(-1), s.labels)
+    t = s._split(s.axis(q))
+    return StateVector._trusted((t * _Z_SIGNS).reshape(-1), s.labels)
 
 
 def apply_cnot(s: StateVector, control: str, target: str) -> StateVector:
     """CNOT: flip the target wherever the control is |1>."""
     if control == target:
         raise ValueError("control and target must differ")
-    ac, at = s.axis(control), s.axis(target)
-    post = s.amplitudes.copy().reshape((2,) * s.num_qubits)
-    view = np.moveaxis(post, (ac, at), (0, 1))
-    view[1] = view[1][[1, 0]]
-    return StateVector(post.reshape(-1), s.labels)
+    n = s.num_qubits
+    control_bit, target_bit = 1 << (n - 1 - s.axis(control)), 1 << (n - 1 - s.axis(target))
+    index = np.arange(1 << n)
+    source = np.where(index & control_bit, index ^ target_bit, index)
+    return StateVector._trusted(s.amplitudes[source], s.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -415,15 +416,13 @@ def enumerate_bell(s: StateVector, q1: str, q2: str) -> list[BellOutcome]:
             for k, (res, probability) in enumerate(zip(residuals, probabilities))]
 
 
-def bell_measure(s: StateVector, q1: str, q2: str, rand: np.random.Generator) -> BellOutcome:
-    """Sample a Bell measurement on (q1, q2) with Born probabilities.
+def _sample_bell(probabilities, draw: float) -> int:
+    """Index of the Bell outcome that a uniform ``draw`` selects.
 
-    One uniform draw walks the cumulative distribution in the fixed
-    psi+, psi-, phi+, phi- order; only the drawn branch is built, exactly
-    as :func:`enumerate_bell` builds it.
+    The draw walks the cumulative distribution in the fixed psi+, psi-,
+    phi+, phi- order, skipping branches of probability at or below
+    ``_ZERO_PROB``.
     """
-    axes, residuals, probabilities = _bell_residuals(s, q1, q2)
-    draw = rand.random()
     acc = 0.0
     chosen = None
     for k, probability in enumerate(probabilities):
@@ -435,7 +434,18 @@ def bell_measure(s: StateVector, q1: str, q2: str, rand: np.random.Generator) ->
             break
     if chosen is None:
         raise RuntimeError("no Bell branch has positive probability")
-    return _bell_branch(s, axes, chosen, residuals[chosen], probabilities[chosen])
+    return chosen
+
+
+def bell_measure(s: StateVector, q1: str, q2: str, rand: np.random.Generator) -> BellOutcome:
+    """Sample a Bell measurement on (q1, q2) with Born probabilities.
+
+    One uniform draw selects the outcome (:func:`_sample_bell`); only the
+    drawn branch is built, exactly as :func:`enumerate_bell` builds it.
+    """
+    axes, residuals, probabilities = _bell_residuals(s, q1, q2)
+    k = _sample_bell(probabilities, rand.random())
+    return _bell_branch(s, axes, k, residuals[k], probabilities[k])
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +454,7 @@ def bell_measure(s: StateVector, q1: str, q2: str, rand: np.random.Generator) ->
 
 def reduced_density(s: StateVector, q: str) -> np.ndarray:
     """2x2 reduced density matrix of one qubit."""
-    ax = s.axis(q)
-    m = np.moveaxis(s._tensor_view(), ax, 0).reshape(2, -1)
+    m = s._rows(s.axis(q))
     return m @ m.conj().T
 
 

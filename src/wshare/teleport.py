@@ -7,6 +7,13 @@ correction table differs from the usual one; rather than hard-coding it,
 :func:`build_correction_table` derives it once by probing each Bell branch
 and keeping the unique correction that restores the message exactly.
 
+:func:`teleport` samples one attempt through a memoized per-pair Bell
+kernel: for each Bell outcome, the linear map from the message amplitudes
+to the rest of the register with Bob's correction already applied, so an
+attempt costs one matrix product and never rebuilds the joint register.
+:func:`teleport_branches` stays the scalar four-branch oracle, built from
+:func:`~wshare.statevec.enumerate_bell`.
+
 The module also provides the exact four-branch decomposition of a
 teleportation attempted over the corrupted three-qubit channel
 (|100>+|011>)_abe/sqrt(2) that an entangling interceptor leaves behind.
@@ -20,19 +27,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .statevec import (
+    _BELL_BITS,
+    _BELL_MATRICES,
     BELL_NAMES,
     BellOutcome,
     StateVector,
+    _sample_bell,
     apply_x,
     apply_z,
-    bell_measure,
     enumerate_bell,
+    make_basis_state,
     make_message_state,
     reduced_fidelity,
+    reorder,
     tensor,
 )
 
 CORRECTIONS = ("I", "X", "Z", "XZ")
+
+# Bound on the memoized Bell kernels (one per pair register and label pair).
+_KERNEL_CACHE_SIZE = 256
 
 
 def apply_correction(s: StateVector, q: str, correction: str) -> StateVector:
@@ -92,34 +106,84 @@ def build_correction_table() -> CorrectionTable:
 class TeleportResult:
     """Outcome of one teleportation attempt.
 
-    ``post_state`` is the full register after the Bell collapse and Bob's
-    correction; any extra qubits riding along (an interceptor's stored or
-    entangled ancilla, say) are still in it.  ``fidelity`` scores Bob's
-    qubit against the original message.
+    ``residual`` is the register minus the measured (message, Alice) pair,
+    after Bob's correction; any extra qubits riding along (an interceptor's
+    stored or entangled ancilla, say) are in it.  ``labels`` is the order
+    of the full register, message first.  ``fidelity`` scores Bob's qubit
+    against the original message.
     """
 
     outcome_name: str
     outcome_bits: tuple[int, int]
     probability: float
     correction: str
-    post_state: StateVector
+    residual: StateVector
+    labels: tuple[str, ...]
     bob_label: str
     fidelity: float
+
+    @functools.cached_property
+    def post_state(self) -> StateVector:
+        """The full register after the Bell collapse and Bob's correction.
+
+        The measured pair is left in the observed Bell state, so the
+        register is that Bell state times ``residual``; built on demand.
+        """
+        pair = tuple(l for l in self.labels if l not in self.residual.labels)
+        bell = _BELL_MATRICES[BELL_NAMES.index(self.outcome_name)].reshape(-1)
+        joint = StateVector(np.kron(bell, self.residual.amplitudes), pair + self.residual.labels)
+        return reorder(joint, self.labels)
 
 
 def _finish(branch: BellOutcome, message: StateVector, bob_label: str) -> TeleportResult:
     correction = build_correction_table().correction_for(branch.name)
     post = apply_correction(branch.post_state, bob_label, correction)
-    fid = reduced_fidelity(post, bob_label, message)
     return TeleportResult(
         outcome_name=branch.name,
         outcome_bits=branch.bits,
         probability=branch.probability,
         correction=correction,
-        post_state=post,
+        residual=apply_correction(branch.residual, bob_label, correction),
+        labels=post.labels,
         bob_label=bob_label,
-        fidelity=fid,
+        fidelity=reduced_fidelity(post, bob_label, message),
     )
+
+
+def _correction_matrix(correction: str) -> np.ndarray:
+    """The 2x2 matrix of a named correction, column j = its image of |j>."""
+    return np.column_stack([
+        apply_correction(make_basis_state([j], ["q"]), "q", correction).amplitudes
+        for j in (0, 1)
+    ])
+
+
+@functools.lru_cache(maxsize=_KERNEL_CACHE_SIZE)
+def _bell_kernel(pair: StateVector, alice_label: str, bob_label: str
+                 ) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The Bell kernel of a pair register, and the labels of its rest.
+
+    ``kernel[k]`` is the (2, R) map taking message amplitudes to the
+    unnormalized state of the other R amplitudes (the pair minus Alice's
+    qubit, in register order) on Bell outcome ``k`` (BELL_NAMES order),
+    with Bob's correction for that outcome applied.  Memoized by the
+    identity of ``pair``, like the round-branch tree's nodes.
+    """
+    alice, bob = pair.axis(alice_label), pair.axis(bob_label)
+    if alice == bob:
+        raise ValueError("Alice's and Bob's qubits must differ")
+    channel = pair._rows(alice)
+    rest = pair.labels[:alice] + pair.labels[alice + 1:]
+    bob -= bob > alice  # Bob's position in the rest
+    table = build_correction_table()
+    kernel = np.empty((4, 2, channel.shape[1]), dtype=complex)
+    for k, (name, mat) in enumerate(zip(BELL_NAMES, _BELL_MATRICES)):
+        collapsed = (mat.conj() @ channel).reshape(2, 1 << bob, 2, -1)
+        corrected = np.einsum("cb,ixby->ixcy", _correction_matrix(table.correction_for(name)),
+                              collapsed)
+        kernel[k] = corrected.reshape(2, -1)
+    kernel.flags.writeable = False
+    return kernel, rest
 
 
 def teleport(
@@ -132,13 +196,31 @@ def teleport(
     """Teleport a single-qubit message over a pair register.
 
     The pair register must contain ``alice_label`` and ``bob_label``; it may
-    contain further qubits, which simply stay in the returned post-state.
+    contain further qubits, which stay in the returned residual.  One
+    uniform draw selects the Bell outcome, exactly as
+    :func:`~wshare.statevec.bell_measure` draws it on the joint register;
+    only the drawn residual is normalized.
     """
     if message.num_qubits != 1:
         raise ValueError("message must be a single qubit")
-    joint = tensor(message, pair)
-    branch = bell_measure(joint, message.labels[0], alice_label, rand)
-    return _finish(branch, message, bob_label)
+    if message.labels[0] in pair.labels:
+        raise ValueError(f"message label {message.labels[0]!r} is also in the pair register")
+    kernel, rest = _bell_kernel(pair, alice_label, bob_label)
+    residuals = message.amplitudes @ kernel
+    probabilities = (np.abs(residuals) ** 2).sum(axis=1).tolist()
+    k = _sample_bell(probabilities, rand.random())
+    residual = StateVector._trusted(residuals[k] / np.sqrt(probabilities[k]), rest)
+    name = BELL_NAMES[k]
+    return TeleportResult(
+        outcome_name=name,
+        outcome_bits=_BELL_BITS[k],
+        probability=probabilities[k],
+        correction=build_correction_table().correction_for(name),
+        residual=residual,
+        labels=message.labels + pair.labels,
+        bob_label=bob_label,
+        fidelity=reduced_fidelity(residual, bob_label, message),
+    )
 
 
 def teleport_branches(

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from wshare.attacks import AttackModel
@@ -17,7 +19,7 @@ from wshare.protocol import (
     run_protocol,
     select_detection_positions,
 )
-from wshare.statevec import Basis
+from wshare.statevec import Basis, enumerate_qubit, make_w_state
 
 RS2 = 1 / np.sqrt(2)
 
@@ -130,6 +132,57 @@ def test_tallies_and_offending_positions():
     paper = evaluate_checks(directives, rc, ra, rb, "paper_analytic")
     assert paper.offending_rounds == (2,)
     assert paper.tallies["x_rc0"] == RuleTally(applied=0, violations=0)
+
+
+def honest_detection_branches():
+    """Every (basis, rc, ra, rb) an honest W-state round can publish, found
+    by enumeration: c in Z, then a and b in the directive basis."""
+    found = set()
+    for basis in (Z, X):
+        for bc in enumerate_qubit(make_w_state(), "c", Z):
+            if bc.post_state is None:
+                continue
+            for ba in enumerate_qubit(bc.post_state, "a", basis):
+                if ba.post_state is None:
+                    continue
+                for bb in enumerate_qubit(ba.post_state, "b", basis):
+                    if bb.post_state is not None:
+                        found.add((basis, bc.outcome, ba.outcome, bb.outcome))
+    return sorted(found, key=lambda r: (r[0].value, r[1:]))
+
+
+HONEST_BRANCHES = honest_detection_branches()
+
+BASES = st.sampled_from([Z, X])
+BITS = st.integers(min_value=0, max_value=1)
+
+
+def test_honest_branches_cover_every_home_outcome():
+    homes = {(basis, rc) for basis, rc, _, _ in HONEST_BRANCHES}
+    assert homes == {(Z, 0), (Z, 1), (X, 0), (X, 1)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(HONEST_BRANCHES), min_size=1, max_size=30))
+def test_honest_branch_sequences_never_violate(rounds):
+    directives = [dd(i + 1, basis) for i, (basis, _, _, _) in enumerate(rounds)]
+    rc, ra, rb = ([r[k] for r in rounds] for k in (1, 2, 3))
+    for mode in ("paper_analytic", "strict"):
+        report = evaluate_checks(directives, rc, ra, rb, mode)
+        assert report.verdict == "pass", mode
+        assert all(tally.violations == 0 for tally in report.tallies.values()), mode
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(BASES, BITS, BITS, BITS), max_size=30))
+def test_strict_offends_wherever_paper_does(rounds):
+    directives = [dd(i + 1, basis) for i, (basis, _, _, _) in enumerate(rounds)]
+    rc, ra, rb = ([r[k] for r in rounds] for k in (1, 2, 3))
+    strict = evaluate_checks(directives, rc, ra, rb, "strict")
+    paper = evaluate_checks(directives, rc, ra, rb, "paper_analytic")
+    assert set(strict.offending_rounds) >= set(paper.offending_rounds)
+    if paper.verdict == "detected":
+        assert strict.verdict == "detected"
 
 
 def test_checks_validate_inputs():

@@ -4,17 +4,24 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from wshare.attacks import AttackModel, EveRecord, eve_recover_attempt
+from wshare.protocol import ProtocolConfig, run_protocol
 from wshare.statevec import (
     Basis,
     StateVector,
+    enumerate_bell,
     enumerate_qubit,
     make_basis_state,
     make_message_state,
     reduced_density,
     reduced_fidelity,
+    reorder,
     tensor,
 )
 from wshare.teleport import (
+    _KERNEL_CACHE_SIZE,
+    _bell_kernel,
+    _finish,
     apply_correction,
     build_correction_table,
     corrupted_channel,
@@ -181,3 +188,149 @@ def test_random_message_is_normalized():
     for _ in range(10):
         msg = random_message(rng)
         assert_allclose(np.sum(np.abs(msg.amplitudes) ** 2), 1, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the Bell kernel against the four-branch oracle
+
+
+class CountingDraw:
+    """Stand-in generator that hands out fixed uniforms and counts them."""
+
+    def __init__(self, u):
+        self.u = u
+        self.calls = 0
+
+    def random(self):
+        self.calls += 1
+        return self.u
+
+
+def protocol_pair_nodes():
+    """(attack, pair) for every pair node a d=0 run hands over, plus the
+    corrupted channel, also with Alice's qubit last; pairs come from the
+    shared round-branch tree."""
+    attacks = [AttackModel.none(), AttackModel.imra(), AttackModel.ema()]
+    attacks += [AttackModel.isra(y) for y in (0.0, 0.3, 1.0)]
+    nodes = []
+    for attack in attacks:
+        outcome = run_protocol(ProtocolConfig(n=60, d=0.0, p=0.5), attack,
+                               np.random.default_rng(1))
+        distinct = {id(state): state for state in outcome.pairs.states}
+        nodes += [(attack, state) for state in distinct.values()]
+    nodes.append((AttackModel.ema(), corrupted_channel()))
+    nodes.append((AttackModel.ema(), reorder(corrupted_channel(), ("e", "b", "a"))))
+    return nodes
+
+
+PAIR_NODES = protocol_pair_nodes()
+
+
+def test_protocol_hands_over_every_pair_node():
+    kinds = [(attack.kind, state.labels) for attack, state in PAIR_NODES]
+    assert kinds.count(("imra", ("a", "b"))) == 2  # Eve read 0 or 1
+    assert kinds.count(("isra", ("a", "e", "b"))) == 3
+    assert ("ema", ("e", "b", "a")) in kinds
+    assert ("none", ("a", "b")) in kinds and ("ema", ("a", "b", "e")) in kinds
+
+
+SLIVER = 3e-8  # an amplitude whose branches weigh ~5e-16: never sampled
+
+
+def kernel_messages():
+    """Basis messages (zero-probability branches), near-basis messages
+    (branches at or below the sampling threshold) and Haar messages."""
+    rng = np.random.default_rng(31)
+    near = np.sqrt(1 - SLIVER ** 2)
+    return [make_basis_state([0], ["m"]), make_basis_state([1], ["m"]),
+            make_message_state(near, SLIVER), make_message_state(SLIVER, near)] + [
+        random_message(rng) for _ in range(3)]
+
+
+def boundary_draws(probabilities):
+    """Draws just below and just above each cumulative boundary."""
+    acc, bounds = 0.0, [0.0]
+    for probability in probabilities:
+        if probability > 1e-15:
+            acc += probability
+            bounds.append(acc)
+    draws = {0.0, np.nextafter(1.0, 0.0)}
+    for bound in bounds:
+        draws.update(u for u in (bound - 1e-9, bound + 1e-9) if 0.0 <= u < 1.0)
+    return sorted(draws)
+
+
+def oracle_branch(branches, draw):
+    """The enumerate_bell branch a draw selects, by a walk of this test's own."""
+    acc, chosen = 0.0, None
+    for branch in branches:
+        if branch.probability <= 1e-15:
+            continue
+        chosen = branch
+        acc += branch.probability
+        if draw < acc:
+            break
+    return chosen
+
+
+@pytest.mark.parametrize("node", range(len(PAIR_NODES)))
+def test_kernel_matches_oracle_on_every_draw(node):
+    attack, pair = PAIR_NODES[node]
+    record = EveRecord(1, attack.kind, stored_label="e")
+    for message in kernel_messages():
+        branches = enumerate_bell(tensor(message, pair), "m", "a")
+        for draw in boundary_draws([b.probability for b in branches]):
+            rand = CountingDraw(draw)
+            got = teleport(message, pair, rand)
+            branch = oracle_branch(branches, draw)
+            want = _finish(branch, message, "b")
+            where = (attack.kind, pair.labels, message.amplitudes.tolist(), draw)
+            assert rand.calls == 1, where
+            assert (got.outcome_name, got.outcome_bits, got.correction) == (
+                want.outcome_name, want.outcome_bits, want.correction), where
+            assert got.probability == pytest.approx(want.probability, abs=1e-12), where
+            assert got.fidelity == pytest.approx(want.fidelity, abs=1e-12), where
+            oracle_post = apply_correction(branch.post_state, "b", want.correction)
+            assert got.post_state.labels == oracle_post.labels == ("m",) + pair.labels
+            assert_allclose(got.post_state.amplitudes, oracle_post.amplitudes, atol=1e-12)
+            assert_allclose(got.residual.amplitudes, want.residual.amplitudes, atol=1e-12)
+            if "e" in pair.labels:
+                eve_post = apply_correction(oracle_post, "e", want.correction)
+                assert eve_recover_attempt(attack, record, got, message) == pytest.approx(
+                    reduced_fidelity(eve_post, "e", message), abs=1e-12), where
+
+
+@pytest.mark.parametrize("node", range(len(PAIR_NODES)))
+def test_kernel_teleport_consumes_one_uniform(node):
+    _, pair = PAIR_NODES[node]
+    for seed in range(5):
+        rand, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        message = random_message(rand)
+        random_message(twin)
+        teleport(message, pair, rand)
+        twin.random()
+        assert rand.random() == twin.random()
+
+
+def test_kernel_cache_stays_bounded():
+    _bell_kernel.cache_clear()
+    rng = np.random.default_rng(2)
+    size = _KERNEL_CACHE_SIZE
+    for _ in range(size + 40):
+        assert teleport(random_message(rng), psi_plus(), rng).fidelity == pytest.approx(
+            1.0, abs=1e-12)
+    info = _bell_kernel.cache_info()
+    assert info.maxsize == size
+    assert info.misses > size
+    assert info.currsize <= size
+
+
+def test_teleport_rejects_bad_labels():
+    rng = np.random.default_rng(0)
+    message = make_message_state(0.6, 0.8)
+    with pytest.raises(ValueError):
+        teleport(message, psi_plus(), rng, alice_label="a", bob_label="a")
+    with pytest.raises(ValueError):
+        teleport(make_message_state(0.6, 0.8, label="a"), psi_plus(), rng)
+    with pytest.raises(ValueError):
+        teleport(tensor(message, make_basis_state([0], ["x"])), psi_plus(), rng)
