@@ -1,13 +1,13 @@
 # The three interceptors, side by side.
 #
 # Each attack touches the qubit travelling to Bob and leaves a different
-# statistical fingerprint.  The analytic checker only uses the Z-basis
+# statistical fingerprint.  The paper checker only uses the Z-basis
 # correlation rules; the strict checker adds the X-basis rule, which is
 # what finally catches the quieter attacks.
 
 import numpy as np
 
-from wshare import AttackModel, ProtocolConfig, round_detection_probability, run_protocol
+from wshare import AttackModel, CheckerMode, ProtocolConfig, round_detection_probability, run_protocol
 
 P, D = 0.5, 0.5
 ATTACKS = [
@@ -27,21 +27,21 @@ def build(kind, y):
 
 
 print(f"per-round detection probability at p={P}, d={D}")
-print(f"{'attack':8s} {'analytic':>10s} {'strict':>10s}")
+print(f"{'attack':8s} {'paper':>10s} {'strict':>10s}")
 for kind, y in ATTACKS:
-    analytic = round_detection_probability(kind, "paper_analytic", P, D, y=y)
-    strict = round_detection_probability(kind, "strict", P, D, y=y)
-    print(f"{kind:8s} {analytic:10.4f} {strict:10.4f}")
+    paper = round_detection_probability(kind, CheckerMode.PAPER, P, D, y=y)
+    strict = round_detection_probability(kind, CheckerMode.STRICT, P, D, y=y)
+    print(f"{kind:8s} {paper:10.4f} {strict:10.4f}")
 
-# The measure-resend and entangling attacks are invisible to the analytic
+# The measure-resend and entangling attacks are invisible to the paper
 # checker: their Z statistics are exactly W-like.  The strict X rule sees
 # both.  Now confirm with live runs.
 
 print("\nempirical abort rate over 400 runs (n=10)")
-print(f"{'attack':8s} {'analytic':>10s} {'strict':>10s}")
+print(f"{'attack':8s} {'paper':>10s} {'strict':>10s}")
 for attack_id, (kind, y) in enumerate(ATTACKS):
     rates = []
-    for mode in ("paper_analytic", "strict"):
+    for mode in CheckerMode:
         config = ProtocolConfig(n=10, d=D, p=P, checker_mode=mode)
         aborted = 0
         for seed in range(400):

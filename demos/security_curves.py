@@ -6,7 +6,7 @@
 # is quasi-secure, not absolutely secure -- but 13 fully-checked rounds
 # already push the escape probability below one in a million.
 
-from wshare import IsraParams, isra_case_probs, isra_success_sequence
+from wshare import isra_case_probs, isra_success_sequence
 
 print("per-round case probabilities at y=1, p=1, d=1:")
 caught_z1, caught_z0 = isra_case_probs(y=1.0, p=1.0, d=1.0)
@@ -16,13 +16,13 @@ print(f"  survives the round:     {1 - caught_z0 - caught_z1:.4f}")
 
 print("\nsequence survival S(n), worst case (y=1, p=1, d=1):")
 for n in (1, 2, 5, 10, 13, 20):
-    s = isra_success_sequence(IsraParams(y=1.0, p=1.0, d=1.0, n=n))
+    s = isra_success_sequence(1.0, 1.0, 1.0, n)
     bar = "#" * int(round(40 * s))
     print(f"  n={n:3d}  S={s:.2e}  {bar}")
 
 print("\nhalf-hearted checking still wins, just slower (y=0.5, p=0.5, d=0.5):")
 for n in (1, 5, 10, 20, 40, 80):
-    s = isra_success_sequence(IsraParams(y=0.5, p=0.5, d=0.5, n=n))
+    s = isra_success_sequence(0.5, 0.5, 0.5, n)
     bar = "#" * int(round(40 * s))
     print(f"  n={n:3d}  S={s:.2e}  {bar}")
 

@@ -16,7 +16,7 @@ rng = np.random.default_rng(23)
 
 table = build_correction_table()
 print("correction table (derived, not hard-coded):")
-for name, correction in table.by_name.items():
+for name, correction in table.items():
     print(f"  {name:5s} -> {correction}")
 
 outcome = run_protocol(ProtocolConfig(n=10, d=0.2, p=0.5), None, rng)

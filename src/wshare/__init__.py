@@ -11,7 +11,6 @@ closed-form detection/success formulas, and a CLI experiment runner.
 __version__ = "0.1.0"
 
 from .analytic import (
-    IsraParams,
     bell_yield,
     imra_outcome_probs,
     isra_case_probs,
@@ -23,6 +22,7 @@ from .analytic import (
 from .attacks import AttackModel, EveRecord, eve_recover_attempt
 from .protocol import (
     CheckReport,
+    CheckerMode,
     DetectionDirective,
     DistilledPairSet,
     ProtocolConfig,
@@ -45,7 +45,6 @@ from .statevec import (
     tensor,
 )
 from .teleport import (
-    CorrectionTable,
     TeleportResult,
     build_correction_table,
     ema_decomposition,
@@ -58,11 +57,10 @@ __all__ = [
     "Basis",
     "BellOutcome",
     "CheckReport",
-    "CorrectionTable",
+    "CheckerMode",
     "DetectionDirective",
     "DistilledPairSet",
     "EveRecord",
-    "IsraParams",
     "MeasurementBranch",
     "ProtocolConfig",
     "RoundState",

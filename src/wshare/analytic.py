@@ -1,7 +1,7 @@
 """Closed-form detection/success expressions plus exact enumeration oracles.
 
 The closed forms cover the store-and-resend attack under the
-``paper_analytic`` checker:
+``paper`` checker (:attr:`~wshare.protocol.CheckerMode.PAPER`):
 
 * the two per-round detection events have probabilities p*d*y^2/3 (fake
   qubit read as 1 while the home qubit read 1) and p*d/3 (anticorrelation
@@ -25,36 +25,15 @@ Eve forwards to Bob.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .attacks import ema_intercept, isra_intercept
-from .protocol import DetectionDirective, evaluate_checks
-from .statevec import Basis, StateVector, enumerate_qubit, make_w_state
-
-_ZERO = 1e-15
+from .attacks import AttackModel, ema_intercept, isra_intercept
+from .protocol import CheckerMode, DetectionDirective, evaluate_checks
+from .statevec import _ZERO_PROB, Basis, StateVector, enumerate_qubit, make_w_state
 
 
 def _check_unit(name: str, value: float) -> float:
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must be in [0, 1], got {value}")
     return float(value)
-
-
-@dataclass(frozen=True)
-class IsraParams:
-    """Arguments of the sequence-success formula for the store-resend attack."""
-
-    y: float
-    p: float
-    d: float
-    n: int
-
-    def __post_init__(self) -> None:
-        _check_unit("y", self.y)
-        _check_unit("p", self.p)
-        _check_unit("d", self.d)
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
 
 
 def bell_yield() -> float:
@@ -80,19 +59,21 @@ def isra_case_probs(y: float, p: float, d: float) -> tuple[float, float]:
 
 
 def isra_success_single(y: float, p: float, d: float) -> float:
-    """Probability one store-resend round escapes the analytic checker."""
+    """Probability one store-resend round escapes the paper checker."""
     rej1, rej2 = isra_case_probs(y, p, d)
     return 1.0 - (rej1 + rej2)
 
 
-def isra_success_sequence(params: IsraParams) -> float:
+def isra_success_sequence(y: float, p: float, d: float, n: int) -> float:
     """Probability a whole n-round store-resend sequence escapes detection.
 
     Strictly positive for any finite n, decreasing in n whenever
     p*d*(1+y^2) > 0 — the attack is caught with probability approaching,
     but never reaching, one.
     """
-    return isra_success_single(params.y, params.p, params.d) ** params.n
+    if not isinstance(n, int) or n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+    return isra_success_single(y, p, d) ** n
 
 
 # ---------------------------------------------------------------------------
@@ -112,13 +93,13 @@ def _attacked_round_branches(kind: str, y: float | None) -> list[tuple[float, St
         return [
             (branch.probability, branch.post_state)
             for branch in enumerate_qubit(w, "b", Basis.Z)
-            if branch.probability > _ZERO
+            if branch.probability > _ZERO_PROB
         ]
     if kind == "isra":
         if y is None:
             raise ValueError("the store-resend oracle needs the fake amplitude y")
-        _check_unit("y", y)
-        state, _ = isra_intercept(w, x=float((1.0 - y * y) ** 0.5), y=float(y))
+        attack = AttackModel.isra(y)  # checks y and derives x
+        state, _ = isra_intercept(w, attack.x, attack.y)
         return [(1.0, state)]
     if kind == "ema":
         state, _ = ema_intercept(w)
@@ -126,7 +107,8 @@ def _attacked_round_branches(kind: str, y: float | None) -> list[tuple[float, St
     raise ValueError(f"unknown attack kind {kind!r}")
 
 
-def _violation_probability(state: StateVector, basis: Basis, mode: str, home_outcome: int | None = None) -> float:
+def _violation_probability(state: StateVector, basis: Basis, mode: CheckerMode,
+                           home_outcome: int | None = None) -> float:
     """Exact P(checking rule violated) for one detection round on ``state``.
 
     Charlie Z-measures the home qubit, then Alice and Bob measure their
@@ -138,34 +120,40 @@ def _violation_probability(state: StateVector, basis: Basis, mode: str, home_out
     total = 0.0
     norm = 0.0
     for bc in enumerate_qubit(state, "c", Basis.Z):
-        if bc.probability <= _ZERO:
+        if bc.probability <= _ZERO_PROB:
             continue
         if home_outcome is not None and bc.outcome != home_outcome:
             continue
         norm += bc.probability
         for ba in enumerate_qubit(bc.post_state, "a", basis):
-            if ba.probability <= _ZERO:
+            if ba.probability <= _ZERO_PROB:
                 continue
             for bb in enumerate_qubit(ba.post_state, "b", basis):
-                if bb.probability <= _ZERO:
+                if bb.probability <= _ZERO_PROB:
                     continue
                 report = evaluate_checks(directive, [bc.outcome], [ba.outcome], [bb.outcome], mode)
                 if report.verdict == "detected":
                     total += bc.probability * ba.probability * bb.probability
     if home_outcome is not None:
-        return total / norm if norm > _ZERO else 0.0
+        return total / norm if norm > _ZERO_PROB else 0.0
     return total
 
 
 def round_detection_probability(
-    kind: str, mode: str, p: float, d: float, y: float | None = None
+    kind: str, mode: CheckerMode | str, p: float, d: float, y: float | None = None
 ) -> float:
     """Exact per-round detection probability for an attack under one checker.
 
     Branch enumeration over Eve's outcome (if any), the detection draw
     (weight d), the basis draw (Z with weight p), and all measurement
-    outcomes.  No sampling is involved.
+    outcomes.  No sampling is involved.  ``y`` is the store-resend fake
+    amplitude, needed for ``kind="isra"`` only.
+
+    Under the paper checker the measure-resend and entangle-measure attacks
+    come out exactly 0: both leave the Z statistics untouched, so only the
+    strict X rule ever catches them.
     """
+    mode = CheckerMode(mode)
     _check_unit("p", p)
     _check_unit("d", d)
     detect = 0.0
@@ -177,7 +165,7 @@ def round_detection_probability(
 
 
 def sequence_success_probability(
-    kind: str, mode: str, p: float, d: float, n: int, y: float | None = None
+    kind: str, mode: CheckerMode | str, p: float, d: float, n: int, y: float | None = None
 ) -> float:
     """(1 - per-round detection)^n from the enumeration oracle.
 
@@ -187,30 +175,6 @@ def sequence_success_probability(
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     return (1.0 - round_detection_probability(kind, mode, p, d, y)) ** n
-
-
-def isra_round_detection(y: float, p: float, d: float, mode: str = "paper_analytic") -> float:
-    """Enumerated per-round detection rate of the store-resend attack."""
-    return round_detection_probability("isra", mode, p, d, y)
-
-
-def imra_round_detection(p: float, d: float, mode: str = "paper_analytic") -> float:
-    """Enumerated per-round detection rate of the measure-resend attack.
-
-    Under the analytic (Z-rules-only) checker this is exactly 0: both of
-    Eve's resend branches satisfy the Z correlation rules, so the attack is
-    invisible there and only the strict X rule ever catches it.
-    """
-    return round_detection_probability("imra", mode, p, d)
-
-
-def ema_round_detection(p: float, d: float, mode: str = "paper_analytic") -> float:
-    """Enumerated per-round detection rate of the entangle-measure attack.
-
-    Zero under the analytic checker (the attack leaves Z statistics
-    untouched); positive under the strict checker via the X rule.
-    """
-    return round_detection_probability("ema", mode, p, d)
 
 
 def x_round_detection_given_home0(kind: str, y: float | None = None) -> float:
@@ -226,8 +190,9 @@ def x_round_detection_given_home0(kind: str, y: float | None = None) -> float:
         p0 = sum(
             b.probability for b in enumerate_qubit(state, "c", Basis.Z) if b.outcome == 0
         )
-        if p0 <= _ZERO:
+        if p0 <= _ZERO_PROB:
             continue
-        total += weight * p0 * _violation_probability(state, Basis.X, "strict", home_outcome=0)
+        total += weight * p0 * _violation_probability(state, Basis.X, CheckerMode.STRICT,
+                                                      home_outcome=0)
         total_weight += weight * p0
-    return total / total_weight if total_weight > _ZERO else 0.0
+    return total / total_weight if total_weight > _ZERO_PROB else 0.0

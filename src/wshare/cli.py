@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -40,9 +41,9 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import __version__
-from .analytic import IsraParams, isra_success_sequence, sequence_success_probability
-from .attacks import AttackModel, eve_recover_attempt
-from .protocol import ProtocolConfig, RunOutcome, run_protocol
+from .analytic import isra_success_sequence, sequence_success_probability
+from .attacks import ATTACK_KINDS, AttackModel, eve_recover_attempt
+from .protocol import CheckerMode, ProtocolConfig, RunOutcome, run_protocol
 from .teleport import (
     build_correction_table,
     corrupted_channel,
@@ -50,8 +51,6 @@ from .teleport import (
     random_message,
     teleport,
 )
-
-MODE_NAMES = {"paper": "paper_analytic", "strict": "strict"}
 
 _VERB_TRIALS = {"run": 1, "sweep": 1000, "curves": 1, "teleport-demo": 20}
 
@@ -73,7 +72,7 @@ class ScenarioConfig:
     n: int = 100
     d: float = 0.5
     p: float = 0.5
-    mode: str = "paper"
+    mode: str = CheckerMode.PAPER.value
     attack: str = "none"
     isra_y: float = 0.5
     trials: int = 1
@@ -105,8 +104,8 @@ def _build_parser() -> _Parser:
     common.add_argument("--n", type=int, help="W-state sequence length")
     common.add_argument("--d", type=float, help="per-position detection probability")
     common.add_argument("--p", type=float, help="probability a directive basis is Z")
-    common.add_argument("--mode", choices=("paper", "strict"), help="checker semantics")
-    common.add_argument("--attack", choices=("none", "imra", "isra", "ema"))
+    common.add_argument("--mode", choices=[m.value for m in CheckerMode], help="checker semantics")
+    common.add_argument("--attack", choices=ATTACK_KINDS)
     common.add_argument("--isra-y", type=float, dest="isra_y", help="fake-qubit |1> amplitude")
     common.add_argument("--trials", type=int)
     common.add_argument("--seed", type=int, help="master seed; everything derives from it")
@@ -217,9 +216,10 @@ def _build_scenario(args: argparse.Namespace) -> ScenarioConfig:
 
 
 def _validate_scenario(cfg: ScenarioConfig) -> None:
-    if cfg.mode not in MODE_NAMES:
+    """Range-check every value once, for every verb, so later steps cannot fail."""
+    if cfg.mode not in [m.value for m in CheckerMode]:
         raise UsageError(f"mode must be paper or strict, got {cfg.mode!r}")
-    if cfg.attack not in ("none", "imra", "isra", "ema"):
+    if cfg.attack not in ATTACK_KINDS:
         raise UsageError(f"unknown attack {cfg.attack!r}")
     if cfg.format not in ("text", "csv", "records"):
         raise UsageError(f"unknown format {cfg.format!r}")
@@ -227,41 +227,27 @@ def _validate_scenario(cfg: ScenarioConfig) -> None:
         raise UsageError("trials must be at least 1")
     if cfg.workers < 1:
         raise UsageError("workers must be at least 1")
-    if not 0.0 <= cfg.isra_y <= 1.0:
-        raise UsageError(f"isra-y must be in [0, 1], got {cfg.isra_y}")
     if cfg.seed < 0:
         raise UsageError("seed must be non-negative")
+    if cfg.n < 1:
+        raise UsageError(f"n must be a positive integer, got {cfg.n}")
+    for name, value in (("d", cfg.d), ("p", cfg.p), ("isra-y", cfg.isra_y)):
+        if not 0.0 <= value <= 1.0:
+            raise UsageError(f"{name} must be in [0, 1], got {value}")
     for name, values, lo, hi in (
         ("y-values", cfg.y_values, 0.0, 1.0),
         ("p-values", cfg.p_values, 0.0, 1.0),
         ("d-values", cfg.d_values, 0.0, 1.0),
+        ("n-values", cfg.n_values, 1, math.inf),
     ):
+        if values is not None and not values:
+            raise UsageError(f"{name} is empty")
         if values is not None and any(not lo <= v <= hi for v in values):
             raise UsageError(f"{name} must lie in [{lo:g}, {hi:g}]")
-    if cfg.n_values is not None and any(n < 1 for n in cfg.n_values):
-        raise UsageError("n-values must be positive integers")
-
-
-def _protocol_config(cfg: ScenarioConfig, n=None, d=None, p=None, seed=None) -> ProtocolConfig:
-    try:
-        return ProtocolConfig(
-            n=int(cfg.n if n is None else n),
-            d=float(cfg.d if d is None else d),
-            p=float(cfg.p if p is None else p),
-            checker_mode=MODE_NAMES[cfg.mode],
-            master_seed=int(cfg.seed if seed is None else seed),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc))
 
 
 def _make_attack(kind: str, isra_y: float) -> AttackModel:
-    try:
-        if kind == "isra":
-            return AttackModel.isra(y=isra_y)
-        return AttackModel(kind)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    return AttackModel.isra(y=isra_y) if kind == "isra" else AttackModel(kind)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +344,7 @@ def _enrich_with_teleportation(
 
 
 def cmd_run(cfg: ScenarioConfig) -> int:
-    config = _protocol_config(cfg)
+    config = ProtocolConfig(n=cfg.n, d=cfg.d, p=cfg.p, checker_mode=cfg.mode)
     attack = _make_attack(cfg.attack, cfg.isra_y)
     rand = np.random.default_rng(cfg.seed)
     outcome = run_protocol(config, attack, rand)
@@ -406,11 +392,10 @@ SWEEP_COLUMNS = [
 def _sweep_point(args: tuple) -> dict:
     """Run all trials of one grid point; deterministic given its arguments."""
     kind, mode_name, y, p, d, n, trials, seed, grid_index = args
-    checker_mode = MODE_NAMES[mode_name]
     detections = 0
     yields: list[float] = []
     fidelities: list[float] = []
-    config = ProtocolConfig(n=n, d=d, p=p, checker_mode=checker_mode, master_seed=seed)
+    config = ProtocolConfig(n=n, d=d, p=p, checker_mode=mode_name)
     for trial_index in range(trials):
         rand = np.random.default_rng((seed, grid_index, trial_index))
         attack = _make_attack(kind, y if y is not None else 0.0)
@@ -426,10 +411,10 @@ def _sweep_point(args: tuple) -> dict:
             fidelities.append(teleport(message, pair, rand).fidelity)
     detection_rate = detections / trials
     success_rate = 1.0 - detection_rate
-    if kind == "isra" and mode_name == "paper":
-        analytic = isra_success_sequence(IsraParams(y=y, p=p, d=d, n=n))
+    if kind == "isra" and config.checker_mode is CheckerMode.PAPER:
+        analytic = isra_success_sequence(y, p, d, n)
     else:
-        analytic = sequence_success_probability(kind, checker_mode, p=p, d=d, n=n, y=y)
+        analytic = sequence_success_probability(kind, config.checker_mode, p=p, d=d, n=n, y=y)
     return {
         "attack": kind,
         "mode": mode_name,
@@ -459,8 +444,6 @@ def sweep_grid(cfg: ScenarioConfig) -> list[dict]:
     p_values = cfg.p_values or (cfg.p,)
     d_values = cfg.d_values or (cfg.d,)
     n_values = cfg.n_values or (cfg.n,)
-    if not (y_values and p_values and d_values and n_values):
-        raise UsageError("parameter grid is empty")
     points = []
     grid_index = 0
     for y in y_values:
@@ -471,8 +454,6 @@ def sweep_grid(cfg: ScenarioConfig) -> list[dict]:
                         (cfg.attack, cfg.mode, y, p, d, n, cfg.trials, cfg.seed, grid_index)
                     )
                     grid_index += 1
-    for point in points:  # validate every grid point before any work
-        _protocol_config(cfg, n=point[5], d=point[4], p=point[3])
     workers = min(cfg.workers, len(points), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -507,26 +488,19 @@ def cmd_curves(cfg: ScenarioConfig) -> int:
     d_values = cfg.d_values if cfg.d_values is not None else (0.25, 0.5, 1.0)
     p_values = cfg.p_values if cfg.p_values is not None else (0.25, 0.5, 1.0)
     n_values = cfg.n_values if cfg.n_values is not None else _DEFAULT_CURVE_NS
-    for name, values in (("y-values", y_values), ("d-values", d_values),
-                         ("p-values", p_values), ("n-values", n_values)):
-        if len(values) == 0:
-            raise UsageError(f"{name} range is empty")
     rows = []
-    try:
-        for y in y_values:
-            for n in n_values:
-                rows.append({"panel": "vary-y", "y": y, "p": cfg.p, "d": cfg.d, "n": n,
-                             "success": isra_success_sequence(IsraParams(y=y, p=cfg.p, d=cfg.d, n=n))})
-        for d in d_values:
-            for n in n_values:
-                rows.append({"panel": "vary-d", "y": cfg.isra_y, "p": cfg.p, "d": d, "n": n,
-                             "success": isra_success_sequence(IsraParams(y=cfg.isra_y, p=cfg.p, d=d, n=n))})
-        for p in p_values:
-            for n in n_values:
-                rows.append({"panel": "vary-p", "y": cfg.isra_y, "p": p, "d": cfg.d, "n": n,
-                             "success": isra_success_sequence(IsraParams(y=cfg.isra_y, p=p, d=cfg.d, n=n))})
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    for y in y_values:
+        for n in n_values:
+            rows.append({"panel": "vary-y", "y": y, "p": cfg.p, "d": cfg.d, "n": n,
+                         "success": isra_success_sequence(y, cfg.p, cfg.d, n)})
+    for d in d_values:
+        for n in n_values:
+            rows.append({"panel": "vary-d", "y": cfg.isra_y, "p": cfg.p, "d": d, "n": n,
+                         "success": isra_success_sequence(cfg.isra_y, cfg.p, d, n)})
+    for p in p_values:
+        for n in n_values:
+            rows.append({"panel": "vary-p", "y": cfg.isra_y, "p": p, "d": cfg.d, "n": n,
+                         "success": isra_success_sequence(cfg.isra_y, p, cfg.d, n)})
     notes = ["illustrative default ranges; not a reproduction of any published figure"] if defaults_used else None
     _emit_rows(CURVE_COLUMNS, rows, cfg, notes=notes)
     return 0
@@ -550,7 +524,7 @@ def cmd_teleport_demo(cfg: ScenarioConfig) -> int:
         raise UsageError("teleport-demo supports --attack none or ema only")
     rows = [
         {"section": "correction", "outcome": name, "correction": correction}
-        for name, correction in build_correction_table().by_name.items()
+        for name, correction in build_correction_table().items()
     ]
     rand = np.random.default_rng(cfg.seed)
     channel = corrupted_channel() if cfg.attack == "ema" else psi_plus_pair()

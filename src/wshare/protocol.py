@@ -26,11 +26,11 @@ X      0     Ra = Rb
 X      1     (no constraint)
 ====== ===== =============================
 
-``paper_analytic`` applies the same Z rules but lets every X-basis round
-pass unconditionally, which is the detection model under which the
-closed-form expressions in :mod:`wshare.analytic` hold exactly.  The modes
-consume randomness identically, so runs with equal seeds are comparable
-round for round.
+``paper`` (:attr:`CheckerMode.PAPER`) applies the same Z rules but lets
+every X-basis round pass unconditionally, which is the detection model
+under which the closed-form expressions in :mod:`wshare.analytic` hold
+exactly.  The modes consume randomness identically, so runs with equal
+seeds are comparable round for round.
 
 Detection never yields false positives in either mode: every honest
 measurement branch of the W state satisfies all four rules.
@@ -52,6 +52,7 @@ bounded and filled lazily, on first use.
 
 from __future__ import annotations
 
+import enum
 import functools
 from dataclasses import dataclass, field
 
@@ -60,20 +61,27 @@ import numpy as np
 from .attacks import AttackModel
 from .statevec import Basis, StateVector, discard_qubit, make_w_state, measure_shared
 
-CHECKER_MODES = ("paper_analytic", "strict")
-
 RULE_KEYS = ("z_rc0", "z_rc1", "x_rc0")
+
+
+class CheckerMode(enum.Enum):
+    """Checking semantics: the paper's Z rules alone, or with the X rule."""
+
+    PAPER = "paper"
+    STRICT = "strict"
 
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Run parameters; validated on construction."""
+    """Run parameters; validated on construction.
+
+    ``checker_mode`` may be given as a :class:`CheckerMode` or its value.
+    """
 
     n: int
     d: float
     p: float
-    checker_mode: str = "paper_analytic"
-    master_seed: int = 0
+    checker_mode: CheckerMode = CheckerMode.PAPER
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 1:
@@ -82,12 +90,7 @@ class ProtocolConfig:
             raise ValueError(f"detection probability d must be in [0, 1], got {self.d}")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"Z-basis probability p must be in [0, 1], got {self.p}")
-        if self.checker_mode not in CHECKER_MODES:
-            raise ValueError(
-                f"checker_mode must be one of {CHECKER_MODES}, got {self.checker_mode!r}"
-            )
-        if not isinstance(self.master_seed, int) or self.master_seed < 0:
-            raise ValueError(f"master_seed must be a non-negative integer, got {self.master_seed!r}")
+        object.__setattr__(self, "checker_mode", CheckerMode(self.checker_mode))
 
 
 @dataclass(frozen=True)
@@ -201,16 +204,12 @@ def select_detection_positions(n: int, d: float, rand: np.random.Generator) -> l
     Always consumes exactly n draws so that runs with different d remain
     stream-aligned for everything that follows.
     """
-    if not 0.0 <= d <= 1.0:
-        raise ValueError(f"detection probability d must be in [0, 1], got {d}")
     mask = rand.random(n) < d
     return [int(i) + 1 for i in np.flatnonzero(mask)]
 
 
 def assign_bases(positions, p: float, rand: np.random.Generator) -> list[DetectionDirective]:
     """Attach a directive basis to each position: Z w.p. p, X otherwise."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"Z-basis probability p must be in [0, 1], got {p}")
     draws = rand.random(len(positions))
     return [
         DetectionDirective(pos, Basis.Z if draw < p else Basis.X)
@@ -218,14 +217,14 @@ def assign_bases(positions, p: float, rand: np.random.Generator) -> list[Detecti
     ]
 
 
-def evaluate_checks(directives, rc_results, ra_results, rb_results, mode: str) -> CheckReport:
+def evaluate_checks(directives, rc_results, ra_results, rb_results,
+                    mode: CheckerMode | str) -> CheckReport:
     """Apply the checking rules to the published detection results.
 
     All four sequences must be aligned position by position.  See the module
     docstring for the rule table and the two modes.
     """
-    if mode not in CHECKER_MODES:
-        raise ValueError(f"unknown checker mode {mode!r}; expected one of {CHECKER_MODES}")
+    mode = CheckerMode(mode)
     if not (len(directives) == len(rc_results) == len(ra_results) == len(rb_results)):
         raise ValueError(
             "misaligned check inputs: "
@@ -240,7 +239,7 @@ def evaluate_checks(directives, rc_results, ra_results, rb_results, mode: str) -
             else:
                 key, ok = "z_rc1", ra == 0 and rb == 0
         else:
-            if mode != "strict" or rc != 0:
+            if mode is not CheckerMode.STRICT or rc != 0:
                 continue  # X rounds pass unconditionally outside strict/home-0
             key, ok = "x_rc0", ra == rb
         tally = tallies[key]
@@ -292,21 +291,17 @@ def _w_template() -> StateVector:
 
 
 def run_protocol(
-    config: ProtocolConfig,
-    attack: AttackModel | None = None,
-    rand: np.random.Generator | None = None,
+    config: ProtocolConfig, attack: AttackModel | None, rand: np.random.Generator
 ) -> RunOutcome:
     """Execute one full protocol run and return its outcome.
 
-    With ``rand`` omitted, the stream is seeded from ``config.master_seed``;
-    identical (config, attack, seed) triples reproduce the outcome bit for
-    bit.  On detection the run aborts (no pairs); rerunning is the caller's
-    decision.
+    Every draw comes from ``rand``; identical (config, attack, stream state)
+    triples reproduce the outcome bit for bit.  ``attack=None`` is the
+    honest channel.  On detection the run aborts (no pairs); rerunning is
+    the caller's decision.
     """
     if attack is None:
         attack = AttackModel.none()
-    if rand is None:
-        rand = np.random.default_rng(config.master_seed)
 
     transcript: list[tuple] = [("charlie", "mode", "transmission")]
 

@@ -60,16 +60,6 @@ def apply_correction(s: StateVector, q: str, correction: str) -> StateVector:
     return s
 
 
-@dataclass(frozen=True)
-class CorrectionTable:
-    """Bell outcome name -> Pauli correction for the psi+ channel."""
-
-    by_name: dict[str, str]
-
-    def correction_for(self, outcome_name: str) -> str:
-        return self.by_name[outcome_name]
-
-
 def psi_plus_pair(labels=("a", "b")) -> StateVector:
     amps = np.zeros(4, dtype=complex)
     amps[[0b01, 0b10]] = 1.0 / np.sqrt(2.0)
@@ -77,8 +67,10 @@ def psi_plus_pair(labels=("a", "b")) -> StateVector:
 
 
 @functools.cache
-def build_correction_table() -> CorrectionTable:
+def build_correction_table() -> dict[str, str]:
     """Derive Bob's correction for each Bell outcome over a psi+ channel.
+
+    Returns Bell outcome name -> Pauli correction, in ``BELL_NAMES`` order.
 
     Two linearly independent probe messages pin the correction uniquely:
     a candidate survives only if it restores both probes with fidelity 1.
@@ -99,7 +91,7 @@ def build_correction_table() -> CorrectionTable:
         if len(survivors) != 1:
             raise RuntimeError(f"correction for {name} not unique: {survivors}")
         table[name] = survivors[0]
-    return CorrectionTable(table)
+    return table
 
 
 @dataclass(frozen=True)
@@ -136,7 +128,7 @@ class TeleportResult:
 
 
 def _finish(branch: BellOutcome, message: StateVector, bob_label: str) -> TeleportResult:
-    correction = build_correction_table().correction_for(branch.name)
+    correction = build_correction_table()[branch.name]
     post = apply_correction(branch.post_state, bob_label, correction)
     return TeleportResult(
         outcome_name=branch.name,
@@ -179,7 +171,7 @@ def _bell_kernel(pair: StateVector, alice_label: str, bob_label: str
     kernel = np.empty((4, 2, channel.shape[1]), dtype=complex)
     for k, (name, mat) in enumerate(zip(BELL_NAMES, _BELL_MATRICES)):
         collapsed = (mat.conj() @ channel).reshape(2, 1 << bob, 2, -1)
-        corrected = np.einsum("cb,ixby->ixcy", _correction_matrix(table.correction_for(name)),
+        corrected = np.einsum("cb,ixby->ixcy", _correction_matrix(table[name]),
                               collapsed)
         kernel[k] = corrected.reshape(2, -1)
     kernel.flags.writeable = False
@@ -215,7 +207,7 @@ def teleport(
         outcome_name=name,
         outcome_bits=_BELL_BITS[k],
         probability=probabilities[k],
-        correction=build_correction_table().correction_for(name),
+        correction=build_correction_table()[name],
         residual=residual,
         labels=message.labels + pair.labels,
         bob_label=bob_label,

@@ -13,7 +13,6 @@ import time
 import numpy as np
 
 from wshare.analytic import (
-    IsraParams,
     isra_success_sequence,
     round_detection_probability,
 )
@@ -62,7 +61,7 @@ def test_criterion_01_bell_yield():
 def test_criterion_02_honest_soundness():
     detections = 0
     runs = 0
-    for mode in ("paper_analytic", "strict"):
+    for mode in ("paper", "strict"):
         config = ProtocolConfig(n=100, d=0.5, p=0.5, checker_mode=mode)
         for seed in range(1000):
             outcome = run_protocol(config, None, np.random.default_rng((20_02, seed)))
@@ -99,7 +98,7 @@ def test_criterion_04_isra_analytic_match():
     failures = []
     for index, (y, p, d) in enumerate(grid):
         row = _sweep_point(("isra", "paper", y, p, d, n, trials, 20_04, index))
-        predicted = isra_success_sequence(IsraParams(y=y, p=p, d=d, n=n))
+        predicted = isra_success_sequence(y, p, d, n)
         stderr = np.sqrt(predicted * (1.0 - predicted) / trials)
         gap = abs(row["success_rate"] - predicted)
         if gap > 3.0 * stderr:
@@ -116,7 +115,7 @@ def test_criterion_05_isra_exact_oracle():
     for y in values:
         for p in values:
             for d in values:
-                enumerated = round_detection_probability("isra", "paper_analytic", p, d, y=y)
+                enumerated = round_detection_probability("isra", "paper", p, d, y=y)
                 closed_form = p * d * (1.0 + y * y) / 3.0
                 worst = max(worst, abs(enumerated - closed_form))
     _report(5, "single-round enumeration equals pd(1+y^2)/3 on the 5x5x5 grid",
@@ -169,7 +168,7 @@ def test_criterion_07_ema_invisibility():
     )))
     marginal_ok = gap <= 1e-12
     detections = 0
-    config = ProtocolConfig(n=20, d=0.5, p=0.5, checker_mode="paper_analytic")
+    config = ProtocolConfig(n=20, d=0.5, p=0.5, checker_mode="paper")
     for seed in range(1000):
         outcome = run_protocol(config, AttackModel.ema(), np.random.default_rng((20_07, seed)))
         detections += outcome.aborted
@@ -209,12 +208,12 @@ def test_criterion_09_quasi_security_limit():
     tail_ok = True
     positive_ok = True
     for n in range(1, 601):
-        s = isra_success_sequence(IsraParams(y=1.0, p=1.0, d=1.0, n=n))
+        s = isra_success_sequence(1.0, 1.0, 1.0, n)
         if s <= 0.0:
             positive_ok = False
         if n >= 13 and s >= 1e-6:
             tail_ok = False
-    s13 = isra_success_sequence(IsraParams(y=1.0, p=1.0, d=1.0, n=13))
+    s13 = isra_success_sequence(1.0, 1.0, 1.0, 13)
     _report(9, "worst-case escape probability: <1e-6 from n=13 on, never exactly 0",
             tail_ok and positive_ok, f"S(n=13)={s13:.2e}, tested n=1..600")
 
@@ -230,11 +229,11 @@ def test_criterion_10_strict_mode_dominance():
     for kind, build in attacks.items():
         for seed in range(1000):
             results = {}
-            for mode in ("paper_analytic", "strict"):
+            for mode in ("paper", "strict"):
                 config = ProtocolConfig(n=20, d=0.5, p=0.5, checker_mode=mode)
                 outcome = run_protocol(config, build(), np.random.default_rng((20_10, seed)))
                 results[mode] = outcome.aborted
-            if results["paper_analytic"] and not results["strict"]:
+            if results["paper"] and not results["strict"]:
                 violations.append((kind, seed))
     dominance_ok = not violations
 

@@ -4,13 +4,9 @@ import numpy as np
 import pytest
 
 from wshare.analytic import (
-    IsraParams,
     bell_yield,
-    ema_round_detection,
     imra_outcome_probs,
-    imra_round_detection,
     isra_case_probs,
-    isra_round_detection,
     isra_success_sequence,
     isra_success_single,
     round_detection_probability,
@@ -50,16 +46,16 @@ def test_isra_success_single_values():
 
 
 def test_isra_success_sequence_values():
-    assert isra_success_sequence(IsraParams(y=0.4, p=0.6, d=0.7, n=1)) == pytest.approx(
+    assert isra_success_sequence(0.4, 0.6, 0.7, 1) == pytest.approx(
         isra_success_single(0.4, 0.6, 0.7)
     )
-    assert isra_success_sequence(IsraParams(y=1, p=1, d=1, n=5)) == pytest.approx((1 / 3) ** 5)
+    assert isra_success_sequence(1, 1, 1, 5) == pytest.approx((1 / 3) ** 5)
     with pytest.raises(ValueError):
-        IsraParams(y=0.5, p=0.5, d=0.5, n=0)
+        isra_success_sequence(0.5, 0.5, 0.5, 0)
 
 
 def test_sequence_monotone_in_n():
-    values = [isra_success_sequence(IsraParams(y=0.5, p=0.5, d=0.5, n=n)) for n in range(1, 40)]
+    values = [isra_success_sequence(0.5, 0.5, 0.5, n) for n in range(1, 40)]
     assert all(a > b > 0 for a, b in zip(values, values[1:]))
 
 
@@ -81,13 +77,13 @@ def test_isra_oracle_matches_formula_on_grid():
     for y in grid:
         for p in grid:
             for d in grid:
-                enumerated = isra_round_detection(y, p, d, mode="paper_analytic")
+                enumerated = round_detection_probability("isra", "paper", p, d, y)
                 formula = p * d * (1 + y * y) / 3
                 assert enumerated == pytest.approx(formula, abs=1e-9)
 
 
 def test_honest_round_never_detected():
-    for mode in ("paper_analytic", "strict"):
+    for mode in ("paper", "strict"):
         assert round_detection_probability("none", mode, p=0.5, d=1.0) == pytest.approx(
             0.0, abs=1e-12
         )
@@ -96,14 +92,14 @@ def test_honest_round_never_detected():
 def test_imra_invisible_to_analytic_checker():
     # Both resend branches satisfy the Z rules, so the analytic checker
     # never fires on the measure-resend attack.
-    assert imra_round_detection(1.0, 1.0, mode="paper_analytic") == pytest.approx(0.0, abs=1e-12)
+    assert round_detection_probability("imra", "paper", 1.0, 1.0) == pytest.approx(0.0, abs=1e-12)
     # the strict X rule does catch it
-    assert imra_round_detection(0.0, 1.0, mode="strict") > 0.1
+    assert round_detection_probability("imra", "strict", 0.0, 1.0) > 0.1
 
 
 def test_ema_invisible_to_analytic_checker():
-    assert ema_round_detection(1.0, 1.0, mode="paper_analytic") == pytest.approx(0.0, abs=1e-12)
-    assert ema_round_detection(0.0, 1.0, mode="strict") > 0.1
+    assert round_detection_probability("ema", "paper", 1.0, 1.0) == pytest.approx(0.0, abs=1e-12)
+    assert round_detection_probability("ema", "strict", 0.0, 1.0) > 0.1
 
 
 def test_x_round_detection_is_one_half():
@@ -119,14 +115,14 @@ def test_x_round_detection_is_one_half():
 
 def test_strict_dominates_analytic_per_round():
     for kind, y in (("imra", None), ("isra", 0.5), ("ema", None)):
-        analytic_rate = round_detection_probability(kind, "paper_analytic", p=0.5, d=0.5, y=y)
+        analytic_rate = round_detection_probability(kind, "paper", p=0.5, d=0.5, y=y)
         strict_rate = round_detection_probability(kind, "strict", p=0.5, d=0.5, y=y)
         assert strict_rate >= analytic_rate - 1e-12
 
 
 def test_sequence_success_probability():
-    direct = sequence_success_probability("isra", "paper_analytic", p=0.5, d=0.5, n=10, y=0.5)
-    formula = isra_success_sequence(IsraParams(y=0.5, p=0.5, d=0.5, n=10))
+    direct = sequence_success_probability("isra", "paper", p=0.5, d=0.5, n=10, y=0.5)
+    formula = isra_success_sequence(0.5, 0.5, 0.5, 10)
     assert direct == pytest.approx(formula, abs=1e-9)
     with pytest.raises(ValueError):
         sequence_success_probability("isra", "strict", p=0.5, d=0.5, n=0, y=0.5)
@@ -134,8 +130,14 @@ def test_sequence_success_probability():
 
 def test_oracle_validates_arguments():
     with pytest.raises(ValueError):
-        round_detection_probability("isra", "paper_analytic", p=0.5, d=0.5)  # y missing
+        round_detection_probability("isra", "paper", p=0.5, d=0.5)  # y missing
     with pytest.raises(ValueError):
         round_detection_probability("quantum-zeno", "strict", p=0.5, d=0.5)
     with pytest.raises(ValueError):
         round_detection_probability("ema", "strict", p=1.5, d=0.5)
+    with pytest.raises(ValueError):
+        round_detection_probability("none", "paper_analytic", p=0.5, d=0.5)
+    with pytest.raises(ValueError):
+        round_detection_probability("isra", "strict", p=0.5, d=0.5, y=1.5)
+    with pytest.raises(ValueError):
+        x_round_detection_given_home0("isra", y=float("nan"))

@@ -3,8 +3,10 @@
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wshare import cli
+from wshare.attacks import ATTACK_KINDS
 from wshare.cli import CURVE_COLUMNS, SWEEP_COLUMNS, ScenarioConfig, UsageError, _scenario_value, main
 
 
@@ -53,6 +56,10 @@ def test_missing_verb_exits_one():
         ("sweep", "--y-values", "0,1"),  # y grid without the isra attack
         ("curves", "--n-values", ""),
         ("teleport-demo", "--attack", "imra"),
+        ("sweep", "--n-values", ""),  # an empty grid used to fall back to --n
+        ("sweep", "--n-values", ","),
+        ("sweep", "--p", "1.5", "--p-values", "0.5"),  # out of range though unused
+        ("teleport-demo", "--p", "7"),
     ],
 )
 def test_bad_invocations_exit_one(flags):
@@ -257,6 +264,8 @@ def test_version_flag():
         {"n-values": "1,2.5"},
         {"d": 10 ** 400},  # an integer beyond the float range
         {"out": "no-such-dir/out.txt"},
+        {"n-values": []},
+        {"d-values": ","},
     ],
 )
 def test_bad_scenario_values_exit_one(scenario, tmp_path, monkeypatch, capsys):
@@ -303,6 +312,43 @@ def test_scenario_value_is_exactly_typed_or_rejected(name, value):
 @given(st.sampled_from(["n", "trials", "seed", "workers"]), st.integers(-10 ** 6, 10 ** 6))
 def test_scenario_integers_pass_through(name, value):
     assert _scenario_value(name, value) == value
+
+
+UNIT_VALUES = st.floats(0.0, 1.0) | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, 1.5])
+COUNT_VALUES = st.integers(1, 4) | st.integers(max_value=0) | st.sampled_from(["nan", "inf", "2.5"])
+
+
+def _arg(value) -> str:
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+@st.composite
+def hostile_argv(draw):
+    verb = draw(st.sampled_from(["run", "curves", "teleport-demo"]))
+    argv = [verb, "--attack", draw(st.sampled_from(ATTACK_KINDS)), "--seed", "1"]
+    for flag, values in (("--n", COUNT_VALUES), ("--d", UNIT_VALUES), ("--p", UNIT_VALUES),
+                         ("--isra-y", UNIT_VALUES)):
+        if draw(st.booleans()):
+            argv.append(f"{flag}={_arg(draw(values))}")
+    if verb == "curves":
+        for flag, values in (("--y-values", UNIT_VALUES), ("--d-values", UNIT_VALUES),
+                             ("--p-values", UNIT_VALUES), ("--n-values", COUNT_VALUES)):
+            if draw(st.booleans()):
+                argv.append(f"{flag}=" + ",".join(map(_arg, draw(st.lists(values, max_size=3)))))
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(hostile_argv())
+def test_hostile_values_never_raise(argv):
+    # Finite, out-of-range, nan and infinite values for every scalar and grid
+    # end in a clean exit status, never a traceback.
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        status = main(argv)
+    assert status in (0, 1, 2)
+    if status == 1:
+        assert err.getvalue().startswith("error:")
 
 
 class RecordingPool:

@@ -1,4 +1,5 @@
-"""Smoke test: every script in demos/ runs to completion and prints something."""
+"""Smoke test: every script in demos/ and the README's library quick start
+run to completion and print something."""
 
 import os
 import subprocess
@@ -15,12 +16,23 @@ def test_demos_are_found():
     assert len(DEMOS) == 5
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
-def test_demo_runs(demo):
+def _run_python(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True,
+    done = subprocess.run([sys.executable, *args], env=env, capture_output=True,
                           text=True, timeout=120, cwd=ROOT)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demo_runs(demo):
+    _run_python(str(demo))
+
+
+def test_readme_quick_start_runs():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    _run_python("-c", code)

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from wshare.attacks import AttackModel
 from wshare.protocol import (
     CheckReport,
+    CheckerMode,
     DetectionDirective,
     ProtocolConfig,
     RuleTally,
@@ -36,6 +37,7 @@ def dd(position, basis):
 
 def test_config_validation():
     ProtocolConfig(n=1, d=0.0, p=1.0)  # boundary values are fine
+    assert ProtocolConfig(n=1, d=0.0, p=1.0, checker_mode="strict").checker_mode is CheckerMode.STRICT
     with pytest.raises(ValueError):
         ProtocolConfig(n=0, d=0.5, p=0.5)
     with pytest.raises(ValueError):
@@ -45,7 +47,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ProtocolConfig(n=10, d=0.5, p=0.5, checker_mode="lenient")
     with pytest.raises(ValueError):
-        ProtocolConfig(n=10, d=0.5, p=0.5, master_seed=-1)
+        ProtocolConfig(n=10, d=0.5, p=0.5, checker_mode="paper_analytic")
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +114,7 @@ def test_assign_bases_concentration():
 def test_rule_table(basis, rc, ra, rb, ok_strict):
     strict = evaluate_checks([dd(1, basis)], [rc], [ra], [rb], "strict")
     assert (strict.verdict == "pass") == ok_strict
-    paper = evaluate_checks([dd(1, basis)], [rc], [ra], [rb], "paper_analytic")
+    paper = evaluate_checks([dd(1, basis)], [rc], [ra], [rb], "paper")
     ok_paper = ok_strict or basis is X  # X rounds never flag in paper mode
     assert (paper.verdict == "pass") == ok_paper
 
@@ -129,7 +131,7 @@ def test_tallies_and_offending_positions():
     assert strict.tallies["z_rc1"] == RuleTally(applied=1, violations=0)
     assert strict.tallies["x_rc0"] == RuleTally(applied=2, violations=1)
 
-    paper = evaluate_checks(directives, rc, ra, rb, "paper_analytic")
+    paper = evaluate_checks(directives, rc, ra, rb, "paper")
     assert paper.offending_rounds == (2,)
     assert paper.tallies["x_rc0"] == RuleTally(applied=0, violations=0)
 
@@ -167,7 +169,7 @@ def test_honest_branches_cover_every_home_outcome():
 def test_honest_branch_sequences_never_violate(rounds):
     directives = [dd(i + 1, basis) for i, (basis, _, _, _) in enumerate(rounds)]
     rc, ra, rb = ([r[k] for r in rounds] for k in (1, 2, 3))
-    for mode in ("paper_analytic", "strict"):
+    for mode in ("paper", "strict"):
         report = evaluate_checks(directives, rc, ra, rb, mode)
         assert report.verdict == "pass", mode
         assert all(tally.violations == 0 for tally in report.tallies.values()), mode
@@ -179,7 +181,7 @@ def test_strict_offends_wherever_paper_does(rounds):
     directives = [dd(i + 1, basis) for i, (basis, _, _, _) in enumerate(rounds)]
     rc, ra, rb = ([r[k] for r in rounds] for k in (1, 2, 3))
     strict = evaluate_checks(directives, rc, ra, rb, "strict")
-    paper = evaluate_checks(directives, rc, ra, rb, "paper_analytic")
+    paper = evaluate_checks(directives, rc, ra, rb, "paper")
     assert set(strict.offending_rounds) >= set(paper.offending_rounds)
     if paper.verdict == "detected":
         assert strict.verdict == "detected"
@@ -190,6 +192,8 @@ def test_checks_validate_inputs():
         evaluate_checks([dd(1, Z)], [0], [0], [], "strict")
     with pytest.raises(ValueError):
         evaluate_checks([], [], [], [], "fuzzy")
+    with pytest.raises(ValueError):
+        evaluate_checks([], [], [], [], "paper_analytic")
 
 
 def test_check_report_invariant():
@@ -208,7 +212,7 @@ def test_distill_positions_examples():
 
 
 def test_extract_pairs_validation():
-    outcome = run_protocol(ProtocolConfig(n=6, d=0.5, p=0.5, master_seed=3))
+    outcome = run_protocol(ProtocolConfig(n=6, d=0.5, p=0.5), None, np.random.default_rng(3))
     rounds = outcome.rounds
     detected_round = outcome.directives[0].position
     with pytest.raises(ValueError):
@@ -228,9 +232,9 @@ def test_extract_pairs_validation():
 def test_honest_run_passes_both_modes():
     for seed in range(40):
         transcripts = []
-        for mode in ("paper_analytic", "strict"):
-            config = ProtocolConfig(n=50, d=0.5, p=0.5, checker_mode=mode, master_seed=seed)
-            outcome = run_protocol(config)
+        for mode in ("paper", "strict"):
+            config = ProtocolConfig(n=50, d=0.5, p=0.5, checker_mode=mode)
+            outcome = run_protocol(config, None, np.random.default_rng(seed))
             assert outcome.report.verdict == "pass"
             assert not outcome.aborted
             transcripts.append(outcome.transcript)
@@ -240,15 +244,15 @@ def test_honest_run_passes_both_modes():
 
 
 def test_honest_yield_near_two_thirds():
-    config = ProtocolConfig(n=3000, d=0.0, p=0.5, master_seed=12)
-    outcome = run_protocol(config)
+    config = ProtocolConfig(n=3000, d=0.0, p=0.5)
+    outcome = run_protocol(config, None, np.random.default_rng(12))
     frac = outcome.yield_fraction
     sigma = np.sqrt((2 / 9) / 3000)
     assert abs(frac - 2 / 3) < 4 * sigma
 
 
 def test_honest_pairs_are_bell_pairs():
-    outcome = run_protocol(ProtocolConfig(n=200, d=0.3, p=0.5, master_seed=5))
+    outcome = run_protocol(ProtocolConfig(n=200, d=0.3, p=0.5), None, np.random.default_rng(5))
     want = np.zeros(4)
     want[[0b01, 0b10]] = RS2
     assert len(outcome.pairs) > 0
@@ -258,7 +262,7 @@ def test_honest_pairs_are_bell_pairs():
 
 
 def test_round_flags_after_run():
-    outcome = run_protocol(ProtocolConfig(n=30, d=0.5, p=0.5, master_seed=2))
+    outcome = run_protocol(ProtocolConfig(n=30, d=0.5, p=0.5), None, np.random.default_rng(2))
     sacrificed = {d.position for d in outcome.directives}
     for rs in outcome.rounds:
         if rs.index in sacrificed:
@@ -272,7 +276,7 @@ def test_round_flags_after_run():
 
 
 def test_transcript_shape():
-    outcome = run_protocol(ProtocolConfig(n=10, d=0.5, p=0.5, master_seed=1))
+    outcome = run_protocol(ProtocolConfig(n=10, d=0.5, p=0.5), None, np.random.default_rng(1))
     kinds = [event[1] for event in outcome.transcript]
     assert kinds[0] == "mode"
     assert "directives" in kinds
@@ -283,9 +287,9 @@ def test_transcript_shape():
 
 
 def test_determinism_bit_for_bit():
-    config = ProtocolConfig(n=40, d=0.5, p=0.5, master_seed=77)
-    a = run_protocol(config, AttackModel.isra(y=0.5))
-    b = run_protocol(config, AttackModel.isra(y=0.5))
+    config = ProtocolConfig(n=40, d=0.5, p=0.5)
+    a = run_protocol(config, AttackModel.isra(y=0.5), np.random.default_rng(77))
+    b = run_protocol(config, AttackModel.isra(y=0.5), np.random.default_rng(77))
     assert a.transcript == b.transcript
     assert a.report.verdict == b.report.verdict
     assert a.report.offending_rounds == b.report.offending_rounds
@@ -295,7 +299,7 @@ def test_determinism_bit_for_bit():
 
 
 def test_no_detection_rounds_passes_vacuously():
-    outcome = run_protocol(ProtocolConfig(n=1, d=0.0, p=0.5, master_seed=0))
+    outcome = run_protocol(ProtocolConfig(n=1, d=0.0, p=0.5), None, np.random.default_rng(0))
     assert outcome.report.verdict == "pass"
     assert outcome.directives == ()
     # the single round went to confirmation
@@ -303,15 +307,15 @@ def test_no_detection_rounds_passes_vacuously():
 
 
 def test_fully_sacrificed_run_yields_nothing():
-    outcome = run_protocol(ProtocolConfig(n=4, d=1.0, p=0.5, master_seed=6))
+    outcome = run_protocol(ProtocolConfig(n=4, d=1.0, p=0.5), None, np.random.default_rng(6))
     assert outcome.surviving_count == 0
     assert len(outcome.pairs) == 0
     assert outcome.yield_fraction is None
 
 
 def test_isra_full_force_aborts():
-    config = ProtocolConfig(n=30, d=1.0, p=1.0, master_seed=11)
-    outcome = run_protocol(config, AttackModel.isra(y=1.0))
+    config = ProtocolConfig(n=30, d=1.0, p=1.0)
+    outcome = run_protocol(config, AttackModel.isra(y=1.0), np.random.default_rng(11))
     # detection probability 1 - (1/3)^30: any seed in practice
     assert outcome.aborted
     assert len(outcome.pairs) == 0
@@ -319,23 +323,23 @@ def test_isra_full_force_aborts():
 
 
 def test_mode_dominance_paired_seeds():
-    # With identical seeds, every paper_analytic detection is also a strict
+    # With identical seeds, every paper detection is also a strict
     # detection, and the offending positions nest.
     attack_factories = [AttackModel.imra, lambda: AttackModel.isra(y=0.5), AttackModel.ema]
     for seed in range(60):
         for make_attack in attack_factories:
             outcomes = {}
-            for mode in ("paper_analytic", "strict"):
-                config = ProtocolConfig(n=20, d=0.5, p=0.5, checker_mode=mode, master_seed=seed)
-                outcomes[mode] = run_protocol(config, make_attack())
-            paper_set = set(outcomes["paper_analytic"].report.offending_rounds)
+            for mode in ("paper", "strict"):
+                config = ProtocolConfig(n=20, d=0.5, p=0.5, checker_mode=mode)
+                outcomes[mode] = run_protocol(config, make_attack(), np.random.default_rng(seed))
+            paper_set = set(outcomes["paper"].report.offending_rounds)
             strict_set = set(outcomes["strict"].report.offending_rounds)
             assert paper_set <= strict_set
 
 
 def test_isra_pairs_carry_stored_qubit():
-    config = ProtocolConfig(n=40, d=0.1, p=0.5, master_seed=8)
-    outcome = run_protocol(config, AttackModel.isra(y=0.3))
+    config = ProtocolConfig(n=40, d=0.1, p=0.5)
+    outcome = run_protocol(config, AttackModel.isra(y=0.3), np.random.default_rng(8))
     if not outcome.aborted and len(outcome.pairs) > 0:
         for _, state in outcome.pairs:
             assert set(state.labels) == {"a", "e", "b"}

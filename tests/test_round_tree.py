@@ -13,7 +13,7 @@ import pytest
 
 from wshare import attacks, protocol, statevec
 from wshare.attacks import AttackModel
-from wshare.protocol import ProtocolConfig, run_protocol
+from wshare.protocol import CheckerMode, ProtocolConfig, run_protocol
 from wshare.statevec import (
     Basis,
     apply_cnot,
@@ -27,7 +27,9 @@ from wshare.statevec import (
 )
 
 ATTACKS = [("none", None), ("imra", None), ("isra", 0.0), ("isra", 0.5), ("isra", 1.0), ("ema", None)]
-MODES = ["paper_analytic", "strict"]
+MODES = [CheckerMode.PAPER, CheckerMode.STRICT]
+# Test ids stay as first published, so a case keeps its name in test history.
+MODE_IDS = ["paper_analytic", "strict"]
 GRID = [(1, 1.0, 0.5), (1, 0.0, 0.5), (1, 0.5, 1.0), (6, 1.0, 0.0), (8, 0.5, 0.5),
         (10, 0.3, 1.0), (12, 0.0, 0.5)]
 SEEDS = range(4)
@@ -52,7 +54,7 @@ def replay_intercept(kind, y, state, t, rand):
 def rule_holds(basis, mode, rc, ra, rb):
     if basis is Basis.Z:
         return (ra ^ rb) == 1 if rc == 0 else ra == 0 and rb == 0
-    return ra == rb if mode == "strict" and rc == 0 else True
+    return ra == rb if mode is CheckerMode.STRICT and rc == 0 else True
 
 
 def replay(config, kind, y, rand):
@@ -97,7 +99,7 @@ def replay(config, kind, y, rand):
     return transcript, pair_positions, pair_states, records
 
 
-@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("mode", MODES, ids=MODE_IDS)
 @pytest.mark.parametrize("kind,y", ATTACKS)
 def test_run_protocol_matches_scalar_replay(kind, y, mode):
     for n, d, p in GRID:

@@ -43,14 +43,14 @@ def psi_plus(labels=("a", "b")):
 def test_correction_table_entries():
     # Derived, then frozen here: the psi+ channel swaps the roles that the
     # textbook phi+ channel assigns to I/X and Z/XZ.
-    table = build_correction_table().by_name
+    table = build_correction_table()
     assert table == {"psi+": "I", "psi-": "Z", "phi+": "X", "phi-": "XZ"}
 
 
 def test_corrections_are_complete():
     table = build_correction_table()
-    assert set(table.by_name) == {"psi+", "psi-", "phi+", "phi-"}
-    assert set(table.by_name.values()) <= {"I", "X", "Z", "XZ"}
+    assert set(table) == {"psi+", "psi-", "phi+", "phi-"}
+    assert set(table.values()) <= {"I", "X", "Z", "XZ"}
 
 
 def test_faithful_teleportation_all_branches():
