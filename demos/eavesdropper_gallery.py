@@ -18,14 +18,6 @@ ATTACKS = [
 ]
 
 
-def build(kind, y):
-    if kind == "none":
-        return AttackModel.none()
-    if kind == "isra":
-        return AttackModel.isra(y=y)
-    return AttackModel(kind)
-
-
 print(f"per-round detection probability at p={P}, d={D}")
 print(f"{'attack':8s} {'paper':>10s} {'strict':>10s}")
 for kind, y in ATTACKS:
@@ -40,12 +32,13 @@ for kind, y in ATTACKS:
 print("\nempirical abort rate over 400 runs (n=10)")
 print(f"{'attack':8s} {'paper':>10s} {'strict':>10s}")
 for attack_id, (kind, y) in enumerate(ATTACKS):
+    attack = AttackModel(kind, y)  # one frozen model serves every run
     rates = []
     for mode in CheckerMode:
         config = ProtocolConfig(n=10, d=D, p=P, checker_mode=mode)
         aborted = 0
         for seed in range(400):
             rng = np.random.default_rng((attack_id, seed))
-            aborted += run_protocol(config, build(kind, y), rng).aborted
+            aborted += run_protocol(config, attack, rng).aborted
         rates.append(aborted / 400)
     print(f"{kind:8s} {rates[0]:10.3f} {rates[1]:10.3f}")

@@ -19,14 +19,13 @@ from .analytic import (
     round_detection_probability,
     sequence_success_probability,
 )
-from .attacks import AttackModel, EveRecord, eve_recover_attempt
+from .attacks import AttackModel, eve_recover_attempt
 from .protocol import (
     CheckReport,
     CheckerMode,
     DetectionDirective,
     DistilledPairSet,
     ProtocolConfig,
-    RoundState,
     RunOutcome,
     run_protocol,
 )
@@ -60,10 +59,8 @@ __all__ = [
     "CheckerMode",
     "DetectionDirective",
     "DistilledPairSet",
-    "EveRecord",
     "MeasurementBranch",
     "ProtocolConfig",
-    "RoundState",
     "RunOutcome",
     "StateVector",
     "TeleportResult",

@@ -25,8 +25,8 @@ Eve forwards to Bob.)
 
 from __future__ import annotations
 
-from .attacks import AttackModel, ema_intercept, isra_intercept
-from .protocol import CheckerMode, DetectionDirective, evaluate_checks
+from .attacks import AttackModel
+from .protocol import CheckerMode, DetectionDirective, _check_length, evaluate_checks
 from .statevec import _ZERO_PROB, Basis, StateVector, enumerate_qubit, make_w_state
 
 
@@ -71,8 +71,7 @@ def isra_success_sequence(y: float, p: float, d: float, n: int) -> float:
     p*d*(1+y^2) > 0 — the attack is caught with probability approaching,
     but never reaching, one.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    _check_length(n)
     return isra_success_single(y, p, d) ** n
 
 
@@ -86,25 +85,16 @@ def _attacked_round_branches(kind: str, y: float | None) -> list[tuple[float, St
     The measure-resend attack is a classical mixture over Eve's outcome;
     the others leave a single pure state.
     """
+    attack = AttackModel(kind, y)  # checks the kind and y, derives x
     w = make_w_state()
-    if kind == "none":
-        return [(1.0, w)]
     if kind == "imra":
         return [
             (branch.probability, branch.post_state)
             for branch in enumerate_qubit(w, "b", Basis.Z)
             if branch.probability > _ZERO_PROB
         ]
-    if kind == "isra":
-        if y is None:
-            raise ValueError("the store-resend oracle needs the fake amplitude y")
-        attack = AttackModel.isra(y)  # checks y and derives x
-        state, _ = isra_intercept(w, attack.x, attack.y)
-        return [(1.0, state)]
-    if kind == "ema":
-        state, _ = ema_intercept(w)
-        return [(1.0, state)]
-    raise ValueError(f"unknown attack kind {kind!r}")
+    state, _ = attack.intercept(w, None)  # the other kinds draw nothing
+    return [(1.0, state)]
 
 
 def _violation_probability(state: StateVector, basis: Basis, mode: CheckerMode,
@@ -147,7 +137,7 @@ def round_detection_probability(
     Branch enumeration over Eve's outcome (if any), the detection draw
     (weight d), the basis draw (Z with weight p), and all measurement
     outcomes.  No sampling is involved.  ``y`` is the store-resend fake
-    amplitude, needed for ``kind="isra"`` only.
+    amplitude, required for ``kind="isra"`` and refused for other kinds.
 
     Under the paper checker the measure-resend and entangle-measure attacks
     come out exactly 0: both leave the Z statistics untouched, so only the
@@ -172,8 +162,7 @@ def sequence_success_probability(
     Rounds are independent, so this is the exact probability that an
     n-round attacked sequence escapes the checker.
     """
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    _check_length(n)
     return (1.0 - round_detection_probability(kind, mode, p, d, y)) ** n
 
 

@@ -1,7 +1,7 @@
 """Adversary models for the Charlie→Bob channel.
 
-Every attack acts once per round on the in-flight travel qubit ``b`` of that
-round's register:
+Every attack is one fixed operation on the in-flight travel qubit ``b`` of
+each round's register, described by a frozen :class:`AttackModel`:
 
 * ``imra`` — intercept-measure-resend: Eve Z-measures the qubit and forwards
   a fresh eigenstate matching her outcome (indistinguishable from leaving
@@ -11,8 +11,10 @@ round's register:
 * ``ema`` — entangle-measure: Eve CNOTs the in-flight qubit onto a fresh
   |0> ancilla ``e`` and forwards the original untouched.
 
-Eve's per-round loot is an :class:`EveRecord`; her post-protocol attempt to
-read Alice's teleported message out of that loot is
+:meth:`AttackModel.intercept` is pure: it returns the round's register and
+Eve's Z result (imra; ``None`` for the other kinds), and the run keeps
+those bits, one per round.  Her post-protocol attempt to read Alice's
+teleported message out of her bit or her qubit ``e`` is
 :func:`eve_recover_attempt`.
 
 The intercepts never copy a register per round: isra and ema hand back one
@@ -51,42 +53,10 @@ EVE_LABEL = "e"
 _JOINT_CACHE_SIZE = 64
 
 
-@dataclass(frozen=True)
-class EveRecord:
-    """What Eve walks away with from one attacked round.
-
-    ``bit`` is her measurement result (imra); ``stored_label`` names the
-    qubit she holds inside that round's register (isra: the stolen travel
-    qubit, ema: her entangled ancilla).
-    """
-
-    round_index: int
-    kind: str
-    bit: int | None = None
-    stored_label: str | None = None
-
-
-def imra_intercept(
-    state: StateVector, rand: np.random.Generator, round_index: int = 0
-) -> tuple[StateVector, EveRecord]:
-    """Measure the in-flight qubit in Z and forward a matching eigenstate."""
-    branch = measure_shared(state, "b", Basis.Z, rand.random())
-    return branch.post_state, EveRecord(round_index, "imra", bit=branch.outcome)
-
-
 @functools.lru_cache(maxsize=_JOINT_CACHE_SIZE)
 def _isra_joint(state: StateVector, x: float, y: float) -> StateVector:
     stored = relabel(state, {"b": EVE_LABEL})
     return tensor(stored, make_message_state(x, y, label="b"))
-
-
-def isra_intercept(
-    state: StateVector, x: float, y: float, round_index: int = 0
-) -> tuple[StateVector, EveRecord]:
-    """Store the genuine qubit as ``e`` and inject a fake x|0> + y|1> as ``b``."""
-    if abs(x * x + y * y - 1.0) > 1e-9:
-        raise ValueError(f"fake-qubit amplitudes not normalized: x^2+y^2 = {x * x + y * y:.6g}")
-    return _isra_joint(state, x, y), EveRecord(round_index, "isra", stored_label=EVE_LABEL)
 
 
 @functools.lru_cache(maxsize=_JOINT_CACHE_SIZE)
@@ -95,92 +65,73 @@ def _ema_joint(state: StateVector) -> StateVector:
     return apply_cnot(joint, "b", EVE_LABEL)
 
 
-def ema_intercept(state: StateVector, round_index: int = 0) -> tuple[StateVector, EveRecord]:
-    """Entangle a fresh |0> ancilla onto the in-flight qubit with a CNOT."""
-    return _ema_joint(state), EveRecord(round_index, "ema", stored_label=EVE_LABEL)
-
-
-@dataclass
+@dataclass(frozen=True)
 class AttackModel:
-    """A configured adversary plus her accumulated per-round memory.
+    """One adversary: a kind from :data:`ATTACK_KINDS`, validated once.
 
-    One instance is bound to one protocol run; ``records`` maps each
-    attacked round's index to its record, in interception order.
+    ``y`` is the store-resend fake qubit's |1> amplitude, required for
+    ``isra`` and refused for every other kind; ``x = sqrt(1 - y^2)`` is
+    derived from it.  The model holds no per-run state, so one instance
+    serves any number of runs.
     """
 
     kind: str
-    x: float | None = None
     y: float | None = None
-    records: dict[int, EveRecord] = field(default_factory=dict)
+    x: float | None = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ATTACK_KINDS:
             raise ValueError(f"unknown attack kind {self.kind!r}; expected one of {ATTACK_KINDS}")
-        if self.kind == "isra":
-            if self.x is None or self.y is None:
-                raise ValueError("isra needs fake-qubit amplitudes x and y")
-            if abs(self.x ** 2 + self.y ** 2 - 1.0) > 1e-9:
-                raise ValueError("isra fake-qubit amplitudes must satisfy x^2 + y^2 = 1")
-
-    @classmethod
-    def none(cls) -> "AttackModel":
-        return cls("none")
-
-    @classmethod
-    def imra(cls) -> "AttackModel":
-        return cls("imra")
-
-    @classmethod
-    def isra(cls, y: float) -> "AttackModel":
-        if not 0.0 <= y <= 1.0:
-            raise ValueError(f"fake-qubit amplitude y must be in [0, 1], got {y}")
-        return cls("isra", x=float(np.sqrt(1.0 - y * y)), y=float(y))
-
-    @classmethod
-    def ema(cls) -> "AttackModel":
-        return cls("ema")
+        if self.kind != "isra":
+            if self.y is not None:
+                raise ValueError(f"only isra takes a fake-qubit amplitude y, not {self.kind}")
+            return
+        if self.y is None:
+            raise ValueError("isra needs the fake-qubit amplitude y")
+        if not 0.0 <= self.y <= 1.0:
+            raise ValueError(f"fake-qubit amplitude y must be in [0, 1], got {self.y}")
+        object.__setattr__(self, "y", float(self.y))
+        object.__setattr__(self, "x", float(np.sqrt(1.0 - self.y * self.y)))
 
     def intercept(
-        self, state: StateVector, round_index: int, rand: np.random.Generator
-    ) -> StateVector:
-        """Apply this attack to one round's register, logging Eve's record."""
-        if self.kind == "none":
-            return state
-        if self.kind == "imra":
-            state, record = imra_intercept(state, rand, round_index)
-        elif self.kind == "isra":
-            state = _isra_joint(state, self.x, self.y)  # x, y checked in __post_init__
-            record = EveRecord(round_index, "isra", stored_label=EVE_LABEL)
-        else:
-            state, record = ema_intercept(state, round_index)
-        self.records[round_index] = record
-        return state
+        self, state: StateVector, rand: np.random.Generator | None
+    ) -> tuple[StateVector, int | None]:
+        """This attack applied to one round's register: (register, Eve's bit).
 
-    def record_for(self, round_index: int) -> EveRecord | None:
-        return self.records.get(round_index)
+        Only imra draws (one uniform from ``rand``) and only imra has a bit;
+        the other kinds return ``None`` and accept ``rand=None``.
+        """
+        if self.kind == "imra":
+            branch = measure_shared(state, "b", Basis.Z, rand.random())
+            return branch.post_state, branch.outcome
+        if self.kind == "isra":
+            return _isra_joint(state, self.x, self.y), None
+        if self.kind == "ema":
+            return _ema_joint(state), None
+        return state, None
 
 
 def eve_recover_attempt(
     attack: AttackModel,
-    record: EveRecord,
+    bit: int | None,
     result: TeleportResult | None,
     message: StateVector,
 ) -> float:
     """Fidelity of Eve's best message reconstruction after a teleportation.
 
     Eve listens to Alice's Bell broadcast and applies Bob's correction to
-    her own holdings: a fresh eigenstate of her recorded bit (imra), or her
-    stored/entangled qubit, which stays in the teleportation's residual
-    register (isra/ema).  ``message`` is the original single-qubit state
-    she is trying to recover.
+    her own holdings: a fresh eigenstate of her Z result ``bit`` (imra), or
+    her stored/entangled qubit ``e``, which stays in the teleportation's
+    residual register (isra/ema; ``bit`` is ignored).  ``message`` is the
+    original single-qubit state she is trying to recover.
     """
     if attack.kind == "none":
         raise ValueError("no attack was active: Eve holds no qubit to reconstruct from")
     if result is None:
         raise RuntimeError("recovery runs after a teleportation, not before")
     if attack.kind == "imra":
-        copy = make_basis_state([record.bit], ["E"])
+        copy = make_basis_state([bit], ["E"])
         copy = apply_correction(copy, "E", result.correction)
         return reduced_fidelity(copy, "E", message)
-    held = apply_correction(result.residual, record.stored_label, result.correction)
-    return reduced_fidelity(held, record.stored_label, message)
+    held = apply_correction(result.residual, EVE_LABEL, result.correction)
+    return reduced_fidelity(held, EVE_LABEL, message)

@@ -246,10 +246,6 @@ def _validate_scenario(cfg: ScenarioConfig) -> None:
             raise UsageError(f"{name} must lie in [{lo:g}, {hi:g}]")
 
 
-def _make_attack(kind: str, isra_y: float) -> AttackModel:
-    return AttackModel.isra(y=isra_y) if kind == "isra" else AttackModel(kind)
-
-
 # ---------------------------------------------------------------------------
 # output plumbing
 
@@ -333,9 +329,9 @@ def _enrich_with_teleportation(
         message = random_message(rand)
         result = teleport(message, pair, rand)
         fidelities.append(result.fidelity)
-        record = attack.record_for(position)
-        if record is not None:
-            recoveries.append(eve_recover_attempt(attack, record, result, message))
+        if attack.kind != "none":
+            bit = outcome.eve_bits[position - 1]
+            recoveries.append(eve_recover_attempt(attack, bit, result, message))
     return replace(
         outcome,
         teleport_fidelities=tuple(fidelities),
@@ -345,7 +341,7 @@ def _enrich_with_teleportation(
 
 def cmd_run(cfg: ScenarioConfig) -> int:
     config = ProtocolConfig(n=cfg.n, d=cfg.d, p=cfg.p, checker_mode=cfg.mode)
-    attack = _make_attack(cfg.attack, cfg.isra_y)
+    attack = AttackModel(cfg.attack, cfg.isra_y if cfg.attack == "isra" else None)
     rand = np.random.default_rng(cfg.seed)
     outcome = run_protocol(config, attack, rand)
     outcome = _enrich_with_teleportation(outcome, attack, rand)
@@ -396,9 +392,9 @@ def _sweep_point(args: tuple) -> dict:
     yields: list[float] = []
     fidelities: list[float] = []
     config = ProtocolConfig(n=n, d=d, p=p, checker_mode=mode_name)
+    attack = AttackModel(kind, y)  # y is None unless kind is isra
     for trial_index in range(trials):
         rand = np.random.default_rng((seed, grid_index, trial_index))
-        attack = _make_attack(kind, y if y is not None else 0.0)
         outcome = run_protocol(config, attack, rand)
         if outcome.aborted:
             detections += 1
@@ -481,8 +477,12 @@ def cmd_curves(cfg: ScenarioConfig) -> int:
 
     The built-in value sets are illustrative defaults, not a reproduction of
     any particular figure; pass --y-values/--d-values/--p-values/--n-values
-    to choose your own.
+    to choose your own.  The curves are the store-resend closed form under
+    the paper checker, so --mode strict and --attack imra/ema are refused.
     """
+    if cfg.mode != CheckerMode.PAPER.value or cfg.attack not in ("none", "isra"):
+        raise UsageError("curves plots the store-resend closed form under the paper checker: "
+                         "it takes --mode paper and --attack none or isra only")
     defaults_used = all(v is None for v in (cfg.y_values, cfg.d_values, cfg.p_values, cfg.n_values))
     y_values = cfg.y_values if cfg.y_values is not None else (0.0, 0.5, 1.0)
     d_values = cfg.d_values if cfg.d_values is not None else (0.25, 0.5, 1.0)

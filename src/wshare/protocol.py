@@ -14,6 +14,10 @@ One run goes through two phases:
   publishes which came out 0 — exactly those positions leave Alice and Bob
   sharing a (|01>+|10>)/sqrt(2) Bell pair, ready for teleportation.
 
+A run keeps one register per round, indexed by position, and the plain
+lists of published results; Eve's per-round bits (measure-resend only)
+come back as :attr:`RunOutcome.eve_bits`.
+
 Two checking semantics ship side by side.  ``strict`` enforces every
 physically valid correlation of the W state:
 
@@ -63,12 +67,20 @@ from .statevec import Basis, StateVector, discard_qubit, make_w_state, measure_s
 
 RULE_KEYS = ("z_rc0", "z_rc1", "x_rc0")
 
+_HONEST = AttackModel("none")
+
 
 class CheckerMode(enum.Enum):
     """Checking semantics: the paper's Z rules alone, or with the X rule."""
 
     PAPER = "paper"
     STRICT = "strict"
+
+
+def _check_length(n) -> None:
+    """Refuse a sequence length that is not a positive int (bools included)."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValueError(f"sequence length n must be a positive integer, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -84,8 +96,7 @@ class ProtocolConfig:
     checker_mode: CheckerMode = CheckerMode.PAPER
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"sequence length n must be a positive integer, got {self.n!r}")
+        _check_length(self.n)
         if not 0.0 <= self.d <= 1.0:
             raise ValueError(f"detection probability d must be in [0, 1], got {self.d}")
         if not 0.0 <= self.p <= 1.0:
@@ -99,28 +110,6 @@ class DetectionDirective:
 
     position: int
     basis: Basis
-
-
-@dataclass
-class RoundState:
-    """Bookkeeping for one W-triple: its register and any classical results.
-
-    ``rc``/``ra``/``rb`` are detection-phase results (home always Z, travel
-    qubits in the directive basis); ``home_bit`` is the confirmation-phase
-    Z result for positions that survived detection.
-    """
-
-    index: int
-    state: StateVector
-    directive_basis: Basis | None = None
-    rc: int | None = None
-    ra: int | None = None
-    rb: int | None = None
-    home_bit: int | None = None
-
-    @property
-    def home_measured(self) -> bool:
-        return self.rc is not None or self.home_bit is not None
 
 
 @dataclass
@@ -166,14 +155,18 @@ class DistilledPairSet:
 
 @dataclass(frozen=True)
 class RunOutcome:
-    """Everything one protocol execution produced."""
+    """Everything one protocol execution produced.
+
+    ``eve_bits[t - 1]`` is Eve's Z result on round ``t`` (measure-resend
+    only; ``None`` where she measured nothing).
+    """
 
     config: ProtocolConfig
     attack_kind: str
     directives: tuple[DetectionDirective, ...]
     report: CheckReport
     pairs: DistilledPairSet
-    rounds: tuple[RoundState, ...]
+    eve_bits: tuple[int | None, ...]
     transcript: tuple[tuple, ...]
     teleport_fidelities: tuple[float, ...] = ()
     eve_recovery: float | None = None
@@ -256,29 +249,6 @@ def distill_positions(home_results) -> list[int]:
     return [i + 1 for i, bit in enumerate(home_results) if bit == 0]
 
 
-def extract_pairs(rounds, positions) -> DistilledPairSet:
-    """Collect the shared pair states at the given original round indices.
-
-    Each position must have survived detection and have home outcome 0;
-    the home qubit is dropped from the returned states.
-    """
-    out_positions: list[int] = []
-    out_states: list[StateVector] = []
-    for t in positions:
-        if not 1 <= t <= len(rounds):
-            raise ValueError(f"round index {t} out of range 1..{len(rounds)}")
-        rs = rounds[t - 1]
-        if rs.rc is not None:
-            raise ValueError(f"round {t} was consumed by a detection measurement")
-        if rs.home_bit is None:
-            raise ValueError(f"round {t} home qubit has not been measured yet")
-        if rs.home_bit != 0:
-            raise ValueError(f"round {t} home outcome was 1; it holds no pair")
-        out_positions.append(t)
-        out_states.append(_pair_state(rs.state))
-    return DistilledPairSet(tuple(out_positions), tuple(out_states))
-
-
 @functools.lru_cache(maxsize=256)
 def _pair_state(home_zero: StateVector) -> StateVector:
     """The pair left by a home-0 node: memoized, since the rounds share it."""
@@ -301,14 +271,16 @@ def run_protocol(
     the caller's decision.
     """
     if attack is None:
-        attack = AttackModel.none()
+        attack = _HONEST
 
     transcript: list[tuple] = [("charlie", "mode", "transmission")]
 
     # Distribution: one W triple per position, travel qubits in flight
-    # (the attack, if any, grabs b here).
+    # (the attack, if any, grabs b here).  states[t - 1] is round t's register.
     w = _w_template()
-    rounds = [RoundState(t, attack.intercept(w, t, rand)) for t in range(1, config.n + 1)]
+    intercepted = [attack.intercept(w, rand) for _ in range(config.n)]
+    states = [state for state, _ in intercepted]
+    eve_bits = tuple(bit for _, bit in intercepted)
     transcript.append(("charlie", "send", config.n))
 
     # Detection: sample positions, direct bases, measure, publish.
@@ -323,17 +295,12 @@ def run_protocol(
     rb_results: list[int] = []
     # One uniform per measurement, in the order c, a, b of each directive.
     for dd, (uc, ua, ub) in zip(directives, rand.random((len(directives), 3)).tolist()):
-        rs = rounds[dd.position - 1]
-        rs.directive_basis = dd.basis
-        branch = measure_shared(rs.state, "c", Basis.Z, uc)
-        rs.state, rs.rc = branch.post_state, branch.outcome
-        branch = measure_shared(rs.state, "a", dd.basis, ua)
-        rs.state, rs.ra = branch.post_state, branch.outcome
-        branch = measure_shared(rs.state, "b", dd.basis, ub)
-        rs.state, rs.rb = branch.post_state, branch.outcome
-        rc_results.append(rs.rc)
-        ra_results.append(rs.ra)
-        rb_results.append(rs.rb)
+        home = measure_shared(states[dd.position - 1], "c", Basis.Z, uc)
+        alice = measure_shared(home.post_state, "a", dd.basis, ua)
+        bob = measure_shared(alice.post_state, "b", dd.basis, ub)
+        rc_results.append(home.outcome)
+        ra_results.append(alice.outcome)
+        rb_results.append(bob.outcome)
     transcript.append(("charlie", "home-results", tuple(rc_results)))
     transcript.append(("alice", "results", tuple(ra_results)))
     transcript.append(("bob", "results", tuple(rb_results)))
@@ -343,36 +310,29 @@ def run_protocol(
     if report.verdict == "detected":
         transcript.append(("charlie", "offending", report.offending_rounds))
         transcript.append(("charlie", "abort", "eavesdropping suspected; sequence discarded"))
-        return RunOutcome(
-            config=config,
-            attack_kind=attack.kind,
-            directives=tuple(directives),
-            report=report,
-            pairs=DistilledPairSet((), ()),
-            rounds=tuple(rounds),
-            transcript=tuple(transcript),
-        )
-
-    # Confirmation: measure surviving home qubits, publish the 0 positions.
-    transcript.append(("charlie", "mode", "confirmation"))
-    sacrificed = {dd.position for dd in directives}
-    surviving = [t for t in range(1, config.n + 1) if t not in sacrificed]
-    home_bits: list[int] = []
-    for t, u in zip(surviving, rand.random(len(surviving)).tolist()):
-        rs = rounds[t - 1]
-        branch = measure_shared(rs.state, "c", Basis.Z, u)
-        rs.state, rs.home_bit = branch.post_state, branch.outcome
-        home_bits.append(branch.outcome)
-    kept = distill_positions(home_bits)
-    transcript.append(("charlie", "distill-positions", tuple(kept)))
-    pairs = extract_pairs(rounds, [surviving[i - 1] for i in kept])
-    transcript.append(("charlie", "pair-count", len(pairs)))
+        pairs = DistilledPairSet((), ())
+    else:
+        # Confirmation: measure surviving home qubits, publish the 0 positions.
+        transcript.append(("charlie", "mode", "confirmation"))
+        sacrificed = {dd.position for dd in directives}
+        surviving = [t for t in range(1, config.n + 1) if t not in sacrificed]
+        home_bits: list[int] = []
+        for t, u in zip(surviving, rand.random(len(surviving)).tolist()):
+            branch = measure_shared(states[t - 1], "c", Basis.Z, u)
+            states[t - 1] = branch.post_state
+            home_bits.append(branch.outcome)
+        kept = distill_positions(home_bits)
+        transcript.append(("charlie", "distill-positions", tuple(kept)))
+        pair_positions = tuple(surviving[i - 1] for i in kept)
+        pairs = DistilledPairSet(pair_positions,
+                                 tuple(_pair_state(states[t - 1]) for t in pair_positions))
+        transcript.append(("charlie", "pair-count", len(pairs)))
     return RunOutcome(
         config=config,
         attack_kind=attack.kind,
         directives=tuple(directives),
         report=report,
         pairs=pairs,
-        rounds=tuple(rounds),
+        eve_bits=eve_bits,
         transcript=tuple(transcript),
     )

@@ -16,7 +16,7 @@ from wshare.analytic import (
     isra_success_sequence,
     round_detection_probability,
 )
-from wshare.attacks import AttackModel, eve_recover_attempt, imra_intercept
+from wshare.attacks import AttackModel, eve_recover_attempt
 from wshare.cli import _sweep_point
 from wshare.protocol import ProtocolConfig, run_protocol
 from wshare.statevec import (
@@ -131,26 +131,25 @@ def test_criterion_06_imra_statistics():
     counts = [0, 0]
     worst = 0.0
     samples = 100_000
+    attack = AttackModel("imra")
     for _ in range(samples):
-        post, record = imra_intercept(w, rng)
-        counts[record.bit] += 1
-        worst = max(worst, float(np.max(np.abs(post.amplitudes - expected[record.bit]))))
+        post, bit = attack.intercept(w, rng)
+        counts[bit] += 1
+        worst = max(worst, float(np.max(np.abs(post.amplitudes - expected[bit]))))
     sigma = np.sqrt((2.0 / 9.0) / samples)
     freq_ok = abs(counts[0] / samples - 2.0 / 3.0) <= 4.0 * sigma
     states_ok = worst <= 1e-12
 
     recoveries = []
     while len(recoveries) < 4000:
-        attack = AttackModel.imra()
-        index = len(recoveries)
-        state = attack.intercept(w, index, rng)
+        state, bit = attack.intercept(w, rng)
         home = measure_qubit(state, "c", Basis.Z, rng)
         if home.outcome != 0:
             continue  # the confirmation step discards these rounds
         pair = discard_qubit(home.post_state, "c")
         message = random_message(rng)
         result = teleport(message, pair, rng)
-        recoveries.append(eve_recover_attempt(attack, attack.record_for(index), result, message))
+        recoveries.append(eve_recover_attempt(attack, bit, result, message))
     mean_recovery = float(np.mean(recoveries))
     recovery_ok = mean_recovery <= 2.0 / 3.0 + 0.02
     _report(6, "measure-resend outcome stats, branch states, and Eve's recovery bound",
@@ -160,9 +159,8 @@ def test_criterion_06_imra_statistics():
 
 
 def test_criterion_07_ema_invisibility():
-    attack = AttackModel.ema()
-    rng = np.random.default_rng(20_07)
-    tapped = attack.intercept(make_w_state(), 0, rng)
+    attack = AttackModel("ema")
+    tapped, _ = attack.intercept(make_w_state(), None)
     gap = float(np.max(np.abs(
         z_marginal(tapped, ("a", "b", "c")) - z_marginal(make_w_state(), ("a", "b", "c"))
     )))
@@ -170,7 +168,7 @@ def test_criterion_07_ema_invisibility():
     detections = 0
     config = ProtocolConfig(n=20, d=0.5, p=0.5, checker_mode="paper")
     for seed in range(1000):
-        outcome = run_protocol(config, AttackModel.ema(), np.random.default_rng((20_07, seed)))
+        outcome = run_protocol(config, attack, np.random.default_rng((20_07, seed)))
         detections += outcome.aborted
     _report(7, "entangling tap leaves the Z statistics exactly W-like",
             marginal_ok and detections == 0,
@@ -220,18 +218,18 @@ def test_criterion_09_quasi_security_limit():
 
 def test_criterion_10_strict_mode_dominance():
     attacks = {
-        "none": lambda: AttackModel.none(),
-        "imra": lambda: AttackModel.imra(),
-        "isra": lambda: AttackModel.isra(y=0.5),
-        "ema": lambda: AttackModel.ema(),
+        "none": AttackModel("none"),
+        "imra": AttackModel("imra"),
+        "isra": AttackModel("isra", y=0.5),
+        "ema": AttackModel("ema"),
     }
     violations = []
-    for kind, build in attacks.items():
+    for kind, attack in attacks.items():
         for seed in range(1000):
             results = {}
             for mode in ("paper", "strict"):
                 config = ProtocolConfig(n=20, d=0.5, p=0.5, checker_mode=mode)
-                outcome = run_protocol(config, build(), np.random.default_rng((20_10, seed)))
+                outcome = run_protocol(config, attack, np.random.default_rng((20_10, seed)))
                 results[mode] = outcome.aborted
             if results["paper"] and not results["strict"]:
                 violations.append((kind, seed))
@@ -241,7 +239,7 @@ def test_criterion_10_strict_mode_dominance():
     caught = 0
     config = ProtocolConfig(n=20, d=1.0, p=0.0, checker_mode="strict")
     for seed in range(400):
-        outcome = run_protocol(config, AttackModel.ema(), np.random.default_rng((20_10, 1, seed)))
+        outcome = run_protocol(config, AttackModel("ema"), np.random.default_rng((20_10, 1, seed)))
         tally = outcome.report.tallies["x_rc0"]
         applied += tally.applied
         caught += tally.violations

@@ -141,3 +141,10 @@ def test_oracle_validates_arguments():
         round_detection_probability("isra", "strict", p=0.5, d=0.5, y=1.5)
     with pytest.raises(ValueError):
         x_round_detection_given_home0("isra", y=float("nan"))
+    with pytest.raises(ValueError):
+        round_detection_probability("ema", "strict", p=0.5, d=0.5, y=0.5)  # y is isra's only
+    for n in (2.5, True, 0):
+        with pytest.raises(ValueError):
+            sequence_success_probability("imra", "strict", 0.5, 0.5, n)
+        with pytest.raises(ValueError):
+            isra_success_sequence(0.5, 0.5, 0.5, n)

@@ -60,6 +60,10 @@ def test_missing_verb_exits_one():
         ("sweep", "--n-values", ","),
         ("sweep", "--p", "1.5", "--p-values", "0.5"),  # out of range though unused
         ("teleport-demo", "--p", "7"),
+        # curves only plots the store-resend closed form under the paper checker
+        ("curves", "--mode", "strict"),
+        ("curves", "--attack", "imra"),
+        ("curves", "--attack", "ema", "--mode", "paper"),
     ],
 )
 def test_bad_invocations_exit_one(flags):
@@ -266,14 +270,34 @@ def test_version_flag():
         {"out": "no-such-dir/out.txt"},
         {"n-values": []},
         {"d-values": ","},
+        # (verb, scenario): values that only one verb refuses
+        ("curves", {"mode": "strict"}),
+        ("curves", {"attack": "imra"}),
+        ("curves", {"attack": "ema"}),
     ],
 )
 def test_bad_scenario_values_exit_one(scenario, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
+    verb, scenario = scenario if isinstance(scenario, tuple) else ("run", scenario)
     path = tmp_path / "scen.json"
     path.write_text(json.dumps(scenario))
-    assert main(["run", "--scenario", str(path)]) == 1
+    assert main([verb, "--scenario", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_curves_accepts_isra_and_the_defaults(tmp_path):
+    grid = ["curves", "--y-values", "0,1", "--n-values", "1,3", "--format", "csv"]
+    outputs = []
+    for extra in ([], ["--attack", "isra"], ["--attack", "none", "--mode", "paper"]):
+        out = tmp_path / f"out{len(outputs)}"
+        assert main([*grid, *extra, "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] and outputs.count(outputs[0]) == 3
+    scenario = tmp_path / "scen.json"
+    scenario.write_text(json.dumps({"attack": "isra", "mode": "paper"}))
+    out = tmp_path / "out-scenario"
+    assert main([*grid, "--scenario", str(scenario), "--out", str(out)]) == 0
+    assert out.read_bytes() == outputs[0]
 
 
 JSON_VALUES = st.recursive(

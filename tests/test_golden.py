@@ -28,6 +28,11 @@ GOLDEN = {
         ["run", "--n", "20", "--d", "0", "--attack", "isra", "--isra-y", "0.3",
          "--seed", "6", "--format", "csv"],
         0, "a792b7d23bd030280781a247cb55ddac09415b2fb11a1646d615ce14d33c3a65"),
+    # Taken later, before attacks became pure values: the one golden run that
+    # reaches Eve's measure-resend recovery (it prints eve-recovery-mean).
+    "run-imra-pass": (
+        ["run", "--n", "30", "--d", "0", "--attack", "imra", "--seed", "13", "--format", "records"],
+        0, "2b823a207bdfddbadc00cb1bdf6ea3ad96abe9c260cc2853fdedaec64db9c628"),
     "run-ema": (
         ["run", "--n", "40", "--d", "0", "--attack", "ema", "--seed", "7", "--format", "records"],
         0, "53551107efb7b7f0136c4e5bd48ed984be00c159f767ce012c82b9c72822b851"),

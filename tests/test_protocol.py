@@ -16,7 +16,6 @@ from wshare.protocol import (
     assign_bases,
     distill_positions,
     evaluate_checks,
-    extract_pairs,
     run_protocol,
     select_detection_positions,
 )
@@ -38,8 +37,9 @@ def dd(position, basis):
 def test_config_validation():
     ProtocolConfig(n=1, d=0.0, p=1.0)  # boundary values are fine
     assert ProtocolConfig(n=1, d=0.0, p=1.0, checker_mode="strict").checker_mode is CheckerMode.STRICT
-    with pytest.raises(ValueError):
-        ProtocolConfig(n=0, d=0.5, p=0.5)
+    for n in (0, 2.5, True, "3"):
+        with pytest.raises(ValueError):
+            ProtocolConfig(n=n, d=0.5, p=0.5)
     with pytest.raises(ValueError):
         ProtocolConfig(n=10, d=1.5, p=0.5)
     with pytest.raises(ValueError):
@@ -211,20 +211,6 @@ def test_distill_positions_examples():
     assert distill_positions([]) == []
 
 
-def test_extract_pairs_validation():
-    outcome = run_protocol(ProtocolConfig(n=6, d=0.5, p=0.5), None, np.random.default_rng(3))
-    rounds = outcome.rounds
-    detected_round = outcome.directives[0].position
-    with pytest.raises(ValueError):
-        extract_pairs(rounds, [detected_round])
-    with pytest.raises(ValueError):
-        extract_pairs(rounds, [99])
-    ones = [rs.index for rs in rounds if rs.home_bit == 1]
-    if ones:
-        with pytest.raises(ValueError):
-            extract_pairs(rounds, [ones[0]])
-
-
 # ---------------------------------------------------------------------------
 # full runs
 
@@ -261,18 +247,30 @@ def test_honest_pairs_are_bell_pairs():
         assert_allclose(state.amplitudes, want, atol=1e-12)
 
 
+def published(outcome):
+    """The transcript's payloads keyed by (speaker, event)."""
+    return {(speaker, event): payload for speaker, event, payload in outcome.transcript}
+
+
 def test_round_flags_after_run():
     outcome = run_protocol(ProtocolConfig(n=30, d=0.5, p=0.5), None, np.random.default_rng(2))
-    sacrificed = {d.position for d in outcome.directives}
-    for rs in outcome.rounds:
-        if rs.index in sacrificed:
-            assert rs.directive_basis in (Z, X)
-            assert rs.rc in (0, 1) and rs.ra in (0, 1) and rs.rb in (0, 1)
-            assert rs.home_bit is None
-        else:
-            assert rs.rc is None
-            assert rs.home_bit in (0, 1)
-        assert rs.home_measured
+    events = published(outcome)
+    directives = outcome.directives
+    assert directives and all(d.basis in (Z, X) for d in directives)
+    assert events[("charlie", "directives")] == tuple((d.position, d.basis.value) for d in directives)
+    # one c, a and b result per directive
+    for key in (("charlie", "home-results"), ("alice", "results"), ("bob", "results")):
+        assert len(events[key]) == len(directives)
+        assert set(events[key]) <= {0, 1}
+    # the distill positions index the survivors, which Charlie then measured
+    sacrificed = {d.position for d in directives}
+    surviving = [t for t in range(1, 31) if t not in sacrificed]
+    assert outcome.surviving_count == len(surviving)
+    kept = events[("charlie", "distill-positions")]
+    assert list(kept) == sorted(set(kept)) and all(1 <= i <= len(surviving) for i in kept)
+    assert outcome.pairs.positions == tuple(surviving[i - 1] for i in kept)
+    assert events[("charlie", "pair-count")] == len(outcome.pairs)
+    assert outcome.eve_bits == (None,) * 30
 
 
 def test_transcript_shape():
@@ -288,8 +286,8 @@ def test_transcript_shape():
 
 def test_determinism_bit_for_bit():
     config = ProtocolConfig(n=40, d=0.5, p=0.5)
-    a = run_protocol(config, AttackModel.isra(y=0.5), np.random.default_rng(77))
-    b = run_protocol(config, AttackModel.isra(y=0.5), np.random.default_rng(77))
+    a = run_protocol(config, AttackModel("isra", y=0.5), np.random.default_rng(77))
+    b = run_protocol(config, AttackModel("isra", y=0.5), np.random.default_rng(77))
     assert a.transcript == b.transcript
     assert a.report.verdict == b.report.verdict
     assert a.report.offending_rounds == b.report.offending_rounds
@@ -302,8 +300,11 @@ def test_no_detection_rounds_passes_vacuously():
     outcome = run_protocol(ProtocolConfig(n=1, d=0.0, p=0.5), None, np.random.default_rng(0))
     assert outcome.report.verdict == "pass"
     assert outcome.directives == ()
-    # the single round went to confirmation
-    assert outcome.rounds[0].home_bit in (0, 1)
+    # the single round went to confirmation: its home outcome decides the pair
+    events = published(outcome)
+    assert outcome.transcript[-3] == ("charlie", "mode", "confirmation")
+    assert events[("charlie", "distill-positions")] in ((), (1,))
+    assert outcome.pairs.positions == events[("charlie", "distill-positions")]
 
 
 def test_fully_sacrificed_run_yields_nothing():
@@ -315,7 +316,7 @@ def test_fully_sacrificed_run_yields_nothing():
 
 def test_isra_full_force_aborts():
     config = ProtocolConfig(n=30, d=1.0, p=1.0)
-    outcome = run_protocol(config, AttackModel.isra(y=1.0), np.random.default_rng(11))
+    outcome = run_protocol(config, AttackModel("isra", y=1.0), np.random.default_rng(11))
     # detection probability 1 - (1/3)^30: any seed in practice
     assert outcome.aborted
     assert len(outcome.pairs) == 0
@@ -325,13 +326,13 @@ def test_isra_full_force_aborts():
 def test_mode_dominance_paired_seeds():
     # With identical seeds, every paper detection is also a strict
     # detection, and the offending positions nest.
-    attack_factories = [AttackModel.imra, lambda: AttackModel.isra(y=0.5), AttackModel.ema]
+    attacks = [AttackModel("imra"), AttackModel("isra", y=0.5), AttackModel("ema")]
     for seed in range(60):
-        for make_attack in attack_factories:
+        for attack in attacks:
             outcomes = {}
             for mode in ("paper", "strict"):
                 config = ProtocolConfig(n=20, d=0.5, p=0.5, checker_mode=mode)
-                outcomes[mode] = run_protocol(config, make_attack(), np.random.default_rng(seed))
+                outcomes[mode] = run_protocol(config, attack, np.random.default_rng(seed))
             paper_set = set(outcomes["paper"].report.offending_rounds)
             strict_set = set(outcomes["strict"].report.offending_rounds)
             assert paper_set <= strict_set
@@ -339,7 +340,7 @@ def test_mode_dominance_paired_seeds():
 
 def test_isra_pairs_carry_stored_qubit():
     config = ProtocolConfig(n=40, d=0.1, p=0.5)
-    outcome = run_protocol(config, AttackModel.isra(y=0.3), np.random.default_rng(8))
+    outcome = run_protocol(config, AttackModel("isra", y=0.3), np.random.default_rng(8))
     if not outcome.aborted and len(outcome.pairs) > 0:
         for _, state in outcome.pairs:
             assert set(state.labels) == {"a", "e", "b"}

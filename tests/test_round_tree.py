@@ -5,7 +5,7 @@ own register, every measurement is a fresh ``measure_qubit`` draw, and the
 checking rules are restated inline.  It uses none of the memoized paths
 (``measure_shared``, the shared intercept registers, the cached pair
 discard), so ``run_protocol`` must match it bit for bit: transcript, pair
-amplitudes, Eve's records and the next draw of the generator.
+amplitudes, Eve's per-round bits and the next draw of the generator.
 """
 
 import numpy as np
@@ -35,20 +35,18 @@ GRID = [(1, 1.0, 0.5), (1, 0.0, 0.5), (1, 0.5, 1.0), (6, 1.0, 0.0), (8, 0.5, 0.5
 SEEDS = range(4)
 
 
-def make_attack(kind, y):
-    return AttackModel.isra(y) if kind == "isra" else AttackModel(kind)
-
-
-def replay_intercept(kind, y, state, t, rand):
-    """One round's intercept as a fresh register; returns (state, record)."""
+def replay_intercept(kind, y, state, rand):
+    """One round's intercept as a fresh register; returns (state, Eve's bit)."""
     if kind == "imra":
         branch = measure_qubit(state, "b", Basis.Z, rand)
-        return branch.post_state, (t, "imra", branch.outcome, None)
+        return branch.post_state, branch.outcome
     if kind == "isra":
         fake = make_message_state(float(np.sqrt(1.0 - y * y)), y, label="b")
-        return tensor(relabel(state, {"b": "e"}), fake), (t, "isra", None, "e")
-    joint = tensor(state, make_basis_state([0], ["e"]))
-    return apply_cnot(joint, "b", "e"), (t, "ema", None, "e")
+        return tensor(relabel(state, {"b": "e"}), fake), None
+    if kind == "ema":
+        joint = tensor(state, make_basis_state([0], ["e"]))
+        return apply_cnot(joint, "b", "e"), None
+    return state, None
 
 
 def rule_holds(basis, mode, rc, ra, rb):
@@ -58,13 +56,12 @@ def rule_holds(basis, mode, rc, ra, rb):
 
 
 def replay(config, kind, y, rand):
-    """(transcript, pair positions, pair states, Eve's records) the direct way."""
+    """(transcript, pair positions, pair states, Eve's bits) the direct way."""
     n = config.n
-    states, records = {}, {}
+    states, bits = {}, []
     for t in range(1, n + 1):
-        states[t] = make_w_state(("a", "b", "c"))
-        if kind != "none":
-            states[t], records[t] = replay_intercept(kind, y, states[t], t, rand)
+        states[t], bit = replay_intercept(kind, y, make_w_state(("a", "b", "c")), rand)
+        bits.append(bit)
     transcript = [("charlie", "mode", "transmission"), ("charlie", "send", n),
                   ("charlie", "mode", "detecting")]
     positions = [int(i) + 1 for i in np.flatnonzero(rand.random(n) < config.d)]
@@ -83,7 +80,7 @@ def replay(config, kind, y, rand):
     if offending:
         transcript += [("charlie", "verdict", "detected"), ("charlie", "offending", offending),
                        ("charlie", "abort", "eavesdropping suspected; sequence discarded")]
-        return transcript, (), (), records
+        return transcript, (), (), tuple(bits)
     transcript += [("charlie", "verdict", "pass"), ("charlie", "mode", "confirmation")]
     surviving = [t for t in range(1, n + 1) if t not in set(positions)]
     kept = []
@@ -96,7 +93,7 @@ def replay(config, kind, y, rand):
     transcript += [("charlie", "distill-positions", tuple(kept)),
                    ("charlie", "pair-count", len(pair_positions))]
     pair_states = tuple(discard_qubit(states[t], "c") for t in pair_positions)
-    return transcript, pair_positions, pair_states, records
+    return transcript, pair_positions, pair_states, tuple(bits)
 
 
 @pytest.mark.parametrize("mode", MODES, ids=MODE_IDS)
@@ -106,22 +103,22 @@ def test_run_protocol_matches_scalar_replay(kind, y, mode):
         config = ProtocolConfig(n=n, d=d, p=p, checker_mode=mode)
         for seed in SEEDS:
             fast_rand, slow_rand = np.random.default_rng(seed), np.random.default_rng(seed)
-            attack = make_attack(kind, y)
-            outcome = run_protocol(config, attack, fast_rand)
-            transcript, positions, states, records = replay(config, kind, y, slow_rand)
+            outcome = run_protocol(config, AttackModel(kind, y), fast_rand)
+            transcript, positions, states, bits = replay(config, kind, y, slow_rand)
             where = f"{kind} y={y} {mode} n={n} d={d} p={p} seed={seed}"
             assert list(outcome.transcript) == transcript, where
             assert outcome.pairs.positions == positions, where
             for got, want in zip(outcome.pairs.states, states):
                 assert got.labels == want.labels, where
                 assert np.array_equal(got.amplitudes, want.amplitudes), where
-            assert {t: (r.round_index, r.kind, r.bit, r.stored_label)
-                    for t, r in attack.records.items()} == records, where
+            assert outcome.eve_bits == bits, where
+            if kind != "imra":
+                assert bits == (None,) * n, where
             assert fast_rand.random() == slow_rand.random(), where
 
 
 def test_rounds_share_their_states():
-    outcome = run_protocol(ProtocolConfig(n=30, d=0.0, p=0.5), AttackModel.ema(),
+    outcome = run_protocol(ProtocolConfig(n=30, d=0.0, p=0.5), AttackModel("ema"),
                            np.random.default_rng(3))
     assert len(outcome.pairs) > 1
     assert len({id(state) for state in outcome.pairs.states}) == 1
@@ -133,7 +130,7 @@ def test_branch_caches_stay_bounded():
         cache.cache_clear()
     for i in range(600):  # 600 distinct fake qubits, each its own tree
         config = ProtocolConfig(n=8, d=1.0 if i % 2 else 0.0, p=0.5)
-        run_protocol(config, AttackModel.isra((i + 1) / 601), np.random.default_rng(i))
+        run_protocol(config, AttackModel("isra", (i + 1) / 601), np.random.default_rng(i))
     for cache in caches:
         info = cache.cache_info()
         assert info.maxsize is not None

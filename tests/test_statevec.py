@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from wshare.attacks import imra_intercept
+from wshare.attacks import AttackModel
 from wshare.statevec import (
     Basis,
     StateVector,
@@ -357,8 +357,8 @@ def test_near_certain_draw_takes_the_branch_that_has_a_state():
         assert branch.outcome == 0
         assert branch.probability == zero.probability
         assert np.array_equal(branch.post_state.amplitudes, zero.post_state.amplitudes)
-    post, record = imra_intercept(NEARLY_ZERO, FixedDraw(above))
-    assert record.bit == 0
+    post, bit = AttackModel("imra").intercept(NEARLY_ZERO, FixedDraw(above))
+    assert bit == 0
     assert np.array_equal(post.amplitudes, zero.post_state.amplitudes)
 
 
