@@ -11,8 +11,6 @@ closed-form detection/success formulas, and a CLI experiment runner.
 __version__ = "0.1.0"
 
 from .analytic import (
-    bell_yield,
-    imra_outcome_probs,
     isra_case_probs,
     isra_success_sequence,
     isra_success_single,
@@ -65,12 +63,10 @@ __all__ = [
     "StateVector",
     "TeleportResult",
     "bell_measure",
-    "bell_yield",
     "build_correction_table",
     "ema_decomposition",
     "enumerate_qubit",
     "eve_recover_attempt",
-    "imra_outcome_probs",
     "isra_case_probs",
     "isra_success_sequence",
     "isra_success_single",

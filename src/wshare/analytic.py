@@ -26,24 +26,14 @@ Eve forwards to Bob.)
 from __future__ import annotations
 
 from .attacks import AttackModel
-from .protocol import CheckerMode, DetectionDirective, _check_length, evaluate_checks
-from .statevec import _ZERO_PROB, Basis, StateVector, enumerate_qubit, make_w_state
+from .protocol import CheckerMode, DetectionDirective, _check_length, _w_template, evaluate_checks
+from .statevec import _ZERO_PROB, Basis, StateVector, enumerate_qubit
 
 
 def _check_unit(name: str, value: float) -> float:
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must be in [0, 1], got {value}")
     return float(value)
-
-
-def bell_yield() -> float:
-    """Probability a surviving round distills into a Bell pair: 2/3."""
-    return 2.0 / 3.0
-
-
-def imra_outcome_probs() -> tuple[float, float]:
-    """Eve's Z-outcome distribution on an intercepted W travel qubit."""
-    return (2.0 / 3.0, 1.0 / 3.0)
 
 
 def isra_case_probs(y: float, p: float, d: float) -> tuple[float, float]:
@@ -83,10 +73,12 @@ def _attacked_round_branches(kind: str, y: float | None) -> list[tuple[float, St
     """The round state(s) Eve leaves behind, as (weight, state) branches.
 
     The measure-resend attack is a classical mixture over Eve's outcome;
-    the others leave a single pure state.
+    the others leave a single pure state.  The branches start from the
+    protocol's own W template, so they are the very registers (and cache
+    entries) its round tables start from.
     """
     attack = AttackModel(kind, y)  # checks the kind and y, derives x
-    w = make_w_state()
+    w = _w_template()
     if kind == "imra":
         return [
             (branch.probability, branch.post_state)

@@ -17,11 +17,11 @@ those bits, one per round.  Her post-protocol attempt to read Alice's
 teleported message out of her bit or her qubit ``e`` is
 :func:`eve_recover_attempt`.
 
-The intercepts never copy a register per round: isra and ema hand back one
-shared post-intercept register per input state (and fake qubit), and imra
-picks one of the two memoized branches of the input state, so a run's
-rounds share their states (see the round-branch tree in
-:mod:`wshare.protocol`).
+isra and ema hand back one memoized post-intercept register per input
+state (and fake qubit), so the protocol's round tables, which start from
+them, share their nodes with every other caller (see the round tables in
+:mod:`wshare.protocol`).  :func:`eve_recover_batch` is the recovery of a
+whole :class:`~wshare.teleport.TeleportBatch` at once.
 """
 
 from __future__ import annotations
@@ -37,12 +37,18 @@ from .statevec import (
     apply_cnot,
     make_basis_state,
     make_message_state,
-    measure_shared,
+    measure_qubit,
     reduced_fidelity,
     relabel,
     tensor,
 )
-from .teleport import TeleportResult, apply_correction
+from .teleport import (
+    TeleportBatch,
+    TeleportResult,
+    _correction_matrices,
+    apply_correction,
+    qubit_fidelities,
+)
 
 ATTACK_KINDS = ("none", "imra", "isra", "ema")
 
@@ -102,7 +108,7 @@ class AttackModel:
         the other kinds return ``None`` and accept ``rand=None``.
         """
         if self.kind == "imra":
-            branch = measure_shared(state, "b", Basis.Z, rand.random())
+            branch = measure_qubit(state, "b", Basis.Z, rand)
             return branch.post_state, branch.outcome
         if self.kind == "isra":
             return _isra_joint(state, self.x, self.y), None
@@ -135,3 +141,25 @@ def eve_recover_attempt(
         return reduced_fidelity(copy, "E", message)
     held = apply_correction(result.residual, EVE_LABEL, result.correction)
     return reduced_fidelity(held, EVE_LABEL, message)
+
+
+def eve_recover_batch(
+    attack: AttackModel, bits: np.ndarray | None, batch: TeleportBatch, messages: np.ndarray
+) -> np.ndarray:
+    """:func:`eve_recover_attempt` for every row of a teleportation batch.
+
+    ``messages`` holds the (T, 2) message amplitudes the batch teleported
+    and ``bits`` Eve's Z result per row (imra only).  With P Bob's
+    correction for the row's Bell outcome, Eve's fidelity is the closed
+    form |<m|P|bit>|^2 for imra, and for isra and ema <m|P rho_e P^T|m>,
+    read as the fidelity of her qubit ``e`` in the corrected residual
+    against P^T m (P is real).
+    """
+    if attack.kind == "none":
+        raise ValueError("no attack was active: Eve holds no qubit to reconstruct from")
+    corrections = _correction_matrices()[batch.outcomes]
+    if attack.kind == "imra":
+        held = corrections[np.arange(len(bits)), :, bits]
+        return np.abs(np.einsum("ti,ti->t", messages.conj(), held)) ** 2
+    pulled_back = np.einsum("tij,ti->tj", corrections, messages)
+    return qubit_fidelities(batch.residuals, batch.labels, EVE_LABEL, pulled_back)

@@ -21,9 +21,11 @@ Verbs
 All verbs share one flag set (``--n --d --p --mode --attack --isra-y
 --trials --seed --format --out``), can read the same flags from a flat
 JSON scenario file (``--scenario``; explicit flags win), and emit text,
-CSV, or JSON-records output.  Every random draw descends from ``--seed``
-— per-trial streams are seeded ``(seed, grid_index, trial_index)`` — so
-identical invocations produce byte-identical output files.  Exit status:
+CSV, or JSON-records output.  Every random draw descends from ``--seed``:
+``run`` draws from ``default_rng(seed)`` and each sweep grid point from
+``default_rng((seed, grid_index))``, in fixed blocks of trials (see
+:mod:`wshare.protocol` for the layout), so identical invocations produce
+byte-identical output files whatever ``--workers`` is.  Exit status:
 0 success, 1 usage error, 2 protocol aborted (run verb only).
 """
 
@@ -42,14 +44,16 @@ import numpy as np
 
 from . import __version__
 from .analytic import isra_success_sequence, sequence_success_probability
-from .attacks import ATTACK_KINDS, AttackModel, eve_recover_attempt
-from .protocol import CheckerMode, ProtocolConfig, RunOutcome, run_protocol
+from .attacks import ATTACK_KINDS, AttackModel, eve_recover_batch
+from .protocol import CheckerMode, ProtocolConfig, RunOutcome, run_protocol, run_trials
 from .teleport import (
     build_correction_table,
     corrupted_channel,
     psi_plus_pair,
+    random_amplitudes,
     random_message,
     teleport,
+    teleport_batch,
 )
 
 _VERB_TRIALS = {"run": 1, "sweep": 1000, "curves": 1, "teleport-demo": 20}
@@ -316,27 +320,27 @@ def _emit_rows(columns: list[str], rows: list[dict], cfg: ScenarioConfig,
 def _enrich_with_teleportation(
     outcome: RunOutcome, attack: AttackModel, rand: np.random.Generator
 ) -> RunOutcome:
-    """Teleport one fresh random message over every distilled pair.
+    """Teleport one fresh random message over every distilled pair, in one batch.
 
-    When an attack was active, Eve also gets her recovery attempt per pair;
-    the outcome records her mean fidelity.
+    The draws follow the run's: all the message normals, then all the
+    teleport uniforms.  When an attack was active, Eve also gets her
+    recovery attempt per pair; the outcome records her mean fidelity.
     """
     if outcome.aborted or len(outcome.pairs) == 0:
         return outcome
-    fidelities: list[float] = []
-    recoveries: list[float] = []
-    for position, pair in outcome.pairs:
-        message = random_message(rand)
-        result = teleport(message, pair, rand)
-        fidelities.append(result.fidelity)
-        if attack.kind != "none":
-            bit = outcome.eve_bits[position - 1]
-            recoveries.append(eve_recover_attempt(attack, bit, result, message))
-    return replace(
-        outcome,
-        teleport_fidelities=tuple(fidelities),
-        eve_recovery=(sum(recoveries) / len(recoveries)) if recoveries else None,
-    )
+    count = len(outcome.pairs)
+    messages = random_amplitudes(rand, count)
+    draws = rand.random(count)
+    nodes = tuple(dict.fromkeys(outcome.pairs.states))  # registers hash by identity
+    which = np.array([nodes.index(state) for state in outcome.pairs.states])
+    batch = teleport_batch(messages, nodes, which, draws)
+    recovery = None
+    if attack.kind != "none":
+        bits = (np.array([outcome.eve_bits[t - 1] for t in outcome.pairs.positions])
+                if attack.kind == "imra" else None)
+        recovery = float(eve_recover_batch(attack, bits, batch, messages).mean())
+    return replace(outcome, teleport_fidelities=tuple(batch.fidelities.tolist()),
+                   eve_recovery=recovery)
 
 
 def cmd_run(cfg: ScenarioConfig) -> int:
@@ -388,24 +392,10 @@ SWEEP_COLUMNS = [
 def _sweep_point(args: tuple) -> dict:
     """Run all trials of one grid point; deterministic given its arguments."""
     kind, mode_name, y, p, d, n, trials, seed, grid_index = args
-    detections = 0
-    yields: list[float] = []
-    fidelities: list[float] = []
     config = ProtocolConfig(n=n, d=d, p=p, checker_mode=mode_name)
     attack = AttackModel(kind, y)  # y is None unless kind is isra
-    for trial_index in range(trials):
-        rand = np.random.default_rng((seed, grid_index, trial_index))
-        outcome = run_protocol(config, attack, rand)
-        if outcome.aborted:
-            detections += 1
-            continue
-        if outcome.yield_fraction is not None:
-            yields.append(outcome.yield_fraction)
-        if len(outcome.pairs) > 0:
-            position, pair = next(iter(outcome.pairs))
-            message = random_message(rand)
-            fidelities.append(teleport(message, pair, rand).fidelity)
-    detection_rate = detections / trials
+    stats = run_trials(config, attack, trials, np.random.default_rng((seed, grid_index)))
+    detection_rate = stats.detections / trials
     success_rate = 1.0 - detection_rate
     if kind == "isra" and config.checker_mode is CheckerMode.PAPER:
         analytic = isra_success_sequence(y, p, d, n)
@@ -419,12 +409,12 @@ def _sweep_point(args: tuple) -> dict:
         "d": d,
         "n": n,
         "trials": trials,
-        "detections": detections,
+        "detections": stats.detections,
         "detection_rate": detection_rate,
         "success_rate": success_rate,
         "success_stderr": float(np.sqrt(success_rate * (1.0 - success_rate) / trials)),
-        "yield_mean": (sum(yields) / len(yields)) if yields else None,
-        "teleport_fidelity_mean": (sum(fidelities) / len(fidelities)) if fidelities else None,
+        "yield_mean": stats.yield_mean,
+        "teleport_fidelity_mean": stats.fidelity_mean,
         "analytic_success": analytic,
     }
 

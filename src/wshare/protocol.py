@@ -14,9 +14,9 @@ One run goes through two phases:
   publishes which came out 0 — exactly those positions leave Alice and Bob
   sharing a (|01>+|10>)/sqrt(2) Bell pair, ready for teleportation.
 
-A run keeps one register per round, indexed by position, and the plain
-lists of published results; Eve's per-round bits (measure-resend only)
-come back as :attr:`RunOutcome.eve_bits`.
+A run is held as arrays indexed by position (see the round tables below);
+Eve's per-round bits (measure-resend only) come back as
+:attr:`RunOutcome.eve_bits`.
 
 Two checking semantics ship side by side.  ``strict`` enforces every
 physically valid correlation of the W state:
@@ -39,19 +39,40 @@ seeds are comparable round for round.
 Detection never yields false positives in either mode: every honest
 measurement branch of the W state satisfies all four rules.
 
-**The round-branch tree.**  Every round of a run starts from one shared
-template register (the cached W state, after the attack's intercept) and
-goes through the same fixed measurements: home ``c`` in Z, then ``a`` and
-``b`` in the directive basis, or ``c`` alone in confirmation.  The states a
-round can reach therefore form a small finite tree that depends only on the
-attack, its fake-qubit amplitude and the directive basis, never on the
-round.  :func:`~wshare.statevec.measure_shared` memoizes both branches of
-each node, keyed by the identity of the shared immutable state, and a round
-walks the tree with one uniform draw per measurement, in exactly the order
-and with exactly the outcomes, probabilities and amplitudes that sampling
-:func:`~wshare.statevec.measure_qubit` on a fresh copy would give.  The
-home-qubit discard of a pair node is cached the same way.  All caches are
-bounded and filled lazily, on first use.
+**The round tables.**  Every round starts from one shared template
+register, the cached W state after the attack's intercept, and goes
+through the same fixed measurements: home ``c`` in Z, then ``a`` and ``b``
+in the directive basis, or ``c`` alone in confirmation.  The states a round
+can reach therefore form a small finite tree that depends only on the
+attack and on Eve's measure-resend bit ``e``, never on the round.  On first
+use per attack, :func:`_round_tables` compiles that tree, from the memoized
+nodes of :func:`~wshare.statevec._branch_node`, into threshold tables:
+
+* ``te``: P(Eve reads 0), for imra only; for the other kinds ``e`` is
+  always 0 and nothing is drawn for it;
+* ``tc[e]``: P(home reads 0);
+* ``ta[e, c, basis]`` and ``tb[e, c, basis, a]``: P(Alice reads 0) and
+  P(Bob reads 0) below home result ``c`` (and Alice's result ``a``);
+* ``pairs[e]``: the pair register a home-0 round leaves, home qubit
+  dropped, which also keys its memoized Bell kernel.
+
+An outcome is 0 exactly when its uniform draw falls below its threshold,
+which is :func:`~wshare.statevec.measure_qubit`'s rule, clamp of
+impossible branches included.  A block of B trials of n rounds is then a
+few numpy expressions over (B, n) arrays, and the rule table is a set of
+boolean masks over them.
+
+**Stream layout.**  A block draws, in this order: Eve (B, n), for imra
+only; selection (B, n); basis (B, n); detection (B, n, 3), the home,
+Alice and Bob uniforms of each round; confirmation (B, n).  Every array is
+drawn whole, for every round, whatever ``d`` and ``p`` are and whether the
+round was selected.  Teleportation draws follow: message normals, then
+teleport uniforms.  :func:`run_protocol` is one trial (B = 1) and builds
+its transcript and pairs from the arrays; its caller teleports over the
+pairs.  :func:`run_trials` is the Monte Carlo view: it draws fixed blocks
+of :func:`_block_size` trials, a function of ``n`` alone, each followed by
+one message and one teleport uniform per trial, so memory stays bounded
+and the bytes never depend on how grid points are spread over processes.
 """
 
 from __future__ import annotations
@@ -63,11 +84,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .attacks import AttackModel
-from .statevec import Basis, StateVector, discard_qubit, make_w_state, measure_shared
+from .statevec import Basis, StateVector, _branch_node, discard_qubit, make_w_state
+from .teleport import random_amplitudes, teleport_batch
 
 RULE_KEYS = ("z_rc0", "z_rc1", "x_rc0")
 
 _HONEST = AttackModel("none")
+# Round slots (trials x rounds) in one block of trials, and trials in one
+# block: a block holds at least one trial, so these bound its arrays (about
+# 50 bytes per slot) for any n up to _BLOCK_SLOTS.
+_BLOCK_SLOTS = 1 << 20
+_BLOCK_TRIALS = 1 << 16
+# Bound on the memoized round tables (one per attack model).
+_TABLE_CACHE_SIZE = 64
 
 
 class CheckerMode(enum.Enum):
@@ -188,26 +217,7 @@ class RunOutcome:
 
 
 # ---------------------------------------------------------------------------
-# the protocol's individual steps
-
-
-def select_detection_positions(n: int, d: float, rand: np.random.Generator) -> list[int]:
-    """Pick each position 1..n independently with probability d (sorted).
-
-    Always consumes exactly n draws so that runs with different d remain
-    stream-aligned for everything that follows.
-    """
-    mask = rand.random(n) < d
-    return [int(i) + 1 for i in np.flatnonzero(mask)]
-
-
-def assign_bases(positions, p: float, rand: np.random.Generator) -> list[DetectionDirective]:
-    """Attach a directive basis to each position: Z w.p. p, X otherwise."""
-    draws = rand.random(len(positions))
-    return [
-        DetectionDirective(pos, Basis.Z if draw < p else Basis.X)
-        for pos, draw in zip(positions, draws)
-    ]
+# the checking rules
 
 
 def evaluate_checks(directives, rc_results, ra_results, rb_results,
@@ -215,7 +225,9 @@ def evaluate_checks(directives, rc_results, ra_results, rb_results,
     """Apply the checking rules to the published detection results.
 
     All four sequences must be aligned position by position.  See the module
-    docstring for the rule table and the two modes.
+    docstring for the rule table and the two modes.  This is the scalar
+    statement of the rules that the enumeration oracles score branches
+    with; the engine applies the same table as masks (:func:`_apply_rules`).
     """
     mode = CheckerMode(mode)
     if not (len(directives) == len(rc_results) == len(ra_results) == len(rb_results)):
@@ -244,15 +256,56 @@ def evaluate_checks(directives, rc_results, ra_results, rb_results,
     return CheckReport(verdict, tuple(offending), tallies)
 
 
-def distill_positions(home_results) -> list[int]:
-    """1-based indices (into the given sequence) whose home outcome was 0."""
-    return [i + 1 for i, bit in enumerate(home_results) if bit == 0]
+def _apply_rules(selected, x_basis, home, alice, bob, mode: CheckerMode) -> dict:
+    """The rule table as masks: rule key -> (applied, violated) arrays."""
+    z_round = selected & ~x_basis
+    x_applied = selected & x_basis & ~home if mode is CheckerMode.STRICT else np.zeros_like(selected)
+    rules = {
+        "z_rc0": (z_round & ~home, alice == bob),
+        "z_rc1": (z_round & home, alice | bob),
+        "x_rc0": (x_applied, alice != bob),
+    }
+    return {key: (applied, applied & broken) for key, (applied, broken) in rules.items()}
 
 
-@functools.lru_cache(maxsize=256)
-def _pair_state(home_zero: StateVector) -> StateVector:
-    """The pair left by a home-0 node: memoized, since the rounds share it."""
-    return discard_qubit(home_zero, "c")
+# ---------------------------------------------------------------------------
+# the round tables
+
+
+@dataclass(frozen=True)
+class RoundTables:
+    """The compiled round tree of one attack; see the module docstring."""
+
+    te: float | None
+    tc: np.ndarray
+    ta: np.ndarray
+    tb: np.ndarray
+    pairs: tuple[StateVector | None, ...]
+
+
+def _compile_tables(te: float | None, roots: tuple[StateVector, ...]) -> RoundTables:
+    """Threshold tables of the round tree below each root (one per Eve branch).
+
+    Entries below a branch that is never drawn stay at 1.0 and are never read.
+    """
+    count = len(roots)
+    tc, ta, tb = np.ones(count), np.ones((count, 2, 2)), np.ones((count, 2, 2, 2))
+    pairs = []
+    for e, root in enumerate(roots):
+        tc[e], *homes = _branch_node(root, "c", Basis.Z)
+        zero = homes[0].post_state
+        pairs.append(None if zero is None else discard_qubit(zero, "c"))
+        for c, home in enumerate(homes):
+            if home.post_state is None:
+                continue
+            for x, basis in enumerate((Basis.Z, Basis.X)):
+                ta[e, c, x], *alices = _branch_node(home.post_state, "a", basis)
+                for a, alice in enumerate(alices):
+                    if alice.post_state is not None:
+                        tb[e, c, x, a] = _branch_node(alice.post_state, "b", basis)[0]
+    for table in (tc, ta, tb):
+        table.flags.writeable = False
+    return RoundTables(te, tc, ta, tb, tuple(pairs))
 
 
 @functools.cache
@@ -260,79 +313,189 @@ def _w_template() -> StateVector:
     return make_w_state(("a", "b", "c"))
 
 
+@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _round_tables(attack: AttackModel) -> RoundTables:
+    """The round tables of an attack, compiled on first use."""
+    w = _w_template()
+    if attack.kind == "imra":
+        te, *eve = _branch_node(w, "b", Basis.Z)
+        return _compile_tables(te, tuple(branch.post_state for branch in eve))
+    return _compile_tables(None, (attack.intercept(w, None)[0],))
+
+
+# ---------------------------------------------------------------------------
+# the engine
+
+
+@dataclass(frozen=True)
+class Rounds:
+    """One block of trials as (B, n) arrays: row = trial, column t - 1 = round t.
+
+    ``eve`` is Eve's branch index, ``home`` Charlie's home result (from
+    detection on selected rounds, from confirmation on the others), and
+    ``alice``/``bob`` the travel results, meaningful on selected rounds.
+    ``rules`` maps each rule key to its (applied, violated) masks.
+    """
+
+    eve: np.ndarray
+    selected: np.ndarray
+    x_basis: np.ndarray
+    home: np.ndarray
+    alice: np.ndarray
+    bob: np.ndarray
+    rules: dict
+
+    @functools.cached_property
+    def violated(self) -> np.ndarray:
+        """(B, n): the rounds some rule caught."""
+        z_rc0, z_rc1, x_rc0 = (broken for _, broken in self.rules.values())
+        return z_rc0 | z_rc1 | x_rc0
+
+    @functools.cached_property
+    def aborted(self) -> np.ndarray:
+        """(B,): the trials some rule caught."""
+        return self.violated.any(axis=1)
+
+    @property
+    def pairs(self) -> np.ndarray:
+        """(B, n): the distilled pairs, surviving home-0 rounds of passing trials."""
+        return ~self.selected & ~self.home & ~self.aborted[:, None]
+
+
+def _block_size(n: int) -> int:
+    """Trials per block: a fixed function of the sequence length alone."""
+    return max(1, min(_BLOCK_TRIALS, _BLOCK_SLOTS // n))
+
+
+def _draw_rounds(tables: RoundTables, config: ProtocolConfig, rand, trials: int) -> Rounds:
+    """Draw one block of ``trials`` trials, in the module's stream layout."""
+    shape = (trials, config.n)
+    if tables.te is None:
+        eve = np.zeros(shape, dtype=np.uint8)
+    else:
+        eve = (rand.random(shape) >= tables.te).view(np.uint8)
+    selected = rand.random(shape) < config.d
+    x_basis = rand.random(shape) >= config.p
+    detect = rand.random(shape + (3,))
+    home = rand.random(shape)  # the confirmation uniforms, but on selected
+    np.copyto(home, detect[..., 0], where=selected)  # rounds detection's
+    home = home >= tables.tc[eve]
+    node = (eve * 2 + home) * 2 + x_basis  # flat index of (e, c, basis)
+    alice = detect[..., 1] >= tables.ta.reshape(-1)[node]
+    bob = detect[..., 2] >= tables.tb.reshape(-1)[node * 2 + alice]
+    rules = _apply_rules(selected, x_basis, home, alice, bob, config.checker_mode)
+    return Rounds(eve, selected, x_basis, home, alice, bob, rules)
+
+
 def run_protocol(
     config: ProtocolConfig, attack: AttackModel | None, rand: np.random.Generator
 ) -> RunOutcome:
     """Execute one full protocol run and return its outcome.
 
-    Every draw comes from ``rand``; identical (config, attack, stream state)
-    triples reproduce the outcome bit for bit.  ``attack=None`` is the
-    honest channel.  On detection the run aborts (no pairs); rerunning is
-    the caller's decision.
+    The engine's one-trial view: every draw comes from ``rand``, laid out
+    as one block (see the module docstring), and identical (config,
+    attack, stream state) triples reproduce the outcome bit for bit.
+    ``attack=None`` is the honest channel.  On detection the run aborts (no
+    pairs); rerunning is the caller's decision.
     """
     if attack is None:
         attack = _HONEST
+    tables = _round_tables(attack)
+    rounds = _draw_rounds(tables, config, rand, 1)
+    selected = rounds.selected[0]
 
-    transcript: list[tuple] = [("charlie", "mode", "transmission")]
+    def published(results) -> tuple[int, ...]:
+        return tuple(results[0, selected].astype(np.int8).tolist())
 
-    # Distribution: one W triple per position, travel qubits in flight
-    # (the attack, if any, grabs b here).  states[t - 1] is round t's register.
-    w = _w_template()
-    intercepted = [attack.intercept(w, rand) for _ in range(config.n)]
-    states = [state for state, _ in intercepted]
-    eve_bits = tuple(bit for _, bit in intercepted)
-    transcript.append(("charlie", "send", config.n))
-
-    # Detection: sample positions, direct bases, measure, publish.
-    transcript.append(("charlie", "mode", "detecting"))
-    positions = select_detection_positions(config.n, config.d, rand)
-    directives = assign_bases(positions, config.p, rand)
-    transcript.append(
-        ("charlie", "directives", tuple((dd.position, dd.basis.value) for dd in directives))
-    )
-    rc_results: list[int] = []
-    ra_results: list[int] = []
-    rb_results: list[int] = []
-    # One uniform per measurement, in the order c, a, b of each directive.
-    for dd, (uc, ua, ub) in zip(directives, rand.random((len(directives), 3)).tolist()):
-        home = measure_shared(states[dd.position - 1], "c", Basis.Z, uc)
-        alice = measure_shared(home.post_state, "a", dd.basis, ua)
-        bob = measure_shared(alice.post_state, "b", dd.basis, ub)
-        rc_results.append(home.outcome)
-        ra_results.append(alice.outcome)
-        rb_results.append(bob.outcome)
-    transcript.append(("charlie", "home-results", tuple(rc_results)))
-    transcript.append(("alice", "results", tuple(ra_results)))
-    transcript.append(("bob", "results", tuple(rb_results)))
-
-    report = evaluate_checks(directives, rc_results, ra_results, rb_results, config.checker_mode)
+    positions = (np.flatnonzero(selected) + 1).tolist()
+    bases = [Basis.X if x else Basis.Z for x in rounds.x_basis[0, selected].tolist()]
+    directives = tuple(DetectionDirective(t, basis) for t, basis in zip(positions, bases))
+    transcript: list[tuple] = [
+        ("charlie", "mode", "transmission"),
+        ("charlie", "send", config.n),
+        ("charlie", "mode", "detecting"),
+        ("charlie", "directives", tuple((dd.position, dd.basis.value) for dd in directives)),
+        ("charlie", "home-results", published(rounds.home)),
+        ("alice", "results", published(rounds.alice)),
+        ("bob", "results", published(rounds.bob)),
+    ]
+    tallies = {key: RuleTally(np.count_nonzero(applied), np.count_nonzero(violated))
+               for key, (applied, violated) in rounds.rules.items()}
+    report = CheckReport("detected" if rounds.aborted[0] else "pass",
+                         tuple((np.flatnonzero(rounds.violated[0]) + 1).tolist()), tallies)
     transcript.append(("charlie", "verdict", report.verdict))
-    if report.verdict == "detected":
+    if rounds.aborted[0]:
         transcript.append(("charlie", "offending", report.offending_rounds))
         transcript.append(("charlie", "abort", "eavesdropping suspected; sequence discarded"))
         pairs = DistilledPairSet((), ())
     else:
-        # Confirmation: measure surviving home qubits, publish the 0 positions.
+        # Confirmation: the surviving home results, and the 0 positions among them.
         transcript.append(("charlie", "mode", "confirmation"))
-        sacrificed = {dd.position for dd in directives}
-        surviving = [t for t in range(1, config.n + 1) if t not in sacrificed]
-        home_bits: list[int] = []
-        for t, u in zip(surviving, rand.random(len(surviving)).tolist()):
-            branch = measure_shared(states[t - 1], "c", Basis.Z, u)
-            states[t - 1] = branch.post_state
-            home_bits.append(branch.outcome)
-        kept = distill_positions(home_bits)
-        transcript.append(("charlie", "distill-positions", tuple(kept)))
-        pair_positions = tuple(surviving[i - 1] for i in kept)
-        pairs = DistilledPairSet(pair_positions,
-                                 tuple(_pair_state(states[t - 1]) for t in pair_positions))
+        surviving = np.flatnonzero(~selected)
+        kept = np.flatnonzero(~rounds.home[0, surviving])
+        transcript.append(("charlie", "distill-positions", tuple((kept + 1).tolist())))
+        at = surviving[kept]
+        pairs = DistilledPairSet(tuple((at + 1).tolist()),
+                                 tuple(tables.pairs[e] for e in rounds.eve[0, at].tolist()))
         transcript.append(("charlie", "pair-count", len(pairs)))
+    eve_bits = tuple(rounds.eve[0].tolist()) if tables.te is not None else (None,) * config.n
     return RunOutcome(
         config=config,
         attack_kind=attack.kind,
-        directives=tuple(directives),
+        directives=directives,
         report=report,
         pairs=pairs,
         eve_bits=eve_bits,
         transcript=tuple(transcript),
+    )
+
+
+@dataclass(frozen=True)
+class TrialStats:
+    """Totals over the Monte Carlo trials of one grid point.
+
+    ``yield_mean`` averages distilled pairs per surviving round over the
+    passing trials with survivors; ``fidelity_mean`` averages Bob's
+    fidelity, teleporting one random message over the first pair, over the
+    trials that have one.  Either is ``None`` when nothing was averaged.
+    """
+
+    detections: int
+    yield_mean: float | None
+    fidelity_mean: float | None
+
+
+def run_trials(config: ProtocolConfig, attack: AttackModel, trials: int,
+               rand: np.random.Generator) -> TrialStats:
+    """Run ``trials`` independent protocol runs from one stream, in blocks.
+
+    Each block of :func:`_block_size` trials (the last one ragged) draws
+    its rounds, then one message (four normals) and one teleport uniform
+    per trial, used by the trials that distilled a pair.
+    """
+    tables = _round_tables(attack)
+    detections = yield_count = fidelity_count = 0
+    yield_sum = fidelity_sum = 0.0
+    size = _block_size(config.n)
+    for start in range(0, trials, size):
+        block = min(size, trials - start)
+        rounds = _draw_rounds(tables, config, rand, block)
+        messages = random_amplitudes(rand, block)
+        draws = rand.random(block)
+        detections += int(rounds.aborted.sum())
+        pairs = rounds.pairs
+        surviving = (~rounds.selected).sum(axis=1)
+        counted = ~rounds.aborted & (surviving > 0)
+        yield_sum += float((pairs.sum(axis=1)[counted] / surviving[counted]).sum())
+        yield_count += int(counted.sum())
+        teleported = np.flatnonzero(pairs.any(axis=1))
+        first = pairs[teleported].argmax(axis=1)
+        batch = teleport_batch(messages[teleported], tables.pairs,
+                               rounds.eve[teleported, first], draws[teleported])
+        fidelity_sum += float(batch.fidelities.sum())
+        fidelity_count += teleported.size
+    return TrialStats(
+        detections=detections,
+        yield_mean=yield_sum / yield_count if yield_count else None,
+        fidelity_mean=fidelity_sum / fidelity_count if fidelity_count else None,
     )

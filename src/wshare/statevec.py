@@ -28,7 +28,7 @@ import numpy as np
 _RSQRT2 = 1.0 / np.sqrt(2.0)
 # Branches with squared norm at or below this are treated as impossible.
 _ZERO_PROB = 1e-15
-# Bound on the memoized measurement nodes of :func:`measure_shared`.
+# Bound on the memoized measurement nodes of :func:`_branch_node`.
 _BRANCH_CACHE_SIZE = 1024
 # Z's action on the middle axis of a (before, 2, after) view.
 _Z_SIGNS = np.array([1.0, -1.0]).reshape(1, 2, 1)
@@ -362,23 +362,17 @@ def enumerate_qubit(s: StateVector, q: str, basis: Basis) -> list[MeasurementBra
 
 @functools.lru_cache(maxsize=_BRANCH_CACHE_SIZE)
 def _branch_node(s: StateVector, q: str, basis: Basis) -> tuple[float, MeasurementBranch, MeasurementBranch]:
+    """Sampling threshold and both branches of measuring ``q`` on ``s``.
+
+    The threshold is P(outcome 0) as :func:`measure_qubit` samples it
+    (impossible branches clamped to 0 or 1), so outcome 0 iff a uniform
+    draw falls below it.  Memoized by the identity of ``s`` (a bounded
+    cache, keyed like ``StateVector`` hashes: by object), so states that
+    share a node share its post-states too; the protocol compiles its
+    round tables from these nodes.
+    """
     zero, one = enumerate_qubit(s, q, basis)
     return _clamped(zero.probability), zero, one
-
-
-def measure_shared(s: StateVector, q: str, basis: Basis, u: float) -> MeasurementBranch:
-    """:func:`measure_qubit` with its uniform draw ``u`` given, memoized.
-
-    Both branches of measuring ``q`` on ``s`` are built once, by
-    :func:`enumerate_qubit`, and cached by the identity of ``s`` (a bounded
-    cache, keyed like ``StateVector`` hashes: by object).  Outcome 0 iff
-    ``u`` falls below P(outcome 0), so the outcome, probability and
-    post-state are bit for bit those ``measure_qubit`` returns on the same
-    draw.  Pays off on states that many rounds share, and on the
-    post-states it hands back, which are shared in turn.
-    """
-    threshold, zero, one = _branch_node(s, q, basis)
-    return zero if u < threshold else one
 
 
 def _bell_residuals(s: StateVector, q1: str, q2: str) -> tuple[tuple[int, int], list[np.ndarray], list[float]]:
@@ -435,6 +429,23 @@ def _sample_bell(probabilities, draw: float) -> int:
     if chosen is None:
         raise RuntimeError("no Bell branch has positive probability")
     return chosen
+
+
+def _sample_bell_rows(probabilities: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """:func:`_sample_bell` on each row of ``probabilities`` (shape (T, 4))
+    with the matching entry of ``draws`` (shape (T,)).
+
+    The same walk: a skipped branch adds exactly 0.0 to the running sum, so
+    the cumulative boundaries are bit for bit the scalar walk's, and a draw
+    past the last one takes the last possible branch.
+    """
+    possible = probabilities > _ZERO_PROB
+    if not possible.any(axis=1).all():
+        raise RuntimeError("no Bell branch has positive probability")
+    cumulative = np.cumsum(np.where(possible, probabilities, 0.0), axis=1)
+    hit = possible & (draws[:, None] < cumulative)
+    last = possible.shape[1] - 1 - np.argmax(possible[:, ::-1], axis=1)
+    return np.where(hit.any(axis=1), np.argmax(hit, axis=1), last)
 
 
 def bell_measure(s: StateVector, q1: str, q2: str, rand: np.random.Generator) -> BellOutcome:

@@ -11,7 +11,10 @@ and keeping the unique correction that restores the message exactly.
 kernel: for each Bell outcome, the linear map from the message amplitudes
 to the rest of the register with Bob's correction already applied, so an
 attempt costs one matrix product and never rebuilds the joint register.
-:func:`teleport_branches` stays the scalar four-branch oracle, built from
+:func:`teleport_batch` runs many attempts at once, one ``einsum`` per pair
+register, with the same kernel and the same draw rule, and
+:func:`random_amplitudes` draws their messages.  :func:`teleport_branches`
+stays the scalar four-branch oracle, built from
 :func:`~wshare.statevec.enumerate_bell`.
 
 The module also provides the exact four-branch decomposition of a
@@ -33,6 +36,7 @@ from .statevec import (
     BellOutcome,
     StateVector,
     _sample_bell,
+    _sample_bell_rows,
     apply_x,
     apply_z,
     enumerate_bell,
@@ -47,6 +51,8 @@ CORRECTIONS = ("I", "X", "Z", "XZ")
 
 # Bound on the memoized Bell kernels (one per pair register and label pair).
 _KERNEL_CACHE_SIZE = 256
+# Teleports per einsum in a batch: bounds the four-branch working arrays.
+_BATCH_ROWS = 256
 
 
 def apply_correction(s: StateVector, q: str, correction: str) -> StateVector:
@@ -142,12 +148,20 @@ def _finish(branch: BellOutcome, message: StateVector, bob_label: str) -> Telepo
     )
 
 
-def _correction_matrix(correction: str) -> np.ndarray:
-    """The 2x2 matrix of a named correction, column j = its image of |j>."""
-    return np.column_stack([
-        apply_correction(make_basis_state([j], ["q"]), "q", correction).amplitudes
-        for j in (0, 1)
+@functools.cache
+def _correction_matrices() -> np.ndarray:
+    """Bob's correction for each Bell outcome as a real 2x2 matrix, stacked
+    in BELL_NAMES order; column j is the correction's image of |j>."""
+    table = build_correction_table()
+    matrices = np.stack([
+        np.column_stack([
+            apply_correction(make_basis_state([j], ["q"]), "q", table[name]).amplitudes.real
+            for j in (0, 1)
+        ])
+        for name in BELL_NAMES
     ])
+    matrices.flags.writeable = False
+    return matrices
 
 
 @functools.lru_cache(maxsize=_KERNEL_CACHE_SIZE)
@@ -167,12 +181,10 @@ def _bell_kernel(pair: StateVector, alice_label: str, bob_label: str
     channel = pair._rows(alice)
     rest = pair.labels[:alice] + pair.labels[alice + 1:]
     bob -= bob > alice  # Bob's position in the rest
-    table = build_correction_table()
     kernel = np.empty((4, 2, channel.shape[1]), dtype=complex)
-    for k, (name, mat) in enumerate(zip(BELL_NAMES, _BELL_MATRICES)):
+    for k, (correction, mat) in enumerate(zip(_correction_matrices(), _BELL_MATRICES)):
         collapsed = (mat.conj() @ channel).reshape(2, 1 << bob, 2, -1)
-        corrected = np.einsum("cb,ixby->ixcy", _correction_matrix(table[name]),
-                              collapsed)
+        corrected = np.einsum("cb,ixby->ixcy", correction, collapsed)
         kernel[k] = corrected.reshape(2, -1)
     kernel.flags.writeable = False
     return kernel, rest
@@ -213,6 +225,78 @@ def teleport(
         bob_label=bob_label,
         fidelity=reduced_fidelity(residual, bob_label, message),
     )
+
+
+@dataclass(frozen=True)
+class TeleportBatch:
+    """Many teleportation attempts, one row each.
+
+    ``outcomes[t]`` is the Bell outcome index (``BELL_NAMES`` order) of
+    attempt t, ``residuals[t]`` the normalized rest of its register after
+    Bob's correction, over ``labels``, and ``fidelities[t]`` Bob's qubit
+    scored against the message.
+    """
+
+    outcomes: np.ndarray
+    residuals: np.ndarray
+    labels: tuple[str, ...]
+    fidelities: np.ndarray
+
+
+def teleport_batch(
+    messages: np.ndarray,
+    pairs,
+    which: np.ndarray,
+    draws: np.ndarray,
+    alice_label: str = "a",
+    bob_label: str = "b",
+) -> TeleportBatch:
+    """Teleport message ``messages[t]`` over ``pairs[which[t]]`` on draw ``draws[t]``.
+
+    ``messages`` holds (T, 2) message amplitudes.  Each row is what
+    :func:`teleport` does with that message, pair and draw: the same Bell
+    kernel, the same walk over the cumulative distribution, the drawn
+    residual normalized.  Each pair node used costs one ``einsum`` per
+    ``_BATCH_ROWS`` of its rows.  The pairs used must share their labels.
+    """
+    count = len(draws)
+    outcomes = np.zeros(count, dtype=np.intp)
+    residuals = None
+    labels: tuple[str, ...] = ()
+    for node, pair in enumerate(pairs):
+        rows = np.flatnonzero(which == node)
+        if not rows.size:
+            continue
+        kernel, rest = _bell_kernel(pair, alice_label, bob_label)
+        if residuals is None:
+            residuals, labels = np.zeros((count, kernel.shape[2]), dtype=complex), rest
+        elif rest != labels:
+            raise ValueError(f"pairs with different registers in one batch: {labels} vs {rest}")
+        for start in range(0, rows.size, _BATCH_ROWS):
+            part = rows[start:start + _BATCH_ROWS]
+            branches = np.einsum("ti,kir->tkr", messages[part], kernel)
+            probabilities = (np.abs(branches) ** 2).sum(axis=2)
+            chosen = _sample_bell_rows(probabilities, draws[part])
+            drawn = np.arange(part.size), chosen
+            residuals[part] = branches[drawn] / np.sqrt(probabilities[drawn])[:, None]
+            outcomes[part] = chosen
+    if residuals is None:
+        return TeleportBatch(outcomes, np.zeros((0, 0), dtype=complex), (), np.zeros(0))
+    return TeleportBatch(outcomes, residuals, labels,
+                         qubit_fidelities(residuals, labels, bob_label, messages))
+
+
+def qubit_fidelities(amplitudes: np.ndarray, labels: tuple[str, ...], q: str,
+                     references: np.ndarray) -> np.ndarray:
+    """:func:`~wshare.statevec.reduced_fidelity` row by row.
+
+    Row t is <r_t| rho_q |r_t> for the normalized register ``amplitudes[t]``
+    over ``labels`` and the single-qubit reference amplitudes
+    ``references[t]``.
+    """
+    rows = amplitudes.reshape(len(amplitudes), 1 << labels.index(q), 2, -1)
+    overlaps = np.einsum("tbja,tj->tba", rows, references.conj())
+    return (np.abs(overlaps) ** 2).sum(axis=(1, 2))
 
 
 def teleport_branches(
@@ -258,8 +342,18 @@ def ema_decomposition(a: complex, b: complex) -> list[tuple[BellOutcome, StateVe
     return [(o, o.residual) for o in enumerate_bell(joint, "m", "a")]
 
 
+def random_amplitudes(rand: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` uniformly random single-qubit states (Haar on the Bloch
+    sphere) as (count, 2) amplitudes.
+
+    Each state takes four normal draws, the two real parts then the two
+    imaginary parts, and is divided by its norm once.
+    """
+    normals = rand.normal(size=(count, 2, 2))
+    amplitudes = normals[:, 0] + 1j * normals[:, 1]
+    return amplitudes / np.linalg.norm(amplitudes, axis=1, keepdims=True)
+
+
 def random_message(rand: np.random.Generator, label: str = "m") -> StateVector:
     """Uniformly random single-qubit pure state (Haar on the Bloch sphere)."""
-    z = rand.normal(size=2) + 1j * rand.normal(size=2)
-    z /= np.linalg.norm(z)
-    return StateVector(z, (label,))
+    return StateVector._trusted(random_amplitudes(rand, 1)[0], (label,))

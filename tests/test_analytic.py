@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
+from wshare import attacks
 from wshare.analytic import (
-    bell_yield,
-    imra_outcome_probs,
     isra_case_probs,
     isra_success_sequence,
     isra_success_single,
@@ -17,18 +16,18 @@ from wshare.statevec import Basis, enumerate_qubit, make_w_state
 
 
 def test_bell_yield_value():
-    assert bell_yield() == pytest.approx(2 / 3, abs=1e-15)
+    # A surviving round distills into a Bell pair with probability 2/3.
     branches = enumerate_qubit(make_w_state(), "c", Basis.Z)
-    assert branches[0].probability == pytest.approx(bell_yield(), abs=1e-12)
-    assert 1 - bell_yield() == pytest.approx(1 / 3, abs=1e-15)
+    assert branches[0].probability == pytest.approx(2 / 3, abs=1e-12)
+    assert branches[1].probability == pytest.approx(1 / 3, abs=1e-12)
 
 
 def test_imra_outcome_probs():
-    p0, p1 = imra_outcome_probs()
-    assert (p0, p1) == (pytest.approx(2 / 3), pytest.approx(1 / 3))
-    assert p0 + p1 == pytest.approx(1.0)
+    # Eve's Z outcome on an intercepted W travel qubit: 0 w.p. 2/3, 1 w.p. 1/3.
+    p0, p1 = 2 / 3, 1 / 3
     branches = enumerate_qubit(make_w_state(), "b", Basis.Z)
     assert branches[0].probability == pytest.approx(p0, abs=1e-12)
+    assert branches[1].probability == pytest.approx(p1, abs=1e-12)
 
 
 def test_isra_case_probs_values():
@@ -148,3 +147,13 @@ def test_oracle_validates_arguments():
             sequence_success_probability("imra", "strict", 0.5, 0.5, n)
         with pytest.raises(ValueError):
             isra_success_sequence(0.5, 0.5, 0.5, n)
+
+
+def test_oracle_starts_from_the_protocol_template():
+    # The oracle's rounds are the engine's registers, so the intercept cache
+    # is hit, not refilled, on every call after the first.
+    attacks._ema_joint.cache_clear()
+    for _ in range(3):
+        round_detection_probability("ema", "strict", 0.5, 0.5)
+    info = attacks._ema_joint.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wshare import cli
+from wshare import cli, protocol
 from wshare.attacks import ATTACK_KINDS
 from wshare.cli import CURVE_COLUMNS, SWEEP_COLUMNS, ScenarioConfig, UsageError, _scenario_value, main
 
@@ -168,6 +168,27 @@ def test_sweep_workers_do_not_change_output(tmp_path):
     assert run_cli(*base, "--out", str(serial)).returncode == 0
     assert run_cli(*base, "--workers", "3", "--out", str(parallel)).returncode == 0
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+def test_block_size_bounds_every_block():
+    for n in (1, 10, 4000, 10 ** 6):
+        size = protocol._block_size(n)
+        assert size >= 1 and size * n <= protocol._BLOCK_SLOTS, n
+
+
+def test_sweep_across_blocks_is_identical_under_workers(tmp_path):
+    n, trials = 16384, 150
+    size = protocol._block_size(n)
+    assert trials > 2 * size and trials % size  # two full blocks and a ragged one
+    base = ("sweep", "--attack", "ema", "--d-values", "0,0.5", "--n", str(n),
+            "--trials", str(trials), "--seed", "5", "--format", "csv")
+    serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
+    assert run_cli(*base, "--out", str(serial)).returncode == 0
+    assert run_cli(*base, "--workers", "2", "--out", str(parallel)).returncode == 0
+    assert serial.read_bytes() == parallel.read_bytes()
+    rows = list(csv.DictReader(io.StringIO(serial.read_text())))
+    assert [row["detections"] for row in rows] == ["0", "0"]  # ema passes the paper checker
+    assert all(float(row["yield_mean"]) == pytest.approx(2 / 3, abs=0.01) for row in rows)
 
 
 def test_scenario_file_sets_flags_and_flags_override(tmp_path):

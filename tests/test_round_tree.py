@@ -1,23 +1,32 @@
-"""The memoized round-branch tree against a plain scalar replay.
+"""The batched round engine against a plain scalar replay.
 
-``replay`` below re-runs the protocol the direct way: every round gets its
-own register, every measurement is a fresh ``measure_qubit`` draw, and the
-checking rules are restated inline.  It uses none of the memoized paths
-(``measure_shared``, the shared intercept registers, the cached pair
-discard), so ``run_protocol`` must match it bit for bit: transcript, pair
-amplitudes, Eve's per-round bits and the next draw of the generator.
+``replay`` below re-runs the protocol the direct way: it reads the stream
+in the engine's layout (Eve, selection, basis, detection, confirmation),
+gives every round its own register, makes every measurement a fresh
+``measure_qubit`` on the round's uniform, and restates the checking rules
+inline.  It uses none of the engine's paths (the round tables, the shared
+intercept registers, the rule masks), so ``run_protocol`` must match it bit
+for bit: transcript, pair amplitudes, Eve's per-round bits and the next
+draw of the generator.  The threshold tests place uniforms one ulp either
+side of every table entry and ask ``measure_qubit`` for the outcome; the
+frequency test holds the engine to ``enumerate_qubit``'s exact branch
+probabilities.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wshare import attacks, protocol, statevec
 from wshare.attacks import AttackModel
 from wshare.protocol import CheckerMode, ProtocolConfig, run_protocol
 from wshare.statevec import (
     Basis,
+    StateVector,
     apply_cnot,
     discard_qubit,
+    enumerate_qubit,
     make_basis_state,
     make_message_state,
     make_w_state,
@@ -33,12 +42,35 @@ MODE_IDS = ["paper_analytic", "strict"]
 GRID = [(1, 1.0, 0.5), (1, 0.0, 0.5), (1, 0.5, 1.0), (6, 1.0, 0.0), (8, 0.5, 0.5),
         (10, 0.3, 1.0), (12, 0.0, 0.5)]
 SEEDS = range(4)
+LAST = float(np.nextafter(1.0, 0.0))  # the largest uniform a generator can return
 
 
-def replay_intercept(kind, y, state, rand):
+class FixedDraw:
+    """Stand-in generator whose every uniform draw is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+class Scripted:
+    """Stand-in generator that hands out prepared arrays in order."""
+
+    def __init__(self, *arrays):
+        self.arrays = [np.asarray(a, dtype=float) for a in arrays]
+
+    def random(self, shape):
+        array = self.arrays.pop(0)
+        assert array.shape == tuple(np.atleast_1d(shape)), (array.shape, shape)
+        return array
+
+
+def replay_intercept(kind, y, state, u):
     """One round's intercept as a fresh register; returns (state, Eve's bit)."""
     if kind == "imra":
-        branch = measure_qubit(state, "b", Basis.Z, rand)
+        branch = measure_qubit(state, "b", Basis.Z, FixedDraw(u))
         return branch.post_state, branch.outcome
     if kind == "isra":
         fake = make_message_state(float(np.sqrt(1.0 - y * y)), y, label="b")
@@ -58,34 +90,41 @@ def rule_holds(basis, mode, rc, ra, rb):
 def replay(config, kind, y, rand):
     """(transcript, pair positions, pair states, Eve's bits) the direct way."""
     n = config.n
+    eve = rand.random((1, n))[0].tolist() if kind == "imra" else [None] * n
+    selected = (rand.random((1, n))[0] < config.d).tolist()
+    bases = [Basis.Z if u < config.p else Basis.X for u in rand.random((1, n))[0]]
+    detect = rand.random((1, n, 3))[0].tolist()
+    confirm = rand.random((1, n))[0].tolist()
     states, bits = {}, []
     for t in range(1, n + 1):
-        states[t], bit = replay_intercept(kind, y, make_w_state(("a", "b", "c")), rand)
+        states[t], bit = replay_intercept(kind, y, make_w_state(("a", "b", "c")), eve[t - 1])
         bits.append(bit)
     transcript = [("charlie", "mode", "transmission"), ("charlie", "send", n),
                   ("charlie", "mode", "detecting")]
-    positions = [int(i) + 1 for i in np.flatnonzero(rand.random(n) < config.d)]
-    bases = [Basis.Z if u < config.p else Basis.X for u in rand.random(len(positions))]
-    transcript.append(("charlie", "directives", tuple((t, b.value) for t, b in zip(positions, bases))))
+    positions = [t for t in range(1, n + 1) if selected[t - 1]]
+    transcript.append(("charlie", "directives",
+                       tuple((t, bases[t - 1].value) for t in positions)))
     rc, ra, rb = [], [], []
-    for t, basis in zip(positions, bases):
-        for label, label_basis, results in (("c", Basis.Z, rc), ("a", basis, ra), ("b", basis, rb)):
-            branch = measure_qubit(states[t], label, label_basis, rand)
+    for t in positions:
+        basis = bases[t - 1]
+        for label, label_basis, results, u in zip("cab", (Basis.Z, basis, basis),
+                                                  (rc, ra, rb), detect[t - 1]):
+            branch = measure_qubit(states[t], label, label_basis, FixedDraw(u))
             states[t] = branch.post_state
             results.append(branch.outcome)
     transcript += [("charlie", "home-results", tuple(rc)), ("alice", "results", tuple(ra)),
                    ("bob", "results", tuple(rb))]
-    offending = tuple(t for t, basis, c, a, b in zip(positions, bases, rc, ra, rb)
-                      if not rule_holds(basis, config.checker_mode, c, a, b))
+    offending = tuple(t for t, c, a, b in zip(positions, rc, ra, rb)
+                      if not rule_holds(bases[t - 1], config.checker_mode, c, a, b))
     if offending:
         transcript += [("charlie", "verdict", "detected"), ("charlie", "offending", offending),
                        ("charlie", "abort", "eavesdropping suspected; sequence discarded")]
         return transcript, (), (), tuple(bits)
     transcript += [("charlie", "verdict", "pass"), ("charlie", "mode", "confirmation")]
-    surviving = [t for t in range(1, n + 1) if t not in set(positions)]
+    surviving = [t for t in range(1, n + 1) if not selected[t - 1]]
     kept = []
     for i, t in enumerate(surviving, start=1):
-        branch = measure_qubit(states[t], "c", Basis.Z, rand)
+        branch = measure_qubit(states[t], "c", Basis.Z, FixedDraw(confirm[t - 1]))
         states[t] = branch.post_state
         if branch.outcome == 0:
             kept.append(i)
@@ -125,7 +164,7 @@ def test_rounds_share_their_states():
 
 
 def test_branch_caches_stay_bounded():
-    caches = (statevec._branch_node, protocol._pair_state, attacks._isra_joint)
+    caches = (statevec._branch_node, protocol._round_tables, attacks._isra_joint)
     for cache in caches:
         cache.cache_clear()
     for i in range(600):  # 600 distinct fake qubits, each its own tree
@@ -136,3 +175,180 @@ def test_branch_caches_stay_bounded():
         assert info.maxsize is not None
         assert info.misses > info.maxsize, cache  # the bound was actually exercised
         assert info.currsize <= info.maxsize, cache
+
+
+# ---------------------------------------------------------------------------
+# thresholds, one ulp either side
+
+
+def around(*thresholds):
+    """Uniforms at and one ulp either side of each threshold, inside [0, 1)."""
+    draws = set()
+    for t in thresholds:
+        draws.update(float(u) for u in (np.nextafter(t, -1.0), t, np.nextafter(t, 2.0)))
+    return sorted(u for u in draws if 0.0 <= u < 1.0)
+
+
+def p0(state, label, basis):
+    return enumerate_qubit(state, label, basis)[0].probability
+
+
+def basis_of(u):
+    return Basis.Z if u < 0.5 else Basis.X  # the engine runs these slots at p = 0.5
+
+
+def oracle_round(eve_root, root, slot):
+    """(e, home, alice, bob) of one slot by fresh measure_qubit calls."""
+    ue, uc, ux, ua, ub = slot
+    e = 0
+    if eve_root is not None:
+        branch = measure_qubit(eve_root, "b", Basis.Z, FixedDraw(ue))
+        e, root = branch.outcome, branch.post_state
+    home = measure_qubit(root, "c", Basis.Z, FixedDraw(uc))
+    alice = measure_qubit(home.post_state, "a", basis_of(ux), FixedDraw(ua))
+    bob = measure_qubit(alice.post_state, "b", basis_of(ux), FixedDraw(ub))
+    return e, home.outcome, alice.outcome, bob.outcome
+
+
+def boundary_slots(tables, eve_root, root):
+    """Slots (ue, uc, ux, ua, ub) that put one uniform around each table
+    entry (and around the unclamped probability it was clamped from), the
+    others steering the round to that entry's node."""
+    slots = []
+    if eve_root is not None:
+        slots += [(u, 0.0, 0.0, 0.0, 0.0) for u in around(tables.te, p0(eve_root, "b", Basis.Z))]
+    for ue in ((0.0, LAST) if eve_root is not None else (0.0,)):
+        e, r = 0, root
+        if eve_root is not None:
+            branch = measure_qubit(eve_root, "b", Basis.Z, FixedDraw(ue))
+            e, r = branch.outcome, branch.post_state
+        slots += [(ue, u, 0.0, 0.0, 0.0) for u in around(tables.tc[e], p0(r, "c", Basis.Z))]
+        for uc in (0.0, LAST):
+            home = measure_qubit(r, "c", Basis.Z, FixedDraw(uc))
+            for x, ux in enumerate((0.0, 0.75)):
+                basis = basis_of(ux)
+                slots += [(ue, uc, ux, u, 0.0) for u in around(
+                    tables.ta[e, home.outcome, x], p0(home.post_state, "a", basis))]
+                for ua in (0.0, LAST):
+                    alice = measure_qubit(home.post_state, "a", basis, FixedDraw(ua))
+                    slots += [(ue, uc, ux, ua, u) for u in around(
+                        tables.tb[e, home.outcome, x, alice.outcome],
+                        p0(alice.post_state, "b", basis))]
+    return slots
+
+
+def assert_engine_follows_thresholds(tables, eve_root, root):
+    slots = boundary_slots(tables, eve_root, root)
+    want = np.array([oracle_round(eve_root, root, slot) for slot in slots])
+    ue, uc, ux, ua, ub = (np.array([column]) for column in zip(*slots))
+    for d in (1.0, 0.0):  # detection, then confirmation, reads the home uniform
+        config = ProtocolConfig(n=len(slots), d=d, p=0.5, checker_mode="strict")
+        eve = (ue,) if tables.te is not None else ()
+        got = protocol._draw_rounds(tables, config, Scripted(
+            *eve, np.zeros_like(uc), ux, np.stack([uc, ua, ub], axis=-1), uc), 1)
+        assert np.array_equal(got.eve[0], want[:, 0])
+        assert np.array_equal(got.home[0], want[:, 1]), d
+        if d:
+            assert np.array_equal(got.alice[0], want[:, 2])
+            assert np.array_equal(got.bob[0], want[:, 3])
+
+
+@pytest.mark.parametrize("kind,y", ATTACKS)
+def test_table_thresholds_match_measure_qubit(kind, y):
+    tables = protocol._round_tables(AttackModel(kind, y))
+    w = make_w_state(("a", "b", "c"))
+    if kind == "imra":
+        assert_engine_follows_thresholds(tables, w, None)
+    else:
+        assert_engine_follows_thresholds(tables, None, replay_intercept(kind, y, w, None)[0])
+
+
+SLIVER = 3e-8  # an amplitude whose branch weighs ~9e-16: never sampled
+NEAR = float(np.sqrt(1 - SLIVER ** 2))
+
+
+@pytest.mark.parametrize("amplitudes", [
+    # home reads 1 with probability ~9e-16: a draw above P(0) still reads 0
+    {0b100: NEAR * np.sqrt(0.5), 0b010: NEAR * np.sqrt(0.5), 0b001: SLIVER},
+    # home reads 0 with probability ~9e-16: even a draw of 0.0 reads 1
+    {0b001: NEAR, 0b100: SLIVER},
+], ids=["near-certain-home-0", "near-impossible-home-0"])
+def test_table_thresholds_clamp_near_certain_branches(amplitudes):
+    amps = np.zeros(8, dtype=complex)
+    for index, value in amplitudes.items():
+        amps[index] = value
+    root = StateVector(amps, ("a", "b", "c"))
+    tables = protocol._compile_tables(None, (root,))
+    assert tables.tc[0] in (0.0, 1.0)  # clamped
+    assert_engine_follows_thresholds(tables, None, root)
+
+
+def random_root(rng):
+    z = rng.normal(size=8) + 1j * rng.normal(size=8)
+    return StateVector(z / np.linalg.norm(z), ("a", "b", "c"))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 31 - 1))
+def test_table_thresholds_match_measure_qubit_on_random_roots(seed):
+    root = random_root(np.random.default_rng(seed))
+    assert_engine_follows_thresholds(protocol._compile_tables(None, (root,)), None, root)
+
+
+# ---------------------------------------------------------------------------
+# outcome frequencies against the exact branch probabilities
+
+
+def exact_round_distribution(kind, y, p):
+    """{(e, x, c, a, b): probability} of a detection round, and
+    {(e, c): probability} of a confirmation, by enumeration."""
+    w = make_w_state(("a", "b", "c"))
+    if kind == "imra":
+        roots = [(b.outcome, b.probability, b.post_state) for b in enumerate_qubit(w, "b", Basis.Z)]
+    else:
+        roots = [(0, 1.0, replay_intercept(kind, y, w, None)[0])]
+    detection, confirmation = {}, {}
+    for e, weight, root in roots:
+        for home in enumerate_qubit(root, "c", Basis.Z):
+            confirmation[e, home.outcome] = weight * home.probability
+            for x, (basis, pb) in enumerate(((Basis.Z, p), (Basis.X, 1 - p))):
+                for alice in (enumerate_qubit(home.post_state, "a", basis)
+                              if home.post_state is not None else ()):
+                    for bob in (enumerate_qubit(alice.post_state, "b", basis)
+                                if alice.post_state is not None else ()):
+                        detection[e, x, home.outcome, alice.outcome, bob.outcome] = (
+                            weight * pb * home.probability * alice.probability * bob.probability)
+    return detection, confirmation
+
+
+def assert_frequencies(counts, total, probabilities):
+    for key in set(counts) | set(probabilities):
+        q = probabilities.get(key, 0.0)
+        got = counts.get(key, 0)
+        if q <= 1e-15:
+            assert got == 0, (key, got)
+        else:
+            assert abs(got - total * q) <= 4 * np.sqrt(total * q * (1 - q)) + 1e-9, (key, got, total * q)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(st.sampled_from(ATTACKS), st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+       st.integers(min_value=0, max_value=2 ** 31 - 1))
+def test_engine_frequencies_match_enumeration(attack, p, seed):
+    kind, y = attack
+    config = ProtocolConfig(n=40, d=0.5, p=p, checker_mode="strict")
+    rounds = protocol._draw_rounds(protocol._round_tables(AttackModel(kind, y)), config,
+                                   np.random.default_rng(seed), 100)
+    detection, confirmation = exact_round_distribution(kind, y, p)
+    columns = (rounds.eve, rounds.x_basis, rounds.home, rounds.alice, rounds.bob)
+    keys = zip(*(column[rounds.selected].astype(int).tolist() for column in columns))
+    counts = {}
+    for key in keys:
+        counts[key] = counts.get(key, 0) + 1
+    assert_frequencies(counts, int(rounds.selected.sum()), detection)
+    unselected = ~rounds.selected
+    keys = zip(rounds.eve[unselected].tolist(), rounds.home[unselected].astype(int).tolist())
+    counts = {}
+    for key in keys:
+        counts[key] = counts.get(key, 0) + 1
+    assert_frequencies(counts, int(unselected.sum()), confirmation)

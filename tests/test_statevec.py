@@ -21,7 +21,6 @@ from wshare.statevec import (
     make_message_state,
     make_w_state,
     measure_qubit,
-    measure_shared,
     reduced_density,
     reduced_fidelity,
     relabel,
@@ -352,11 +351,10 @@ def test_near_certain_draw_takes_the_branch_that_has_a_state():
     assert 0.0 < one.probability <= 1e-15 and one.post_state is None
     above = float(np.nextafter(zero.probability, 1.0))
     assert zero.probability < above < 1.0  # outcome 1 by the bare Born rule
-    for branch in (measure_qubit(NEARLY_ZERO, "b", Basis.Z, FixedDraw(above)),
-                   measure_shared(NEARLY_ZERO, "b", Basis.Z, above)):
-        assert branch.outcome == 0
-        assert branch.probability == zero.probability
-        assert np.array_equal(branch.post_state.amplitudes, zero.post_state.amplitudes)
+    branch = measure_qubit(NEARLY_ZERO, "b", Basis.Z, FixedDraw(above))
+    assert branch.outcome == 0
+    assert branch.probability == zero.probability
+    assert np.array_equal(branch.post_state.amplitudes, zero.post_state.amplitudes)
     post, bit = AttackModel("imra").intercept(NEARLY_ZERO, FixedDraw(above))
     assert bit == 0
     assert np.array_equal(post.amplitudes, zero.post_state.amplitudes)
@@ -365,28 +363,9 @@ def test_near_certain_draw_takes_the_branch_that_has_a_state():
 def test_near_impossible_first_branch_is_never_drawn():
     zero, one = enumerate_qubit(NEARLY_ONE, "b", Basis.Z)
     assert 0.0 < zero.probability <= 1e-15 and zero.post_state is None
-    for branch in (measure_qubit(NEARLY_ONE, "b", Basis.Z, FixedDraw(0.0)),
-                   measure_shared(NEARLY_ONE, "b", Basis.Z, 0.0)):
-        assert branch.outcome == 1
-        assert np.array_equal(branch.post_state.amplitudes, one.post_state.amplitudes)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(min_value=0, max_value=2 ** 31 - 1), st.sampled_from([Basis.Z, Basis.X]),
-       st.sampled_from(["a", "b", "c"]))
-def test_memoized_branches_match_measure_qubit_bit_for_bit(seed, basis, label):
-    rng = np.random.default_rng(seed)
-    s = random_state(rng, ("a", "b", "c"))
-    p0 = enumerate_qubit(s, label, basis)[0].probability
-    for u in [*rng.random(8).tolist(), p0, float(np.nextafter(p0, 0.0))]:  # and both sides of p0
-        sampled = measure_qubit(s, label, basis, FixedDraw(u))
-        shared = measure_shared(s, label, basis, u)
-        assert shared.outcome == sampled.outcome
-        assert shared.probability == sampled.probability
-        assert shared.post_state.labels == sampled.post_state.labels
-        assert np.array_equal(shared.post_state.amplitudes, sampled.post_state.amplitudes)
-    # a repeated lookup hands back the very same branch objects
-    assert measure_shared(s, label, basis, 0.0) is measure_shared(s, label, basis, 0.0)
+    branch = measure_qubit(NEARLY_ONE, "b", Basis.Z, FixedDraw(0.0))
+    assert branch.outcome == 1
+    assert np.array_equal(branch.post_state.amplitudes, one.post_state.amplitudes)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from wshare.attacks import AttackModel, eve_recover_attempt
+from wshare.attacks import AttackModel, eve_recover_attempt, eve_recover_batch
 from wshare.protocol import ProtocolConfig, run_protocol
 from wshare.statevec import (
+    BELL_NAMES,
     Basis,
     StateVector,
     enumerate_bell,
@@ -26,8 +27,10 @@ from wshare.teleport import (
     build_correction_table,
     corrupted_channel,
     ema_decomposition,
+    random_amplitudes,
     random_message,
     teleport,
+    teleport_batch,
     teleport_branches,
 )
 
@@ -310,6 +313,67 @@ def test_kernel_teleport_consumes_one_uniform(node):
         teleport(message, pair, rand)
         twin.random()
         assert rand.random() == twin.random()
+
+
+# ---------------------------------------------------------------------------
+# the batched teleport and recovery against the scalar ones
+
+
+def around_boundaries(probabilities):
+    """Draws at and one ulp either side of each cumulative boundary of the
+    scalar walk (zero-probability branches skipped), inside [0, 1)."""
+    acc, bounds = 0.0, [0.0, float(np.nextafter(1.0, 0.0))]
+    for probability in probabilities:
+        if probability > 1e-15:
+            acc += probability
+            bounds.append(acc)
+    draws = {float(u) for b in bounds for u in (np.nextafter(b, -1.0), b, np.nextafter(b, 2.0))}
+    return sorted(u for u in draws if 0.0 <= u < 1.0)
+
+
+def batch_cases(pair):
+    """(message states, draws): every kernel message on every boundary draw
+    of its own scalar Bell distribution, then Haar messages on Haar draws."""
+    kernel, _ = _bell_kernel(pair, "a", "b")
+    messages, draws = [], []
+    for message in kernel_messages():
+        probabilities = (np.abs(message.amplitudes @ kernel) ** 2).sum(axis=1)
+        for u in around_boundaries(probabilities):
+            messages.append(message)
+            draws.append(u)
+    rng = np.random.default_rng(17)
+    messages += [random_message(rng) for _ in range(50)]
+    draws += rng.random(50).tolist()
+    return messages, np.array(draws)
+
+
+@pytest.mark.parametrize("node", range(len(PAIR_NODES)))
+def test_batched_teleport_and_recovery_match_scalar(node):
+    attack, pair = PAIR_NODES[node]
+    messages, draws = batch_cases(pair)
+    amplitudes = np.array([m.amplitudes for m in messages])
+    batch = teleport_batch(amplitudes, (None, pair), np.ones(len(draws), dtype=int), draws)
+    bits = {"none": (), "imra": (0, 1)}.get(attack.kind, (None,))
+    recoveries = {bit: eve_recover_batch(attack, None if bit is None else np.full(len(draws), bit),
+                                         batch, amplitudes) for bit in bits}
+    for t, (message, u) in enumerate(zip(messages, draws)):
+        want = teleport(message, pair, CountingDraw(u))
+        where = (attack.kind, pair.labels, message.amplitudes.tolist(), u)
+        assert BELL_NAMES[batch.outcomes[t]] == want.outcome_name, where
+        assert batch.labels == want.residual.labels, where
+        assert_allclose(batch.residuals[t], want.residual.amplitudes, atol=1e-12)
+        assert batch.fidelities[t] == pytest.approx(want.fidelity, abs=1e-12), where
+        for bit, recovery in recoveries.items():
+            assert recovery[t] == pytest.approx(
+                eve_recover_attempt(attack, bit, want, message), abs=1e-12), where
+
+
+def test_batched_message_draw_is_the_scalar_one():
+    rand, twin = np.random.default_rng(8), np.random.default_rng(8)
+    batch = random_amplitudes(rand, 5)
+    for row in batch:
+        assert np.array_equal(random_message(twin).amplitudes, row)
+    assert rand.random() == twin.random()
 
 
 def test_kernel_cache_stays_bounded():
