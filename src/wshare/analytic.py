@@ -26,14 +26,8 @@ Eve forwards to Bob.)
 from __future__ import annotations
 
 from .attacks import AttackModel
-from .protocol import CheckerMode, DetectionDirective, _check_length, _w_template, evaluate_checks
+from .protocol import CheckerMode, DetectionDirective, _check_length, _check_unit, _w_template, evaluate_checks
 from .statevec import _ZERO_PROB, Basis, StateVector, enumerate_qubit
-
-
-def _check_unit(name: str, value: float) -> float:
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {value}")
-    return float(value)
 
 
 def isra_case_probs(y: float, p: float, d: float) -> tuple[float, float]:

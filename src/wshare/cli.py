@@ -18,11 +18,13 @@ Verbs
     The derived correction table and a batch of random teleportations,
     over the honest channel or the entangler-corrupted one.
 
-All verbs share one flag set (``--n --d --p --mode --attack --isra-y
---trials --seed --format --out``), can read the same flags from a flat
-JSON scenario file (``--scenario``; explicit flags win), and emit text,
-CSV, or JSON-records output.  Every random draw descends from ``--seed``:
-``run`` draws from ``default_rng(seed)`` and each sweep grid point from
+Each flag is one row of :data:`_FLAGS`, which names the verbs that take it
+and its type, default and range for each; ``wshare VERB --help`` lists
+exactly that verb's flags.  Every verb also reads its flags from a flat
+JSON scenario file (``--scenario``; explicit flags win), refuses any flag
+or scenario key it does not take, and emits text, CSV, or JSON-records
+output.  Every random draw descends from ``--seed``: ``run`` draws from
+``default_rng(seed)`` and each sweep grid point from
 ``default_rng((seed, grid_index))``, in fixed blocks of trials (see
 :mod:`wshare.protocol` for the layout), so identical invocations produce
 byte-identical output files whatever ``--workers`` is.  Exit status:
@@ -32,13 +34,17 @@ byte-identical output files whatever ``--workers`` is.  Exit status:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import functools
+import itertools
 import json
 import math
 import os
+import shutil
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,38 +62,9 @@ from .teleport import (
     teleport_batch,
 )
 
-_VERB_TRIALS = {"run": 1, "sweep": 1000, "curves": 1, "teleport-demo": 20}
-
 
 class UsageError(Exception):
     """Bad invocation: flags, scenario file, or parameter ranges."""
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse would exit(2); we want exit(1)
-        raise UsageError(message)
-
-
-@dataclass
-class ScenarioConfig:
-    """One resolved invocation: verb, protocol parameters, attack, output."""
-
-    verb: str
-    n: int = 100
-    d: float = 0.5
-    p: float = 0.5
-    mode: str = CheckerMode.PAPER.value
-    attack: str = "none"
-    isra_y: float = 0.5
-    trials: int = 1
-    seed: int = 0
-    format: str = "text"
-    out: str | None = None
-    y_values: tuple[float, ...] | None = None
-    p_values: tuple[float, ...] | None = None
-    d_values: tuple[float, ...] | None = None
-    n_values: tuple[int, ...] | None = None
-    workers: int = 1
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -98,40 +75,106 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
 
 
+# A value's JSON type -> how its flag text converts, and what its scenario value must be.
+_KINDS = {
+    "integer": (int, "an integer"),
+    "number": (float, "a number"),
+    "string": (str, "a string"),
+    "integers": (_int_list, "a list of integers or a comma-separated string of them"),
+    "numbers": (_float_list, "a list of numbers or a comma-separated string of them"),
+}
+
+
+class _Flag(NamedTuple):
+    """One row of the flag table; the flag's scenario key is its name."""
+
+    kind: str  # the value's JSON type, a key of _KINDS
+    default: object  # None leaves it unset, and lets a scenario file say null
+    domain: tuple | None  # (lo, hi) of a number or of each grid entry, or a string's choices
+    verbs: str  # the verbs that take the flag
+    help: str
+    per_verb: dict = {}  # verb -> its own (default, domain)
+
+    def use(self, verb: str) -> tuple | None:
+        """``(default, domain)`` under ``verb``, or None if ``verb`` does not take the flag."""
+        if verb not in self.verbs.split():
+            return None
+        return self.per_verb.get(verb, (self.default, self.domain))
+
+
+_ALL = "run sweep curves teleport-demo"
+_UNIT = (0.0, 1.0)
+_COUNT = (1, math.inf)
+_FLAGS = {
+    "n": _Flag("integer", 100, _COUNT, "run sweep", "W-state sequence length"),
+    "d": _Flag("number", 0.5, _UNIT, "run sweep curves", "per-position detection probability"),
+    "p": _Flag("number", 0.5, _UNIT, "run sweep curves", "probability a directive basis is Z"),
+    # curves plots the store-resend closed form, which holds under the paper
+    # checker; teleport-demo has a channel only for the attacks that leave
+    # Alice a pair.
+    "mode": _Flag("string", "paper", tuple(m.value for m in CheckerMode), "run sweep curves",
+                  "checker semantics", {"curves": ("paper", ("paper",))}),
+    "attack": _Flag("string", "none", ATTACK_KINDS, _ALL, "eavesdropping attack",
+                    {"curves": ("none", ("none", "isra")), "teleport-demo": ("none", ("none", "ema"))}),
+    "isra_y": _Flag("number", 0.5, _UNIT, "run sweep curves", "fake-qubit |1> amplitude"),
+    # Below 100 trials a sweep's rates mean little.
+    "trials": _Flag("integer", 20, _COUNT, "sweep teleport-demo", "trials per grid point, or teleportations",
+                    {"sweep": (1000, (100, math.inf))}),
+    "seed": _Flag("integer", 0, (0, math.inf), "run sweep teleport-demo",
+                  "master seed; everything derives from it"),
+    "format": _Flag("string", "text", ("text", "csv", "records"), _ALL, "output format"),
+    "out": _Flag("string", None, None, _ALL, "write output here instead of stdout"),
+    "workers": _Flag("integer", 1, _COUNT, "sweep",
+                     "parallel processes over grid points (at most one per point and per CPU)"),
+    "y_values": _Flag("numbers", None, _UNIT, "sweep curves", "comma-separated fake-qubit amplitudes"),
+    "p_values": _Flag("numbers", None, _UNIT, "sweep curves", "comma-separated Z-basis probabilities"),
+    "d_values": _Flag("numbers", None, _UNIT, "sweep curves", "comma-separated detection probabilities"),
+    "n_values": _Flag("integers", None, _COUNT, "sweep curves", "comma-separated sequence lengths"),
+}
+
+
+def _option(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Exits 1, not 2, on a usage error.
+
+    A verb's parser adds the table's flags when it first parses, so a call
+    builds one verb's flags only.  It accepts every flag, hiding from its
+    help those the verb does not take, so that a flag and a scenario key
+    meet the same refusal in :func:`_resolve`.
+    """
+
+    verb: str | None = None
+
+    def __init__(self, **kwargs):
+        # One terminal-width lookup per parser, not one per flag added.
+        width = shutil.get_terminal_size().columns - 2
+        super().__init__(**kwargs, formatter_class=functools.partial(argparse.HelpFormatter, width=width))
+
+    def error(self, message):
+        raise UsageError(message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self.verb is not None:
+            self.add_argument("--scenario", metavar="PATH", help="flat JSON file of these same flags")
+            for name, flag in _FLAGS.items():
+                use = flag.use(self.verb)
+                choices = use[1] if use and flag.kind == "string" else None
+                self.add_argument(_option(name), type=_KINDS[flag.kind][0],
+                                  metavar="|".join(choices) if choices else None,
+                                  help=flag.help if use else argparse.SUPPRESS)
+            self.verb = None
+        return super().parse_known_args(args, namespace)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="wshare", description="Supervised entanglement-sharing protocol lab.")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subparsers = parser.add_subparsers(dest="verb", metavar="verb", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--scenario", metavar="PATH", help="flat JSON file of these same flags")
-    common.add_argument("--n", type=int, help="W-state sequence length")
-    common.add_argument("--d", type=float, help="per-position detection probability")
-    common.add_argument("--p", type=float, help="probability a directive basis is Z")
-    common.add_argument("--mode", choices=[m.value for m in CheckerMode], help="checker semantics")
-    common.add_argument("--attack", choices=ATTACK_KINDS)
-    common.add_argument("--isra-y", type=float, dest="isra_y", help="fake-qubit |1> amplitude")
-    common.add_argument("--trials", type=int)
-    common.add_argument("--seed", type=int, help="master seed; everything derives from it")
-    common.add_argument("--format", choices=("text", "csv", "records"))
-    common.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
-
-    grids = argparse.ArgumentParser(add_help=False)
-    grids.add_argument("--y-values", type=_float_list, dest="y_values", metavar="LIST",
-                       help="comma-separated fake-qubit amplitudes")
-    grids.add_argument("--p-values", type=_float_list, dest="p_values", metavar="LIST")
-    grids.add_argument("--d-values", type=_float_list, dest="d_values", metavar="LIST")
-    grids.add_argument("--n-values", type=_int_list, dest="n_values", metavar="LIST")
-
-    subparsers.add_parser("run", parents=[common], help="execute one protocol run")
-    sweep = subparsers.add_parser("sweep", parents=[common, grids],
-                                  help="Monte Carlo trials over a parameter grid")
-    sweep.add_argument("--workers", type=int,
-                       help="parallel processes over grid points (at most one per point and per CPU)")
-    subparsers.add_parser("curves", parents=[common, grids],
-                          help="analytic success curves against sequence length")
-    subparsers.add_parser("teleport-demo", parents=[common],
-                          help="correction table and random teleportations")
+    for verb, (_, help) in _VERBS.items():
+        subparsers.add_parser(verb, help=help).verb = verb
     return parser
 
 
@@ -148,11 +191,6 @@ def _load_scenario(path: str) -> dict:
     return {str(key).replace("-", "_"): value for key, value in data.items()}
 
 
-_INT_KEYS = ("n", "trials", "seed", "workers")
-_FLOAT_KEYS = ("d", "p", "isra_y")
-_OPTIONAL_KEYS = ("out", "y_values", "p_values", "d_values", "n_values")
-
-
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -163,91 +201,77 @@ def _is_number(value) -> bool:
 
 
 def _scenario_value(name: str, value):
-    """One scenario-file value, converted to the config's type.
+    """One scenario-file value, typed exactly as its flag's JSON type says.
 
-    The JSON type must be exactly right: an integer (not a boolean or a
-    float) for counts and seeds, a number for probabilities and amplitudes,
-    a string for names and paths, and a list or the flag's comma-separated
-    string for grids.  ``null`` is taken only where the default is unset.
+    An integer is never a boolean or a float, a number never a boolean,
+    and a grid is a list or the flag's comma-separated string.  ``null``
+    is taken only where the default is unset.
     """
-    if value is None and name in _OPTIONAL_KEYS:
+    flag = _FLAGS[name]
+    if value is None and flag.default is None:
         return None
-    if name in _INT_KEYS:
-        if _is_int(value):
-            return value
-        expected = "an integer"
-    elif name in _FLOAT_KEYS:
-        if _is_number(value):
-            return float(value)
-        expected = "a number"
-    elif name.endswith("_values"):
-        ints = name == "n_values"
+    if flag.kind == "integer" and _is_int(value):
+        return value
+    if flag.kind == "number" and _is_number(value):
+        return float(value)
+    if flag.kind == "string" and isinstance(value, str):
+        return value
+    if flag.kind in ("integers", "numbers"):
+        ints = flag.kind == "integers"
         if isinstance(value, str):
             try:
-                return _int_list(value) if ints else _float_list(value)
+                return _KINDS[flag.kind][0](value)
             except ValueError:
                 pass
         elif isinstance(value, list) and all(_is_int(v) if ints else _is_number(v) for v in value):
             return tuple(value) if ints else tuple(float(v) for v in value)
-        kind = "integers" if ints else "numbers"
-        expected = f"a list of {kind} or a comma-separated string of them"
-    else:
-        if isinstance(value, str):
-            return value
-        expected = "a string"
     shown = json.dumps(value)
     if len(shown) > 60:
         shown = shown[:57] + "..."
-    raise UsageError(f"scenario key {name!r} must be {expected}, got {shown}")
+    raise UsageError(f"scenario key {name!r} must be {_KINDS[flag.kind][1]}, got {shown}")
 
 
-def _build_scenario(args: argparse.Namespace) -> ScenarioConfig:
-    """Merge defaults < scenario file < explicit flags into one config."""
-    cfg = ScenarioConfig(verb=args.verb, trials=_VERB_TRIALS[args.verb])
-    known = {f.name for f in fields(ScenarioConfig)} - {"verb"}
-    file_values = _load_scenario(args.scenario) if getattr(args, "scenario", None) else {}
-    unknown = set(file_values) - known
-    if unknown:
-        raise UsageError(f"unknown scenario keys: {', '.join(sorted(unknown))}")
-    for name, value in file_values.items():
-        setattr(cfg, name, _scenario_value(name, value))
-    for name in known:
-        flag = getattr(args, name, None)
-        if flag is not None:
-            setattr(cfg, name, flag)
-    _validate_scenario(cfg)
+def _checked(verb: str, key: str, value, domain):
+    """``value``, refused unless it lies in ``domain`` (choices, or a closed range)."""
+    if value is None or domain is None:
+        return value
+    if isinstance(value, str):
+        if value not in domain:
+            raise UsageError(f"{verb} takes {key} {' or '.join(domain)}, got {value!r}")
+        return value
+    values = value if isinstance(value, tuple) else (value,)
+    if not values:
+        raise UsageError(f"{key} is empty")
+    if not all(domain[0] <= v <= domain[1] for v in values):
+        raise UsageError(f"{verb} needs {key} in [{domain[0]:g}, {domain[1]:g}], got {value}")
+    return value
+
+
+def _resolve(args: argparse.Namespace) -> argparse.Namespace:
+    """Merge table defaults < scenario file < explicit flags into one config.
+
+    The one place where a flag or scenario key that the verb does not take
+    is refused, and where every value it does take is range-checked, so
+    later steps cannot fail on them.
+    """
+    given = {}
+    if args.scenario:
+        data = _load_scenario(args.scenario)
+        unknown = sorted(set(data) - set(_FLAGS))
+        if unknown:
+            raise UsageError(f"unknown scenario keys: {', '.join(unknown)}")
+        given = {name: _scenario_value(name, value) for name, value in data.items()}
+    given.update((name, value) for name, value in vars(args).items()
+                 if name in _FLAGS and value is not None)
+    refused = [_option(name) for name in given if _FLAGS[name].use(args.verb) is None]
+    if refused:
+        raise UsageError(f"{args.verb} does not take {', '.join(refused)}")
+    cfg = argparse.Namespace(verb=args.verb)
+    for name, flag in _FLAGS.items():
+        use = flag.use(args.verb)
+        if use is not None:
+            setattr(cfg, name, _checked(args.verb, _option(name), given.get(name, use[0]), use[1]))
     return cfg
-
-
-def _validate_scenario(cfg: ScenarioConfig) -> None:
-    """Range-check every value once, for every verb, so later steps cannot fail."""
-    if cfg.mode not in [m.value for m in CheckerMode]:
-        raise UsageError(f"mode must be paper or strict, got {cfg.mode!r}")
-    if cfg.attack not in ATTACK_KINDS:
-        raise UsageError(f"unknown attack {cfg.attack!r}")
-    if cfg.format not in ("text", "csv", "records"):
-        raise UsageError(f"unknown format {cfg.format!r}")
-    if cfg.trials < 1:
-        raise UsageError("trials must be at least 1")
-    if cfg.workers < 1:
-        raise UsageError("workers must be at least 1")
-    if cfg.seed < 0:
-        raise UsageError("seed must be non-negative")
-    if cfg.n < 1:
-        raise UsageError(f"n must be a positive integer, got {cfg.n}")
-    for name, value in (("d", cfg.d), ("p", cfg.p), ("isra-y", cfg.isra_y)):
-        if not 0.0 <= value <= 1.0:
-            raise UsageError(f"{name} must be in [0, 1], got {value}")
-    for name, values, lo, hi in (
-        ("y-values", cfg.y_values, 0.0, 1.0),
-        ("p-values", cfg.p_values, 0.0, 1.0),
-        ("d-values", cfg.d_values, 0.0, 1.0),
-        ("n-values", cfg.n_values, 1, math.inf),
-    ):
-        if values is not None and not values:
-            raise UsageError(f"{name} is empty")
-        if values is not None and any(not lo <= v <= hi for v in values):
-            raise UsageError(f"{name} must lie in [{lo:g}, {hi:g}]")
 
 
 # ---------------------------------------------------------------------------
@@ -266,29 +290,14 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _json_value(value):
-    if isinstance(value, complex):
-        return _cell(value)
-    if isinstance(value, tuple):
-        return list(value)
-    return value
-
-
-def _open_out(cfg: ScenarioConfig):
-    if not cfg.out:
-        return None
-    try:
-        return open(cfg.out, "w", newline="")
-    except OSError as exc:
-        raise UsageError(f"cannot write output file {cfg.out!r}: {exc.strerror}")
-
-
-def _emit_rows(columns: list[str], rows: list[dict], cfg: ScenarioConfig,
+def _emit_rows(columns: list[str], rows: list[dict], cfg: argparse.Namespace,
                header: bool = True, notes: list[str] | None = None) -> None:
     """Write rows in the selected format, to --out or stdout."""
-    sink = _open_out(cfg)
-    stream = sink or sys.stdout
     try:
+        sink = open(cfg.out, "w", newline="") if cfg.out else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        raise UsageError(f"cannot write output file {cfg.out!r}: {exc.strerror}")
+    with sink as stream:
         if cfg.format == "csv":
             writer = csv.writer(stream, lineterminator="\n")
             writer.writerow(columns)
@@ -296,8 +305,7 @@ def _emit_rows(columns: list[str], rows: list[dict], cfg: ScenarioConfig,
                 writer.writerow([_cell(row.get(c)) for c in columns])
         elif cfg.format == "records":
             for row in rows:
-                record = {c: _json_value(row.get(c)) for c in columns}
-                stream.write(json.dumps(record) + "\n")
+                stream.write(json.dumps({c: row.get(c) for c in columns}, default=_cell) + "\n")
         else:
             for note in notes or []:
                 stream.write(f"# {note}\n")
@@ -308,26 +316,20 @@ def _emit_rows(columns: list[str], rows: list[dict], cfg: ScenarioConfig,
             for line in table:
                 rendered = "  ".join(cell.ljust(w) for cell, w in zip(line, widths))
                 stream.write(rendered.rstrip() + "\n")
-    finally:
-        if sink:
-            sink.close()
 
 
 # ---------------------------------------------------------------------------
 # run
 
 
-def _enrich_with_teleportation(
-    outcome: RunOutcome, attack: AttackModel, rand: np.random.Generator
-) -> RunOutcome:
+def _teleport_pairs(outcome: RunOutcome, attack: AttackModel,
+                    rand: np.random.Generator) -> tuple[float, float | None]:
     """Teleport one fresh random message over every distilled pair, in one batch.
 
     The draws follow the run's: all the message normals, then all the
-    teleport uniforms.  When an attack was active, Eve also gets her
-    recovery attempt per pair; the outcome records her mean fidelity.
+    teleport uniforms.  Returns the mean teleport fidelity and, when an
+    attack was active, the mean fidelity of Eve's recovery attempts.
     """
-    if outcome.aborted or len(outcome.pairs) == 0:
-        return outcome
     count = len(outcome.pairs)
     messages = random_amplitudes(rand, count)
     draws = rand.random(count)
@@ -339,42 +341,27 @@ def _enrich_with_teleportation(
         bits = (np.array([outcome.eve_bits[t - 1] for t in outcome.pairs.positions])
                 if attack.kind == "imra" else None)
         recovery = float(eve_recover_batch(attack, bits, batch, messages).mean())
-    return replace(outcome, teleport_fidelities=tuple(batch.fidelities.tolist()),
-                   eve_recovery=recovery)
+    return sum(batch.fidelities.tolist()) / count, recovery
 
 
-def cmd_run(cfg: ScenarioConfig) -> int:
+def cmd_run(cfg: argparse.Namespace) -> int:
     config = ProtocolConfig(n=cfg.n, d=cfg.d, p=cfg.p, checker_mode=cfg.mode)
     attack = AttackModel(cfg.attack, cfg.isra_y if cfg.attack == "isra" else None)
     rand = np.random.default_rng(cfg.seed)
     outcome = run_protocol(config, attack, rand)
-    outcome = _enrich_with_teleportation(outcome, attack, rand)
-
-    rows = [
-        {"seq": i, "speaker": speaker, "event": kind, "detail": json.dumps(_json_value(payload))}
-        for i, (speaker, kind, payload) in enumerate(outcome.transcript)
-    ]
-    seq = len(rows)
-
-    def summary(event, payload):
-        nonlocal seq
-        rows.append({"seq": seq, "speaker": "runner", "event": event,
-                     "detail": json.dumps(_json_value(payload))})
-        seq += 1
-
-    summary("attack", cfg.attack)
-    summary("checker-mode", cfg.mode)
+    events = [*outcome.transcript, ("runner", "attack", cfg.attack), ("runner", "checker-mode", cfg.mode)]
     if not outcome.aborted:
-        summary("pair-positions", outcome.pairs.positions)
+        events.append(("runner", "pair-positions", outcome.pairs.positions))
         if outcome.yield_fraction is not None:
-            summary("yield", round(outcome.yield_fraction, 12))
-        if outcome.teleport_fidelities:
-            mean_fid = sum(outcome.teleport_fidelities) / len(outcome.teleport_fidelities)
-            summary("teleport-fidelity-mean", round(mean_fid, 12))
-        if outcome.eve_recovery is not None:
-            summary("eve-recovery-mean", round(outcome.eve_recovery, 12))
-    _emit_rows(["seq", "speaker", "event", "detail"], rows, cfg,
-               header=cfg.format != "text")
+            events.append(("runner", "yield", round(outcome.yield_fraction, 12)))
+        if len(outcome.pairs):
+            fidelity, recovery = _teleport_pairs(outcome, attack, rand)
+            events.append(("runner", "teleport-fidelity-mean", round(fidelity, 12)))
+            if recovery is not None:
+                events.append(("runner", "eve-recovery-mean", round(recovery, 12)))
+    rows = [{"seq": i, "speaker": speaker, "event": event, "detail": json.dumps(payload, default=_cell)}
+            for i, (speaker, event, payload) in enumerate(events)]
+    _emit_rows(["seq", "speaker", "event", "detail"], rows, cfg, header=cfg.format != "text")
     return 2 if outcome.aborted else 0
 
 
@@ -419,10 +406,8 @@ def _sweep_point(args: tuple) -> dict:
     }
 
 
-def sweep_grid(cfg: ScenarioConfig) -> list[dict]:
-    """Deterministic sweep rows for the configured grid (grid-then-trial order)."""
-    if cfg.trials < 100:
-        raise UsageError("sweep needs --trials of at least 100 for meaningful rates")
+def cmd_sweep(cfg: argparse.Namespace) -> int:
+    """Emit one row per grid point, in grid-then-trial order."""
     if cfg.y_values is not None and cfg.attack != "isra":
         raise UsageError("--y-values only applies to the isra attack")
     y_values: tuple[float | None, ...]
@@ -430,25 +415,15 @@ def sweep_grid(cfg: ScenarioConfig) -> list[dict]:
     p_values = cfg.p_values or (cfg.p,)
     d_values = cfg.d_values or (cfg.d,)
     n_values = cfg.n_values or (cfg.n,)
-    points = []
-    grid_index = 0
-    for y in y_values:
-        for p in p_values:
-            for d in d_values:
-                for n in n_values:
-                    points.append(
-                        (cfg.attack, cfg.mode, y, p, d, n, cfg.trials, cfg.seed, grid_index)
-                    )
-                    grid_index += 1
+    grid = itertools.product(y_values, p_values, d_values, n_values)
+    points = [(cfg.attack, cfg.mode, y, p, d, n, cfg.trials, cfg.seed, grid_index)
+              for grid_index, (y, p, d, n) in enumerate(grid)]
     workers = min(cfg.workers, len(points), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_sweep_point, points))
-    return [_sweep_point(point) for point in points]
-
-
-def cmd_sweep(cfg: ScenarioConfig) -> int:
-    rows = sweep_grid(cfg)
+            rows = list(pool.map(_sweep_point, points))
+    else:
+        rows = [_sweep_point(point) for point in points]
     _emit_rows(SWEEP_COLUMNS, rows, cfg)
     return 0
 
@@ -462,35 +437,25 @@ CURVE_COLUMNS = ["panel", "y", "p", "d", "n", "success"]
 _DEFAULT_CURVE_NS = tuple(range(1, 61))
 
 
-def cmd_curves(cfg: ScenarioConfig) -> int:
+def cmd_curves(cfg: argparse.Namespace) -> int:
     """Emit S(y, p, d, n) against n in three panels (vary y / vary d / vary p).
 
     The built-in value sets are illustrative defaults, not a reproduction of
     any particular figure; pass --y-values/--d-values/--p-values/--n-values
     to choose your own.  The curves are the store-resend closed form under
-    the paper checker, so --mode strict and --attack imra/ema are refused.
+    the paper checker, so the flag table lets curves take --mode paper and
+    --attack none or isra only.
     """
-    if cfg.mode != CheckerMode.PAPER.value or cfg.attack not in ("none", "isra"):
-        raise UsageError("curves plots the store-resend closed form under the paper checker: "
-                         "it takes --mode paper and --attack none or isra only")
     defaults_used = all(v is None for v in (cfg.y_values, cfg.d_values, cfg.p_values, cfg.n_values))
     y_values = cfg.y_values if cfg.y_values is not None else (0.0, 0.5, 1.0)
     d_values = cfg.d_values if cfg.d_values is not None else (0.25, 0.5, 1.0)
     p_values = cfg.p_values if cfg.p_values is not None else (0.25, 0.5, 1.0)
     n_values = cfg.n_values if cfg.n_values is not None else _DEFAULT_CURVE_NS
-    rows = []
-    for y in y_values:
-        for n in n_values:
-            rows.append({"panel": "vary-y", "y": y, "p": cfg.p, "d": cfg.d, "n": n,
-                         "success": isra_success_sequence(y, cfg.p, cfg.d, n)})
-    for d in d_values:
-        for n in n_values:
-            rows.append({"panel": "vary-d", "y": cfg.isra_y, "p": cfg.p, "d": d, "n": n,
-                         "success": isra_success_sequence(cfg.isra_y, cfg.p, d, n)})
-    for p in p_values:
-        for n in n_values:
-            rows.append({"panel": "vary-p", "y": cfg.isra_y, "p": p, "d": cfg.d, "n": n,
-                         "success": isra_success_sequence(cfg.isra_y, p, cfg.d, n)})
+    curves = ([("vary-y", y, cfg.p, cfg.d) for y in y_values]
+              + [("vary-d", cfg.isra_y, cfg.p, d) for d in d_values]
+              + [("vary-p", cfg.isra_y, p, cfg.d) for p in p_values])
+    rows = [{"panel": panel, "y": y, "p": p, "d": d, "n": n, "success": isra_success_sequence(y, p, d, n)}
+            for panel, y, p, d in curves for n in n_values]
     notes = ["illustrative default ranges; not a reproduction of any published figure"] if defaults_used else None
     _emit_rows(CURVE_COLUMNS, rows, cfg, notes=notes)
     return 0
@@ -503,15 +468,13 @@ def cmd_curves(cfg: ScenarioConfig) -> int:
 DEMO_COLUMNS = ["section", "outcome", "correction", "a", "b", "fidelity", "expected_fidelity"]
 
 
-def cmd_teleport_demo(cfg: ScenarioConfig) -> int:
+def cmd_teleport_demo(cfg: argparse.Namespace) -> int:
     """Show the correction table, then teleport a batch of random messages.
 
     ``--attack ema`` swaps in the corrupted three-qubit channel the
     entangling interceptor leaves behind; other attacks never hand Alice a
     distilled pair to begin with, so they have no demo channel here.
     """
-    if cfg.attack not in ("none", "ema"):
-        raise UsageError("teleport-demo supports --attack none or ema only")
     rows = [
         {"section": "correction", "outcome": name, "correction": correction}
         for name, correction in build_correction_table().items()
@@ -540,17 +503,18 @@ def cmd_teleport_demo(cfg: ScenarioConfig) -> int:
 # entry point
 
 
+_VERBS = {
+    "run": (cmd_run, "execute one protocol run"),
+    "sweep": (cmd_sweep, "Monte Carlo trials over a parameter grid"),
+    "curves": (cmd_curves, "analytic success curves against sequence length"),
+    "teleport-demo": (cmd_teleport_demo, "correction table and random teleportations"),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        cfg = _build_scenario(args)
-        handler = {
-            "run": cmd_run,
-            "sweep": cmd_sweep,
-            "curves": cmd_curves,
-            "teleport-demo": cmd_teleport_demo,
-        }[cfg.verb]
-        return handler(cfg)
+        cfg = _resolve(_build_parser().parse_args(argv))
+        return _VERBS[cfg.verb][0](cfg)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

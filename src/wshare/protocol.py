@@ -112,6 +112,12 @@ def _check_length(n) -> None:
         raise ValueError(f"sequence length n must be a positive integer, got {n!r}")
 
 
+def _check_unit(name: str, value: float) -> None:
+    """Refuse a probability or amplitude outside [0, 1] (nan included)."""
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must be in [0, 1], got {value}")
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Run parameters; validated on construction.
@@ -126,10 +132,8 @@ class ProtocolConfig:
 
     def __post_init__(self) -> None:
         _check_length(self.n)
-        if not 0.0 <= self.d <= 1.0:
-            raise ValueError(f"detection probability d must be in [0, 1], got {self.d}")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"Z-basis probability p must be in [0, 1], got {self.p}")
+        _check_unit("detection probability d", self.d)
+        _check_unit("Z-basis probability p", self.p)
         object.__setattr__(self, "checker_mode", CheckerMode(self.checker_mode))
 
 
@@ -197,8 +201,6 @@ class RunOutcome:
     pairs: DistilledPairSet
     eve_bits: tuple[int | None, ...]
     transcript: tuple[tuple, ...]
-    teleport_fidelities: tuple[float, ...] = ()
-    eve_recovery: float | None = None
 
     @property
     def aborted(self) -> bool:

@@ -26,7 +26,6 @@ from wshare.statevec import (
     make_w_state,
     measure_qubit,
     tensor,
-    z_marginal,
 )
 from wshare.teleport import (
     corrupted_channel,
@@ -35,6 +34,8 @@ from wshare.teleport import (
     teleport,
     teleport_branches,
 )
+
+from helpers import z_marginal
 
 
 def _report(num: int, description: str, ok: bool, detail: str = "") -> None:

@@ -15,9 +15,10 @@ from wshare.statevec import (
     make_message_state,
     make_w_state,
     reduced_density,
-    z_marginal,
 )
 from wshare.teleport import corrupted_channel, random_message, teleport, teleport_branches
+
+from helpers import z_marginal
 
 RS2 = 1 / np.sqrt(2)
 RS3 = 1 / np.sqrt(3)

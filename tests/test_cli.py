@@ -4,10 +4,11 @@ import csv
 import io
 import json
 import math
+import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from wshare import cli, protocol
 from wshare.attacks import ATTACK_KINDS
-from wshare.cli import CURVE_COLUMNS, SWEEP_COLUMNS, ScenarioConfig, UsageError, _scenario_value, main
+from wshare.cli import CURVE_COLUMNS, SWEEP_COLUMNS, UsageError, _scenario_value, main
 
 
 def run_cli(*args, cwd=None):
@@ -64,6 +65,11 @@ def test_missing_verb_exits_one():
         ("curves", "--mode", "strict"),
         ("curves", "--attack", "imra"),
         ("curves", "--attack", "ema", "--mode", "paper"),
+        # flags the verb does not use, which used to be ignored without a word
+        ("run", "--n", "5", "--seed", "1", "--trials", "50"),
+        ("curves", "--trials", "9", "--seed", "4"),
+        ("curves", "--n", "7"),
+        ("teleport-demo", "--trials", "3", "--mode", "strict", "--n", "4", "--d", "0.9", "--isra-y", "0.2"),
     ],
 )
 def test_bad_invocations_exit_one(flags):
@@ -284,25 +290,28 @@ def test_version_flag():
         {"d": False},
         {"isra-y": [0.5]},
         {"mode": 1},
-        {"y-values": [0.5, True]},
-        {"n-values": [1, 2.0]},
-        {"n-values": "1,2.5"},
+        # (verb and flags, scenario): grids go to sweep, which takes them
+        ("sweep", {"y-values": [0.5, True]}),
+        ("sweep", {"n-values": [1, 2.0]}),
+        ("sweep", {"n-values": "1,2.5"}),
         {"d": 10 ** 400},  # an integer beyond the float range
         {"out": "no-such-dir/out.txt"},
-        {"n-values": []},
-        {"d-values": ","},
-        # (verb, scenario): values that only one verb refuses
+        ("sweep", {"n-values": []}),
+        ("sweep", {"d-values": ","}),
+        # values that only one verb refuses
         ("curves", {"mode": "strict"}),
         ("curves", {"attack": "imra"}),
         ("curves", {"attack": "ema"}),
+        # keys the verb does not use, which used to be ignored without a word
+        ("run --n 5 --seed 1", {"workers": 4, "y-values": [0.5], "n-values": [3]}),
     ],
 )
 def test_bad_scenario_values_exit_one(scenario, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    verb, scenario = scenario if isinstance(scenario, tuple) else ("run", scenario)
+    args, scenario = scenario if isinstance(scenario, tuple) else ("run", scenario)
     path = tmp_path / "scen.json"
     path.write_text(json.dumps(scenario))
-    assert main([verb, "--scenario", str(path)]) == 1
+    assert main([*args.split(), "--scenario", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error:")
 
 
@@ -326,37 +335,91 @@ JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=8,
 )
-SCENARIO_KEYS = sorted({f.name for f in fields(ScenarioConfig)} - {"verb"})
+# Every scenario key's type (a grid's entry type in a list), written out
+# here rather than read from the CLI's flag table; null is taken only by
+# the keys whose default is unset.
+SCENARIO_TYPES = {
+    "n": int, "trials": int, "seed": int, "workers": int, "d": float, "p": float, "isra_y": float,
+    "mode": str, "attack": str, "format": str, "out": str,
+    "y_values": [float], "p_values": [float], "d_values": [float], "n_values": [int],
+}
+NULLABLE_KEYS = {"out", "y_values", "p_values", "d_values", "n_values"}
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(SCENARIO_KEYS), JSON_VALUES)
+@given(st.sampled_from(sorted(SCENARIO_TYPES)), JSON_VALUES)
 def test_scenario_value_is_exactly_typed_or_rejected(name, value):
     # Any JSON value either raises UsageError or comes back as exactly the
-    # config field's type; booleans never pass for numbers, floats never
-    # for integers.
+    # key's type; booleans never pass for numbers, floats never for
+    # integers.
     try:
         parsed = _scenario_value(name, value)
     except UsageError:
         return
     assert not isinstance(value, bool)
-    default = getattr(ScenarioConfig(verb="run"), name)
+    expected = SCENARIO_TYPES[name]
     if parsed is None:
-        assert value is None and default is None
-    elif name.endswith("_values"):
-        item_type = int if name == "n_values" else float
-        assert type(parsed) is tuple and all(type(v) is item_type for v in parsed)
-    elif default is None:
-        assert type(parsed) is str
+        assert value is None and name in NULLABLE_KEYS
+    elif isinstance(expected, list):
+        assert type(parsed) is tuple and all(type(v) is expected[0] for v in parsed)
     else:
-        assert type(parsed) is type(default)
-        assert type(value) is type(default) or (type(default) is float and type(value) is int)
+        assert type(parsed) is expected
+        assert type(value) is expected or (expected is float and type(value) is int)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(["n", "trials", "seed", "workers"]), st.integers(-10 ** 6, 10 ** 6))
 def test_scenario_integers_pass_through(name, value):
     assert _scenario_value(name, value) == value
+
+
+# Which flags each verb takes, written out here rather than read from the
+# CLI's flag table, so that the table is checked against something else.
+TAKES = {
+    "run": {"n", "d", "p", "mode", "attack", "isra-y", "seed", "format", "out"},
+    "sweep": {"n", "d", "p", "mode", "attack", "isra-y", "trials", "seed", "format", "out",
+              "workers", "y-values", "p-values", "d-values", "n-values"},
+    "curves": {"d", "p", "isra-y", "mode", "attack", "y-values", "p-values", "d-values", "n-values",
+               "format", "out"},
+    "teleport-demo": {"attack", "trials", "seed", "format", "out"},
+}
+ALL_FLAGS = sorted(set().union(*TAKES.values()))
+# One cheap invocation per verb that exits 0 (sweep needs 100 trials, and
+# an isra attack for --y-values).
+BASE_ARGV = {
+    "run": ["run"],
+    "sweep": ["sweep", "--trials", "100", "--n", "2", "--attack", "isra"],
+    "curves": ["curves"],
+    "teleport-demo": ["teleport-demo"],
+}
+VALID_VALUES = {
+    "n": 3, "d": 0.5, "p": 0.5, "mode": "paper", "attack": "none", "isra-y": 0.5,
+    "trials": 100, "seed": 1, "format": "csv", "workers": 1,
+    "y-values": [0.5], "p-values": [0.5], "d-values": [0.5], "n-values": [2],
+}
+
+
+@pytest.mark.parametrize("verb", sorted(TAKES))
+@pytest.mark.parametrize("flag", ALL_FLAGS)
+def test_each_verb_takes_exactly_its_flags(verb, flag, tmp_path, monkeypatch, capsys):
+    # One valid value, as a flag and as a scenario key: refused (exit 1)
+    # exactly when the verb does not take the flag.
+    monkeypatch.chdir(tmp_path)
+    value = str(tmp_path / "out.txt") if flag == "out" else VALID_VALUES[flag]
+    text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+    scenario = tmp_path / "scen.json"
+    scenario.write_text(json.dumps({flag: value}))
+    expected = 0 if flag in TAKES[verb] else 1
+    assert main([*BASE_ARGV[verb], f"--{flag}", text]) == expected
+    assert main([*BASE_ARGV[verb], "--scenario", str(scenario)]) == expected
+    assert capsys.readouterr().err.count("error:") == 2 * expected
+
+
+@pytest.mark.parametrize("verb", sorted(TAKES))
+def test_verb_help_lists_exactly_its_flags(verb):
+    proc = run_cli(verb, "--help")
+    assert proc.returncode == 0
+    assert set(re.findall(r"--([a-z][a-z-]*)", proc.stdout)) == TAKES[verb] | {"help", "scenario"}
 
 
 UNIT_VALUES = st.floats(0.0, 1.0) | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, 1.5])
@@ -367,33 +430,48 @@ def _arg(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
+def _grid(values):
+    return st.lists(values, max_size=3).map(lambda vs: ",".join(map(_arg, vs)))
+
+
+# In range, out of range, nan, infinite and junk values for every flag.
+# Workers stay at one process at most, and n at 4 rounds at most.
+HOSTILE_VALUES = {
+    "n": COUNT_VALUES, "trials": COUNT_VALUES, "d": UNIT_VALUES, "p": UNIT_VALUES, "isra-y": UNIT_VALUES,
+    "seed": st.integers(-3, 3) | st.sampled_from(["nan", "2.5"]),
+    "workers": st.integers(-2, 1) | st.sampled_from(["nan", "2.5"]),
+    "mode": st.sampled_from(["paper", "strict", "bogus"]),
+    "attack": st.sampled_from([*ATTACK_KINDS, "bogus"]),
+    "format": st.sampled_from(["text", "csv", "records", "bogus"]),
+    "out": st.sampled_from(["", os.devnull, os.path.join(os.devnull, "out.txt")]),
+    "y-values": _grid(UNIT_VALUES), "p-values": _grid(UNIT_VALUES), "d-values": _grid(UNIT_VALUES),
+    "n-values": _grid(COUNT_VALUES),
+}
+
+
 @st.composite
 def hostile_argv(draw):
-    verb = draw(st.sampled_from(["run", "curves", "teleport-demo"]))
-    argv = [verb, "--attack", draw(st.sampled_from(ATTACK_KINDS)), "--seed", "1"]
-    for flag, values in (("--n", COUNT_VALUES), ("--d", UNIT_VALUES), ("--p", UNIT_VALUES),
-                         ("--isra-y", UNIT_VALUES)):
-        if draw(st.booleans()):
-            argv.append(f"{flag}={_arg(draw(values))}")
-    if verb == "curves":
-        for flag, values in (("--y-values", UNIT_VALUES), ("--d-values", UNIT_VALUES),
-                             ("--p-values", UNIT_VALUES), ("--n-values", COUNT_VALUES)):
-            if draw(st.booleans()):
-                argv.append(f"{flag}=" + ",".join(map(_arg, draw(st.lists(values, max_size=3)))))
-    return argv
+    verb = draw(st.sampled_from(sorted(TAKES)))
+    flags = draw(st.lists(st.sampled_from(ALL_FLAGS), unique=True, max_size=6))
+    argv = ["sweep", "--trials", "100", "--n", "4"] if verb == "sweep" else [verb]
+    argv += [f"--{flag}={_arg(draw(HOSTILE_VALUES[flag]))}" for flag in flags]
+    return argv, set(flags) - TAKES[verb]
 
 
 @settings(max_examples=200, deadline=None)
 @given(hostile_argv())
-def test_hostile_values_never_raise(argv):
-    # Finite, out-of-range, nan and infinite values for every scalar and grid
-    # end in a clean exit status, never a traceback.
+def test_hostile_values_never_raise(case):
+    # Hostile values for any flag of any verb end in a clean exit status,
+    # never a traceback; a flag the verb does not take always exits 1.
+    argv, refused = case
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         status = main(argv)
     assert status in (0, 1, 2)
     if status == 1:
         assert err.getvalue().startswith("error:")
+    if refused:
+        assert status == 1, (argv, err.getvalue())
 
 
 class RecordingPool:
@@ -418,12 +496,13 @@ class RecordingPool:
     "workers,points,cpus,expected",
     [(1000, 3, 8, 3), (1000, 6, 4, 4), (2, 6, 4, 2), (1000, 6, None, None), (5, 1, 8, None)],
 )
-def test_workers_capped_by_grid_points_and_cpus(workers, points, cpus, expected, monkeypatch):
+def test_workers_capped_by_grid_points_and_cpus(workers, points, cpus, expected, monkeypatch, tmp_path):
     RecordingPool.seen = []
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-    grid = tuple(range(1, points + 1))
-    cfg = ScenarioConfig(verb="sweep", d=0.0, trials=100, n_values=grid, workers=workers)
-    rows = cli.sweep_grid(cfg)
-    assert tuple(row["n"] for row in rows) == grid
+    grid = list(range(1, points + 1))
+    out = tmp_path / "rows.jsonl"
+    assert main(["sweep", "--d", "0", "--trials", "100", "--n-values", ",".join(map(str, grid)),
+                 "--workers", str(workers), "--format", "records", "--out", str(out)]) == 0
+    assert [json.loads(line)["n"] for line in out.read_text().splitlines()] == grid
     assert RecordingPool.seen == ([] if expected is None else [expected])

@@ -25,10 +25,10 @@ from wshare.statevec import (
     reduced_fidelity,
     relabel,
     reorder,
-    state_fidelity,
     tensor,
-    z_marginal,
 )
+
+from helpers import state_fidelity, z_marginal
 
 RS2 = 1 / np.sqrt(2)
 RS3 = 1 / np.sqrt(3)
