@@ -32,7 +32,6 @@ from .statevec import (
     BellOutcome,
     MeasurementBranch,
     StateVector,
-    bell_measure,
     enumerate_qubit,
     make_basis_state,
     make_message_state,
@@ -62,7 +61,6 @@ __all__ = [
     "RunOutcome",
     "StateVector",
     "TeleportResult",
-    "bell_measure",
     "build_correction_table",
     "ema_decomposition",
     "enumerate_qubit",

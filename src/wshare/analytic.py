@@ -26,8 +26,8 @@ Eve forwards to Bob.)
 from __future__ import annotations
 
 from .attacks import AttackModel
-from .protocol import CheckerMode, DetectionDirective, _check_length, _check_unit, _w_template, evaluate_checks
-from .statevec import _ZERO_PROB, Basis, StateVector, enumerate_qubit
+from .protocol import CheckerMode, DetectionDirective, _check_length, _check_unit, evaluate_checks
+from .statevec import _ZERO_PROB, Basis, StateVector, enumerate_qubit, make_w_state
 
 
 def isra_case_probs(y: float, p: float, d: float) -> tuple[float, float]:
@@ -67,12 +67,10 @@ def _attacked_round_branches(kind: str, y: float | None) -> list[tuple[float, St
     """The round state(s) Eve leaves behind, as (weight, state) branches.
 
     The measure-resend attack is a classical mixture over Eve's outcome;
-    the others leave a single pure state.  The branches start from the
-    protocol's own W template, so they are the very registers (and cache
-    entries) its round tables start from.
+    the others leave a single pure state.
     """
     attack = AttackModel(kind, y)  # checks the kind and y, derives x
-    w = _w_template()
+    w = make_w_state()
     if kind == "imra":
         return [
             (branch.probability, branch.post_state)

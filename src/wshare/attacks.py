@@ -15,18 +15,12 @@ each round's register, described by a frozen :class:`AttackModel`:
 Eve's Z result (imra; ``None`` for the other kinds), and the run keeps
 those bits, one per round.  Her post-protocol attempt to read Alice's
 teleported message out of her bit or her qubit ``e`` is
-:func:`eve_recover_attempt`.
-
-isra and ema hand back one memoized post-intercept register per input
-state (and fake qubit), so the protocol's round tables, which start from
-them, share their nodes with every other caller (see the round tables in
-:mod:`wshare.protocol`).  :func:`eve_recover_batch` is the recovery of a
-whole :class:`~wshare.teleport.TeleportBatch` at once.
+:func:`eve_recover_attempt`, and :func:`eve_recover_batch` is that
+recovery for a whole :class:`~wshare.teleport.TeleportBatch` at once.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,22 +47,6 @@ from .teleport import (
 ATTACK_KINDS = ("none", "imra", "isra", "ema")
 
 EVE_LABEL = "e"
-
-# Bound on the memoized post-intercept registers (one per input state and
-# fake qubit).
-_JOINT_CACHE_SIZE = 64
-
-
-@functools.lru_cache(maxsize=_JOINT_CACHE_SIZE)
-def _isra_joint(state: StateVector, x: float, y: float) -> StateVector:
-    stored = relabel(state, {"b": EVE_LABEL})
-    return tensor(stored, make_message_state(x, y, label="b"))
-
-
-@functools.lru_cache(maxsize=_JOINT_CACHE_SIZE)
-def _ema_joint(state: StateVector) -> StateVector:
-    joint = tensor(state, make_basis_state([0], [EVE_LABEL]))
-    return apply_cnot(joint, "b", EVE_LABEL)
 
 
 @dataclass(frozen=True)
@@ -111,9 +89,11 @@ class AttackModel:
             branch = measure_qubit(state, "b", Basis.Z, rand)
             return branch.post_state, branch.outcome
         if self.kind == "isra":
-            return _isra_joint(state, self.x, self.y), None
+            stored = relabel(state, {"b": EVE_LABEL})
+            return tensor(stored, make_message_state(self.x, self.y, label="b")), None
         if self.kind == "ema":
-            return _ema_joint(state), None
+            joint = tensor(state, make_basis_state([0], [EVE_LABEL]))
+            return apply_cnot(joint, "b", EVE_LABEL), None
         return state, None
 
 

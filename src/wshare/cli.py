@@ -50,17 +50,9 @@ import numpy as np
 
 from . import __version__
 from .analytic import isra_success_sequence, sequence_success_probability
-from .attacks import ATTACK_KINDS, AttackModel, eve_recover_batch
-from .protocol import CheckerMode, ProtocolConfig, RunOutcome, run_protocol, run_trials
-from .teleport import (
-    build_correction_table,
-    corrupted_channel,
-    psi_plus_pair,
-    random_amplitudes,
-    random_message,
-    teleport,
-    teleport_batch,
-)
+from .attacks import ATTACK_KINDS, AttackModel
+from .protocol import CheckerMode, ProtocolConfig, run_protocol, run_trials, teleport_pairs
+from .teleport import build_correction_table, corrupted_channel, psi_plus_pair, random_message, teleport
 
 
 class UsageError(Exception):
@@ -180,12 +172,14 @@ def _build_parser() -> _Parser:
 
 def _load_scenario(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read scenario file: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError both are
         raise UsageError(f"scenario file is not valid JSON: {exc}")
+    except RecursionError:
+        raise UsageError("scenario file nests too deeply")
     if not isinstance(data, dict):
         raise UsageError("scenario file must hold a flat JSON object")
     return {str(key).replace("-", "_"): value for key, value in data.items()}
@@ -322,28 +316,6 @@ def _emit_rows(columns: list[str], rows: list[dict], cfg: argparse.Namespace,
 # run
 
 
-def _teleport_pairs(outcome: RunOutcome, attack: AttackModel,
-                    rand: np.random.Generator) -> tuple[float, float | None]:
-    """Teleport one fresh random message over every distilled pair, in one batch.
-
-    The draws follow the run's: all the message normals, then all the
-    teleport uniforms.  Returns the mean teleport fidelity and, when an
-    attack was active, the mean fidelity of Eve's recovery attempts.
-    """
-    count = len(outcome.pairs)
-    messages = random_amplitudes(rand, count)
-    draws = rand.random(count)
-    nodes = tuple(dict.fromkeys(outcome.pairs.states))  # registers hash by identity
-    which = np.array([nodes.index(state) for state in outcome.pairs.states])
-    batch = teleport_batch(messages, nodes, which, draws)
-    recovery = None
-    if attack.kind != "none":
-        bits = (np.array([outcome.eve_bits[t - 1] for t in outcome.pairs.positions])
-                if attack.kind == "imra" else None)
-        recovery = float(eve_recover_batch(attack, bits, batch, messages).mean())
-    return sum(batch.fidelities.tolist()) / count, recovery
-
-
 def cmd_run(cfg: argparse.Namespace) -> int:
     config = ProtocolConfig(n=cfg.n, d=cfg.d, p=cfg.p, checker_mode=cfg.mode)
     attack = AttackModel(cfg.attack, cfg.isra_y if cfg.attack == "isra" else None)
@@ -355,10 +327,11 @@ def cmd_run(cfg: argparse.Namespace) -> int:
         if outcome.yield_fraction is not None:
             events.append(("runner", "yield", round(outcome.yield_fraction, 12)))
         if len(outcome.pairs):
-            fidelity, recovery = _teleport_pairs(outcome, attack, rand)
+            batch, recoveries = teleport_pairs(outcome, attack, rand)
+            fidelity = sum(batch.fidelities.tolist()) / len(outcome.pairs)
             events.append(("runner", "teleport-fidelity-mean", round(fidelity, 12)))
-            if recovery is not None:
-                events.append(("runner", "eve-recovery-mean", round(recovery, 12)))
+            if recoveries is not None:
+                events.append(("runner", "eve-recovery-mean", round(float(recoveries.mean()), 12)))
     rows = [{"seq": i, "speaker": speaker, "event": event, "detail": json.dumps(payload, default=_cell)}
             for i, (speaker, event, payload) in enumerate(events)]
     _emit_rows(["seq", "speaker", "event", "detail"], rows, cfg, header=cfg.format != "text")
@@ -517,6 +490,14 @@ def main(argv: list[str] | None = None) -> int:
         return _VERBS[cfg.verb][0](cfg)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory; try a smaller --n, --trials or grid", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader went away: send what is still buffered to nowhere, so
+        # the interpreter's last flush does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -39,14 +39,15 @@ seeds are comparable round for round.
 Detection never yields false positives in either mode: every honest
 measurement branch of the W state satisfies all four rules.
 
-**The round tables.**  Every round starts from one shared template
-register, the cached W state after the attack's intercept, and goes
-through the same fixed measurements: home ``c`` in Z, then ``a`` and ``b``
-in the directive basis, or ``c`` alone in confirmation.  The states a round
-can reach therefore form a small finite tree that depends only on the
-attack and on Eve's measure-resend bit ``e``, never on the round.  On first
-use per attack, :func:`_round_tables` compiles that tree, from the memoized
-nodes of :func:`~wshare.statevec._branch_node`, into threshold tables:
+**The round tables.**  Every round starts from the same register, the W
+state after the attack's intercept, and goes through the same fixed
+measurements: home ``c`` in Z, then ``a`` and ``b`` in the directive
+basis, or ``c`` alone in confirmation.  The states a round can reach
+therefore form a small finite tree that depends only on the attack and on
+Eve's measure-resend bit ``e``, never on the round.  On first use per
+attack, :func:`_round_tables` compiles that tree, node by node through
+:func:`~wshare.statevec._branch_node`, into threshold tables, the one
+cache of the engine:
 
 * ``te``: P(Eve reads 0), for imra only; for the other kinds ``e`` is
   always 0 and nothing is drawn for it;
@@ -54,7 +55,9 @@ nodes of :func:`~wshare.statevec._branch_node`, into threshold tables:
 * ``ta[e, c, basis]`` and ``tb[e, c, basis, a]``: P(Alice reads 0) and
   P(Bob reads 0) below home result ``c`` (and Alice's result ``a``);
 * ``pairs[e]``: the pair register a home-0 round leaves, home qubit
-  dropped, which also keys its memoized Bell kernel.
+  dropped, and ``kernels[e]`` its Bell kernel
+  (:func:`~wshare.teleport._bell_kernel`), which every teleport over it
+  goes through.
 
 An outcome is 0 exactly when its uniform draw falls below its threshold,
 which is :func:`~wshare.statevec.measure_qubit`'s rule, clamp of
@@ -66,13 +69,14 @@ boolean masks over them.
 only; selection (B, n); basis (B, n); detection (B, n, 3), the home,
 Alice and Bob uniforms of each round; confirmation (B, n).  Every array is
 drawn whole, for every round, whatever ``d`` and ``p`` are and whether the
-round was selected.  Teleportation draws follow: message normals, then
-teleport uniforms.  :func:`run_protocol` is one trial (B = 1) and builds
-its transcript and pairs from the arrays; its caller teleports over the
-pairs.  :func:`run_trials` is the Monte Carlo view: it draws fixed blocks
-of :func:`_block_size` trials, a function of ``n`` alone, each followed by
-one message and one teleport uniform per trial, so memory stays bounded
-and the bytes never depend on how grid points are spread over processes.
+round was selected.  :func:`run_protocol` is one trial (B = 1) and builds
+its transcript and pairs from the arrays; :func:`teleport_pairs` then
+teleports over a run's pairs, drawing every message's normals and then one
+teleport uniform per pair.  :func:`run_trials` is the Monte Carlo view: it
+draws fixed blocks of :func:`_block_size` trials, a function of ``n``
+alone, each followed by one message and one teleport uniform per trial,
+so memory stays bounded and the bytes never depend on how grid points are
+spread over processes.
 """
 
 from __future__ import annotations
@@ -83,9 +87,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attacks import AttackModel
+from .attacks import AttackModel, eve_recover_batch
 from .statevec import Basis, StateVector, _branch_node, discard_qubit, make_w_state
-from .teleport import random_amplitudes, teleport_batch
+from .teleport import TeleportBatch, _bell_kernel, random_amplitudes, teleport_batch
 
 RULE_KEYS = ("z_rc0", "z_rc1", "x_rc0")
 
@@ -283,6 +287,7 @@ class RoundTables:
     ta: np.ndarray
     tb: np.ndarray
     pairs: tuple[StateVector | None, ...]
+    kernels: tuple[tuple[np.ndarray, tuple[str, ...]] | None, ...]
 
 
 def _compile_tables(te: float | None, roots: tuple[StateVector, ...]) -> RoundTables:
@@ -307,18 +312,14 @@ def _compile_tables(te: float | None, roots: tuple[StateVector, ...]) -> RoundTa
                         tb[e, c, x, a] = _branch_node(alice.post_state, "b", basis)[0]
     for table in (tc, ta, tb):
         table.flags.writeable = False
-    return RoundTables(te, tc, ta, tb, tuple(pairs))
-
-
-@functools.cache
-def _w_template() -> StateVector:
-    return make_w_state(("a", "b", "c"))
+    kernels = tuple(None if pair is None else _bell_kernel(pair, "a", "b") for pair in pairs)
+    return RoundTables(te, tc, ta, tb, tuple(pairs), kernels)
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _round_tables(attack: AttackModel) -> RoundTables:
     """The round tables of an attack, compiled on first use."""
-    w = _w_template()
+    w = make_w_state()
     if attack.kind == "imra":
         te, *eve = _branch_node(w, "b", Basis.Z)
         return _compile_tables(te, tuple(branch.post_state for branch in eve))
@@ -452,6 +453,30 @@ def run_protocol(
     )
 
 
+def teleport_pairs(outcome: RunOutcome, attack: AttackModel, rand: np.random.Generator
+                   ) -> tuple[TeleportBatch, np.ndarray | None]:
+    """Teleport one fresh random message over every distilled pair of a run.
+
+    ``outcome`` is what :func:`run_protocol` returned for ``attack``, and
+    ``rand`` continues its stream: all the message normals, then one
+    teleport uniform per pair.  Each pair goes through the kernel of its
+    Eve branch in the round tables: Eve's bit on its round under imra, 0
+    otherwise.  Returns the batch, and Eve's recovery fidelity per pair
+    when an attack was active (else ``None``).
+    """
+    tables = _round_tables(attack)
+    count = len(outcome.pairs)
+    messages = random_amplitudes(rand, count)
+    draws = rand.random(count)
+    rounds = np.array(outcome.pairs.positions, dtype=np.intp) - 1
+    bits = np.array(outcome.eve_bits)[rounds] if attack.kind == "imra" else None
+    which = np.zeros(count, dtype=np.intp) if bits is None else bits
+    batch = teleport_batch(messages, tables.kernels, which, draws)
+    if attack.kind == "none":
+        return batch, None
+    return batch, eve_recover_batch(attack, bits, batch, messages)
+
+
 @dataclass(frozen=True)
 class TrialStats:
     """Totals over the Monte Carlo trials of one grid point.
@@ -492,7 +517,7 @@ def run_trials(config: ProtocolConfig, attack: AttackModel, trials: int,
         yield_count += int(counted.sum())
         teleported = np.flatnonzero(pairs.any(axis=1))
         first = pairs[teleported].argmax(axis=1)
-        batch = teleport_batch(messages[teleported], tables.pairs,
+        batch = teleport_batch(messages[teleported], tables.kernels,
                                rounds.eve[teleported, first], draws[teleported])
         fidelity_sum += float(batch.fidelities.sum())
         fidelity_count += teleported.size

@@ -20,7 +20,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +27,6 @@ import numpy as np
 _RSQRT2 = 1.0 / np.sqrt(2.0)
 # Branches with squared norm at or below this are treated as impossible.
 _ZERO_PROB = 1e-15
-# Bound on the memoized measurement nodes of :func:`_branch_node`.
-_BRANCH_CACHE_SIZE = 1024
 # Z's action on the middle axis of a (before, 2, after) view.
 _Z_SIGNS = np.array([1.0, -1.0]).reshape(1, 2, 1)
 
@@ -360,44 +357,16 @@ def enumerate_qubit(s: StateVector, q: str, basis: Basis) -> list[MeasurementBra
     return branches
 
 
-@functools.lru_cache(maxsize=_BRANCH_CACHE_SIZE)
 def _branch_node(s: StateVector, q: str, basis: Basis) -> tuple[float, MeasurementBranch, MeasurementBranch]:
     """Sampling threshold and both branches of measuring ``q`` on ``s``.
 
     The threshold is P(outcome 0) as :func:`measure_qubit` samples it
     (impossible branches clamped to 0 or 1), so outcome 0 iff a uniform
-    draw falls below it.  Memoized by the identity of ``s`` (a bounded
-    cache, keyed like ``StateVector`` hashes: by object), so states that
-    share a node share its post-states too; the protocol compiles its
-    round tables from these nodes.
+    draw falls below it; the protocol compiles its round tables from these
+    nodes.
     """
     zero, one = enumerate_qubit(s, q, basis)
     return _clamped(zero.probability), zero, one
-
-
-def _bell_residuals(s: StateVector, q1: str, q2: str) -> tuple[tuple[int, int], list[np.ndarray], list[float]]:
-    """Register axes of (q1, q2), then the unnormalized residual of the other
-    qubits and its probability for each Bell outcome, in BELL_NAMES order."""
-    if q1 == q2:
-        raise ValueError("Bell measurement needs two distinct qubits")
-    axes = (s.axis(q1), s.axis(q2))
-    t = np.moveaxis(s._tensor_view(), axes, (0, 1))
-    residuals = [np.einsum("ij,ij...->...", mat.conj(), t) for mat in _BELL_MATRICES]
-    return axes, residuals, [float(np.sum(np.abs(res) ** 2)) for res in residuals]
-
-
-def _bell_branch(s: StateVector, axes: tuple[int, int], k: int,
-                 res: np.ndarray, probability: float) -> BellOutcome:
-    """Bell outcome ``k`` built from its residual and probability."""
-    name, bits, mat = BELL_NAMES[k], _BELL_BITS[k], _BELL_MATRICES[k]
-    if probability <= _ZERO_PROB:
-        return BellOutcome(name, bits, max(probability, 0.0), None, None)
-    res_normed = res / np.sqrt(probability)
-    post_t = np.multiply.outer(mat, res_normed)
-    post = np.moveaxis(post_t, (0, 1), axes).reshape(-1)
-    rest_labels = tuple(l for i, l in enumerate(s.labels) if i not in axes)
-    residual = StateVector(res_normed.reshape(-1), rest_labels) if rest_labels else None
-    return BellOutcome(name, bits, probability, StateVector(post, s.labels), residual)
 
 
 def enumerate_bell(s: StateVector, q1: str, q2: str) -> list[BellOutcome]:
@@ -405,9 +374,23 @@ def enumerate_bell(s: StateVector, q1: str, q2: str) -> list[BellOutcome]:
 
     Outcomes are listed in the fixed order psi+, psi-, phi+, phi-.
     """
-    axes, residuals, probabilities = _bell_residuals(s, q1, q2)
-    return [_bell_branch(s, axes, k, res, probability)
-            for k, (res, probability) in enumerate(zip(residuals, probabilities))]
+    if q1 == q2:
+        raise ValueError("Bell measurement needs two distinct qubits")
+    axes = (s.axis(q1), s.axis(q2))
+    t = np.moveaxis(s._tensor_view(), axes, (0, 1))
+    rest_labels = tuple(l for i, l in enumerate(s.labels) if i not in axes)
+    outcomes = []
+    for name, bits, mat in zip(BELL_NAMES, _BELL_BITS, _BELL_MATRICES):
+        res = np.einsum("ij,ij...->...", mat.conj(), t)
+        probability = float(np.sum(np.abs(res) ** 2))
+        if probability <= _ZERO_PROB:
+            outcomes.append(BellOutcome(name, bits, max(probability, 0.0), None, None))
+            continue
+        res_normed = res / np.sqrt(probability)
+        post = np.moveaxis(np.multiply.outer(mat, res_normed), (0, 1), axes).reshape(-1)
+        residual = StateVector(res_normed.reshape(-1), rest_labels) if rest_labels else None
+        outcomes.append(BellOutcome(name, bits, probability, StateVector(post, s.labels), residual))
+    return outcomes
 
 
 def _sample_bell(probabilities, draw: float) -> int:
@@ -446,17 +429,6 @@ def _sample_bell_rows(probabilities: np.ndarray, draws: np.ndarray) -> np.ndarra
     hit = possible & (draws[:, None] < cumulative)
     last = possible.shape[1] - 1 - np.argmax(possible[:, ::-1], axis=1)
     return np.where(hit.any(axis=1), np.argmax(hit, axis=1), last)
-
-
-def bell_measure(s: StateVector, q1: str, q2: str, rand: np.random.Generator) -> BellOutcome:
-    """Sample a Bell measurement on (q1, q2) with Born probabilities.
-
-    One uniform draw selects the outcome (:func:`_sample_bell`); only the
-    drawn branch is built, exactly as :func:`enumerate_bell` builds it.
-    """
-    axes, residuals, probabilities = _bell_residuals(s, q1, q2)
-    k = _sample_bell(probabilities, rand.random())
-    return _bell_branch(s, axes, k, residuals[k], probabilities[k])
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,13 @@ correction table differs from the usual one; rather than hard-coding it,
 :func:`build_correction_table` derives it once by probing each Bell branch
 and keeping the unique correction that restores the message exactly.
 
-:func:`teleport` samples one attempt through a memoized per-pair Bell
-kernel: for each Bell outcome, the linear map from the message amplitudes
-to the rest of the register with Bob's correction already applied, so an
-attempt costs one matrix product and never rebuilds the joint register.
-:func:`teleport_batch` runs many attempts at once, one ``einsum`` per pair
-register, with the same kernel and the same draw rule, and
+:func:`teleport` samples one attempt through the pair's Bell kernel
+(:func:`_bell_kernel`): for each Bell outcome, the linear map from the
+message amplitudes to the rest of the register with Bob's correction
+already applied, so an attempt is one matrix product and never builds the
+joint register.  :func:`teleport_batch` runs many attempts at once over
+kernels built beforehand (the protocol's round tables hold one per pair
+node), one ``einsum`` per kernel, with the same draw rule, and
 :func:`random_amplitudes` draws their messages.  :func:`teleport_branches`
 stays the scalar four-branch oracle, built from
 :func:`~wshare.statevec.enumerate_bell`.
@@ -49,8 +50,6 @@ from .statevec import (
 
 CORRECTIONS = ("I", "X", "Z", "XZ")
 
-# Bound on the memoized Bell kernels (one per pair register and label pair).
-_KERNEL_CACHE_SIZE = 256
 # Teleports per einsum in a batch: bounds the four-branch working arrays.
 _BATCH_ROWS = 256
 
@@ -164,7 +163,6 @@ def _correction_matrices() -> np.ndarray:
     return matrices
 
 
-@functools.lru_cache(maxsize=_KERNEL_CACHE_SIZE)
 def _bell_kernel(pair: StateVector, alice_label: str, bob_label: str
                  ) -> tuple[np.ndarray, tuple[str, ...]]:
     """The Bell kernel of a pair register, and the labels of its rest.
@@ -172,8 +170,7 @@ def _bell_kernel(pair: StateVector, alice_label: str, bob_label: str
     ``kernel[k]`` is the (2, R) map taking message amplitudes to the
     unnormalized state of the other R amplitudes (the pair minus Alice's
     qubit, in register order) on Bell outcome ``k`` (BELL_NAMES order),
-    with Bob's correction for that outcome applied.  Memoized by the
-    identity of ``pair``, like the round-branch tree's nodes.
+    with Bob's correction for that outcome applied.
     """
     alice, bob = pair.axis(alice_label), pair.axis(bob_label)
     if alice == bob:
@@ -201,9 +198,10 @@ def teleport(
 
     The pair register must contain ``alice_label`` and ``bob_label``; it may
     contain further qubits, which stay in the returned residual.  One
-    uniform draw selects the Bell outcome, exactly as
-    :func:`~wshare.statevec.bell_measure` draws it on the joint register;
-    only the drawn residual is normalized.
+    uniform draw walks the Bell outcomes' cumulative distribution in
+    :data:`~wshare.statevec.BELL_NAMES` order, skipping impossible ones
+    (:func:`~wshare.statevec._sample_bell`); only the drawn residual is
+    normalized.
     """
     if message.num_qubits != 1:
         raise ValueError("message must be a single qubit")
@@ -245,29 +243,29 @@ class TeleportBatch:
 
 def teleport_batch(
     messages: np.ndarray,
-    pairs,
+    kernels,
     which: np.ndarray,
     draws: np.ndarray,
-    alice_label: str = "a",
     bob_label: str = "b",
 ) -> TeleportBatch:
-    """Teleport message ``messages[t]`` over ``pairs[which[t]]`` on draw ``draws[t]``.
+    """Teleport message ``messages[t]`` through ``kernels[which[t]]`` on draw ``draws[t]``.
 
-    ``messages`` holds (T, 2) message amplitudes.  Each row is what
+    ``messages`` holds (T, 2) message amplitudes, and each kernel is a
+    pair's :func:`_bell_kernel`, built for ``bob_label``.  Each row is what
     :func:`teleport` does with that message, pair and draw: the same Bell
     kernel, the same walk over the cumulative distribution, the drawn
-    residual normalized.  Each pair node used costs one ``einsum`` per
-    ``_BATCH_ROWS`` of its rows.  The pairs used must share their labels.
+    residual normalized.  Each kernel used costs one ``einsum`` per
+    ``_BATCH_ROWS`` of its rows.  The kernels used must share their rest.
     """
     count = len(draws)
     outcomes = np.zeros(count, dtype=np.intp)
     residuals = None
     labels: tuple[str, ...] = ()
-    for node, pair in enumerate(pairs):
+    for node, pair_kernel in enumerate(kernels):
         rows = np.flatnonzero(which == node)
         if not rows.size:
             continue
-        kernel, rest = _bell_kernel(pair, alice_label, bob_label)
+        kernel, rest = pair_kernel
         if residuals is None:
             residuals, labels = np.zeros((count, kernel.shape[2]), dtype=complex), rest
         elif rest != labels:

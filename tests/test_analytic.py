@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from wshare import attacks
 from wshare.analytic import (
     isra_case_probs,
     isra_success_sequence,
@@ -147,13 +146,3 @@ def test_oracle_validates_arguments():
             sequence_success_probability("imra", "strict", 0.5, 0.5, n)
         with pytest.raises(ValueError):
             isra_success_sequence(0.5, 0.5, 0.5, n)
-
-
-def test_oracle_starts_from_the_protocol_template():
-    # The oracle's rounds are the engine's registers, so the intercept cache
-    # is hit, not refilled, on every call after the first.
-    attacks._ema_joint.cache_clear()
-    for _ in range(3):
-        round_detection_probability("ema", "strict", 0.5, 0.5)
-    info = attacks._ema_joint.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)

@@ -315,6 +315,40 @@ def test_bad_scenario_values_exit_one(scenario, tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("raw", [
+    b'{"n": 5',
+    b'\xff\xfe{"n": 5}',
+    b'{"n_values": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+], ids=["invalid-json", "not-utf8", "deep-nesting"])
+def test_unreadable_scenario_files_exit_one(raw, tmp_path, capsys):
+    path = tmp_path / "scen.json"
+    path.write_bytes(raw)
+    assert main(["sweep", "--scenario", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("engine,argv", [("run_protocol", ["run", "--n", "40000000"]),
+                                         ("run_trials", ["sweep", "--n", "40000000"])],
+                         ids=["run", "sweep"])
+def test_out_of_memory_exits_one(engine, argv, monkeypatch, capsys):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, engine, exhausted)
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_closed_stdout_ends_without_traceback():
+    # Far more output than a pipe holds, so the writer meets the closed end.
+    argv = [sys.executable, "-m", "wshare", "teleport-demo", "--trials", "5000", "--seed", "1"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline().startswith(b"section")
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 1
+        assert b"Traceback" not in proc.stderr.read()
+
+
 def test_curves_accepts_isra_and_the_defaults(tmp_path):
     grid = ["curves", "--y-values", "0,1", "--n-values", "1,3", "--format", "csv"]
     outputs = []

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wshare import attacks, protocol, statevec
+from wshare import protocol
 from wshare.attacks import AttackModel
 from wshare.protocol import CheckerMode, ProtocolConfig, run_protocol
 from wshare.statevec import (
@@ -164,17 +164,16 @@ def test_rounds_share_their_states():
 
 
 def test_branch_caches_stay_bounded():
-    caches = (statevec._branch_node, protocol._round_tables, attacks._isra_joint)
-    for cache in caches:
-        cache.cache_clear()
-    for i in range(600):  # 600 distinct fake qubits, each its own tree
+    # The round tables are the engine's one cache, keyed by attack model.
+    cache = protocol._round_tables
+    cache.cache_clear()
+    for i in range(100):  # 100 distinct fake qubits, each its own tree
         config = ProtocolConfig(n=8, d=1.0 if i % 2 else 0.0, p=0.5)
-        run_protocol(config, AttackModel("isra", (i + 1) / 601), np.random.default_rng(i))
-    for cache in caches:
-        info = cache.cache_info()
-        assert info.maxsize is not None
-        assert info.misses > info.maxsize, cache  # the bound was actually exercised
-        assert info.currsize <= info.maxsize, cache
+        run_protocol(config, AttackModel("isra", (i + 1) / 101), np.random.default_rng(i))
+    info = cache.cache_info()
+    assert info.maxsize is not None
+    assert info.misses > info.maxsize  # the bound was actually exercised
+    assert info.currsize <= info.maxsize
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from wshare.statevec import (
     apply_cnot,
     apply_x,
     apply_z,
-    bell_measure,
     discard_qubit,
     enumerate_bell,
     enumerate_qubit,
@@ -372,38 +371,16 @@ def test_near_impossible_first_branch_is_never_drawn():
 # Bell measurement
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.integers(min_value=0, max_value=2 ** 31 - 1))
-def test_bell_measure_builds_the_enumerated_branch_of_its_draw(seed):
-    # bell_measure builds only the drawn branch; it must be the one the
-    # four-branch oracle puts under the same draw, amplitude for amplitude.
-    rng = np.random.default_rng(seed)
-    s = random_state(rng, ("m", "a", "b", "e"))
-    state = rng.bit_generator.state
-    draw = rng.random()
-    rng.bit_generator.state = state
-    sampled = bell_measure(s, "m", "a", rng)
-    acc, expected = 0.0, None
-    for oc in enumerate_bell(s, "m", "a"):
-        expected = oc
-        acc += oc.probability
-        if draw < acc:
-            break
-    assert (sampled.name, sampled.bits, sampled.probability) == (
-        expected.name, expected.bits, expected.probability)
-    assert np.array_equal(sampled.post_state.amplitudes, expected.post_state.amplitudes)
-    assert sampled.residual.labels == expected.residual.labels == ("b", "e")
-    assert np.array_equal(sampled.residual.amplitudes, expected.residual.amplitudes)
-
-
-
-def test_bell_measure_on_bell_pair_is_certain():
+def test_enumerate_bell_on_bell_pair_is_certain():
     pair = StateVector(np.array([0, RS2, RS2, 0]), ("a", "b"))
-    rng = np.random.default_rng(1)
-    outcome = bell_measure(pair, "a", "b", rng)
-    assert outcome.name == "psi+"
-    assert outcome.probability == pytest.approx(1.0, abs=1e-12)
-    assert outcome.residual is None  # nothing left over
+    psi_plus, *others = enumerate_bell(pair, "a", "b")
+    assert psi_plus.name == "psi+"
+    assert psi_plus.probability == pytest.approx(1.0, abs=1e-12)
+    assert psi_plus.residual is None  # nothing left over
+    assert np.array_equal(psi_plus.post_state.amplitudes, pair.amplitudes)
+    for outcome in others:
+        assert outcome.probability <= 1e-15
+        assert outcome.post_state is None and outcome.residual is None
 
 
 def test_bell_outcomes_uniform_for_teleport_joint():

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from wshare.attacks import AttackModel, eve_recover_attempt, eve_recover_batch
-from wshare.protocol import ProtocolConfig, run_protocol
+from wshare.protocol import ProtocolConfig, run_protocol, teleport_pairs
 from wshare.statevec import (
     BELL_NAMES,
     Basis,
@@ -20,7 +20,6 @@ from wshare.statevec import (
     tensor,
 )
 from wshare.teleport import (
-    _KERNEL_CACHE_SIZE,
     _bell_kernel,
     _finish,
     apply_correction,
@@ -352,7 +351,8 @@ def test_batched_teleport_and_recovery_match_scalar(node):
     attack, pair = PAIR_NODES[node]
     messages, draws = batch_cases(pair)
     amplitudes = np.array([m.amplitudes for m in messages])
-    batch = teleport_batch(amplitudes, (None, pair), np.ones(len(draws), dtype=int), draws)
+    kernels = (None, _bell_kernel(pair, "a", "b"))
+    batch = teleport_batch(amplitudes, kernels, np.ones(len(draws), dtype=int), draws)
     bits = {"none": (), "imra": (0, 1)}.get(attack.kind, (None,))
     recoveries = {bit: eve_recover_batch(attack, None if bit is None else np.full(len(draws), bit),
                                          batch, amplitudes) for bit in bits}
@@ -376,17 +376,33 @@ def test_batched_message_draw_is_the_scalar_one():
     assert rand.random() == twin.random()
 
 
-def test_kernel_cache_stays_bounded():
-    _bell_kernel.cache_clear()
-    rng = np.random.default_rng(2)
-    size = _KERNEL_CACHE_SIZE
-    for _ in range(size + 40):
-        assert teleport(random_message(rng), psi_plus(), rng).fidelity == pytest.approx(
-            1.0, abs=1e-12)
-    info = _bell_kernel.cache_info()
-    assert info.maxsize == size
-    assert info.misses > size
-    assert info.currsize <= size
+@pytest.mark.parametrize("attack", [AttackModel("none"), AttackModel("imra"),
+                                    AttackModel("isra", 0.3), AttackModel("ema")],
+                         ids=lambda attack: attack.kind)
+def test_run_teleport_phase_matches_scalar(attack):
+    # A run's pairs teleported the scalar way, on the messages and uniforms
+    # the run's stream hands out next: every message first, then the uniforms.
+    config = ProtocolConfig(n=60, d=0.0, p=0.5)
+    rand, twin = np.random.default_rng(5), np.random.default_rng(5)
+    outcome = run_protocol(config, attack, rand)
+    run_protocol(config, attack, twin)
+    batch, recoveries = teleport_pairs(outcome, attack, rand)
+    messages = [random_message(twin) for _ in outcome.pairs]
+    bits = [outcome.eve_bits[t - 1] for t in outcome.pairs.positions]
+    if attack.kind == "imra":
+        assert set(bits) == {0, 1}  # both pair nodes are used
+    assert (recoveries is None) == (attack.kind == "none")
+    for i, ((_, pair), message, bit) in enumerate(zip(outcome.pairs, messages, bits)):
+        want = teleport(message, pair, CountingDraw(twin.random()))
+        where = (attack.kind, i)
+        assert BELL_NAMES[batch.outcomes[i]] == want.outcome_name, where
+        assert batch.labels == want.residual.labels, where
+        assert_allclose(batch.residuals[i], want.residual.amplitudes, atol=1e-12)
+        assert batch.fidelities[i] == pytest.approx(want.fidelity, abs=1e-12), where
+        if recoveries is not None:
+            assert recoveries[i] == pytest.approx(
+                eve_recover_attempt(attack, bit, want, message), abs=1e-12), where
+    assert rand.random() == twin.random()
 
 
 def test_teleport_rejects_bad_labels():
