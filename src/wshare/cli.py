@@ -28,7 +28,8 @@ output.  Every random draw descends from ``--seed``: ``run`` draws from
 ``default_rng((seed, grid_index))``, in fixed blocks of trials (see
 :mod:`wshare.protocol` for the layout), so identical invocations produce
 byte-identical output files whatever ``--workers`` is.  Exit status:
-0 success, 1 usage error, 2 protocol aborted (run verb only).
+0 success, 1 usage error or unwritable output, 2 protocol aborted (run
+verb only).
 """
 
 from __future__ import annotations
@@ -52,11 +53,14 @@ from . import __version__
 from .analytic import isra_success_sequence, sequence_success_probability
 from .attacks import ATTACK_KINDS, AttackModel
 from .protocol import CheckerMode, ProtocolConfig, run_protocol, run_trials, teleport_pairs
-from .teleport import build_correction_table, corrupted_channel, psi_plus_pair, random_message, teleport
+from .statevec import BELL_NAMES
+from .teleport import (_bell_kernel, build_correction_table, corrupted_channel, psi_plus_pair,
+                       random_amplitudes, teleport_batch)
 
 
 class UsageError(Exception):
-    """Bad invocation: flags, scenario file, or parameter ranges."""
+    """Bad invocation (flags, scenario file, parameter ranges), or output
+    that cannot be written."""
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -284,6 +288,12 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _stdout_to_devnull() -> None:
+    """Send what stdout still buffers to nowhere, so the interpreter's last
+    flush does not fail again."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _emit_rows(columns: list[str], rows: list[dict], cfg: argparse.Namespace,
                header: bool = True, notes: list[str] | None = None) -> None:
     """Write rows in the selected format, to --out or stdout."""
@@ -291,25 +301,33 @@ def _emit_rows(columns: list[str], rows: list[dict], cfg: argparse.Namespace,
         sink = open(cfg.out, "w", newline="") if cfg.out else contextlib.nullcontext(sys.stdout)
     except OSError as exc:
         raise UsageError(f"cannot write output file {cfg.out!r}: {exc.strerror}")
-    with sink as stream:
-        if cfg.format == "csv":
-            writer = csv.writer(stream, lineterminator="\n")
-            writer.writerow(columns)
-            for row in rows:
-                writer.writerow([_cell(row.get(c)) for c in columns])
-        elif cfg.format == "records":
-            for row in rows:
-                stream.write(json.dumps({c: row.get(c) for c in columns}, default=_cell) + "\n")
-        else:
-            for note in notes or []:
-                stream.write(f"# {note}\n")
-            table = [[_cell(row.get(c)) for c in columns] for row in rows]
-            if header:
-                table.insert(0, list(columns))
-            widths = [max(len(line[i]) for line in table) for i in range(len(columns))]
-            for line in table:
-                rendered = "  ".join(cell.ljust(w) for cell, w in zip(line, widths))
-                stream.write(rendered.rstrip() + "\n")
+    try:
+        with sink as stream:
+            if cfg.format == "csv":
+                writer = csv.writer(stream, lineterminator="\n")
+                writer.writerow(columns)
+                for row in rows:
+                    writer.writerow([_cell(row.get(c)) for c in columns])
+            elif cfg.format == "records":
+                for row in rows:
+                    stream.write(json.dumps({c: row.get(c) for c in columns}, default=_cell) + "\n")
+            else:
+                for note in notes or []:
+                    stream.write(f"# {note}\n")
+                table = [[_cell(row.get(c)) for c in columns] for row in rows]
+                if header:
+                    table.insert(0, list(columns))
+                widths = [max(len(line[i]) for line in table) for i in range(len(columns))]
+                for line in table:
+                    rendered = "  ".join(cell.ljust(w) for cell, w in zip(line, widths))
+                    stream.write(rendered.rstrip() + "\n")
+            stream.flush()
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
+        if not cfg.out:
+            _stdout_to_devnull()
+        raise UsageError(f"cannot write output: {exc.strerror or exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +345,7 @@ def cmd_run(cfg: argparse.Namespace) -> int:
         if outcome.yield_fraction is not None:
             events.append(("runner", "yield", round(outcome.yield_fraction, 12)))
         if len(outcome.pairs):
-            batch, recoveries = teleport_pairs(outcome, attack, rand)
+            batch, recoveries = teleport_pairs(outcome, rand)
             fidelity = sum(batch.fidelities.tolist()) / len(outcome.pairs)
             events.append(("runner", "teleport-fidelity-mean", round(fidelity, 12)))
             if recoveries is not None:
@@ -448,24 +466,25 @@ def cmd_teleport_demo(cfg: argparse.Namespace) -> int:
     entangling interceptor leaves behind; other attacks never hand Alice a
     distilled pair to begin with, so they have no demo channel here.
     """
-    rows = [
-        {"section": "correction", "outcome": name, "correction": correction}
-        for name, correction in build_correction_table().items()
-    ]
+    table = build_correction_table()
+    rows = [{"section": "correction", "outcome": name, "correction": correction}
+            for name, correction in table.items()]
     rand = np.random.default_rng(cfg.seed)
-    channel = corrupted_channel() if cfg.attack == "ema" else psi_plus_pair()
-    for _ in range(cfg.trials):
-        message = random_message(rand)
-        a, b = (complex(x) for x in message.amplitudes)
-        result = teleport(message, channel, rand)
+    kernel = _bell_kernel(corrupted_channel() if cfg.attack == "ema" else psi_plus_pair())
+    messages, draws = np.empty((cfg.trials, 2), dtype=complex), np.empty(cfg.trials)
+    for t in range(cfg.trials):  # each trial's message normals, then its uniform
+        messages[t] = random_amplitudes(rand, 1)[0]
+        draws[t] = rand.random()
+    batch = teleport_batch(messages, (kernel,), np.zeros(cfg.trials, dtype=np.intp), draws)
+    for (a, b), k, fidelity in zip(messages.tolist(), batch.outcomes.tolist(), batch.fidelities.tolist()):
         expected = 1.0 if cfg.attack == "none" else abs(a) ** 4 + abs(b) ** 4
         rows.append({
             "section": "trial",
-            "outcome": result.outcome_name,
-            "correction": result.correction,
+            "outcome": BELL_NAMES[k],
+            "correction": table[BELL_NAMES[k]],
             "a": a,
             "b": b,
-            "fidelity": result.fidelity,
+            "fidelity": fidelity,
             "expected_fidelity": expected,
         })
     _emit_rows(DEMO_COLUMNS, rows, cfg)
@@ -494,10 +513,8 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         print("error: out of memory; try a smaller --n, --trials or grid", file=sys.stderr)
         return 1
-    except BrokenPipeError:
-        # The reader went away: send what is still buffered to nowhere, so
-        # the interpreter's last flush does not fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except BrokenPipeError:  # the reader went away
+        _stdout_to_devnull()
         return 1
 
 

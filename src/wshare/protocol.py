@@ -194,12 +194,13 @@ class DistilledPairSet:
 class RunOutcome:
     """Everything one protocol execution produced.
 
-    ``eve_bits[t - 1]`` is Eve's Z result on round ``t`` (measure-resend
-    only; ``None`` where she measured nothing).
+    ``attack`` is the model the run went through (the honest one for
+    ``attack=None``).  ``eve_bits[t - 1]`` is Eve's Z result on round
+    ``t`` (measure-resend only; ``None`` where she measured nothing).
     """
 
     config: ProtocolConfig
-    attack_kind: str
+    attack: AttackModel
     directives: tuple[DetectionDirective, ...]
     report: CheckReport
     pairs: DistilledPairSet
@@ -312,7 +313,7 @@ def _compile_tables(te: float | None, roots: tuple[StateVector, ...]) -> RoundTa
                         tb[e, c, x, a] = _branch_node(alice.post_state, "b", basis)[0]
     for table in (tc, ta, tb):
         table.flags.writeable = False
-    kernels = tuple(None if pair is None else _bell_kernel(pair, "a", "b") for pair in pairs)
+    kernels = tuple(None if pair is None else _bell_kernel(pair) for pair in pairs)
     return RoundTables(te, tc, ta, tb, tuple(pairs), kernels)
 
 
@@ -444,7 +445,7 @@ def run_protocol(
     eve_bits = tuple(rounds.eve[0].tolist()) if tables.te is not None else (None,) * config.n
     return RunOutcome(
         config=config,
-        attack_kind=attack.kind,
+        attack=attack,
         directives=directives,
         report=report,
         pairs=pairs,
@@ -453,17 +454,18 @@ def run_protocol(
     )
 
 
-def teleport_pairs(outcome: RunOutcome, attack: AttackModel, rand: np.random.Generator
+def teleport_pairs(outcome: RunOutcome, rand: np.random.Generator
                    ) -> tuple[TeleportBatch, np.ndarray | None]:
     """Teleport one fresh random message over every distilled pair of a run.
 
-    ``outcome`` is what :func:`run_protocol` returned for ``attack``, and
-    ``rand`` continues its stream: all the message normals, then one
-    teleport uniform per pair.  Each pair goes through the kernel of its
+    ``outcome`` is what :func:`run_protocol` returned, and ``rand``
+    continues its stream: all the message normals, then one teleport
+    uniform per pair.  Each pair goes through the kernel of its
     Eve branch in the round tables: Eve's bit on its round under imra, 0
     otherwise.  Returns the batch, and Eve's recovery fidelity per pair
     when an attack was active (else ``None``).
     """
+    attack = outcome.attack
     tables = _round_tables(attack)
     count = len(outcome.pairs)
     messages = random_amplitudes(rand, count)

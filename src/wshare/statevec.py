@@ -219,16 +219,6 @@ def relabel(s: StateVector, mapping: dict[str, str]) -> StateVector:
     return StateVector._trusted(s.amplitudes, new_labels)
 
 
-def reorder(s: StateVector, labels) -> StateVector:
-    """Same state with register axes permuted into the requested label order."""
-    labels = tuple(labels)
-    if sorted(labels) != sorted(s.labels):
-        raise ValueError(f"reorder needs a permutation of {s.labels}, got {labels}")
-    perm = tuple(s.axis(l) for l in labels)
-    amps = s._tensor_view().transpose(perm).reshape(-1)
-    return StateVector(amps, labels)
-
-
 def discard_qubit(s: StateVector, q: str) -> StateVector:
     """Drop a qubit that has collapsed to a Z eigenstate.
 
@@ -393,34 +383,13 @@ def enumerate_bell(s: StateVector, q1: str, q2: str) -> list[BellOutcome]:
     return outcomes
 
 
-def _sample_bell(probabilities, draw: float) -> int:
-    """Index of the Bell outcome that a uniform ``draw`` selects.
-
-    The draw walks the cumulative distribution in the fixed psi+, psi-,
-    phi+, phi- order, skipping branches of probability at or below
-    ``_ZERO_PROB``.
-    """
-    acc = 0.0
-    chosen = None
-    for k, probability in enumerate(probabilities):
-        if probability <= _ZERO_PROB:
-            continue
-        chosen = k
-        acc += probability
-        if draw < acc:
-            break
-    if chosen is None:
-        raise RuntimeError("no Bell branch has positive probability")
-    return chosen
-
-
 def _sample_bell_rows(probabilities: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """:func:`_sample_bell` on each row of ``probabilities`` (shape (T, 4))
-    with the matching entry of ``draws`` (shape (T,)).
+    """Index of the Bell outcome that ``draws[t]`` selects from row t of
+    ``probabilities`` (shape (T, 4), psi+, psi-, phi+, phi- order).
 
-    The same walk: a skipped branch adds exactly 0.0 to the running sum, so
-    the cumulative boundaries are bit for bit the scalar walk's, and a draw
-    past the last one takes the last possible branch.
+    The draw walks the row's cumulative distribution, skipping branches of
+    probability at or below ``_ZERO_PROB``; a draw past the last boundary
+    takes the last possible branch.
     """
     possible = probabilities > _ZERO_PROB
     if not possible.any(axis=1).all():

@@ -7,16 +7,16 @@ correction table differs from the usual one; rather than hard-coding it,
 :func:`build_correction_table` derives it once by probing each Bell branch
 and keeping the unique correction that restores the message exactly.
 
-:func:`teleport` samples one attempt through the pair's Bell kernel
+:func:`teleport_batch` runs many attempts at once through Bell kernels
 (:func:`_bell_kernel`): for each Bell outcome, the linear map from the
 message amplitudes to the rest of the register with Bob's correction
 already applied, so an attempt is one matrix product and never builds the
-joint register.  :func:`teleport_batch` runs many attempts at once over
-kernels built beforehand (the protocol's round tables hold one per pair
-node), one ``einsum`` per kernel, with the same draw rule, and
-:func:`random_amplitudes` draws their messages.  :func:`teleport_branches`
-stays the scalar four-branch oracle, built from
-:func:`~wshare.statevec.enumerate_bell`.
+joint register.  The protocol's round tables hold one kernel per pair
+node, and each kernel costs one ``einsum`` per block of rows.
+:func:`teleport` is one row of a batch, and :func:`random_amplitudes`
+draws the messages.  :func:`teleport_branches` stays the scalar
+four-branch oracle, built from :func:`~wshare.statevec.enumerate_bell`.
+In every pair register Alice's qubit is ``"a"`` and Bob's ``"b"``.
 
 The module also provides the exact four-branch decomposition of a
 teleportation attempted over the corrupted three-qubit channel
@@ -36,7 +36,6 @@ from .statevec import (
     BELL_NAMES,
     BellOutcome,
     StateVector,
-    _sample_bell,
     _sample_bell_rows,
     apply_x,
     apply_z,
@@ -44,7 +43,6 @@ from .statevec import (
     make_basis_state,
     make_message_state,
     reduced_fidelity,
-    reorder,
     tensor,
 )
 
@@ -105,9 +103,8 @@ class TeleportResult:
 
     ``residual`` is the register minus the measured (message, Alice) pair,
     after Bob's correction; any extra qubits riding along (an interceptor's
-    stored or entangled ancilla, say) are in it.  ``labels`` is the order
-    of the full register, message first.  ``fidelity`` scores Bob's qubit
-    against the original message.
+    stored or entangled ancilla, say) are in it.  ``fidelity`` scores Bob's
+    qubit against the original message.
     """
 
     outcome_name: str
@@ -115,36 +112,14 @@ class TeleportResult:
     probability: float
     correction: str
     residual: StateVector
-    labels: tuple[str, ...]
-    bob_label: str
     fidelity: float
 
-    @functools.cached_property
-    def post_state(self) -> StateVector:
-        """The full register after the Bell collapse and Bob's correction.
 
-        The measured pair is left in the observed Bell state, so the
-        register is that Bell state times ``residual``; built on demand.
-        """
-        pair = tuple(l for l in self.labels if l not in self.residual.labels)
-        bell = _BELL_MATRICES[BELL_NAMES.index(self.outcome_name)].reshape(-1)
-        joint = StateVector(np.kron(bell, self.residual.amplitudes), pair + self.residual.labels)
-        return reorder(joint, self.labels)
-
-
-def _finish(branch: BellOutcome, message: StateVector, bob_label: str) -> TeleportResult:
+def _finish(branch: BellOutcome, message: StateVector) -> TeleportResult:
     correction = build_correction_table()[branch.name]
-    post = apply_correction(branch.post_state, bob_label, correction)
-    return TeleportResult(
-        outcome_name=branch.name,
-        outcome_bits=branch.bits,
-        probability=branch.probability,
-        correction=correction,
-        residual=apply_correction(branch.residual, bob_label, correction),
-        labels=post.labels,
-        bob_label=bob_label,
-        fidelity=reduced_fidelity(post, bob_label, message),
-    )
+    residual = apply_correction(branch.residual, "b", correction)
+    return TeleportResult(branch.name, branch.bits, branch.probability, correction, residual,
+                          reduced_fidelity(residual, "b", message))
 
 
 @functools.cache
@@ -163,8 +138,7 @@ def _correction_matrices() -> np.ndarray:
     return matrices
 
 
-def _bell_kernel(pair: StateVector, alice_label: str, bob_label: str
-                 ) -> tuple[np.ndarray, tuple[str, ...]]:
+def _bell_kernel(pair: StateVector) -> tuple[np.ndarray, tuple[str, ...]]:
     """The Bell kernel of a pair register, and the labels of its rest.
 
     ``kernel[k]`` is the (2, R) map taking message amplitudes to the
@@ -172,9 +146,7 @@ def _bell_kernel(pair: StateVector, alice_label: str, bob_label: str
     qubit, in register order) on Bell outcome ``k`` (BELL_NAMES order),
     with Bob's correction for that outcome applied.
     """
-    alice, bob = pair.axis(alice_label), pair.axis(bob_label)
-    if alice == bob:
-        raise ValueError("Alice's and Bob's qubits must differ")
+    alice, bob = pair.axis("a"), pair.axis("b")
     channel = pair._rows(alice)
     rest = pair.labels[:alice] + pair.labels[alice + 1:]
     bob -= bob > alice  # Bob's position in the rest
@@ -187,42 +159,24 @@ def _bell_kernel(pair: StateVector, alice_label: str, bob_label: str
     return kernel, rest
 
 
-def teleport(
-    message: StateVector,
-    pair: StateVector,
-    rand: np.random.Generator,
-    alice_label: str = "a",
-    bob_label: str = "b",
-) -> TeleportResult:
+def teleport(message: StateVector, pair: StateVector, rand: np.random.Generator) -> TeleportResult:
     """Teleport a single-qubit message over a pair register.
 
-    The pair register must contain ``alice_label`` and ``bob_label``; it may
-    contain further qubits, which stay in the returned residual.  One
-    uniform draw walks the Bell outcomes' cumulative distribution in
-    :data:`~wshare.statevec.BELL_NAMES` order, skipping impossible ones
-    (:func:`~wshare.statevec._sample_bell`); only the drawn residual is
-    normalized.
+    The pair register may hold qubits besides ``"a"`` and ``"b"``; they
+    stay in the returned residual.  This is one row of
+    :func:`teleport_batch` on the pair's kernel and one uniform draw from
+    ``rand``.
     """
     if message.num_qubits != 1:
         raise ValueError("message must be a single qubit")
     if message.labels[0] in pair.labels:
         raise ValueError(f"message label {message.labels[0]!r} is also in the pair register")
-    kernel, rest = _bell_kernel(pair, alice_label, bob_label)
-    residuals = message.amplitudes @ kernel
-    probabilities = (np.abs(residuals) ** 2).sum(axis=1).tolist()
-    k = _sample_bell(probabilities, rand.random())
-    residual = StateVector._trusted(residuals[k] / np.sqrt(probabilities[k]), rest)
+    batch = teleport_batch(message.amplitudes[None], (_bell_kernel(pair),),
+                           np.zeros(1, dtype=np.intp), np.array([rand.random()]))
+    k = int(batch.outcomes[0])
     name = BELL_NAMES[k]
-    return TeleportResult(
-        outcome_name=name,
-        outcome_bits=_BELL_BITS[k],
-        probability=probabilities[k],
-        correction=build_correction_table()[name],
-        residual=residual,
-        labels=message.labels + pair.labels,
-        bob_label=bob_label,
-        fidelity=reduced_fidelity(residual, bob_label, message),
-    )
+    return TeleportResult(name, _BELL_BITS[k], float(batch.probabilities[0]), build_correction_table()[name],
+                          StateVector._trusted(batch.residuals[0], batch.labels), float(batch.fidelities[0]))
 
 
 @dataclass(frozen=True)
@@ -230,12 +184,14 @@ class TeleportBatch:
     """Many teleportation attempts, one row each.
 
     ``outcomes[t]`` is the Bell outcome index (``BELL_NAMES`` order) of
-    attempt t, ``residuals[t]`` the normalized rest of its register after
-    Bob's correction, over ``labels``, and ``fidelities[t]`` Bob's qubit
-    scored against the message.
+    attempt t, ``probabilities[t]`` that outcome's weight, ``residuals[t]``
+    the normalized rest of its register after Bob's correction, over
+    ``labels``, and ``fidelities[t]`` Bob's qubit scored against the
+    message.
     """
 
     outcomes: np.ndarray
+    probabilities: np.ndarray
     residuals: np.ndarray
     labels: tuple[str, ...]
     fidelities: np.ndarray
@@ -246,19 +202,20 @@ def teleport_batch(
     kernels,
     which: np.ndarray,
     draws: np.ndarray,
-    bob_label: str = "b",
 ) -> TeleportBatch:
     """Teleport message ``messages[t]`` through ``kernels[which[t]]`` on draw ``draws[t]``.
 
     ``messages`` holds (T, 2) message amplitudes, and each kernel is a
-    pair's :func:`_bell_kernel`, built for ``bob_label``.  Each row is what
-    :func:`teleport` does with that message, pair and draw: the same Bell
-    kernel, the same walk over the cumulative distribution, the drawn
-    residual normalized.  Each kernel used costs one ``einsum`` per
-    ``_BATCH_ROWS`` of its rows.  The kernels used must share their rest.
+    pair's :func:`_bell_kernel`.  One uniform draw per row walks the Bell
+    outcomes' cumulative distribution in ``BELL_NAMES`` order, skipping
+    impossible ones (:func:`~wshare.statevec._sample_bell_rows`); only the
+    drawn residual is normalized.  Each kernel used costs one ``einsum``
+    per ``_BATCH_ROWS`` of its rows.  The kernels used must share their
+    rest.
     """
     count = len(draws)
     outcomes = np.zeros(count, dtype=np.intp)
+    weights = np.zeros(count)
     residuals = None
     labels: tuple[str, ...] = ()
     for node, pair_kernel in enumerate(kernels):
@@ -276,12 +233,13 @@ def teleport_batch(
             probabilities = (np.abs(branches) ** 2).sum(axis=2)
             chosen = _sample_bell_rows(probabilities, draws[part])
             drawn = np.arange(part.size), chosen
-            residuals[part] = branches[drawn] / np.sqrt(probabilities[drawn])[:, None]
+            weights[part] = probabilities[drawn]
+            residuals[part] = branches[drawn] / np.sqrt(weights[part])[:, None]
             outcomes[part] = chosen
     if residuals is None:
-        return TeleportBatch(outcomes, np.zeros((0, 0), dtype=complex), (), np.zeros(0))
-    return TeleportBatch(outcomes, residuals, labels,
-                         qubit_fidelities(residuals, labels, bob_label, messages))
+        return TeleportBatch(outcomes, weights, np.zeros((0, 0), dtype=complex), (), np.zeros(0))
+    return TeleportBatch(outcomes, weights, residuals, labels,
+                         qubit_fidelities(residuals, labels, "b", messages))
 
 
 def qubit_fidelities(amplitudes: np.ndarray, labels: tuple[str, ...], q: str,
@@ -297,12 +255,7 @@ def qubit_fidelities(amplitudes: np.ndarray, labels: tuple[str, ...], q: str,
     return (np.abs(overlaps) ** 2).sum(axis=(1, 2))
 
 
-def teleport_branches(
-    message: StateVector,
-    pair: StateVector,
-    alice_label: str = "a",
-    bob_label: str = "b",
-) -> list[TeleportResult]:
+def teleport_branches(message: StateVector, pair: StateVector) -> list[TeleportResult]:
     """All four Bell branches of a teleportation, with exact probabilities.
 
     Zero-probability branches are omitted.
@@ -311,8 +264,8 @@ def teleport_branches(
         raise ValueError("message must be a single qubit")
     joint = tensor(message, pair)
     return [
-        _finish(branch, message, bob_label)
-        for branch in enumerate_bell(joint, message.labels[0], alice_label)
+        _finish(branch, message)
+        for branch in enumerate_bell(joint, message.labels[0], "a")
         if branch.post_state is not None
     ]
 

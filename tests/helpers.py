@@ -2,7 +2,17 @@
 
 import numpy as np
 
-from wshare.statevec import StateVector, reorder
+from wshare.statevec import StateVector
+
+
+def reorder(s: StateVector, labels) -> StateVector:
+    """Same state with register axes permuted into the requested label order."""
+    labels = tuple(labels)
+    if sorted(labels) != sorted(s.labels):
+        raise ValueError(f"reorder needs a permutation of {s.labels}, got {labels}")
+    perm = tuple(s.axis(l) for l in labels)
+    amps = s._tensor_view().transpose(perm).reshape(-1)
+    return StateVector(amps, labels)
 
 
 def state_fidelity(s1: StateVector, s2: StateVector) -> float:

@@ -349,6 +349,36 @@ def test_closed_stdout_ends_without_traceback():
         assert b"Traceback" not in proc.stderr.read()
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that refuses writes")
+@pytest.mark.parametrize("sink", ["stdout", "out"])
+def test_failed_write_exits_one_without_traceback(sink):
+    argv = [sys.executable, "-m", "wshare", "run", "--n", "5"]
+    if sink == "out":
+        argv = [sys.executable, "-m", "wshare", "curves", "--out", "/dev/full"]
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: cannot write output:")
+    assert len(proc.stderr.splitlines()) == 1
+
+
+def test_teleport_demo_builds_one_kernel(monkeypatch, tmp_path):
+    calls = []
+
+    def counted(pair):
+        calls.append(pair)
+        return kernel(pair)
+
+    kernel = cli._bell_kernel
+    monkeypatch.setattr(cli, "_bell_kernel", counted)
+    for attack in ("none", "ema"):
+        calls.clear()
+        assert main(["teleport-demo", "--attack", attack, "--trials", "50",
+                     "--out", str(tmp_path / attack)]) == 0
+        assert len(calls) == 1, attack
+
+
 def test_curves_accepts_isra_and_the_defaults(tmp_path):
     grid = ["curves", "--y-values", "0,1", "--n-values", "1,3", "--format", "csv"]
     outputs = []

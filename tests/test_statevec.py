@@ -23,11 +23,10 @@ from wshare.statevec import (
     reduced_density,
     reduced_fidelity,
     relabel,
-    reorder,
     tensor,
 )
 
-from helpers import state_fidelity, z_marginal
+from helpers import reorder, state_fidelity, z_marginal
 
 RS2 = 1 / np.sqrt(2)
 RS3 = 1 / np.sqrt(3)

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from wshare.attacks import AttackModel, eve_recover_attempt, eve_recover_batch
 from wshare.protocol import ProtocolConfig, run_protocol, teleport_pairs
 from wshare.statevec import (
+    _BELL_MATRICES,
     BELL_NAMES,
     Basis,
     StateVector,
@@ -16,7 +17,6 @@ from wshare.statevec import (
     make_message_state,
     reduced_density,
     reduced_fidelity,
-    reorder,
     tensor,
 )
 from wshare.teleport import (
@@ -32,6 +32,8 @@ from wshare.teleport import (
     teleport_batch,
     teleport_branches,
 )
+
+from helpers import reorder
 
 RS2 = 1 / np.sqrt(2)
 
@@ -71,7 +73,7 @@ def test_teleport_basis_message():
     res = teleport(make_message_state(1, 0), psi_plus(), rng)
     assert res.fidelity == pytest.approx(1.0, abs=1e-12)
     # Bob's qubit is exactly |0>
-    assert reduced_fidelity(res.post_state, "b", make_basis_state([0], ["r"])) == pytest.approx(
+    assert reduced_fidelity(res.residual, "b", make_basis_state([0], ["r"])) == pytest.approx(
         1.0, abs=1e-12
     )
 
@@ -89,7 +91,7 @@ def test_teleport_through_larger_register():
     # entangled with e, not b: fidelity on b is that of a bystander qubit
     rng = np.random.default_rng(5)
     res = teleport(make_message_state(0.6, 0.8), extra, rng)
-    assert res.post_state.num_qubits == 4  # m, a, e, b all retained
+    assert res.residual.labels == ("e", "b")  # the bystander e rides along
     assert 0.0 <= res.fidelity <= 1.0
 
 
@@ -177,7 +179,7 @@ def test_corrupted_channel_eavesdropper_collapse():
     msg = random_message(rng)
     res = teleport(msg, corrupted_channel(), rng)
     eve_branch = next(
-        b for b in enumerate_qubit(res.post_state, "e", Basis.Z) if b.probability > 1e-12
+        b for b in enumerate_qubit(res.residual, "e", Basis.Z) if b.probability > 1e-12
     )
     rho_bob = reduced_density(eve_branch.post_state, "b")
     # pure and diagonal: a Z eigenstate
@@ -262,17 +264,22 @@ def boundary_draws(probabilities):
     return sorted(draws)
 
 
-def oracle_branch(branches, draw):
-    """The enumerate_bell branch a draw selects, by a walk of this test's own."""
+def walk(probabilities, draw):
+    """Index of the Bell outcome a draw selects, by a walk of this test's own."""
     acc, chosen = 0.0, None
-    for branch in branches:
-        if branch.probability <= 1e-15:
+    for k, probability in enumerate(probabilities):
+        if probability <= 1e-15:
             continue
-        chosen = branch
-        acc += branch.probability
+        chosen = k
+        acc += probability
         if draw < acc:
             break
     return chosen
+
+
+def oracle_branch(branches, draw):
+    """The enumerate_bell branch a draw selects."""
+    return branches[walk([b.probability for b in branches], draw)]
 
 
 @pytest.mark.parametrize("node", range(len(PAIR_NODES)))
@@ -284,16 +291,22 @@ def test_kernel_matches_oracle_on_every_draw(node):
             rand = CountingDraw(draw)
             got = teleport(message, pair, rand)
             branch = oracle_branch(branches, draw)
-            want = _finish(branch, message, "b")
+            want = _finish(branch, message)
             where = (attack.kind, pair.labels, message.amplitudes.tolist(), draw)
             assert rand.calls == 1, where
             assert (got.outcome_name, got.outcome_bits, got.correction) == (
                 want.outcome_name, want.outcome_bits, want.correction), where
             assert got.probability == pytest.approx(want.probability, abs=1e-12), where
             assert got.fidelity == pytest.approx(want.fidelity, abs=1e-12), where
+            # The oracle's whole register is the observed Bell pair times
+            # the residual the kernel drew.
             oracle_post = apply_correction(branch.post_state, "b", want.correction)
-            assert got.post_state.labels == oracle_post.labels == ("m",) + pair.labels
-            assert_allclose(got.post_state.amplitudes, oracle_post.amplitudes, atol=1e-12)
+            assert oracle_post.labels == ("m",) + pair.labels
+            assert got.residual.labels == want.residual.labels, where
+            bell = _BELL_MATRICES[BELL_NAMES.index(got.outcome_name)].reshape(-1)
+            rebuilt = StateVector(np.kron(bell, got.residual.amplitudes), ("m", "a") + got.residual.labels)
+            assert_allclose(reorder(rebuilt, oracle_post.labels).amplitudes, oracle_post.amplitudes,
+                            atol=1e-12)
             assert_allclose(got.residual.amplitudes, want.residual.amplitudes, atol=1e-12)
             if "e" in pair.labels:
                 eve_post = apply_correction(oracle_post, "e", want.correction)
@@ -315,12 +328,12 @@ def test_kernel_teleport_consumes_one_uniform(node):
 
 
 # ---------------------------------------------------------------------------
-# the batched teleport and recovery against the scalar ones
+# the batched teleport and recovery against the four-branch oracle
 
 
 def around_boundaries(probabilities):
     """Draws at and one ulp either side of each cumulative boundary of the
-    scalar walk (zero-probability branches skipped), inside [0, 1)."""
+    Bell walk (zero-probability branches skipped), inside [0, 1)."""
     acc, bounds = 0.0, [0.0, float(np.nextafter(1.0, 0.0))]
     for probability in probabilities:
         if probability > 1e-15:
@@ -330,14 +343,27 @@ def around_boundaries(probabilities):
     return sorted(u for u in draws if 0.0 <= u < 1.0)
 
 
+def kernel_probabilities(message, pair):
+    """The four Bell weights of a message through the pair's kernel."""
+    kernel, _ = _bell_kernel(pair)
+    return (np.abs(message.amplitudes @ kernel) ** 2).sum(axis=1).tolist()
+
+
+def oracle_row(message, pair, draw):
+    """The teleport_branches result that this test's walk over the kernel's
+    weights picks for ``draw``."""
+    k = walk(kernel_probabilities(message, pair), draw)
+    branches = {result.outcome_name: result for result in teleport_branches(message, pair)}
+    return branches[BELL_NAMES[k]]
+
+
 def batch_cases(pair):
     """(message states, draws): every kernel message on every boundary draw
-    of its own scalar Bell distribution, then Haar messages on Haar draws."""
-    kernel, _ = _bell_kernel(pair, "a", "b")
+    of its own Bell distribution through the kernel, then Haar messages on
+    Haar draws."""
     messages, draws = [], []
     for message in kernel_messages():
-        probabilities = (np.abs(message.amplitudes @ kernel) ** 2).sum(axis=1)
-        for u in around_boundaries(probabilities):
+        for u in around_boundaries(kernel_probabilities(message, pair)):
             messages.append(message)
             draws.append(u)
     rng = np.random.default_rng(17)
@@ -351,15 +377,16 @@ def test_batched_teleport_and_recovery_match_scalar(node):
     attack, pair = PAIR_NODES[node]
     messages, draws = batch_cases(pair)
     amplitudes = np.array([m.amplitudes for m in messages])
-    kernels = (None, _bell_kernel(pair, "a", "b"))
+    kernels = (None, _bell_kernel(pair))
     batch = teleport_batch(amplitudes, kernels, np.ones(len(draws), dtype=int), draws)
     bits = {"none": (), "imra": (0, 1)}.get(attack.kind, (None,))
     recoveries = {bit: eve_recover_batch(attack, None if bit is None else np.full(len(draws), bit),
                                          batch, amplitudes) for bit in bits}
     for t, (message, u) in enumerate(zip(messages, draws)):
-        want = teleport(message, pair, CountingDraw(u))
+        want = oracle_row(message, pair, u)
         where = (attack.kind, pair.labels, message.amplitudes.tolist(), u)
         assert BELL_NAMES[batch.outcomes[t]] == want.outcome_name, where
+        assert batch.probabilities[t] == pytest.approx(want.probability, abs=1e-12), where
         assert batch.labels == want.residual.labels, where
         assert_allclose(batch.residuals[t], want.residual.amplitudes, atol=1e-12)
         assert batch.fidelities[t] == pytest.approx(want.fidelity, abs=1e-12), where
@@ -380,22 +407,25 @@ def test_batched_message_draw_is_the_scalar_one():
                                     AttackModel("isra", 0.3), AttackModel("ema")],
                          ids=lambda attack: attack.kind)
 def test_run_teleport_phase_matches_scalar(attack):
-    # A run's pairs teleported the scalar way, on the messages and uniforms
-    # the run's stream hands out next: every message first, then the uniforms.
+    # A run's pairs teleported by the four-branch oracle, on the messages and
+    # uniforms the run's stream hands out next: every message first, then
+    # the uniforms.
     config = ProtocolConfig(n=60, d=0.0, p=0.5)
     rand, twin = np.random.default_rng(5), np.random.default_rng(5)
     outcome = run_protocol(config, attack, rand)
     run_protocol(config, attack, twin)
-    batch, recoveries = teleport_pairs(outcome, attack, rand)
+    assert outcome.attack is attack
+    batch, recoveries = teleport_pairs(outcome, rand)
     messages = [random_message(twin) for _ in outcome.pairs]
     bits = [outcome.eve_bits[t - 1] for t in outcome.pairs.positions]
     if attack.kind == "imra":
         assert set(bits) == {0, 1}  # both pair nodes are used
     assert (recoveries is None) == (attack.kind == "none")
     for i, ((_, pair), message, bit) in enumerate(zip(outcome.pairs, messages, bits)):
-        want = teleport(message, pair, CountingDraw(twin.random()))
+        want = oracle_row(message, pair, twin.random())
         where = (attack.kind, i)
         assert BELL_NAMES[batch.outcomes[i]] == want.outcome_name, where
+        assert batch.probabilities[i] == pytest.approx(want.probability, abs=1e-12), where
         assert batch.labels == want.residual.labels, where
         assert_allclose(batch.residuals[i], want.residual.amplitudes, atol=1e-12)
         assert batch.fidelities[i] == pytest.approx(want.fidelity, abs=1e-12), where
@@ -408,8 +438,6 @@ def test_run_teleport_phase_matches_scalar(attack):
 def test_teleport_rejects_bad_labels():
     rng = np.random.default_rng(0)
     message = make_message_state(0.6, 0.8)
-    with pytest.raises(ValueError):
-        teleport(message, psi_plus(), rng, alice_label="a", bob_label="a")
     with pytest.raises(ValueError):
         teleport(make_message_state(0.6, 0.8, label="a"), psi_plus(), rng)
     with pytest.raises(ValueError):
