@@ -25,8 +25,11 @@ Eve forwards to Bob.)
 
 from __future__ import annotations
 
+import functools
+
 from .attacks import AttackModel
-from .protocol import CheckerMode, DetectionDirective, _check_length, _check_unit, evaluate_checks
+from .protocol import (_TABLE_CACHE_SIZE, CheckerMode, DetectionDirective, _check_length, _check_unit,
+                       evaluate_checks)
 from .statevec import _ZERO_PROB, Basis, StateVector, enumerate_qubit, make_w_state
 
 
@@ -113,6 +116,18 @@ def _violation_probability(state: StateVector, basis: Basis, mode: CheckerMode,
     return total
 
 
+@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _round_violations(kind: str, mode: CheckerMode, y: float | None) -> tuple[tuple[float, ...], ...]:
+    """(weight, P(violation | Z round), P(violation | X round)) of each Eve branch.
+
+    The attack-only part of :func:`round_detection_probability`: it does
+    not depend on p or d, so a grid enumerates it once per (kind, mode, y).
+    """
+    return tuple((weight, _violation_probability(state, Basis.Z, mode),
+                  _violation_probability(state, Basis.X, mode))
+                 for weight, state in _attacked_round_branches(kind, y))
+
+
 def round_detection_probability(
     kind: str, mode: CheckerMode | str, p: float, d: float, y: float | None = None
 ) -> float:
@@ -126,14 +141,16 @@ def round_detection_probability(
     Under the paper checker the measure-resend and entangle-measure attacks
     come out exactly 0: both leave the Z statistics untouched, so only the
     strict X rule ever catches them.
+
+    The enumeration over Eve's branches and the measurement outcomes is
+    memoized per (kind, mode, y) in a bounded cache; only the weighting by
+    p and d is redone on each call.
     """
     mode = CheckerMode(mode)
     _check_unit("p", p)
     _check_unit("d", d)
     detect = 0.0
-    for weight, state in _attacked_round_branches(kind, y):
-        vz = _violation_probability(state, Basis.Z, mode) if p > 0 else 0.0
-        vx = _violation_probability(state, Basis.X, mode) if p < 1 else 0.0
+    for weight, vz, vx in _round_violations(kind, mode, y):
         detect += weight * (p * vz + (1.0 - p) * vx)
     return d * detect
 

@@ -27,7 +27,10 @@ output.  Every random draw descends from ``--seed``: ``run`` draws from
 ``default_rng(seed)`` and each sweep grid point from
 ``default_rng((seed, grid_index))``, in fixed blocks of trials (see
 :mod:`wshare.protocol` for the layout), so identical invocations produce
-byte-identical output files whatever ``--workers`` is.  Exit status:
+byte-identical output files whatever ``--workers`` is.  A sweep starts
+worker processes only for grids big enough to pay for them (at most one
+per :data:`_ROUNDS_PER_WORKER` trial-rounds); smaller grids run in the
+calling process.  Exit status:
 0 success, 1 usage error or unwritable output, 2 protocol aborted (run
 verb only).
 """
@@ -121,7 +124,8 @@ _FLAGS = {
     "format": _Flag("string", "text", ("text", "csv", "records"), _ALL, "output format"),
     "out": _Flag("string", None, None, _ALL, "write output here instead of stdout"),
     "workers": _Flag("integer", 1, _COUNT, "sweep",
-                     "parallel processes over grid points (at most one per point and per CPU)"),
+                     "parallel processes over grid points (at most one per point, per usable CPU and "
+                     "per 2^20 trial-rounds; smaller grids run in-process)"),
     "y_values": _Flag("numbers", None, _UNIT, "sweep curves", "comma-separated fake-qubit amplitudes"),
     "p_values": _Flag("numbers", None, _UNIT, "sweep curves", "comma-separated Z-basis probabilities"),
     "d_values": _Flag("numbers", None, _UNIT, "sweep curves", "comma-separated detection probabilities"),
@@ -151,6 +155,15 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise UsageError(message)
+
+    def _print_message(self, message, file=None):
+        """Write help or version text, failing as a row write does (argparse
+        would swallow the error and exit 0)."""
+        if message:
+            file = file or sys.stderr
+            with _write_failures(to_stdout=file is sys.stdout):
+                file.write(message)
+                file.flush()
 
     def parse_known_args(self, args=None, namespace=None):
         if self.verb is not None:
@@ -294,6 +307,20 @@ def _stdout_to_devnull() -> None:
     os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
+@contextlib.contextmanager
+def _write_failures(to_stdout: bool):
+    """Turn a failed write into a UsageError; a closed pipe stays a
+    BrokenPipeError for :func:`main`."""
+    try:
+        yield
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
+        if to_stdout:
+            _stdout_to_devnull()
+        raise UsageError(f"cannot write output: {exc.strerror or exc}")
+
+
 def _emit_rows(columns: list[str], rows: list[dict], cfg: argparse.Namespace,
                header: bool = True, notes: list[str] | None = None) -> None:
     """Write rows in the selected format, to --out or stdout."""
@@ -301,33 +328,26 @@ def _emit_rows(columns: list[str], rows: list[dict], cfg: argparse.Namespace,
         sink = open(cfg.out, "w", newline="") if cfg.out else contextlib.nullcontext(sys.stdout)
     except OSError as exc:
         raise UsageError(f"cannot write output file {cfg.out!r}: {exc.strerror}")
-    try:
-        with sink as stream:
-            if cfg.format == "csv":
-                writer = csv.writer(stream, lineterminator="\n")
-                writer.writerow(columns)
-                for row in rows:
-                    writer.writerow([_cell(row.get(c)) for c in columns])
-            elif cfg.format == "records":
-                for row in rows:
-                    stream.write(json.dumps({c: row.get(c) for c in columns}, default=_cell) + "\n")
-            else:
-                for note in notes or []:
-                    stream.write(f"# {note}\n")
-                table = [[_cell(row.get(c)) for c in columns] for row in rows]
-                if header:
-                    table.insert(0, list(columns))
-                widths = [max(len(line[i]) for line in table) for i in range(len(columns))]
-                for line in table:
-                    rendered = "  ".join(cell.ljust(w) for cell, w in zip(line, widths))
-                    stream.write(rendered.rstrip() + "\n")
-            stream.flush()
-    except BrokenPipeError:
-        raise
-    except OSError as exc:
-        if not cfg.out:
-            _stdout_to_devnull()
-        raise UsageError(f"cannot write output: {exc.strerror or exc}")
+    with _write_failures(to_stdout=not cfg.out), sink as stream:
+        if cfg.format == "csv":
+            writer = csv.writer(stream, lineterminator="\n")
+            writer.writerow(columns)
+            for row in rows:
+                writer.writerow([_cell(row.get(c)) for c in columns])
+        elif cfg.format == "records":
+            for row in rows:
+                stream.write(json.dumps({c: row.get(c) for c in columns}, default=_cell) + "\n")
+        else:
+            for note in notes or []:
+                stream.write(f"# {note}\n")
+            table = [[_cell(row.get(c)) for c in columns] for row in rows]
+            if header:
+                table.insert(0, list(columns))
+            widths = [max(len(line[i]) for line in table) for i in range(len(columns))]
+            for line in table:
+                rendered = "  ".join(cell.ljust(w) for cell, w in zip(line, widths))
+                stream.write(rendered.rstrip() + "\n")
+        stream.flush()
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +417,19 @@ def _sweep_point(args: tuple) -> dict:
     }
 
 
+# A worker process pays for its start only past this many trial-rounds
+# (trials x n, summed over the grid): two workers on a two-point isra/strict
+# grid break even with one process at about 2^21 trial-rounds in all.
+_ROUNDS_PER_WORKER = 1 << 20
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_sweep(cfg: argparse.Namespace) -> int:
     """Emit one row per grid point, in grid-then-trial order."""
     if cfg.y_values is not None and cfg.attack != "isra":
@@ -406,10 +439,11 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
     p_values = cfg.p_values or (cfg.p,)
     d_values = cfg.d_values or (cfg.d,)
     n_values = cfg.n_values or (cfg.n,)
-    grid = itertools.product(y_values, p_values, d_values, n_values)
+    grid = list(itertools.product(y_values, p_values, d_values, n_values))
     points = [(cfg.attack, cfg.mode, y, p, d, n, cfg.trials, cfg.seed, grid_index)
               for grid_index, (y, p, d, n) in enumerate(grid)]
-    workers = min(cfg.workers, len(points), os.cpu_count() or 1)
+    trial_rounds = cfg.trials * sum(n for *_, n in grid)
+    workers = min(cfg.workers, len(points), _usable_cpus(), trial_rounds // _ROUNDS_PER_WORKER)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, points))

@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
+from wshare import analytic, protocol
 from wshare.analytic import (
+    _attacked_round_branches,
+    _round_violations,
+    _violation_probability,
     isra_case_probs,
     isra_success_sequence,
     isra_success_single,
@@ -11,6 +15,8 @@ from wshare.analytic import (
     sequence_success_probability,
     x_round_detection_given_home0,
 )
+from wshare.cli import main
+from wshare.protocol import CheckerMode
 from wshare.statevec import Basis, enumerate_qubit, make_w_state
 
 
@@ -146,3 +152,55 @@ def test_oracle_validates_arguments():
             sequence_success_probability("imra", "strict", 0.5, 0.5, n)
         with pytest.raises(ValueError):
             isra_success_sequence(0.5, 0.5, 0.5, n)
+
+
+# ---------------------------------------------------------------------------
+# the memoized enumeration
+
+
+def _fresh_round_detection(kind, mode, p, d, y):
+    """The oracle without its memo: one enumeration per call, skipping the
+    basis that p rules out."""
+    detect = 0.0
+    for weight, state in _attacked_round_branches(kind, y):
+        vz = _violation_probability(state, Basis.Z, mode) if p > 0 else 0.0
+        vx = _violation_probability(state, Basis.X, mode) if p < 1 else 0.0
+        detect += weight * (p * vz + (1.0 - p) * vx)
+    return d * detect
+
+
+@pytest.mark.parametrize("mode", list(CheckerMode))
+@pytest.mark.parametrize("kind,y", [("none", None), ("imra", None), ("ema", None),
+                                    ("isra", 0.0), ("isra", 0.3), ("isra", 1.0)])
+def test_memoized_oracle_is_bit_identical_to_a_fresh_enumeration(kind, y, mode):
+    assert _round_violations(kind, mode, y) == _round_violations.__wrapped__(kind, mode, y)
+    for p in (0.0, 0.3, 0.5, 1.0):
+        for d in (0.5, 0.7, 1.0):
+            memoized = round_detection_probability(kind, mode, p, d, y)
+            assert memoized == _fresh_round_detection(kind, mode, p, d, y), (p, d)
+
+
+def test_sweep_grid_enumerates_each_branch_and_basis_once(monkeypatch, tmp_path):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return violation(*args, **kwargs)
+
+    violation = analytic._violation_probability
+    monkeypatch.setattr(analytic, "_violation_probability", counted)
+    _round_violations.cache_clear()
+    assert main(["sweep", "--attack", "imra", "--mode", "strict", "--n-values", "1,2,4",
+                 "--d-values", "0.5,1", "--p-values", "0,0.5", "--trials", "100",
+                 "--out", str(tmp_path / "rows.txt")]) == 0
+    assert len((tmp_path / "rows.txt").read_text().splitlines()) == 1 + 12
+    # Eve's two Z outcomes, each scored in both bases, for all 12 points.
+    assert sorted(basis.value for basis in calls) == ["X", "X", "Z", "Z"]
+
+
+def test_oracle_memo_stays_bounded():
+    bound = protocol._TABLE_CACHE_SIZE
+    assert _round_violations.cache_info().maxsize == bound
+    for i in range(bound + 10):
+        round_detection_probability("isra", "strict", 0.5, 0.5, y=i / (bound + 9))
+    assert _round_violations.cache_info().currsize <= bound

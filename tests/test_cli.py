@@ -188,6 +188,8 @@ def test_sweep_across_blocks_is_identical_under_workers(tmp_path):
     assert trials > 2 * size and trials % size  # two full blocks and a ragged one
     base = ("sweep", "--attack", "ema", "--d-values", "0,0.5", "--n", str(n),
             "--trials", str(trials), "--seed", "5", "--format", "csv")
+    # Enough work for the sweep to start its 2-process pool.
+    assert 2 * trials * n // cli._ROUNDS_PER_WORKER >= 2
     serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
     assert run_cli(*base, "--out", str(serial)).returncode == 0
     assert run_cli(*base, "--workers", "2", "--out", str(parallel)).returncode == 0
@@ -350,11 +352,11 @@ def test_closed_stdout_ends_without_traceback():
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that refuses writes")
-@pytest.mark.parametrize("sink", ["stdout", "out"])
-def test_failed_write_exits_one_without_traceback(sink):
-    argv = [sys.executable, "-m", "wshare", "run", "--n", "5"]
-    if sink == "out":
-        argv = [sys.executable, "-m", "wshare", "curves", "--out", "/dev/full"]
+@pytest.mark.parametrize("args", [["run", "--n", "5"], ["curves", "--out", "/dev/full"],
+                                  ["--help"], ["run", "--help"], ["--version"]],
+                         ids=["stdout", "out", "help", "verb-help", "version"])
+def test_failed_write_exits_one_without_traceback(args):
+    argv = [sys.executable, "-m", "wshare", *args]
     with open("/dev/full", "w") as full:
         proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, text=True, timeout=120)
     assert proc.returncode == 1
@@ -556,17 +558,54 @@ class RecordingPool:
         return map(fn, items)
 
 
+def _capped_sweep(workers, points, out):
+    """Sweep ``points`` grid points of 100 trials each with a RecordingPool;
+    returns the output text."""
+    RecordingPool.seen = []
+    grid = list(range(1, points + 1))
+    assert main(["sweep", "--d", "0", "--trials", "100", "--n-values", ",".join(map(str, grid)),
+                 "--workers", str(workers), "--format", "records", "--out", str(out)]) == 0
+    text = out.read_text()
+    assert [json.loads(line)["n"] for line in text.splitlines()] == grid
+    return text
+
+
+def _set_cpus(monkeypatch, affinity, count=None):
+    """An affinity mask of ``affinity`` CPUs (None: a platform without
+    masks) on a host that reports ``count`` CPUs (None: unknown)."""
+    if affinity is None:
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(affinity)), raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: count)
+
+
 @pytest.mark.parametrize(
     "workers,points,cpus,expected",
     [(1000, 3, 8, 3), (1000, 6, 4, 4), (2, 6, 4, 2), (1000, 6, None, None), (5, 1, 8, None)],
 )
 def test_workers_capped_by_grid_points_and_cpus(workers, points, cpus, expected, monkeypatch, tmp_path):
-    RecordingPool.seen = []
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-    grid = list(range(1, points + 1))
-    out = tmp_path / "rows.jsonl"
-    assert main(["sweep", "--d", "0", "--trials", "100", "--n-values", ",".join(map(str, grid)),
-                 "--workers", str(workers), "--format", "records", "--out", str(out)]) == 0
-    assert [json.loads(line)["n"] for line in out.read_text().splitlines()] == grid
+    monkeypatch.setattr(cli, "_ROUNDS_PER_WORKER", 1)  # every trial-round pays for a worker
+    _set_cpus(monkeypatch, cpus)
+    _capped_sweep(workers, points, tmp_path / "rows.jsonl")
     assert RecordingPool.seen == ([] if expected is None else [expected])
+
+
+@pytest.mark.parametrize("workers,points", [(1000, 3), (2, 6), (4, 4)])
+def test_small_grids_run_in_process(workers, points, monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    _set_cpus(monkeypatch, 8)
+    assert 100 * sum(range(1, points + 1)) < cli._ROUNDS_PER_WORKER
+    in_process = _capped_sweep(workers, points, tmp_path / "in_process.jsonl")
+    assert RecordingPool.seen == []
+    monkeypatch.setattr(cli, "_ROUNDS_PER_WORKER", 1)
+    pooled = _capped_sweep(workers, points, tmp_path / "pooled.jsonl")
+    assert RecordingPool.seen == [min(workers, points)]
+    assert in_process == pooled
+
+
+@pytest.mark.parametrize("affinity,count,expected", [(1, 8, 1), (3, None, 3), (None, 6, 6), (None, None, 1)])
+def test_usable_cpus_prefers_the_affinity_mask(affinity, count, expected, monkeypatch):
+    _set_cpus(monkeypatch, affinity, count)
+    assert cli._usable_cpus() == expected
