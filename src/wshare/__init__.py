@@ -11,9 +11,9 @@ closed-form detection/success formulas, and a CLI experiment runner.
 __version__ = "0.1.0"
 
 from .analytic import (
+    closed_form_round_detection,
     isra_case_probs,
     isra_success_sequence,
-    isra_success_single,
     round_detection_probability,
     sequence_success_probability,
 )
@@ -62,12 +62,12 @@ __all__ = [
     "StateVector",
     "TeleportResult",
     "build_correction_table",
+    "closed_form_round_detection",
     "ema_decomposition",
     "enumerate_qubit",
     "eve_recover_attempt",
     "isra_case_probs",
     "isra_success_sequence",
-    "isra_success_single",
     "make_basis_state",
     "make_message_state",
     "make_w_state",

@@ -1,35 +1,35 @@
 """Closed-form detection/success expressions plus exact enumeration oracles.
 
-The closed forms cover the store-and-resend attack under the
-``paper`` checker (:attr:`~wshare.protocol.CheckerMode.PAPER`):
+One closed form covers every attack under both checkers
+(:func:`closed_form_round_detection`).  A round is a detection round with
+probability d, a Z round within it with probability p:
 
-* the two per-round detection events have probabilities p*d*y^2/3 (fake
-  qubit read as 1 while the home qubit read 1) and p*d/3 (anticorrelation
-  broken while the home qubit read 0);
-* one round therefore survives checking with probability
-  1 - p*d*(1 + y^2)/3, and an n-round sequence with that to the n-th power.
+* store-and-resend trips the two Z rules with probabilities p*d*y^2/3
+  (fake qubit read as 1 while the home qubit read 1) and p*d/3
+  (anticorrelation broken while the home qubit read 0); measure-resend
+  and entangle-measure leave the Z statistics untouched;
+* the strict checker's X rule catches any of the three attacks with
+  probability (1 - p)*d/3: the home qubit reads 0 with probability 2/3,
+  and then the attack is caught with probability exactly 1/2;
+* an n-round sequence survives with (1 - per-round detection)^n.
 
 Everything else here is an *enumeration oracle*: it walks every measurement
 branch of an attacked round exactly (probabilities multiplied along the
 way, nothing sampled) and scores it with the same rule table the protocol
-uses.  The oracles confirm the closed forms and quantify what no closed
-form covers — notably the strict checker's X-basis rules, under which the
-measure-resend, store-resend, and entangle attacks are each caught in an
-applicable X round (home outcome 0) with probability exactly 1/2,
-independent of the fake-qubit amplitudes.  (A naive interference argument
-suggests the store-resend X-round rate should depend on x - y; the
-enumeration shows it does not: Alice's travel qubit is maximally mixed
-given home outcome 0, so her X result is a fair coin regardless of what
-Eve forwards to Bob.)
+uses.  The oracles never call the closed form; they confirm it.  Notably
+the strict checker's X-basis rule catches the measure-resend, store-resend,
+and entangle attacks each in an applicable X round (home outcome 0) with
+probability exactly 1/2, independent of the fake-qubit amplitudes.  (A
+naive interference argument suggests the store-resend X-round rate should
+depend on x - y; the enumeration shows it does not: Alice's travel qubit is
+maximally mixed given home outcome 0, so her X result is a fair coin
+regardless of what Eve forwards to Bob.)
 """
 
 from __future__ import annotations
 
-import functools
-
 from .attacks import AttackModel
-from .protocol import (_TABLE_CACHE_SIZE, CheckerMode, DetectionDirective, _check_length, _check_unit,
-                       evaluate_checks)
+from .protocol import CheckerMode, DetectionDirective, _check_length, _check_unit, evaluate_checks
 from .statevec import _ZERO_PROB, Basis, StateVector, enumerate_qubit, make_w_state
 
 
@@ -45,10 +45,23 @@ def isra_case_probs(y: float, p: float, d: float) -> tuple[float, float]:
     return (p * d * y * y / 3.0, p * d / 3.0)
 
 
-def isra_success_single(y: float, p: float, d: float) -> float:
-    """Probability one store-resend round escapes the paper checker."""
-    rej1, rej2 = isra_case_probs(y, p, d)
-    return 1.0 - (rej1 + rej2)
+def closed_form_round_detection(
+    kind: str, mode: CheckerMode | str, p: float, d: float, y: float | None = None
+) -> float:
+    """Per-round detection probability of an attack under one checker, in closed form.
+
+    The Z rules catch only store-resend, with the two probabilities of
+    :func:`isra_case_probs`; the strict X rule catches any attack with
+    probability (1 - p)*d/3.  ``y`` is the store-resend fake amplitude,
+    required for ``kind="isra"`` and refused for other kinds.
+    """
+    mode = CheckerMode(mode)
+    _check_unit("p", p)
+    _check_unit("d", d)
+    AttackModel(kind, y)  # checks the kind and y
+    z = sum(isra_case_probs(y, p, d)) if kind == "isra" else 0.0
+    x = (1.0 - p) * d / 3.0 if mode is CheckerMode.STRICT and kind != "none" else 0.0
+    return z + x
 
 
 def isra_success_sequence(y: float, p: float, d: float, n: int) -> float:
@@ -58,8 +71,8 @@ def isra_success_sequence(y: float, p: float, d: float, n: int) -> float:
     p*d*(1+y^2) > 0 — the attack is caught with probability approaching,
     but never reaching, one.
     """
-    _check_length(n)
-    return isra_success_single(y, p, d) ** n
+    n = _check_length(n)
+    return (1.0 - closed_form_round_detection("isra", CheckerMode.PAPER, p, d, y)) ** n
 
 
 # ---------------------------------------------------------------------------
@@ -116,18 +129,6 @@ def _violation_probability(state: StateVector, basis: Basis, mode: CheckerMode,
     return total
 
 
-@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _round_violations(kind: str, mode: CheckerMode, y: float | None) -> tuple[tuple[float, ...], ...]:
-    """(weight, P(violation | Z round), P(violation | X round)) of each Eve branch.
-
-    The attack-only part of :func:`round_detection_probability`: it does
-    not depend on p or d, so a grid enumerates it once per (kind, mode, y).
-    """
-    return tuple((weight, _violation_probability(state, Basis.Z, mode),
-                  _violation_probability(state, Basis.X, mode))
-                 for weight, state in _attacked_round_branches(kind, y))
-
-
 def round_detection_probability(
     kind: str, mode: CheckerMode | str, p: float, d: float, y: float | None = None
 ) -> float:
@@ -140,17 +141,15 @@ def round_detection_probability(
 
     Under the paper checker the measure-resend and entangle-measure attacks
     come out exactly 0: both leave the Z statistics untouched, so only the
-    strict X rule ever catches them.
-
-    The enumeration over Eve's branches and the measurement outcomes is
-    memoized per (kind, mode, y) in a bounded cache; only the weighting by
-    p and d is redone on each call.
+    strict X rule ever catches them.  Each call enumerates afresh.
     """
     mode = CheckerMode(mode)
     _check_unit("p", p)
     _check_unit("d", d)
     detect = 0.0
-    for weight, vz, vx in _round_violations(kind, mode, y):
+    for weight, state in _attacked_round_branches(kind, y):
+        vz = _violation_probability(state, Basis.Z, mode)
+        vx = _violation_probability(state, Basis.X, mode)
         detect += weight * (p * vz + (1.0 - p) * vx)
     return d * detect
 
@@ -163,7 +162,7 @@ def sequence_success_probability(
     Rounds are independent, so this is the exact probability that an
     n-round attacked sequence escapes the checker.
     """
-    _check_length(n)
+    n = _check_length(n)
     return (1.0 - round_detection_probability(kind, mode, p, d, y)) ** n
 
 

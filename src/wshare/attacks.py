@@ -133,10 +133,12 @@ def eve_recover_batch(
     correction for the row's Bell outcome, Eve's fidelity is the closed
     form |<m|P|bit>|^2 for imra, and for isra and ema <m|P rho_e P^T|m>,
     read as the fidelity of her qubit ``e`` in the corrected residual
-    against P^T m (P is real).
+    against P^T m (P is real).  An empty batch gives an empty array.
     """
     if attack.kind == "none":
         raise ValueError("no attack was active: Eve holds no qubit to reconstruct from")
+    if not len(batch.outcomes):
+        return np.zeros(0)
     corrections = _correction_matrices()[batch.outcomes]
     if attack.kind == "imra":
         held = corrections[np.arange(len(bits)), :, bits]

@@ -12,8 +12,8 @@ Verbs
     point with empirical detection/success rates, distillation yield,
     teleport fidelity, and the exact predicted success probability.
 ``curves``
-    Analytic sequence-success data S(y, p, d, n) in three panels (vary y,
-    vary d, vary p), each against the sequence length n.
+    Closed-form sequence-success data S(y, p, d, n) for any attack and
+    checker in three panels (vary y, d, p), each against the length n.
 ``teleport-demo``
     The derived correction table and a batch of random teleportations,
     over the honest channel or the entangler-corrupted one.
@@ -53,7 +53,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .analytic import isra_success_sequence, sequence_success_probability
+from .analytic import closed_form_round_detection
 from .attacks import ATTACK_KINDS, AttackModel
 from .protocol import CheckerMode, ProtocolConfig, run_protocol, run_trials, teleport_pairs
 from .statevec import BELL_NAMES
@@ -108,13 +108,11 @@ _FLAGS = {
     "n": _Flag("integer", 100, _COUNT, "run sweep", "W-state sequence length"),
     "d": _Flag("number", 0.5, _UNIT, "run sweep curves", "per-position detection probability"),
     "p": _Flag("number", 0.5, _UNIT, "run sweep curves", "probability a directive basis is Z"),
-    # curves plots the store-resend closed form, which holds under the paper
-    # checker; teleport-demo has a channel only for the attacks that leave
-    # Alice a pair.
-    "mode": _Flag("string", "paper", tuple(m.value for m in CheckerMode), "run sweep curves",
-                  "checker semantics", {"curves": ("paper", ("paper",))}),
+    "mode": _Flag("string", "paper", tuple(m.value for m in CheckerMode), "run sweep curves", "checker semantics"),
+    # curves plots store-resend unless told otherwise; teleport-demo has a
+    # channel only for the attacks that leave Alice a pair.
     "attack": _Flag("string", "none", ATTACK_KINDS, _ALL, "eavesdropping attack",
-                    {"curves": ("none", ("none", "isra")), "teleport-demo": ("none", ("none", "ema"))}),
+                    {"curves": ("isra", ATTACK_KINDS), "teleport-demo": ("none", ("none", "ema"))}),
     "isra_y": _Flag("number", 0.5, _UNIT, "run sweep curves", "fake-qubit |1> amplitude"),
     # Below 100 trials a sweep's rates mean little.
     "trials": _Flag("integer", 20, _COUNT, "sweep teleport-demo", "trials per grid point, or teleportations",
@@ -262,8 +260,8 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     """Merge table defaults < scenario file < explicit flags into one config.
 
     The one place where a flag or scenario key that the verb does not take
-    is refused, and where every value it does take is range-checked, so
-    later steps cannot fail on them.
+    is refused (and a y grid without the isra attack), and where every
+    value it does take is range-checked, so later steps cannot fail on them.
     """
     given = {}
     if args.scenario:
@@ -282,6 +280,8 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
         use = flag.use(args.verb)
         if use is not None:
             setattr(cfg, name, _checked(args.verb, _option(name), given.get(name, use[0]), use[1]))
+    if getattr(cfg, "y_values", None) is not None and cfg.attack != "isra":
+        raise UsageError("--y-values only applies to the isra attack")
     return cfg
 
 
@@ -395,10 +395,7 @@ def _sweep_point(args: tuple) -> dict:
     stats = run_trials(config, attack, trials, np.random.default_rng((seed, grid_index)))
     detection_rate = stats.detections / trials
     success_rate = 1.0 - detection_rate
-    if kind == "isra" and config.checker_mode is CheckerMode.PAPER:
-        analytic = isra_success_sequence(y, p, d, n)
-    else:
-        analytic = sequence_success_probability(kind, config.checker_mode, p=p, d=d, n=n, y=y)
+    analytic = (1.0 - closed_form_round_detection(kind, config.checker_mode, p, d, y)) ** n
     return {
         "attack": kind,
         "mode": mode_name,
@@ -432,8 +429,6 @@ def _usable_cpus() -> int:
 
 def cmd_sweep(cfg: argparse.Namespace) -> int:
     """Emit one row per grid point, in grid-then-trial order."""
-    if cfg.y_values is not None and cfg.attack != "isra":
-        raise UsageError("--y-values only applies to the isra attack")
     y_values: tuple[float | None, ...]
     y_values = (cfg.y_values or (cfg.isra_y,)) if cfg.attack == "isra" else (None,)
     p_values = cfg.p_values or (cfg.p,)
@@ -467,19 +462,21 @@ def cmd_curves(cfg: argparse.Namespace) -> int:
 
     The built-in value sets are illustrative defaults, not a reproduction of
     any particular figure; pass --y-values/--d-values/--p-values/--n-values
-    to choose your own.  The curves are the store-resend closed form under
-    the paper checker, so the flag table lets curves take --mode paper and
-    --attack none or isra only.
+    to choose your own.  S is (1 - q)^n, q the closed form for --attack
+    (default isra) under --mode; any other attack has no y, so its vary-y
+    panel holds one curve.
     """
     defaults_used = all(v is None for v in (cfg.y_values, cfg.d_values, cfg.p_values, cfg.n_values))
-    y_values = cfg.y_values if cfg.y_values is not None else (0.0, 0.5, 1.0)
-    d_values = cfg.d_values if cfg.d_values is not None else (0.25, 0.5, 1.0)
-    p_values = cfg.p_values if cfg.p_values is not None else (0.25, 0.5, 1.0)
-    n_values = cfg.n_values if cfg.n_values is not None else _DEFAULT_CURVE_NS
+    fixed_y = cfg.isra_y if cfg.attack == "isra" else None
+    y_values = (cfg.y_values or (0.0, 0.5, 1.0)) if fixed_y is not None else (None,)
+    d_values = cfg.d_values or (0.25, 0.5, 1.0)
+    p_values = cfg.p_values or (0.25, 0.5, 1.0)
+    n_values = cfg.n_values or _DEFAULT_CURVE_NS
     curves = ([("vary-y", y, cfg.p, cfg.d) for y in y_values]
-              + [("vary-d", cfg.isra_y, cfg.p, d) for d in d_values]
-              + [("vary-p", cfg.isra_y, p, cfg.d) for p in p_values])
-    rows = [{"panel": panel, "y": y, "p": p, "d": d, "n": n, "success": isra_success_sequence(y, p, d, n)}
+              + [("vary-d", fixed_y, cfg.p, d) for d in d_values]
+              + [("vary-p", fixed_y, p, cfg.d) for p in p_values])
+    rows = [{"panel": panel, "y": y, "p": p, "d": d, "n": n,
+             "success": (1.0 - closed_form_round_detection(cfg.attack, cfg.mode, p, d, y)) ** n}
             for panel, y, p, d in curves for n in n_values]
     notes = ["illustrative default ranges; not a reproduction of any published figure"] if defaults_used else None
     _emit_rows(CURVE_COLUMNS, rows, cfg, notes=notes)

@@ -83,6 +83,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,10 +111,15 @@ class CheckerMode(enum.Enum):
     STRICT = "strict"
 
 
-def _check_length(n) -> None:
-    """Refuse a sequence length that is not a positive int (bools included)."""
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValueError(f"sequence length n must be a positive integer, got {n!r}")
+def _check_length(n) -> int:
+    """``n`` as a plain int, refused unless it is a positive integer (bools
+    excluded; numpy integers taken)."""
+    try:
+        if not isinstance(n, bool) and operator.index(n) >= 1:
+            return operator.index(n)
+    except TypeError:
+        pass
+    raise ValueError(f"sequence length n must be a positive integer, got {n!r}")
 
 
 def _check_unit(name: str, value: float) -> None:
@@ -135,7 +141,7 @@ class ProtocolConfig:
     checker_mode: CheckerMode = CheckerMode.PAPER
 
     def __post_init__(self) -> None:
-        _check_length(self.n)
+        object.__setattr__(self, "n", _check_length(self.n))
         _check_unit("detection probability d", self.d)
         _check_unit("Z-basis probability p", self.p)
         object.__setattr__(self, "checker_mode", CheckerMode(self.checker_mode))
@@ -231,8 +237,9 @@ def evaluate_checks(directives, rc_results, ra_results, rb_results,
                     mode: CheckerMode | str) -> CheckReport:
     """Apply the checking rules to the published detection results.
 
-    All four sequences must be aligned position by position.  See the module
-    docstring for the rule table and the two modes.  This is the scalar
+    All four sequences must be aligned position by position; a directive's
+    basis may be a :class:`~wshare.statevec.Basis` or its value.  See the
+    module docstring for the rule table and the two modes.  This is the scalar
     statement of the rules that the enumeration oracles score branches
     with; the engine applies the same table as masks (:func:`_apply_rules`).
     """
@@ -245,7 +252,7 @@ def evaluate_checks(directives, rc_results, ra_results, rb_results,
     tallies = {key: RuleTally() for key in RULE_KEYS}
     offending: list[int] = []
     for directive, rc, ra, rb in zip(directives, rc_results, ra_results, rb_results):
-        if directive.basis is Basis.Z:
+        if Basis(directive.basis) is Basis.Z:
             if rc == 0:
                 key, ok = "z_rc0", (ra ^ rb) == 1
             else:

@@ -3,18 +3,16 @@
 import numpy as np
 import pytest
 
-from wshare import analytic, protocol
+from wshare import analytic
 from wshare.analytic import (
-    _attacked_round_branches,
-    _round_violations,
-    _violation_probability,
+    closed_form_round_detection,
     isra_case_probs,
     isra_success_sequence,
-    isra_success_single,
     round_detection_probability,
     sequence_success_probability,
     x_round_detection_given_home0,
 )
+from wshare.attacks import ATTACK_KINDS
 from wshare.cli import main
 from wshare.protocol import CheckerMode
 from wshare.statevec import Basis, enumerate_qubit, make_w_state
@@ -44,15 +42,14 @@ def test_isra_case_probs_values():
 
 
 def test_isra_success_single_values():
-    assert isra_success_single(1, 1, 1) == pytest.approx(1 / 3, abs=1e-12)
-    assert isra_success_single(0.3, 0.8, 0) == pytest.approx(1.0)
-    assert isra_success_single(np.sqrt(0.5), 0.5, 0.5) == pytest.approx(0.875, abs=1e-12)
+    # One round: n = 1.
+    assert isra_success_sequence(1, 1, 1, 1) == pytest.approx(1 / 3, abs=1e-12)
+    assert isra_success_sequence(0.3, 0.8, 0, 1) == pytest.approx(1.0)
+    assert isra_success_sequence(np.sqrt(0.5), 0.5, 0.5, 1) == pytest.approx(0.875, abs=1e-12)
 
 
 def test_isra_success_sequence_values():
-    assert isra_success_sequence(0.4, 0.6, 0.7, 1) == pytest.approx(
-        isra_success_single(0.4, 0.6, 0.7)
-    )
+    assert isra_success_sequence(0.4, 0.6, 0.7, 1) == 1.0 - sum(isra_case_probs(0.4, 0.6, 0.7))
     assert isra_success_sequence(1, 1, 1, 5) == pytest.approx((1 / 3) ** 5)
     with pytest.raises(ValueError):
         isra_success_sequence(0.5, 0.5, 0.5, 0)
@@ -65,9 +62,9 @@ def test_sequence_monotone_in_n():
 
 def test_success_depends_on_pd_product_only():
     for y in (0.0, 0.5, 1.0):
-        a = isra_success_single(y, 0.8, 0.25)
-        b = isra_success_single(y, 0.25, 0.8)
-        c = isra_success_single(y, 0.4, 0.5)
+        a = isra_success_sequence(y, 0.8, 0.25, 1)
+        b = isra_success_sequence(y, 0.25, 0.8, 1)
+        c = isra_success_sequence(y, 0.4, 0.5, 1)
         assert a == pytest.approx(b, abs=1e-15)
         assert a == pytest.approx(c, abs=1e-15)
 
@@ -133,74 +130,66 @@ def test_sequence_success_probability():
 
 
 def test_oracle_validates_arguments():
-    with pytest.raises(ValueError):
-        round_detection_probability("isra", "paper", p=0.5, d=0.5)  # y missing
-    with pytest.raises(ValueError):
-        round_detection_probability("quantum-zeno", "strict", p=0.5, d=0.5)
-    with pytest.raises(ValueError):
-        round_detection_probability("ema", "strict", p=1.5, d=0.5)
-    with pytest.raises(ValueError):
-        round_detection_probability("none", "paper_analytic", p=0.5, d=0.5)
-    with pytest.raises(ValueError):
-        round_detection_probability("isra", "strict", p=0.5, d=0.5, y=1.5)
+    # The closed form refuses exactly what the oracle refuses.
+    for per_round in (round_detection_probability, closed_form_round_detection):
+        with pytest.raises(ValueError):
+            per_round("isra", "paper", p=0.5, d=0.5)  # y missing
+        with pytest.raises(ValueError):
+            per_round("quantum-zeno", "strict", p=0.5, d=0.5)
+        with pytest.raises(ValueError):
+            per_round("ema", "strict", p=1.5, d=0.5)
+        with pytest.raises(ValueError):
+            per_round("imra", "paper", p=0.5, d=float("nan"))
+        with pytest.raises(ValueError):
+            per_round("none", "paper_analytic", p=0.5, d=0.5)
+        with pytest.raises(ValueError):
+            per_round("isra", "strict", p=0.5, d=0.5, y=1.5)
+        with pytest.raises(ValueError):
+            per_round("ema", "strict", p=0.5, d=0.5, y=0.5)  # y is isra's only
     with pytest.raises(ValueError):
         x_round_detection_given_home0("isra", y=float("nan"))
-    with pytest.raises(ValueError):
-        round_detection_probability("ema", "strict", p=0.5, d=0.5, y=0.5)  # y is isra's only
-    for n in (2.5, True, 0):
+    for n in (2.5, True, 0, 2.0, np.float64(3.0), "3"):
         with pytest.raises(ValueError):
             sequence_success_probability("imra", "strict", 0.5, 0.5, n)
         with pytest.raises(ValueError):
             isra_success_sequence(0.5, 0.5, 0.5, n)
+    # Any integral n is a length, numpy's included.
+    assert sequence_success_probability("imra", "strict", 0.5, 0.5, np.int64(3)) == \
+        sequence_success_probability("imra", "strict", 0.5, 0.5, 3)
+    assert isra_success_sequence(0.5, 0.5, 0.5, np.int64(3)) == isra_success_sequence(0.5, 0.5, 0.5, 3)
 
 
 # ---------------------------------------------------------------------------
-# the memoized enumeration
+# the closed form against the oracle
 
 
-def _fresh_round_detection(kind, mode, p, d, y):
-    """The oracle without its memo: one enumeration per call, skipping the
-    basis that p rules out."""
-    detect = 0.0
-    for weight, state in _attacked_round_branches(kind, y):
-        vz = _violation_probability(state, Basis.Z, mode) if p > 0 else 0.0
-        vx = _violation_probability(state, Basis.X, mode) if p < 1 else 0.0
-        detect += weight * (p * vz + (1.0 - p) * vx)
-    return d * detect
+def _refuse(*args, **kwargs):
+    raise AssertionError("the enumeration oracle must not call the closed form")
 
 
 @pytest.mark.parametrize("mode", list(CheckerMode))
-@pytest.mark.parametrize("kind,y", [("none", None), ("imra", None), ("ema", None),
-                                    ("isra", 0.0), ("isra", 0.3), ("isra", 1.0)])
-def test_memoized_oracle_is_bit_identical_to_a_fresh_enumeration(kind, y, mode):
-    assert _round_violations(kind, mode, y) == _round_violations.__wrapped__(kind, mode, y)
-    for p in (0.0, 0.3, 0.5, 1.0):
-        for d in (0.5, 0.7, 1.0):
-            memoized = round_detection_probability(kind, mode, p, d, y)
-            assert memoized == _fresh_round_detection(kind, mode, p, d, y), (p, d)
+@pytest.mark.parametrize("kind,ys", [("none", (None,)), ("imra", (None,)), ("ema", (None,)),
+                                     ("isra", (0.0, 0.3, 0.5, 1.0))])
+def test_closed_form_matches_the_oracle(kind, ys, mode, monkeypatch):
+    cases = [(y, p, d) for y in ys for p in (0.0, 0.3, 0.5, 1.0) for d in (0.0, 0.5, 1.0)]
+    closed = [closed_form_round_detection(kind, mode, p, d, y) for y, p, d in cases]
+    if kind == "isra" and mode is CheckerMode.PAPER:
+        assert closed == [sum(isra_case_probs(y, p, d)) for y, p, d in cases]
+    monkeypatch.setattr(analytic, "closed_form_round_detection", _refuse)
+    monkeypatch.setattr(analytic, "isra_case_probs", _refuse)
+    for (y, p, d), value in zip(cases, closed):
+        assert abs(value - round_detection_probability(kind, mode, p, d, y)) <= 1e-12, (y, p, d)
 
 
-def test_sweep_grid_enumerates_each_branch_and_basis_once(monkeypatch, tmp_path):
+def test_sweep_and_curves_never_enumerate(monkeypatch, tmp_path):
     calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return violation(*args, **kwargs)
-
-    violation = analytic._violation_probability
-    monkeypatch.setattr(analytic, "_violation_probability", counted)
-    _round_violations.cache_clear()
-    assert main(["sweep", "--attack", "imra", "--mode", "strict", "--n-values", "1,2,4",
-                 "--d-values", "0.5,1", "--p-values", "0,0.5", "--trials", "100",
-                 "--out", str(tmp_path / "rows.txt")]) == 0
-    assert len((tmp_path / "rows.txt").read_text().splitlines()) == 1 + 12
-    # Eve's two Z outcomes, each scored in both bases, for all 12 points.
-    assert sorted(basis.value for basis in calls) == ["X", "X", "Z", "Z"]
-
-
-def test_oracle_memo_stays_bounded():
-    bound = protocol._TABLE_CACHE_SIZE
-    assert _round_violations.cache_info().maxsize == bound
-    for i in range(bound + 10):
-        round_detection_probability("isra", "strict", 0.5, 0.5, y=i / (bound + 9))
-    assert _round_violations.cache_info().currsize <= bound
+    monkeypatch.setattr(analytic, "_violation_probability", lambda *args, **kwargs: calls.append(args))
+    out = str(tmp_path / "rows.txt")
+    for kind in ATTACK_KINDS:
+        y_grid = ["--y-values", "0,1"] if kind == "isra" else []
+        for mode in CheckerMode:
+            flags = ["--attack", kind, "--mode", mode.value, *y_grid, "--n-values", "1,2",
+                     "--d-values", "0.5,1", "--p-values", "0,0.5", "--out", out]
+            assert main(["sweep", *flags, "--trials", "100"]) == 0
+            assert main(["curves", *flags]) == 0
+    assert calls == []

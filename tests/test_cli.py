@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wshare import cli, protocol
+from wshare.analytic import sequence_success_probability
 from wshare.attacks import ATTACK_KINDS
 from wshare.cli import CURVE_COLUMNS, SWEEP_COLUMNS, UsageError, _scenario_value, main
 
@@ -61,10 +62,10 @@ def test_missing_verb_exits_one():
         ("sweep", "--n-values", ","),
         ("sweep", "--p", "1.5", "--p-values", "0.5"),  # out of range though unused
         ("teleport-demo", "--p", "7"),
-        # curves only plots the store-resend closed form under the paper checker
-        ("curves", "--mode", "strict"),
-        ("curves", "--attack", "imra"),
-        ("curves", "--attack", "ema", "--mode", "paper"),
+        # curves, like sweep, takes a y grid only with the isra attack
+        ("curves", "--attack", "none", "--y-values", "0,1"),
+        ("curves", "--attack", "imra", "--mode", "strict", "--y-values", "0.5"),
+        ("curves", "--mode", "lenient"),
         # flags the verb does not use, which used to be ignored without a word
         ("run", "--n", "5", "--seed", "1", "--trials", "50"),
         ("curves", "--trials", "9", "--seed", "4"),
@@ -300,10 +301,10 @@ def test_version_flag():
         {"out": "no-such-dir/out.txt"},
         ("sweep", {"n-values": []}),
         ("sweep", {"d-values": ","}),
-        # values that only one verb refuses
-        ("curves", {"mode": "strict"}),
-        ("curves", {"attack": "imra"}),
-        ("curves", {"attack": "ema"}),
+        # a y grid without the isra attack, from a scenario key
+        ("curves", {"attack": "ema", "y-values": [0.5]}),
+        ("curves --attack none", {"y-values": [0.5]}),
+        ("sweep", {"y-values": [0.5]}),
         # keys the verb does not use, which used to be ignored without a word
         ("run --n 5 --seed 1", {"workers": 4, "y-values": [0.5], "n-values": [3]}),
     ],
@@ -384,7 +385,7 @@ def test_teleport_demo_builds_one_kernel(monkeypatch, tmp_path):
 def test_curves_accepts_isra_and_the_defaults(tmp_path):
     grid = ["curves", "--y-values", "0,1", "--n-values", "1,3", "--format", "csv"]
     outputs = []
-    for extra in ([], ["--attack", "isra"], ["--attack", "none", "--mode", "paper"]):
+    for extra in ([], ["--attack", "isra"], ["--attack", "isra", "--mode", "paper"]):
         out = tmp_path / f"out{len(outputs)}"
         assert main([*grid, *extra, "--out", str(out)]) == 0
         outputs.append(out.read_bytes())
@@ -394,6 +395,51 @@ def test_curves_accepts_isra_and_the_defaults(tmp_path):
     out = tmp_path / "out-scenario"
     assert main([*grid, "--scenario", str(scenario), "--out", str(out)]) == 0
     assert out.read_bytes() == outputs[0]
+
+
+@pytest.mark.parametrize("mode", ["paper", "strict"])
+@pytest.mark.parametrize("attack", ATTACK_KINDS)
+def test_curves_take_every_attack_and_mode(attack, mode, tmp_path):
+    # Every row is the enumeration oracle's sequence success; only isra has
+    # a y, so the other attacks print an empty y and one vary-y curve.
+    base = ["curves", "--d-values", "0.5,1", "--p-values", "0,0.5", "--n-values", "1,3", "--format", "csv"]
+    out, from_scenario = tmp_path / "flags.csv", tmp_path / "scenario.csv"
+    assert main([*base, "--attack", attack, "--mode", mode, "--out", str(out)]) == 0
+    scenario = tmp_path / "scen.json"
+    scenario.write_text(json.dumps({"attack": attack, "mode": mode}))
+    assert main([*base, "--scenario", str(scenario), "--out", str(from_scenario)]) == 0
+    assert out.read_bytes() == from_scenario.read_bytes()
+    header, rows = _read_csv(out.read_text())
+    assert header == CURVE_COLUMNS
+    curves = 3 if attack == "isra" else 1
+    assert [r[0] for r in rows] == ["vary-y"] * 2 * curves + ["vary-d"] * 4 + ["vary-p"] * 4
+    for panel, y, p, d, n, success in rows:
+        assert (y == "") == (attack != "isra")
+        expected = sequence_success_probability(attack, mode, float(p), float(d), int(n), float(y) if y else None)
+        assert float(success) == pytest.approx(expected, abs=1e-11)
+        if attack == "none" or (attack != "isra" and mode == "paper"):
+            assert success == "1"
+
+
+def _readme_verb_table() -> dict[str, set[str]]:
+    """Each row of README's ``| verb | takes |`` table: the verb and its flags."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"), encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("| verb | takes"))
+    table = {}
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        verb, takes = (cell.strip() for cell in line.strip("|").split("|"))
+        flags = set(re.findall(r"--([a-z][a-z-]*)", takes))
+        if "the four grids" in takes:
+            flags |= {"y-values", "p-values", "d-values", "n-values"}
+        table[verb.strip("`")] = flags
+    return table
+
+
+def test_readme_verb_table_lists_exactly_each_verbs_flags():
+    assert _readme_verb_table() == TAKES
 
 
 JSON_VALUES = st.recursive(

@@ -34,9 +34,11 @@ def dd(position, basis):
 def test_config_validation():
     ProtocolConfig(n=1, d=0.0, p=1.0)  # boundary values are fine
     assert ProtocolConfig(n=1, d=0.0, p=1.0, checker_mode="strict").checker_mode is CheckerMode.STRICT
-    for n in (0, 2.5, True, "3"):
+    for n in (0, 2.5, True, "3", 2.0, np.float64(2.0), np.bool_(True), np.int64(0)):
         with pytest.raises(ValueError):
             ProtocolConfig(n=n, d=0.5, p=0.5)
+    config = ProtocolConfig(n=np.int64(5), d=0.5, p=0.5)  # any integral n, stored as a plain int
+    assert config.n == 5 and type(config.n) is int
     with pytest.raises(ValueError):
         ProtocolConfig(n=10, d=1.5, p=0.5)
     with pytest.raises(ValueError):
@@ -131,6 +133,18 @@ def test_tallies_and_offending_positions():
     paper = evaluate_checks(directives, rc, ra, rb, "paper")
     assert paper.offending_rounds == (2,)
     assert paper.tallies["x_rc0"] == RuleTally(applied=0, violations=0)
+
+
+def test_checks_read_a_basis_given_by_its_value():
+    # Z with home 0 needs Ra != Rb, whether the basis is the member or "Z".
+    for basis in (Z, "Z"):
+        assert evaluate_checks([dd(1, basis)], [0], [0], [0], "paper").verdict == "detected"
+    for basis in (X, "X"):
+        assert evaluate_checks([dd(1, basis)], [0], [1], [0], "strict").verdict == "detected"
+        assert evaluate_checks([dd(1, basis)], [0], [1], [0], "paper").verdict == "pass"
+    for basis in ("Y", "z", None):
+        with pytest.raises(ValueError):
+            evaluate_checks([dd(1, basis)], [0], [0], [0], "paper")
 
 
 def honest_detection_branches():

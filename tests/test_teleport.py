@@ -435,6 +435,25 @@ def test_run_teleport_phase_matches_scalar(attack):
     assert rand.random() == twin.random()
 
 
+@pytest.mark.parametrize("attack,p,seed", [
+    (AttackModel("none"), 0.5, 2), (AttackModel("imra"), 0.5, 2), (AttackModel("isra", 0.3), 0.5, 2),
+    (AttackModel("ema"), 0.5, 2), (AttackModel("isra", 1.0), 1.0, 4),  # the last run must abort
+], ids=["none", "imra", "isra", "ema", "isra-aborted"])
+def test_pairless_runs_teleport_nothing(attack, p, seed):
+    # d = 1 sacrifices every round, so no run has a pair: Eve recovers an
+    # empty array of fidelities (nothing when no attack was active).
+    rand = np.random.default_rng(seed)
+    outcome = run_protocol(ProtocolConfig(n=30, d=1.0, p=p), attack, rand)
+    assert len(outcome.pairs) == 0
+    assert outcome.aborted or seed != 4
+    batch, recoveries = teleport_pairs(outcome, rand)
+    assert batch.outcomes.shape == batch.fidelities.shape == (0,)
+    if attack.kind == "none":
+        assert recoveries is None
+    else:
+        assert recoveries.shape == (0,) and recoveries.dtype == float
+
+
 def test_teleport_rejects_bad_labels():
     rng = np.random.default_rng(0)
     message = make_message_state(0.6, 0.8)
