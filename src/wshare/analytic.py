@@ -28,8 +28,8 @@ regardless of what Eve forwards to Bob.)
 
 from __future__ import annotations
 
-from .attacks import AttackModel
-from .protocol import CheckerMode, DetectionDirective, _check_length, _check_unit, evaluate_checks
+from .attacks import AttackModel, _check_unit
+from .protocol import CheckerMode, DetectionDirective, _check_length, evaluate_checks
 from .statevec import _ZERO_PROB, Basis, StateVector, enumerate_qubit, make_w_state
 
 

@@ -21,6 +21,7 @@ recovery for a whole :class:`~wshare.teleport.TeleportBatch` at once.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +50,14 @@ ATTACK_KINDS = ("none", "imra", "isra", "ema")
 EVE_LABEL = "e"
 
 
+def _check_unit(name: str, value) -> float:
+    """``value`` as a float, refused unless it is a real number in [0, 1]
+    (bools, nan and non-real values excluded)."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and 0.0 <= value <= 1.0:
+        return float(value)
+    raise ValueError(f"{name} must be a real number in [0, 1], got {value!r}")
+
+
 @dataclass(frozen=True)
 class AttackModel:
     """One adversary: a kind from :data:`ATTACK_KINDS`, validated once.
@@ -72,9 +81,7 @@ class AttackModel:
             return
         if self.y is None:
             raise ValueError("isra needs the fake-qubit amplitude y")
-        if not 0.0 <= self.y <= 1.0:
-            raise ValueError(f"fake-qubit amplitude y must be in [0, 1], got {self.y}")
-        object.__setattr__(self, "y", float(self.y))
+        object.__setattr__(self, "y", _check_unit("fake-qubit amplitude y", self.y))
         object.__setattr__(self, "x", float(np.sqrt(1.0 - self.y * self.y)))
 
     def intercept(

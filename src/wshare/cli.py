@@ -304,7 +304,9 @@ def _cell(value) -> str:
 def _stdout_to_devnull() -> None:
     """Send what stdout still buffers to nowhere, so the interpreter's last
     flush does not fail again."""
-    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
 
 
 @contextlib.contextmanager
@@ -323,7 +325,7 @@ def _write_failures(to_stdout: bool):
 
 def _emit_rows(columns: list[str], rows: list[dict], cfg: argparse.Namespace,
                header: bool = True, notes: list[str] | None = None) -> None:
-    """Write rows in the selected format, to --out or stdout."""
+    """Write rows in the selected format, to --out or stdout; each row holds every column."""
     try:
         sink = open(cfg.out, "w", newline="") if cfg.out else contextlib.nullcontext(sys.stdout)
     except OSError as exc:
@@ -333,14 +335,14 @@ def _emit_rows(columns: list[str], rows: list[dict], cfg: argparse.Namespace,
             writer = csv.writer(stream, lineterminator="\n")
             writer.writerow(columns)
             for row in rows:
-                writer.writerow([_cell(row.get(c)) for c in columns])
+                writer.writerow([_cell(row[c]) for c in columns])
         elif cfg.format == "records":
             for row in rows:
-                stream.write(json.dumps({c: row.get(c) for c in columns}, default=_cell) + "\n")
+                stream.write(json.dumps({c: row[c] for c in columns}, default=_cell) + "\n")
         else:
             for note in notes or []:
                 stream.write(f"# {note}\n")
-            table = [[_cell(row.get(c)) for c in columns] for row in rows]
+            table = [[_cell(row[c]) for c in columns] for row in rows]
             if header:
                 table.insert(0, list(columns))
             widths = [max(len(line[i]) for line in table) for i in range(len(columns))]
@@ -396,22 +398,10 @@ def _sweep_point(args: tuple) -> dict:
     detection_rate = stats.detections / trials
     success_rate = 1.0 - detection_rate
     analytic = (1.0 - closed_form_round_detection(kind, config.checker_mode, p, d, y)) ** n
-    return {
-        "attack": kind,
-        "mode": mode_name,
-        "y": y,
-        "p": p,
-        "d": d,
-        "n": n,
-        "trials": trials,
-        "detections": stats.detections,
-        "detection_rate": detection_rate,
-        "success_rate": success_rate,
-        "success_stderr": float(np.sqrt(success_rate * (1.0 - success_rate) / trials)),
-        "yield_mean": stats.yield_mean,
-        "teleport_fidelity_mean": stats.fidelity_mean,
-        "analytic_success": analytic,
-    }
+    return dict(zip(SWEEP_COLUMNS, (
+        kind, mode_name, y, p, d, n, trials, stats.detections, detection_rate, success_rate,
+        float(np.sqrt(success_rate * (1.0 - success_rate) / trials)),
+        stats.yield_mean, stats.fidelity_mean, analytic), strict=True))
 
 
 # A worker process pays for its start only past this many trial-rounds
@@ -498,7 +488,7 @@ def cmd_teleport_demo(cfg: argparse.Namespace) -> int:
     distilled pair to begin with, so they have no demo channel here.
     """
     table = build_correction_table()
-    rows = [{"section": "correction", "outcome": name, "correction": correction}
+    rows = [dict(zip(DEMO_COLUMNS, ("correction", name, correction, None, None, None, None), strict=True))
             for name, correction in table.items()]
     rand = np.random.default_rng(cfg.seed)
     kernel = _bell_kernel(corrupted_channel() if cfg.attack == "ema" else psi_plus_pair())
@@ -509,15 +499,8 @@ def cmd_teleport_demo(cfg: argparse.Namespace) -> int:
     batch = teleport_batch(messages, (kernel,), np.zeros(cfg.trials, dtype=np.intp), draws)
     for (a, b), k, fidelity in zip(messages.tolist(), batch.outcomes.tolist(), batch.fidelities.tolist()):
         expected = 1.0 if cfg.attack == "none" else abs(a) ** 4 + abs(b) ** 4
-        rows.append({
-            "section": "trial",
-            "outcome": BELL_NAMES[k],
-            "correction": table[BELL_NAMES[k]],
-            "a": a,
-            "b": b,
-            "fidelity": fidelity,
-            "expected_fidelity": expected,
-        })
+        rows.append(dict(zip(DEMO_COLUMNS, ("trial", BELL_NAMES[k], table[BELL_NAMES[k]], a, b,
+                                            fidelity, expected), strict=True)))
     _emit_rows(DEMO_COLUMNS, rows, cfg)
     return 0
 

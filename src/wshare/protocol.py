@@ -14,9 +14,9 @@ One run goes through two phases:
   publishes which came out 0 — exactly those positions leave Alice and Bob
   sharing a (|01>+|10>)/sqrt(2) Bell pair, ready for teleportation.
 
-A run is held as arrays indexed by position (see the round tables below);
-Eve's per-round bits (measure-resend only) come back as
-:attr:`RunOutcome.eve_bits`.
+A run is held as arrays indexed by position, one block of :class:`Rounds`
+(see the round tables below); Eve's per-round bits (measure-resend only)
+come back as :attr:`RunOutcome.eve_bits`.
 
 Two checking semantics ship side by side.  ``strict`` enforces every
 physically valid correlation of the W state:
@@ -69,14 +69,14 @@ boolean masks over them.
 only; selection (B, n); basis (B, n); detection (B, n, 3), the home,
 Alice and Bob uniforms of each round; confirmation (B, n).  Every array is
 drawn whole, for every round, whatever ``d`` and ``p`` are and whether the
-round was selected.  :func:`run_protocol` is one trial (B = 1) and builds
-its transcript and pairs from the arrays; :func:`teleport_pairs` then
-teleports over a run's pairs, drawing every message's normals and then one
-teleport uniform per pair.  :func:`run_trials` is the Monte Carlo view: it
-draws fixed blocks of :func:`_block_size` trials, a function of ``n``
-alone, each followed by one message and one teleport uniform per trial,
-so memory stays bounded and the bytes never depend on how grid points are
-spread over processes.
+round was selected.  The views only read a block.  :func:`run_protocol`
+is one trial (B = 1), kept on its outcome, and :func:`teleport_pairs`
+teleports over that block's pairs: every message's normals, then one
+uniform per pair.  :func:`run_trials` is the Monte Carlo view: it draws
+fixed blocks of :func:`_block_size` trials, a function of ``n`` alone,
+each followed by one message and one teleport uniform per trial, so memory
+stays bounded and the bytes never depend on how grid points are spread
+over processes.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attacks import AttackModel, eve_recover_batch
+from .attacks import AttackModel, _check_unit, eve_recover_batch
 from .statevec import Basis, StateVector, _branch_node, discard_qubit, make_w_state
 from .teleport import TeleportBatch, _bell_kernel, random_amplitudes, teleport_batch
 
@@ -111,7 +111,7 @@ class CheckerMode(enum.Enum):
     STRICT = "strict"
 
 
-def _check_length(n) -> int:
+def _check_length(n, name: str = "sequence length n") -> int:
     """``n`` as a plain int, refused unless it is a positive integer (bools
     excluded; numpy integers taken)."""
     try:
@@ -119,13 +119,7 @@ def _check_length(n) -> int:
             return operator.index(n)
     except TypeError:
         pass
-    raise ValueError(f"sequence length n must be a positive integer, got {n!r}")
-
-
-def _check_unit(name: str, value: float) -> None:
-    """Refuse a probability or amplitude outside [0, 1] (nan included)."""
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {value}")
+    raise ValueError(f"{name} must be a positive integer, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -142,8 +136,8 @@ class ProtocolConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n", _check_length(self.n))
-        _check_unit("detection probability d", self.d)
-        _check_unit("Z-basis probability p", self.p)
+        object.__setattr__(self, "d", _check_unit("detection probability d", self.d))
+        object.__setattr__(self, "p", _check_unit("Z-basis probability p", self.p))
         object.__setattr__(self, "checker_mode", CheckerMode(self.checker_mode))
 
 
@@ -201,8 +195,9 @@ class RunOutcome:
     """Everything one protocol execution produced.
 
     ``attack`` is the model the run went through (the honest one for
-    ``attack=None``).  ``eve_bits[t - 1]`` is Eve's Z result on round
-    ``t`` (measure-resend only; ``None`` where she measured nothing).
+    ``attack=None``), and ``rounds`` its one-row block, outside ``==`` and
+    ``repr``.  ``eve_bits[t - 1]`` is Eve's Z result on round ``t``
+    (measure-resend only; ``None`` where she measured nothing).
     """
 
     config: ProtocolConfig
@@ -210,23 +205,25 @@ class RunOutcome:
     directives: tuple[DetectionDirective, ...]
     report: CheckReport
     pairs: DistilledPairSet
-    eve_bits: tuple[int | None, ...]
     transcript: tuple[tuple, ...]
+    rounds: Rounds = field(compare=False, repr=False)
 
     @property
     def aborted(self) -> bool:
         return self.report.verdict == "detected"
 
     @property
+    def eve_bits(self) -> tuple[int | None, ...]:
+        return tuple(self.rounds.eve[0].tolist()) if self.attack.kind == "imra" else (None,) * self.config.n
+
+    @property
     def surviving_count(self) -> int:
-        return self.config.n - len(self.directives)
+        return int(self.rounds.surviving[0])
 
     @property
     def yield_fraction(self) -> float | None:
         """Distilled pairs per surviving position (None if nothing survived)."""
-        if self.surviving_count == 0:
-            return None
-        return len(self.pairs) / self.surviving_count
+        return len(self.pairs) / self.surviving_count if self.surviving_count else None
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +342,9 @@ class Rounds:
     ``eve`` is Eve's branch index, ``home`` Charlie's home result (from
     detection on selected rounds, from confirmation on the others), and
     ``alice``/``bob`` the travel results, meaningful on selected rounds.
-    ``rules`` maps each rule key to its (applied, violated) masks.
+    ``rules`` maps each rule key to its (applied, violated) masks.  The
+    engine's views read every per-trial fact from here: the abort, the pair
+    mask, the survivor count, and each pair's Eve branch ``eve[pairs]``.
     """
 
     eve: np.ndarray
@@ -367,10 +366,15 @@ class Rounds:
         """(B,): the trials some rule caught."""
         return self.violated.any(axis=1)
 
-    @property
+    @functools.cached_property
     def pairs(self) -> np.ndarray:
         """(B, n): the distilled pairs, surviving home-0 rounds of passing trials."""
         return ~self.selected & ~self.home & ~self.aborted[:, None]
+
+    @functools.cached_property
+    def surviving(self) -> np.ndarray:
+        """(B,): the rounds of each trial not sacrificed to detection."""
+        return (~self.selected).sum(axis=1)
 
 
 def _block_size(n: int) -> int:
@@ -409,11 +413,10 @@ def run_protocol(
     ``attack=None`` is the honest channel.  On detection the run aborts (no
     pairs); rerunning is the caller's decision.
     """
-    if attack is None:
-        attack = _HONEST
+    attack = _HONEST if attack is None else attack
     tables = _round_tables(attack)
     rounds = _draw_rounds(tables, config, rand, 1)
-    selected = rounds.selected[0]
+    selected, paired = rounds.selected[0], rounds.pairs[0]
 
     def published(results) -> tuple[int, ...]:
         return tuple(results[0, selected].astype(np.int8).tolist())
@@ -434,31 +437,19 @@ def run_protocol(
                for key, (applied, violated) in rounds.rules.items()}
     report = CheckReport("detected" if rounds.aborted[0] else "pass",
                          tuple((np.flatnonzero(rounds.violated[0]) + 1).tolist()), tallies)
+    pairs = DistilledPairSet(tuple((np.flatnonzero(paired) + 1).tolist()),
+                             tuple(tables.pairs[e] for e in rounds.eve[rounds.pairs].tolist()))
     transcript.append(("charlie", "verdict", report.verdict))
     if rounds.aborted[0]:
         transcript.append(("charlie", "offending", report.offending_rounds))
         transcript.append(("charlie", "abort", "eavesdropping suspected; sequence discarded"))
-        pairs = DistilledPairSet((), ())
     else:
-        # Confirmation: the surviving home results, and the 0 positions among them.
+        # Confirmation: the 0 positions among the surviving home results.
         transcript.append(("charlie", "mode", "confirmation"))
-        surviving = np.flatnonzero(~selected)
-        kept = np.flatnonzero(~rounds.home[0, surviving])
-        transcript.append(("charlie", "distill-positions", tuple((kept + 1).tolist())))
-        at = surviving[kept]
-        pairs = DistilledPairSet(tuple((at + 1).tolist()),
-                                 tuple(tables.pairs[e] for e in rounds.eve[0, at].tolist()))
+        transcript.append(("charlie", "distill-positions",
+                           tuple((np.flatnonzero(paired[~selected]) + 1).tolist())))
         transcript.append(("charlie", "pair-count", len(pairs)))
-    eve_bits = tuple(rounds.eve[0].tolist()) if tables.te is not None else (None,) * config.n
-    return RunOutcome(
-        config=config,
-        attack=attack,
-        directives=directives,
-        report=report,
-        pairs=pairs,
-        eve_bits=eve_bits,
-        transcript=tuple(transcript),
-    )
+    return RunOutcome(config, attack, directives, report, pairs, tuple(transcript), rounds)
 
 
 def teleport_pairs(outcome: RunOutcome, rand: np.random.Generator
@@ -467,23 +458,18 @@ def teleport_pairs(outcome: RunOutcome, rand: np.random.Generator
 
     ``outcome`` is what :func:`run_protocol` returned, and ``rand``
     continues its stream: all the message normals, then one teleport
-    uniform per pair.  Each pair goes through the kernel of its
-    Eve branch in the round tables: Eve's bit on its round under imra, 0
-    otherwise.  Returns the batch, and Eve's recovery fidelity per pair
-    when an attack was active (else ``None``).
+    uniform per pair.  Each pair goes through the kernel of its Eve branch
+    in the round tables, read from the run's block as ``eve[pairs]``: Eve's
+    bit on its round under imra, 0 otherwise.  Returns the batch, and Eve's
+    recovery fidelity per pair when an attack was active (else ``None``).
     """
-    attack = outcome.attack
-    tables = _round_tables(attack)
-    count = len(outcome.pairs)
-    messages = random_amplitudes(rand, count)
-    draws = rand.random(count)
-    rounds = np.array(outcome.pairs.positions, dtype=np.intp) - 1
-    bits = np.array(outcome.eve_bits)[rounds] if attack.kind == "imra" else None
-    which = np.zeros(count, dtype=np.intp) if bits is None else bits
-    batch = teleport_batch(messages, tables.kernels, which, draws)
+    attack, rounds = outcome.attack, outcome.rounds
+    which = rounds.eve[rounds.pairs]
+    messages = random_amplitudes(rand, which.size)
+    batch = teleport_batch(messages, _round_tables(attack).kernels, which, rand.random(which.size))
     if attack.kind == "none":
         return batch, None
-    return batch, eve_recover_batch(attack, bits, batch, messages)
+    return batch, eve_recover_batch(attack, which, batch, messages)
 
 
 @dataclass(frozen=True)
@@ -501,15 +487,17 @@ class TrialStats:
     fidelity_mean: float | None
 
 
-def run_trials(config: ProtocolConfig, attack: AttackModel, trials: int,
+def run_trials(config: ProtocolConfig, attack: AttackModel | None, trials: int,
                rand: np.random.Generator) -> TrialStats:
     """Run ``trials`` independent protocol runs from one stream, in blocks.
 
     Each block of :func:`_block_size` trials (the last one ragged) draws
     its rounds, then one message (four normals) and one teleport uniform
-    per trial, used by the trials that distilled a pair.
+    per trial, used by the trials that distilled a pair.  ``attack=None``
+    is the honest channel, and ``trials`` must be a positive integer.
     """
-    tables = _round_tables(attack)
+    trials = _check_length(trials, "trial count")
+    tables = _round_tables(_HONEST if attack is None else attack)
     detections = yield_count = fidelity_count = 0
     yield_sum = fidelity_sum = 0.0
     size = _block_size(config.n)
@@ -519,8 +507,7 @@ def run_trials(config: ProtocolConfig, attack: AttackModel, trials: int,
         messages = random_amplitudes(rand, block)
         draws = rand.random(block)
         detections += int(rounds.aborted.sum())
-        pairs = rounds.pairs
-        surviving = (~rounds.selected).sum(axis=1)
+        pairs, surviving = rounds.pairs, rounds.surviving
         counted = ~rounds.aborted & (surviving > 0)
         yield_sum += float((pairs.sum(axis=1)[counted] / surviving[counted]).sum())
         yield_count += int(counted.sum())

@@ -144,6 +144,13 @@ def test_oracle_validates_arguments():
             per_round("none", "paper_analytic", p=0.5, d=0.5)
         with pytest.raises(ValueError):
             per_round("isra", "strict", p=0.5, d=0.5, y=1.5)
+        for bad in (True, "0.5", 0.5j):
+            with pytest.raises(ValueError):
+                per_round("isra", "strict", p=bad, d=0.5, y=0.5)
+            with pytest.raises(ValueError):
+                per_round("imra", "paper", p=0.5, d=bad)
+            with pytest.raises(ValueError):
+                per_round("isra", "paper", p=0.5, d=0.5, y=bad)
         with pytest.raises(ValueError):
             per_round("ema", "strict", p=0.5, d=0.5, y=0.5)  # y is isra's only
     with pytest.raises(ValueError):

@@ -116,9 +116,11 @@ def test_attack_model_validation():
         AttackModel("spoof")
     with pytest.raises(ValueError):
         AttackModel("isra")  # y missing
-    for y in (1.5, -0.1, float("nan")):
+    for y in (1.5, -0.1, float("nan"), True, np.bool_(True), "0.5", 0.5j, 10 ** 400):
         with pytest.raises(ValueError):
             AttackModel("isra", y=y)
+    for y in (1, np.float32(0.5)):  # any real y, stored as a plain float
+        assert type(AttackModel("isra", y=y).y) is float
     for kind in ("none", "imra", "ema"):
         with pytest.raises(ValueError):
             AttackModel(kind, y=0.5)

@@ -366,6 +366,24 @@ def test_failed_write_exits_one_without_traceback(args):
     assert len(proc.stderr.splitlines()) == 1
 
 
+def test_stdout_to_devnull_closes_what_it_opens(monkeypatch, tmp_path):
+    opened = []
+
+    def recorded(*args):
+        opened.append(os_open(*args))
+        return opened[-1]
+
+    os_open = os.open
+    with open(tmp_path / "stdout", "w") as stream:
+        monkeypatch.setattr(sys, "stdout", stream)
+        monkeypatch.setattr(os, "open", recorded)
+        cli._stdout_to_devnull()
+        monkeypatch.undo()
+    assert len(opened) == 1
+    with pytest.raises(OSError):
+        os.fstat(opened[0])  # closed, so not leaked
+
+
 def test_teleport_demo_builds_one_kernel(monkeypatch, tmp_path):
     calls = []
 

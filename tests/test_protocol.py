@@ -15,6 +15,8 @@ from wshare.protocol import (
     RuleTally,
     evaluate_checks,
     run_protocol,
+    run_trials,
+    teleport_pairs,
 )
 from wshare.statevec import Basis, enumerate_qubit, make_w_state
 
@@ -39,10 +41,14 @@ def test_config_validation():
             ProtocolConfig(n=n, d=0.5, p=0.5)
     config = ProtocolConfig(n=np.int64(5), d=0.5, p=0.5)  # any integral n, stored as a plain int
     assert config.n == 5 and type(config.n) is int
-    with pytest.raises(ValueError):
-        ProtocolConfig(n=10, d=1.5, p=0.5)
-    with pytest.raises(ValueError):
-        ProtocolConfig(n=10, d=0.5, p=-0.1)
+    # any real d and p in [0, 1], stored as plain floats
+    config = ProtocolConfig(n=3, d=0, p=np.float32(1.0))
+    assert (config.d, config.p) == (0.0, 1.0) and type(config.d) is type(config.p) is float
+    for bad in (1.5, -0.1, float("nan"), True, np.bool_(False), "0.5", None, 0.5j, 10 ** 400):
+        with pytest.raises(ValueError):
+            ProtocolConfig(n=10, d=bad, p=0.5)
+        with pytest.raises(ValueError):
+            ProtocolConfig(n=10, d=0.5, p=bad)
     with pytest.raises(ValueError):
         ProtocolConfig(n=10, d=0.5, p=0.5, checker_mode="lenient")
     with pytest.raises(ValueError):
@@ -367,3 +373,43 @@ def test_isra_pairs_carry_stored_qubit():
             for _, state in outcome.pairs:
                 assert set(state.labels) == {"a", "e", "b"}
     assert checked, "expected some passing run with pairs among these seeds"
+
+
+# ---------------------------------------------------------------------------
+# the two engine views
+
+
+def test_run_trials_checks_its_inputs():
+    config = ProtocolConfig(n=5, d=0.5, p=0.5)
+    honest = run_trials(config, AttackModel("none"), 50, np.random.default_rng(3))
+    assert run_trials(config, None, 50, np.random.default_rng(3)) == honest
+    assert honest.detections == 0
+    for trials in (0, -3, True, 2.0, "5", None):
+        with pytest.raises(ValueError):
+            run_trials(config, None, trials, np.random.default_rng(3))
+    assert run_trials(config, None, np.int64(50), np.random.default_rng(3)) == honest
+
+
+@pytest.mark.parametrize("mode", ["paper", "strict"])
+@pytest.mark.parametrize("attack", [AttackModel("none"), AttackModel("imra"),
+                                    AttackModel("isra", 0.6), AttackModel("ema")],
+                         ids=lambda attack: attack.kind)
+def test_one_trial_views_agree(attack, mode):
+    # One Monte Carlo trial and one run with its teleport phase read the same
+    # draws, so they agree exactly: on the abort, the yield, and (with one
+    # pair, the trial's first) on the teleport and the stream after it.
+    config = ProtocolConfig(n=3, d=0.4, p=0.5, checker_mode=mode)
+    single = 0
+    for seed in range(40):
+        rand, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        stats = run_trials(config, attack, 1, rand)
+        outcome = run_protocol(config, attack, twin)
+        assert stats.detections == int(outcome.aborted), seed
+        counted = not outcome.aborted and outcome.surviving_count > 0
+        assert stats.yield_mean == (outcome.yield_fraction if counted else None), seed
+        if len(outcome.pairs) == 1:
+            single += 1
+            batch, _ = teleport_pairs(outcome, twin)
+            assert stats.fidelity_mean == batch.fidelities[0], seed
+            assert rand.random() == twin.random(), seed
+    assert single >= 5
