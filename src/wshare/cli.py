@@ -55,10 +55,9 @@ import numpy as np
 from . import __version__
 from .analytic import closed_form_round_detection
 from .attacks import ATTACK_KINDS, AttackModel
-from .protocol import CheckerMode, ProtocolConfig, run_protocol, run_trials, teleport_pairs
+from .protocol import CheckerMode, ProtocolConfig, _round_tables, run_protocol, run_trials, teleport_pairs
 from .statevec import BELL_NAMES
-from .teleport import (_bell_kernel, build_correction_table, corrupted_channel, psi_plus_pair,
-                       random_amplitudes, teleport_batch)
+from .teleport import build_correction_table, teleport_fresh
 
 
 class UsageError(Exception):
@@ -256,12 +255,17 @@ def _checked(verb: str, key: str, value, domain):
     return value
 
 
+# A sweep's scalar and its grid; curves takes both, the scalar as its base point.
+_GRIDS = {"n": "n_values", "d": "d_values", "p": "p_values", "isra_y": "y_values"}
+
+
 def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     """Merge table defaults < scenario file < explicit flags into one config.
 
     The one place where a flag or scenario key that the verb does not take
-    is refused (and a y grid without the isra attack), and where every
-    value it does take is range-checked, so later steps cannot fail on them.
+    is refused (and a y grid without the isra attack, and a sweep scalar
+    given with its grid), and where every value it does take is
+    range-checked, so later steps cannot fail on them.
     """
     given = {}
     if args.scenario:
@@ -275,6 +279,10 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     refused = [_option(name) for name in given if _FLAGS[name].use(args.verb) is None]
     if refused:
         raise UsageError(f"{args.verb} does not take {', '.join(refused)}")
+    both = [f"{_option(one)} and {_option(grid)}" for one, grid in _GRIDS.items()
+            if args.verb == "sweep" and one in given and given.get(grid) is not None]
+    if both:
+        raise UsageError(f"sweep takes a value or its grid, not both: {'; '.join(both)}")
     cfg = argparse.Namespace(verb=args.verb)
     for name, flag in _FLAGS.items():
         use = flag.use(args.verb)
@@ -483,20 +491,17 @@ DEMO_COLUMNS = ["section", "outcome", "correction", "a", "b", "fidelity", "expec
 def cmd_teleport_demo(cfg: argparse.Namespace) -> int:
     """Show the correction table, then teleport a batch of random messages.
 
-    ``--attack ema`` swaps in the corrupted three-qubit channel the
-    entangling interceptor leaves behind; other attacks never hand Alice a
-    distilled pair to begin with, so they have no demo channel here.
+    The channel is the attack's pair node in the round tables: with
+    ``--attack ema``, the corrupted three-qubit channel the entangling
+    interceptor leaves behind; other attacks never hand Alice a distilled
+    pair to begin with, so they have no demo channel here.
     """
     table = build_correction_table()
     rows = [dict(zip(DEMO_COLUMNS, ("correction", name, correction, None, None, None, None), strict=True))
             for name, correction in table.items()]
-    rand = np.random.default_rng(cfg.seed)
-    kernel = _bell_kernel(corrupted_channel() if cfg.attack == "ema" else psi_plus_pair())
-    messages, draws = np.empty((cfg.trials, 2), dtype=complex), np.empty(cfg.trials)
-    for t in range(cfg.trials):  # each trial's message normals, then its uniform
-        messages[t] = random_amplitudes(rand, 1)[0]
-        draws[t] = rand.random()
-    batch = teleport_batch(messages, (kernel,), np.zeros(cfg.trials, dtype=np.intp), draws)
+    kernels = _round_tables(AttackModel(cfg.attack)).kernels
+    messages, batch = teleport_fresh(kernels, np.zeros(cfg.trials, dtype=np.intp),
+                                     np.random.default_rng(cfg.seed))
     for (a, b), k, fidelity in zip(messages.tolist(), batch.outcomes.tolist(), batch.fidelities.tolist()):
         expected = 1.0 if cfg.attack == "none" else abs(a) ** 4 + abs(b) ** 4
         rows.append(dict(zip(DEMO_COLUMNS, ("trial", BELL_NAMES[k], table[BELL_NAMES[k]], a, b,

@@ -66,17 +66,17 @@ few numpy expressions over (B, n) arrays, and the rule table is a set of
 boolean masks over them.
 
 **Stream layout.**  A block draws, in this order: Eve (B, n), for imra
-only; selection (B, n); basis (B, n); detection (B, n, 3), the home,
-Alice and Bob uniforms of each round; confirmation (B, n).  Every array is
-drawn whole, for every round, whatever ``d`` and ``p`` are and whether the
-round was selected.  The views only read a block.  :func:`run_protocol`
-is one trial (B = 1), kept on its outcome, and :func:`teleport_pairs`
-teleports over that block's pairs: every message's normals, then one
-uniform per pair.  :func:`run_trials` is the Monte Carlo view: it draws
-fixed blocks of :func:`_block_size` trials, a function of ``n`` alone,
-each followed by one message and one teleport uniform per trial, so memory
-stays bounded and the bytes never depend on how grid points are spread
-over processes.
+only; selection (B, n); basis (B, n); round uniforms (B, n, 3): home,
+Alice, Bob.  Each home qubit is measured once, so a round reads its home
+result from column 0, selected or not.  Every array is drawn whole,
+whatever ``d`` and ``p`` are.  :func:`run_protocol` is one block of one
+trial, kept on its outcome.  :func:`run_trials` is the Monte Carlo view:
+fixed blocks of :func:`_block_size` trials, a function of ``n`` alone, so
+memory stays bounded and the bytes never depend on how grid points are
+spread over processes.  Every teleport, of a run's pairs
+(:func:`teleport_pairs`) or of a block's first pairs, goes through
+:func:`~wshare.teleport.teleport_fresh`: all message normals, then one
+uniform per pair; a trial without a pair draws nothing more.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ import numpy as np
 
 from .attacks import AttackModel, _check_unit, eve_recover_batch
 from .statevec import Basis, StateVector, _branch_node, discard_qubit, make_w_state
-from .teleport import TeleportBatch, _bell_kernel, random_amplitudes, teleport_batch
+from .teleport import TeleportBatch, _bell_kernel, teleport_fresh
 
 RULE_KEYS = ("z_rc0", "z_rc1", "x_rc0")
 
@@ -339,9 +339,9 @@ def _round_tables(attack: AttackModel) -> RoundTables:
 class Rounds:
     """One block of trials as (B, n) arrays: row = trial, column t - 1 = round t.
 
-    ``eve`` is Eve's branch index, ``home`` Charlie's home result (from
-    detection on selected rounds, from confirmation on the others), and
-    ``alice``/``bob`` the travel results, meaningful on selected rounds.
+    ``eve`` is Eve's branch index, ``home`` Charlie's one home result per
+    round (in detection on selected rounds, in confirmation on the others),
+    and ``alice``/``bob`` the travel results, meaningful on selected rounds.
     ``rules`` maps each rule key to its (applied, violated) masks.  The
     engine's views read every per-trial fact from here: the abort, the pair
     mask, the survivor count, and each pair's Eve branch ``eve[pairs]``.
@@ -391,13 +391,11 @@ def _draw_rounds(tables: RoundTables, config: ProtocolConfig, rand, trials: int)
         eve = (rand.random(shape) >= tables.te).view(np.uint8)
     selected = rand.random(shape) < config.d
     x_basis = rand.random(shape) >= config.p
-    detect = rand.random(shape + (3,))
-    home = rand.random(shape)  # the confirmation uniforms, but on selected
-    np.copyto(home, detect[..., 0], where=selected)  # rounds detection's
-    home = home >= tables.tc[eve]
+    uniforms = rand.random(shape + (3,))  # home, Alice, Bob
+    home = uniforms[..., 0] >= tables.tc[eve]
     node = (eve * 2 + home) * 2 + x_basis  # flat index of (e, c, basis)
-    alice = detect[..., 1] >= tables.ta.reshape(-1)[node]
-    bob = detect[..., 2] >= tables.tb.reshape(-1)[node * 2 + alice]
+    alice = uniforms[..., 1] >= tables.ta.reshape(-1)[node]
+    bob = uniforms[..., 2] >= tables.tb.reshape(-1)[node * 2 + alice]
     rules = _apply_rules(selected, x_basis, home, alice, bob, config.checker_mode)
     return Rounds(eve, selected, x_basis, home, alice, bob, rules)
 
@@ -457,16 +455,16 @@ def teleport_pairs(outcome: RunOutcome, rand: np.random.Generator
     """Teleport one fresh random message over every distilled pair of a run.
 
     ``outcome`` is what :func:`run_protocol` returned, and ``rand``
-    continues its stream: all the message normals, then one teleport
-    uniform per pair.  Each pair goes through the kernel of its Eve branch
-    in the round tables, read from the run's block as ``eve[pairs]``: Eve's
-    bit on its round under imra, 0 otherwise.  Returns the batch, and Eve's
-    recovery fidelity per pair when an attack was active (else ``None``).
+    continues its stream through :func:`~wshare.teleport.teleport_fresh`:
+    all the message normals, then one uniform per pair.  Each pair goes
+    through the kernel of its Eve branch in the round tables, read from the
+    run's block as ``eve[pairs]``: Eve's bit on its round under imra, 0
+    otherwise.  Returns the batch, and Eve's recovery fidelity per pair
+    when an attack was active (else ``None``).
     """
     attack, rounds = outcome.attack, outcome.rounds
     which = rounds.eve[rounds.pairs]
-    messages = random_amplitudes(rand, which.size)
-    batch = teleport_batch(messages, _round_tables(attack).kernels, which, rand.random(which.size))
+    messages, batch = teleport_fresh(_round_tables(attack).kernels, which, rand)
     if attack.kind == "none":
         return batch, None
     return batch, eve_recover_batch(attack, which, batch, messages)
@@ -492,9 +490,10 @@ def run_trials(config: ProtocolConfig, attack: AttackModel | None, trials: int,
     """Run ``trials`` independent protocol runs from one stream, in blocks.
 
     Each block of :func:`_block_size` trials (the last one ragged) draws
-    its rounds, then one message (four normals) and one teleport uniform
-    per trial, used by the trials that distilled a pair.  ``attack=None``
-    is the honest channel, and ``trials`` must be a positive integer.
+    its rounds, then teleports one fresh message over the first pair of
+    each trial that has one (:func:`~wshare.teleport.teleport_fresh`); a
+    trial without a pair draws nothing more.  ``attack=None`` is the
+    honest channel, and ``trials`` must be a positive integer.
     """
     trials = _check_length(trials, "trial count")
     tables = _round_tables(_HONEST if attack is None else attack)
@@ -504,8 +503,6 @@ def run_trials(config: ProtocolConfig, attack: AttackModel | None, trials: int,
     for start in range(0, trials, size):
         block = min(size, trials - start)
         rounds = _draw_rounds(tables, config, rand, block)
-        messages = random_amplitudes(rand, block)
-        draws = rand.random(block)
         detections += int(rounds.aborted.sum())
         pairs, surviving = rounds.pairs, rounds.surviving
         counted = ~rounds.aborted & (surviving > 0)
@@ -513,8 +510,7 @@ def run_trials(config: ProtocolConfig, attack: AttackModel | None, trials: int,
         yield_count += int(counted.sum())
         teleported = np.flatnonzero(pairs.any(axis=1))
         first = pairs[teleported].argmax(axis=1)
-        batch = teleport_batch(messages[teleported], tables.kernels,
-                               rounds.eve[teleported, first], draws[teleported])
+        _, batch = teleport_fresh(tables.kernels, rounds.eve[teleported, first], rand)
         fidelity_sum += float(batch.fidelities.sum())
         fidelity_count += teleported.size
     return TrialStats(

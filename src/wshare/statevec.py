@@ -62,7 +62,7 @@ class StateVector:
                 f"got {amps.shape[0]}"
             )
         norm = float(np.sqrt(np.vdot(amps, amps).real))
-        if abs(norm - 1.0) > 1e-9:
+        if not abs(norm - 1.0) <= 1e-9:  # NaN-safe: a NaN or infinite norm fails too
             raise ValueError(f"state is not normalized: |psi|^2 = {norm ** 2:.6g}")
         amps = amps / norm  # fresh array, exact unit norm
         amps.flags.writeable = False
@@ -179,9 +179,6 @@ def make_basis_state(bits, labels) -> StateVector:
 
 def make_message_state(a: complex, b: complex, label: str = "m") -> StateVector:
     """Single-qubit message a|0> + b|1>; (a, b) must be normalized to 1e-9."""
-    norm_sq = abs(a) ** 2 + abs(b) ** 2
-    if abs(norm_sq - 1.0) > 1e-9:
-        raise ValueError(f"message coefficients not normalized: |a|^2+|b|^2 = {norm_sq:.6g}")
     return StateVector(np.array([a, b], dtype=complex), (label,))
 
 
@@ -314,14 +311,15 @@ def _clamped(p0: float) -> float:
     return p0
 
 
-def measure_qubit(s: StateVector, q: str, basis: Basis, rand: np.random.Generator) -> MeasurementBranch:
+def measure_qubit(s: StateVector, q: str, basis: Basis | str, rand: np.random.Generator) -> MeasurementBranch:
     """Sample a single-qubit measurement and collapse the register.
 
     The outcome is drawn with its Born probability: one uniform draw per
     call, outcome 0 iff the draw falls below P(outcome 0).  Re-measuring the
-    same qubit in the same basis is then deterministic.
+    same qubit in the same basis is then deterministic.  ``basis`` may be a
+    :class:`Basis` or its value; anything else raises ``ValueError``.
     """
-    ax = s.axis(q)
+    basis, ax = Basis(basis), s.axis(q)
     p0, proj0, proj1 = _branch_weights(s._split(ax), basis)
     outcome = 0 if rand.random() < _clamped(p0) else 1
     probability = p0 if outcome == 0 else 1.0 - p0
@@ -330,12 +328,13 @@ def measure_qubit(s: StateVector, q: str, basis: Basis, rand: np.random.Generato
     return MeasurementBranch(outcome, probability, post)
 
 
-def enumerate_qubit(s: StateVector, q: str, basis: Basis) -> list[MeasurementBranch]:
+def enumerate_qubit(s: StateVector, q: str, basis: Basis | str) -> list[MeasurementBranch]:
     """Both branches of a single-qubit measurement with exact probabilities.
 
-    Zero-probability branches are reported with ``post_state=None``.
+    Zero-probability branches are reported with ``post_state=None``, and
+    ``basis`` is taken as in :func:`measure_qubit`.
     """
-    ax = s.axis(q)
+    basis, ax = Basis(basis), s.axis(q)
     p0, proj0, proj1 = _branch_weights(s._split(ax), basis)
     branches = []
     for outcome, probability, projection in ((0, p0, proj0), (1, 1.0 - p0, proj1)):

@@ -13,8 +13,8 @@ message amplitudes to the rest of the register with Bob's correction
 already applied, so an attempt is one matrix product and never builds the
 joint register.  The protocol's round tables hold one kernel per pair
 node, and each kernel costs one ``einsum`` per block of rows.
-:func:`teleport` is one row of a batch, and :func:`random_amplitudes`
-draws the messages.  :func:`teleport_branches` stays the scalar
+:func:`teleport` is one row of a batch, and :func:`teleport_fresh` draws
+every other teleport.  :func:`teleport_branches` stays the scalar
 four-branch oracle, built from :func:`~wshare.statevec.enumerate_bell`.
 In every pair register Alice's qubit is ``"a"`` and Bob's ``"b"``.
 
@@ -211,18 +211,18 @@ def teleport_batch(
     impossible ones (:func:`~wshare.statevec._sample_bell_rows`); only the
     drawn residual is normalized.  Each kernel used costs one ``einsum``
     per ``_BATCH_ROWS`` of its rows.  The kernels used must share their
-    rest.
+    rest; a row whose node has no kernel (or is negative) raises ValueError.
     """
     count = len(draws)
     outcomes = np.zeros(count, dtype=np.intp)
     weights = np.zeros(count)
     residuals = None
     labels: tuple[str, ...] = ()
-    for node, pair_kernel in enumerate(kernels):
+    for node in np.flatnonzero(np.bincount(which)).tolist():  # nodes used, ascending; np.unique loads numpy.ma
+        if node >= len(kernels) or kernels[node] is None:
+            raise ValueError(f"no Bell kernel for pair node {node}")
         rows = np.flatnonzero(which == node)
-        if not rows.size:
-            continue
-        kernel, rest = pair_kernel
+        kernel, rest = kernels[node]
         if residuals is None:
             residuals, labels = np.zeros((count, kernel.shape[2]), dtype=complex), rest
         elif rest != labels:
@@ -240,6 +240,14 @@ def teleport_batch(
         return TeleportBatch(outcomes, weights, np.zeros((0, 0), dtype=complex), (), np.zeros(0))
     return TeleportBatch(outcomes, weights, residuals, labels,
                          qubit_fidelities(residuals, labels, "b", messages))
+
+
+def teleport_fresh(kernels, which: np.ndarray, rand: np.random.Generator) -> tuple[np.ndarray, TeleportBatch]:
+    """A fresh random message through ``kernels[which[t]]`` per row: the one
+    teleport draw layout, all message normals (:func:`random_amplitudes`),
+    then one uniform per row.  Returns the (T, 2) messages and the batch."""
+    messages = random_amplitudes(rand, len(which))
+    return messages, teleport_batch(messages, kernels, which, rand.random(len(which)))
 
 
 def qubit_fidelities(amplitudes: np.ndarray, labels: tuple[str, ...], q: str,

@@ -385,18 +385,22 @@ def test_stdout_to_devnull_closes_what_it_opens(monkeypatch, tmp_path):
 
 
 def test_teleport_demo_builds_one_kernel(monkeypatch, tmp_path):
+    # The demo's channel is its attack's pair node in the round tables, so
+    # its kernel is built once per attack, however often the demo runs.
     calls = []
 
     def counted(pair):
         calls.append(pair)
         return kernel(pair)
 
-    kernel = cli._bell_kernel
-    monkeypatch.setattr(cli, "_bell_kernel", counted)
+    kernel = protocol._bell_kernel
+    monkeypatch.setattr(protocol, "_bell_kernel", counted)
+    protocol._round_tables.cache_clear()
     for attack in ("none", "ema"):
         calls.clear()
-        assert main(["teleport-demo", "--attack", attack, "--trials", "50",
-                     "--out", str(tmp_path / attack)]) == 0
+        for _ in range(2):
+            assert main(["teleport-demo", "--attack", attack, "--trials", "50",
+                         "--out", str(tmp_path / attack)]) == 0
         assert len(calls) == 1, attack
 
 
@@ -518,7 +522,7 @@ ALL_FLAGS = sorted(set().union(*TAKES.values()))
 # an isra attack for --y-values).
 BASE_ARGV = {
     "run": ["run"],
-    "sweep": ["sweep", "--trials", "100", "--n", "2", "--attack", "isra"],
+    "sweep": ["sweep", "--trials", "100", "--attack", "isra"],
     "curves": ["curves"],
     "teleport-demo": ["teleport-demo"],
 }
@@ -543,6 +547,25 @@ def test_each_verb_takes_exactly_its_flags(verb, flag, tmp_path, monkeypatch, ca
     assert main([*BASE_ARGV[verb], f"--{flag}", text]) == expected
     assert main([*BASE_ARGV[verb], "--scenario", str(scenario)]) == expected
     assert capsys.readouterr().err.count("error:") == 2 * expected
+
+
+@pytest.mark.parametrize("scalar,grid", [("n", "n-values"), ("d", "d-values"), ("p", "p-values"),
+                                         ("isra-y", "y-values")])
+def test_sweep_refuses_a_scalar_with_its_grid(scalar, grid, tmp_path, capsys):
+    # As a flag or a scenario key, either way round; curves takes both (its
+    # scalar is the base point of the other panels).
+    one, values = VALID_VALUES[scalar], ",".join(map(str, VALID_VALUES[grid]))
+    scenario = tmp_path / "scen.json"
+    for keys, flags in (({}, [f"--{scalar}", str(one), f"--{grid}", values]),
+                        ({scalar: one}, [f"--{grid}", values]),
+                        ({grid: VALID_VALUES[grid]}, [f"--{scalar}", str(one)]),
+                        ({scalar: one, grid: VALID_VALUES[grid]}, [])):
+        scenario.write_text(json.dumps(keys))
+        assert main([*BASE_ARGV["sweep"], *flags, "--scenario", str(scenario)]) == 1, (keys, flags)
+        assert f"--{scalar} and --{grid}" in capsys.readouterr().err
+    if scalar != "n":  # curves has no --n
+        assert main(["curves", f"--{scalar}", str(one), f"--{grid}", values,
+                     "--out", str(tmp_path / "curves.csv")]) == 0
 
 
 @pytest.mark.parametrize("verb", sorted(TAKES))

@@ -1,14 +1,19 @@
 """Golden outputs: SHA-256 of small CLI invocations at fixed seeds.
 
-The hashes were recaptured, all at once, when sweeps and runs moved onto
-the batched round engine: that change declared a new random-stream layout
-(one generator per sweep grid point, every block of trials drawn as whole
-arrays, messages normalized once), which moved every run and sweep byte.
-They pin that layout and every printed digit; the scalar replay in
-``tests/test_round_tree.py`` checks the layout itself independently of the
-engine.  The ``curves`` and ``teleport-demo`` outputs did not move.  A
-change that moves any byte here must say why in CHANGES.md and recapture
-the hashes.
+The hashes pin the random-stream layout documented in :mod:`wshare.protocol`
+and every printed digit.  They were last recaptured, all at once, when
+every random fact came to take exactly one draw: one home uniform per
+round (no separate confirmation array) and one teleport layout (all
+message normals, then one uniform per teleported pair) for ``run``,
+``sweep`` and ``teleport-demo``.  That change moved every run, sweep and
+teleport-demo byte except ``run-isra-abort`` (at d = 1 every home result
+comes from detection, and a caught run teleports nothing); ``curves``
+draws nothing.  Before
+that, they were recaptured when sweeps and runs moved onto the batched
+round engine (one generator per sweep grid point, blocks of trials drawn
+as whole arrays).  The scalar replay in ``tests/test_round_tree.py`` checks
+the layout itself independently of the engine.  A change that moves any
+byte here must say why in CHANGES.md and recapture the hashes.
 """
 
 import hashlib
@@ -20,15 +25,15 @@ from wshare.cli import main
 GOLDEN = {
     "run-none": (
         ["run", "--n", "12", "--d", "0.4", "--seed", "3", "--format", "records"],
-        0, "9b9d89713a1bc0d1c1c924a4d35fcffa41957358df2a818b2643ecec9970d2d8"),
+        0, "036c93590e1c2c1b0dd898587dc98640ccd84bfdd859d7a4d2f1c2899fbc64da"),
     "run-imra-strict": (
         ["run", "--n", "10", "--d", "0.3", "--mode", "strict", "--attack", "imra",
          "--seed", "4", "--format", "records"],
-        0, "52ff706126d7cefdf01d093027a400081d3448875e32727878124a9d453499f3"),
+        0, "d20291ee7138e639238ab69dfe728ff60f95437efb52e23dccce7c30f62f0c81"),
     "run-isra": (
         ["run", "--n", "12", "--d", "0.2", "--attack", "isra", "--isra-y", "0.5",
          "--seed", "5", "--format", "records"],
-        0, "53f38fc0940c8849ec344a6cf217aac037a663c401096a661bb1df9e409fb017"),
+        0, "e928f340f55dc0d939d3a2a26413a9a5dae373942f3cb71db505da1560115758"),
     # Added with the engine's stream: a store-resend run that is caught (under
     # these settings each round is caught with probability (1 + y^2) / 3 = 2/3).
     "run-isra-abort": (
@@ -38,37 +43,37 @@ GOLDEN = {
     "run-isra-nocheck": (
         ["run", "--n", "20", "--d", "0", "--attack", "isra", "--isra-y", "0.3",
          "--seed", "6", "--format", "csv"],
-        0, "1ea1d2e8dd5a29ec7f7ed48445dfa4d5840047a842a6713e98fc7fbae82b21f8"),
+        0, "0f4274b4df46804e47c58cf1810126a5784d61e70815c0eb91b78f33b6647047"),
     # Taken later, before attacks became pure values: the one golden run that
     # reaches Eve's measure-resend recovery (it prints eve-recovery-mean).
     "run-imra-pass": (
         ["run", "--n", "30", "--d", "0", "--attack", "imra", "--seed", "13", "--format", "records"],
-        0, "10d57ffdb3e46541bf3eceeaca6bd3174660704f8e7026fcf76d367b73bc471e"),
+        0, "e5135df006763e9bcc1233a293ba4c81a6e20cc9727a0aa59b4a6b2d14e318b4"),
     "run-ema": (
         ["run", "--n", "40", "--d", "0", "--attack", "ema", "--seed", "7", "--format", "records"],
-        0, "e133a515f1d433e63831c099ca9dc4c135957d458b7adf069e3755893e8f6a51"),
+        0, "d5d27491b9062021aaa4758a102d2f97eda6bbe80b2c2991cc7fbfce90d8aa8b"),
     "sweep-isra-paper": (
         ["sweep", "--attack", "isra", "--mode", "paper", "--y-values", "0,0.5,1", "--n", "6",
          "--d", "0.5", "--p", "0.5", "--trials", "150", "--seed", "8", "--format", "csv"],
-        0, "c698bed96846754e4a28144938a37b4ee1d5469f3cc108835bf47890966454ed"),
+        0, "90282f6fc05c0431d3226bdfe433ebb0e17a452000b4511b0d45b987579ef1df"),
     "sweep-imra-strict": (
         ["sweep", "--attack", "imra", "--mode", "strict", "--n-values", "1,2",
          "--d-values", "0.5,1", "--p-values", "0,0.5", "--trials", "100", "--seed", "9"],
-        0, "908d5d7aef5823adef5faccb285fde673eccb93fbcdaeae389ad190149d8d646"),
+        0, "9832c5fd6f5b54bfd80648a56c0a51132d49105ecc119f1deb48125e84618640"),
     "sweep-ema-strict": (
         ["sweep", "--attack", "ema", "--mode", "strict", "--n", "5", "--trials", "100",
          "--seed", "10", "--format", "records"],
-        0, "9d129494b342a0b88e646aa2519dddeb8a85db76df3fd2c5ee0d891d9280d6e7"),
+        0, "07bc9e2438d51f930cfdcf7673a9a2c5d03ed6e622a3b4dea685527cafe89c8c"),
     "curves": (
         ["curves", "--y-values", "0,0.5", "--d-values", "0.5", "--p-values", "0.5,1",
          "--n-values", "1,5,10", "--format", "csv"],
         0, "50dd6973b640c7455f0d60ba900c8808d93b36d076fbf0148e49f5c1ca74a395"),
     "teleport-demo-none": (
         ["teleport-demo", "--trials", "8", "--seed", "11", "--format", "csv"],
-        0, "99115b681d826e4782b0c5ecd94892dddc5ad5cfdb679f1c3b7c7656684f816d"),
+        0, "5a9a421743e226e4408a7ffd8db2b731fc3080e6f450794596cca013c75b70d6"),
     "teleport-demo-ema": (
         ["teleport-demo", "--attack", "ema", "--trials", "8", "--seed", "12"],
-        0, "074fa2d517d675d416d5ffebdf2cc124a37bf1d9e6a06a81b00f253d6a15a431"),
+        0, "ebb30f1629a6e8f427c9924038ba533ff465c15dfc4a50e6121ed96c33fd9bd1"),
 }
 
 

@@ -397,9 +397,10 @@ def test_run_trials_checks_its_inputs():
 def test_one_trial_views_agree(attack, mode):
     # One Monte Carlo trial and one run with its teleport phase read the same
     # draws, so they agree exactly: on the abort, the yield, and (with one
-    # pair, the trial's first) on the teleport and the stream after it.
+    # pair, the trial's first) on the teleport and the stream after it.  A
+    # trial without a pair teleports nothing, so it draws nothing more.
     config = ProtocolConfig(n=3, d=0.4, p=0.5, checker_mode=mode)
-    single = 0
+    single = pairless = 0
     for seed in range(40):
         rand, twin = np.random.default_rng(seed), np.random.default_rng(seed)
         stats = run_trials(config, attack, 1, rand)
@@ -412,4 +413,8 @@ def test_one_trial_views_agree(attack, mode):
             batch, _ = teleport_pairs(outcome, twin)
             assert stats.fidelity_mean == batch.fidelities[0], seed
             assert rand.random() == twin.random(), seed
-    assert single >= 5
+        elif not outcome.pairs:
+            pairless += 1
+            assert stats.fidelity_mean is None, seed
+            assert rand.random() == twin.random(), seed
+    assert single >= 5 and pairless >= 5

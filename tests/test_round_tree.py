@@ -1,10 +1,11 @@
 """The batched round engine against a plain scalar replay.
 
 ``replay`` below re-runs the protocol the direct way: it reads the stream
-in the engine's layout (Eve, selection, basis, detection, confirmation),
-gives every round its own register, makes every measurement a fresh
-``measure_qubit`` on the round's uniform, and restates the checking rules
-inline.  It uses none of the engine's paths (the round tables, the shared
+in the engine's layout (Eve, selection, basis, then the home, Alice and
+Bob uniforms of each round), gives every round its own register, makes
+every measurement a fresh ``measure_qubit`` on the round's uniform (the
+home uniform in detection or in confirmation, whichever measures the home
+qubit), and restates the checking rules inline.  It uses none of the engine's paths (the round tables, the shared
 intercept registers, the rule masks), so ``run_protocol`` must match it bit
 for bit: transcript, pair amplitudes, Eve's per-round bits and the next
 draw of the generator.  The threshold tests place uniforms one ulp either
@@ -93,8 +94,7 @@ def replay(config, kind, y, rand):
     eve = rand.random((1, n))[0].tolist() if kind == "imra" else [None] * n
     selected = (rand.random((1, n))[0] < config.d).tolist()
     bases = [Basis.Z if u < config.p else Basis.X for u in rand.random((1, n))[0]]
-    detect = rand.random((1, n, 3))[0].tolist()
-    confirm = rand.random((1, n))[0].tolist()
+    uniforms = rand.random((1, n, 3))[0].tolist()
     states, bits = {}, []
     for t in range(1, n + 1):
         states[t], bit = replay_intercept(kind, y, make_w_state(("a", "b", "c")), eve[t - 1])
@@ -108,7 +108,7 @@ def replay(config, kind, y, rand):
     for t in positions:
         basis = bases[t - 1]
         for label, label_basis, results, u in zip("cab", (Basis.Z, basis, basis),
-                                                  (rc, ra, rb), detect[t - 1]):
+                                                  (rc, ra, rb), uniforms[t - 1]):
             branch = measure_qubit(states[t], label, label_basis, FixedDraw(u))
             states[t] = branch.post_state
             results.append(branch.outcome)
@@ -124,7 +124,7 @@ def replay(config, kind, y, rand):
     surviving = [t for t in range(1, n + 1) if not selected[t - 1]]
     kept = []
     for i, t in enumerate(surviving, start=1):
-        branch = measure_qubit(states[t], "c", Basis.Z, FixedDraw(confirm[t - 1]))
+        branch = measure_qubit(states[t], "c", Basis.Z, FixedDraw(uniforms[t - 1][0]))
         states[t] = branch.post_state
         if branch.outcome == 0:
             kept.append(i)
@@ -243,8 +243,9 @@ def assert_engine_follows_thresholds(tables, eve_root, root):
     for d in (1.0, 0.0):  # detection, then confirmation, reads the home uniform
         config = ProtocolConfig(n=len(slots), d=d, p=0.5, checker_mode="strict")
         eve = (ue,) if tables.te is not None else ()
-        got = protocol._draw_rounds(tables, config, Scripted(
-            *eve, np.zeros_like(uc), ux, np.stack([uc, ua, ub], axis=-1), uc), 1)
+        script = Scripted(*eve, np.zeros_like(uc), ux, np.stack([uc, ua, ub], axis=-1))
+        got = protocol._draw_rounds(tables, config, script, 1)
+        assert not script.arrays  # every array drawn
         assert np.array_equal(got.eve[0], want[:, 0])
         assert np.array_equal(got.home[0], want[:, 1]), d
         if d:

@@ -104,6 +104,12 @@ def test_statevector_validation():
         StateVector(np.array([1.0, 1.0]), ("a",))  # not normalized
     with pytest.raises(ValueError):
         StateVector(np.eye(4)[0], ("a", "a"))  # duplicate labels
+    # A NaN or infinite norm fails the normalization check too.
+    for build in (lambda: StateVector(np.array([np.nan, np.nan]), ("m",)),
+                  lambda: StateVector(np.array([np.inf, 0.0]), ("m",)),
+                  lambda: make_message_state(float("nan"), 0.0)):
+        with pytest.raises(ValueError, match="not normalized"):
+            build()
 
 
 def test_amplitudes_are_read_only():
@@ -120,6 +126,28 @@ def test_w_home_measurement_probabilities():
     w = make_w_state()
     branches = enumerate_qubit(w, "c", Basis.Z)
     assert_allclose([b.probability for b in branches], [2 / 3, 1 / 3], atol=1e-12)
+
+
+@pytest.mark.parametrize("label", ["a", "b", "c"])
+def test_string_bases_measure_their_own_basis(label):
+    # A basis given by its value measures that basis; any other value is refused.
+    w = make_w_state()
+    for basis in Basis:
+        by_name = enumerate_qubit(w, label, basis.value)
+        by_enum = enumerate_qubit(w, label, basis)
+        assert [b.probability for b in by_name] == [b.probability for b in by_enum]
+        for got, want in zip(by_name, by_enum):
+            assert np.array_equal(got.post_state.amplitudes, want.post_state.amplitudes)
+        for seed in range(4):
+            got = measure_qubit(w, label, basis.value, np.random.default_rng(seed))
+            want = measure_qubit(w, label, basis, np.random.default_rng(seed))
+            assert (got.outcome, got.probability) == (want.outcome, want.probability)
+    assert enumerate_qubit(w, label, "Z")[0].probability == pytest.approx(2 / 3)
+    for junk in ("Y", "z", None):
+        with pytest.raises(ValueError):
+            enumerate_qubit(w, label, junk)
+        with pytest.raises(ValueError):
+            measure_qubit(w, label, junk, np.random.default_rng(0))
 
 
 def test_w_home_zero_leaves_bell_pair():

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from wshare.attacks import AttackModel, eve_recover_attempt, eve_recover_batch
-from wshare.protocol import ProtocolConfig, run_protocol, teleport_pairs
+from wshare.protocol import ProtocolConfig, _round_tables, run_protocol, teleport_pairs
 from wshare.statevec import (
     _BELL_MATRICES,
     BELL_NAMES,
@@ -26,11 +26,13 @@ from wshare.teleport import (
     build_correction_table,
     corrupted_channel,
     ema_decomposition,
+    psi_plus_pair,
     random_amplitudes,
     random_message,
     teleport,
     teleport_batch,
     teleport_branches,
+    teleport_fresh,
 )
 
 from helpers import reorder
@@ -393,6 +395,41 @@ def test_batched_teleport_and_recovery_match_scalar(node):
         for bit, recovery in recoveries.items():
             assert recovery[t] == pytest.approx(
                 eve_recover_attempt(attack, bit, want, message), abs=1e-12), where
+
+
+def test_fresh_teleports_draw_all_messages_then_one_uniform_per_row():
+    kernels = _round_tables(AttackModel("imra")).kernels
+    which = np.array([1, 0, 1, 1], dtype=np.uint8)
+    rand, twin = np.random.default_rng(4), np.random.default_rng(4)
+    messages, batch = teleport_fresh(kernels, which, rand)
+    want_messages = random_amplitudes(twin, which.size)
+    want = teleport_batch(want_messages, kernels, which, twin.random(which.size))
+    assert np.array_equal(messages, want_messages)
+    assert np.array_equal(batch.outcomes, want.outcomes)
+    assert np.array_equal(batch.residuals, want.residuals)
+    assert rand.random() == twin.random()
+    empty_messages, empty = teleport_fresh(kernels, which[:0], rand)
+    assert empty_messages.shape == (0, 2) and empty.fidelities.shape == (0,)
+    assert rand.random() == twin.random()  # nothing to teleport draws nothing
+
+
+@pytest.mark.parametrize("kind,channel", [("none", psi_plus_pair()), ("ema", corrupted_channel())])
+def test_demo_channels_are_the_round_table_kernels(kind, channel):
+    # teleport-demo reads its channel from the round tables: the same kernel,
+    # bit for bit, as one built from the textbook channel register.
+    (kernel, rest), = _round_tables(AttackModel(kind)).kernels
+    want, want_rest = _bell_kernel(channel)
+    assert np.array_equal(kernel, want) and rest == want_rest
+
+
+@pytest.mark.parametrize("which", [[0, 1, 5], [0, -1], [1]])
+def test_teleport_batch_refuses_a_row_without_a_kernel(which):
+    # A row of an unknown node, or of a node with no pair, raises instead of
+    # reading fidelity 0.
+    kernels = (_bell_kernel(psi_plus_pair()), None)
+    messages = random_amplitudes(np.random.default_rng(2), len(which))
+    with pytest.raises(ValueError):
+        teleport_batch(messages, kernels, np.array(which), np.full(len(which), 0.5))
 
 
 def test_batched_message_draw_is_the_scalar_one():
