@@ -55,7 +55,8 @@ import numpy as np
 from . import __version__
 from .analytic import closed_form_round_detection
 from .attacks import ATTACK_KINDS, AttackModel
-from .protocol import CheckerMode, ProtocolConfig, _round_tables, run_protocol, run_trials, teleport_pairs
+from .protocol import (CheckerMode, ProtocolConfig, _check_addressable, _round_tables, run_protocol, run_trials,
+                       teleport_pairs)
 from .statevec import BELL_NAMES
 from .teleport import build_correction_table, teleport_fresh
 
@@ -500,6 +501,7 @@ def cmd_teleport_demo(cfg: argparse.Namespace) -> int:
     rows = [dict(zip(DEMO_COLUMNS, ("correction", name, correction, None, None, None, None), strict=True))
             for name, correction in table.items()]
     kernels = _round_tables(AttackModel(cfg.attack)).kernels
+    _check_addressable(cfg.trials, 64)  # the widest row of a message batch: an ema residual
     messages, batch = teleport_fresh(kernels, np.zeros(cfg.trials, dtype=np.intp),
                                      np.random.default_rng(cfg.seed))
     for (a, b), k, fidelity in zip(messages.tolist(), batch.outcomes.tolist(), batch.fidelities.tolist()):

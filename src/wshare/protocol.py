@@ -14,9 +14,9 @@ One run goes through two phases:
   publishes which came out 0 — exactly those positions leave Alice and Bob
   sharing a (|01>+|10>)/sqrt(2) Bell pair, ready for teleportation.
 
-A run is held as arrays indexed by position, one block of :class:`Rounds`
-(see the round tables below); Eve's per-round bits (measure-resend only)
-come back as :attr:`RunOutcome.eve_bits`.
+A run is one row of a block of :class:`Rounds` (see the round tables
+below), and its :class:`RunOutcome` a view of that row: the directives,
+report, pairs and transcript are derived from it on first read.
 
 Two checking semantics ship side by side.  ``strict`` enforces every
 physically valid correlation of the W state:
@@ -190,27 +190,24 @@ class DistilledPairSet:
         return iter(zip(self.positions, self.states))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunOutcome:
-    """Everything one protocol execution produced.
+    """One protocol execution, a view of its one-row block ``rounds``.
 
     ``attack`` is the model the run went through (the honest one for
-    ``attack=None``), and ``rounds`` its one-row block, outside ``==`` and
-    ``repr``.  ``eve_bits[t - 1]`` is Eve's Z result on round ``t``
+    ``attack=None``).  ``directives``, ``report``, ``pairs`` and
+    ``transcript`` are derived on first read and kept; outcomes compare and
+    hash by identity.  ``eve_bits[t - 1]`` is Eve's Z result on round ``t``
     (measure-resend only; ``None`` where she measured nothing).
     """
 
     config: ProtocolConfig
     attack: AttackModel
-    directives: tuple[DetectionDirective, ...]
-    report: CheckReport
-    pairs: DistilledPairSet
-    transcript: tuple[tuple, ...]
-    rounds: Rounds = field(compare=False, repr=False)
+    rounds: Rounds = field(repr=False)
 
     @property
     def aborted(self) -> bool:
-        return self.report.verdict == "detected"
+        return bool(self.rounds.aborted[0])
 
     @property
     def eve_bits(self) -> tuple[int | None, ...]:
@@ -223,7 +220,53 @@ class RunOutcome:
     @property
     def yield_fraction(self) -> float | None:
         """Distilled pairs per surviving position (None if nothing survived)."""
-        return len(self.pairs) / self.surviving_count if self.surviving_count else None
+        return int(np.count_nonzero(self.rounds.pairs)) / self.surviving_count if self.surviving_count else None
+
+    @functools.cached_property
+    def directives(self) -> tuple[DetectionDirective, ...]:
+        selected = self.rounds.selected[0]
+        bases = [Basis.X if x else Basis.Z for x in self.rounds.x_basis[0, selected].tolist()]
+        return tuple(map(DetectionDirective, (np.flatnonzero(selected) + 1).tolist(), bases))
+
+    @functools.cached_property
+    def report(self) -> CheckReport:
+        tallies = {key: RuleTally(np.count_nonzero(applied), np.count_nonzero(violated))
+                   for key, (applied, violated) in self.rounds.rules.items()}
+        return CheckReport("detected" if self.aborted else "pass",
+                           tuple((np.flatnonzero(self.rounds.violated[0]) + 1).tolist()), tallies)
+
+    @functools.cached_property
+    def pairs(self) -> DistilledPairSet:
+        rounds, states = self.rounds, _round_tables(self.attack).pairs
+        return DistilledPairSet(tuple((np.flatnonzero(rounds.pairs[0]) + 1).tolist()),
+                                tuple(states[e] for e in rounds.eve[rounds.pairs].tolist()))
+
+    @functools.cached_property
+    def transcript(self) -> tuple[tuple, ...]:
+        """The ordered classical record: (speaker, event, payload) triples."""
+        rounds, report = self.rounds, self.report
+        selected = rounds.selected[0]
+        home, alice, bob = (tuple(results[0, selected].astype(np.int8).tolist())
+                            for results in (rounds.home, rounds.alice, rounds.bob))
+        transcript: list[tuple] = [
+            ("charlie", "mode", "transmission"),
+            ("charlie", "send", self.config.n),
+            ("charlie", "mode", "detecting"),
+            ("charlie", "directives", tuple((dd.position, dd.basis.value) for dd in self.directives)),
+            ("charlie", "home-results", home),
+            ("alice", "results", alice),
+            ("bob", "results", bob),
+            ("charlie", "verdict", report.verdict),
+        ]
+        if self.aborted:
+            transcript += [("charlie", "offending", report.offending_rounds),
+                           ("charlie", "abort", "eavesdropping suspected; sequence discarded")]
+        else:
+            # Confirmation: the 0 positions among the surviving home results.
+            kept = tuple((np.flatnonzero(rounds.pairs[0][~selected]) + 1).tolist())
+            transcript += [("charlie", "mode", "confirmation"), ("charlie", "distill-positions", kept),
+                           ("charlie", "pair-count", len(self.pairs))]
+        return tuple(transcript)
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +385,10 @@ class Rounds:
     ``eve`` is Eve's branch index, ``home`` Charlie's one home result per
     round (in detection on selected rounds, in confirmation on the others),
     and ``alice``/``bob`` the travel results, meaningful on selected rounds.
-    ``rules`` maps each rule key to its (applied, violated) masks.  The
-    engine's views read every per-trial fact from here: the abort, the pair
-    mask, the survivor count, and each pair's Eve branch ``eve[pairs]``.
+    ``rules`` maps each rule key to its (applied, violated) masks, and the
+    rest is derived once: ``violated``, ``aborted`` (B,), ``pairs`` (the
+    surviving home-0 rounds of passing trials) and ``surviving`` (B,), the
+    rounds not sacrificed.  Each pair's Eve branch is ``eve[pairs]``.
     """
 
     eve: np.ndarray
@@ -354,27 +398,10 @@ class Rounds:
     alice: np.ndarray
     bob: np.ndarray
     rules: dict
-
-    @functools.cached_property
-    def violated(self) -> np.ndarray:
-        """(B, n): the rounds some rule caught."""
-        z_rc0, z_rc1, x_rc0 = (broken for _, broken in self.rules.values())
-        return z_rc0 | z_rc1 | x_rc0
-
-    @functools.cached_property
-    def aborted(self) -> np.ndarray:
-        """(B,): the trials some rule caught."""
-        return self.violated.any(axis=1)
-
-    @functools.cached_property
-    def pairs(self) -> np.ndarray:
-        """(B, n): the distilled pairs, surviving home-0 rounds of passing trials."""
-        return ~self.selected & ~self.home & ~self.aborted[:, None]
-
-    @functools.cached_property
-    def surviving(self) -> np.ndarray:
-        """(B,): the rounds of each trial not sacrificed to detection."""
-        return (~self.selected).sum(axis=1)
+    violated: np.ndarray
+    aborted: np.ndarray
+    pairs: np.ndarray
+    surviving: np.ndarray
 
 
 def _block_size(n: int) -> int:
@@ -382,8 +409,16 @@ def _block_size(n: int) -> int:
     return max(1, min(_BLOCK_TRIALS, _BLOCK_SLOTS // n))
 
 
+def _check_addressable(rows: int, row_bytes: int) -> None:
+    """Raise MemoryError, before anything is allocated, for ``rows`` rows of
+    ``row_bytes`` bytes that no array could address (numpy raises ValueError)."""
+    if rows * row_bytes > np.iinfo(np.intp).max:
+        raise MemoryError(f"{rows} rows of {row_bytes} bytes exceed the address space")
+
+
 def _draw_rounds(tables: RoundTables, config: ProtocolConfig, rand, trials: int) -> Rounds:
     """Draw one block of ``trials`` trials, in the module's stream layout."""
+    _check_addressable(trials * config.n, 24)  # the round uniforms, its widest array
     shape = (trials, config.n)
     if tables.te is None:
         eve = np.zeros(shape, dtype=np.uint8)
@@ -397,7 +432,10 @@ def _draw_rounds(tables: RoundTables, config: ProtocolConfig, rand, trials: int)
     alice = uniforms[..., 1] >= tables.ta.reshape(-1)[node]
     bob = uniforms[..., 2] >= tables.tb.reshape(-1)[node * 2 + alice]
     rules = _apply_rules(selected, x_basis, home, alice, bob, config.checker_mode)
-    return Rounds(eve, selected, x_basis, home, alice, bob, rules)
+    violated = functools.reduce(operator.or_, (broken for _, broken in rules.values()))
+    aborted = violated.any(axis=1)
+    return Rounds(eve, selected, x_basis, home, alice, bob, rules, violated, aborted,
+                  ~selected & ~home & ~aborted[:, None], (~selected).sum(axis=1))
 
 
 def run_protocol(
@@ -405,49 +443,14 @@ def run_protocol(
 ) -> RunOutcome:
     """Execute one full protocol run and return its outcome.
 
-    The engine's one-trial view: every draw comes from ``rand``, laid out
-    as one block (see the module docstring), and identical (config,
-    attack, stream state) triples reproduce the outcome bit for bit.
+    The engine's one-trial view: one block of one trial drawn from
+    ``rand`` (see the module docstring), wrapped as it is; identical
+    (config, attack, stream state) triples reproduce it bit for bit.
     ``attack=None`` is the honest channel.  On detection the run aborts (no
     pairs); rerunning is the caller's decision.
     """
     attack = _HONEST if attack is None else attack
-    tables = _round_tables(attack)
-    rounds = _draw_rounds(tables, config, rand, 1)
-    selected, paired = rounds.selected[0], rounds.pairs[0]
-
-    def published(results) -> tuple[int, ...]:
-        return tuple(results[0, selected].astype(np.int8).tolist())
-
-    positions = (np.flatnonzero(selected) + 1).tolist()
-    bases = [Basis.X if x else Basis.Z for x in rounds.x_basis[0, selected].tolist()]
-    directives = tuple(DetectionDirective(t, basis) for t, basis in zip(positions, bases))
-    transcript: list[tuple] = [
-        ("charlie", "mode", "transmission"),
-        ("charlie", "send", config.n),
-        ("charlie", "mode", "detecting"),
-        ("charlie", "directives", tuple((dd.position, dd.basis.value) for dd in directives)),
-        ("charlie", "home-results", published(rounds.home)),
-        ("alice", "results", published(rounds.alice)),
-        ("bob", "results", published(rounds.bob)),
-    ]
-    tallies = {key: RuleTally(np.count_nonzero(applied), np.count_nonzero(violated))
-               for key, (applied, violated) in rounds.rules.items()}
-    report = CheckReport("detected" if rounds.aborted[0] else "pass",
-                         tuple((np.flatnonzero(rounds.violated[0]) + 1).tolist()), tallies)
-    pairs = DistilledPairSet(tuple((np.flatnonzero(paired) + 1).tolist()),
-                             tuple(tables.pairs[e] for e in rounds.eve[rounds.pairs].tolist()))
-    transcript.append(("charlie", "verdict", report.verdict))
-    if rounds.aborted[0]:
-        transcript.append(("charlie", "offending", report.offending_rounds))
-        transcript.append(("charlie", "abort", "eavesdropping suspected; sequence discarded"))
-    else:
-        # Confirmation: the 0 positions among the surviving home results.
-        transcript.append(("charlie", "mode", "confirmation"))
-        transcript.append(("charlie", "distill-positions",
-                           tuple((np.flatnonzero(paired[~selected]) + 1).tolist())))
-        transcript.append(("charlie", "pair-count", len(pairs)))
-    return RunOutcome(config, attack, directives, report, pairs, tuple(transcript), rounds)
+    return RunOutcome(config, attack, _draw_rounds(_round_tables(attack), config, rand, 1))
 
 
 def teleport_pairs(outcome: RunOutcome, rand: np.random.Generator

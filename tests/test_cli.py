@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -342,6 +343,36 @@ def test_out_of_memory_exits_one(engine, argv, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+HUGE = str(10 ** 23)
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--n", HUGE],
+    ["teleport-demo", "--trials", HUGE],
+    ["teleport-demo", "--trials", str(2 ** 61)],
+    ["sweep", "--n", str(10 ** 20), "--trials", "100"],
+    ["sweep", "--n-values", str(10 ** 20), "--trials", "100"],
+    ["run", "--n", str(2 ** 61), "--attack", "imra"],
+], ids=["run-n", "demo-trials", "demo-trials-2^61", "sweep-n", "sweep-n-values", "run-imra-2^61"])
+def test_unaddressable_sizes_exit_one_before_allocating(argv, capsys):
+    # Sizes no numpy array can address (numpy would raise ValueError) are
+    # refused as out of memory before the engine allocates anything.
+    tracemalloc.start()
+    try:
+        status = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 1
+    assert capsys.readouterr().err == "error: out of memory; try a smaller --n, --trials or grid\n"
+    assert peak < 1 << 20
+
+
+def test_unaddressable_curve_lengths_are_computed(capsys):
+    assert main(["curves", "--n-values", str(10 ** 20), "--format", "csv"]) == 0
+    assert capsys.readouterr().out.count("\n") == 1 + 9
+
+
 def test_closed_stdout_ends_without_traceback():
     # Far more output than a pipe holds, so the writer meets the closed end.
     argv = [sys.executable, "-m", "wshare", "teleport-demo", "--trials", "5000", "--seed", "1"]
@@ -606,7 +637,9 @@ HOSTILE_VALUES = {
 def hostile_argv(draw):
     verb = draw(st.sampled_from(sorted(TAKES)))
     flags = draw(st.lists(st.sampled_from(ALL_FLAGS), unique=True, max_size=6))
-    argv = ["sweep", "--trials", "100", "--n", "4"] if verb == "sweep" else [verb]
+    argv = ["sweep", "--trials", "100"] if verb == "sweep" else [verb]
+    if verb == "sweep" and not {"n", "n-values"} & set(flags):
+        argv += ["--n", "4"]  # a sweep refuses --n given with its grid
     argv += [f"--{flag}={_arg(draw(HOSTILE_VALUES[flag]))}" for flag in flags]
     return argv, set(flags) - TAKES[verb]
 

@@ -1,15 +1,28 @@
-"""Smoke test: every script in demos/ and the README's library quick start
-run to completion and print something."""
+"""Smoke test: every script in demos/, the README's library quick start and
+its command-line examples run to completion and print something."""
 
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from wshare.cli import SWEEP_COLUMNS, main
+
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README = (ROOT / "README.md").read_text()
+
+
+def _readme_block(heading: str, language: str) -> str:
+    """The first ``language`` code block under ``heading`` in the README."""
+    section = README.split(f"\n{heading}\n", 1)[1]
+    return section.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
+CLI_EXAMPLES = [shlex.split(line) for line in _readme_block("## Command line", "sh").splitlines()]
 
 
 def test_demos_are_found():
@@ -32,7 +45,24 @@ def test_demo_runs(demo):
 
 
 def test_readme_quick_start_runs():
-    readme = (ROOT / "README.md").read_text()
-    section = readme.split("## Library quick start", 1)[1]
-    code = section.split("```python\n", 1)[1].split("```", 1)[0]
-    _run_python("-c", code)
+    _run_python("-c", _readme_block("## Library quick start", "python"))
+
+
+def test_readme_cli_examples_are_found():
+    assert [argv[:2] for argv in CLI_EXAMPLES] == [
+        ["wshare", verb] for verb in ("run", "sweep", "curves", "teleport-demo")]
+
+
+@pytest.mark.parametrize("argv", CLI_EXAMPLES, ids=lambda argv: argv[1])
+def test_readme_cli_example_runs(argv, tmp_path):
+    # run exits 2 when checking caught the attack, as documented.
+    out = tmp_path / "out"
+    assert main([*argv[1:], "--out", str(out)]) in ((0, 2) if argv[1] == "run" else (0,))
+    assert out.read_text().strip()
+
+
+def test_readme_scenario_example_runs(tmp_path):
+    scenario, out = tmp_path / "scenario.json", tmp_path / "out.csv"
+    scenario.write_text(_readme_block("### Scenario files", "json"))
+    assert main(["sweep", "--scenario", str(scenario), "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[0] == ",".join(SWEEP_COLUMNS)

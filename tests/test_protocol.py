@@ -1,11 +1,14 @@
 """Protocol state machine: detection sampling, checking rules, distillation."""
 
+import collections
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from wshare import protocol
 from wshare.attacks import AttackModel
 from wshare.protocol import (
     CheckReport,
@@ -418,3 +421,59 @@ def test_one_trial_views_agree(attack, mode):
             assert stats.fidelity_mean is None, seed
             assert rand.random() == twin.random(), seed
     assert single >= 5 and pairless >= 5
+
+
+# ---------------------------------------------------------------------------
+# the run view
+
+
+DERIVED = ("directives", "report", "pairs", "transcript")
+ATTACKS = [None, AttackModel("imra"), AttackModel("isra", 0.5), AttackModel("ema")]
+
+
+@pytest.mark.parametrize("attack", ATTACKS, ids=lambda attack: attack.kind if attack else "honest")
+def test_block_readers_build_no_derived_view(attack, monkeypatch):
+    # The verdict, Eve's bits, the survivors and the teleport phase read the
+    # block itself: no directive, report, pair set or transcript is built.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a derived view was built")
+
+    for name in ("DetectionDirective", "RuleTally", "CheckReport", "DistilledPairSet"):
+        monkeypatch.setattr(protocol, name, refuse)
+    rand = np.random.default_rng(5)
+    outcome = run_protocol(ProtocolConfig(n=40, d=0.3, p=0.5), attack, rand)
+    assert isinstance(outcome.aborted, bool)
+    assert len(outcome.eve_bits) == 40
+    assert 0 < outcome.surviving_count <= 40
+    assert outcome.yield_fraction is not None
+    batch, _ = teleport_pairs(outcome, rand)
+    assert len(batch.fidelities) == int(outcome.rounds.pairs.sum())
+    assert not set(DERIVED) & set(vars(outcome))
+
+
+def test_transcript_builds_each_derived_view_once(monkeypatch):
+    built = collections.Counter()
+    for name in ("DetectionDirective", "CheckReport", "DistilledPairSet"):
+        def counting(*args, _build=getattr(protocol, name), _name=name):
+            built[_name] += 1
+            return _build(*args)
+
+        monkeypatch.setattr(protocol, name, counting)
+    outcome = run_protocol(ProtocolConfig(n=40, d=0.3, p=0.5), None, np.random.default_rng(5))
+    assert not built
+    transcript = outcome.transcript
+    views = [getattr(outcome, name) for name in DERIVED]
+    once = {"DetectionDirective": len(outcome.directives), "CheckReport": 1, "DistilledPairSet": 1}
+    assert once["DetectionDirective"] > 0 and len(outcome.pairs) > 0
+    assert built == once
+    assert outcome.transcript is transcript
+    assert all(getattr(outcome, name) is view for name, view in zip(DERIVED, views))
+    assert built == once
+
+
+def test_outcomes_compare_by_identity():
+    config = ProtocolConfig(n=6, d=0.5, p=0.5)
+    first, second = (run_protocol(config, None, np.random.default_rng(2)) for _ in range(2))
+    assert first.transcript == second.transcript
+    assert first == first and first != second and len({first, second}) == 2
+    assert repr(first) == f"RunOutcome(config={config!r}, attack={first.attack!r})"
