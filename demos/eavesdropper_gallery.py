@@ -7,7 +7,9 @@
 
 import numpy as np
 
-from wshare import AttackModel, CheckerMode, ProtocolConfig, round_detection_probability, run_protocol
+from wshare.analytic import round_detection_probability
+from wshare.attacks import AttackModel
+from wshare.protocol import CheckerMode, ProtocolConfig, run_protocol
 
 P, D = 0.5, 0.5
 ATTACKS = [

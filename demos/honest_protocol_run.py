@@ -8,7 +8,7 @@ surviving positions turn into usable pairs.
 
 import numpy as np
 
-from wshare import ProtocolConfig, run_protocol
+from wshare.protocol import ProtocolConfig, run_protocol
 
 
 def main():

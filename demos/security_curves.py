@@ -6,7 +6,7 @@
 # is quasi-secure, not absolutely secure -- but 13 fully-checked rounds
 # already push the escape probability below one in a million.
 
-from wshare import isra_case_probs, isra_success_sequence
+from wshare.analytic import isra_case_probs, isra_success_sequence
 
 print("per-round case probabilities at y=1, p=1, d=1:")
 caught_z1, caught_z0 = isra_case_probs(y=1.0, p=1.0, d=1.0)

@@ -9,8 +9,8 @@ qubit is secretly twinned with Eve's ancilla and the fidelity drops to
 
 import numpy as np
 
-from wshare import ProtocolConfig, build_correction_table, random_message, run_protocol, teleport
-from wshare.teleport import corrupted_channel
+from wshare.protocol import ProtocolConfig, run_protocol
+from wshare.teleport import build_correction_table, corrupted_channel, random_message, teleport
 
 rng = np.random.default_rng(23)
 

@@ -7,7 +7,7 @@
 
 import numpy as np
 
-from wshare import Basis, enumerate_qubit, make_w_state, measure_qubit
+from wshare.statevec import Basis, enumerate_qubit, make_w_state, measure_qubit
 
 w = make_w_state()  # labels ("a", "b", "c")
 print("W state amplitudes:")

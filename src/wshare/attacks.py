@@ -11,12 +11,15 @@ each round's register, described by a frozen :class:`AttackModel`:
 * ``ema`` — entangle-measure: Eve CNOTs the in-flight qubit onto a fresh
   |0> ancilla ``e`` and forwards the original untouched.
 
-:meth:`AttackModel.intercept` is pure: it returns the round's register and
-Eve's Z result (imra; ``None`` for the other kinds), and the run keeps
-those bits, one per round.  Her post-protocol attempt to read Alice's
-teleported message out of her bit or her qubit ``e`` is
-:func:`eve_recover_attempt`, and :func:`eve_recover_batch` is that
-recovery for a whole :class:`~wshare.teleport.TeleportBatch` at once.
+:meth:`AttackModel.intercept` returns one round's register and Eve's Z
+result: imra draws one uniform from ``rand`` for it, and the other kinds
+draw nothing and return ``None``.  No run calls it.  The protocol's round
+tables and the analytic oracle take the other kinds' register from it
+(imra's two branches are enumerated instead), and a run draws Eve's bits
+from the tables.  Her post-protocol attempt to read Alice's teleported
+message out of her bit or her qubit ``e`` is :func:`eve_recover_attempt`,
+and :func:`eve_recover_batch` is that recovery for a whole
+:class:`~wshare.teleport.TeleportBatch` at once.
 """
 
 from __future__ import annotations

@@ -365,6 +365,9 @@ def _emit_rows(columns: list[str], rows: list[dict], cfg: argparse.Namespace,
 # run
 
 
+RUN_COLUMNS = ["seq", "speaker", "event", "detail"]
+
+
 def cmd_run(cfg: argparse.Namespace) -> int:
     config = ProtocolConfig(n=cfg.n, d=cfg.d, p=cfg.p, checker_mode=cfg.mode)
     attack = AttackModel(cfg.attack, cfg.isra_y if cfg.attack == "isra" else None)
@@ -381,9 +384,9 @@ def cmd_run(cfg: argparse.Namespace) -> int:
             events.append(("runner", "teleport-fidelity-mean", round(fidelity, 12)))
             if recoveries is not None:
                 events.append(("runner", "eve-recovery-mean", round(float(recoveries.mean()), 12)))
-    rows = [{"seq": i, "speaker": speaker, "event": event, "detail": json.dumps(payload, default=_cell)}
+    rows = [dict(zip(RUN_COLUMNS, (i, speaker, event, json.dumps(payload, default=_cell)), strict=True))
             for i, (speaker, event, payload) in enumerate(events)]
-    _emit_rows(["seq", "speaker", "event", "detail"], rows, cfg, header=cfg.format != "text")
+    _emit_rows(RUN_COLUMNS, rows, cfg, header=cfg.format != "text")
     return 2 if outcome.aborted else 0
 
 
@@ -474,8 +477,9 @@ def cmd_curves(cfg: argparse.Namespace) -> int:
     curves = ([("vary-y", y, cfg.p, cfg.d) for y in y_values]
               + [("vary-d", fixed_y, cfg.p, d) for d in d_values]
               + [("vary-p", fixed_y, p, cfg.d) for p in p_values])
-    rows = [{"panel": panel, "y": y, "p": p, "d": d, "n": n,
-             "success": (1.0 - closed_form_round_detection(cfg.attack, cfg.mode, p, d, y)) ** n}
+    rows = [dict(zip(CURVE_COLUMNS, (panel, y, p, d, n,
+                                     (1.0 - closed_form_round_detection(cfg.attack, cfg.mode, p, d, y)) ** n),
+                     strict=True))
             for panel, y, p, d in curves for n in n_values]
     notes = ["illustrative default ranges; not a reproduction of any published figure"] if defaults_used else None
     _emit_rows(CURVE_COLUMNS, rows, cfg, notes=notes)

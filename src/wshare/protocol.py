@@ -159,16 +159,14 @@ class RuleTally:
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Verdict of the checking algorithm plus per-rule diagnostics."""
+    """The rounds the checking algorithm caught, plus per-rule diagnostics."""
 
-    verdict: str  # "pass" | "detected"
     offending_rounds: tuple[int, ...]
     tallies: dict[str, RuleTally] = field(compare=False)
 
-    def __post_init__(self) -> None:
-        detected = bool(self.offending_rounds)
-        if (self.verdict == "detected") != detected:
-            raise ValueError("verdict must be 'detected' exactly when offending rounds exist")
+    @property
+    def verdict(self) -> str:
+        return "detected" if self.offending_rounds else "pass"
 
 
 @dataclass(frozen=True)
@@ -232,8 +230,7 @@ class RunOutcome:
     def report(self) -> CheckReport:
         tallies = {key: RuleTally(np.count_nonzero(applied), np.count_nonzero(violated))
                    for key, (applied, violated) in self.rounds.rules.items()}
-        return CheckReport("detected" if self.aborted else "pass",
-                           tuple((np.flatnonzero(self.rounds.violated[0]) + 1).tolist()), tallies)
+        return CheckReport(tuple((np.flatnonzero(self.rounds.violated[0]) + 1).tolist()), tallies)
 
     @functools.cached_property
     def pairs(self) -> DistilledPairSet:
@@ -306,8 +303,7 @@ def evaluate_checks(directives, rc_results, ra_results, rb_results,
         if not ok:
             tally.violations += 1
             offending.append(directive.position)
-    verdict = "detected" if offending else "pass"
-    return CheckReport(verdict, tuple(offending), tallies)
+    return CheckReport(tuple(offending), tallies)
 
 
 def _apply_rules(selected, x_basis, home, alice, bob, mode: CheckerMode) -> dict:

@@ -1,8 +1,22 @@
-"""Test-only views of a state vector, kept out of the package."""
+"""Test-only helpers kept out of the package: views of a state vector, and
+the environment a spawned interpreter needs to import it."""
+
+import os
+from pathlib import Path
 
 import numpy as np
 
 from wshare.statevec import StateVector
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def child_env() -> dict[str, str]:
+    """This process's environment with the checkout's ``src`` first on
+    ``PYTHONPATH``, so a spawned ``python -m wshare`` imports this tree."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return env
 
 
 def reorder(s: StateVector, labels) -> StateVector:

@@ -35,7 +35,7 @@ from wshare.teleport import (
     teleport_branches,
 )
 
-from helpers import z_marginal
+from helpers import child_env, z_marginal
 
 
 def _report(num: int, description: str, ok: bool, detail: str = "") -> None:
@@ -264,7 +264,7 @@ def test_criterion_11_sweep_determinism(tmp_path):
         paths = [tmp_path / f"{fmt}_{i}.out" for i in (1, 2)]
         for path in paths:
             proc = subprocess.run(args + ["--format", fmt, "--out", str(path)],
-                                  capture_output=True, text=True)
+                                  capture_output=True, text=True, env=child_env())
             assert proc.returncode == 0, proc.stderr
         contents[fmt] = [p.read_bytes() for p in paths]
     ok = all(first == second for first, second in contents.values())

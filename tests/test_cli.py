@@ -20,6 +20,8 @@ from wshare.analytic import sequence_success_probability
 from wshare.attacks import ATTACK_KINDS
 from wshare.cli import CURVE_COLUMNS, SWEEP_COLUMNS, UsageError, _scenario_value, main
 
+from helpers import child_env
+
 
 def run_cli(*args, cwd=None):
     return subprocess.run(
@@ -27,6 +29,7 @@ def run_cli(*args, cwd=None):
         capture_output=True,
         text=True,
         cwd=cwd,
+        env=child_env(),
     )
 
 
@@ -376,7 +379,7 @@ def test_unaddressable_curve_lengths_are_computed(capsys):
 def test_closed_stdout_ends_without_traceback():
     # Far more output than a pipe holds, so the writer meets the closed end.
     argv = [sys.executable, "-m", "wshare", "teleport-demo", "--trials", "5000", "--seed", "1"]
-    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env()) as proc:
         assert proc.stdout.readline().startswith(b"section")
         proc.stdout.close()
         assert proc.wait(timeout=120) == 1
@@ -390,7 +393,8 @@ def test_closed_stdout_ends_without_traceback():
 def test_failed_write_exits_one_without_traceback(args):
     argv = [sys.executable, "-m", "wshare", *args]
     with open("/dev/full", "w") as full:
-        proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, text=True, timeout=120)
+        proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, text=True, timeout=120,
+                              env=child_env())
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: cannot write output:")

@@ -1,17 +1,16 @@
 """Smoke test: every script in demos/, the README's library quick start and
 its command-line examples run to completion and print something."""
 
-import os
 import shlex
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 from wshare.cli import SWEEP_COLUMNS, main
 
-ROOT = Path(__file__).resolve().parent.parent
+from helpers import ROOT, child_env
+
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 README = (ROOT / "README.md").read_text()
 
@@ -30,10 +29,7 @@ def test_demos_are_found():
 
 
 def _run_python(*args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, *args], env=env, capture_output=True,
+    done = subprocess.run([sys.executable, *args], env=child_env(), capture_output=True,
                           text=True, timeout=120, cwd=ROOT)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()

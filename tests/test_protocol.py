@@ -216,9 +216,10 @@ def test_checks_validate_inputs():
         evaluate_checks([], [], [], [], "paper_analytic")
 
 
-def test_check_report_invariant():
-    with pytest.raises(ValueError):
-        CheckReport("pass", (3,), {})
+def test_check_report_verdict_follows_offending_rounds():
+    assert CheckReport((3,), {}).verdict == "detected"
+    assert CheckReport((), {}).verdict == "pass"
+    assert CheckReport((3,), {}) == CheckReport((3,), {"z_rc0": RuleTally(1, 1)})
 
 
 # ---------------------------------------------------------------------------
