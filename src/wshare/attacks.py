@@ -152,6 +152,6 @@ def eve_recover_batch(
     corrections = _correction_matrices()[batch.outcomes]
     if attack.kind == "imra":
         held = corrections[np.arange(len(bits)), :, bits]
-        return np.abs(np.einsum("ti,ti->t", messages.conj(), held)) ** 2
-    pulled_back = np.einsum("tij,ti->tj", corrections, messages)
+        return np.abs((messages.conj() * held).sum(axis=1)) ** 2
+    pulled_back = (messages[:, None, :] @ corrections)[:, 0]
     return qubit_fidelities(batch.residuals, batch.labels, EVE_LABEL, pulled_back)

@@ -477,10 +477,10 @@ def cmd_curves(cfg: argparse.Namespace) -> int:
     curves = ([("vary-y", y, cfg.p, cfg.d) for y in y_values]
               + [("vary-d", fixed_y, cfg.p, d) for d in d_values]
               + [("vary-p", fixed_y, p, cfg.d) for p in p_values])
-    rows = [dict(zip(CURVE_COLUMNS, (panel, y, p, d, n,
-                                     (1.0 - closed_form_round_detection(cfg.attack, cfg.mode, p, d, y)) ** n),
-                     strict=True))
-            for panel, y, p, d in curves for n in n_values]
+    rows = []
+    for panel, y, p, d in curves:
+        q = closed_form_round_detection(cfg.attack, cfg.mode, p, d, y)
+        rows += [dict(zip(CURVE_COLUMNS, (panel, y, p, d, n, (1.0 - q) ** n), strict=True)) for n in n_values]
     notes = ["illustrative default ranges; not a reproduction of any published figure"] if defaults_used else None
     _emit_rows(CURVE_COLUMNS, rows, cfg, notes=notes)
     return 0

@@ -236,7 +236,7 @@ class RunOutcome:
     def pairs(self) -> DistilledPairSet:
         rounds, states = self.rounds, _round_tables(self.attack).pairs
         return DistilledPairSet(tuple((np.flatnonzero(rounds.pairs[0]) + 1).tolist()),
-                                tuple(states[e] for e in rounds.eve[rounds.pairs].tolist()))
+                                tuple(map(states.__getitem__, rounds.eve[rounds.pairs].tolist())))
 
     @functools.cached_property
     def transcript(self) -> tuple[tuple, ...]:

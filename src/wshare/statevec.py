@@ -394,9 +394,11 @@ def _sample_bell_rows(probabilities: np.ndarray, draws: np.ndarray) -> np.ndarra
     if not possible.any(axis=1).all():
         raise RuntimeError("no Bell branch has positive probability")
     cumulative = np.cumsum(np.where(possible, probabilities, 0.0), axis=1)
-    hit = possible & (draws[:, None] < cumulative)
     last = possible.shape[1] - 1 - np.argmax(possible[:, ::-1], axis=1)
-    return np.where(hit.any(axis=1), np.argmax(hit, axis=1), last)
+    # cumulative is non-decreasing and flat across impossible branches, so
+    # the boundaries a draw >= 0 has passed count up to the first possible
+    # branch it falls below
+    return np.minimum((draws[:, None] >= cumulative).sum(axis=1), last)
 
 
 # ---------------------------------------------------------------------------

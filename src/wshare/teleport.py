@@ -12,7 +12,7 @@ and keeping the unique correction that restores the message exactly.
 message amplitudes to the rest of the register with Bob's correction
 already applied, so an attempt is one matrix product and never builds the
 joint register.  The protocol's round tables hold one kernel per pair
-node, and each kernel costs one ``einsum`` per block of rows.
+node, and each kernel costs one ``matmul`` per block of rows.
 :func:`teleport` is one row of a batch, and :func:`teleport_fresh` draws
 every other teleport.  :func:`teleport_branches` stays the scalar
 four-branch oracle, built from :func:`~wshare.statevec.enumerate_bell`.
@@ -48,7 +48,9 @@ from .statevec import (
 
 CORRECTIONS = ("I", "X", "Z", "XZ")
 
-# Teleports per einsum in a batch: bounds the four-branch working arrays.
+# Teleports per matmul in a batch: bounds the four-branch working arrays.
+# Larger blocks were no faster: 1024-4096 rows raised peak RSS by 0.7-1.7 MB,
+# and one matmul over a few thousand rows took 1-8 ms (0.02-0.13 ms at 256).
 _BATCH_ROWS = 256
 
 
@@ -209,7 +211,7 @@ def teleport_batch(
     pair's :func:`_bell_kernel`.  One uniform draw per row walks the Bell
     outcomes' cumulative distribution in ``BELL_NAMES`` order, skipping
     impossible ones (:func:`~wshare.statevec._sample_bell_rows`); only the
-    drawn residual is normalized.  Each kernel used costs one ``einsum``
+    drawn residual is normalized.  Each kernel used costs one ``matmul``
     per ``_BATCH_ROWS`` of its rows.  The kernels used must share their
     rest; a row whose node has no kernel (or is negative) raises ValueError.
     """
@@ -227,9 +229,10 @@ def teleport_batch(
             residuals, labels = np.zeros((count, kernel.shape[2]), dtype=complex), rest
         elif rest != labels:
             raise ValueError(f"pairs with different registers in one batch: {labels} vs {rest}")
+        flat = kernel.transpose(1, 0, 2).reshape(2, -1)  # (2, 4R): all four branches side by side
         for start in range(0, rows.size, _BATCH_ROWS):
             part = rows[start:start + _BATCH_ROWS]
-            branches = np.einsum("ti,kir->tkr", messages[part], kernel)
+            branches = (messages[part] @ flat).reshape(part.size, 4, -1)
             probabilities = (np.abs(branches) ** 2).sum(axis=2)
             chosen = _sample_bell_rows(probabilities, draws[part])
             drawn = np.arange(part.size), chosen
@@ -259,6 +262,8 @@ def qubit_fidelities(amplitudes: np.ndarray, labels: tuple[str, ...], q: str,
     ``references[t]``.
     """
     rows = amplitudes.reshape(len(amplitudes), 1 << labels.index(q), 2, -1)
+    # not a matmul: BLAS fuses these complex products, which moves the last
+    # bit of a fidelity, and the batched (1, 2) @ (2, A) products were slower
     overlaps = np.einsum("tbja,tj->tba", rows, references.conj())
     return (np.abs(overlaps) ** 2).sum(axis=(1, 2))
 

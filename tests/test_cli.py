@@ -454,6 +454,25 @@ def test_curves_accepts_isra_and_the_defaults(tmp_path):
     assert out.read_bytes() == outputs[0]
 
 
+def test_curves_compute_q_once_per_curve(monkeypatch, tmp_path):
+    # q depends on the curve's (y, p, d), not on n: the default grid's nine
+    # curves of 60 rows each make nine closed-form calls, one per curve.
+    closed_form = cli.closed_form_round_detection
+    calls = []
+
+    def counted(kind, mode, p, d, y):
+        calls.append((p, d, y))
+        return closed_form(kind, mode, p, d, y)
+
+    monkeypatch.setattr(cli, "closed_form_round_detection", counted)
+    out = tmp_path / "curves.csv"
+    assert main(["curves", "--format", "csv", "--out", str(out)]) == 0
+    _, rows = _read_csv(out.read_text())
+    curves = list(dict.fromkeys(tuple(row[:4]) for row in rows))
+    assert len(curves) == 9 and len(rows) == 9 * len(cli._DEFAULT_CURVE_NS)
+    assert calls == [(float(p), float(d), float(y)) for _, y, p, d in curves]
+
+
 @pytest.mark.parametrize("mode", ["paper", "strict"])
 @pytest.mark.parametrize("attack", ATTACK_KINDS)
 def test_curves_take_every_attack_and_mode(attack, mode, tmp_path):

@@ -11,6 +11,7 @@ from wshare.statevec import (
     BELL_NAMES,
     Basis,
     StateVector,
+    _sample_bell_rows,
     enumerate_bell,
     enumerate_qubit,
     make_basis_state,
@@ -395,6 +396,64 @@ def test_batched_teleport_and_recovery_match_scalar(node):
         for bit, recovery in recoveries.items():
             assert recovery[t] == pytest.approx(
                 eve_recover_attempt(attack, bit, want, message), abs=1e-12), where
+
+
+# Hand-built Bell weights: an impossible first, middle or last branch (some
+# at or just below the sampling threshold), and rows whose total falls short
+# of 1, so draws at or past the total are inside [0, 1).
+SAMPLED_ROWS = [
+    [0.0, 0.3, 0.5, 0.2],
+    [1e-16, 0.3, 0.5, 0.2],
+    [0.4, 0.0, 0.35, 0.25],
+    [0.3, 1e-15, 0.3, 0.3],
+    [0.1, 0.6, 0.3, 0.0],
+    [0.25, 0.5, 0.2, 1e-16],
+    [0.0, 1e-16, 0.7, 0.0],
+    [0.5, 0.0, 0.0, 0.5],
+    [1.0, 0.0, 0.0, 0.0],
+]
+
+
+def test_sample_bell_rows_is_the_scalar_walk():
+    probabilities, draws = [], []
+    for row in SAMPLED_ROWS:
+        total = sum(p for p in row if p > 1e-15)
+        for u in around_boundaries(row) + [total, float(np.nextafter(total, 2.0)), 0.99]:
+            if u < 1.0:
+                probabilities.append(row)
+                draws.append(u)
+    got = _sample_bell_rows(np.array(probabilities), np.array(draws))
+    for t, (row, u) in enumerate(zip(probabilities, draws)):
+        assert got[t] == walk(row, u), (row, u)
+        if u >= sum(p for p in row if p > 1e-15):  # at or past the total: the last possible branch
+            assert got[t] == max(k for k, p in enumerate(row) if p > 1e-15), (row, u)
+
+
+@pytest.mark.parametrize("rows", [[[0.0, 1e-15, 0.0, 1e-16]], [[0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]])
+def test_sample_bell_rows_refuses_a_row_with_no_possible_branch(rows):
+    with pytest.raises(RuntimeError):
+        _sample_bell_rows(np.array(rows), np.full(len(rows), 0.5))
+
+
+def test_teleport_batch_chunking_leaves_every_array_unchanged(monkeypatch):
+    # Mixed imra nodes, 900 rows on node 1 and 100 on node 0 interleaved:
+    # node 1 spans four 256-row chunks, and every block size gives the same
+    # bits as one block per node.
+    attack = AttackModel("imra")
+    kernels = _round_tables(attack).kernels
+    rand = np.random.default_rng(21)
+    which = rand.permutation(np.repeat([0, 1], [100, 900]))
+    messages, draws = random_amplitudes(rand, which.size), rand.random(which.size)
+    results = {}
+    for rows in (1, 3, 256, 10 ** 6):
+        monkeypatch.setattr("wshare.teleport._BATCH_ROWS", rows)
+        batch = teleport_batch(messages, kernels, which, draws)
+        recovered = eve_recover_batch(attack, which, batch, messages)
+        results[rows] = (batch.outcomes, batch.probabilities, batch.residuals, batch.fidelities, recovered)
+    assert set(results[1][0].tolist()) == {0, 1, 2, 3}
+    for rows, arrays in results.items():
+        for got, want in zip(arrays, results[10 ** 6]):
+            assert got.dtype == want.dtype and np.array_equal(got, want), rows
 
 
 def test_fresh_teleports_draw_all_messages_then_one_uniform_per_row():
