@@ -10,7 +10,7 @@ the module that defines it:
 * :mod:`wshare.protocol` — the protocol runs, checking rules and distillation;
 * :mod:`wshare.attacks` — the attack models and Eve's recovery attempt;
 * :mod:`wshare.teleport` — teleportation and the derived correction table;
-* :mod:`wshare.analytic` — the closed-form detection and success formulas;
+* :mod:`wshare.analytic` — the per-round closed form and its enumeration oracles;
 * :mod:`wshare.cli` — the ``wshare`` experiment runner.
 """
 

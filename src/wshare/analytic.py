@@ -1,6 +1,6 @@
 """Closed-form detection/success expressions plus exact enumeration oracles.
 
-One closed form covers every attack under both checkers
+One per-round closed form covers every attack under both checkers
 (:func:`closed_form_round_detection`).  A round is a detection round with
 probability d, a Z round within it with probability p:
 
@@ -10,8 +10,11 @@ probability d, a Z round within it with probability p:
   and entangle-measure leave the Z statistics untouched;
 * the strict checker's X rule catches any of the three attacks with
   probability (1 - p)*d/3: the home qubit reads 0 with probability 2/3,
-  and then the attack is caught with probability exactly 1/2;
-* an n-round sequence survives with (1 - per-round detection)^n.
+  and then the attack is caught with probability exactly 1/2.
+
+Rounds are independent, so an n-round sequence escapes with S = (1 - q)^n
+for the per-round detection probability q; callers form that power
+themselves.
 
 Everything else here is an *enumeration oracle*: it walks every measurement
 branch of an attacked round exactly (probabilities multiplied along the
@@ -29,20 +32,8 @@ regardless of what Eve forwards to Bob.)
 from __future__ import annotations
 
 from .attacks import AttackModel, _check_unit
-from .protocol import CheckerMode, DetectionDirective, _check_length, evaluate_checks
+from .protocol import CheckerMode, DetectionDirective, evaluate_checks
 from .statevec import _ZERO_PROB, Basis, StateVector, enumerate_qubit, make_w_state
-
-
-def isra_case_probs(y: float, p: float, d: float) -> tuple[float, float]:
-    """Per-round probabilities of the two store-resend detection events.
-
-    First component: home 1 while Bob reads the fake qubit as 1 (p*d*y^2/3).
-    Second: home 0 with the Z anticorrelation broken (p*d/3).
-    """
-    _check_unit("y", y)
-    _check_unit("p", p)
-    _check_unit("d", d)
-    return (p * d * y * y / 3.0, p * d / 3.0)
 
 
 def closed_form_round_detection(
@@ -50,29 +41,19 @@ def closed_form_round_detection(
 ) -> float:
     """Per-round detection probability of an attack under one checker, in closed form.
 
-    The Z rules catch only store-resend, with the two probabilities of
-    :func:`isra_case_probs`; the strict X rule catches any attack with
-    probability (1 - p)*d/3.  ``y`` is the store-resend fake amplitude,
+    The Z rules catch only store-resend, in two ways: home 1 while Bob reads
+    the fake qubit as 1 (p*d*y^2/3), and home 0 with the Z anticorrelation
+    broken (p*d/3).  The strict X rule catches any attack with probability
+    (1 - p)*d/3.  ``y`` is the store-resend fake amplitude,
     required for ``kind="isra"`` and refused for other kinds.
     """
     mode = CheckerMode(mode)
     _check_unit("p", p)
     _check_unit("d", d)
     AttackModel(kind, y)  # checks the kind and y
-    z = sum(isra_case_probs(y, p, d)) if kind == "isra" else 0.0
+    z = p * d * y * y / 3.0 + p * d / 3.0 if kind == "isra" else 0.0
     x = (1.0 - p) * d / 3.0 if mode is CheckerMode.STRICT and kind != "none" else 0.0
     return z + x
-
-
-def isra_success_sequence(y: float, p: float, d: float, n: int) -> float:
-    """Probability a whole n-round store-resend sequence escapes detection.
-
-    Strictly positive for any finite n, decreasing in n whenever
-    p*d*(1+y^2) > 0 — the attack is caught with probability approaching,
-    but never reaching, one.
-    """
-    n = _check_length(n)
-    return (1.0 - closed_form_round_detection("isra", CheckerMode.PAPER, p, d, y)) ** n
 
 
 # ---------------------------------------------------------------------------
@@ -152,18 +133,6 @@ def round_detection_probability(
         vx = _violation_probability(state, Basis.X, mode)
         detect += weight * (p * vz + (1.0 - p) * vx)
     return d * detect
-
-
-def sequence_success_probability(
-    kind: str, mode: CheckerMode | str, p: float, d: float, n: int, y: float | None = None
-) -> float:
-    """(1 - per-round detection)^n from the enumeration oracle.
-
-    Rounds are independent, so this is the exact probability that an
-    n-round attacked sequence escapes the checker.
-    """
-    n = _check_length(n)
-    return (1.0 - round_detection_probability(kind, mode, p, d, y)) ** n
 
 
 def x_round_detection_given_home0(kind: str, y: float | None = None) -> float:

@@ -27,8 +27,6 @@ import numpy as np
 _RSQRT2 = 1.0 / np.sqrt(2.0)
 # Branches with squared norm at or below this are treated as impossible.
 _ZERO_PROB = 1e-15
-# Z's action on the middle axis of a (before, 2, after) view.
-_Z_SIGNS = np.array([1.0, -1.0]).reshape(1, 2, 1)
 
 
 class Basis(enum.Enum):
@@ -239,18 +237,6 @@ def discard_qubit(s: StateVector, q: str) -> StateVector:
 
 # ---------------------------------------------------------------------------
 # gates
-
-
-def apply_x(s: StateVector, q: str) -> StateVector:
-    """Pauli X (bit flip) on one qubit."""
-    t = s._split(s.axis(q))
-    return StateVector._trusted(t[:, [1, 0]].reshape(-1), s.labels)
-
-
-def apply_z(s: StateVector, q: str) -> StateVector:
-    """Pauli Z (phase flip) on one qubit."""
-    t = s._split(s.axis(q))
-    return StateVector._trusted((t * _Z_SIGNS).reshape(-1), s.labels)
 
 
 def apply_cnot(s: StateVector, control: str, target: str) -> StateVector:

@@ -12,10 +12,7 @@ import time
 
 import numpy as np
 
-from wshare.analytic import (
-    isra_success_sequence,
-    round_detection_probability,
-)
+from wshare.analytic import closed_form_round_detection, round_detection_probability
 from wshare.attacks import AttackModel, eve_recover_attempt
 from wshare.cli import _sweep_point
 from wshare.protocol import ProtocolConfig, run_protocol
@@ -99,7 +96,7 @@ def test_criterion_04_isra_analytic_match():
     failures = []
     for index, (y, p, d) in enumerate(grid):
         row = _sweep_point(("isra", "paper", y, p, d, n, trials, 20_04, index))
-        predicted = isra_success_sequence(y, p, d, n)
+        predicted = (1 - closed_form_round_detection("isra", "paper", p, d, y)) ** n
         stderr = np.sqrt(predicted * (1.0 - predicted) / trials)
         gap = abs(row["success_rate"] - predicted)
         if gap > 3.0 * stderr:
@@ -206,13 +203,14 @@ def test_criterion_08_ema_decomposition():
 def test_criterion_09_quasi_security_limit():
     tail_ok = True
     positive_ok = True
+    q = closed_form_round_detection("isra", "paper", 1.0, 1.0, 1.0)
     for n in range(1, 601):
-        s = isra_success_sequence(1.0, 1.0, 1.0, n)
+        s = (1 - q) ** n
         if s <= 0.0:
             positive_ok = False
         if n >= 13 and s >= 1e-6:
             tail_ok = False
-    s13 = isra_success_sequence(1.0, 1.0, 1.0, 13)
+    s13 = (1 - q) ** 13
     _report(9, "worst-case escape probability: <1e-6 from n=13 on, never exactly 0",
             tail_ok and positive_ok, f"S(n=13)={s13:.2e}, tested n=1..600")
 

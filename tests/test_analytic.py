@@ -6,10 +6,7 @@ import pytest
 from wshare import analytic
 from wshare.analytic import (
     closed_form_round_detection,
-    isra_case_probs,
-    isra_success_sequence,
     round_detection_probability,
-    sequence_success_probability,
     x_round_detection_given_home0,
 )
 from wshare.attacks import ATTACK_KINDS
@@ -33,38 +30,47 @@ def test_imra_outcome_probs():
     assert branches[1].probability == pytest.approx(p1, abs=1e-12)
 
 
+def _isra(y, p, d):
+    """The store-resend per-round detection probability q under the paper checker."""
+    return closed_form_round_detection("isra", "paper", p, d, y)
+
+
 def test_isra_case_probs_values():
-    assert isra_case_probs(1, 1, 1) == (pytest.approx(1 / 3), pytest.approx(1 / 3))
-    assert isra_case_probs(0, 0.7, 0.4) == (0.0, pytest.approx(0.7 * 0.4 / 3))
-    assert isra_case_probs(0.5, 0, 0.4) == (0.0, 0.0)
+    # The two Z-rule cases: home 0 with the anticorrelation broken (p*d/3)
+    # and home 1 with the fake qubit read as 1 (p*d*y^2/3).
+    assert _isra(0, 1, 1) == pytest.approx(1 / 3)
+    assert _isra(1, 1, 1) - _isra(0, 1, 1) == pytest.approx(1 / 3)
+    assert _isra(0, 0.7, 0.4) == pytest.approx(0.7 * 0.4 / 3)
+    assert _isra(0.5, 0, 0.4) == 0.0
     with pytest.raises(ValueError):
-        isra_case_probs(1.2, 0.5, 0.5)
+        _isra(1.2, 0.5, 0.5)
 
 
 def test_isra_success_single_values():
-    # One round: n = 1.
-    assert isra_success_sequence(1, 1, 1, 1) == pytest.approx(1 / 3, abs=1e-12)
-    assert isra_success_sequence(0.3, 0.8, 0, 1) == pytest.approx(1.0)
-    assert isra_success_sequence(np.sqrt(0.5), 0.5, 0.5, 1) == pytest.approx(0.875, abs=1e-12)
+    # One round escapes with 1 - q.
+    assert 1 - _isra(1, 1, 1) == pytest.approx(1 / 3, abs=1e-12)
+    assert 1 - _isra(0.3, 0.8, 0) == pytest.approx(1.0)
+    assert 1 - _isra(np.sqrt(0.5), 0.5, 0.5) == pytest.approx(0.875, abs=1e-12)
 
 
 def test_isra_success_sequence_values():
-    assert isra_success_sequence(0.4, 0.6, 0.7, 1) == 1.0 - sum(isra_case_probs(0.4, 0.6, 0.7))
-    assert isra_success_sequence(1, 1, 1, 5) == pytest.approx((1 / 3) ** 5)
-    with pytest.raises(ValueError):
-        isra_success_sequence(0.5, 0.5, 0.5, 0)
+    # The home-1 term plus the home-0 term, in that order: the float order
+    # the sweep and curves outputs were captured with.
+    assert _isra(0.4, 0.6, 0.7) == 0.6 * 0.7 * 0.4 * 0.4 / 3.0 + 0.6 * 0.7 / 3.0
+    assert (1 - _isra(1, 1, 1)) ** 5 == pytest.approx((1 / 3) ** 5)
 
 
 def test_sequence_monotone_in_n():
-    values = [isra_success_sequence(0.5, 0.5, 0.5, n) for n in range(1, 40)]
+    q = _isra(0.5, 0.5, 0.5)
+    values = [(1 - q) ** n for n in range(1, 40)]
     assert all(a > b > 0 for a, b in zip(values, values[1:]))
 
 
 def test_success_depends_on_pd_product_only():
     for y in (0.0, 0.5, 1.0):
-        a = isra_success_sequence(y, 0.8, 0.25, 1)
-        b = isra_success_sequence(y, 0.25, 0.8, 1)
-        c = isra_success_sequence(y, 0.4, 0.5, 1)
+        a = _isra(y, 0.8, 0.25)
+        b = _isra(y, 0.25, 0.8)
+        c = _isra(y, 0.4, 0.5)
         assert a == pytest.approx(b, abs=1e-15)
         assert a == pytest.approx(c, abs=1e-15)
 
@@ -121,14 +127,6 @@ def test_strict_dominates_analytic_per_round():
         assert strict_rate >= analytic_rate - 1e-12
 
 
-def test_sequence_success_probability():
-    direct = sequence_success_probability("isra", "paper", p=0.5, d=0.5, n=10, y=0.5)
-    formula = isra_success_sequence(0.5, 0.5, 0.5, 10)
-    assert direct == pytest.approx(formula, abs=1e-9)
-    with pytest.raises(ValueError):
-        sequence_success_probability("isra", "strict", p=0.5, d=0.5, n=0, y=0.5)
-
-
 def test_oracle_validates_arguments():
     # The closed form refuses exactly what the oracle refuses.
     for per_round in (round_detection_probability, closed_form_round_detection):
@@ -155,15 +153,6 @@ def test_oracle_validates_arguments():
             per_round("ema", "strict", p=0.5, d=0.5, y=0.5)  # y is isra's only
     with pytest.raises(ValueError):
         x_round_detection_given_home0("isra", y=float("nan"))
-    for n in (2.5, True, 0, 2.0, np.float64(3.0), "3"):
-        with pytest.raises(ValueError):
-            sequence_success_probability("imra", "strict", 0.5, 0.5, n)
-        with pytest.raises(ValueError):
-            isra_success_sequence(0.5, 0.5, 0.5, n)
-    # Any integral n is a length, numpy's included.
-    assert sequence_success_probability("imra", "strict", 0.5, 0.5, np.int64(3)) == \
-        sequence_success_probability("imra", "strict", 0.5, 0.5, 3)
-    assert isra_success_sequence(0.5, 0.5, 0.5, np.int64(3)) == isra_success_sequence(0.5, 0.5, 0.5, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +170,8 @@ def test_closed_form_matches_the_oracle(kind, ys, mode, monkeypatch):
     cases = [(y, p, d) for y in ys for p in (0.0, 0.3, 0.5, 1.0) for d in (0.0, 0.5, 1.0)]
     closed = [closed_form_round_detection(kind, mode, p, d, y) for y, p, d in cases]
     if kind == "isra" and mode is CheckerMode.PAPER:
-        assert closed == [sum(isra_case_probs(y, p, d)) for y, p, d in cases]
+        assert closed == [sum((p * d * y * y / 3.0, p * d / 3.0)) for y, p, d in cases]
     monkeypatch.setattr(analytic, "closed_form_round_detection", _refuse)
-    monkeypatch.setattr(analytic, "isra_case_probs", _refuse)
     for (y, p, d), value in zip(cases, closed):
         assert abs(value - round_detection_probability(kind, mode, p, d, y)) <= 1e-12, (y, p, d)
 

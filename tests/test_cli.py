@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wshare import cli, protocol
-from wshare.analytic import sequence_success_probability
+from wshare.analytic import round_detection_probability
 from wshare.attacks import ATTACK_KINDS
 from wshare.cli import CURVE_COLUMNS, SWEEP_COLUMNS, UsageError, _scenario_value, main
 
@@ -491,7 +491,8 @@ def test_curves_take_every_attack_and_mode(attack, mode, tmp_path):
     assert [r[0] for r in rows] == ["vary-y"] * 2 * curves + ["vary-d"] * 4 + ["vary-p"] * 4
     for panel, y, p, d, n, success in rows:
         assert (y == "") == (attack != "isra")
-        expected = sequence_success_probability(attack, mode, float(p), float(d), int(n), float(y) if y else None)
+        q = round_detection_probability(attack, mode, float(p), float(d), float(y) if y else None)
+        expected = (1 - q) ** int(n)
         assert float(success) == pytest.approx(expected, abs=1e-11)
         if attack == "none" or (attack != "isra" and mode == "paper"):
             assert success == "1"

@@ -1,14 +1,16 @@
 """The package root: each object has one import path, its defining module."""
 
+import ast
 import importlib
 import inspect
 import json
+import re
 import subprocess
 import sys
 
 import wshare
 
-from helpers import child_env
+from helpers import ROOT, child_env
 
 MODULES = ("statevec", "protocol", "attacks", "teleport", "analytic", "cli")
 
@@ -19,7 +21,8 @@ def test_submodule_import_binds_the_module():
     assert inspect.ismodule(t)
     assert t is sys.modules["wshare.teleport"]
     for name in MODULES:
-        assert getattr(wshare, name) is importlib.import_module(f"wshare.{name}"), name
+        module = importlib.import_module(f"wshare.{name}")
+        assert getattr(wshare, name) is module, name
 
 
 def test_root_import_loads_no_submodule_and_binds_only_the_version():
@@ -30,3 +33,30 @@ def test_root_import_loads_no_submodule_and_binds_only_the_version():
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == [[], [], wshare.__version__]
+
+
+# Public functions that nothing in src/, demos/ or README.md calls: the
+# test-only oracles that guard a fast path.
+UNREFERENCED_ORACLES = {
+    "x_round_detection_given_home0",  # the strict X rule's 1/2, per attack
+    "ema_decomposition",  # criterion 8's four-branch rebuild
+    "eve_recover_attempt",  # the scalar oracle of eve_recover_batch
+}
+
+
+def test_every_public_function_is_used():
+    # A public top-level function of src/wshare counts as used when code in
+    # src/ or demos/ names it outside its own def, or README.md mentions it.
+    sources = sorted((ROOT / "src" / "wshare").glob("*.py"))
+    public, named = {}, set()
+    for path in sources + sorted((ROOT / "demos").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            own = node.name if path in sources and isinstance(node, ast.FunctionDef) else None
+            if own is not None and not own.startswith("_"):
+                public[own] = path.name
+            named |= {sub.id if isinstance(sub, ast.Name) else sub.attr for sub in ast.walk(node)
+                      if isinstance(sub, (ast.Name, ast.Attribute))} - {own}
+    readme = (ROOT / "README.md").read_text()
+    unused = {name for name in public
+              if name not in named and not re.search(rf"\b{name}\b", readme)}
+    assert unused == UNREFERENCED_ORACLES, {name: public.get(name) for name in unused}

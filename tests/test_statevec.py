@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from wshare.attacks import AttackModel
+from wshare.teleport import apply_correction
 from wshare.statevec import (
     Basis,
     StateVector,
     apply_cnot,
-    apply_x,
-    apply_z,
     discard_qubit,
     enumerate_bell,
     enumerate_qubit,
@@ -258,14 +257,6 @@ def test_cnot_rejects_same_wire():
         apply_cnot(make_w_state(), "a", "a")
 
 
-def test_pauli_gates():
-    s = make_message_state(0.6, 0.8)
-    assert_allclose(apply_x(s, "m").amplitudes, [0.8, 0.6])
-    assert_allclose(apply_z(s, "m").amplitudes, [0.6, -0.8])
-    # XZ with X first: a|0>+b|1> -> b|0>+a|1> -> b|0>-a|1>
-    assert_allclose(apply_z(apply_x(s, "m"), "m").amplitudes, [0.8, -0.6])
-
-
 # ---------------------------------------------------------------------------
 # measurement: sampling and enumeration
 
@@ -482,8 +473,8 @@ def test_operations_preserve_norm(seed):
     s = random_state(rng, ("a", "b", "c"))
     for out in (
         apply_cnot(s, "a", "c"),
-        apply_x(s, "b"),
-        apply_z(s, "a"),
+        apply_correction(s, "b", "X"),
+        apply_correction(s, "a", "Z"),
         tensor(s, make_basis_state([0], ["e"])),
         measure_qubit(s, "b", Basis.X, rng).post_state,
     ):

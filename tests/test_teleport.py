@@ -21,7 +21,9 @@ from wshare.statevec import (
     tensor,
 )
 from wshare.teleport import (
+    CORRECTIONS,
     _bell_kernel,
+    _correction_matrices,
     _finish,
     apply_correction,
     build_correction_table,
@@ -116,8 +118,37 @@ def test_no_signaling():
 def test_apply_correction_names():
     s = make_message_state(0.6, 0.8)
     assert_allclose(apply_correction(s, "m", "I").amplitudes, [0.6, 0.8])
+    assert_allclose(apply_correction(s, "m", "X").amplitudes, [0.8, 0.6])
+    assert_allclose(apply_correction(s, "m", "Z").amplitudes, [0.6, -0.8])
+    # XZ with X first: a|0>+b|1> -> b|0>+a|1> -> b|0>-a|1>
+    assert_allclose(apply_correction(s, "m", "XZ").amplitudes, [0.8, -0.6])
+    # the same on the middle qubit of a 3-qubit register, against a hand-built
+    # permutation (X swaps b = 0 and b = 1) and sign flip (Z negates b = 1)
+    amplitudes = np.arange(1, 9) * (1 + 0.5j)
+    s3 = StateVector(amplitudes / np.linalg.norm(amplitudes), ("a", "b", "c"))
+    index = np.arange(8)
+    flipped = index ^ 0b010
+    sign = np.where(index & 0b010, -1, 1)
+    assert np.array_equal(apply_correction(s3, "b", "I").amplitudes, s3.amplitudes)
+    assert np.array_equal(apply_correction(s3, "b", "X").amplitudes, s3.amplitudes[flipped])
+    assert np.array_equal(apply_correction(s3, "b", "Z").amplitudes, s3.amplitudes * sign)
+    assert np.array_equal(apply_correction(s3, "b", "XZ").amplitudes, s3.amplitudes[flipped] * sign)
     with pytest.raises(ValueError):
         apply_correction(s, "m", "ZX")
+
+
+def test_corrections_are_read_only_matrices():
+    assert list(CORRECTIONS) == ["I", "X", "Z", "XZ"]
+    assert np.array_equal(CORRECTIONS["XZ"], CORRECTIONS["Z"] @ CORRECTIONS["X"])
+    for matrix in CORRECTIONS.values():
+        assert matrix.shape == (2, 2) and matrix.dtype == float
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 5.0
+    table = build_correction_table()
+    stacked = _correction_matrices()
+    assert np.array_equal(stacked, np.stack([CORRECTIONS[table[name]] for name in BELL_NAMES]))
+    with pytest.raises(ValueError):
+        stacked[0, 0, 0] = 5.0
 
 
 # ---------------------------------------------------------------------------
