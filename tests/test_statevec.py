@@ -257,6 +257,14 @@ def test_cnot_rejects_same_wire():
         apply_cnot(make_w_state(), "a", "a")
 
 
+def test_pauli_gates():
+    s = make_message_state(0.6, 0.8)
+    assert_allclose(apply_correction(s, "m", "X").amplitudes, [0.8, 0.6])
+    assert_allclose(apply_correction(s, "m", "Z").amplitudes, [0.6, -0.8])
+    # XZ with X first: a|0>+b|1> -> b|0>+a|1> -> b|0>-a|1>
+    assert_allclose(apply_correction(s, "m", "XZ").amplitudes, [0.8, -0.6])
+
+
 # ---------------------------------------------------------------------------
 # measurement: sampling and enumeration
 

@@ -118,11 +118,7 @@ def test_no_signaling():
 def test_apply_correction_names():
     s = make_message_state(0.6, 0.8)
     assert_allclose(apply_correction(s, "m", "I").amplitudes, [0.6, 0.8])
-    assert_allclose(apply_correction(s, "m", "X").amplitudes, [0.8, 0.6])
-    assert_allclose(apply_correction(s, "m", "Z").amplitudes, [0.6, -0.8])
-    # XZ with X first: a|0>+b|1> -> b|0>+a|1> -> b|0>-a|1>
-    assert_allclose(apply_correction(s, "m", "XZ").amplitudes, [0.8, -0.6])
-    # the same on the middle qubit of a 3-qubit register, against a hand-built
+    # the Paulis on the middle qubit of a 3-qubit register, against a hand-built
     # permutation (X swaps b = 0 and b = 1) and sign flip (Z negates b = 1)
     amplitudes = np.arange(1, 9) * (1 + 0.5j)
     s3 = StateVector(amplitudes / np.linalg.norm(amplitudes), ("a", "b", "c"))
