@@ -30,7 +30,8 @@ output.  Every random draw descends from ``--seed``: ``run`` draws from
 byte-identical output files whatever ``--workers`` is.  A sweep starts
 worker processes only for grids big enough to pay for them (at most one
 per :data:`_ROUNDS_PER_WORKER` trial-rounds); smaller grids run in the
-calling process.  Exit status:
+calling process, and the pool machinery is imported only when a sweep
+starts workers.  Exit status:
 0 success, 1 usage error or unwritable output, 2 protocol aborted (run
 verb only).
 """
@@ -43,11 +44,11 @@ import csv
 import functools
 import itertools
 import json
+import locale  # argparse's gettext loads it on a parser's first message; load it here, not in the call
 import math
 import os
 import shutil
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import NamedTuple
 
 import numpy as np
@@ -442,6 +443,8 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
     trial_rounds = cfg.trials * sum(n for *_, n in grid)
     workers = min(cfg.workers, len(points), _usable_cpus(), trial_rounds // _ROUNDS_PER_WORKER)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only when a pool starts
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, points))
     else:

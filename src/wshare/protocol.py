@@ -322,9 +322,10 @@ def _apply_rules(selected, x_basis, home, alice, bob, mode: CheckerMode) -> dict
 # the round tables
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RoundTables:
-    """The compiled round tree of one attack; see the module docstring."""
+    """The compiled round tree of one attack (see the module docstring); tables
+    compare and hash by identity."""
 
     te: float | None
     tc: np.ndarray
@@ -374,7 +375,7 @@ def _round_tables(attack: AttackModel) -> RoundTables:
 # the engine
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Rounds:
     """One block of trials as (B, n) arrays: row = trial, column t - 1 = round t.
 
@@ -385,6 +386,7 @@ class Rounds:
     rest is derived once: ``violated``, ``aborted`` (B,), ``pairs`` (the
     surviving home-0 rounds of passing trials) and ``surviving`` (B,), the
     rounds not sacrificed.  Each pair's Eve branch is ``eve[pairs]``.
+    Blocks compare and hash by identity.
     """
 
     eve: np.ndarray

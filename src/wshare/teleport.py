@@ -84,24 +84,22 @@ def build_correction_table() -> dict[str, str]:
 
     Two linearly independent probe messages pin the correction uniquely:
     a candidate survives only if it restores both probes with fidelity 1.
+    Each probe's four Bell branches are enumerated once.
     """
     probes = [make_message_state(0.6, 0.8), make_message_state(1 / np.sqrt(2), 1j / np.sqrt(2))]
-    table: dict[str, str] = {}
-    for name in BELL_NAMES:
-        survivors = list(CORRECTIONS)
-        for probe in probes:
-            joint = tensor(probe, psi_plus_pair())
-            branch = next(o for o in enumerate_bell(joint, "m", "a") if o.name == name)
-            survivors = [
+    survivors = {name: list(CORRECTIONS) for name in BELL_NAMES}
+    for probe in probes:
+        for branch in enumerate_bell(tensor(probe, psi_plus_pair()), "m", "a"):
+            survivors[branch.name] = [
                 c
-                for c in survivors
+                for c in survivors[branch.name]
                 if reduced_fidelity(apply_correction(branch.residual, "b", c), "b", probe)
                 > 1 - 1e-12
             ]
-        if len(survivors) != 1:
-            raise RuntimeError(f"correction for {name} not unique: {survivors}")
-        table[name] = survivors[0]
-    return table
+    for name, left in survivors.items():
+        if len(left) != 1:
+            raise RuntimeError(f"correction for {name} not unique: {left}")
+    return {name: left[0] for name, left in survivors.items()}
 
 
 @dataclass(frozen=True)
@@ -179,7 +177,7 @@ def teleport(message: StateVector, pair: StateVector, rand: np.random.Generator)
                           StateVector._trusted(batch.residuals[0], batch.labels), float(batch.fidelities[0]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TeleportBatch:
     """Many teleportation attempts, one row each.
 
@@ -187,7 +185,7 @@ class TeleportBatch:
     attempt t, ``probabilities[t]`` that outcome's weight, ``residuals[t]``
     the normalized rest of its register after Bob's correction, over
     ``labels``, and ``fidelities[t]`` Bob's qubit scored against the
-    message.
+    message.  Batches compare and hash by identity.
     """
 
     outcomes: np.ndarray

@@ -12,7 +12,6 @@ from pathlib import Path
 
 import pytest
 
-from wshare import cli
 from wshare.cli import main
 
 SPEC = importlib.util.spec_from_file_location(
@@ -29,7 +28,7 @@ SEEDS = (1, 2)  # the benchmark's default seed and its held-out one
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_benchmark_workload_passes_its_gate(name, seed, tmp_path, monkeypatch):
     # Every grid is below the pool threshold, so no call starts a process.
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", None)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", None)
     workload = workloads.WORKLOADS[name]
     out = tmp_path / "out"
     status = main(workload.argv(seed, str(out), workload.workers))

@@ -729,7 +729,7 @@ def _set_cpus(monkeypatch, affinity, count=None):
     [(1000, 3, 8, 3), (1000, 6, 4, 4), (2, 6, 4, 2), (1000, 6, None, None), (5, 1, 8, None)],
 )
 def test_workers_capped_by_grid_points_and_cpus(workers, points, cpus, expected, monkeypatch, tmp_path):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli, "_ROUNDS_PER_WORKER", 1)  # every trial-round pays for a worker
     _set_cpus(monkeypatch, cpus)
     _capped_sweep(workers, points, tmp_path / "rows.jsonl")
@@ -738,7 +738,7 @@ def test_workers_capped_by_grid_points_and_cpus(workers, points, cpus, expected,
 
 @pytest.mark.parametrize("workers,points", [(1000, 3), (2, 6), (4, 4)])
 def test_small_grids_run_in_process(workers, points, monkeypatch, tmp_path):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     _set_cpus(monkeypatch, 8)
     assert 100 * sum(range(1, points + 1)) < cli._ROUNDS_PER_WORKER
     in_process = _capped_sweep(workers, points, tmp_path / "in_process.jsonl")

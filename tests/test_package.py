@@ -1,4 +1,5 @@
-"""The package root: each object has one import path, its defining module."""
+"""The package root: each object has one import path, its defining module, and
+importing the CLI loads only what its calls use."""
 
 import ast
 import importlib
@@ -9,6 +10,7 @@ import subprocess
 import sys
 
 import wshare
+from wshare import cli
 
 from helpers import ROOT, child_env
 
@@ -60,3 +62,33 @@ def test_every_public_function_is_used():
     unused = {name for name in public
               if name not in named and not re.search(rf"\b{name}\b", readme)}
     assert unused == UNREFERENCED_ORACLES, {name: public.get(name) for name in unused}
+
+
+# What a process pool loads; a CLI call needs none of it unless a sweep
+# starts workers.
+POOL_MODULES = ("concurrent.futures", "multiprocessing", "logging", "socket", "subprocess")
+# One call of each verb, each below the pool threshold.
+SET_UP_FREE_CALLS = (["sweep", "--workers", "2"], ["run", "--format", "records"], ["curves"], ["teleport-demo"])
+
+
+def test_cli_set_up_stays_out_of_the_call(tmp_path):
+    # Importing the CLI loads no pool machinery.  Once it and numpy's
+    # generator are loaded, no call imports another module: its set-up
+    # (argparse's locale, say) is paid at import, not inside the call.
+    assert 1000 * 100 < cli._ROUNDS_PER_WORKER  # the sweep's default trials x n
+    code = ("import json, sys\n"
+            "import wshare.cli\n"
+            f"pool = [name for name in {POOL_MODULES!r} if name in sys.modules]\n"
+            "import numpy\n"
+            "numpy.random.default_rng(0).random()\n"
+            "new = []\n"
+            f"for i, argv in enumerate({SET_UP_FREE_CALLS!r}):\n"
+            "    before = set(sys.modules)\n"
+            "    wshare.cli.main([*argv, '--out', f'{sys.argv[1]}/{i}.out'])\n"
+            "    new.append(sorted(set(sys.modules) - before))\n"
+            "print(json.dumps([pool, new]))\n")
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=child_env(), capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [[], [[]] * len(SET_UP_FREE_CALLS)]
+    assert all((tmp_path / f"{i}.out").stat().st_size for i in range(len(SET_UP_FREE_CALLS)))
