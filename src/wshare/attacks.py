@@ -147,8 +147,6 @@ def eve_recover_batch(
     """
     if attack.kind == "none":
         raise ValueError("no attack was active: Eve holds no qubit to reconstruct from")
-    if not len(batch.outcomes):
-        return np.zeros(0)
     corrections = _correction_matrices()[batch.outcomes]
     if attack.kind == "imra":
         held = corrections[np.arange(len(bits)), :, bits]

@@ -265,7 +265,7 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     """Merge table defaults < scenario file < explicit flags into one config.
 
     The one place where a flag or scenario key that the verb does not take
-    is refused (and a y grid without the isra attack, and a sweep scalar
+    is refused (and a y or y grid without the isra attack, and a sweep scalar
     given with its grid), and where every value it does take is
     range-checked, so later steps cannot fail on them.
     """
@@ -290,8 +290,9 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
         use = flag.use(args.verb)
         if use is not None:
             setattr(cfg, name, _checked(args.verb, _option(name), given.get(name, use[0]), use[1]))
-    if getattr(cfg, "y_values", None) is not None and cfg.attack != "isra":
-        raise UsageError("--y-values only applies to the isra attack")
+    for name in ("isra_y", "y_values"):
+        if given.get(name) is not None and cfg.attack != "isra":
+            raise UsageError(f"{_option(name)} only applies to the isra attack")
     return cfg
 
 

@@ -55,9 +55,9 @@ cache of the engine:
 * ``ta[e, c, basis]`` and ``tb[e, c, basis, a]``: P(Alice reads 0) and
   P(Bob reads 0) below home result ``c`` (and Alice's result ``a``);
 * ``pairs[e]``: the pair register a home-0 round leaves, home qubit
-  dropped, and ``kernels[e]`` its Bell kernel
-  (:func:`~wshare.teleport._bell_kernel`), which every teleport over it
-  goes through.
+  dropped, and ``kernels``: one Bell kernel array of every ``pairs[e]``
+  and their rest labels (:func:`~wshare.teleport._bell_kernel`), which
+  every teleport goes through.
 
 An outcome is 0 exactly when its uniform draw falls below its threshold,
 which is :func:`~wshare.statevec.measure_qubit`'s rule, clamp of
@@ -332,7 +332,7 @@ class RoundTables:
     ta: np.ndarray
     tb: np.ndarray
     pairs: tuple[StateVector | None, ...]
-    kernels: tuple[tuple[np.ndarray, tuple[str, ...]] | None, ...]
+    kernels: tuple[np.ndarray, tuple[str, ...]]
 
 
 def _compile_tables(te: float | None, roots: tuple[StateVector, ...]) -> RoundTables:
@@ -342,11 +342,14 @@ def _compile_tables(te: float | None, roots: tuple[StateVector, ...]) -> RoundTa
     """
     count = len(roots)
     tc, ta, tb = np.ones(count), np.ones((count, 2, 2)), np.ones((count, 2, 2, 2))
-    pairs = []
+    pairs, blocks = [], []
     for e, root in enumerate(roots):
         tc[e], *homes = _branch_node(root, "c", Basis.Z)
         zero = homes[0].post_state
         pairs.append(None if zero is None else discard_qubit(zero, "c"))
+        # no pair: a zero register in its place is an all-zero kernel block, which no row can draw from
+        blocks.append(pairs[-1] if zero is not None else StateVector._trusted(
+            np.zeros(root.amplitudes.size // 2, dtype=complex), tuple(label for label in root.labels if label != "c")))
         for c, home in enumerate(homes):
             if home.post_state is None:
                 continue
@@ -357,8 +360,7 @@ def _compile_tables(te: float | None, roots: tuple[StateVector, ...]) -> RoundTa
                         tb[e, c, x, a] = _branch_node(alice.post_state, "b", basis)[0]
     for table in (tc, ta, tb):
         table.flags.writeable = False
-    kernels = tuple(None if pair is None else _bell_kernel(pair) for pair in pairs)
-    return RoundTables(te, tc, ta, tb, tuple(pairs), kernels)
+    return RoundTables(te, tc, ta, tb, tuple(pairs), _bell_kernel(*blocks))
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
@@ -458,7 +460,7 @@ def teleport_pairs(outcome: RunOutcome, rand: np.random.Generator
     ``outcome`` is what :func:`run_protocol` returned, and ``rand``
     continues its stream through :func:`~wshare.teleport.teleport_fresh`:
     all the message normals, then one uniform per pair.  Each pair goes
-    through the kernel of its Eve branch in the round tables, read from the
+    through its Eve branch's block of the round tables' kernel, read from the
     run's block as ``eve[pairs]``: Eve's bit on its round under imra, 0
     otherwise.  Returns the batch, and Eve's recovery fidelity per pair
     when an attack was active (else ``None``).

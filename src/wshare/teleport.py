@@ -12,8 +12,8 @@ correction's one form is its read-only real 2x2 matrix in ``CORRECTIONS``.
 (:func:`_bell_kernel`): for each Bell outcome, the linear map from the
 message amplitudes to the rest of the register with Bob's correction
 already applied, so an attempt is one matrix product and never builds the
-joint register.  The protocol's round tables hold one kernel per pair
-node, and each kernel costs one ``matmul`` per block of rows.
+joint register.  The protocol's round tables hold one kernel array per
+attack, its pairs side by side, and a block of rows is one ``matmul``.
 :func:`teleport` is one row of a batch, and :func:`teleport_fresh` draws
 every other teleport.  :func:`teleport_branches` stays the scalar
 four-branch oracle, built from :func:`~wshare.statevec.enumerate_bell`.
@@ -136,23 +136,24 @@ def _correction_matrices() -> np.ndarray:
     return matrices
 
 
-def _bell_kernel(pair: StateVector) -> tuple[np.ndarray, tuple[str, ...]]:
-    """The Bell kernel of a pair register, and the labels of its rest.
+def _bell_kernel(*pairs: StateVector) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The Bell kernel of pair registers of one layout, and the labels of their rest.
 
-    ``kernel[k]`` is the (2, R) map taking message amplitudes to the
-    unnormalized state of the other R amplitudes (the pair minus Alice's
-    qubit, in register order) on Bell outcome ``k`` (BELL_NAMES order),
-    with Bob's correction for that outcome applied.
+    A read-only (2, E * 4R) array for E pairs: its (2, R) block 4e + k maps
+    message amplitudes to the unnormalized state of the other R amplitudes
+    (pair e minus Alice's qubit, in register order) on Bell outcome ``k``
+    (BELL_NAMES order), with Bob's correction for that outcome applied.
     """
-    alice, bob = pair.axis("a"), pair.axis("b")
-    channel = pair._rows(alice)
-    rest = pair.labels[:alice] + pair.labels[alice + 1:]
+    alice, bob = pairs[0].axis("a"), pairs[0].axis("b")
+    rest = pairs[0].labels[:alice] + pairs[0].labels[alice + 1:]
     bob -= bob > alice  # Bob's position in the rest
-    kernel = np.empty((4, 2, channel.shape[1]), dtype=complex)
-    for k, (correction, mat) in enumerate(zip(_correction_matrices(), _BELL_MATRICES)):
-        collapsed = (mat.conj() @ channel).reshape(2, 1 << bob, 2, -1)
-        corrected = np.einsum("cb,ixby->ixcy", correction, collapsed)
-        kernel[k] = corrected.reshape(2, -1)
+    kernel = np.empty((2, len(pairs), 4, 1 << len(rest)), dtype=complex)
+    for e, pair in enumerate(pairs):
+        channel = pair._rows(alice)
+        for k, (correction, mat) in enumerate(zip(_correction_matrices(), _BELL_MATRICES)):
+            collapsed = (mat.conj() @ channel).reshape(2, 1 << bob, 2, -1)
+            kernel[:, e, k] = np.einsum("cb,ixby->ixcy", correction, collapsed).reshape(2, -1)
+    kernel = kernel.reshape(2, -1)
     kernel.flags.writeable = False
     return kernel, rest
 
@@ -169,8 +170,8 @@ def teleport(message: StateVector, pair: StateVector, rand: np.random.Generator)
         raise ValueError("message must be a single qubit")
     if message.labels[0] in pair.labels:
         raise ValueError(f"message label {message.labels[0]!r} is also in the pair register")
-    batch = teleport_batch(message.amplitudes[None], (_bell_kernel(pair),),
-                           np.zeros(1, dtype=np.intp), np.array([rand.random()]))
+    batch = teleport_batch(message.amplitudes[None], _bell_kernel(pair), np.zeros(1, dtype=np.intp),
+                           np.array([rand.random()]))
     k = int(batch.outcomes[0])
     name = BELL_NAMES[k]
     return TeleportResult(name, _BELL_BITS[k], float(batch.probabilities[0]), build_correction_table()[name],
@@ -201,48 +202,40 @@ def teleport_batch(
     which: np.ndarray,
     draws: np.ndarray,
 ) -> TeleportBatch:
-    """Teleport message ``messages[t]`` through ``kernels[which[t]]`` on draw ``draws[t]``.
+    """Teleport message ``messages[t]`` through pair ``which[t]`` of ``kernels`` on draw ``draws[t]``.
 
-    ``messages`` holds (T, 2) message amplitudes, and each kernel is a
-    pair's :func:`_bell_kernel`.  One uniform draw per row walks the Bell
-    outcomes' cumulative distribution in ``BELL_NAMES`` order, skipping
-    impossible ones (:func:`~wshare.statevec._sample_bell_rows`); only the
-    drawn residual is normalized.  Each kernel used costs one ``matmul``
-    per ``_BATCH_ROWS`` of its rows.  The kernels used must share their
-    rest; a row whose node has no kernel (or is negative) raises ValueError.
+    ``messages`` holds (T, 2) message amplitudes, and ``kernels`` is the
+    :func:`_bell_kernel` of the pairs.  Each ``_BATCH_ROWS`` rows cost one
+    ``matmul`` over every pair's Bell maps, and each row keeps its own
+    pair's four.  One uniform draw per row walks the Bell outcomes'
+    cumulative distribution in ``BELL_NAMES`` order, skipping impossible
+    ones (:func:`~wshare.statevec._sample_bell_rows`); only the drawn
+    residual is normalized.  A row of a pair not in ``kernels`` raises ValueError.
     """
+    kernel, labels = kernels
+    width = 1 << len(labels)  # R, the amplitudes of one residual
+    nodes = kernel.shape[1] // (4 * width)
+    if not ((0 <= which) & (which < nodes)).all():
+        raise ValueError(f"pair nodes must lie in [0, {nodes})")
     count = len(draws)
     outcomes = np.zeros(count, dtype=np.intp)
     weights = np.zeros(count)
-    residuals = None
-    labels: tuple[str, ...] = ()
-    for node in np.flatnonzero(np.bincount(which)).tolist():  # nodes used, ascending; np.unique loads numpy.ma
-        if node >= len(kernels) or kernels[node] is None:
-            raise ValueError(f"no Bell kernel for pair node {node}")
-        rows = np.flatnonzero(which == node)
-        kernel, rest = kernels[node]
-        if residuals is None:
-            residuals, labels = np.zeros((count, kernel.shape[2]), dtype=complex), rest
-        elif rest != labels:
-            raise ValueError(f"pairs with different registers in one batch: {labels} vs {rest}")
-        flat = kernel.transpose(1, 0, 2).reshape(2, -1)  # (2, 4R): all four branches side by side
-        for start in range(0, rows.size, _BATCH_ROWS):
-            part = rows[start:start + _BATCH_ROWS]
-            branches = (messages[part] @ flat).reshape(part.size, 4, -1)
-            probabilities = (np.abs(branches) ** 2).sum(axis=2)
-            chosen = _sample_bell_rows(probabilities, draws[part])
-            drawn = np.arange(part.size), chosen
-            weights[part] = probabilities[drawn]
-            residuals[part] = branches[drawn] / np.sqrt(weights[part])[:, None]
-            outcomes[part] = chosen
-    if residuals is None:
-        return TeleportBatch(outcomes, weights, np.zeros((0, 0), dtype=complex), (), np.zeros(0))
+    residuals = np.zeros((count, width), dtype=complex)
+    for start in range(0, count, _BATCH_ROWS):
+        part = slice(start, min(start + _BATCH_ROWS, count))
+        rows = np.arange(part.stop - start)
+        branches = (messages[part] @ kernel).reshape(rows.size, nodes, 4, width)[rows, which[part]]
+        probabilities = (np.abs(branches) ** 2).sum(axis=2)
+        chosen = _sample_bell_rows(probabilities, draws[part])
+        weights[part] = probabilities[rows, chosen]
+        residuals[part] = branches[rows, chosen] / np.sqrt(weights[part])[:, None]
+        outcomes[part] = chosen
     return TeleportBatch(outcomes, weights, residuals, labels,
                          qubit_fidelities(residuals, labels, "b", messages))
 
 
 def teleport_fresh(kernels, which: np.ndarray, rand: np.random.Generator) -> tuple[np.ndarray, TeleportBatch]:
-    """A fresh random message through ``kernels[which[t]]`` per row: the one
+    """A fresh random message through pair ``which[t]`` of ``kernels`` per row: the one
     teleport draw layout, all message normals (:func:`random_amplitudes`),
     then one uniform per row.  Returns the (T, 2) messages and the batch."""
     messages = random_amplitudes(rand, len(which))
@@ -257,7 +250,7 @@ def qubit_fidelities(amplitudes: np.ndarray, labels: tuple[str, ...], q: str,
     over ``labels`` and the single-qubit reference amplitudes
     ``references[t]``.
     """
-    rows = amplitudes.reshape(len(amplitudes), 1 << labels.index(q), 2, -1)
+    rows = amplitudes.reshape(-1, 1 << labels.index(q), 2, 1 << len(labels) - labels.index(q) - 1)
     # not a matmul: BLAS fuses these complex products, which moves the last
     # bit of a fidelity, and the batched (1, 2) @ (2, A) products were slower
     overlaps = np.einsum("tbja,tj->tba", rows, references.conj())

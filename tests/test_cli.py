@@ -424,9 +424,9 @@ def test_teleport_demo_builds_one_kernel(monkeypatch, tmp_path):
     # its kernel is built once per attack, however often the demo runs.
     calls = []
 
-    def counted(pair):
-        calls.append(pair)
-        return kernel(pair)
+    def counted(*pairs):
+        calls.append(pairs)
+        return kernel(*pairs)
 
     kernel = protocol._bell_kernel
     monkeypatch.setattr(protocol, "_bell_kernel", counted)
@@ -574,9 +574,11 @@ TAKES = {
 }
 ALL_FLAGS = sorted(set().union(*TAKES.values()))
 # One cheap invocation per verb that exits 0 (sweep needs 100 trials, and
-# an isra attack for --y-values).
+# an isra attack for --isra-y and --y-values; with d = p = 0 a run selects
+# no round, and with p = 0 every selected round is an X round, which the
+# paper checker passes, so no single flag makes it abort).
 BASE_ARGV = {
-    "run": ["run"],
+    "run": ["run", "--attack", "isra", "--d", "0", "--p", "0"],
     "sweep": ["sweep", "--trials", "100", "--attack", "isra"],
     "curves": ["curves"],
     "teleport-demo": ["teleport-demo"],
@@ -621,6 +623,22 @@ def test_sweep_refuses_a_scalar_with_its_grid(scalar, grid, tmp_path, capsys):
     if scalar != "n":  # curves has no --n
         assert main(["curves", f"--{scalar}", str(one), f"--{grid}", values,
                      "--out", str(tmp_path / "curves.csv")]) == 0
+
+
+@pytest.mark.parametrize("argv,attack", [("run --d 0 --n 2", "ema"), ("run --d 0 --n 2", "none"),
+                                         ("sweep --trials 100 --n 2", "imra"), ("curves", "ema")])
+def test_isra_y_needs_the_isra_attack(argv, attack, tmp_path, monkeypatch, capsys):
+    # As --y-values is: a fake-qubit amplitude for another attack, as a flag
+    # or as a scenario key, used to be ignored without a word; the default
+    # stays silent.
+    monkeypatch.chdir(tmp_path)
+    scenario = tmp_path / "scen.json"
+    scenario.write_text(json.dumps({"attack": attack, "isra_y": 0.9}))
+    base = [*argv.split(), "--out", "out.txt"]
+    assert main([*base, "--attack", attack, "--isra-y", "0.3"]) == 1
+    assert main([*base, "--scenario", str(scenario)]) == 1
+    assert capsys.readouterr().err.count("error: --isra-y only applies to the isra attack") == 2
+    assert main([*base, "--attack", attack]) == 0
 
 
 @pytest.mark.parametrize("verb", sorted(TAKES))

@@ -376,7 +376,7 @@ def around_boundaries(probabilities):
 def kernel_probabilities(message, pair):
     """The four Bell weights of a message through the pair's kernel."""
     kernel, _ = _bell_kernel(pair)
-    return (np.abs(message.amplitudes @ kernel) ** 2).sum(axis=1).tolist()
+    return (np.abs(message.amplitudes @ kernel).reshape(4, -1) ** 2).sum(axis=1).tolist()
 
 
 def oracle_row(message, pair, draw):
@@ -407,8 +407,7 @@ def test_batched_teleport_and_recovery_match_scalar(node):
     attack, pair = PAIR_NODES[node]
     messages, draws = batch_cases(pair)
     amplitudes = np.array([m.amplitudes for m in messages])
-    kernels = (None, _bell_kernel(pair))
-    batch = teleport_batch(amplitudes, kernels, np.ones(len(draws), dtype=int), draws)
+    batch = teleport_batch(amplitudes, _bell_kernel(pair), np.zeros(len(draws), dtype=int), draws)
     bits = {"none": (), "imra": (0, 1)}.get(attack.kind, (None,))
     recoveries = {bit: eve_recover_batch(attack, None if bit is None else np.full(len(draws), bit),
                                          batch, amplitudes) for bit in bits}
@@ -503,16 +502,55 @@ def test_fresh_teleports_draw_all_messages_then_one_uniform_per_row():
 def test_demo_channels_are_the_round_table_kernels(kind, channel):
     # teleport-demo reads its channel from the round tables: the same kernel,
     # bit for bit, as one built from the textbook channel register.
-    (kernel, rest), = _round_tables(AttackModel(kind)).kernels
+    kernel, rest = _round_tables(AttackModel(kind)).kernels
     want, want_rest = _bell_kernel(channel)
     assert np.array_equal(kernel, want) and rest == want_rest
 
 
+def test_stacked_kernel_moves_no_bit():
+    # imra's two pair nodes share one kernel array, one matmul per chunk over
+    # both; with the nodes' rows interleaved, every row equals its row in a
+    # one-node batch of that node's rows, bit for bit.
+    attack = AttackModel("imra")
+    tables = _round_tables(attack)
+    rand = np.random.default_rng(23)
+    which = rand.permutation(np.repeat(np.array([0, 1], dtype=np.uint8), [300, 400]))
+    messages, draws = random_amplitudes(rand, which.size), rand.random(which.size)
+    stacked = teleport_batch(messages, tables.kernels, which, draws)
+    recovered = eve_recover_batch(attack, which, stacked, messages)
+    assert set(stacked.outcomes.tolist()) == {0, 1, 2, 3}
+    for node, pair in enumerate(tables.pairs):
+        rows = np.flatnonzero(which == node)
+        alone = teleport_batch(messages[rows], _bell_kernel(pair), np.zeros(rows.size, dtype=np.intp),
+                               draws[rows])
+        assert alone.labels == stacked.labels
+        pairs = [(stacked.outcomes[rows], alone.outcomes), (stacked.probabilities[rows], alone.probabilities),
+                 (stacked.residuals[rows], alone.residuals), (stacked.fidelities[rows], alone.fidelities),
+                 (recovered[rows], eve_recover_batch(attack, which[rows], alone, messages[rows]))]
+        for got, want in pairs:
+            assert got.dtype == want.dtype and np.array_equal(got, want), node
+
+
+@pytest.mark.parametrize("attack", [AttackModel("none"), AttackModel("imra"),
+                                    AttackModel("isra", 0.3), AttackModel("ema")], ids=lambda a: a.kind)
+def test_the_round_tables_are_read_only(attack):
+    # The round tables are the engine's one cache, shared by every run of
+    # the attack: no array in them, nor the corrections they were built
+    # from, takes a write.
+    tables = _round_tables(attack)
+    kernel, _ = tables.kernels
+    arrays = [tables.tc, tables.ta, tables.tb, kernel, _correction_matrices(), *CORRECTIONS.values()]
+    arrays += [pair.amplitudes for pair in tables.pairs]
+    assert all(pair is not None for pair in tables.pairs)
+    for array in arrays:
+        assert array.flags.writeable is False
+
+
 @pytest.mark.parametrize("which", [[0, 1, 5], [0, -1], [1]])
 def test_teleport_batch_refuses_a_row_without_a_kernel(which):
-    # A row of an unknown node, or of a node with no pair, raises instead of
-    # reading fidelity 0.
-    kernels = (_bell_kernel(psi_plus_pair()), None)
+    # A row of a node past the kernel's, or a negative one, raises instead of
+    # reading another node's block (numpy would wrap -1 to the last).
+    kernels = _bell_kernel(psi_plus_pair())
     messages = random_amplitudes(np.random.default_rng(2), len(which))
     with pytest.raises(ValueError):
         teleport_batch(messages, kernels, np.array(which), np.full(len(which), 0.5))
