@@ -16,17 +16,19 @@ Rounds are independent, so an n-round sequence escapes with S = (1 - q)^n
 for the per-round detection probability q; callers form that power
 themselves.
 
-Everything else here is an *enumeration oracle*: it walks every measurement
-branch of an attacked round exactly (probabilities multiplied along the
-way, nothing sampled) and scores it with the same rule table the protocol
-uses.  The oracles never call the closed form; they confirm it.  Notably
-the strict checker's X-basis rule catches the measure-resend, store-resend,
-and entangle attacks each in an applicable X round (home outcome 0) with
-probability exactly 1/2, independent of the fake-qubit amplitudes.  (A
-naive interference argument suggests the store-resend X-round rate should
-depend on x - y; the enumeration shows it does not: Alice's travel qubit is
-maximally mixed given home outcome 0, so her X result is a fair coin
-regardless of what Eve forwards to Bob.)
+Everything else here is an *enumeration oracle*: it starts from the
+registers the attack leaves (:meth:`~wshare.attacks.AttackModel.branches`),
+walks every measurement branch of a round once (probabilities multiplied
+along the way, nothing sampled) and scores it with the same rule table the
+protocol uses.  The oracles never call the closed form (they confirm it)
+and never read the protocol's round tables.  Notably the strict checker's
+X-basis rule catches the measure-resend, store-resend, and entangle attacks
+each in an applicable X round (home outcome 0) with probability exactly
+1/2, independent of the fake-qubit amplitudes.  (A naive interference
+argument suggests the store-resend X-round rate should depend on x - y; the
+enumeration shows it does not: Alice's travel qubit is maximally mixed
+given home outcome 0, so her X result is a fair coin regardless of what Eve
+forwards to Bob.)
 """
 
 from __future__ import annotations
@@ -61,41 +63,30 @@ def closed_form_round_detection(
 
 
 def _attacked_round_branches(kind: str, y: float | None) -> list[tuple[float, StateVector]]:
-    """The round state(s) Eve leaves behind, as (weight, state) branches.
+    """The registers Eve leaves behind, as (weight, register) branches.
 
-    The measure-resend attack is a classical mixture over Eve's outcome;
-    the others leave a single pure state.
+    The registers are :meth:`~wshare.attacks.AttackModel.branches`; the
+    weights are its threshold and the threshold's complement (the Born
+    weights of Eve's Z result: the clamp never binds on the W state), or 1
+    for an attack that leaves one register.  An impossible branch is dropped.
     """
-    attack = AttackModel(kind, y)  # checks the kind and y, derives x
-    w = make_w_state()
-    if kind == "imra":
-        return [
-            (branch.probability, branch.post_state)
-            for branch in enumerate_qubit(w, "b", Basis.Z)
-            if branch.probability > _ZERO_PROB
-        ]
-    state, _ = attack.intercept(w, None)  # the other kinds draw nothing
-    return [(1.0, state)]
+    threshold, registers = AttackModel(kind, y).branches(make_w_state())  # checks the kind and y
+    weights = (1.0,) if threshold is None else (threshold, 1.0 - threshold)
+    return [(weight, state) for weight, state in zip(weights, registers, strict=True) if state is not None]
 
 
-def _violation_probability(state: StateVector, basis: Basis, mode: CheckerMode,
-                           home_outcome: int | None = None) -> float:
+def _violation_probability(state: StateVector, basis: Basis, mode: CheckerMode) -> float:
     """Exact P(checking rule violated) for one detection round on ``state``.
 
     Charlie Z-measures the home qubit, then Alice and Bob measure their
     travel qubits in ``basis``; every branch is scored with the protocol's
-    own rule table.  With ``home_outcome`` given, the probability is
-    conditioned on that home result instead.
+    own rule table.
     """
     directive = [DetectionDirective(1, basis)]
     total = 0.0
-    norm = 0.0
     for bc in enumerate_qubit(state, "c", Basis.Z):
         if bc.probability <= _ZERO_PROB:
             continue
-        if home_outcome is not None and bc.outcome != home_outcome:
-            continue
-        norm += bc.probability
         for ba in enumerate_qubit(bc.post_state, "a", basis):
             if ba.probability <= _ZERO_PROB:
                 continue
@@ -105,8 +96,6 @@ def _violation_probability(state: StateVector, basis: Basis, mode: CheckerMode,
                 report = evaluate_checks(directive, [bc.outcome], [ba.outcome], [bb.outcome], mode)
                 if report.verdict == "detected":
                     total += bc.probability * ba.probability * bb.probability
-    if home_outcome is not None:
-        return total / norm if norm > _ZERO_PROB else 0.0
     return total
 
 
@@ -138,19 +127,11 @@ def round_detection_probability(
 def x_round_detection_given_home0(kind: str, y: float | None = None) -> float:
     """P(strict X rule violated | X directive, home outcome 0) for an attack.
 
-    Enumerated, not assumed.  Comes out exactly 1/2 for all three attacks —
-    for the store-resend case independent of (x, y).
+    Enumerated, not assumed: the X rule applies only on home 0, so this is
+    the strict checker's X-round detection probability over P(home 0).
+    Comes out exactly 1/2 for all three attacks — for the store-resend case
+    independent of (x, y).
     """
-    branches = _attacked_round_branches(kind, y)
-    total_weight = 0.0
-    total = 0.0
-    for weight, state in branches:
-        p0 = sum(
-            b.probability for b in enumerate_qubit(state, "c", Basis.Z) if b.outcome == 0
-        )
-        if p0 <= _ZERO_PROB:
-            continue
-        total += weight * p0 * _violation_probability(state, Basis.X, CheckerMode.STRICT,
-                                                      home_outcome=0)
-        total_weight += weight * p0
-    return total / total_weight if total_weight > _ZERO_PROB else 0.0
+    home0 = sum(weight * enumerate_qubit(state, "c", Basis.Z)[0].probability
+                for weight, state in _attacked_round_branches(kind, y))
+    return round_detection_probability(kind, CheckerMode.STRICT, 0.0, 1.0, y) / home0

@@ -11,12 +11,14 @@ each round's register, described by a frozen :class:`AttackModel`:
 * ``ema`` — entangle-measure: Eve CNOTs the in-flight qubit onto a fresh
   |0> ancilla ``e`` and forwards the original untouched.
 
-:meth:`AttackModel.intercept` returns one round's register and Eve's Z
-result: imra draws one uniform from ``rand`` for it, and the other kinds
-draw nothing and return ``None``.  No run calls it.  The protocol's round
-tables and the analytic oracle take the other kinds' register from it
-(imra's two branches are enumerated instead), and a run draws Eve's bits
-from the tables.  Her post-protocol attempt to read Alice's teleported
+:meth:`AttackModel.branches` is how an attack splits a round: imra's two
+Z results with the threshold Eve's bit is drawn against, or the other
+kinds' one register.  The protocol's round tables and the analytic oracle
+both start from it, and a run draws Eve's bits from the tables.
+:meth:`AttackModel.intercept` samples one round instead, the scalar
+reference the tests replay: imra draws one uniform from ``rand`` for its
+bit, and the other kinds draw nothing and return ``None``.  No run calls
+it.  Her post-protocol attempt to read Alice's teleported
 message out of her bit or her qubit ``e`` is :func:`eve_recover_attempt`,
 and :func:`eve_recover_batch` is that recovery for a whole
 :class:`~wshare.teleport.TeleportBatch` at once.
@@ -32,6 +34,7 @@ import numpy as np
 from .statevec import (
     Basis,
     StateVector,
+    _branch_node,
     apply_cnot,
     make_basis_state,
     make_message_state,
@@ -87,13 +90,27 @@ class AttackModel:
         object.__setattr__(self, "y", _check_unit("fake-qubit amplitude y", self.y))
         object.__setattr__(self, "x", float(np.sqrt(1.0 - self.y * self.y)))
 
+    def branches(self, state: StateVector) -> tuple[float | None, tuple[StateVector | None, ...]]:
+        """How this attack splits one round's register: (threshold, registers).
+
+        imra gives P(Eve reads 0), clamped as :meth:`intercept` samples it,
+        and each Z result's register (``None`` if impossible); the other
+        kinds give ``None`` and their one register.
+        """
+        if self.kind == "imra":
+            threshold, *eve = _branch_node(state, "b", Basis.Z)
+            return threshold, tuple(branch.post_state for branch in eve)
+        return None, (self.intercept(state, None)[0],)
+
     def intercept(
         self, state: StateVector, rand: np.random.Generator | None
     ) -> tuple[StateVector, int | None]:
         """This attack applied to one round's register: (register, Eve's bit).
 
         Only imra draws (one uniform from ``rand``) and only imra has a bit;
-        the other kinds return ``None`` and accept ``rand=None``.
+        the other kinds return ``None`` and accept ``rand=None``.  A sampled
+        imra round is one of :meth:`branches`: bit 0 exactly when the
+        uniform falls below its threshold.
         """
         if self.kind == "imra":
             branch = measure_qubit(state, "b", Basis.Z, rand)

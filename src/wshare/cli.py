@@ -110,8 +110,8 @@ _FLAGS = {
     "d": _Flag("number", 0.5, _UNIT, "run sweep curves", "per-position detection probability"),
     "p": _Flag("number", 0.5, _UNIT, "run sweep curves", "probability a directive basis is Z"),
     "mode": _Flag("string", "paper", tuple(m.value for m in CheckerMode), "run sweep curves", "checker semantics"),
-    # curves plots store-resend unless told otherwise; teleport-demo has a
-    # channel only for the attacks that leave Alice a pair.
+    # curves plots store-resend unless told otherwise; teleport-demo has no
+    # --isra-y, and imra's channel depends on Eve's bit, so it takes none/ema.
     "attack": _Flag("string", "none", ATTACK_KINDS, _ALL, "eavesdropping attack",
                     {"curves": ("isra", ATTACK_KINDS), "teleport-demo": ("none", ("none", "ema"))}),
     "isra_y": _Flag("number", 0.5, _UNIT, "run sweep curves", "fake-qubit |1> amplitude"),
@@ -303,8 +303,6 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
 def _cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return str(value).lower()
     if isinstance(value, float):
         return format(value, ".12g")
     if isinstance(value, complex):
@@ -502,8 +500,9 @@ def cmd_teleport_demo(cfg: argparse.Namespace) -> int:
 
     The channel is the attack's pair node in the round tables: with
     ``--attack ema``, the corrupted three-qubit channel the entangling
-    interceptor leaves behind; other attacks never hand Alice a distilled
-    pair to begin with, so they have no demo channel here.
+    interceptor leaves behind.  The other attacks distill pairs too, but
+    have no single demo channel here: isra's depends on ``--isra-y``, which
+    this verb does not take, and imra's on Eve's bit (two pair nodes).
     """
     table = build_correction_table()
     rows = [dict(zip(DEMO_COLUMNS, ("correction", name, correction, None, None, None, None), strict=True))

@@ -39,15 +39,15 @@ seeds are comparable round for round.
 Detection never yields false positives in either mode: every honest
 measurement branch of the W state satisfies all four rules.
 
-**The round tables.**  Every round starts from the same register, the W
-state after the attack's intercept, and goes through the same fixed
-measurements: home ``c`` in Z, then ``a`` and ``b`` in the directive
-basis, or ``c`` alone in confirmation.  The states a round can reach
-therefore form a small finite tree that depends only on the attack and on
-Eve's measure-resend bit ``e``, never on the round.  On first use per
-attack, :func:`_round_tables` compiles that tree, node by node through
-:func:`~wshare.statevec._branch_node`, into threshold tables, the one
-cache of the engine:
+**The round tables.**  Every round starts from the same registers, the W
+state as the attack splits it (:meth:`~wshare.attacks.AttackModel.branches`),
+and goes through the same fixed measurements: home ``c`` in Z, then ``a``
+and ``b`` in the directive basis, or ``c`` alone in confirmation.  The
+states a round can reach therefore form a small finite tree that depends
+only on the attack and on Eve's measure-resend bit ``e``, never on the
+round.  On first use per attack, :func:`_round_tables` compiles that tree,
+node by node through :func:`~wshare.statevec._branch_node`, into threshold
+tables, the one cache of the engine:
 
 * ``te``: P(Eve reads 0), for imra only; for the other kinds ``e`` is
   always 0 and nothing is drawn for it;
@@ -366,11 +366,7 @@ def _compile_tables(te: float | None, roots: tuple[StateVector, ...]) -> RoundTa
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _round_tables(attack: AttackModel) -> RoundTables:
     """The round tables of an attack, compiled on first use."""
-    w = make_w_state()
-    if attack.kind == "imra":
-        te, *eve = _branch_node(w, "b", Basis.Z)
-        return _compile_tables(te, tuple(branch.post_state for branch in eve))
-    return _compile_tables(None, (attack.intercept(w, None)[0],))
+    return _compile_tables(*attack.branches(make_w_state()))
 
 
 # ---------------------------------------------------------------------------

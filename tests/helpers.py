@@ -1,5 +1,6 @@
-"""Test-only helpers kept out of the package: views of a state vector, and
-the environment a spawned interpreter needs to import it."""
+"""Test-only helpers kept out of the package: views of a state vector, a
+fixed-draw stand-in generator, and the environment a spawned interpreter
+needs to import it."""
 
 import os
 from pathlib import Path
@@ -17,6 +18,16 @@ def child_env() -> dict[str, str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     return env
+
+
+class FixedDraw:
+    """Stand-in generator whose every uniform draw is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
 
 
 def reorder(s: StateVector, labels) -> StateVector:

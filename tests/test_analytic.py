@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from wshare import analytic
+from wshare import analytic, protocol
 from wshare.analytic import (
     closed_form_round_detection,
     round_detection_probability,
@@ -118,6 +118,29 @@ def test_x_round_detection_is_one_half():
     assert x_round_detection_given_home0("imra") == pytest.approx(0.5, abs=1e-12)
     for y in (0.0, 0.3, 0.6, 1.0):
         assert x_round_detection_given_home0("isra", y=y) == pytest.approx(0.5, abs=1e-12)
+
+
+# The oracle's values at p = 0.3, d = 0.7 (y = 0.5 for isra), frozen bit
+# for bit: how the oracle reaches its registers must not move them.
+FROZEN_ORACLE = {
+    ("none", "paper"): 0.0, ("none", "strict"): 0.0,
+    ("imra", "paper"): 0.0, ("imra", "strict"): 0.16333333333333333,
+    ("isra", "paper"): 0.08750000000000004, ("isra", "strict"): 0.2508333333333334,
+    ("ema", "paper"): 0.0, ("ema", "strict"): 0.16333333333333336,
+}
+
+
+def test_the_oracle_never_reads_the_round_tables(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the enumeration oracle must not read the round tables")
+
+    monkeypatch.setattr(protocol, "_compile_tables", refuse)
+    monkeypatch.setattr(protocol, "_round_tables", refuse)  # cached tables included
+    for (kind, mode), value in FROZEN_ORACLE.items():
+        y = 0.5 if kind == "isra" else None
+        assert round_detection_probability(kind, mode, 0.3, 0.7, y) == value, (kind, mode)
+        if kind != "none":
+            assert x_round_detection_given_home0(kind, y) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_strict_dominates_analytic_per_round():

@@ -18,7 +18,7 @@ from wshare.statevec import (
 )
 from wshare.teleport import corrupted_channel, random_message, teleport, teleport_branches
 
-from helpers import z_marginal
+from helpers import FixedDraw, z_marginal
 
 RS2 = 1 / np.sqrt(2)
 RS3 = 1 / np.sqrt(3)
@@ -51,6 +51,33 @@ def test_imra_branches_and_probabilities():
     frac = seen[0] / 2000
     sigma = np.sqrt((2 / 9) / 2000)
     assert abs(frac - 2 / 3) < 4 * sigma
+
+
+@pytest.mark.parametrize("kind,y", [("none", None), ("imra", None), ("isra", 0.0), ("isra", 0.6),
+                                    ("ema", None)])
+def test_branches_split_the_round_as_the_oracles_do(kind, y):
+    attack, w = AttackModel(kind, y), make_w_state()
+    threshold, registers = attack.branches(w)
+    if kind == "imra":
+        zero, one = enumerate_qubit(w, "b", Basis.Z)
+        assert threshold == zero.probability  # the clamp never binds on the W state
+        want = (zero.post_state, one.post_state)
+    else:
+        assert threshold is None
+        want = (attack.intercept(w, None)[0],)
+    assert len(registers) == len(want)
+    for got, expected in zip(registers, want):
+        assert got.labels == expected.labels
+        assert np.array_equal(got.amplitudes, expected.amplitudes)
+
+
+def test_sampled_imra_intercept_reads_its_branches_threshold():
+    attack, w = AttackModel("imra"), make_w_state()
+    threshold, registers = attack.branches(w)
+    for u in (float(np.nextafter(threshold, 0.0)), float(np.nextafter(threshold, 1.0))):
+        post, bit = attack.intercept(w, FixedDraw(u))
+        assert bit == int(u >= threshold)
+        assert np.array_equal(post.amplitudes, registers[bit].amplitudes)
 
 
 def test_imra_forwarded_qubit_is_unentangled():

@@ -46,18 +46,29 @@ UNREFERENCED_ORACLES = {
 }
 
 
+def named_in(node) -> set[str]:
+    return {sub.id if isinstance(sub, ast.Name) else sub.attr for sub in ast.walk(node)
+            if isinstance(sub, (ast.Name, ast.Attribute))}
+
+
 def test_every_public_function_is_used():
-    # A public top-level function of src/wshare counts as used when code in
-    # src/ or demos/ names it outside its own def, or README.md mentions it.
+    # A public top-level function of src/wshare, or a public method or
+    # property of a public class there, counts as used when code in src/ or
+    # demos/ names it outside its own def, or README.md mentions it.
     sources = sorted((ROOT / "src" / "wshare").glob("*.py"))
     public, named = {}, set()
     for path in sources + sorted((ROOT / "demos").glob("*.py")):
         for node in ast.parse(path.read_text()).body:
-            own = node.name if path in sources and isinstance(node, ast.FunctionDef) else None
-            if own is not None and not own.startswith("_"):
-                public[own] = path.name
-            named |= {sub.id if isinstance(sub, ast.Name) else sub.attr for sub in ast.walk(node)
-                      if isinstance(sub, (ast.Name, ast.Attribute))} - {own}
+            if not isinstance(node, ast.ClassDef):
+                parts, owner = [node], ""
+            else:  # each member apart, so a method that names itself is not used by that
+                parts, owner = node.body, node.name
+                named |= set().union(*map(named_in, node.bases + node.decorator_list))
+            for part in parts:
+                own = part.name if path in sources and isinstance(part, ast.FunctionDef) else None
+                if own is not None and not own.startswith("_") and not owner.startswith("_"):
+                    public[own] = f"{path.name} {owner}".rstrip()
+                named |= named_in(part) - {own}
     readme = (ROOT / "README.md").read_text()
     unused = {name for name in public
               if name not in named and not re.search(rf"\b{name}\b", readme)}

@@ -36,6 +36,8 @@ from wshare.statevec import (
     tensor,
 )
 
+from helpers import FixedDraw
+
 ATTACKS = [("none", None), ("imra", None), ("isra", 0.0), ("isra", 0.5), ("isra", 1.0), ("ema", None)]
 MODES = [CheckerMode.PAPER, CheckerMode.STRICT]
 # Test ids stay as first published, so a case keeps its name in test history.
@@ -44,16 +46,6 @@ GRID = [(1, 1.0, 0.5), (1, 0.0, 0.5), (1, 0.5, 1.0), (6, 1.0, 0.0), (8, 0.5, 0.5
         (10, 0.3, 1.0), (12, 0.0, 0.5)]
 SEEDS = range(4)
 LAST = float(np.nextafter(1.0, 0.0))  # the largest uniform a generator can return
-
-
-class FixedDraw:
-    """Stand-in generator whose every uniform draw is ``u``."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self):
-        return self.u
 
 
 class Scripted:

@@ -25,7 +25,7 @@ from wshare.statevec import (
     tensor,
 )
 
-from helpers import reorder, state_fidelity, z_marginal
+from helpers import FixedDraw, reorder, state_fidelity, z_marginal
 
 RS2 = 1 / np.sqrt(2)
 RS3 = 1 / np.sqrt(3)
@@ -353,16 +353,6 @@ def test_bell_enumeration_complete(seed):
     outcomes = enumerate_bell(s, "m", "a")
     assert [o.name for o in outcomes] == ["psi+", "psi-", "phi+", "phi-"]
     assert sum(o.probability for o in outcomes) == pytest.approx(1.0, abs=1e-12)
-
-
-class FixedDraw:
-    """Stand-in generator whose every uniform draw is ``u``."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self):
-        return self.u
 
 
 # |0> with a 3e-8 sliver of |1>: P(1) ~ 9e-16, at or below the threshold
