@@ -18,12 +18,13 @@ Verbs
     The derived correction table and a batch of random teleportations,
     over the honest channel or the entangler-corrupted one.
 
-Each flag is one row of :data:`_FLAGS`, which names the verbs that take it
-and its type, default and range for each; ``wshare VERB --help`` lists
-exactly that verb's flags.  Every verb also reads its flags from a flat
-JSON scenario file (``--scenario``; explicit flags win), refuses any flag
-or scenario key it does not take, and emits text, CSV, or JSON-records
-output.  Every random draw descends from ``--seed``: ``run`` draws from
+The verb comes first, and a call builds that verb's parser alone.  Each
+flag is one row of :data:`_FLAGS`, which names the verbs that take it and
+its type, default and range for each; ``wshare VERB --help`` lists exactly
+that verb's flags.  Every verb also reads its flags from a flat JSON
+scenario file (``--scenario``; explicit flags win), refuses any flag or
+scenario key it does not take, and emits text, CSV, or JSON-records output.
+Every random draw descends from ``--seed``: ``run`` draws from
 ``default_rng(seed)`` and each sweep grid point from
 ``default_rng((seed, grid_index))``, in fixed blocks of trials (see
 :mod:`wshare.protocol` for the layout), so identical invocations produce
@@ -31,9 +32,8 @@ byte-identical output files whatever ``--workers`` is.  A sweep starts
 worker processes only for grids big enough to pay for them (at most one
 per :data:`_ROUNDS_PER_WORKER` trial-rounds); smaller grids run in the
 calling process, and the pool machinery is imported only when a sweep
-starts workers.  Exit status:
-0 success, 1 usage error or unwritable output, 2 protocol aborted (run
-verb only).
+starts workers.  Exit status: 0 success, 1 usage error or unwritable
+output, 2 protocol aborted (run verb only).
 """
 
 from __future__ import annotations
@@ -137,15 +137,7 @@ def _option(name: str) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Exits 1, not 2, on a usage error.
-
-    A verb's parser adds the table's flags when it first parses, so a call
-    builds one verb's flags only.  It accepts every flag, hiding from its
-    help those the verb does not take, so that a flag and a scenario key
-    meet the same refusal in :func:`_resolve`.
-    """
-
-    verb: str | None = None
+    """Exits 1, not 2, on a usage error and on help it cannot write."""
 
     def __init__(self, **kwargs):
         # One terminal-width lookup per parser, not one per flag added.
@@ -164,32 +156,42 @@ class _Parser(argparse.ArgumentParser):
                 file.write(message)
                 file.flush()
 
-    def parse_known_args(self, args=None, namespace=None):
-        if self.verb is not None:
-            self.add_argument("--scenario", metavar="PATH", help="flat JSON file of these same flags")
-            for name, flag in _FLAGS.items():
-                use = flag.use(self.verb)
-                choices = use[1] if use and flag.kind == "string" else None
-                self.add_argument(_option(name), type=_KINDS[flag.kind][0],
-                                  metavar="|".join(choices) if choices else None,
-                                  help=flag.help if use else argparse.SUPPRESS)
-            self.verb = None
-        return super().parse_known_args(args, namespace)
 
-
-def _build_parser() -> _Parser:
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``argv``'s verb and flags, from that verb's parser alone: it takes every flag, hiding from its
+    help those the verb does not take, so a flag and a scenario key meet one refusal in :func:`_resolve`.
+    An ``argv`` that starts with no verb gets only the top-level help or version, or a refusal."""
+    verb = argv[0] if argv else None
+    if verb in _VERBS:
+        parser = _Parser(prog=f"wshare {verb}")
+        parser.add_argument("--scenario", metavar="PATH", help="flat JSON file of these same flags")
+        for name, flag in _FLAGS.items():
+            use = flag.use(verb)
+            choices = use[1] if use and flag.kind == "string" else None
+            parser.add_argument(_option(name), type=_KINDS[flag.kind][0],
+                                metavar="|".join(choices) if choices else None,
+                                help=flag.help if use else argparse.SUPPRESS)
+        return parser.parse_args(argv[1:], argparse.Namespace(verb=verb))
     parser = _Parser(prog="wshare", description="Supervised entanglement-sharing protocol lab.")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subparsers = parser.add_subparsers(dest="verb", metavar="verb", required=True)
     for verb, (_, help) in _VERBS.items():
-        subparsers.add_parser(verb, help=help).verb = verb
-    return parser
+        subparsers.add_parser(verb, help=help, add_help=False)  # listed in the help, never parsed
+    parser.parse_args(argv)
+    raise UsageError("the verb comes first: wshare VERB [flags]")
+
+
+def _unique_keys(pairs: list) -> dict:
+    """One JSON object, refused if it names a key twice (``isra-y`` and ``isra_y`` are one key)."""
+    if len({key.replace("-", "_") for key, _ in pairs}) < len(pairs):
+        raise UsageError("scenario file names a key twice")
+    return dict(pairs)
 
 
 def _load_scenario(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise UsageError(f"cannot read scenario file: {exc}")
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError both are
@@ -336,10 +338,10 @@ def _emit_rows(columns: list[str], rows: list[dict], cfg: argparse.Namespace,
                header: bool = True, notes: list[str] | None = None) -> None:
     """Write rows in the selected format, to --out or stdout; each row holds every column."""
     try:
-        sink = open(cfg.out, "w", newline="") if cfg.out else contextlib.nullcontext(sys.stdout)
+        sink = contextlib.nullcontext(sys.stdout) if cfg.out is None else open(cfg.out, "w", newline="")
     except OSError as exc:
         raise UsageError(f"cannot write output file {cfg.out!r}: {exc.strerror}")
-    with _write_failures(to_stdout=not cfg.out), sink as stream:
+    with _write_failures(to_stdout=cfg.out is None), sink as stream:
         if cfg.format == "csv":
             writer = csv.writer(stream, lineterminator="\n")
             writer.writerow(columns)
@@ -533,7 +535,7 @@ _VERBS = {
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        cfg = _resolve(_build_parser().parse_args(argv))
+        cfg = _resolve(_parse(sys.argv[1:] if argv is None else argv))
         return _VERBS[cfg.verb][0](cfg)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -180,14 +180,11 @@ def make_message_state(a: complex, b: complex, label: str = "m") -> StateVector:
     return StateVector(np.array([a, b], dtype=complex), (label,))
 
 
-def make_w_state(labels=("a", "b", "c")) -> StateVector:
-    """The three-qubit W state (|100> + |010> + |001>)/sqrt(3)."""
-    labels = tuple(labels)
-    if len(labels) != 3:
-        raise ValueError(f"the W state lives on exactly 3 qubits, got labels {labels}")
+def make_w_state() -> StateVector:
+    """The three-qubit W state (|100> + |010> + |001>)/sqrt(3) on ("a", "b", "c")."""
     amps = np.zeros(8, dtype=complex)
     amps[[4, 2, 1]] = 1.0 / np.sqrt(3.0)
-    return StateVector(amps, labels)
+    return StateVector(amps, ("a", "b", "c"))
 
 
 # ---------------------------------------------------------------------------

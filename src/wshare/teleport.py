@@ -70,10 +70,10 @@ def apply_correction(s: StateVector, q: str, correction: str) -> StateVector:
     return StateVector._trusted((CORRECTIONS[correction] @ s._split(s.axis(q))).reshape(-1), s.labels)
 
 
-def psi_plus_pair(labels=("a", "b")) -> StateVector:
+def psi_plus_pair() -> StateVector:
     amps = np.zeros(4, dtype=complex)
     amps[[0b01, 0b10]] = 1.0 / np.sqrt(2.0)
-    return StateVector(amps, labels)
+    return StateVector(amps, ("a", "b"))
 
 
 @functools.cache
@@ -272,15 +272,15 @@ def teleport_branches(message: StateVector, pair: StateVector) -> list[TeleportR
     ]
 
 
-def corrupted_channel(labels=("a", "b", "e")) -> StateVector:
-    """(|100> + |011>)/sqrt(2): the pair left after an entangling intercept.
+def corrupted_channel() -> StateVector:
+    """(|100> + |011>)/sqrt(2) on ("a", "b", "e"): the pair left after an entangling intercept.
 
     This is what 'distilling' a round that went through a CNOT interceptor
     actually yields — Bob's qubit is twinned with the interceptor's ancilla.
     """
     amps = np.zeros(8, dtype=complex)
     amps[[0b100, 0b011]] = 1.0 / np.sqrt(2.0)
-    return StateVector(amps, labels)
+    return StateVector(amps, ("a", "b", "e"))
 
 
 def ema_decomposition(a: complex, b: complex) -> list[tuple[BellOutcome, StateVector]]:
@@ -307,6 +307,6 @@ def random_amplitudes(rand: np.random.Generator, count: int) -> np.ndarray:
     return amplitudes / np.linalg.norm(amplitudes, axis=1, keepdims=True)
 
 
-def random_message(rand: np.random.Generator, label: str = "m") -> StateVector:
-    """Uniformly random single-qubit pure state (Haar on the Bloch sphere)."""
-    return StateVector._trusted(random_amplitudes(rand, 1)[0], (label,))
+def random_message(rand: np.random.Generator) -> StateVector:
+    """Uniformly random single-qubit pure state on "m" (Haar on the Bloch sphere)."""
+    return StateVector._trusted(random_amplitudes(rand, 1)[0], ("m",))

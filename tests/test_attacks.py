@@ -246,7 +246,8 @@ def test_ema_recovery_fidelity():
     attack = AttackModel("ema")
     post, bit = attack.intercept(make_w_state(), rng)
     pair = home_zero_branch(post)
-    assert_allclose(pair.amplitudes, corrupted_channel(pair.labels).amplitudes, atol=1e-12)
+    assert pair.labels == corrupted_channel().labels
+    assert_allclose(pair.amplitudes, corrupted_channel().amplitudes, atol=1e-12)
     for a, b in [(0.6, 0.8), (1.0, 0.0), (RS2, RS2 * 1j)]:
         msg = make_message_state(a, b)
         for res in teleport_branches(msg, pair):

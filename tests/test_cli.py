@@ -1,4 +1,7 @@
-"""End-to-end command-line tests, run through subprocesses like a user would."""
+"""End-to-end command-line tests: in-process through ``main(argv)``, and
+through a subprocess where the process itself is under test (the
+``python -m wshare`` entry point, failed and closed stdout, the real pool,
+cross-process byte determinism)."""
 
 import csv
 import io
@@ -39,15 +42,13 @@ def test_help_exits_zero():
     assert "sweep" in proc.stdout and "teleport-demo" in proc.stdout
 
 
-def test_unknown_flag_exits_one():
-    proc = run_cli("run", "--frobnicate")
-    assert proc.returncode == 1
-    assert "error:" in proc.stderr
+def test_unknown_flag_exits_one(capsys):
+    assert main(["run", "--frobnicate"]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_missing_verb_exits_one():
-    proc = run_cli()
-    assert proc.returncode == 1
+    assert main([]) == 1
 
 
 @pytest.mark.parametrize(
@@ -77,10 +78,10 @@ def test_missing_verb_exits_one():
         ("teleport-demo", "--trials", "3", "--mode", "strict", "--n", "4", "--d", "0.9", "--isra-y", "0.2"),
     ],
 )
-def test_bad_invocations_exit_one(flags):
-    proc = run_cli(*flags)
-    assert proc.returncode == 1, proc.stderr
-    assert proc.stderr.startswith("error:")
+def test_bad_invocations_exit_one(flags, capsys):
+    status, err = main(list(flags)), capsys.readouterr().err
+    assert status == 1, err
+    assert err.startswith("error:")
 
 
 def test_honest_run_exits_zero_and_reports_pass():
@@ -277,10 +278,11 @@ def test_teleport_demo_ema_matches_expected_fidelity():
         assert fidelity < 1.0 - 1e-6  # the corrupted channel always loses fidelity
 
 
-def test_version_flag():
-    proc = run_cli("--version")
-    assert proc.returncode == 0
-    assert "wshare" in proc.stdout
+def test_version_flag(capsys):
+    with pytest.raises(SystemExit) as done:
+        main(["--version"])
+    assert done.value.code == 0
+    assert "wshare" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +305,7 @@ def test_version_flag():
         ("sweep", {"n-values": "1,2.5"}),
         {"d": 10 ** 400},  # an integer beyond the float range
         {"out": "no-such-dir/out.txt"},
+        {"out": ""},  # used to write to stdout
         ("sweep", {"n-values": []}),
         ("sweep", {"d-values": ","}),
         # a y grid without the isra attack, from a scenario key
@@ -326,12 +329,15 @@ def test_bad_scenario_values_exit_one(scenario, tmp_path, monkeypatch, capsys):
     b'{"n": 5',
     b'\xff\xfe{"n": 5}',
     b'{"n_values": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
-], ids=["invalid-json", "not-utf8", "deep-nesting"])
+    b'{"n": 3, "n": 5}',  # used to run with the later value
+    b'{"attack": "isra", "isra-y": 0.1, "isra_y": 0.9}',  # one key in two spellings
+], ids=["invalid-json", "not-utf8", "deep-nesting", "key-twice", "key-twice-spelled-apart"])
 def test_unreadable_scenario_files_exit_one(raw, tmp_path, capsys):
     path = tmp_path / "scen.json"
     path.write_bytes(raw)
     assert main(["sweep", "--scenario", str(path)]) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("engine,argv", [("run_protocol", ["run", "--n", "40000000"]),
@@ -642,10 +648,11 @@ def test_isra_y_needs_the_isra_attack(argv, attack, tmp_path, monkeypatch, capsy
 
 
 @pytest.mark.parametrize("verb", sorted(TAKES))
-def test_verb_help_lists_exactly_its_flags(verb):
-    proc = run_cli(verb, "--help")
-    assert proc.returncode == 0
-    assert set(re.findall(r"--([a-z][a-z-]*)", proc.stdout)) == TAKES[verb] | {"help", "scenario"}
+def test_verb_help_lists_exactly_its_flags(verb, capsys):
+    with pytest.raises(SystemExit) as done:
+        main([verb, "--help"])
+    assert done.value.code == 0
+    assert set(re.findall(r"--([a-z][a-z-]*)", capsys.readouterr().out)) == TAKES[verb] | {"help", "scenario"}
 
 
 UNIT_VALUES = st.floats(0.0, 1.0) | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, 1.5])

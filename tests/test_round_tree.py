@@ -89,7 +89,7 @@ def replay(config, kind, y, rand):
     uniforms = rand.random((1, n, 3))[0].tolist()
     states, bits = {}, []
     for t in range(1, n + 1):
-        states[t], bit = replay_intercept(kind, y, make_w_state(("a", "b", "c")), eve[t - 1])
+        states[t], bit = replay_intercept(kind, y, make_w_state(), eve[t - 1])
         bits.append(bit)
     transcript = [("charlie", "mode", "transmission"), ("charlie", "send", n),
                   ("charlie", "mode", "detecting")]
@@ -248,7 +248,7 @@ def assert_engine_follows_thresholds(tables, eve_root, root):
 @pytest.mark.parametrize("kind,y", ATTACKS)
 def test_table_thresholds_match_measure_qubit(kind, y):
     tables = protocol._round_tables(AttackModel(kind, y))
-    w = make_w_state(("a", "b", "c"))
+    w = make_w_state()
     if kind == "imra":
         assert_engine_follows_thresholds(tables, w, None)
     else:
@@ -294,7 +294,7 @@ def test_table_thresholds_match_measure_qubit_on_random_roots(seed):
 def exact_round_distribution(kind, y, p):
     """{(e, x, c, a, b): probability} of a detection round, and
     {(e, c): probability} of a confirmation, by enumeration."""
-    w = make_w_state(("a", "b", "c"))
+    w = make_w_state()
     if kind == "imra":
         roots = [(b.outcome, b.probability, b.post_state) for b in enumerate_qubit(w, "b", Basis.Z)]
     else:

@@ -91,11 +91,6 @@ def test_w_state_amplitudes():
     assert w.labels == ("a", "b", "c")
 
 
-def test_w_state_duplicate_labels():
-    with pytest.raises(ValueError):
-        make_w_state(("a", "a", "c"))
-
-
 def test_statevector_validation():
     with pytest.raises(ValueError):
         StateVector(np.array([1.0, 0.0, 0.0]), ("a",))  # wrong length
