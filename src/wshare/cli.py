@@ -20,10 +20,12 @@ Verbs
 
 The verb comes first, and a call builds that verb's parser alone.  Each
 flag is one row of :data:`_FLAGS`, which names the verbs that take it and
-its type, default and range for each; ``wshare VERB --help`` lists exactly
-that verb's flags.  Every verb also reads its flags from a flat JSON
-scenario file (``--scenario``; explicit flags win), refuses any flag or
-scenario key it does not take, and emits text, CSV, or JSON-records output.
+its type, default and range for each (curves' lengths must convert to a
+float); ``wshare VERB --help`` lists exactly that verb's flags.  Every verb
+also reads its flags from a flat JSON scenario file (``--scenario``, whose
+grids are JSON lists; explicit flags win; an empty path is refused),
+refuses any flag or scenario key it does not take, and emits text, CSV, or
+JSON-records output.
 Every random draw descends from ``--seed``: ``run`` draws from
 ``default_rng(seed)`` and each sweep grid point from
 ``default_rng((seed, grid_index))``, in fixed blocks of trials (see
@@ -49,7 +51,7 @@ import math
 import os
 import shutil
 import sys
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -67,21 +69,34 @@ class UsageError(Exception):
     that cannot be written."""
 
 
-def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip() != "")
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
+def _is_number(value) -> bool:
+    """A JSON number that converts to a float (no boolean, no huge integer)."""
+    return isinstance(value, float) or (_is_int(value) and abs(value) <= sys.float_info.max)
 
 
-# A value's JSON type -> how its flag text converts, and what its scenario value must be.
+def _grid_of(entry: type) -> Callable[[str], tuple]:
+    """A grid flag's converter: comma-separated ``entry`` values to a tuple."""
+    def convert(text: str) -> tuple:
+        return tuple(entry(tok) for tok in text.split(",") if tok.strip() != "")
+    convert.__name__ = f"{entry.__name__} list"  # argparse names the converter in a refusal
+    return convert
+
+
+# A value's JSON type -> its flag converter, the type of a value (or of a grid's
+# entries), the JSON test a scenario value must pass, and what a scenario
+# refusal says the value must be.  A scenario grid is a JSON list.
 _KINDS = {
-    "integer": (int, "an integer"),
-    "number": (float, "a number"),
-    "string": (str, "a string"),
-    "integers": (_int_list, "a list of integers or a comma-separated string of them"),
-    "numbers": (_float_list, "a list of numbers or a comma-separated string of them"),
+    "integer": (int, int, _is_int, "an integer"),
+    "number": (float, float, _is_number, "a number"),
+    "string": (str, str, lambda value: isinstance(value, str), "a string"),
+    "integers": (_grid_of(int), int, lambda value: isinstance(value, list) and all(map(_is_int, value)),
+                 "a list of integers"),
+    "numbers": (_grid_of(float), float, lambda value: isinstance(value, list) and all(map(_is_number, value)),
+                "a list of numbers"),
 }
 
 
@@ -128,7 +143,9 @@ _FLAGS = {
     "y_values": _Flag("numbers", None, _UNIT, "sweep curves", "comma-separated fake-qubit amplitudes"),
     "p_values": _Flag("numbers", None, _UNIT, "sweep curves", "comma-separated Z-basis probabilities"),
     "d_values": _Flag("numbers", None, _UNIT, "sweep curves", "comma-separated detection probabilities"),
-    "n_values": _Flag("integers", None, _COUNT, "sweep curves", "comma-separated sequence lengths"),
+    # curves raises a float to the power n, so its n must convert to a float.
+    "n_values": _Flag("integers", None, _COUNT, "sweep curves", "comma-separated sequence lengths",
+                      {"curves": (None, (1, sys.float_info.max))}),
 }
 
 
@@ -203,44 +220,23 @@ def _load_scenario(path: str) -> dict:
     return {str(key).replace("-", "_"): value for key, value in data.items()}
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    """A JSON number that converts to a float (no boolean, no huge integer)."""
-    return isinstance(value, float) or (_is_int(value) and abs(value) <= sys.float_info.max)
-
-
 def _scenario_value(name: str, value):
     """One scenario-file value, typed exactly as its flag's JSON type says.
 
     An integer is never a boolean or a float, a number never a boolean,
-    and a grid is a list or the flag's comma-separated string.  ``null``
-    is taken only where the default is unset.
+    and a grid is a JSON list.  ``null`` is taken only where the default
+    is unset.
     """
     flag = _FLAGS[name]
+    _, entry, valid, text = _KINDS[flag.kind]
     if value is None and flag.default is None:
         return None
-    if flag.kind == "integer" and _is_int(value):
-        return value
-    if flag.kind == "number" and _is_number(value):
-        return float(value)
-    if flag.kind == "string" and isinstance(value, str):
-        return value
-    if flag.kind in ("integers", "numbers"):
-        ints = flag.kind == "integers"
-        if isinstance(value, str):
-            try:
-                return _KINDS[flag.kind][0](value)
-            except ValueError:
-                pass
-        elif isinstance(value, list) and all(_is_int(v) if ints else _is_number(v) for v in value):
-            return tuple(value) if ints else tuple(float(v) for v in value)
+    if valid(value):
+        return tuple(map(entry, value)) if isinstance(value, list) else entry(value)
     shown = json.dumps(value)
     if len(shown) > 60:
         shown = shown[:57] + "..."
-    raise UsageError(f"scenario key {name!r} must be {_KINDS[flag.kind][1]}, got {shown}")
+    raise UsageError(f"scenario key {name!r} must be {text}, got {shown}")
 
 
 def _checked(verb: str, key: str, value, domain):
@@ -269,10 +265,12 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     The one place where a flag or scenario key that the verb does not take
     is refused (and a y or y grid without the isra attack, and a sweep scalar
     given with its grid), and where every value it does take is
-    range-checked, so later steps cannot fail on them.
+    range-checked, so later steps cannot fail on them.  It also settles
+    what the verbs read: ``isra_y`` is None unless the attack is isra, and
+    a sweep's scalar given without its grid is a one-point grid.
     """
     given = {}
-    if args.scenario:
+    if args.scenario is not None:
         data = _load_scenario(args.scenario)
         unknown = sorted(set(data) - set(_FLAGS))
         if unknown:
@@ -292,9 +290,15 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
         use = flag.use(args.verb)
         if use is not None:
             setattr(cfg, name, _checked(args.verb, _option(name), given.get(name, use[0]), use[1]))
-    for name in ("isra_y", "y_values"):
-        if given.get(name) is not None and cfg.attack != "isra":
-            raise UsageError(f"{_option(name)} only applies to the isra attack")
+    if cfg.attack != "isra":
+        for name in ("isra_y", "y_values"):
+            if given.get(name) is not None:
+                raise UsageError(f"{_option(name)} only applies to the isra attack")
+        cfg.isra_y = None
+    if args.verb == "sweep":
+        for one, grid in _GRIDS.items():
+            if getattr(cfg, grid) is None:
+                setattr(cfg, grid, (getattr(cfg, one),))
     return cfg
 
 
@@ -372,7 +376,7 @@ RUN_COLUMNS = ["seq", "speaker", "event", "detail"]
 
 def cmd_run(cfg: argparse.Namespace) -> int:
     config = ProtocolConfig(n=cfg.n, d=cfg.d, p=cfg.p, checker_mode=cfg.mode)
-    attack = AttackModel(cfg.attack, cfg.isra_y if cfg.attack == "isra" else None)
+    attack = AttackModel(cfg.attack, cfg.isra_y)
     rand = np.random.default_rng(cfg.seed)
     outcome = run_protocol(config, attack, rand)
     events = [*outcome.transcript, ("runner", "attack", cfg.attack), ("runner", "checker-mode", cfg.mode)]
@@ -433,12 +437,7 @@ def _usable_cpus() -> int:
 
 def cmd_sweep(cfg: argparse.Namespace) -> int:
     """Emit one row per grid point, in grid-then-trial order."""
-    y_values: tuple[float | None, ...]
-    y_values = (cfg.y_values or (cfg.isra_y,)) if cfg.attack == "isra" else (None,)
-    p_values = cfg.p_values or (cfg.p,)
-    d_values = cfg.d_values or (cfg.d,)
-    n_values = cfg.n_values or (cfg.n,)
-    grid = list(itertools.product(y_values, p_values, d_values, n_values))
+    grid = list(itertools.product(cfg.y_values, cfg.p_values, cfg.d_values, cfg.n_values))
     points = [(cfg.attack, cfg.mode, y, p, d, n, cfg.trials, cfg.seed, grid_index)
               for grid_index, (y, p, d, n) in enumerate(grid)]
     trial_rounds = cfg.trials * sum(n for *_, n in grid)
@@ -473,14 +472,13 @@ def cmd_curves(cfg: argparse.Namespace) -> int:
     panel holds one curve.
     """
     defaults_used = all(v is None for v in (cfg.y_values, cfg.d_values, cfg.p_values, cfg.n_values))
-    fixed_y = cfg.isra_y if cfg.attack == "isra" else None
-    y_values = (cfg.y_values or (0.0, 0.5, 1.0)) if fixed_y is not None else (None,)
+    y_values = (cfg.y_values or (0.0, 0.5, 1.0)) if cfg.isra_y is not None else (None,)
     d_values = cfg.d_values or (0.25, 0.5, 1.0)
     p_values = cfg.p_values or (0.25, 0.5, 1.0)
     n_values = cfg.n_values or _DEFAULT_CURVE_NS
     curves = ([("vary-y", y, cfg.p, cfg.d) for y in y_values]
-              + [("vary-d", fixed_y, cfg.p, d) for d in d_values]
-              + [("vary-p", fixed_y, p, cfg.d) for p in p_values])
+              + [("vary-d", cfg.isra_y, cfg.p, d) for d in d_values]
+              + [("vary-p", cfg.isra_y, p, cfg.d) for p in p_values])
     rows = []
     for panel, y, p, d in curves:
         q = closed_form_round_detection(cfg.attack, cfg.mode, p, d, y)

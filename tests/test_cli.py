@@ -76,6 +76,11 @@ def test_missing_verb_exits_one():
         ("curves", "--trials", "9", "--seed", "4"),
         ("curves", "--n", "7"),
         ("teleport-demo", "--trials", "3", "--mode", "strict", "--n", "4", "--d", "0.9", "--isra-y", "0.2"),
+        # an empty scenario path, which used to be ignored without a word
+        ("run", "--n", "3", "--scenario", "", "--format", "csv"),
+        ("run", "--n", "3", "--scenario=", "--format", "csv"),
+        # a length no float can hold, which used to overflow (1 - q) ** n
+        ("curves", "--n-values", str(10 ** 309)),
     ],
 )
 def test_bad_invocations_exit_one(flags, capsys):
@@ -314,6 +319,8 @@ def test_version_flag(capsys):
         ("sweep", {"y-values": [0.5]}),
         # keys the verb does not use, which used to be ignored without a word
         ("run --n 5 --seed 1", {"workers": 4, "y-values": [0.5], "n-values": [3]}),
+        ("sweep", {"n-values": "1,2"}),  # a grid is a JSON list, not the flag's text
+        ("curves", {"n-values": [10 ** 309]}),  # a length no float can hold
     ],
 )
 def test_bad_scenario_values_exit_one(scenario, tmp_path, monkeypatch, capsys):
@@ -362,7 +369,9 @@ HUGE = str(10 ** 23)
     ["sweep", "--n", str(10 ** 20), "--trials", "100"],
     ["sweep", "--n-values", str(10 ** 20), "--trials", "100"],
     ["run", "--n", str(2 ** 61), "--attack", "imra"],
-], ids=["run-n", "demo-trials", "demo-trials-2^61", "sweep-n", "sweep-n-values", "run-imra-2^61"])
+    ["sweep", "--n-values", str(10 ** 309), "--trials", "100"],  # past the float range, which curves refuses
+], ids=["run-n", "demo-trials", "demo-trials-2^61", "sweep-n", "sweep-n-values", "run-imra-2^61",
+        "sweep-n-values-past-floats"])
 def test_unaddressable_sizes_exit_one_before_allocating(argv, capsys):
     # Sizes no numpy array can address (numpy would raise ValueError) are
     # refused as out of memory before the engine allocates anything.
@@ -378,8 +387,9 @@ def test_unaddressable_sizes_exit_one_before_allocating(argv, capsys):
 
 
 def test_unaddressable_curve_lengths_are_computed(capsys):
-    assert main(["curves", "--n-values", str(10 ** 20), "--format", "csv"]) == 0
-    assert capsys.readouterr().out.count("\n") == 1 + 9
+    for n in (10 ** 20, int(sys.float_info.max)):  # curves takes any n a float can hold
+        assert main(["curves", "--n-values", str(n), "--format", "csv"]) == 0
+        assert capsys.readouterr().out.count("\n") == 1 + 9
 
 
 def test_closed_stdout_ends_without_traceback():

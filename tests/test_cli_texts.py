@@ -7,6 +7,7 @@ versions.
 """
 
 import argparse
+import re
 
 import pytest
 
@@ -126,6 +127,8 @@ REFUSALS = [
                "'teleport-demo')\n"),
     (["run", "--frobnicate"], "error: unrecognized arguments: --frobnicate\n"),
     (["run", "--n", "x"], "error: argument --n: invalid int value: 'x'\n"),
+    (["sweep", "--n-values", "1,x"], "error: argument --n-values: invalid int list value: '1,x'\n"),
+    (["sweep", "--d-values", "0.5,y"], "error: argument --d-values: invalid float list value: '0.5,y'\n"),
 ]
 
 
@@ -153,6 +156,7 @@ def test_version_text_keeps_its_bytes(capsys):
 def test_refusals_keep_their_bytes(argv, message, capsys):
     assert main(argv) == 1
     assert capsys.readouterr() == ("", message)
+    assert not re.search(r"\b_\w", message)  # no private helper's name
 
 
 def test_a_token_before_the_verb_is_refused(capsys):

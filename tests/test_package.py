@@ -75,6 +75,20 @@ def test_every_public_function_is_used():
     assert unused == UNREFERENCED_ORACLES, {name: public.get(name) for name in unused}
 
 
+def test_every_private_helper_is_used():
+    # A private top-level function or class of src/wshare counts as used when
+    # code in src/ names it outside its own definition; tests do not count.
+    private, named = {}, set()
+    for path in sorted((ROOT / "src" / "wshare").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            own = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else ""
+            if own.startswith("_"):
+                private[own] = path.name
+            named |= named_in(node) - {own}
+    assert len(private) >= 30  # the walk sees the helpers
+    assert not set(private) - named, {name: private[name] for name in set(private) - named}
+
+
 # What a process pool loads; a CLI call needs none of it unless a sweep
 # starts workers.
 POOL_MODULES = ("concurrent.futures", "multiprocessing", "logging", "socket", "subprocess")

@@ -478,3 +478,82 @@ def test_outcomes_compare_by_identity():
     assert first.transcript == second.transcript
     assert first == first and first != second and len({first, second}) == 2
     assert repr(first) == f"RunOutcome(config={config!r}, attack={first.attack!r})"
+
+
+# ---------------------------------------------------------------------------
+# statistical gates that do not saturate
+
+
+GATE_P, GATE_D, GATE_Y = 0.3, 0.7, 0.5
+
+
+def _violation_rates(kind: str, mode: str) -> dict:
+    """Per-round violation rate of each rule: isra breaks the Z rules at
+    pd/3 (home 0) and pd y^2/3 (home 1); in strict mode every attack breaks
+    half of the (1 - p)d 2/3 X/home-0 rounds; nothing else is ever broken."""
+    rates = dict.fromkeys(protocol.RULE_KEYS, 0.0)
+    if kind == "isra":
+        rates["z_rc0"], rates["z_rc1"] = GATE_P * GATE_D / 3, GATE_P * GATE_D * GATE_Y ** 2 / 3
+    if mode == "strict" and kind != "none":
+        rates["x_rc0"] = (1 - GATE_P) * GATE_D / 3
+    return rates
+
+
+@pytest.mark.parametrize("mode", ["paper", "strict"])
+@pytest.mark.parametrize("kind", ["none", "imra", "isra", "ema"])
+def test_violated_rounds_per_rule_are_binomial(kind, mode):
+    # Every round is drawn and checked, whether its trial aborted or not, so
+    # the violated rounds of a rule over trials x n rounds are binomial at the
+    # rule's per-round rate; unlike the abort count, this does not saturate
+    # at large n.
+    config = ProtocolConfig(n=1000, d=GATE_D, p=GATE_P, checker_mode=mode)
+    attack = AttackModel(kind, GATE_Y if kind == "isra" else None)
+    rand = np.random.default_rng(11)
+    trials = 200
+    violations = collections.Counter()
+    for _ in range(trials):
+        for key, tally in run_protocol(config, attack, rand).report.tallies.items():
+            violations[key] += tally.violations
+    rounds = trials * config.n
+    for key, rate in _violation_rates(kind, mode).items():
+        sigma = np.sqrt(rounds * rate * (1 - rate))
+        assert abs(violations[key] - rounds * rate) <= 4 * sigma, (key, violations[key], rounds * rate)
+
+
+# Bob's and Eve's exact mean teleport fidelities over Haar-random messages,
+# written out until an exact fidelity oracle computes them: isra hands Bob a
+# product state and Eve a perfect copy; imra and ema give both the 2/3
+# measure-and-prepare limit (Massar & Popescu, PRL 74, 1259 (1995)).
+BOB_MEAN = {"none": 1.0, "imra": 2 / 3, "isra": 1 / 2, "ema": 2 / 3}
+EVE_MEAN = {"imra": 2 / 3, "isra": 1.0, "ema": 2 / 3}
+FIDELITY_ATTACKS = [AttackModel("none"), AttackModel("imra"), AttackModel("isra", 0.0),
+                    AttackModel("isra", 0.5), AttackModel("isra", 1.0), AttackModel("ema")]
+
+
+def _attack_id(attack: AttackModel) -> str:
+    return attack.kind if attack.y is None else f"{attack.kind}-{attack.y:g}"
+
+
+@pytest.mark.parametrize("mode", ["paper", "strict"])
+@pytest.mark.parametrize("attack", FIDELITY_ATTACKS, ids=_attack_id)
+def test_sampled_bob_fidelity_mean_is_exact(attack, mode):
+    # At d = 0 and n = 1 no round is checked, a trial teleports exactly when
+    # its one round is a pair, and yield_mean is the share of such trials.
+    # Fidelities lie in [0, 1], so 1/(2 sqrt(N)) bounds the mean's spread.
+    trials = 20_000
+    stats = run_trials(ProtocolConfig(n=1, d=0.0, p=0.5, checker_mode=mode), attack, trials,
+                       np.random.default_rng(7))
+    teleported = round(stats.yield_mean * trials)
+    assert stats.detections == 0 and teleported > trials // 2
+    assert abs(stats.fidelity_mean - BOB_MEAN[attack.kind]) <= 4 / (2 * np.sqrt(teleported))
+
+
+@pytest.mark.parametrize("attack", FIDELITY_ATTACKS[1:], ids=_attack_id)
+def test_sampled_eve_recovery_mean_is_exact(attack):
+    rand = np.random.default_rng(3)
+    outcome = run_protocol(ProtocolConfig(n=30_000, d=0.0, p=0.5), attack, rand)
+    _, recoveries = teleport_pairs(outcome, rand)
+    assert len(recoveries) > 15_000
+    assert abs(recoveries.mean() - EVE_MEAN[attack.kind]) <= 4 / (2 * np.sqrt(len(recoveries)))
+    if attack.kind == "isra":  # a perfect copy, whatever y is
+        assert_allclose(recoveries, 1.0, rtol=0, atol=1e-12)
