@@ -31,8 +31,6 @@ given home outcome 0, so her X result is a fair coin regardless of what Eve
 forwards to Bob.)
 """
 
-from __future__ import annotations
-
 from .attacks import AttackModel, _check_unit
 from .protocol import CheckerMode, DetectionDirective, evaluate_checks
 from .statevec import _ZERO_PROB, Basis, StateVector, enumerate_qubit, make_w_state

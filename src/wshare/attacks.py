@@ -24,8 +24,6 @@ and :func:`eve_recover_batch` is that recovery for a whole
 :class:`~wshare.teleport.TeleportBatch` at once.
 """
 
-from __future__ import annotations
-
 import numbers
 from dataclasses import dataclass, field
 
@@ -103,7 +101,7 @@ class AttackModel:
         return None, (self.intercept(state, None)[0],)
 
     def intercept(
-        self, state: StateVector, rand: np.random.Generator | None
+        self, state: StateVector, rand: "np.random.Generator | None"
     ) -> tuple[StateVector, int | None]:
         """This attack applied to one round's register: (register, Eve's bit).
 

@@ -38,8 +38,6 @@ starts workers.  Exit status: 0 success, 1 usage error or unwritable
 output, 2 protocol aborted (run verb only).
 """
 
-from __future__ import annotations
-
 import argparse
 import contextlib
 import csv

@@ -79,12 +79,11 @@ spread over processes.  Every teleport, of a run's pairs
 uniform per pair; a trial without a pair draws nothing more.
 """
 
-from __future__ import annotations
-
 import enum
 import functools
 import operator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -141,28 +140,34 @@ class ProtocolConfig:
         object.__setattr__(self, "checker_mode", CheckerMode(self.checker_mode))
 
 
-@dataclass(frozen=True)
-class DetectionDirective:
+class DetectionDirective(NamedTuple):
     """One sacrificed position and the basis Alice and Bob must use there."""
 
     position: int
     basis: Basis
 
 
-@dataclass
-class RuleTally:
+class RuleTally(NamedTuple):
     """How often one checking rule applied and how often it was violated."""
 
     applied: int = 0
     violations: int = 0
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    """The rounds the checking algorithm caught, plus per-rule diagnostics."""
+class CheckReport(NamedTuple):
+    """The rounds the checking algorithm caught, plus per-rule diagnostics;
+    reports compare and hash by ``offending_rounds`` alone."""
 
     offending_rounds: tuple[int, ...]
-    tallies: dict[str, RuleTally] = field(compare=False)
+    tallies: dict[str, RuleTally]
+
+    def __eq__(self, other):
+        return self.offending_rounds == other.offending_rounds if type(other) is CheckReport else NotImplemented
+
+    __ne__ = object.__ne__  # the negation of __eq__, not tuple's field-by-field !=
+
+    def __hash__(self) -> int:
+        return hash(self.offending_rounds)
 
     @property
     def verdict(self) -> str:
@@ -201,7 +206,7 @@ class RunOutcome:
 
     config: ProtocolConfig
     attack: AttackModel
-    rounds: Rounds = field(repr=False)
+    rounds: "Rounds" = field(repr=False)
 
     @property
     def aborted(self) -> bool:
@@ -286,7 +291,7 @@ def evaluate_checks(directives, rc_results, ra_results, rb_results,
             "misaligned check inputs: "
             f"{len(directives)} directives vs {len(rc_results)}/{len(ra_results)}/{len(rb_results)} results"
         )
-    tallies = {key: RuleTally() for key in RULE_KEYS}
+    applied, violations = dict.fromkeys(RULE_KEYS, 0), dict.fromkeys(RULE_KEYS, 0)
     offending: list[int] = []
     for directive, rc, ra, rb in zip(directives, rc_results, ra_results, rb_results):
         if Basis(directive.basis) is Basis.Z:
@@ -298,12 +303,11 @@ def evaluate_checks(directives, rc_results, ra_results, rb_results,
             if mode is not CheckerMode.STRICT or rc != 0:
                 continue  # X rounds pass unconditionally outside strict/home-0
             key, ok = "x_rc0", ra == rb
-        tally = tallies[key]
-        tally.applied += 1
+        applied[key] += 1
         if not ok:
-            tally.violations += 1
+            violations[key] += 1
             offending.append(directive.position)
-    return CheckReport(tuple(offending), tallies)
+    return CheckReport(tuple(offending), {key: RuleTally(applied[key], violations[key]) for key in RULE_KEYS})
 
 
 def _apply_rules(selected, x_basis, home, alice, bob, mode: CheckerMode) -> dict:
@@ -322,8 +326,7 @@ def _apply_rules(selected, x_basis, home, alice, bob, mode: CheckerMode) -> dict
 # the round tables
 
 
-@dataclass(frozen=True, eq=False)
-class RoundTables:
+class RoundTables(NamedTuple):
     """The compiled round tree of one attack (see the module docstring); tables
     compare and hash by identity."""
 
@@ -333,6 +336,9 @@ class RoundTables:
     tb: np.ndarray
     pairs: tuple[StateVector | None, ...]
     kernels: tuple[np.ndarray, tuple[str, ...]]
+
+    # tuple's own ==, != and hash would compare or hash the arrays, and raise
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
 
 def _compile_tables(te: float | None, roots: tuple[StateVector, ...]) -> RoundTables:
@@ -373,8 +379,7 @@ def _round_tables(attack: AttackModel) -> RoundTables:
 # the engine
 
 
-@dataclass(frozen=True, eq=False)
-class Rounds:
+class Rounds(NamedTuple):
     """One block of trials as (B, n) arrays: row = trial, column t - 1 = round t.
 
     ``eve`` is Eve's branch index, ``home`` Charlie's one home result per
@@ -398,6 +403,9 @@ class Rounds:
     aborted: np.ndarray
     pairs: np.ndarray
     surviving: np.ndarray
+
+    # tuple's own ==, != and hash would compare or hash the arrays, and raise
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
 
 def _block_size(n: int) -> int:
@@ -435,7 +443,7 @@ def _draw_rounds(tables: RoundTables, config: ProtocolConfig, rand, trials: int)
 
 
 def run_protocol(
-    config: ProtocolConfig, attack: AttackModel | None, rand: np.random.Generator
+    config: ProtocolConfig, attack: AttackModel | None, rand: "np.random.Generator"
 ) -> RunOutcome:
     """Execute one full protocol run and return its outcome.
 
@@ -449,7 +457,7 @@ def run_protocol(
     return RunOutcome(config, attack, _draw_rounds(_round_tables(attack), config, rand, 1))
 
 
-def teleport_pairs(outcome: RunOutcome, rand: np.random.Generator
+def teleport_pairs(outcome: RunOutcome, rand: "np.random.Generator"
                    ) -> tuple[TeleportBatch, np.ndarray | None]:
     """Teleport one fresh random message over every distilled pair of a run.
 
@@ -469,8 +477,7 @@ def teleport_pairs(outcome: RunOutcome, rand: np.random.Generator
     return batch, eve_recover_batch(attack, which, batch, messages)
 
 
-@dataclass(frozen=True)
-class TrialStats:
+class TrialStats(NamedTuple):
     """Totals over the Monte Carlo trials of one grid point.
 
     ``yield_mean`` averages distilled pairs per surviving round over the
@@ -485,7 +492,7 @@ class TrialStats:
 
 
 def run_trials(config: ProtocolConfig, attack: AttackModel | None, trials: int,
-               rand: np.random.Generator) -> TrialStats:
+               rand: "np.random.Generator") -> TrialStats:
     """Run ``trials`` independent protocol runs from one stream, in blocks.
 
     Each block of :func:`_block_size` trials (the last one ragged) draws

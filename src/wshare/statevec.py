@@ -12,15 +12,15 @@ Conventions used throughout the package:
   Outcome bit 0 always means the first eigenstate of the basis (``|0>``
   or ``|+>``), bit 1 the second.
 * Randomness always comes from an explicit ``numpy.random.Generator``;
-  nothing in this module touches global RNG state.
+  nothing in this module touches global RNG state.  Its annotations are
+  strings, so that importing the package does not load ``numpy.random``.
 * A branch of probability at or below ``_ZERO_PROB`` is never sampled: a
   draw that lands on one takes the other branch instead.
 """
 
-from __future__ import annotations
-
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,8 +104,7 @@ class StateVector:
         return obj
 
 
-@dataclass(frozen=True)
-class MeasurementBranch:
+class MeasurementBranch(NamedTuple):
     """One branch of a single-qubit measurement.
 
     ``outcome`` is 0 for the first basis eigenstate and 1 for the second;
@@ -133,8 +132,7 @@ _BELL_MATRICES = (
 _BELL_BITS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-@dataclass(frozen=True)
-class BellOutcome:
+class BellOutcome(NamedTuple):
     """One branch of a two-qubit Bell measurement.
 
     ``post_state`` is the full register with the measured pair collapsed
@@ -294,7 +292,7 @@ def _clamped(p0: float) -> float:
     return p0
 
 
-def measure_qubit(s: StateVector, q: str, basis: Basis | str, rand: np.random.Generator) -> MeasurementBranch:
+def measure_qubit(s: StateVector, q: str, basis: Basis | str, rand: "np.random.Generator") -> MeasurementBranch:
     """Sample a single-qubit measurement and collapse the register.
 
     The outcome is drawn with its Born probability: one uniform draw per

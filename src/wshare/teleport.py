@@ -24,10 +24,8 @@ teleportation attempted over the corrupted three-qubit channel
 (|100>+|011>)_abe/sqrt(2) that an entangling interceptor leaves behind.
 """
 
-from __future__ import annotations
-
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,8 +100,7 @@ def build_correction_table() -> dict[str, str]:
     return {name: left[0] for name, left in survivors.items()}
 
 
-@dataclass(frozen=True)
-class TeleportResult:
+class TeleportResult(NamedTuple):
     """Outcome of one teleportation attempt.
 
     ``residual`` is the register minus the measured (message, Alice) pair,
@@ -158,7 +155,7 @@ def _bell_kernel(*pairs: StateVector) -> tuple[np.ndarray, tuple[str, ...]]:
     return kernel, rest
 
 
-def teleport(message: StateVector, pair: StateVector, rand: np.random.Generator) -> TeleportResult:
+def teleport(message: StateVector, pair: StateVector, rand: "np.random.Generator") -> TeleportResult:
     """Teleport a single-qubit message over a pair register.
 
     The pair register may hold qubits besides ``"a"`` and ``"b"``; they
@@ -178,8 +175,7 @@ def teleport(message: StateVector, pair: StateVector, rand: np.random.Generator)
                           StateVector._trusted(batch.residuals[0], batch.labels), float(batch.fidelities[0]))
 
 
-@dataclass(frozen=True, eq=False)
-class TeleportBatch:
+class TeleportBatch(NamedTuple):
     """Many teleportation attempts, one row each.
 
     ``outcomes[t]`` is the Bell outcome index (``BELL_NAMES`` order) of
@@ -194,6 +190,9 @@ class TeleportBatch:
     residuals: np.ndarray
     labels: tuple[str, ...]
     fidelities: np.ndarray
+
+    # tuple's own ==, != and hash would compare or hash the arrays, and raise
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
 
 def teleport_batch(
@@ -234,7 +233,7 @@ def teleport_batch(
                          qubit_fidelities(residuals, labels, "b", messages))
 
 
-def teleport_fresh(kernels, which: np.ndarray, rand: np.random.Generator) -> tuple[np.ndarray, TeleportBatch]:
+def teleport_fresh(kernels, which: np.ndarray, rand: "np.random.Generator") -> tuple[np.ndarray, TeleportBatch]:
     """A fresh random message through pair ``which[t]`` of ``kernels`` per row: the one
     teleport draw layout, all message normals (:func:`random_amplitudes`),
     then one uniform per row.  Returns the (T, 2) messages and the batch."""
@@ -295,7 +294,7 @@ def ema_decomposition(a: complex, b: complex) -> list[tuple[BellOutcome, StateVe
     return [(o, o.residual) for o in enumerate_bell(joint, "m", "a")]
 
 
-def random_amplitudes(rand: np.random.Generator, count: int) -> np.ndarray:
+def random_amplitudes(rand: "np.random.Generator", count: int) -> np.ndarray:
     """``count`` uniformly random single-qubit states (Haar on the Bloch
     sphere) as (count, 2) amplitudes.
 
@@ -307,6 +306,6 @@ def random_amplitudes(rand: np.random.Generator, count: int) -> np.ndarray:
     return amplitudes / np.linalg.norm(amplitudes, axis=1, keepdims=True)
 
 
-def random_message(rand: np.random.Generator) -> StateVector:
+def random_message(rand: "np.random.Generator") -> StateVector:
     """Uniformly random single-qubit pure state on "m" (Haar on the Bloch sphere)."""
     return StateVector._trusted(random_amplitudes(rand, 1)[0], ("m",))

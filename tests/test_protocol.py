@@ -142,6 +142,7 @@ def test_tallies_and_offending_positions():
     paper = evaluate_checks(directives, rc, ra, rb, "paper")
     assert paper.offending_rounds == (2,)
     assert paper.tallies["x_rc0"] == RuleTally(applied=0, violations=0)
+    assert RuleTally() == RuleTally(applied=0, violations=0)
 
 
 def test_checks_read_a_basis_given_by_its_value():
@@ -219,7 +220,9 @@ def test_checks_validate_inputs():
 def test_check_report_verdict_follows_offending_rounds():
     assert CheckReport((3,), {}).verdict == "detected"
     assert CheckReport((), {}).verdict == "pass"
-    assert CheckReport((3,), {}) == CheckReport((3,), {"z_rc0": RuleTally(1, 1)})
+    caught, tallied = CheckReport((3,), {}), CheckReport((3,), {"z_rc0": RuleTally(1, 1)})
+    assert caught == tallied and not caught != tallied and len({caught, tallied}) == 1
+    assert caught != CheckReport((), {}) and caught != (3,)
 
 
 # ---------------------------------------------------------------------------
