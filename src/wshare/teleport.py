@@ -4,9 +4,9 @@ Alice Bell-measures (message, her pair qubit), broadcasts two classical
 bits, and Bob repairs his qubit with a Pauli correction.  Because the
 channel here is the psi+ pair rather than the textbook phi+ pair, the
 correction table differs from the usual one; rather than hard-coding it,
-:func:`build_correction_table` derives it once by probing each Bell branch
-and keeping the unique correction that restores the message exactly.  A
-correction's one form is its read-only real 2x2 matrix in ``CORRECTIONS``.
+:func:`build_correction_table` reads it once off the Bell matrices (each
+outcome leaves Bob the message through a 2x2 map that one Pauli undoes).
+A correction's one form is its read-only real 2x2 matrix in ``CORRECTIONS``.
 
 :func:`teleport_batch` runs many attempts at once through Bell kernels
 (:func:`_bell_kernel`): for each Bell outcome, the linear map from the
@@ -44,7 +44,7 @@ from .statevec import (
 
 # Bob's candidate Pauli corrections, each the real 2x2 matrix acting on his
 # qubit ("XZ" = X first, then Z).  Read-only: the cached stack of
-# _correction_matrices and every compiled Bell kernel are built from them.
+# _corrections and every compiled Bell kernel are built from them.
 # XZ is Z @ X written out: a matmul at import raised peak RSS by 0.2 MB.
 CORRECTIONS = {
     "I": np.eye(2),
@@ -75,29 +75,32 @@ def psi_plus_pair() -> StateVector:
 
 
 @functools.cache
-def build_correction_table() -> dict[str, str]:
-    """Derive Bob's correction for each Bell outcome over a psi+ channel.
+def _corrections() -> tuple[dict[str, str], np.ndarray]:
+    """Bob's correction for each Bell outcome over a psi+ channel, and the
+    read-only stack of their ``CORRECTIONS`` matrices, in ``BELL_NAMES`` order.
 
-    Returns Bell outcome name -> Pauli correction, in ``BELL_NAMES`` order.
-
-    Two linearly independent probe messages pin the correction uniquely:
-    a candidate survives only if it restores both probes with fidelity 1.
-    Each probe's four Bell branches are enumerated once.
+    Outcome k leaves Bob the message through ``(B_k.conj() @ C).T``, ``B_k``
+    its amplitude matrix and ``C`` the pair's rows, both real Paulis over
+    sqrt(2); exactly one trace-orthogonal candidate undoes that Pauli over 2.
     """
-    probes = [make_message_state(0.6, 0.8), make_message_state(1 / np.sqrt(2), 1j / np.sqrt(2))]
-    survivors = {name: list(CORRECTIONS) for name in BELL_NAMES}
-    for probe in probes:
-        for branch in enumerate_bell(tensor(probe, psi_plus_pair()), "m", "a"):
-            survivors[branch.name] = [
-                c
-                for c in survivors[branch.name]
-                if reduced_fidelity(apply_correction(branch.residual, "b", c), "b", probe)
-                > 1 - 1e-12
-            ]
-    for name, left in survivors.items():
-        if len(left) != 1:
-            raise RuntimeError(f"correction for {name} not unique: {left}")
-    return {name: left[0] for name, left in survivors.items()}
+    channel = psi_plus_pair()._rows(0)
+    table = {}
+    for name, bell in zip(BELL_NAMES, _BELL_MATRICES):
+        bob = (bell.conj() @ channel).T  # message amplitudes -> Bob's qubit
+        undone = {candidate: matrix @ bob for candidate, matrix in CORRECTIONS.items()}
+        fits = [c for c, m in undone.items()  # nonzero multiples of the identity, within 1e-12
+                if max(abs(m[0, 1]), abs(m[1, 0]), abs(m[1, 1] - m[0, 0])) <= 1e-12 < abs(m[0, 0])]
+        if len(fits) != 1:
+            raise RuntimeError(f"correction for {name} not unique: {fits}")
+        table[name] = fits[0]
+    matrices = np.stack([CORRECTIONS[correction] for correction in table.values()])
+    matrices.flags.writeable = False
+    return table, matrices
+
+
+def build_correction_table() -> dict[str, str]:
+    """Bob's correction for each Bell outcome over a psi+ channel (see :func:`_corrections`)."""
+    return _corrections()[0]
 
 
 class TeleportResult(NamedTuple):
@@ -124,13 +127,9 @@ def _finish(branch: BellOutcome, message: StateVector) -> TeleportResult:
                           reduced_fidelity(residual, "b", message))
 
 
-@functools.cache
 def _correction_matrices() -> np.ndarray:
-    """Bob's correction matrix for each Bell outcome, in BELL_NAMES order."""
-    table = build_correction_table()
-    matrices = np.stack([CORRECTIONS[table[name]] for name in BELL_NAMES])
-    matrices.flags.writeable = False
-    return matrices
+    """Bob's read-only correction matrix for each Bell outcome, in BELL_NAMES order."""
+    return _corrections()[1]
 
 
 def _bell_kernel(*pairs: StateVector) -> tuple[np.ndarray, tuple[str, ...]]:

@@ -26,14 +26,20 @@ from wshare.cli import CURVE_COLUMNS, SWEEP_COLUMNS, UsageError, _scenario_value
 from helpers import child_env
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "wshare", *args],
         capture_output=True,
         text=True,
-        cwd=cwd,
         env=child_env(),
     )
+
+
+def call(capsys, *args):
+    """``main(args)`` in this process, read like :func:`run_cli`'s result."""
+    status = main(list(args))
+    out, err = capsys.readouterr()
+    return subprocess.CompletedProcess(args, status, out, err)
 
 
 def test_help_exits_zero():
@@ -89,25 +95,25 @@ def test_bad_invocations_exit_one(flags, capsys):
     assert err.startswith("error:")
 
 
-def test_honest_run_exits_zero_and_reports_pass():
-    proc = run_cli("run", "--n", "8", "--d", "0.3", "--seed", "7")
+def test_honest_run_exits_zero_and_reports_pass(capsys):
+    proc = call(capsys, "run", "--n", "8", "--d", "0.3", "--seed", "7")
     assert proc.returncode == 0
     assert '"pass"' in proc.stdout
     assert "teleport-fidelity-mean" in proc.stdout
     assert "1" in proc.stdout.splitlines()[-1]
 
 
-def test_detected_run_exits_two():
-    proc = run_cli(
-        "run", "--n", "30", "--d", "1", "--p", "1",
+def test_detected_run_exits_two(capsys):
+    proc = call(
+        capsys, "run", "--n", "30", "--d", "1", "--p", "1",
         "--attack", "isra", "--isra-y", "1", "--seed", "3",
     )
     assert proc.returncode == 2
     assert "abort" in proc.stdout
 
 
-def test_run_records_format_is_parseable_jsonl():
-    proc = run_cli("run", "--n", "6", "--seed", "1", "--format", "records")
+def test_run_records_format_is_parseable_jsonl(capsys):
+    proc = call(capsys, "run", "--n", "6", "--seed", "1", "--format", "records")
     assert proc.returncode == 0
     rows = [json.loads(line) for line in proc.stdout.splitlines()]
     assert rows, "no records emitted"
@@ -122,9 +128,9 @@ def _read_csv(text):
     return rows[0], rows[1:]
 
 
-def test_sweep_csv_schema_and_grid_order():
-    proc = run_cli(
-        "sweep", "--attack", "isra", "--y-values", "0,1", "--n-values", "2,4",
+def test_sweep_csv_schema_and_grid_order(capsys):
+    proc = call(
+        capsys, "sweep", "--attack", "isra", "--y-values", "0,1", "--n-values", "2,4",
         "--trials", "100", "--seed", "5", "--format", "csv",
     )
     assert proc.returncode == 0
@@ -142,9 +148,9 @@ def test_sweep_csv_schema_and_grid_order():
         assert 0.0 < float(record["analytic_success"]) < 1.0
 
 
-def test_sweep_matches_analytic_within_noise():
-    proc = run_cli(
-        "sweep", "--attack", "isra", "--isra-y", "1", "--p", "1", "--d", "1",
+def test_sweep_matches_analytic_within_noise(capsys):
+    proc = call(
+        capsys, "sweep", "--attack", "isra", "--isra-y", "1", "--p", "1", "--d", "1",
         "--n", "1", "--trials", "400", "--seed", "11", "--format", "csv",
     )
     header, rows = _read_csv(proc.stdout)
@@ -155,8 +161,8 @@ def test_sweep_matches_analytic_within_noise():
     assert abs(float(record["success_rate"]) - 1 / 3) < 4 * max(stderr, 1e-3)
 
 
-def test_sweep_honest_attack_never_detects():
-    proc = run_cli("sweep", "--trials", "100", "--n", "10", "--seed", "2", "--format", "csv")
+def test_sweep_honest_attack_never_detects(capsys):
+    proc = call(capsys, "sweep", "--trials", "100", "--n", "10", "--seed", "2", "--format", "csv")
     header, rows = _read_csv(proc.stdout)
     record = dict(zip(header, rows[0]))
     assert record["detections"] == "0"
@@ -176,14 +182,14 @@ def test_sweep_output_file_is_byte_deterministic(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
-def test_sweep_workers_do_not_change_output(tmp_path):
+def test_sweep_workers_do_not_change_output(tmp_path, capsys):
     base = (
         "sweep", "--attack", "isra", "--y-values", "0,0.5,1",
         "--n", "4", "--trials", "100", "--seed", "21", "--format", "csv",
     )
     serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
-    assert run_cli(*base, "--out", str(serial)).returncode == 0
-    assert run_cli(*base, "--workers", "3", "--out", str(parallel)).returncode == 0
+    assert call(capsys, *base, "--out", str(serial)).returncode == 0
+    assert call(capsys, *base, "--workers", "3", "--out", str(parallel)).returncode == 0
     assert serial.read_bytes() == parallel.read_bytes()
 
 
@@ -210,32 +216,32 @@ def test_sweep_across_blocks_is_identical_under_workers(tmp_path):
     assert all(float(row["yield_mean"]) == pytest.approx(2 / 3, abs=0.01) for row in rows)
 
 
-def test_scenario_file_sets_flags_and_flags_override(tmp_path):
+def test_scenario_file_sets_flags_and_flags_override(tmp_path, capsys):
     scenario = tmp_path / "scen.json"
     scenario.write_text(json.dumps({
         "attack": "isra", "isra-y": 0.25, "n": 3,
         "trials": 100, "seed": 9, "format": "csv",
     }))
-    proc = run_cli("sweep", "--scenario", str(scenario))
+    proc = call(capsys, "sweep", "--scenario", str(scenario))
     header, rows = _read_csv(proc.stdout)
     assert dict(zip(header, rows[0]))["y"] == "0.25"
 
-    proc = run_cli("sweep", "--scenario", str(scenario), "--isra-y", "0.75")
+    proc = call(capsys, "sweep", "--scenario", str(scenario), "--isra-y", "0.75")
     header, rows = _read_csv(proc.stdout)
     assert dict(zip(header, rows[0]))["y"] == "0.75"
 
 
-def test_scenario_file_rejects_unknown_keys(tmp_path):
+def test_scenario_file_rejects_unknown_keys(tmp_path, capsys):
     scenario = tmp_path / "scen.json"
     scenario.write_text('{"frobnicate": 3}')
-    proc = run_cli("run", "--scenario", str(scenario))
+    proc = call(capsys, "run", "--scenario", str(scenario))
     assert proc.returncode == 1
     assert "frobnicate" in proc.stderr
 
 
-def test_curves_row_count_and_schema():
-    proc = run_cli(
-        "curves", "--y-values", "0,1", "--d-values", "0.5",
+def test_curves_row_count_and_schema(capsys):
+    proc = call(
+        capsys, "curves", "--y-values", "0,1", "--d-values", "0.5",
         "--p-values", "0.25,0.5,1", "--n-values", "1,2,3,4", "--format", "csv",
     )
     assert proc.returncode == 0
@@ -249,16 +255,16 @@ def test_curves_row_count_and_schema():
     assert succ == sorted(succ, reverse=True)
 
 
-def test_curves_default_text_mentions_illustrative_ranges():
-    proc = run_cli("curves")
+def test_curves_default_text_mentions_illustrative_ranges(capsys):
+    proc = call(capsys, "curves")
     assert proc.returncode == 0
     assert proc.stdout.startswith("# illustrative default ranges")
     # 3 panels x 3 values x 60 lengths, plus note and header
     assert len(proc.stdout.splitlines()) == 2 + 9 * 60
 
 
-def test_teleport_demo_honest():
-    proc = run_cli("teleport-demo", "--trials", "5", "--seed", "2", "--format", "csv")
+def test_teleport_demo_honest(capsys):
+    proc = call(capsys, "teleport-demo", "--trials", "5", "--seed", "2", "--format", "csv")
     assert proc.returncode == 0
     header, rows = _read_csv(proc.stdout)
     table = {r[header.index("outcome")]: r[header.index("correction")]
@@ -270,8 +276,8 @@ def test_teleport_demo_honest():
         assert float(row[header.index("fidelity")]) == pytest.approx(1.0)
 
 
-def test_teleport_demo_ema_matches_expected_fidelity():
-    proc = run_cli("teleport-demo", "--attack", "ema", "--trials", "6",
+def test_teleport_demo_ema_matches_expected_fidelity(capsys):
+    proc = call(capsys, "teleport-demo", "--attack", "ema", "--trials", "6",
                    "--seed", "2", "--format", "csv")
     header, rows = _read_csv(proc.stdout)
     trials = [r for r in rows if r[0] == "trial"]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from wshare import teleport as teleport_module
 from wshare.attacks import AttackModel, eve_recover_attempt, eve_recover_batch
 from wshare.protocol import ProtocolConfig, _round_tables, run_protocol, teleport_pairs
 from wshare.statevec import (
@@ -145,6 +146,39 @@ def test_corrections_are_read_only_matrices():
     assert np.array_equal(stacked, np.stack([CORRECTIONS[table[name]] for name in BELL_NAMES]))
     with pytest.raises(ValueError):
         stacked[0, 0, 0] = 5.0
+
+
+@pytest.fixture
+def fresh_corrections():
+    """The derived corrections' cache, emptied before and after the test."""
+    teleport_module._corrections.cache_clear()
+    yield
+    teleport_module._corrections.cache_clear()
+
+
+def test_correction_table_simulates_no_teleportation(monkeypatch, fresh_corrections):
+    # The table is read off the Bell matrices: building it runs no Bell
+    # measurement, tensor product, fidelity or correction of a state, which
+    # stay the independent oracle's (teleport_branches).
+    for oracle in ("enumerate_bell", "tensor", "reduced_fidelity", "apply_correction"):
+        def refuse(*args, oracle=oracle):
+            raise AssertionError(f"building the correction table called {oracle}")
+
+        monkeypatch.setattr(teleport_module, oracle, refuse)
+    assert build_correction_table() == {"psi+": "I", "psi-": "Z", "phi+": "X", "phi-": "XZ"}
+    frozen = [[[1, 0], [0, 1]], [[1, 0], [0, -1]], [[0, 1], [1, 0]], [[0, 1], [-1, 0]]]
+    assert np.array_equal(_correction_matrices(), np.array(frozen, dtype=float))
+
+
+@pytest.mark.parametrize("corrections,refusal", [
+    ({**CORRECTIONS, "-I": -CORRECTIONS["I"]}, "correction for psi+ not unique: ['I', '-I']"),
+    ({name: matrix for name, matrix in CORRECTIONS.items() if name != "X"}, "correction for phi+ not unique: []"),
+], ids=["second-fit", "no-fit"])
+def test_correction_table_refuses_all_but_one_fit(corrections, refusal, monkeypatch, fresh_corrections):
+    monkeypatch.setattr(teleport_module, "CORRECTIONS", corrections)
+    with pytest.raises(RuntimeError) as refused:
+        build_correction_table()
+    assert str(refused.value) == refusal
 
 
 # ---------------------------------------------------------------------------
