@@ -2,13 +2,17 @@
 value and refuse assignment; the ones holding numpy arrays compare and
 hash by identity."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
 from wshare import protocol
 from wshare.attacks import AttackModel
-from wshare.protocol import DetectionDirective, ProtocolConfig, RuleTally, TrialStats, run_protocol, teleport_pairs
-from wshare.statevec import Basis, BellOutcome, MeasurementBranch, make_w_state
+from wshare.protocol import (DetectionDirective, DistilledPairSet, ProtocolConfig, RuleTally, RunOutcome, TrialStats,
+                             run_protocol, teleport_pairs)
+from wshare.statevec import Basis, BellOutcome, MeasurementBranch, StateVector, make_w_state
 from wshare.teleport import TeleportResult
 
 W = make_w_state()  # a StateVector field: states compare by identity, so both sides share it
@@ -52,3 +56,32 @@ def test_array_records_compare_and_hash_by_identity():
         assert record == record and not record != record
         assert twin != record and not twin == record and not record == twin
         assert len({record, twin, record}) == 2 and record in {record} and twin not in {record}
+
+
+# The five records that are classes of their own, not named tuples.
+ROUND_TRIPS = {"pickle": lambda record: pickle.loads(pickle.dumps(record)), "deepcopy": copy.deepcopy}
+
+
+@pytest.mark.parametrize("round_trip", ROUND_TRIPS.values(), ids=ROUND_TRIPS)
+def test_classes_survive_pickle_and_deepcopy(round_trip):
+    state = make_w_state()
+    twin = round_trip(state)
+    assert type(twin) is StateVector and twin is not state and twin.labels == state.labels
+    assert twin.amplitudes.tobytes() == state.amplitudes.tobytes()
+    for record in (AttackModel("isra", 0.3), AttackModel(kind="imra"), ProtocolConfig(7, 0.25, 0.5, "strict"),
+                   DistilledPairSet((), ())):
+        twin = round_trip(record)
+        assert twin is not record and twin == record and hash(twin) == hash(record) and repr(twin) == repr(record)
+    model = AttackModel("isra", 0.3)
+    assert protocol._round_tables(round_trip(model)) is protocol._round_tables(model)
+
+    outcome = run_protocol(ProtocolConfig(n=40, d=0.3, p=0.5), AttackModel("imra"), np.random.default_rng(5))
+    assert not outcome.aborted and len(outcome.pairs) > 1
+    twin = round_trip(outcome)
+    assert type(twin) is RunOutcome and twin.transcript == outcome.transcript and repr(twin) == repr(outcome)
+    assert twin.config == outcome.config and twin.attack == outcome.attack and twin.eve_bits == outcome.eve_bits
+    for pairs in (twin.pairs, round_trip(outcome.pairs)):
+        assert type(pairs) is DistilledPairSet and pairs.positions == outcome.pairs.positions
+        for (position, state), (kept, original) in zip(pairs, outcome.pairs, strict=True):
+            assert position == kept and state.labels == original.labels
+            assert state.amplitudes.tobytes() == original.amplitudes.tobytes()
