@@ -25,7 +25,6 @@ and :func:`eve_recover_batch` is that recovery for a whole
 """
 
 import numbers
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,6 +32,7 @@ from .statevec import (
     Basis,
     StateVector,
     _branch_node,
+    _Record,
     apply_cnot,
     make_basis_state,
     make_message_state,
@@ -62,31 +62,29 @@ def _check_unit(name: str, value) -> float:
     raise ValueError(f"{name} must be a real number in [0, 1], got {value!r}")
 
 
-@dataclass(frozen=True)
-class AttackModel:
+class AttackModel(_Record):
     """One adversary: a kind from :data:`ATTACK_KINDS`, validated once.
 
     ``y`` is the store-resend fake qubit's |1> amplitude, required for
     ``isra`` and refused for every other kind; ``x = sqrt(1 - y^2)`` is
     derived from it.  The model holds no per-run state, so one instance
-    serves any number of runs.
+    serves any number of runs.  Models compare and hash by value.
     """
 
-    kind: str
-    y: float | None = None
-    x: float | None = field(default=None, init=False)
+    __slots__ = _fields = ("kind", "y", "x")
 
-    def __post_init__(self) -> None:
-        if self.kind not in ATTACK_KINDS:
-            raise ValueError(f"unknown attack kind {self.kind!r}; expected one of {ATTACK_KINDS}")
-        if self.kind != "isra":
-            if self.y is not None:
-                raise ValueError(f"only isra takes a fake-qubit amplitude y, not {self.kind}")
+    def __init__(self, kind: str, y: float | None = None) -> None:
+        if kind not in ATTACK_KINDS:
+            raise ValueError(f"unknown attack kind {kind!r}; expected one of {ATTACK_KINDS}")
+        if kind != "isra":
+            if y is not None:
+                raise ValueError(f"only isra takes a fake-qubit amplitude y, not {kind}")
+            self._set(kind, None, None)
             return
-        if self.y is None:
+        if y is None:
             raise ValueError("isra needs the fake-qubit amplitude y")
-        object.__setattr__(self, "y", _check_unit("fake-qubit amplitude y", self.y))
-        object.__setattr__(self, "x", float(np.sqrt(1.0 - self.y * self.y)))
+        y = _check_unit("fake-qubit amplitude y", y)
+        self._set(kind, y, float(np.sqrt(1.0 - y * y)))
 
     def branches(self, state: StateVector) -> tuple[float | None, tuple[StateVector | None, ...]]:
         """How this attack splits one round's register: (threshold, registers).

@@ -238,7 +238,8 @@ def _scenario_value(name: str, value):
 
 
 def _checked(verb: str, key: str, value, domain):
-    """``value``, refused unless it lies in ``domain`` (choices, or a closed range)."""
+    """``value``, refused unless it lies in ``domain`` (choices, or a closed range); a
+    zero number is unsigned."""
     if value is None or domain is None:
         return value
     if isinstance(value, str):
@@ -250,7 +251,8 @@ def _checked(verb: str, key: str, value, domain):
         raise UsageError(f"{key} is empty")
     if not all(domain[0] <= v <= domain[1] for v in values):
         raise UsageError(f"{verb} needs {key} in [{domain[0]:g}, {domain[1]:g}], got {value}")
-    return value
+    values = tuple(v + 0 for v in values)  # -0.0 + 0 is 0.0, so no row prints -0; any other value is kept
+    return values if isinstance(value, tuple) else values[0]
 
 
 # A sweep's scalar and its grid; curves takes both, the scalar as its base point.

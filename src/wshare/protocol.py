@@ -45,9 +45,11 @@ and goes through the same fixed measurements: home ``c`` in Z, then ``a``
 and ``b`` in the directive basis, or ``c`` alone in confirmation.  The
 states a round can reach therefore form a small finite tree that depends
 only on the attack and on Eve's measure-resend bit ``e``, never on the
-round.  On first use per attack, :func:`_round_tables` compiles that tree,
-node by node through :func:`~wshare.statevec._branch_node`, into threshold
-tables, the one cache of the engine:
+round.  On first use per attack, :func:`_round_tables` compiles that tree
+into threshold tables, the one cache of the engine: the home and Alice
+nodes through :func:`~wshare.statevec._branch_node`, which also collapses
+the register for the next node, and Bob's leaves from their P(outcome 0)
+alone, clamped as :func:`~wshare.statevec.measure_qubit` samples it:
 
 * ``te``: P(Eve reads 0), for imra only; for the other kinds ``e`` is
   always 0 and nothing is drawn for it;
@@ -82,13 +84,13 @@ uniform per pair; a trial without a pair draws nothing more.
 import enum
 import functools
 import operator
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .attacks import AttackModel, _check_unit, eve_recover_batch
-from .statevec import Basis, StateVector, _branch_node, discard_qubit, make_w_state
+from .statevec import (Basis, StateVector, _branch_node, _branch_weights, _clamped, _Record, discard_qubit,
+                       make_w_state)
 from .teleport import TeleportBatch, _bell_kernel, teleport_fresh
 
 RULE_KEYS = ("z_rc0", "z_rc1", "x_rc0")
@@ -121,23 +123,17 @@ def _check_length(n, name: str = "sequence length n") -> int:
     raise ValueError(f"{name} must be a positive integer, got {n!r}")
 
 
-@dataclass(frozen=True)
-class ProtocolConfig:
-    """Run parameters; validated on construction.
+class ProtocolConfig(_Record):
+    """Run parameters; validated on construction, compared and hashed by value.
 
     ``checker_mode`` may be given as a :class:`CheckerMode` or its value.
     """
 
-    n: int
-    d: float
-    p: float
-    checker_mode: CheckerMode = CheckerMode.PAPER
+    __slots__ = _fields = ("n", "d", "p", "checker_mode")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "n", _check_length(self.n))
-        object.__setattr__(self, "d", _check_unit("detection probability d", self.d))
-        object.__setattr__(self, "p", _check_unit("Z-basis probability p", self.p))
-        object.__setattr__(self, "checker_mode", CheckerMode(self.checker_mode))
+    def __init__(self, n: int, d: float, p: float, checker_mode: CheckerMode | str = CheckerMode.PAPER) -> None:
+        self._set(_check_length(n), _check_unit("detection probability d", d),
+                  _check_unit("Z-basis probability p", p), CheckerMode(checker_mode))
 
 
 class DetectionDirective(NamedTuple):
@@ -174,17 +170,19 @@ class CheckReport(NamedTuple):
         return "detected" if self.offending_rounds else "pass"
 
 
-@dataclass(frozen=True)
-class DistilledPairSet:
+class DistilledPairSet(_Record):
     """Positions (original round indices) and collapsed states of the pairs.
 
     Each state is the round's register with the home qubit dropped: the
     two-qubit (a, b) Bell pair in an honest run, possibly with an attacker's
-    ancilla still entangled alongside otherwise.
+    ancilla still entangled alongside otherwise.  Sets compare and hash by
+    value, their states by identity.
     """
 
-    positions: tuple[int, ...]
-    states: tuple[StateVector, ...]
+    __slots__ = _fields = ("positions", "states")
+
+    def __init__(self, positions: tuple[int, ...], states: tuple[StateVector, ...]) -> None:
+        self._set(positions, states)
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -193,20 +191,23 @@ class DistilledPairSet:
         return iter(zip(self.positions, self.states))
 
 
-@dataclass(frozen=True, eq=False)
-class RunOutcome:
+class RunOutcome(_Record):
     """One protocol execution, a view of its one-row block ``rounds``.
 
     ``attack`` is the model the run went through (the honest one for
     ``attack=None``).  ``directives``, ``report``, ``pairs`` and
     ``transcript`` are derived on first read and kept; outcomes compare and
-    hash by identity.  ``eve_bits[t - 1]`` is Eve's Z result on round ``t``
-    (measure-resend only; ``None`` where she measured nothing).
+    hash by identity, and their repr leaves out the block.
+    ``eve_bits[t - 1]`` is Eve's Z result on round ``t`` (measure-resend
+    only; ``None`` where she measured nothing).
     """
 
-    config: ProtocolConfig
-    attack: AttackModel
-    rounds: "Rounds" = field(repr=False)
+    # no __slots__: the cached views live in the instance __dict__
+    _fields, _unshown = ("config", "attack", "rounds"), ("rounds",)
+    __eq__, __hash__ = object.__eq__, object.__hash__  # comparing the blocks' arrays would raise
+
+    def __init__(self, config: ProtocolConfig, attack: AttackModel, rounds: "Rounds") -> None:
+        self._set(config, attack, rounds)
 
     @property
     def aborted(self) -> bool:
@@ -362,8 +363,9 @@ def _compile_tables(te: float | None, roots: tuple[StateVector, ...]) -> RoundTa
             for x, basis in enumerate((Basis.Z, Basis.X)):
                 ta[e, c, x], *alices = _branch_node(home.post_state, "a", basis)
                 for a, alice in enumerate(alices):
-                    if alice.post_state is not None:
-                        tb[e, c, x, a] = _branch_node(alice.post_state, "b", basis)[0]
+                    leaf = alice.post_state  # Bob's threshold alone: no register below it is kept
+                    if leaf is not None:
+                        tb[e, c, x, a] = _clamped(_branch_weights(leaf._split(leaf.axis("b")), basis)[0])
     for table in (tc, ta, tb):
         table.flags.writeable = False
     return RoundTables(te, tc, ta, tb, tuple(pairs), _bell_kernel(*blocks))

@@ -16,10 +16,13 @@ Conventions used throughout the package:
   strings, so that importing the package does not load ``numpy.random``.
 * A branch of probability at or below ``_ZERO_PROB`` is never sampled: a
   draw that lands on one takes the other branch instead.
+* Records are immutable: the plain ones are named tuples, and the five
+  that validate, derive or cache are plain classes on :class:`_Record`.
+  No module imports ``dataclasses``, whose import and generated methods
+  would cost every CLI call milliseconds of set-up.
 """
 
 import enum
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -36,24 +39,75 @@ class Basis(enum.Enum):
     X = "X"
 
 
-@dataclass(frozen=True, eq=False)
-class StateVector:
+class _Record:
+    """Base of the package's five immutable record classes.
+
+    A record sets its fields once, in ``__init__``, through
+    ``object.__setattr__``; assigning or deleting an attribute afterwards
+    raises ``AttributeError``.  ``_fields`` names the fields in order: the
+    repr shows them (less ``_unshown``), records compare and hash by them
+    (those holding arrays by identity instead), and pickling and copying
+    rebuild a record from them through :meth:`_trusted`, without checking
+    them again.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _unshown: tuple[str, ...] = ()
+
+    def _set(self, *values) -> None:
+        """Set every field, in ``_fields`` order; only construction calls it."""
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _trusted(cls, *values):
+        """A record holding ``values``, one per field, as they are."""
+        record = object.__new__(cls)
+        record._set(*values)
+        return record
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self._trusted, self._values()
+
+    def __repr__(self) -> str:
+        shown = (f"{name}={getattr(self, name)!r}" for name in self._fields if name not in self._unshown)
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
+class StateVector(_Record):
     """Normalized pure state of a labeled qubit register.
 
     ``amplitudes`` holds the 2**k complex amplitudes in big-endian label
     order.  Instances are immutable; every operation returns a new one.
+    States compare and hash by identity.
     """
 
-    amplitudes: np.ndarray
-    labels: tuple[str, ...]
+    __slots__ = _fields = ("amplitudes", "labels")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # comparing the arrays would raise
 
-    def __post_init__(self) -> None:
-        labels = tuple(str(l) for l in self.labels)
+    def __init__(self, amplitudes: np.ndarray, labels: tuple[str, ...]) -> None:
+        labels = tuple(str(l) for l in labels)
         if not labels:
             raise ValueError("a register needs at least one qubit")
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate qubit labels: {labels}")
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+        amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
         if amps.shape != (2 ** len(labels),):
             raise ValueError(
                 f"{len(labels)} labels need {2 ** len(labels)} amplitudes, "
@@ -64,8 +118,7 @@ class StateVector:
             raise ValueError(f"state is not normalized: |psi|^2 = {norm ** 2:.6g}")
         amps = amps / norm  # fresh array, exact unit norm
         amps.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "labels", labels)
+        self._set(amps, labels)
 
     @property
     def num_qubits(self) -> int:

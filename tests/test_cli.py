@@ -231,6 +231,27 @@ def test_scenario_file_sets_flags_and_flags_override(tmp_path, capsys):
     assert dict(zip(header, rows[0]))["y"] == "0.75"
 
 
+@pytest.mark.parametrize("signed, unsigned", [
+    (["sweep", "--p-values", "0.5,-0"], ["sweep", "--p-values", "0.5,0"]),
+    (["sweep", "--attack", "isra", "--y-values", "-0"], ["sweep", "--attack", "isra", "--y-values", "0"]),
+    (["curves", "--p", "-0"], ["curves", "--p", "0"]),
+    ({"d": -0.0, "isra_y": -0.0, "attack": "isra"}, {"d": 0.0, "isra_y": 0.0, "attack": "isra"}),
+], ids=["p-grid", "y-grid", "curves-p", "scenario"])
+def test_negative_zero_prints_as_zero(signed, unsigned, tmp_path, capsys):
+    # -0 lies in [0, 1], and a row prints it as 0, as if 0 were given.
+    shown = []
+    for argv in (signed, unsigned):
+        if isinstance(argv, dict):
+            (tmp_path / "scen.json").write_text(json.dumps(argv))
+            argv = ["sweep", "--scenario", str(tmp_path / "scen.json")]
+        if argv[0] == "sweep":
+            argv = [*argv, "--n", "3", "--trials", "100", "--format", "csv"]
+        proc = call(capsys, *argv)
+        assert proc.returncode == 0, proc.stderr
+        shown.append(proc.stdout)
+    assert shown[0] == shown[1] and "-0" not in shown[0].replace(",", " ").split()
+
+
 def test_scenario_file_rejects_unknown_keys(tmp_path, capsys):
     scenario = tmp_path / "scen.json"
     scenario.write_text('{"frobnicate": 3}')

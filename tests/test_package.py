@@ -94,18 +94,21 @@ def test_every_private_helper_is_used():
 POOL_MODULES = ("concurrent.futures", "multiprocessing", "logging", "socket", "subprocess")
 # What only a call that draws needs: `curves` or a refused call draws nothing.
 DRAW_MODULES = ("numpy.random",)
+# What generating record classes would load; no module of the package does.
+RECORD_MODULES = ("dataclasses",)
 # One call of each verb, each below the pool threshold.
 SET_UP_FREE_CALLS = (["sweep", "--workers", "2"], ["run", "--format", "records"], ["curves"], ["teleport-demo"])
 
 
 def test_cli_set_up_stays_out_of_the_call(tmp_path):
-    # Importing the CLI loads no pool machinery and no generator.  Once it
-    # and numpy's generator are loaded, no call imports another module: its
-    # set-up (argparse's locale, say) is paid at import, not inside the call.
+    # Importing the CLI loads no pool machinery, no generator and no
+    # dataclasses.  Once it and numpy's generator are loaded, no call imports
+    # another module: its set-up (argparse's locale, say) is paid at import,
+    # not inside the call.
     assert 1000 * 100 < cli._ROUNDS_PER_WORKER  # the sweep's default trials x n
     code = ("import json, sys\n"
             "import wshare.cli\n"
-            f"pool = [name for name in {POOL_MODULES + DRAW_MODULES!r} if name in sys.modules]\n"
+            f"pool = [name for name in {POOL_MODULES + DRAW_MODULES + RECORD_MODULES!r} if name in sys.modules]\n"
             "import numpy\n"
             "numpy.random.default_rng(0).random()\n"
             "new = []\n"
@@ -121,26 +124,17 @@ def test_cli_set_up_stays_out_of_the_call(tmp_path):
     assert all((tmp_path / f"{i}.out").stat().st_size for i in range(len(SET_UP_FREE_CALLS)))
 
 
-# The records that stay dataclasses, each for what a named tuple cannot do.
-# Any other @dataclass brings back methods generated and compiled at import,
-# and so does `from __future__ import annotations`, under which a named tuple
-# builds a ForwardRef per field: together about 8 ms of a CLI call's set-up.
-KEPT_DATACLASSES = {
-    "StateVector": "validates its amplitudes; _trusted builds one without the checks",
-    "AttackModel": "validates its parameters and raises FrozenInstanceError on assignment",
-    "ProtocolConfig": "coerces its inputs",
-    "RunOutcome": "cached_property views, and a repr without its block",
-    "DistilledPairSet": "its own __len__ and __iter__",
-}
-
-
+# No record is a dataclass: each @dataclass brings back `import dataclasses`
+# and methods generated and compiled at import, and so does `from __future__
+# import annotations`, under which a named tuple builds a ForwardRef per
+# field.  The five records that are not named tuples share statevec._Record.
 def test_set_up_generates_no_record_code():
-    dataclasses, future = {}, []
+    dataclasses, future = [], []
     for path in sorted((ROOT / "src" / "wshare").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ClassDef) and "dataclass" in set().union(*map(named_in, node.decorator_list)):
-                dataclasses[node.name] = path.name
+                dataclasses.append(f"{path.name}: {node.name}")
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
                 future += [f"{path.name}: {alias.name}" for alias in node.names]
-    assert set(dataclasses) == set(KEPT_DATACLASSES), dataclasses
+    assert dataclasses == []
     assert future == []

@@ -1,6 +1,7 @@
 """The plain records are named tuples: value records compare and hash by
 value and refuse assignment; the ones holding numpy arrays compare and
-hash by identity."""
+hash by identity.  The five records that are classes of their own refuse
+assignment too, and survive pickling and copying."""
 
 import copy
 import pickle
@@ -58,7 +59,6 @@ def test_array_records_compare_and_hash_by_identity():
         assert len({record, twin, record}) == 2 and record in {record} and twin not in {record}
 
 
-# The five records that are classes of their own, not named tuples.
 ROUND_TRIPS = {"pickle": lambda record: pickle.loads(pickle.dumps(record)), "deepcopy": copy.deepcopy}
 
 
@@ -85,3 +85,22 @@ def test_classes_survive_pickle_and_deepcopy(round_trip):
         for (position, state), (kept, original) in zip(pairs, outcome.pairs, strict=True):
             assert position == kept and state.labels == original.labels
             assert state.amplitudes.tobytes() == original.amplitudes.tobytes()
+
+
+@pytest.mark.parametrize("round_trip", ROUND_TRIPS.values(), ids=ROUND_TRIPS)
+def test_round_tripped_state_stays_read_only(round_trip):
+    twin = round_trip(make_w_state())
+    assert not twin.amplitudes.flags.writeable
+    with pytest.raises(ValueError):
+        twin.amplitudes[0] = 1.0
+
+
+def test_classes_refuse_assignment_and_deletion():
+    outcome = run_protocol(ProtocolConfig(n=4, d=0.5, p=0.5), None, np.random.default_rng(0))
+    for record, name in ((make_w_state(), "labels"), (outcome.config, "d"), (outcome.pairs, "states"),
+                         (outcome, "rounds")):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(record, name)
+        assert getattr(record, name) is not None
