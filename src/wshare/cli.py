@@ -26,16 +26,18 @@ also reads its flags from a flat JSON scenario file (``--scenario``, whose
 grids are JSON lists; explicit flags win; an empty path is refused),
 refuses any flag or scenario key it does not take, and emits text, CSV, or
 JSON-records output.
-Every random draw descends from ``--seed``: ``run`` draws from
-``default_rng(seed)`` and each sweep grid point from
-``default_rng((seed, grid_index))``, in fixed blocks of trials (see
-:mod:`wshare.protocol` for the layout), so identical invocations produce
-byte-identical output files whatever ``--workers`` is.  A sweep starts
-worker processes only for grids big enough to pay for them (at most one
-per :data:`_ROUNDS_PER_WORKER` trial-rounds); smaller grids run in the
-calling process, and the pool machinery is imported only when a sweep
-starts workers.  Exit status: 0 success, 1 usage error or unwritable
-output, 2 protocol aborted (run verb only).
+Every random draw descends from ``--seed``: ``run`` draws its rounds from
+``default_rng(seed)``, and each sweep grid point draws its trials' counts
+per round cell from ``default_rng((seed, grid_index))``, in fixed blocks
+of trials (see :mod:`wshare.protocol` for the layout), so identical
+invocations produce byte-identical output files whatever ``--workers`` is
+and a sweep's cost does not grow with n.  A sweep starts worker processes
+only for grids big enough to pay for them (at most one per
+:data:`_TRIALS_PER_WORKER` trials); smaller grids run in the calling
+process, and the pool machinery is imported only when a sweep starts
+workers.  A grid flag takes a following value that starts with ``-`` and
+a digit (``--y-values -0,0.5``) as its own.  Exit status: 0 success,
+1 usage error or unwritable output, 2 protocol aborted (run verb only).
 """
 
 import argparse
@@ -137,7 +139,7 @@ _FLAGS = {
     "out": _Flag("string", None, None, _ALL, "write output here instead of stdout"),
     "workers": _Flag("integer", 1, _COUNT, "sweep",
                      "parallel processes over grid points (at most one per point, per usable CPU and "
-                     "per 2^20 trial-rounds; smaller grids run in-process)"),
+                     "per 2^16 trials; smaller grids run in-process)"),
     "y_values": _Flag("numbers", None, _UNIT, "sweep curves", "comma-separated fake-qubit amplitudes"),
     "p_values": _Flag("numbers", None, _UNIT, "sweep curves", "comma-separated Z-basis probabilities"),
     "d_values": _Flag("numbers", None, _UNIT, "sweep curves", "comma-separated detection probabilities"),
@@ -149,6 +151,21 @@ _FLAGS = {
 
 def _option(name: str) -> str:
     return "--" + name.replace("_", "-")
+
+
+_GRID_OPTIONS = {_option(name) for name, flag in _FLAGS.items() if flag.kind in ("integers", "numbers")}
+
+
+def _join_grid_values(args: list[str]) -> list[str]:
+    """``args`` with each grid flag joined to a following value that starts with ``-`` and a
+    digit, as ``--flag=value``: argparse would read ``-0,0.5`` as an option, not a value."""
+    joined = []
+    for arg in args:
+        if joined and joined[-1] in _GRID_OPTIONS and arg[:1] == "-" and arg[1:2].isdigit():
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
 
 
 class _Parser(argparse.ArgumentParser):
@@ -186,7 +203,7 @@ def _parse(argv: list[str]) -> argparse.Namespace:
             parser.add_argument(_option(name), type=_KINDS[flag.kind][0],
                                 metavar="|".join(choices) if choices else None,
                                 help=flag.help if use else argparse.SUPPRESS)
-        return parser.parse_args(argv[1:], argparse.Namespace(verb=verb))
+        return parser.parse_args(_join_grid_values(argv[1:]), argparse.Namespace(verb=verb))
     parser = _Parser(prog="wshare", description="Supervised entanglement-sharing protocol lab.")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subparsers = parser.add_subparsers(dest="verb", metavar="verb", required=True)
@@ -422,10 +439,10 @@ def _sweep_point(args: tuple) -> dict:
         stats.yield_mean, stats.fidelity_mean, analytic), strict=True))
 
 
-# A worker process pays for its start only past this many trial-rounds
-# (trials x n, summed over the grid): two workers on a two-point isra/strict
-# grid break even with one process at about 2^21 trial-rounds in all.
-_ROUNDS_PER_WORKER = 1 << 20
+# A worker process pays for its start only past this many trials (summed over
+# the grid; a trial's cost does not depend on n): two workers on a two-point
+# grid break even with one process at about 2^17 trials in all.
+_TRIALS_PER_WORKER = 1 << 16
 
 
 def _usable_cpus() -> int:
@@ -440,8 +457,7 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
     grid = list(itertools.product(cfg.y_values, cfg.p_values, cfg.d_values, cfg.n_values))
     points = [(cfg.attack, cfg.mode, y, p, d, n, cfg.trials, cfg.seed, grid_index)
               for grid_index, (y, p, d, n) in enumerate(grid)]
-    trial_rounds = cfg.trials * sum(n for *_, n in grid)
-    workers = min(cfg.workers, len(points), _usable_cpus(), trial_rounds // _ROUNDS_PER_WORKER)
+    workers = min(cfg.workers, len(points), _usable_cpus(), cfg.trials * len(points) // _TRIALS_PER_WORKER)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only when a pool starts
 

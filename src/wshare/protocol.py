@@ -67,18 +67,27 @@ impossible branches included.  A block of B trials of n rounds is then a
 few numpy expressions over (B, n) arrays, and the rule table is a set of
 boolean masks over them.
 
-**Stream layout.**  A block draws, in this order: Eve (B, n), for imra
-only; selection (B, n); basis (B, n); round uniforms (B, n, 3): home,
-Alice, Bob.  Each home qubit is measured once, so a round reads its home
-result from column 0, selected or not.  Every array is drawn whole,
-whatever ``d`` and ``p`` are.  :func:`run_protocol` is one block of one
-trial, kept on its outcome.  :func:`run_trials` is the Monte Carlo view:
-fixed blocks of :func:`_block_size` trials, a function of ``n`` alone, so
-memory stays bounded and the bytes never depend on how grid points are
-spread over processes.  Every teleport, of a run's pairs
-(:func:`teleport_pairs`) or of a block's first pairs, goes through
-:func:`~wshare.teleport.teleport_fresh`: all message normals, then one
-uniform per pair; a trial without a pair draws nothing more.
+**Stream layout.**  :func:`run_protocol` draws one trial's rounds, in
+this order: Eve (1, n), for imra only; selection (1, n); basis (1, n);
+round uniforms (1, n, 3): home, Alice, Bob.  Each home qubit is measured
+once, so a round reads its home result from column 0, selected or not.
+Every array is drawn whole, whatever ``d`` and ``p`` are; the run keeps
+the block on its outcome.  Its teleport phase (:func:`teleport_pairs`)
+goes through :func:`~wshare.teleport.teleport_fresh`: all message
+normals, then one uniform per pair.
+
+:func:`run_trials`, the Monte Carlo view, draws no rounds.  Rounds are
+i.i.d., so everything a sweep row reads follows from a trial's counts
+per round cell (:func:`_round_cells`, compiled from the round tables per
+call): selected and violated, selected and passing, unselected with home
+0 (one cell per Eve branch), unselected with home 1.  Per fixed block of
+:data:`_BLOCK_TRIALS` trials it draws, in this order: the counts
+(``multinomial(n, cells)``, one row per trial); under imra, one uniform
+per teleported trial for its first pair's Eve branch (:func:`_draw_counts`);
+then one teleport per trial with a pair
+(:func:`~wshare.teleport.teleport_fresh`).  The block is fixed, so
+memory stays bounded, a sweep's cost does not grow with n, and the bytes
+never depend on how grid points are spread over processes.
 """
 
 import enum
@@ -96,10 +105,7 @@ from .teleport import TeleportBatch, _bell_kernel, teleport_fresh
 RULE_KEYS = ("z_rc0", "z_rc1", "x_rc0")
 
 _HONEST = AttackModel("none")
-# Round slots (trials x rounds) in one block of trials, and trials in one
-# block: a block holds at least one trial, so these bound its arrays (about
-# 50 bytes per slot) for any n up to _BLOCK_SLOTS.
-_BLOCK_SLOTS = 1 << 20
+# Trials in one block of counts: it bounds a sweep's arrays whatever n is.
 _BLOCK_TRIALS = 1 << 16
 # Bound on the memoized round tables (one per attack model).
 _TABLE_CACHE_SIZE = 64
@@ -410,11 +416,6 @@ class Rounds(NamedTuple):
     __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
 
-def _block_size(n: int) -> int:
-    """Trials per block: a fixed function of the sequence length alone."""
-    return max(1, min(_BLOCK_TRIALS, _BLOCK_SLOTS // n))
-
-
 def _check_addressable(rows: int, row_bytes: int) -> None:
     """Raise MemoryError, before anything is allocated, for ``rows`` rows of
     ``row_bytes`` bytes that no array could address (numpy raises ValueError)."""
@@ -493,34 +494,79 @@ class TrialStats(NamedTuple):
     fidelity_mean: float | None
 
 
+def _round_cells(tables: RoundTables, config: ProtocolConfig) -> np.ndarray:
+    """P(round cell) of one round: selected and violated, selected and
+    passing, unselected with home 0 per Eve branch, unselected with home 1.
+
+    The violated cell sums the detection leaves (home, basis, Alice, Bob)
+    of the round tables, over Eve's branches, that :func:`_apply_rules`
+    flags; the passing cell is the rest of d, and the home-1 cell the rest
+    of 1 (the draw takes the last cell as the remainder).
+    """
+    eve = np.ones(1) if tables.te is None else np.array((tables.te, 1.0 - tables.te))
+    # P(outcome 0) and P(outcome 1) on a new first axis: an outcome is 0 below its threshold
+    home, alice, bob = (np.array((t, 1.0 - t)) for t in (tables.tc, tables.ta, tables.tb))
+    leaves = np.einsum("e,ce,x,aecx,becxa->cxab", eve, home, (config.p, 1.0 - config.p), alice, bob)
+    bit = np.array([False, True])
+    rules = _apply_rules(np.True_, bit[:, None, None], bit[:, None, None, None], bit[:, None], bit,
+                         config.checker_mode)
+    caught = config.d * leaves[functools.reduce(operator.or_, (broken for _, broken in rules.values()))].sum()
+    home0 = ((1.0 - config.d) * eve * tables.tc).tolist()
+    return np.array([caught, config.d - caught, *home0, 1.0 - config.d - sum(home0)])
+
+
+def _draw_counts(tables: RoundTables, cells: np.ndarray, n: int, rand, trials: int) -> tuple:
+    """Draw one block of ``trials`` trials of ``n`` rounds as counts per round cell
+    (:func:`_round_cells`), in the module's stream layout.
+
+    Returns, per trial, ``aborted``, ``surviving`` (the unselected rounds)
+    and ``pairs`` (the home-0 survivors of a passing trial); and ``first``,
+    the Eve branch of the first pair of each trial that has one, in trial
+    order.  Under imra that is branch e with probability k_e / (k_0 + k_1)
+    for k_e home-0 survivors of branch e, one uniform per such trial.
+    """
+    counts = rand.multinomial(n, cells, size=trials)
+    aborted = counts[:, 0] > 0
+    surviving = n - counts[:, 0] - counts[:, 1]  # not a row sum: numpy sums short rows slowly
+    pairs = surviving - counts[:, -1]
+    pairs[aborted] = 0
+    teleported = pairs.nonzero()[0]
+    first = np.zeros(teleported.size, dtype=np.uint8)
+    if tables.te is not None:
+        first = (rand.random(teleported.size) >= counts[teleported, 2] / pairs[teleported]).view(np.uint8)
+    return aborted, surviving, pairs, first
+
+
 def run_trials(config: ProtocolConfig, attack: AttackModel | None, trials: int,
                rand: "np.random.Generator") -> TrialStats:
     """Run ``trials`` independent protocol runs from one stream, in blocks.
 
-    Each block of :func:`_block_size` trials (the last one ragged) draws
-    its rounds, then teleports one fresh message over the first pair of
-    each trial that has one (:func:`~wshare.teleport.teleport_fresh`); a
-    trial without a pair draws nothing more.  ``attack=None`` is the
-    honest channel, and ``trials`` must be a positive integer.
+    Each block of :data:`_BLOCK_TRIALS` trials (the last one ragged) draws
+    its trials' counts per round cell (:func:`_draw_counts`), then
+    teleports one fresh message over the first pair of each trial that has
+    one (:func:`~wshare.teleport.teleport_fresh`); a trial without a pair
+    draws nothing more.  ``attack=None`` is the honest channel, and
+    ``trials`` must be a positive integer.  An ``n`` of 2^63 or more, past
+    the counts numpy draws, raises MemoryError.
     """
     trials = _check_length(trials, "trial count")
+    if config.n > np.iinfo(np.int64).max:
+        raise MemoryError(f"{config.n} rounds exceed the counts numpy can draw")
     tables = _round_tables(_HONEST if attack is None else attack)
+    cells = _round_cells(tables, config)
     detections = yield_count = fidelity_count = 0
     yield_sum = fidelity_sum = 0.0
-    size = _block_size(config.n)
-    for start in range(0, trials, size):
-        block = min(size, trials - start)
-        rounds = _draw_rounds(tables, config, rand, block)
-        detections += int(rounds.aborted.sum())
-        pairs, surviving = rounds.pairs, rounds.surviving
-        counted = ~rounds.aborted & (surviving > 0)
-        yield_sum += float((pairs.sum(axis=1)[counted] / surviving[counted]).sum())
-        yield_count += int(counted.sum())
-        teleported = np.flatnonzero(pairs.any(axis=1))
-        first = pairs[teleported].argmax(axis=1)
-        _, batch = teleport_fresh(tables.kernels, rounds.eve[teleported, first], rand)
-        fidelity_sum += float(batch.fidelities.sum())
-        fidelity_count += teleported.size
+    for start in range(0, trials, _BLOCK_TRIALS):
+        aborted, surviving, pairs, first = _draw_counts(tables, cells, config.n, rand,
+                                                        min(_BLOCK_TRIALS, trials - start))
+        detections += np.count_nonzero(aborted)
+        counted = ~aborted & (surviving > 0)
+        yield_sum += float((pairs[counted] / surviving[counted]).sum())
+        yield_count += np.count_nonzero(counted)
+        if first.size:  # an empty teleport draws nothing
+            _, batch = teleport_fresh(tables.kernels, first, rand)
+            fidelity_sum += float(batch.fidelities.sum())
+            fidelity_count += first.size
     return TrialStats(
         detections=detections,
         yield_mean=yield_sum / yield_count if yield_count else None,

@@ -193,20 +193,13 @@ def test_sweep_workers_do_not_change_output(tmp_path, capsys):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
-def test_block_size_bounds_every_block():
-    for n in (1, 10, 4000, 10 ** 6):
-        size = protocol._block_size(n)
-        assert size >= 1 and size * n <= protocol._BLOCK_SLOTS, n
-
-
 def test_sweep_across_blocks_is_identical_under_workers(tmp_path):
-    n, trials = 16384, 150
-    size = protocol._block_size(n)
-    assert trials > 2 * size and trials % size  # two full blocks and a ragged one
+    n, trials = 16384, protocol._BLOCK_TRIALS * 3 // 2
+    assert trials > protocol._BLOCK_TRIALS and trials % protocol._BLOCK_TRIALS  # a full block and a ragged one
     base = ("sweep", "--attack", "ema", "--d-values", "0,0.5", "--n", str(n),
             "--trials", str(trials), "--seed", "5", "--format", "csv")
     # Enough work for the sweep to start its 2-process pool.
-    assert 2 * trials * n // cli._ROUNDS_PER_WORKER >= 2
+    assert 2 * trials // cli._TRIALS_PER_WORKER >= 2
     serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
     assert run_cli(*base, "--out", str(serial)).returncode == 0
     assert run_cli(*base, "--workers", "2", "--out", str(parallel)).returncode == 0
@@ -214,6 +207,24 @@ def test_sweep_across_blocks_is_identical_under_workers(tmp_path):
     rows = list(csv.DictReader(io.StringIO(serial.read_text())))
     assert [row["detections"] for row in rows] == ["0", "0"]  # ema passes the paper checker
     assert all(float(row["yield_mean"]) == pytest.approx(2 / 3, abs=0.01) for row in rows)
+
+
+@pytest.mark.parametrize("flag,value", [("--y-values", "-0,0.5"), ("--p-values", "-0.5,1"),
+                                        ("--d-values", "-0"), ("--n-values", "-2,3")])
+def test_grid_value_with_a_leading_minus_reads_as_joined(flag, value, tmp_path, capsys):
+    # argparse would read "-0,0.5" as an option; either spelling gives the
+    # same output or the same (range) refusal.
+    base = ["sweep", "--attack", "isra", "--trials", "100", "--format", "csv"]
+    if flag != "--n-values":
+        base += ["--n", "3"]
+    separate, joined = call(capsys, *base, flag, value), call(capsys, *base, f"{flag}={value}")
+    assert (separate.returncode, separate.stdout, separate.stderr) == (joined.returncode, joined.stdout,
+                                                                      joined.stderr)
+    assert "expected one argument" not in separate.stderr
+    if value in ("-0,0.5", "-0"):
+        assert separate.returncode == 0 and len(_read_csv(separate.stdout)[1]) == value.count(",") + 1
+    else:
+        assert separate.returncode == 1 and separate.stderr.startswith(f"error: sweep needs {flag} in [")
 
 
 def test_scenario_file_sets_flags_and_flags_override(tmp_path, capsys):
@@ -792,7 +803,7 @@ def _set_cpus(monkeypatch, affinity, count=None):
 )
 def test_workers_capped_by_grid_points_and_cpus(workers, points, cpus, expected, monkeypatch, tmp_path):
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(cli, "_ROUNDS_PER_WORKER", 1)  # every trial-round pays for a worker
+    monkeypatch.setattr(cli, "_TRIALS_PER_WORKER", 1)  # every trial pays for a worker
     _set_cpus(monkeypatch, cpus)
     _capped_sweep(workers, points, tmp_path / "rows.jsonl")
     assert RecordingPool.seen == ([] if expected is None else [expected])
@@ -802,10 +813,10 @@ def test_workers_capped_by_grid_points_and_cpus(workers, points, cpus, expected,
 def test_small_grids_run_in_process(workers, points, monkeypatch, tmp_path):
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     _set_cpus(monkeypatch, 8)
-    assert 100 * sum(range(1, points + 1)) < cli._ROUNDS_PER_WORKER
+    assert 100 * points < cli._TRIALS_PER_WORKER
     in_process = _capped_sweep(workers, points, tmp_path / "in_process.jsonl")
     assert RecordingPool.seen == []
-    monkeypatch.setattr(cli, "_ROUNDS_PER_WORKER", 1)
+    monkeypatch.setattr(cli, "_TRIALS_PER_WORKER", 1)
     pooled = _capped_sweep(workers, points, tmp_path / "pooled.jsonl")
     assert RecordingPool.seen == [min(workers, points)]
     assert in_process == pooled

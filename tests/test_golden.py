@@ -1,19 +1,23 @@
 """Golden outputs: SHA-256 of small CLI invocations at fixed seeds.
 
-The hashes pin the random-stream layout documented in :mod:`wshare.protocol`
-and every printed digit.  They were last recaptured, all at once, when
-every random fact came to take exactly one draw: one home uniform per
-round (no separate confirmation array) and one teleport layout (all
-message normals, then one uniform per teleported pair) for ``run``,
-``sweep`` and ``teleport-demo``.  That change moved every run, sweep and
-teleport-demo byte except ``run-isra-abort`` (at d = 1 every home result
-comes from detection, and a caught run teleports nothing); ``curves``
-draws nothing.  Before
+The hashes pin the random-stream layouts documented in :mod:`wshare.protocol`
+and every printed digit.  The three sweep hashes were last recaptured when
+sweeps came to draw each trial's counts per round cell instead of its
+rounds (``multinomial(n, cells)`` per block of trials, then one imra
+uniform per teleported trial, then the teleport); ``run``,
+``teleport-demo`` and ``curves`` bytes did not move.  Before that, every
+run, sweep and teleport-demo hash was recaptured, all at once, when every
+random fact came to take exactly one draw: one home uniform per round (no
+separate confirmation array) and one teleport layout (all message normals,
+then one uniform per teleported pair).  That change moved every byte but
+``run-isra-abort``'s (at d = 1 every home result comes from detection,
+and a caught run teleports nothing); ``curves`` draws nothing.  Before
 that, they were recaptured when sweeps and runs moved onto the batched
-round engine (one generator per sweep grid point, blocks of trials drawn
-as whole arrays).  The scalar replay in ``tests/test_round_tree.py`` checks
-the layout itself independently of the engine.  A change that moves any
-byte here must say why in CHANGES.md and recapture the hashes.
+round engine.  The scalar replay in ``tests/test_round_tree.py`` checks
+the run layout itself independently of the engine, and
+``tests/test_protocol.py`` holds the count sampler to the round draws'
+law.  A change that moves any byte here must say why in CHANGES.md and
+recapture the hashes.
 """
 
 import hashlib
@@ -55,15 +59,15 @@ GOLDEN = {
     "sweep-isra-paper": (
         ["sweep", "--attack", "isra", "--mode", "paper", "--y-values", "0,0.5,1", "--n", "6",
          "--d", "0.5", "--p", "0.5", "--trials", "150", "--seed", "8", "--format", "csv"],
-        0, "90282f6fc05c0431d3226bdfe433ebb0e17a452000b4511b0d45b987579ef1df"),
+        0, "21a07c2c782b80d7195710bbb296d2dfb877f32e59c2faf8503f6dbfa76eb3fa"),
     "sweep-imra-strict": (
         ["sweep", "--attack", "imra", "--mode", "strict", "--n-values", "1,2",
          "--d-values", "0.5,1", "--p-values", "0,0.5", "--trials", "100", "--seed", "9"],
-        0, "9832c5fd6f5b54bfd80648a56c0a51132d49105ecc119f1deb48125e84618640"),
+        0, "582b9e9af5b649d1cf68ca40d706bbe74da0d3a88c46cabaa95bdead6f37ee08"),
     "sweep-ema-strict": (
         ["sweep", "--attack", "ema", "--mode", "strict", "--n", "5", "--trials", "100",
          "--seed", "10", "--format", "records"],
-        0, "07bc9e2438d51f930cfdcf7673a9a2c5d03ed6e622a3b4dea685527cafe89c8c"),
+        0, "8245c1613b55c84d4665f66159b86ff55f893ef80d42d533c35d736dda11b5ce"),
     "curves": (
         ["curves", "--y-values", "0,0.5", "--d-values", "0.5", "--p-values", "0.5,1",
          "--n-values", "1,5,10", "--format", "csv"],

@@ -105,7 +105,7 @@ def test_cli_set_up_stays_out_of_the_call(tmp_path):
     # dataclasses.  Once it and numpy's generator are loaded, no call imports
     # another module: its set-up (argparse's locale, say) is paid at import,
     # not inside the call.
-    assert 1000 * 100 < cli._ROUNDS_PER_WORKER  # the sweep's default trials x n
+    assert 1000 < cli._TRIALS_PER_WORKER  # the sweep's default trials, one grid point
     code = ("import json, sys\n"
             "import wshare.cli\n"
             f"pool = [name for name in {POOL_MODULES + DRAW_MODULES + RECORD_MODULES!r} if name in sys.modules]\n"

@@ -1,6 +1,7 @@
 """Protocol state machine: detection sampling, checking rules, distillation."""
 
 import collections
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from wshare import protocol
+from wshare.analytic import closed_form_round_detection, round_detection_probability
 from wshare.attacks import AttackModel
 from wshare.protocol import (
     CheckReport,
@@ -397,34 +399,83 @@ def test_run_trials_checks_its_inputs():
     assert run_trials(config, None, np.int64(50), np.random.default_rng(3)) == honest
 
 
+def _agree(counted, drawn):
+    """Two samples of one per-trial statistic whose means lie within 4 sigma
+    of each other (exactly equal when neither varies)."""
+    counted, drawn = np.asarray(counted, dtype=float), np.asarray(drawn, dtype=float)
+    spread = np.sqrt(counted.var() / max(counted.size, 1) + drawn.var() / max(drawn.size, 1))
+    gap = (counted.mean() if counted.size else 0.0) - (drawn.mean() if drawn.size else 0.0)
+    return abs(gap) <= 4 * spread
+
+
 @pytest.mark.parametrize("mode", ["paper", "strict"])
 @pytest.mark.parametrize("attack", [AttackModel("none"), AttackModel("imra"),
                                     AttackModel("isra", 0.6), AttackModel("ema")],
                          ids=lambda attack: attack.kind)
-def test_one_trial_views_agree(attack, mode):
-    # One Monte Carlo trial and one run with its teleport phase read the same
-    # draws, so they agree exactly: on the abort, the yield, and (with one
-    # pair, the trial's first) on the teleport and the stream after it.  A
-    # trial without a pair teleports nothing, so it draws nothing more.
-    config = ProtocolConfig(n=3, d=0.4, p=0.5, checker_mode=mode)
-    single = pairless = 0
-    for seed in range(40):
-        rand, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-        stats = run_trials(config, attack, 1, rand)
-        outcome = run_protocol(config, attack, twin)
-        assert stats.detections == int(outcome.aborted), seed
-        counted = not outcome.aborted and outcome.surviving_count > 0
-        assert stats.yield_mean == (outcome.yield_fraction if counted else None), seed
-        if len(outcome.pairs) == 1:
-            single += 1
-            batch, _ = teleport_pairs(outcome, twin)
-            assert stats.fidelity_mean == batch.fidelities[0], seed
-            assert rand.random() == twin.random(), seed
-        elif not outcome.pairs:
-            pairless += 1
-            assert stats.fidelity_mean is None, seed
-            assert rand.random() == twin.random(), seed
-    assert single >= 5 and pairless >= 5
+def test_count_sampler_matches_round_draws(attack, mode):
+    # A sweep draws each trial's counts per round cell, a run its rounds:
+    # the two samplers must give one law for the abort, the survivors, the
+    # pairs and (under imra) the first pair's Eve branch.
+    tables, trials = protocol._round_tables(attack), 10_000
+    for n, p, d in [(1, 0.5, 0.0), (4, 0.5, 0.4), (30, 0.3, 0.1), (200, 0.9, 0.01)]:
+        config = ProtocolConfig(n=n, d=d, p=p, checker_mode=mode)
+        aborted, surviving, pairs, first = protocol._draw_counts(
+            tables, protocol._round_cells(tables, config), n, np.random.default_rng(n), trials)
+        rounds = protocol._draw_rounds(tables, config, np.random.default_rng(n + 1), trials)
+        paired = np.flatnonzero(rounds.pairs.any(axis=1))
+        drawn_first = rounds.eve[paired, rounds.pairs[paired].argmax(axis=1)]
+        for name, a, b in [("detections", aborted, rounds.aborted), ("survivors", surviving, rounds.surviving),
+                           ("pairs", pairs, rounds.pairs.sum(axis=1)), ("first-pair branch", first, drawn_first)]:
+            assert _agree(a, b), (name, n, p, d, np.mean(a), np.mean(b))
+        assert first.size == np.count_nonzero(pairs)
+        if attack.kind == "imra":
+            assert 0 < first.mean() < 1  # both branches drawn
+        else:
+            assert not first.any()
+
+
+ROUTE_ATTACKS = [AttackModel("none"), AttackModel("imra"), AttackModel("isra", 0.0),
+                 AttackModel("isra", 0.6), AttackModel("isra", 1.0), AttackModel("ema")]
+
+
+@pytest.mark.parametrize("mode", ["paper", "strict"])
+@pytest.mark.parametrize("attack", ROUTE_ATTACKS, ids=lambda attack: f"{attack.kind}-{attack.y}")
+def test_violated_cell_is_q_by_three_routes(attack, mode):
+    # The count sampler's violated cell, the closed form and the enumeration
+    # oracle are three independent routes to the per-round detection
+    # probability q; a surviving round's home qubit reads 0 with probability
+    # exactly 2/3 under every attack.
+    tables = protocol._round_tables(attack)
+    for p, d in [(0.5, 0.5), (0.3, 0.7), (1.0, 1.0), (0.0, 0.25), (0.9, 0.05)]:
+        cells = protocol._round_cells(tables, ProtocolConfig(n=10, d=d, p=p, checker_mode=mode))
+        assert cells.size == 4 + (attack.kind == "imra") and (cells >= 0).all()
+        assert abs(cells.sum() - 1.0) <= 1e-15
+        for q in (closed_form_round_detection(attack.kind, mode, p, d, attack.y),
+                  round_detection_probability(attack.kind, mode, p, d, attack.y)):
+            assert abs(cells[0] - q) <= 1e-15, (p, d, cells[0], q)
+        if d < 1:
+            assert abs(cells[2:-1].sum() / cells[2:].sum() - 2 / 3) <= 1e-15
+
+
+@pytest.mark.parametrize("attack", [None, AttackModel("imra"), AttackModel("isra", 0.5), AttackModel("ema")],
+                         ids=lambda attack: attack.kind if attack else "honest")
+def test_trial_cost_does_not_grow_with_n(attack):
+    # A sweep draws counts, not rounds: a trillion rounds a trial cost what
+    # ten do, and n past the int64 range numpy's counts take is refused.
+    config = ProtocolConfig(n=10 ** 12, d=0.5, p=0.5)
+    run_trials(config, attack, 10, np.random.default_rng(0))  # compiles the round tables
+    tracemalloc.start()
+    try:
+        stats = run_trials(config, attack, 1000, np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert stats.yield_mean is None or abs(stats.yield_mean - 2 / 3) < 1e-3
+    largest = ProtocolConfig(n=2 ** 63 - 1, d=0.5, p=0.5)
+    assert run_trials(largest, attack, 100, np.random.default_rng(2)).detections in (0, 100)
+    with pytest.raises(MemoryError):
+        run_trials(ProtocolConfig(n=2 ** 63, d=0.5, p=0.5), attack, 100, np.random.default_rng(2))
 
 
 # ---------------------------------------------------------------------------
