@@ -434,29 +434,6 @@ def test_count_sampler_matches_round_draws(attack, mode):
             assert not first.any()
 
 
-ROUTE_ATTACKS = [AttackModel("none"), AttackModel("imra"), AttackModel("isra", 0.0),
-                 AttackModel("isra", 0.6), AttackModel("isra", 1.0), AttackModel("ema")]
-
-
-@pytest.mark.parametrize("mode", ["paper", "strict"])
-@pytest.mark.parametrize("attack", ROUTE_ATTACKS, ids=lambda attack: f"{attack.kind}-{attack.y}")
-def test_violated_cell_is_q_by_three_routes(attack, mode):
-    # The count sampler's violated cell, the closed form and the enumeration
-    # oracle are three independent routes to the per-round detection
-    # probability q; a surviving round's home qubit reads 0 with probability
-    # exactly 2/3 under every attack.
-    tables = protocol._round_tables(attack)
-    for p, d in [(0.5, 0.5), (0.3, 0.7), (1.0, 1.0), (0.0, 0.25), (0.9, 0.05)]:
-        cells = protocol._round_cells(tables, ProtocolConfig(n=10, d=d, p=p, checker_mode=mode))
-        assert cells.size == 4 + (attack.kind == "imra") and (cells >= 0).all()
-        assert abs(cells.sum() - 1.0) <= 1e-15
-        for q in (closed_form_round_detection(attack.kind, mode, p, d, attack.y),
-                  round_detection_probability(attack.kind, mode, p, d, attack.y)):
-            assert abs(cells[0] - q) <= 1e-15, (p, d, cells[0], q)
-        if d < 1:
-            assert abs(cells[2:-1].sum() / cells[2:].sum() - 2 / 3) <= 1e-15
-
-
 @pytest.mark.parametrize("attack", [None, AttackModel("imra"), AttackModel("isra", 0.5), AttackModel("ema")],
                          ids=lambda attack: attack.kind if attack else "honest")
 def test_trial_cost_does_not_grow_with_n(attack):
@@ -586,6 +563,25 @@ FIDELITY_ATTACKS = [AttackModel("none"), AttackModel("imra"), AttackModel("isra"
 
 def _attack_id(attack: AttackModel) -> str:
     return attack.kind if attack.y is None else f"{attack.kind}-{attack.y:g}"
+
+
+@pytest.mark.parametrize("mode", ["paper", "strict"])
+@pytest.mark.parametrize("attack", FIDELITY_ATTACKS, ids=_attack_id)
+def test_violated_cell_is_q_by_three_routes(attack, mode):
+    # The count sampler's violated cell, the closed form and the enumeration
+    # oracle are three independent routes to the per-round detection
+    # probability q; a surviving round's home qubit reads 0 with probability
+    # exactly 2/3 under every attack.
+    tables = protocol._round_tables(attack)
+    for p, d in [(0.5, 0.5), (0.3, 0.7), (1.0, 1.0), (0.0, 0.25), (0.9, 0.05)]:
+        cells = protocol._round_cells(tables, ProtocolConfig(n=10, d=d, p=p, checker_mode=mode))
+        assert cells.size == 4 + (attack.kind == "imra") and (cells >= 0).all()
+        assert abs(cells.sum() - 1.0) <= 1e-15
+        for q in (closed_form_round_detection(attack.kind, mode, p, d, attack.y),
+                  round_detection_probability(attack.kind, mode, p, d, attack.y)):
+            assert abs(cells[0] - q) <= 1e-15, (p, d, cells[0], q)
+        if d < 1:
+            assert abs(cells[2:-1].sum() / cells[2:].sum() - 2 / 3) <= 1e-15
 
 
 @pytest.mark.parametrize("mode", ["paper", "strict"])
