@@ -31,9 +31,10 @@ import numpy as np
 from .statevec import (
     Basis,
     StateVector,
-    _branch_node,
+    _clamped,
     _Record,
     apply_cnot,
+    enumerate_qubit,
     make_basis_state,
     make_message_state,
     measure_qubit,
@@ -94,8 +95,8 @@ class AttackModel(_Record):
         kinds give ``None`` and their one register.
         """
         if self.kind == "imra":
-            threshold, *eve = _branch_node(state, "b", Basis.Z)
-            return threshold, tuple(branch.post_state for branch in eve)
+            eve = enumerate_qubit(state, "b", Basis.Z)
+            return _clamped(eve[0].probability), tuple(branch.post_state for branch in eve)
         return None, (self.intercept(state, None)[0],)
 
     def intercept(

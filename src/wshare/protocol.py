@@ -14,9 +14,9 @@ One run goes through two phases:
   publishes which came out 0 — exactly those positions leave Alice and Bob
   sharing a (|01>+|10>)/sqrt(2) Bell pair, ready for teleportation.
 
-A run is one row of a block of :class:`Rounds` (see the round tables
-below), and its :class:`RunOutcome` a view of that row: the directives,
-report, pairs and transcript are derived from it on first read.
+A run is one :class:`Rounds`, one entry per round (see the round tables
+below), and its :class:`RunOutcome` a view of it: the directives, report,
+pairs and transcript are derived from it on first read.
 
 Two checking semantics ship side by side.  ``strict`` enforces every
 physically valid correlation of the W state:
@@ -47,9 +47,10 @@ states a round can reach therefore form a small finite tree that depends
 only on the attack and on Eve's measure-resend bit ``e``, never on the
 round.  On first use per attack, :func:`_round_tables` compiles that tree
 into threshold tables, the one cache of the engine: the home and Alice
-nodes through :func:`~wshare.statevec._branch_node`, which also collapses
-the register for the next node, and Bob's leaves from their P(outcome 0)
-alone, clamped as :func:`~wshare.statevec.measure_qubit` samples it:
+nodes through :func:`~wshare.statevec.enumerate_qubit`, which also
+collapses the register for the next node, and Bob's leaves from their
+P(outcome 0) alone, each threshold clamped as
+:func:`~wshare.statevec.measure_qubit` samples it:
 
 * ``te``: P(Eve reads 0), for imra only; for the other kinds ``e`` is
   always 0 and nothing is drawn for it;
@@ -63,18 +64,18 @@ alone, clamped as :func:`~wshare.statevec.measure_qubit` samples it:
 
 An outcome is 0 exactly when its uniform draw falls below its threshold,
 which is :func:`~wshare.statevec.measure_qubit`'s rule, clamp of
-impossible branches included.  A block of B trials of n rounds is then a
-few numpy expressions over (B, n) arrays, and the rule table is a set of
+impossible branches included.  A run of n rounds is then a few numpy
+expressions over arrays of n entries, and the rule table is a set of
 boolean masks over them.
 
-**Stream layout.**  :func:`run_protocol` draws one trial's rounds, in
-this order: Eve (1, n), for imra only; selection (1, n); basis (1, n);
-round uniforms (1, n, 3): home, Alice, Bob.  Each home qubit is measured
-once, so a round reads its home result from column 0, selected or not.
-Every array is drawn whole, whatever ``d`` and ``p`` are; the run keeps
-the block on its outcome.  Its teleport phase (:func:`teleport_pairs`)
-goes through :func:`~wshare.teleport.teleport_fresh`: all message
-normals, then one uniform per pair.
+**Stream layout.**  :func:`run_protocol` draws its rounds in this order:
+Eve (n uniforms), for imra only; selection (n); basis (n); round uniforms
+(n, 3): home, Alice, Bob.  Each home qubit is measured once, so a round
+reads its home result from column 0, selected or not.  Every array is
+drawn whole, whatever ``d`` and ``p`` are; the run keeps its rounds on
+its outcome.  Its teleport phase (:func:`teleport_pairs`) goes through
+:func:`~wshare.teleport.teleport_fresh`: all message normals, then one
+uniform per pair.
 
 :func:`run_trials`, the Monte Carlo view, draws no rounds.  Rounds are
 i.i.d., so everything a sweep row reads follows from a trial's counts
@@ -98,7 +99,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .attacks import AttackModel, _check_unit, eve_recover_batch
-from .statevec import (Basis, StateVector, _branch_node, _branch_weights, _clamped, _Record, discard_qubit,
+from .statevec import (Basis, StateVector, _branch_weights, _clamped, _Record, discard_qubit, enumerate_qubit,
                        make_w_state)
 from .teleport import TeleportBatch, _bell_kernel, teleport_fresh
 
@@ -198,34 +199,34 @@ class DistilledPairSet(_Record):
 
 
 class RunOutcome(_Record):
-    """One protocol execution, a view of its one-row block ``rounds``.
+    """One protocol execution, a view of its drawn ``rounds``.
 
     ``attack`` is the model the run went through (the honest one for
     ``attack=None``).  ``directives``, ``report``, ``pairs`` and
     ``transcript`` are derived on first read and kept; outcomes compare and
-    hash by identity, and their repr leaves out the block.
+    hash by identity, and their repr leaves out the rounds.
     ``eve_bits[t - 1]`` is Eve's Z result on round ``t`` (measure-resend
     only; ``None`` where she measured nothing).
     """
 
     # no __slots__: the cached views live in the instance __dict__
     _fields, _unshown = ("config", "attack", "rounds"), ("rounds",)
-    __eq__, __hash__ = object.__eq__, object.__hash__  # comparing the blocks' arrays would raise
+    __eq__, __hash__ = object.__eq__, object.__hash__  # comparing the rounds' arrays would raise
 
     def __init__(self, config: ProtocolConfig, attack: AttackModel, rounds: "Rounds") -> None:
         self._set(config, attack, rounds)
 
     @property
     def aborted(self) -> bool:
-        return bool(self.rounds.aborted[0])
+        return bool(self.rounds.aborted)
 
     @property
     def eve_bits(self) -> tuple[int | None, ...]:
-        return tuple(self.rounds.eve[0].tolist()) if self.attack.kind == "imra" else (None,) * self.config.n
+        return tuple(self.rounds.eve.tolist()) if self.attack.kind == "imra" else (None,) * self.config.n
 
     @property
     def surviving_count(self) -> int:
-        return int(self.rounds.surviving[0])
+        return int(self.rounds.surviving)
 
     @property
     def yield_fraction(self) -> float | None:
@@ -234,28 +235,28 @@ class RunOutcome(_Record):
 
     @functools.cached_property
     def directives(self) -> tuple[DetectionDirective, ...]:
-        selected = self.rounds.selected[0]
-        bases = [Basis.X if x else Basis.Z for x in self.rounds.x_basis[0, selected].tolist()]
+        selected = self.rounds.selected
+        bases = [Basis.X if x else Basis.Z for x in self.rounds.x_basis[selected].tolist()]
         return tuple(map(DetectionDirective, (np.flatnonzero(selected) + 1).tolist(), bases))
 
     @functools.cached_property
     def report(self) -> CheckReport:
         tallies = {key: RuleTally(np.count_nonzero(applied), np.count_nonzero(violated))
                    for key, (applied, violated) in self.rounds.rules.items()}
-        return CheckReport(tuple((np.flatnonzero(self.rounds.violated[0]) + 1).tolist()), tallies)
+        return CheckReport(tuple((np.flatnonzero(self.rounds.violated) + 1).tolist()), tallies)
 
     @functools.cached_property
     def pairs(self) -> DistilledPairSet:
         rounds, states = self.rounds, _round_tables(self.attack).pairs
-        return DistilledPairSet(tuple((np.flatnonzero(rounds.pairs[0]) + 1).tolist()),
+        return DistilledPairSet(tuple((np.flatnonzero(rounds.pairs) + 1).tolist()),
                                 tuple(map(states.__getitem__, rounds.eve[rounds.pairs].tolist())))
 
     @functools.cached_property
     def transcript(self) -> tuple[tuple, ...]:
         """The ordered classical record: (speaker, event, payload) triples."""
         rounds, report = self.rounds, self.report
-        selected = rounds.selected[0]
-        home, alice, bob = (tuple(results[0, selected].astype(np.int8).tolist())
+        selected = rounds.selected
+        home, alice, bob = (tuple(results[selected].astype(np.int8).tolist())
                             for results in (rounds.home, rounds.alice, rounds.bob))
         transcript: list[tuple] = [
             ("charlie", "mode", "transmission"),
@@ -272,7 +273,7 @@ class RunOutcome(_Record):
                            ("charlie", "abort", "eavesdropping suspected; sequence discarded")]
         else:
             # Confirmation: the 0 positions among the surviving home results.
-            kept = tuple((np.flatnonzero(rounds.pairs[0][~selected]) + 1).tolist())
+            kept = tuple((np.flatnonzero(rounds.pairs[~selected]) + 1).tolist())
             transcript += [("charlie", "mode", "confirmation"), ("charlie", "distill-positions", kept),
                            ("charlie", "pair-count", len(self.pairs))]
         return tuple(transcript)
@@ -357,8 +358,8 @@ def _compile_tables(te: float | None, roots: tuple[StateVector, ...]) -> RoundTa
     tc, ta, tb = np.ones(count), np.ones((count, 2, 2)), np.ones((count, 2, 2, 2))
     pairs, blocks = [], []
     for e, root in enumerate(roots):
-        tc[e], *homes = _branch_node(root, "c", Basis.Z)
-        zero = homes[0].post_state
+        homes = enumerate_qubit(root, "c", Basis.Z)
+        tc[e], zero = _clamped(homes[0].probability), homes[0].post_state
         pairs.append(None if zero is None else discard_qubit(zero, "c"))
         # no pair: a zero register in its place is an all-zero kernel block, which no row can draw from
         blocks.append(pairs[-1] if zero is not None else StateVector._trusted(
@@ -367,7 +368,8 @@ def _compile_tables(te: float | None, roots: tuple[StateVector, ...]) -> RoundTa
             if home.post_state is None:
                 continue
             for x, basis in enumerate((Basis.Z, Basis.X)):
-                ta[e, c, x], *alices = _branch_node(home.post_state, "a", basis)
+                alices = enumerate_qubit(home.post_state, "a", basis)
+                ta[e, c, x] = _clamped(alices[0].probability)
                 for a, alice in enumerate(alices):
                     leaf = alice.post_state  # Bob's threshold alone: no register below it is kept
                     if leaf is not None:
@@ -388,16 +390,16 @@ def _round_tables(attack: AttackModel) -> RoundTables:
 
 
 class Rounds(NamedTuple):
-    """One block of trials as (B, n) arrays: row = trial, column t - 1 = round t.
+    """One run's rounds as (n,) arrays: entry t - 1 = round t.
 
     ``eve`` is Eve's branch index, ``home`` Charlie's one home result per
     round (in detection on selected rounds, in confirmation on the others),
     and ``alice``/``bob`` the travel results, meaningful on selected rounds.
     ``rules`` maps each rule key to its (applied, violated) masks, and the
-    rest is derived once: ``violated``, ``aborted`` (B,), ``pairs`` (the
-    surviving home-0 rounds of passing trials) and ``surviving`` (B,), the
-    rounds not sacrificed.  Each pair's Eve branch is ``eve[pairs]``.
-    Blocks compare and hash by identity.
+    rest is derived once: ``violated``, ``aborted`` (0-d), ``pairs`` (the
+    surviving home-0 rounds, none if the run aborted) and ``surviving``
+    (0-d), the count of rounds not sacrificed.  Each pair's Eve branch is
+    ``eve[pairs]``.  Rounds compare and hash by identity.
     """
 
     eve: np.ndarray
@@ -423,26 +425,26 @@ def _check_addressable(rows: int, row_bytes: int) -> None:
         raise MemoryError(f"{rows} rows of {row_bytes} bytes exceed the address space")
 
 
-def _draw_rounds(tables: RoundTables, config: ProtocolConfig, rand, trials: int) -> Rounds:
-    """Draw one block of ``trials`` trials, in the module's stream layout."""
-    _check_addressable(trials * config.n, 24)  # the round uniforms, its widest array
-    shape = (trials, config.n)
+def _draw_rounds(tables: RoundTables, config: ProtocolConfig, rand) -> Rounds:
+    """Draw one run's rounds, in the module's stream layout."""
+    n = config.n
+    _check_addressable(n, 24)  # the round uniforms, its widest array
     if tables.te is None:
-        eve = np.zeros(shape, dtype=np.uint8)
+        eve = np.zeros(n, dtype=np.uint8)
     else:
-        eve = (rand.random(shape) >= tables.te).view(np.uint8)
-    selected = rand.random(shape) < config.d
-    x_basis = rand.random(shape) >= config.p
-    uniforms = rand.random(shape + (3,))  # home, Alice, Bob
+        eve = (rand.random(n) >= tables.te).view(np.uint8)
+    selected = rand.random(n) < config.d
+    x_basis = rand.random(n) >= config.p
+    uniforms = rand.random((n, 3))  # home, Alice, Bob
     home = uniforms[..., 0] >= tables.tc[eve]
     node = (eve * 2 + home) * 2 + x_basis  # flat index of (e, c, basis)
     alice = uniforms[..., 1] >= tables.ta.reshape(-1)[node]
     bob = uniforms[..., 2] >= tables.tb.reshape(-1)[node * 2 + alice]
     rules = _apply_rules(selected, x_basis, home, alice, bob, config.checker_mode)
     violated = functools.reduce(operator.or_, (broken for _, broken in rules.values()))
-    aborted = violated.any(axis=1)
+    aborted = violated.any()
     return Rounds(eve, selected, x_basis, home, alice, bob, rules, violated, aborted,
-                  ~selected & ~home & ~aborted[:, None], (~selected).sum(axis=1))
+                  ~selected & ~home & ~aborted, (~selected).sum())
 
 
 def run_protocol(
@@ -450,14 +452,14 @@ def run_protocol(
 ) -> RunOutcome:
     """Execute one full protocol run and return its outcome.
 
-    The engine's one-trial view: one block of one trial drawn from
-    ``rand`` (see the module docstring), wrapped as it is; identical
-    (config, attack, stream state) triples reproduce it bit for bit.
+    The run's rounds are drawn from ``rand`` (see the module docstring)
+    and wrapped as they are; identical (config, attack, stream state)
+    triples reproduce it bit for bit.
     ``attack=None`` is the honest channel.  On detection the run aborts (no
     pairs); rerunning is the caller's decision.
     """
     attack = _HONEST if attack is None else attack
-    return RunOutcome(config, attack, _draw_rounds(_round_tables(attack), config, rand, 1))
+    return RunOutcome(config, attack, _draw_rounds(_round_tables(attack), config, rand))
 
 
 def teleport_pairs(outcome: RunOutcome, rand: "np.random.Generator"
@@ -468,7 +470,7 @@ def teleport_pairs(outcome: RunOutcome, rand: "np.random.Generator"
     continues its stream through :func:`~wshare.teleport.teleport_fresh`:
     all the message normals, then one uniform per pair.  Each pair goes
     through its Eve branch's block of the round tables' kernel, read from the
-    run's block as ``eve[pairs]``: Eve's bit on its round under imra, 0
+    run's rounds as ``eve[pairs]``: Eve's bit on its round under imra, 0
     otherwise.  Returns the batch, and Eve's recovery fidelity per pair
     when an attack was active (else ``None``).
     """

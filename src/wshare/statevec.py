@@ -380,18 +380,6 @@ def enumerate_qubit(s: StateVector, q: str, basis: Basis | str) -> list[Measurem
     return branches
 
 
-def _branch_node(s: StateVector, q: str, basis: Basis) -> tuple[float, MeasurementBranch, MeasurementBranch]:
-    """Sampling threshold and both branches of measuring ``q`` on ``s``.
-
-    The threshold is P(outcome 0) as :func:`measure_qubit` samples it
-    (impossible branches clamped to 0 or 1), so outcome 0 iff a uniform
-    draw falls below it; the protocol compiles its round tables from these
-    nodes.
-    """
-    zero, one = enumerate_qubit(s, q, basis)
-    return _clamped(zero.probability), zero, one
-
-
 def enumerate_bell(s: StateVector, q1: str, q2: str) -> list[BellOutcome]:
     """All four Bell-measurement branches on qubits (q1, q2).
 

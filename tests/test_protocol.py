@@ -415,17 +415,23 @@ def _agree(counted, drawn):
 def test_count_sampler_matches_round_draws(attack, mode):
     # A sweep draws each trial's counts per round cell, a run its rounds:
     # the two samplers must give one law for the abort, the survivors, the
-    # pairs and (under imra) the first pair's Eve branch.
+    # pairs and (under imra) the first pair's Eve branch.  The rounds of all
+    # trials are drawn as one row, a trial being each run of n rounds in it.
     tables, trials = protocol._round_tables(attack), 10_000
     for n, p, d in [(1, 0.5, 0.0), (4, 0.5, 0.4), (30, 0.3, 0.1), (200, 0.9, 0.01)]:
         config = ProtocolConfig(n=n, d=d, p=p, checker_mode=mode)
         aborted, surviving, pairs, first = protocol._draw_counts(
             tables, protocol._round_cells(tables, config), n, np.random.default_rng(n), trials)
-        rounds = protocol._draw_rounds(tables, config, np.random.default_rng(n + 1), trials)
-        paired = np.flatnonzero(rounds.pairs.any(axis=1))
-        drawn_first = rounds.eve[paired, rounds.pairs[paired].argmax(axis=1)]
-        for name, a, b in [("detections", aborted, rounds.aborted), ("survivors", surviving, rounds.surviving),
-                           ("pairs", pairs, rounds.pairs.sum(axis=1)), ("first-pair branch", first, drawn_first)]:
+        rounds = protocol._draw_rounds(tables, ProtocolConfig(n=trials * n, d=d, p=p, checker_mode=mode),
+                                       np.random.default_rng(n + 1))
+        eve, selected, home, violated = (a.reshape(trials, n) for a in
+                                         (rounds.eve, rounds.selected, rounds.home, rounds.violated))
+        drawn_aborted = violated.any(axis=1)  # a trial aborts on any violated round
+        drawn_pairs = ~selected & ~home & ~drawn_aborted[:, None]  # its home-0 survivors, if it passed
+        paired = np.flatnonzero(drawn_pairs.any(axis=1))
+        drawn_first = eve[paired, drawn_pairs[paired].argmax(axis=1)]
+        for name, a, b in [("detections", aborted, drawn_aborted), ("survivors", surviving, (~selected).sum(axis=1)),
+                           ("pairs", pairs, drawn_pairs.sum(axis=1)), ("first-pair branch", first, drawn_first)]:
             assert _agree(a, b), (name, n, p, d, np.mean(a), np.mean(b))
         assert first.size == np.count_nonzero(pairs)
         if attack.kind == "imra":
@@ -466,7 +472,8 @@ ATTACKS = [None, AttackModel("imra"), AttackModel("isra", 0.5), AttackModel("ema
 @pytest.mark.parametrize("attack", ATTACKS, ids=lambda attack: attack.kind if attack else "honest")
 def test_block_readers_build_no_derived_view(attack, monkeypatch):
     # The verdict, Eve's bits, the survivors and the teleport phase read the
-    # block itself: no directive, report, pair set or transcript is built.
+    # drawn rounds themselves: no directive, report, pair set or transcript
+    # is built.
     def refuse(*args, **kwargs):
         raise AssertionError("a derived view was built")
 
@@ -474,6 +481,7 @@ def test_block_readers_build_no_derived_view(attack, monkeypatch):
         monkeypatch.setattr(protocol, name, refuse)
     rand = np.random.default_rng(5)
     outcome = run_protocol(ProtocolConfig(n=40, d=0.3, p=0.5), attack, rand)
+    assert outcome.rounds.home.shape == (40,) and outcome.rounds.aborted.shape == ()
     assert isinstance(outcome.aborted, bool)
     assert len(outcome.eve_bits) == 40
     assert 0 < outcome.surviving_count <= 40

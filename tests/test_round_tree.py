@@ -83,10 +83,10 @@ def rule_holds(basis, mode, rc, ra, rb):
 def replay(config, kind, y, rand):
     """(transcript, pair positions, pair states, Eve's bits) the direct way."""
     n = config.n
-    eve = rand.random((1, n))[0].tolist() if kind == "imra" else [None] * n
-    selected = (rand.random((1, n))[0] < config.d).tolist()
-    bases = [Basis.Z if u < config.p else Basis.X for u in rand.random((1, n))[0]]
-    uniforms = rand.random((1, n, 3))[0].tolist()
+    eve = rand.random(n).tolist() if kind == "imra" else [None] * n
+    selected = (rand.random(n) < config.d).tolist()
+    bases = [Basis.Z if u < config.p else Basis.X for u in rand.random(n)]
+    uniforms = rand.random((n, 3)).tolist()
     states, bits = {}, []
     for t in range(1, n + 1):
         states[t], bit = replay_intercept(kind, y, make_w_state(), eve[t - 1])
@@ -231,18 +231,18 @@ def boundary_slots(tables, eve_root, root):
 def assert_engine_follows_thresholds(tables, eve_root, root):
     slots = boundary_slots(tables, eve_root, root)
     want = np.array([oracle_round(eve_root, root, slot) for slot in slots])
-    ue, uc, ux, ua, ub = (np.array([column]) for column in zip(*slots))
+    ue, uc, ux, ua, ub = (np.array(column) for column in zip(*slots))
     for d in (1.0, 0.0):  # detection, then confirmation, reads the home uniform
         config = ProtocolConfig(n=len(slots), d=d, p=0.5, checker_mode="strict")
         eve = (ue,) if tables.te is not None else ()
         script = Scripted(*eve, np.zeros_like(uc), ux, np.stack([uc, ua, ub], axis=-1))
-        got = protocol._draw_rounds(tables, config, script, 1)
+        got = protocol._draw_rounds(tables, config, script)
         assert not script.arrays  # every array drawn
-        assert np.array_equal(got.eve[0], want[:, 0])
-        assert np.array_equal(got.home[0], want[:, 1]), d
+        assert np.array_equal(got.eve, want[:, 0])
+        assert np.array_equal(got.home, want[:, 1]), d
         if d:
-            assert np.array_equal(got.alice[0], want[:, 2])
-            assert np.array_equal(got.bob[0], want[:, 3])
+            assert np.array_equal(got.alice, want[:, 2])
+            assert np.array_equal(got.bob, want[:, 3])
 
 
 @pytest.mark.parametrize("kind,y", ATTACKS)
@@ -328,9 +328,9 @@ def assert_frequencies(counts, total, probabilities):
        st.integers(min_value=0, max_value=2 ** 31 - 1))
 def test_engine_frequencies_match_enumeration(attack, p, seed):
     kind, y = attack
-    config = ProtocolConfig(n=40, d=0.5, p=p, checker_mode="strict")
+    config = ProtocolConfig(n=4000, d=0.5, p=p, checker_mode="strict")
     rounds = protocol._draw_rounds(protocol._round_tables(AttackModel(kind, y)), config,
-                                   np.random.default_rng(seed), 100)
+                                   np.random.default_rng(seed))
     detection, confirmation = exact_round_distribution(kind, y, p)
     columns = (rounds.eve, rounds.x_basis, rounds.home, rounds.alice, rounds.bob)
     keys = zip(*(column[rounds.selected].astype(int).tolist() for column in columns))
