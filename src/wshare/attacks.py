@@ -45,7 +45,7 @@ from .statevec import (
 from .teleport import (
     TeleportBatch,
     TeleportResult,
-    _correction_matrices,
+    _corrections,
     apply_correction,
     qubit_fidelities,
 )
@@ -161,7 +161,7 @@ def eve_recover_batch(
     """
     if attack.kind == "none":
         raise ValueError("no attack was active: Eve holds no qubit to reconstruct from")
-    corrections = _correction_matrices()[batch.outcomes]
+    corrections = _corrections()[1][batch.outcomes]
     if attack.kind == "imra":
         held = corrections[np.arange(len(bits)), :, bits]
         return np.abs((messages.conj() * held).sum(axis=1)) ** 2

@@ -14,9 +14,9 @@ One run goes through two phases:
   publishes which came out 0 — exactly those positions leave Alice and Bob
   sharing a (|01>+|10>)/sqrt(2) Bell pair, ready for teleportation.
 
-A run is one :class:`Rounds`, one entry per round (see the round tables
-below), and its :class:`RunOutcome` a view of it: the directives, report,
-pairs and transcript are derived from it on first read.
+A run is one :class:`RunOutcome`: the arrays it drew, one entry per round
+(see the round tables below), from which the directives, report, pairs and
+transcript are derived on first read.
 
 Two checking semantics ship side by side.  ``strict`` enforces every
 physically valid correlation of the W state:
@@ -199,65 +199,83 @@ class DistilledPairSet(_Record):
 
 
 class RunOutcome(_Record):
-    """One protocol execution, a view of its drawn ``rounds``.
+    """One protocol execution: its config, its attack and its drawn rounds.
 
     ``attack`` is the model the run went through (the honest one for
-    ``attack=None``).  ``directives``, ``report``, ``pairs`` and
-    ``transcript`` are derived on first read and kept; outcomes compare and
-    hash by identity, and their repr leaves out the rounds.
-    ``eve_bits[t - 1]`` is Eve's Z result on round ``t`` (measure-resend
-    only; ``None`` where she measured nothing).
+    ``attack=None``).  The rounds are (n,) arrays, entry t - 1 = round t:
+    ``eve`` is Eve's branch index, ``selected`` and ``x_basis`` the
+    detection directives, ``home`` Charlie's one home result per round (in
+    detection on selected rounds, in confirmation on the others), and
+    ``alice``/``bob`` the travel results, meaningful on selected rounds.
+    The rest is derived on first read and kept: the rule, violation and
+    pair masks, ``aborted``, ``directives``, ``report``, ``pairs`` and
+    ``transcript``.  Outcomes compare and hash by identity, and their repr
+    leaves out the rounds.  ``eve_bits[t - 1]`` is Eve's Z result on round
+    ``t`` (measure-resend only; ``None`` where she measured nothing).
     """
 
     # no __slots__: the cached views live in the instance __dict__
-    _fields, _unshown = ("config", "attack", "rounds"), ("rounds",)
+    _fields = ("config", "attack", "eve", "selected", "x_basis", "home", "alice", "bob")
+    _unshown = _fields[2:]
     __eq__, __hash__ = object.__eq__, object.__hash__  # comparing the rounds' arrays would raise
 
-    def __init__(self, config: ProtocolConfig, attack: AttackModel, rounds: "Rounds") -> None:
-        self._set(config, attack, rounds)
+    def __init__(self, config: ProtocolConfig, attack: AttackModel, *rounds: np.ndarray) -> None:
+        self._set(config, attack, *rounds)  # the six arrays, in ``_fields`` order
 
-    @property
+    @functools.cached_property
+    def _rules(self) -> dict:
+        return _apply_rules(self.selected, self.x_basis, self.home, self.alice, self.bob, self.config.checker_mode)
+
+    @functools.cached_property
+    def _violated(self) -> np.ndarray:
+        return functools.reduce(operator.or_, (broken for _, broken in self._rules.values()))
+
+    @functools.cached_property
     def aborted(self) -> bool:
-        return bool(self.rounds.aborted)
+        return bool(self._violated.any())
+
+    @functools.cached_property
+    def _pair_mask(self) -> np.ndarray:
+        """The surviving home-0 rounds, none if the run aborted; each pair's
+        Eve branch is ``eve[_pair_mask]``."""
+        return ~(self.selected | self.home | self.aborted)
 
     @property
     def eve_bits(self) -> tuple[int | None, ...]:
-        return tuple(self.rounds.eve.tolist()) if self.attack.kind == "imra" else (None,) * self.config.n
+        return tuple(self.eve.tolist()) if self.attack.kind == "imra" else (None,) * self.config.n
 
     @property
     def surviving_count(self) -> int:
-        return int(self.rounds.surviving)
+        return int(np.count_nonzero(~self.selected))
 
     @property
     def yield_fraction(self) -> float | None:
         """Distilled pairs per surviving position (None if nothing survived)."""
-        return int(np.count_nonzero(self.rounds.pairs)) / self.surviving_count if self.surviving_count else None
+        return int(np.count_nonzero(self._pair_mask)) / self.surviving_count if self.surviving_count else None
 
     @functools.cached_property
     def directives(self) -> tuple[DetectionDirective, ...]:
-        selected = self.rounds.selected
-        bases = [Basis.X if x else Basis.Z for x in self.rounds.x_basis[selected].tolist()]
-        return tuple(map(DetectionDirective, (np.flatnonzero(selected) + 1).tolist(), bases))
+        bases = [Basis.X if x else Basis.Z for x in self.x_basis[self.selected].tolist()]
+        return tuple(map(DetectionDirective, (np.flatnonzero(self.selected) + 1).tolist(), bases))
 
     @functools.cached_property
     def report(self) -> CheckReport:
         tallies = {key: RuleTally(np.count_nonzero(applied), np.count_nonzero(violated))
-                   for key, (applied, violated) in self.rounds.rules.items()}
-        return CheckReport(tuple((np.flatnonzero(self.rounds.violated) + 1).tolist()), tallies)
+                   for key, (applied, violated) in self._rules.items()}
+        return CheckReport(tuple((np.flatnonzero(self._violated) + 1).tolist()), tallies)
 
     @functools.cached_property
     def pairs(self) -> DistilledPairSet:
-        rounds, states = self.rounds, _round_tables(self.attack).pairs
-        return DistilledPairSet(tuple((np.flatnonzero(rounds.pairs) + 1).tolist()),
-                                tuple(map(states.__getitem__, rounds.eve[rounds.pairs].tolist())))
+        mask, states = self._pair_mask, _round_tables(self.attack).pairs
+        return DistilledPairSet(tuple((np.flatnonzero(mask) + 1).tolist()),
+                                tuple(map(states.__getitem__, self.eve[mask].tolist())))
 
     @functools.cached_property
     def transcript(self) -> tuple[tuple, ...]:
         """The ordered classical record: (speaker, event, payload) triples."""
-        rounds, report = self.rounds, self.report
-        selected = rounds.selected
+        report, selected = self.report, self.selected
         home, alice, bob = (tuple(results[selected].astype(np.int8).tolist())
-                            for results in (rounds.home, rounds.alice, rounds.bob))
+                            for results in (self.home, self.alice, self.bob))
         transcript: list[tuple] = [
             ("charlie", "mode", "transmission"),
             ("charlie", "send", self.config.n),
@@ -273,7 +291,7 @@ class RunOutcome(_Record):
                            ("charlie", "abort", "eavesdropping suspected; sequence discarded")]
         else:
             # Confirmation: the 0 positions among the surviving home results.
-            kept = tuple((np.flatnonzero(rounds.pairs[~selected]) + 1).tolist())
+            kept = tuple((np.flatnonzero(self._pair_mask[~selected]) + 1).tolist())
             transcript += [("charlie", "mode", "confirmation"), ("charlie", "distill-positions", kept),
                            ("charlie", "pair-count", len(self.pairs))]
         return tuple(transcript)
@@ -389,35 +407,6 @@ def _round_tables(attack: AttackModel) -> RoundTables:
 # the engine
 
 
-class Rounds(NamedTuple):
-    """One run's rounds as (n,) arrays: entry t - 1 = round t.
-
-    ``eve`` is Eve's branch index, ``home`` Charlie's one home result per
-    round (in detection on selected rounds, in confirmation on the others),
-    and ``alice``/``bob`` the travel results, meaningful on selected rounds.
-    ``rules`` maps each rule key to its (applied, violated) masks, and the
-    rest is derived once: ``violated``, ``aborted`` (0-d), ``pairs`` (the
-    surviving home-0 rounds, none if the run aborted) and ``surviving``
-    (0-d), the count of rounds not sacrificed.  Each pair's Eve branch is
-    ``eve[pairs]``.  Rounds compare and hash by identity.
-    """
-
-    eve: np.ndarray
-    selected: np.ndarray
-    x_basis: np.ndarray
-    home: np.ndarray
-    alice: np.ndarray
-    bob: np.ndarray
-    rules: dict
-    violated: np.ndarray
-    aborted: np.ndarray
-    pairs: np.ndarray
-    surviving: np.ndarray
-
-    # tuple's own ==, != and hash would compare or hash the arrays, and raise
-    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
-
-
 def _check_addressable(rows: int, row_bytes: int) -> None:
     """Raise MemoryError, before anything is allocated, for ``rows`` rows of
     ``row_bytes`` bytes that no array could address (numpy raises ValueError)."""
@@ -425,8 +414,10 @@ def _check_addressable(rows: int, row_bytes: int) -> None:
         raise MemoryError(f"{rows} rows of {row_bytes} bytes exceed the address space")
 
 
-def _draw_rounds(tables: RoundTables, config: ProtocolConfig, rand) -> Rounds:
-    """Draw one run's rounds, in the module's stream layout."""
+def _draw_rounds(tables: RoundTables, config: ProtocolConfig, rand) -> tuple[np.ndarray, ...]:
+    """Draw one run's rounds, in the module's stream layout: the (n,) arrays
+    ``eve``, ``selected``, ``x_basis``, ``home``, ``alice`` and ``bob`` of
+    :class:`RunOutcome`."""
     n = config.n
     _check_addressable(n, 24)  # the round uniforms, its widest array
     if tables.te is None:
@@ -440,11 +431,7 @@ def _draw_rounds(tables: RoundTables, config: ProtocolConfig, rand) -> Rounds:
     node = (eve * 2 + home) * 2 + x_basis  # flat index of (e, c, basis)
     alice = uniforms[..., 1] >= tables.ta.reshape(-1)[node]
     bob = uniforms[..., 2] >= tables.tb.reshape(-1)[node * 2 + alice]
-    rules = _apply_rules(selected, x_basis, home, alice, bob, config.checker_mode)
-    violated = functools.reduce(operator.or_, (broken for _, broken in rules.values()))
-    aborted = violated.any()
-    return Rounds(eve, selected, x_basis, home, alice, bob, rules, violated, aborted,
-                  ~selected & ~home & ~aborted, (~selected).sum())
+    return eve, selected, x_basis, home, alice, bob
 
 
 def run_protocol(
@@ -453,13 +440,13 @@ def run_protocol(
     """Execute one full protocol run and return its outcome.
 
     The run's rounds are drawn from ``rand`` (see the module docstring)
-    and wrapped as they are; identical (config, attack, stream state)
+    and kept as they are; identical (config, attack, stream state)
     triples reproduce it bit for bit.
     ``attack=None`` is the honest channel.  On detection the run aborts (no
     pairs); rerunning is the caller's decision.
     """
     attack = _HONEST if attack is None else attack
-    return RunOutcome(config, attack, _draw_rounds(_round_tables(attack), config, rand))
+    return RunOutcome(config, attack, *_draw_rounds(_round_tables(attack), config, rand))
 
 
 def teleport_pairs(outcome: RunOutcome, rand: "np.random.Generator"
@@ -469,13 +456,12 @@ def teleport_pairs(outcome: RunOutcome, rand: "np.random.Generator"
     ``outcome`` is what :func:`run_protocol` returned, and ``rand``
     continues its stream through :func:`~wshare.teleport.teleport_fresh`:
     all the message normals, then one uniform per pair.  Each pair goes
-    through its Eve branch's block of the round tables' kernel, read from the
-    run's rounds as ``eve[pairs]``: Eve's bit on its round under imra, 0
+    through its Eve branch's block of the round tables' kernel, read off
+    the run's ``eve`` array: Eve's bit on its round under imra, 0
     otherwise.  Returns the batch, and Eve's recovery fidelity per pair
     when an attack was active (else ``None``).
     """
-    attack, rounds = outcome.attack, outcome.rounds
-    which = rounds.eve[rounds.pairs]
+    attack, which = outcome.attack, outcome.eve[outcome._pair_mask]
     messages, batch = teleport_fresh(_round_tables(attack).kernels, which, rand)
     if attack.kind == "none":
         return batch, None

@@ -127,11 +127,6 @@ def _finish(branch: BellOutcome, message: StateVector) -> TeleportResult:
                           reduced_fidelity(residual, "b", message))
 
 
-def _correction_matrices() -> np.ndarray:
-    """Bob's read-only correction matrix for each Bell outcome, in BELL_NAMES order."""
-    return _corrections()[1]
-
-
 def _bell_kernel(*pairs: StateVector) -> tuple[np.ndarray, tuple[str, ...]]:
     """The Bell kernel of pair registers of one layout, and the labels of their rest.
 
@@ -146,7 +141,7 @@ def _bell_kernel(*pairs: StateVector) -> tuple[np.ndarray, tuple[str, ...]]:
     kernel = np.empty((2, len(pairs), 4, 1 << len(rest)), dtype=complex)
     for e, pair in enumerate(pairs):
         channel = pair._rows(alice)
-        for k, (correction, mat) in enumerate(zip(_correction_matrices(), _BELL_MATRICES)):
+        for k, (correction, mat) in enumerate(zip(_corrections()[1], _BELL_MATRICES)):
             collapsed = (mat.conj() @ channel).reshape(2, 1 << bob, 2, -1)
             kernel[:, e, k] = np.einsum("cb,ixby->ixcy", correction, collapsed).reshape(2, -1)
     kernel = kernel.reshape(2, -1)

@@ -1,6 +1,7 @@
 """Protocol state machine: detection sampling, checking rules, distillation."""
 
 import collections
+import math
 import tracemalloc
 
 import numpy as np
@@ -416,16 +417,16 @@ def test_count_sampler_matches_round_draws(attack, mode):
     # A sweep draws each trial's counts per round cell, a run its rounds:
     # the two samplers must give one law for the abort, the survivors, the
     # pairs and (under imra) the first pair's Eve branch.  The rounds of all
-    # trials are drawn as one row, a trial being each run of n rounds in it.
+    # trials are drawn as one run, a trial being each n rounds of it.
     tables, trials = protocol._round_tables(attack), 10_000
     for n, p, d in [(1, 0.5, 0.0), (4, 0.5, 0.4), (30, 0.3, 0.1), (200, 0.9, 0.01)]:
         config = ProtocolConfig(n=n, d=d, p=p, checker_mode=mode)
         aborted, surviving, pairs, first = protocol._draw_counts(
             tables, protocol._round_cells(tables, config), n, np.random.default_rng(n), trials)
-        rounds = protocol._draw_rounds(tables, ProtocolConfig(n=trials * n, d=d, p=p, checker_mode=mode),
-                                       np.random.default_rng(n + 1))
+        run = run_protocol(ProtocolConfig(n=trials * n, d=d, p=p, checker_mode=mode), attack,
+                           np.random.default_rng(n + 1))
         eve, selected, home, violated = (a.reshape(trials, n) for a in
-                                         (rounds.eve, rounds.selected, rounds.home, rounds.violated))
+                                         (run.eve, run.selected, run.home, run._violated))
         drawn_aborted = violated.any(axis=1)  # a trial aborts on any violated round
         drawn_pairs = ~selected & ~home & ~drawn_aborted[:, None]  # its home-0 survivors, if it passed
         paired = np.flatnonzero(drawn_pairs.any(axis=1))
@@ -481,13 +482,13 @@ def test_block_readers_build_no_derived_view(attack, monkeypatch):
         monkeypatch.setattr(protocol, name, refuse)
     rand = np.random.default_rng(5)
     outcome = run_protocol(ProtocolConfig(n=40, d=0.3, p=0.5), attack, rand)
-    assert outcome.rounds.home.shape == (40,) and outcome.rounds.aborted.shape == ()
+    assert outcome.home.shape == (40,)
     assert isinstance(outcome.aborted, bool)
     assert len(outcome.eve_bits) == 40
     assert 0 < outcome.surviving_count <= 40
     assert outcome.yield_fraction is not None
     batch, _ = teleport_pairs(outcome, rand)
-    assert len(batch.fidelities) == int(outcome.rounds.pairs.sum())
+    assert len(batch.fidelities) == (0 if outcome.aborted else np.count_nonzero(~outcome.selected & ~outcome.home))
     assert not set(DERIVED) & set(vars(outcome))
 
 
@@ -590,6 +591,29 @@ def test_violated_cell_is_q_by_three_routes(attack, mode):
             assert abs(cells[0] - q) <= 1e-15, (p, d, cells[0], q)
         if d < 1:
             assert abs(cells[2:-1].sum() / cells[2:].sum() - 2 / 3) <= 1e-15
+
+
+@pytest.mark.parametrize("mode", ["paper", "strict"])
+@pytest.mark.parametrize("attack", FIDELITY_ATTACKS, ids=_attack_id)
+def test_sampled_yield_mean_is_exact(attack, mode):
+    # Every attack touches only b, so a round's home qubit reads 0 with
+    # probability exactly 2/3, enumerated here from the attack's branches.
+    # A passing trial with s survivors then has s Bernoulli(2/3) pairs
+    # whatever passed, since passing reads only the selected rounds: its
+    # yield has mean 2/3 and variance (2/9)/s.  Averaging 1/s over every
+    # trial with s >= 1 is exact on the honest channel and an upper bound
+    # under attack, where passing favours trials with fewer selected rounds.
+    te, roots = attack.branches(make_w_state())
+    weights = (1.0,) if te is None else (te, 1.0 - te)
+    home0 = sum(w * enumerate_qubit(root, "c", Basis.Z)[0].probability for w, root in zip(weights, roots))
+    assert abs(home0 - 2 / 3) <= 1e-12
+    n, d, trials = 20, 0.3, 20_000
+    stats = run_trials(ProtocolConfig(n=n, d=d, p=0.5, checker_mode=mode), attack, trials,
+                       np.random.default_rng(7))
+    s = np.arange(1, n + 1)
+    weight = np.array([math.comb(n, k) for k in s.tolist()]) * (1 - d) ** s * d ** (n - s)  # P(s), s ~ Bin(n, 1 - d)
+    sigma = np.sqrt(2 / 9 * (weight / s).sum() / weight.sum() / (trials - stats.detections))
+    assert abs(stats.yield_mean - 2 / 3) <= 4 * sigma, (stats.yield_mean, sigma)
 
 
 @pytest.mark.parametrize("mode", ["paper", "strict"])

@@ -52,8 +52,9 @@ def test_array_records_compare_and_hash_by_identity():
     outcome = run_protocol(ProtocolConfig(n=12, d=0.3, p=0.5), AttackModel("ema"), rand)
     batch, _ = teleport_pairs(outcome, rand)
     assert len(batch.fidelities) > 0
-    for record in (outcome.rounds, protocol._round_tables(outcome.attack), batch):
-        twin = type(record)(*(np.copy(f) if isinstance(f, np.ndarray) else f for f in record))
+    for record in (outcome, protocol._round_tables(outcome.attack), batch):
+        fields = record._values() if isinstance(record, RunOutcome) else record
+        twin = type(record)(*(np.copy(f) if isinstance(f, np.ndarray) else f for f in fields))
         assert record == record and not record != record
         assert twin != record and not twin == record and not record == twin
         assert len({record, twin, record}) == 2 and record in {record} and twin not in {record}
@@ -98,7 +99,7 @@ def test_round_tripped_state_stays_read_only(round_trip):
 def test_classes_refuse_assignment_and_deletion():
     outcome = run_protocol(ProtocolConfig(n=4, d=0.5, p=0.5), None, np.random.default_rng(0))
     for record, name in ((make_w_state(), "labels"), (outcome.config, "d"), (outcome.pairs, "states"),
-                         (outcome, "rounds")):
+                         (outcome, "home")):
         with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
             setattr(record, name, None)
         with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):

@@ -236,13 +236,13 @@ def assert_engine_follows_thresholds(tables, eve_root, root):
         config = ProtocolConfig(n=len(slots), d=d, p=0.5, checker_mode="strict")
         eve = (ue,) if tables.te is not None else ()
         script = Scripted(*eve, np.zeros_like(uc), ux, np.stack([uc, ua, ub], axis=-1))
-        got = protocol._draw_rounds(tables, config, script)
+        eve, _, _, home, alice, bob = protocol._draw_rounds(tables, config, script)
         assert not script.arrays  # every array drawn
-        assert np.array_equal(got.eve, want[:, 0])
-        assert np.array_equal(got.home, want[:, 1]), d
+        assert np.array_equal(eve, want[:, 0])
+        assert np.array_equal(home, want[:, 1]), d
         if d:
-            assert np.array_equal(got.alice, want[:, 2])
-            assert np.array_equal(got.bob, want[:, 3])
+            assert np.array_equal(alice, want[:, 2])
+            assert np.array_equal(bob, want[:, 3])
 
 
 @pytest.mark.parametrize("kind,y", ATTACKS)
@@ -323,24 +323,30 @@ def assert_frequencies(counts, total, probabilities):
             assert abs(got - total * q) <= 4 * np.sqrt(total * q * (1 - q)) + 1e-9, (key, got, total * q)
 
 
-@settings(max_examples=12, deadline=None, derandomize=True)
-@given(st.sampled_from(ATTACKS), st.sampled_from([0.0, 0.3, 0.5, 1.0]),
-       st.integers(min_value=0, max_value=2 ** 31 - 1))
+# (attack, p, seed): fixed cases, so an edit to the test body gates the same draws
+FREQUENCY_CASES = [
+    (("none", None), 0.0, 0), (("isra", 0.5), 0.0, 0), (("isra", 0.5), 0.3, 54895),
+    (("isra", 1.0), 0.0, 363837), (("none", None), 0.3, 288), (("none", None), 0.0, 60877716),
+    (("imra", None), 1.0, 1148955397), (("ema", None), 0.5, 2147483647), (("imra", None), 0.0, 652),
+    (("isra", 0.5), 0.5, 9017582), (("isra", 0.0), 0.5, 216), (("ema", None), 0.0, 19002),
+]
+
+
+@pytest.mark.parametrize("attack, p, seed", FREQUENCY_CASES,
+                         ids=[f"{kind}{'' if y is None else y}-p{p}-{seed}" for (kind, y), p, seed in FREQUENCY_CASES])
 def test_engine_frequencies_match_enumeration(attack, p, seed):
     kind, y = attack
     config = ProtocolConfig(n=4000, d=0.5, p=p, checker_mode="strict")
-    rounds = protocol._draw_rounds(protocol._round_tables(AttackModel(kind, y)), config,
-                                   np.random.default_rng(seed))
+    eve, selected, x_basis, home, alice, bob = protocol._draw_rounds(
+        protocol._round_tables(AttackModel(kind, y)), config, np.random.default_rng(seed))
     detection, confirmation = exact_round_distribution(kind, y, p)
-    columns = (rounds.eve, rounds.x_basis, rounds.home, rounds.alice, rounds.bob)
-    keys = zip(*(column[rounds.selected].astype(int).tolist() for column in columns))
+    keys = zip(*(column[selected].astype(int).tolist() for column in (eve, x_basis, home, alice, bob)))
     counts = {}
     for key in keys:
         counts[key] = counts.get(key, 0) + 1
-    assert_frequencies(counts, int(rounds.selected.sum()), detection)
-    unselected = ~rounds.selected
-    keys = zip(rounds.eve[unselected].tolist(), rounds.home[unselected].astype(int).tolist())
+    assert_frequencies(counts, int(selected.sum()), detection)
+    keys = zip(eve[~selected].tolist(), home[~selected].astype(int).tolist())
     counts = {}
     for key in keys:
         counts[key] = counts.get(key, 0) + 1
-    assert_frequencies(counts, int(unselected.sum()), confirmation)
+    assert_frequencies(counts, int((~selected).sum()), confirmation)

@@ -24,7 +24,7 @@ from wshare.statevec import (
 from wshare.teleport import (
     CORRECTIONS,
     _bell_kernel,
-    _correction_matrices,
+    _corrections,
     _finish,
     apply_correction,
     build_correction_table,
@@ -142,7 +142,7 @@ def test_corrections_are_read_only_matrices():
         with pytest.raises(ValueError):
             matrix[0, 0] = 5.0
     table = build_correction_table()
-    stacked = _correction_matrices()
+    stacked = _corrections()[1]
     assert np.array_equal(stacked, np.stack([CORRECTIONS[table[name]] for name in BELL_NAMES]))
     with pytest.raises(ValueError):
         stacked[0, 0, 0] = 5.0
@@ -167,7 +167,7 @@ def test_correction_table_simulates_no_teleportation(monkeypatch, fresh_correcti
         monkeypatch.setattr(teleport_module, oracle, refuse)
     assert build_correction_table() == {"psi+": "I", "psi-": "Z", "phi+": "X", "phi-": "XZ"}
     frozen = [[[1, 0], [0, 1]], [[1, 0], [0, -1]], [[0, 1], [1, 0]], [[0, 1], [-1, 0]]]
-    assert np.array_equal(_correction_matrices(), np.array(frozen, dtype=float))
+    assert np.array_equal(_corrections()[1], np.array(frozen, dtype=float))
 
 
 @pytest.mark.parametrize("corrections,refusal", [
@@ -573,7 +573,7 @@ def test_the_round_tables_are_read_only(attack):
     # from, takes a write.
     tables = _round_tables(attack)
     kernel, _ = tables.kernels
-    arrays = [tables.tc, tables.ta, tables.tb, kernel, _correction_matrices(), *CORRECTIONS.values()]
+    arrays = [tables.tc, tables.ta, tables.tb, kernel, _corrections()[1], *CORRECTIONS.values()]
     arrays += [pair.amplitudes for pair in tables.pairs]
     assert all(pair is not None for pair in tables.pairs)
     for array in arrays:
