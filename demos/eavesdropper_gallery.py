@@ -12,20 +12,21 @@ from wshare.attacks import AttackModel
 from wshare.protocol import CheckerMode, ProtocolConfig, run_protocol
 
 P, D = 0.5, 0.5
+# One frozen model per attack serves the oracle and every run.
 ATTACKS = [
-    ("none", None),
-    ("imra", None),
-    ("isra", 0.5),
-    ("ema", None),
+    AttackModel("none"),
+    AttackModel("imra"),
+    AttackModel("isra", 0.5),
+    AttackModel("ema"),
 ]
 
 
 print(f"per-round detection probability at p={P}, d={D}")
 print(f"{'attack':8s} {'paper':>10s} {'strict':>10s}")
-for kind, y in ATTACKS:
-    paper = round_detection_probability(kind, CheckerMode.PAPER, P, D, y=y)
-    strict = round_detection_probability(kind, CheckerMode.STRICT, P, D, y=y)
-    print(f"{kind:8s} {paper:10.4f} {strict:10.4f}")
+for attack in ATTACKS:
+    paper = round_detection_probability(attack, CheckerMode.PAPER, P, D)
+    strict = round_detection_probability(attack, CheckerMode.STRICT, P, D)
+    print(f"{attack.kind:8s} {paper:10.4f} {strict:10.4f}")
 
 # The measure-resend and entangling attacks are invisible to the paper
 # checker: their Z statistics are exactly W-like.  The strict X rule sees
@@ -33,8 +34,7 @@ for kind, y in ATTACKS:
 
 print("\nempirical abort rate over 400 runs (n=10)")
 print(f"{'attack':8s} {'paper':>10s} {'strict':>10s}")
-for attack_id, (kind, y) in enumerate(ATTACKS):
-    attack = AttackModel(kind, y)  # one frozen model serves every run
+for attack_id, attack in enumerate(ATTACKS):
     rates = []
     for mode in CheckerMode:
         config = ProtocolConfig(n=10, d=D, p=P, checker_mode=mode)
@@ -43,4 +43,4 @@ for attack_id, (kind, y) in enumerate(ATTACKS):
             rng = np.random.default_rng((attack_id, seed))
             aborted += run_protocol(config, attack, rng).aborted
         rates.append(aborted / 400)
-    print(f"{kind:8s} {rates[0]:10.3f} {rates[1]:10.3f}")
+    print(f"{attack.kind:8s} {rates[0]:10.3f} {rates[1]:10.3f}")

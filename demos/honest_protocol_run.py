@@ -8,12 +8,13 @@ surviving positions turn into usable pairs.
 
 import numpy as np
 
+from wshare.attacks import AttackModel
 from wshare.protocol import ProtocolConfig, run_protocol
 
 
 def main():
     config = ProtocolConfig(n=12, d=0.3, p=0.5)
-    outcome = run_protocol(config, None, np.random.default_rng(11))
+    outcome = run_protocol(config, AttackModel("none"), np.random.default_rng(11))
 
     print("transcript:")
     for speaker, event, payload in outcome.transcript:

@@ -7,11 +7,12 @@
 # already push the escape probability below one in a million.
 
 from wshare.analytic import closed_form_round_detection
+from wshare.attacks import AttackModel
 
 
 def escape(y, p, d, n):
     """S = (1 - q)^n: rounds are independent, q the per-round detection."""
-    return (1 - closed_form_round_detection("isra", "paper", p, d, y)) ** n
+    return (1 - closed_form_round_detection(AttackModel("isra", y), "paper", p, d)) ** n
 
 
 y = p = d = 1.0

@@ -9,6 +9,7 @@ qubit is secretly twinned with Eve's ancilla and the fidelity drops to
 
 import numpy as np
 
+from wshare.attacks import AttackModel
 from wshare.protocol import ProtocolConfig, run_protocol
 from wshare.teleport import build_correction_table, corrupted_channel, random_message, teleport
 
@@ -19,7 +20,7 @@ print("correction table (derived, not hard-coded):")
 for name, correction in table.items():
     print(f"  {name:5s} -> {correction}")
 
-outcome = run_protocol(ProtocolConfig(n=10, d=0.2, p=0.5), None, rng)
+outcome = run_protocol(ProtocolConfig(n=10, d=0.2, p=0.5), AttackModel("none"), rng)
 print(f"\nhonest run distilled {len(outcome.pairs)} pairs; teleporting over each:")
 for position, pair in outcome.pairs:
     message = random_message(rng)

@@ -14,7 +14,8 @@ probability d, a Z round within it with probability p:
 
 Rounds are independent, so an n-round sequence escapes with S = (1 - q)^n
 for the per-round detection probability q; callers form that power
-themselves.
+themselves.  Every function here takes the attack as an
+:class:`~wshare.attacks.AttackModel`, which has checked its kind and y.
 
 Everything else here is an *enumeration oracle*: it starts from the
 registers the attack leaves (:meth:`~wshare.attacks.AttackModel.branches`),
@@ -36,23 +37,19 @@ from .protocol import CheckerMode, DetectionDirective, evaluate_checks
 from .statevec import _ZERO_PROB, Basis, StateVector, enumerate_qubit, make_w_state
 
 
-def closed_form_round_detection(
-    kind: str, mode: CheckerMode | str, p: float, d: float, y: float | None = None
-) -> float:
+def closed_form_round_detection(attack: AttackModel, mode: CheckerMode | str, p: float, d: float) -> float:
     """Per-round detection probability of an attack under one checker, in closed form.
 
     The Z rules catch only store-resend, in two ways: home 1 while Bob reads
     the fake qubit as 1 (p*d*y^2/3), and home 0 with the Z anticorrelation
     broken (p*d/3).  The strict X rule catches any attack with probability
-    (1 - p)*d/3.  ``y`` is the store-resend fake amplitude,
-    required for ``kind="isra"`` and refused for other kinds.
+    (1 - p)*d/3.
     """
     mode = CheckerMode(mode)
     _check_unit("p", p)
     _check_unit("d", d)
-    AttackModel(kind, y)  # checks the kind and y
-    z = p * d * y * y / 3.0 + p * d / 3.0 if kind == "isra" else 0.0
-    x = (1.0 - p) * d / 3.0 if mode is CheckerMode.STRICT and kind != "none" else 0.0
+    z = p * d * attack.y * attack.y / 3.0 + p * d / 3.0 if attack.kind == "isra" else 0.0
+    x = (1.0 - p) * d / 3.0 if mode is CheckerMode.STRICT and attack.kind != "none" else 0.0
     return z + x
 
 
@@ -60,7 +57,7 @@ def closed_form_round_detection(
 # enumeration oracles
 
 
-def _attacked_round_branches(kind: str, y: float | None) -> list[tuple[float, StateVector]]:
+def _attacked_round_branches(attack: AttackModel) -> list[tuple[float, StateVector]]:
     """The registers Eve leaves behind, as (weight, register) branches.
 
     The registers are :meth:`~wshare.attacks.AttackModel.branches`; the
@@ -68,7 +65,7 @@ def _attacked_round_branches(kind: str, y: float | None) -> list[tuple[float, St
     weights of Eve's Z result: the clamp never binds on the W state), or 1
     for an attack that leaves one register.  An impossible branch is dropped.
     """
-    threshold, registers = AttackModel(kind, y).branches(make_w_state())  # checks the kind and y
+    threshold, registers = attack.branches(make_w_state())
     weights = (1.0,) if threshold is None else (threshold, 1.0 - threshold)
     return [(weight, state) for weight, state in zip(weights, registers, strict=True) if state is not None]
 
@@ -97,15 +94,12 @@ def _violation_probability(state: StateVector, basis: Basis, mode: CheckerMode) 
     return total
 
 
-def round_detection_probability(
-    kind: str, mode: CheckerMode | str, p: float, d: float, y: float | None = None
-) -> float:
+def round_detection_probability(attack: AttackModel, mode: CheckerMode | str, p: float, d: float) -> float:
     """Exact per-round detection probability for an attack under one checker.
 
     Branch enumeration over Eve's outcome (if any), the detection draw
     (weight d), the basis draw (Z with weight p), and all measurement
-    outcomes.  No sampling is involved.  ``y`` is the store-resend fake
-    amplitude, required for ``kind="isra"`` and refused for other kinds.
+    outcomes.  No sampling is involved.
 
     Under the paper checker the measure-resend and entangle-measure attacks
     come out exactly 0: both leave the Z statistics untouched, so only the
@@ -115,14 +109,14 @@ def round_detection_probability(
     _check_unit("p", p)
     _check_unit("d", d)
     detect = 0.0
-    for weight, state in _attacked_round_branches(kind, y):
+    for weight, state in _attacked_round_branches(attack):
         vz = _violation_probability(state, Basis.Z, mode)
         vx = _violation_probability(state, Basis.X, mode)
         detect += weight * (p * vz + (1.0 - p) * vx)
     return d * detect
 
 
-def x_round_detection_given_home0(kind: str, y: float | None = None) -> float:
+def x_round_detection_given_home0(attack: AttackModel) -> float:
     """P(strict X rule violated | X directive, home outcome 0) for an attack.
 
     Enumerated, not assumed: the X rule applies only on home 0, so this is
@@ -131,5 +125,5 @@ def x_round_detection_given_home0(kind: str, y: float | None = None) -> float:
     independent of (x, y).
     """
     home0 = sum(weight * enumerate_qubit(state, "c", Basis.Z)[0].probability
-                for weight, state in _attacked_round_branches(kind, y))
-    return round_detection_probability(kind, CheckerMode.STRICT, 0.0, 1.0, y) / home0
+                for weight, state in _attacked_round_branches(attack))
+    return round_detection_probability(attack, CheckerMode.STRICT, 0.0, 1.0) / home0

@@ -432,7 +432,7 @@ def _sweep_point(args: tuple) -> dict:
     stats = run_trials(config, attack, trials, np.random.default_rng((seed, grid_index)))
     detection_rate = stats.detections / trials
     success_rate = 1.0 - detection_rate
-    analytic = (1.0 - closed_form_round_detection(kind, config.checker_mode, p, d, y)) ** n
+    analytic = (1.0 - closed_form_round_detection(attack, config.checker_mode, p, d)) ** n
     return dict(zip(SWEEP_COLUMNS, (
         kind, mode_name, y, p, d, n, trials, stats.detections, detection_rate, success_rate,
         float(np.sqrt(success_rate * (1.0 - success_rate) / trials)),
@@ -497,7 +497,7 @@ def cmd_curves(cfg: argparse.Namespace) -> int:
               + [("vary-p", cfg.isra_y, p, cfg.d) for p in p_values])
     rows = []
     for panel, y, p, d in curves:
-        q = closed_form_round_detection(cfg.attack, cfg.mode, p, d, y)
+        q = closed_form_round_detection(AttackModel(cfg.attack, y), cfg.mode, p, d)
         rows += [dict(zip(CURVE_COLUMNS, (panel, y, p, d, n, (1.0 - q) ** n), strict=True)) for n in n_values]
     notes = ["illustrative default ranges; not a reproduction of any published figure"] if defaults_used else None
     _emit_rows(CURVE_COLUMNS, rows, cfg, notes=notes)
@@ -560,7 +560,3 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:  # the reader went away
         _stdout_to_devnull()
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

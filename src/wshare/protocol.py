@@ -105,7 +105,6 @@ from .teleport import TeleportBatch, _bell_kernel, teleport_fresh
 
 RULE_KEYS = ("z_rc0", "z_rc1", "x_rc0")
 
-_HONEST = AttackModel("none")
 # Trials in one block of counts: it bounds a sweep's arrays whatever n is.
 _BLOCK_TRIALS = 1 << 16
 # Bound on the memoized round tables (one per attack model).
@@ -201,12 +200,12 @@ class DistilledPairSet(_Record):
 class RunOutcome(_Record):
     """One protocol execution: its config, its attack and its drawn rounds.
 
-    ``attack`` is the model the run went through (the honest one for
-    ``attack=None``).  The rounds are (n,) arrays, entry t - 1 = round t:
-    ``eve`` is Eve's branch index, ``selected`` and ``x_basis`` the
-    detection directives, ``home`` Charlie's one home result per round (in
-    detection on selected rounds, in confirmation on the others), and
-    ``alice``/``bob`` the travel results, meaningful on selected rounds.
+    ``attack`` is the model the run went through.  The rounds are (n,)
+    arrays, entry t - 1 = round t: ``eve`` is Eve's branch index,
+    ``selected`` and ``x_basis`` the detection directives, ``home``
+    Charlie's one home result per round (in detection on selected rounds,
+    in confirmation on the others), and ``alice``/``bob`` the travel
+    results, meaningful on selected rounds.
     The rest is derived on first read and kept: the rule, violation and
     pair masks, ``aborted``, ``directives``, ``report``, ``pairs`` and
     ``transcript``.  Outcomes compare and hash by identity, and their repr
@@ -260,7 +259,7 @@ class RunOutcome(_Record):
 
     @functools.cached_property
     def report(self) -> CheckReport:
-        tallies = {key: RuleTally(np.count_nonzero(applied), np.count_nonzero(violated))
+        tallies = {key: RuleTally(int(np.count_nonzero(applied)), int(np.count_nonzero(violated)))
                    for key, (applied, violated) in self._rules.items()}
         return CheckReport(tuple((np.flatnonzero(self._violated) + 1).tolist()), tallies)
 
@@ -434,18 +433,15 @@ def _draw_rounds(tables: RoundTables, config: ProtocolConfig, rand) -> tuple[np.
     return eve, selected, x_basis, home, alice, bob
 
 
-def run_protocol(
-    config: ProtocolConfig, attack: AttackModel | None, rand: "np.random.Generator"
-) -> RunOutcome:
+def run_protocol(config: ProtocolConfig, attack: AttackModel, rand: "np.random.Generator") -> RunOutcome:
     """Execute one full protocol run and return its outcome.
 
     The run's rounds are drawn from ``rand`` (see the module docstring)
     and kept as they are; identical (config, attack, stream state)
-    triples reproduce it bit for bit.
-    ``attack=None`` is the honest channel.  On detection the run aborts (no
-    pairs); rerunning is the caller's decision.
+    triples reproduce it bit for bit; ``AttackModel("none")`` is the honest
+    channel.  On detection the run aborts (no pairs); rerunning is the
+    caller's decision.
     """
-    attack = _HONEST if attack is None else attack
     return RunOutcome(config, attack, *_draw_rounds(_round_tables(attack), config, rand))
 
 
@@ -525,29 +521,27 @@ def _draw_counts(tables: RoundTables, cells: np.ndarray, n: int, rand, trials: i
     return aborted, surviving, pairs, first
 
 
-def run_trials(config: ProtocolConfig, attack: AttackModel | None, trials: int,
-               rand: "np.random.Generator") -> TrialStats:
+def run_trials(config: ProtocolConfig, attack: AttackModel, trials: int, rand: "np.random.Generator") -> TrialStats:
     """Run ``trials`` independent protocol runs from one stream, in blocks.
 
     Each block of :data:`_BLOCK_TRIALS` trials (the last one ragged) draws
     its trials' counts per round cell (:func:`_draw_counts`), then
     teleports one fresh message over the first pair of each trial that has
     one (:func:`~wshare.teleport.teleport_fresh`); a trial without a pair
-    draws nothing more.  ``attack=None`` is the honest channel, and
-    ``trials`` must be a positive integer.  An ``n`` of 2^63 or more, past
-    the counts numpy draws, raises MemoryError.
+    draws nothing more.  ``trials`` must be a positive integer.  An ``n``
+    of 2^63 or more, past the counts numpy draws, raises MemoryError.
     """
     trials = _check_length(trials, "trial count")
     if config.n > np.iinfo(np.int64).max:
         raise MemoryError(f"{config.n} rounds exceed the counts numpy can draw")
-    tables = _round_tables(_HONEST if attack is None else attack)
+    tables = _round_tables(attack)
     cells = _round_cells(tables, config)
     detections = yield_count = fidelity_count = 0
     yield_sum = fidelity_sum = 0.0
     for start in range(0, trials, _BLOCK_TRIALS):
         aborted, surviving, pairs, first = _draw_counts(tables, cells, config.n, rand,
                                                         min(_BLOCK_TRIALS, trials - start))
-        detections += np.count_nonzero(aborted)
+        detections += int(np.count_nonzero(aborted))  # a plain int, which JSON writes as a number
         counted = ~aborted & (surviving > 0)
         yield_sum += float((pairs[counted] / surviving[counted]).sum())
         yield_count += np.count_nonzero(counted)

@@ -151,10 +151,7 @@ class StateVector(_Record):
         unit-norm array the caller gives up ownership of.
         """
         amps.flags.writeable = False
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "amplitudes", amps)
-        object.__setattr__(obj, "labels", labels)
-        return obj
+        return super()._trusted(amps, labels)
 
 
 class MeasurementBranch(NamedTuple):

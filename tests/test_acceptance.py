@@ -47,7 +47,7 @@ def _report(num: int, description: str, ok: bool, detail: str = "") -> None:
 def test_criterion_01_bell_yield():
     n = 30_000
     start = time.perf_counter()
-    outcome = run_protocol(ProtocolConfig(n=n, d=0.0, p=0.5), None, np.random.default_rng(20_01))
+    outcome = run_protocol(ProtocolConfig(n=n, d=0.0, p=0.5), AttackModel("none"), np.random.default_rng(20_01))
     elapsed = time.perf_counter() - start
     fraction = len(outcome.pairs) / n
     sigma = np.sqrt((2.0 / 9.0) / n)
@@ -62,7 +62,7 @@ def test_criterion_02_honest_soundness():
     for mode in ("paper", "strict"):
         config = ProtocolConfig(n=100, d=0.5, p=0.5, checker_mode=mode)
         for seed in range(1000):
-            outcome = run_protocol(config, None, np.random.default_rng((20_02, seed)))
+            outcome = run_protocol(config, AttackModel("none"), np.random.default_rng((20_02, seed)))
             runs += 1
             detections += outcome.aborted
     _report(2, "honest runs never detected (exact)",
@@ -71,7 +71,7 @@ def test_criterion_02_honest_soundness():
 
 def test_criterion_03_faithful_teleportation():
     rng = np.random.default_rng(20_03)
-    outcome = run_protocol(ProtocolConfig(n=60, d=0.3, p=0.5), None, rng)
+    outcome = run_protocol(ProtocolConfig(n=60, d=0.3, p=0.5), AttackModel("none"), rng)
     pairs = list(outcome.pairs)
     assert pairs, "honest run yielded no pairs to teleport over"
     worst = 0.0
@@ -96,7 +96,7 @@ def test_criterion_04_isra_analytic_match():
     failures = []
     for index, (y, p, d) in enumerate(grid):
         row = _sweep_point(("isra", "paper", y, p, d, n, trials, 20_04, index))
-        predicted = (1 - closed_form_round_detection("isra", "paper", p, d, y)) ** n
+        predicted = (1 - closed_form_round_detection(AttackModel("isra", y), "paper", p, d)) ** n
         stderr = np.sqrt(predicted * (1.0 - predicted) / trials)
         gap = abs(row["success_rate"] - predicted)
         if gap > 3.0 * stderr:
@@ -113,7 +113,7 @@ def test_criterion_05_isra_exact_oracle():
     for y in values:
         for p in values:
             for d in values:
-                enumerated = round_detection_probability("isra", "paper", p, d, y=y)
+                enumerated = round_detection_probability(AttackModel("isra", y), "paper", p, d)
                 closed_form = p * d * (1.0 + y * y) / 3.0
                 worst = max(worst, abs(enumerated - closed_form))
     _report(5, "single-round enumeration equals pd(1+y^2)/3 on the 5x5x5 grid",
@@ -203,7 +203,7 @@ def test_criterion_08_ema_decomposition():
 def test_criterion_09_quasi_security_limit():
     tail_ok = True
     positive_ok = True
-    q = closed_form_round_detection("isra", "paper", 1.0, 1.0, 1.0)
+    q = closed_form_round_detection(AttackModel("isra", 1.0), "paper", 1.0, 1.0)
     for n in range(1, 601):
         s = (1 - q) ** n
         if s <= 0.0:

@@ -9,7 +9,7 @@ from wshare.analytic import (
     round_detection_probability,
     x_round_detection_given_home0,
 )
-from wshare.attacks import ATTACK_KINDS
+from wshare.attacks import ATTACK_KINDS, AttackModel
 from wshare.cli import main
 from wshare.protocol import CheckerMode
 from wshare.statevec import Basis, enumerate_qubit, make_w_state
@@ -32,7 +32,7 @@ def test_imra_outcome_probs():
 
 def _isra(y, p, d):
     """The store-resend per-round detection probability q under the paper checker."""
-    return closed_form_round_detection("isra", "paper", p, d, y)
+    return closed_form_round_detection(AttackModel("isra", y), "paper", p, d)
 
 
 def test_isra_case_probs_values():
@@ -84,14 +84,14 @@ def test_isra_oracle_matches_formula_on_grid():
     for y in grid:
         for p in grid:
             for d in grid:
-                enumerated = round_detection_probability("isra", "paper", p, d, y)
+                enumerated = round_detection_probability(AttackModel("isra", y), "paper", p, d)
                 formula = p * d * (1 + y * y) / 3
                 assert enumerated == pytest.approx(formula, abs=1e-9)
 
 
 def test_honest_round_never_detected():
     for mode in ("paper", "strict"):
-        assert round_detection_probability("none", mode, p=0.5, d=1.0) == pytest.approx(
+        assert round_detection_probability(AttackModel("none"), mode, p=0.5, d=1.0) == pytest.approx(
             0.0, abs=1e-12
         )
 
@@ -99,14 +99,14 @@ def test_honest_round_never_detected():
 def test_imra_invisible_to_analytic_checker():
     # Both resend branches satisfy the Z rules, so the analytic checker
     # never fires on the measure-resend attack.
-    assert round_detection_probability("imra", "paper", 1.0, 1.0) == pytest.approx(0.0, abs=1e-12)
+    assert round_detection_probability(AttackModel("imra"), "paper", 1.0, 1.0) == pytest.approx(0.0, abs=1e-12)
     # the strict X rule does catch it
-    assert round_detection_probability("imra", "strict", 0.0, 1.0) > 0.1
+    assert round_detection_probability(AttackModel("imra"), "strict", 0.0, 1.0) > 0.1
 
 
 def test_ema_invisible_to_analytic_checker():
-    assert round_detection_probability("ema", "paper", 1.0, 1.0) == pytest.approx(0.0, abs=1e-12)
-    assert round_detection_probability("ema", "strict", 0.0, 1.0) > 0.1
+    assert round_detection_probability(AttackModel("ema"), "paper", 1.0, 1.0) == pytest.approx(0.0, abs=1e-12)
+    assert round_detection_probability(AttackModel("ema"), "strict", 0.0, 1.0) > 0.1
 
 
 def test_x_round_detection_is_one_half():
@@ -114,10 +114,10 @@ def test_x_round_detection_is_one_half():
     # attack trips the Ra = Rb rule with probability exactly 1/2.  For the
     # store-resend attack the value is independent of y (Alice's qubit is
     # maximally mixed given home 0, so her X outcome is a fair coin).
-    assert x_round_detection_given_home0("ema") == pytest.approx(0.5, abs=1e-12)
-    assert x_round_detection_given_home0("imra") == pytest.approx(0.5, abs=1e-12)
+    assert x_round_detection_given_home0(AttackModel("ema")) == pytest.approx(0.5, abs=1e-12)
+    assert x_round_detection_given_home0(AttackModel("imra")) == pytest.approx(0.5, abs=1e-12)
     for y in (0.0, 0.3, 0.6, 1.0):
-        assert x_round_detection_given_home0("isra", y=y) == pytest.approx(0.5, abs=1e-12)
+        assert x_round_detection_given_home0(AttackModel("isra", y=y)) == pytest.approx(0.5, abs=1e-12)
 
 
 # The oracle's values at p = 0.3, d = 0.7 (y = 0.5 for isra), frozen bit
@@ -137,45 +137,34 @@ def test_the_oracle_never_reads_the_round_tables(monkeypatch):
     monkeypatch.setattr(protocol, "_compile_tables", refuse)
     monkeypatch.setattr(protocol, "_round_tables", refuse)  # cached tables included
     for (kind, mode), value in FROZEN_ORACLE.items():
-        y = 0.5 if kind == "isra" else None
-        assert round_detection_probability(kind, mode, 0.3, 0.7, y) == value, (kind, mode)
+        attack = AttackModel(kind, 0.5 if kind == "isra" else None)
+        assert round_detection_probability(attack, mode, 0.3, 0.7) == value, (kind, mode)
         if kind != "none":
-            assert x_round_detection_given_home0(kind, y) == pytest.approx(0.5, abs=1e-12)
+            assert x_round_detection_given_home0(attack) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_strict_dominates_analytic_per_round():
-    for kind, y in (("imra", None), ("isra", 0.5), ("ema", None)):
-        analytic_rate = round_detection_probability(kind, "paper", p=0.5, d=0.5, y=y)
-        strict_rate = round_detection_probability(kind, "strict", p=0.5, d=0.5, y=y)
+    for attack in (AttackModel("imra"), AttackModel("isra", 0.5), AttackModel("ema")):
+        analytic_rate = round_detection_probability(attack, "paper", p=0.5, d=0.5)
+        strict_rate = round_detection_probability(attack, "strict", p=0.5, d=0.5)
         assert strict_rate >= analytic_rate - 1e-12
 
 
 def test_oracle_validates_arguments():
-    # The closed form refuses exactly what the oracle refuses.
+    # The closed form refuses exactly what the oracle refuses; the attack's
+    # kind and y were checked when its model was built.
     for per_round in (round_detection_probability, closed_form_round_detection):
         with pytest.raises(ValueError):
-            per_round("isra", "paper", p=0.5, d=0.5)  # y missing
+            per_round(AttackModel("ema"), "strict", p=1.5, d=0.5)
         with pytest.raises(ValueError):
-            per_round("quantum-zeno", "strict", p=0.5, d=0.5)
+            per_round(AttackModel("imra"), "paper", p=0.5, d=float("nan"))
         with pytest.raises(ValueError):
-            per_round("ema", "strict", p=1.5, d=0.5)
-        with pytest.raises(ValueError):
-            per_round("imra", "paper", p=0.5, d=float("nan"))
-        with pytest.raises(ValueError):
-            per_round("none", "paper_analytic", p=0.5, d=0.5)
-        with pytest.raises(ValueError):
-            per_round("isra", "strict", p=0.5, d=0.5, y=1.5)
+            per_round(AttackModel("none"), "paper_analytic", p=0.5, d=0.5)
         for bad in (True, "0.5", 0.5j):
             with pytest.raises(ValueError):
-                per_round("isra", "strict", p=bad, d=0.5, y=0.5)
+                per_round(AttackModel("isra", 0.5), "strict", p=bad, d=0.5)
             with pytest.raises(ValueError):
-                per_round("imra", "paper", p=0.5, d=bad)
-            with pytest.raises(ValueError):
-                per_round("isra", "paper", p=0.5, d=0.5, y=bad)
-        with pytest.raises(ValueError):
-            per_round("ema", "strict", p=0.5, d=0.5, y=0.5)  # y is isra's only
-    with pytest.raises(ValueError):
-        x_round_detection_given_home0("isra", y=float("nan"))
+                per_round(AttackModel("imra"), "paper", p=0.5, d=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -191,12 +180,12 @@ def _refuse(*args, **kwargs):
                                      ("isra", (0.0, 0.3, 0.5, 1.0))])
 def test_closed_form_matches_the_oracle(kind, ys, mode, monkeypatch):
     cases = [(y, p, d) for y in ys for p in (0.0, 0.3, 0.5, 1.0) for d in (0.0, 0.5, 1.0)]
-    closed = [closed_form_round_detection(kind, mode, p, d, y) for y, p, d in cases]
+    closed = [closed_form_round_detection(AttackModel(kind, y), mode, p, d) for y, p, d in cases]
     if kind == "isra" and mode is CheckerMode.PAPER:
         assert closed == [sum((p * d * y * y / 3.0, p * d / 3.0)) for y, p, d in cases]
     monkeypatch.setattr(analytic, "closed_form_round_detection", _refuse)
     for (y, p, d), value in zip(cases, closed):
-        assert abs(value - round_detection_probability(kind, mode, p, d, y)) <= 1e-12, (y, p, d)
+        assert abs(value - round_detection_probability(AttackModel(kind, y), mode, p, d)) <= 1e-12, (y, p, d)
 
 
 def test_sweep_and_curves_never_enumerate(monkeypatch, tmp_path):

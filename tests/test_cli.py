@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from wshare import cli, protocol
 from wshare.analytic import round_detection_probability
-from wshare.attacks import ATTACK_KINDS
+from wshare.attacks import ATTACK_KINDS, AttackModel
 from wshare.cli import CURVE_COLUMNS, SWEEP_COLUMNS, UsageError, _scenario_value, main
 
 from helpers import child_env
@@ -159,6 +159,29 @@ def test_sweep_matches_analytic_within_noise(capsys):
     assert float(record["analytic_success"]) == pytest.approx(1 / 3)
     stderr = float(record["success_stderr"])
     assert abs(float(record["success_rate"]) - 1 / 3) < 4 * max(stderr, 1e-3)
+
+
+# The sweep columns a row may leave empty: y outside isra, and a mean over
+# no trial (none survived, or none had a pair).
+NULLABLE_SWEEP_COLUMNS = {"y", "yield_mean", "teleport_fidelity_mean"}
+
+
+@pytest.mark.parametrize("attack", ["ema", "isra"])
+def test_sweep_records_write_numbers(attack, capsys):
+    # Every numeric column of a records row loads as a JSON number, not as
+    # its string; at d = 1 nothing survives, so both means are null.
+    y = ["--isra-y", "0.5"] if attack == "isra" else []
+    proc = call(capsys, "sweep", "--attack", attack, "--mode", "strict", *y, "--d-values", "0.5,1",
+                "--n", "5", "--trials", "100", "--seed", "10", "--format", "records")
+    assert proc.returncode == 0
+    rows = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [row["d"] for row in rows] == [0.5, 1]
+    for row in rows:
+        for column in SWEEP_COLUMNS[2:]:
+            value = row[column]
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            assert number or (value is None and column in NULLABLE_SWEEP_COLUMNS), (column, value)
+    assert rows[1]["yield_mean"] is rows[1]["teleport_fidelity_mean"] is None
 
 
 def test_sweep_honest_attack_never_detects(capsys):
@@ -514,9 +537,9 @@ def test_curves_compute_q_once_per_curve(monkeypatch, tmp_path):
     closed_form = cli.closed_form_round_detection
     calls = []
 
-    def counted(kind, mode, p, d, y):
-        calls.append((p, d, y))
-        return closed_form(kind, mode, p, d, y)
+    def counted(attack, mode, p, d):
+        calls.append((p, d, attack.y))
+        return closed_form(attack, mode, p, d)
 
     monkeypatch.setattr(cli, "closed_form_round_detection", counted)
     out = tmp_path / "curves.csv"
@@ -545,7 +568,7 @@ def test_curves_take_every_attack_and_mode(attack, mode, tmp_path):
     assert [r[0] for r in rows] == ["vary-y"] * 2 * curves + ["vary-d"] * 4 + ["vary-p"] * 4
     for panel, y, p, d, n, success in rows:
         assert (y == "") == (attack != "isra")
-        q = round_detection_probability(attack, mode, float(p), float(d), float(y) if y else None)
+        q = round_detection_probability(AttackModel(attack, float(y) if y else None), mode, float(p), float(d))
         expected = (1 - q) ** int(n)
         assert float(success) == pytest.approx(expected, abs=1e-11)
         if attack == "none" or (attack != "isra" and mode == "paper"):

@@ -1,7 +1,9 @@
 """Golden outputs: SHA-256 of small CLI invocations at fixed seeds.
 
 The hashes pin the random-stream layouts documented in :mod:`wshare.protocol`
-and every printed digit.  The three sweep hashes were last recaptured when
+and every printed digit.  ``sweep-ema-strict`` was last recaptured when
+its records came to write ``detections`` as a JSON number, not a string;
+no other byte moved.  The three sweep hashes were last recaptured when
 sweeps came to draw each trial's counts per round cell instead of its
 rounds (``multinomial(n, cells)`` per block of trials, then one imra
 uniform per teleported trial, then the teleport); ``run``,
@@ -67,7 +69,7 @@ GOLDEN = {
     "sweep-ema-strict": (
         ["sweep", "--attack", "ema", "--mode", "strict", "--n", "5", "--trials", "100",
          "--seed", "10", "--format", "records"],
-        0, "8245c1613b55c84d4665f66159b86ff55f893ef80d42d533c35d736dda11b5ce"),
+        0, "e8af1bd4cb1b30709bcb4c99d16ac827862a0e657a6c3eeb7a22ce413dfb2efa"),
     "curves": (
         ["curves", "--y-values", "0,0.5", "--d-values", "0.5", "--p-values", "0.5,1",
          "--n-values", "1,5,10", "--format", "csv"],

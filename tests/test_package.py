@@ -75,6 +75,25 @@ def test_every_public_function_is_used():
     assert unused == UNREFERENCED_ORACLES, {name: public.get(name) for name in unused}
 
 
+def test_only_the_attack_model_takes_an_attack_apart():
+    # An attack is an AttackModel everywhere: no public function or method
+    # of src/wshare (dunders included) takes an attack's kind or y as its
+    # own parameter, except the constructor that validates them once.
+    taking = set()
+    for path in sorted((ROOT / "src" / "wshare").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            owner, parts = (node.name + ".", node.body) if isinstance(node, ast.ClassDef) else ("", [node])
+            for part in parts:
+                if not isinstance(part, ast.FunctionDef):
+                    continue
+                if part.name.startswith("_") and not (part.name.startswith("__") and part.name.endswith("__")):
+                    continue
+                args = part.args.posonlyargs + part.args.args + part.args.kwonlyargs
+                if {"kind", "y"} & {arg.arg for arg in args}:
+                    taking.add(f"{path.name}: {owner}{part.name}")
+    assert taking == {"attacks.py: AttackModel.__init__"}
+
+
 def test_every_private_helper_is_used():
     # A private top-level function or class of src/wshare counts as used when
     # code in src/ names it outside its own definition; tests do not count.

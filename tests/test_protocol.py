@@ -67,7 +67,7 @@ def test_config_validation():
 
 def directed(n, d, p, seed):
     """The directives of an honest run."""
-    return run_protocol(ProtocolConfig(n=n, d=d, p=p), None, np.random.default_rng(seed)).directives
+    return run_protocol(ProtocolConfig(n=n, d=d, p=p), AttackModel("none"), np.random.default_rng(seed)).directives
 
 
 def test_select_positions_extremes():
@@ -236,11 +236,11 @@ def test_distill_positions_examples():
     # With d = 0 every round survives, so the distill positions (indices
     # among the survivors) are the pair positions themselves.
     for seed in range(5):
-        outcome = run_protocol(ProtocolConfig(n=6, d=0.0, p=0.5), None, np.random.default_rng(seed))
+        outcome = run_protocol(ProtocolConfig(n=6, d=0.0, p=0.5), AttackModel("none"), np.random.default_rng(seed))
         kept = published(outcome)[("charlie", "distill-positions")]
         assert kept == outcome.pairs.positions
         assert all(state.labels == ("a", "b") for state in outcome.pairs.states)
-    nothing = run_protocol(ProtocolConfig(n=3, d=1.0, p=0.5), None, np.random.default_rng(0))
+    nothing = run_protocol(ProtocolConfig(n=3, d=1.0, p=0.5), AttackModel("none"), np.random.default_rng(0))
     assert published(nothing)[("charlie", "distill-positions")] == ()
 
 
@@ -253,7 +253,7 @@ def test_honest_run_passes_both_modes():
         transcripts = []
         for mode in ("paper", "strict"):
             config = ProtocolConfig(n=50, d=0.5, p=0.5, checker_mode=mode)
-            outcome = run_protocol(config, None, np.random.default_rng(seed))
+            outcome = run_protocol(config, AttackModel("none"), np.random.default_rng(seed))
             assert outcome.report.verdict == "pass"
             assert not outcome.aborted
             transcripts.append(outcome.transcript)
@@ -264,14 +264,14 @@ def test_honest_run_passes_both_modes():
 
 def test_honest_yield_near_two_thirds():
     config = ProtocolConfig(n=3000, d=0.0, p=0.5)
-    outcome = run_protocol(config, None, np.random.default_rng(12))
+    outcome = run_protocol(config, AttackModel("none"), np.random.default_rng(12))
     frac = outcome.yield_fraction
     sigma = np.sqrt((2 / 9) / 3000)
     assert abs(frac - 2 / 3) < 4 * sigma
 
 
 def test_honest_pairs_are_bell_pairs():
-    outcome = run_protocol(ProtocolConfig(n=200, d=0.3, p=0.5), None, np.random.default_rng(5))
+    outcome = run_protocol(ProtocolConfig(n=200, d=0.3, p=0.5), AttackModel("none"), np.random.default_rng(5))
     want = np.zeros(4)
     want[[0b01, 0b10]] = RS2
     assert len(outcome.pairs) > 0
@@ -286,7 +286,7 @@ def published(outcome):
 
 
 def test_round_flags_after_run():
-    outcome = run_protocol(ProtocolConfig(n=30, d=0.5, p=0.5), None, np.random.default_rng(2))
+    outcome = run_protocol(ProtocolConfig(n=30, d=0.5, p=0.5), AttackModel("none"), np.random.default_rng(2))
     events = published(outcome)
     directives = outcome.directives
     assert directives and all(d.basis in (Z, X) for d in directives)
@@ -307,7 +307,7 @@ def test_round_flags_after_run():
 
 
 def test_transcript_shape():
-    outcome = run_protocol(ProtocolConfig(n=10, d=0.5, p=0.5), None, np.random.default_rng(1))
+    outcome = run_protocol(ProtocolConfig(n=10, d=0.5, p=0.5), AttackModel("none"), np.random.default_rng(1))
     kinds = [event[1] for event in outcome.transcript]
     assert kinds[0] == "mode"
     assert "directives" in kinds
@@ -330,7 +330,7 @@ def test_determinism_bit_for_bit():
 
 
 def test_no_detection_rounds_passes_vacuously():
-    outcome = run_protocol(ProtocolConfig(n=1, d=0.0, p=0.5), None, np.random.default_rng(0))
+    outcome = run_protocol(ProtocolConfig(n=1, d=0.0, p=0.5), AttackModel("none"), np.random.default_rng(0))
     assert outcome.report.verdict == "pass"
     assert outcome.directives == ()
     # the single round went to confirmation: its home outcome decides the pair
@@ -341,7 +341,7 @@ def test_no_detection_rounds_passes_vacuously():
 
 
 def test_fully_sacrificed_run_yields_nothing():
-    outcome = run_protocol(ProtocolConfig(n=4, d=1.0, p=0.5), None, np.random.default_rng(6))
+    outcome = run_protocol(ProtocolConfig(n=4, d=1.0, p=0.5), AttackModel("none"), np.random.default_rng(6))
     assert outcome.surviving_count == 0
     assert len(outcome.pairs) == 0
     assert outcome.yield_fraction is None
@@ -392,12 +392,11 @@ def test_isra_pairs_carry_stored_qubit():
 def test_run_trials_checks_its_inputs():
     config = ProtocolConfig(n=5, d=0.5, p=0.5)
     honest = run_trials(config, AttackModel("none"), 50, np.random.default_rng(3))
-    assert run_trials(config, None, 50, np.random.default_rng(3)) == honest
     assert honest.detections == 0
     for trials in (0, -3, True, 2.0, "5", None):
         with pytest.raises(ValueError):
-            run_trials(config, None, trials, np.random.default_rng(3))
-    assert run_trials(config, None, np.int64(50), np.random.default_rng(3)) == honest
+            run_trials(config, AttackModel("none"), trials, np.random.default_rng(3))
+    assert run_trials(config, AttackModel("none"), np.int64(50), np.random.default_rng(3)) == honest
 
 
 def _agree(counted, drawn):
@@ -441,8 +440,15 @@ def test_count_sampler_matches_round_draws(attack, mode):
             assert not first.any()
 
 
-@pytest.mark.parametrize("attack", [None, AttackModel("imra"), AttackModel("isra", 0.5), AttackModel("ema")],
-                         ids=lambda attack: attack.kind if attack else "honest")
+DERIVED = ("directives", "report", "pairs", "transcript")
+ATTACKS = [AttackModel("none"), AttackModel("imra"), AttackModel("isra", 0.5), AttackModel("ema")]
+
+
+def _honest_id(attack: AttackModel) -> str:
+    return "honest" if attack.kind == "none" else attack.kind
+
+
+@pytest.mark.parametrize("attack", ATTACKS, ids=_honest_id)
 def test_trial_cost_does_not_grow_with_n(attack):
     # A sweep draws counts, not rounds: a trillion rounds a trial cost what
     # ten do, and n past the int64 range numpy's counts take is refused.
@@ -466,11 +472,7 @@ def test_trial_cost_does_not_grow_with_n(attack):
 # the run view
 
 
-DERIVED = ("directives", "report", "pairs", "transcript")
-ATTACKS = [None, AttackModel("imra"), AttackModel("isra", 0.5), AttackModel("ema")]
-
-
-@pytest.mark.parametrize("attack", ATTACKS, ids=lambda attack: attack.kind if attack else "honest")
+@pytest.mark.parametrize("attack", ATTACKS, ids=_honest_id)
 def test_block_readers_build_no_derived_view(attack, monkeypatch):
     # The verdict, Eve's bits, the survivors and the teleport phase read the
     # drawn rounds themselves: no directive, report, pair set or transcript
@@ -500,7 +502,7 @@ def test_transcript_builds_each_derived_view_once(monkeypatch):
             return _build(*args)
 
         monkeypatch.setattr(protocol, name, counting)
-    outcome = run_protocol(ProtocolConfig(n=40, d=0.3, p=0.5), None, np.random.default_rng(5))
+    outcome = run_protocol(ProtocolConfig(n=40, d=0.3, p=0.5), AttackModel("none"), np.random.default_rng(5))
     assert not built
     transcript = outcome.transcript
     views = [getattr(outcome, name) for name in DERIVED]
@@ -514,7 +516,7 @@ def test_transcript_builds_each_derived_view_once(monkeypatch):
 
 def test_outcomes_compare_by_identity():
     config = ProtocolConfig(n=6, d=0.5, p=0.5)
-    first, second = (run_protocol(config, None, np.random.default_rng(2)) for _ in range(2))
+    first, second = (run_protocol(config, AttackModel("none"), np.random.default_rng(2)) for _ in range(2))
     assert first.transcript == second.transcript
     assert first == first and first != second and len({first, second}) == 2
     assert repr(first) == f"RunOutcome(config={config!r}, attack={first.attack!r})"
@@ -586,8 +588,7 @@ def test_violated_cell_is_q_by_three_routes(attack, mode):
         cells = protocol._round_cells(tables, ProtocolConfig(n=10, d=d, p=p, checker_mode=mode))
         assert cells.size == 4 + (attack.kind == "imra") and (cells >= 0).all()
         assert abs(cells.sum() - 1.0) <= 1e-15
-        for q in (closed_form_round_detection(attack.kind, mode, p, d, attack.y),
-                  round_detection_probability(attack.kind, mode, p, d, attack.y)):
+        for q in (closed_form_round_detection(attack, mode, p, d), round_detection_probability(attack, mode, p, d)):
             assert abs(cells[0] - q) <= 1e-15, (p, d, cells[0], q)
         if d < 1:
             assert abs(cells[2:-1].sum() / cells[2:].sum() - 2 / 3) <= 1e-15

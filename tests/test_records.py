@@ -97,7 +97,7 @@ def test_round_tripped_state_stays_read_only(round_trip):
 
 
 def test_classes_refuse_assignment_and_deletion():
-    outcome = run_protocol(ProtocolConfig(n=4, d=0.5, p=0.5), None, np.random.default_rng(0))
+    outcome = run_protocol(ProtocolConfig(n=4, d=0.5, p=0.5), AttackModel("none"), np.random.default_rng(0))
     for record, name in ((make_w_state(), "labels"), (outcome.config, "d"), (outcome.pairs, "states"),
                          (outcome, "home")):
         with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
