@@ -81,14 +81,20 @@ uniform per pair.
 i.i.d., so everything a sweep row reads follows from a trial's counts
 per round cell (:func:`_round_cells`, compiled from the round tables per
 call): selected and violated, selected and passing, unselected with home
-0 (one cell per Eve branch), unselected with home 1.  Per fixed block of
-:data:`_BLOCK_TRIALS` trials it draws, in this order: the counts
+0 (one cell per Eve branch), unselected with home 1.  It takes a whole
+grid of (config, attack, generator) points, and the draws stay per
+point: per fixed block of :data:`_BLOCK_TRIALS` of its trials, a point
+draws from its own generator, in this order, the counts
 (``multinomial(n, cells)``, one row per trial); under imra, one uniform
 per teleported trial for its first pair's Eve branch (:func:`_draw_counts`);
-then one teleport per trial with a pair
-(:func:`~wshare.teleport.teleport_fresh`).  The block is fixed, so
-memory stays bounded, a sweep's cost does not grow with n, and the bytes
-never depend on how grid points are spread over processes.
+then the message normals and one uniform per trial with a pair, in
+:func:`~wshare.teleport.teleport_fresh`'s layout.  Only the arithmetic
+is batched: one :func:`_round_cells` call per attack model gives the
+cells of all its points, and a batch of blocks from several points
+teleports all its rows through one :func:`~wshare.teleport.teleport_batch`.
+A batch holds at most :data:`_BLOCK_TRIALS` trials, so memory stays
+bounded; a sweep's cost does not grow with n, and the bytes never depend
+on how grid points are batched or spread over processes.
 """
 
 import enum
@@ -101,12 +107,17 @@ import numpy as np
 from .attacks import AttackModel, _check_unit, eve_recover_batch
 from .statevec import (Basis, StateVector, _branch_weights, _clamped, _Record, discard_qubit, enumerate_qubit,
                        make_w_state)
-from .teleport import TeleportBatch, _bell_kernel, teleport_fresh
+from .teleport import TeleportBatch, _bell_kernel, random_amplitudes, teleport_batch, teleport_fresh
 
 RULE_KEYS = ("z_rc0", "z_rc1", "x_rc0")
 
 # Trials in one block of counts: it bounds a sweep's arrays whatever n is.
 _BLOCK_TRIALS = 1 << 16
+# Attack models in one batch of trials: each teleport row computes the Bell maps
+# of all of them, so this bounds that work and the chunk arrays.  On 2 vCPUs,
+# 9-y isra sweeps took 0.90x the one-model time at 200 trials a point with 4,
+# and 1.02x at 10,000 (1.06x with 9).
+_BATCH_MODELS = 4
 # Bound on the memoized round tables (one per attack model).
 _TABLE_CACHE_SIZE = 64
 
@@ -478,25 +489,35 @@ class TrialStats(NamedTuple):
     fidelity_mean: float | None
 
 
-def _round_cells(tables: RoundTables, config: ProtocolConfig) -> np.ndarray:
-    """P(round cell) of one round: selected and violated, selected and
-    passing, unselected with home 0 per Eve branch, unselected with home 1.
+def _round_cells(tables: RoundTables, configs: list[ProtocolConfig]) -> np.ndarray:
+    """P(round cell) of one round at each config, one row per config:
+    selected and violated, selected and passing, unselected with home 0 per
+    Eve branch, unselected with home 1.
 
     The violated cell sums the detection leaves (home, basis, Alice, Bob)
     of the round tables, over Eve's branches, that :func:`_apply_rules`
     flags; the passing cell is the rest of d, and the home-1 cell the rest
-    of 1 (the draw takes the last cell as the remainder).
+    of 1 (the draw takes the last cell as the remainder).  One ``einsum``
+    with a leading config axis gives every config's leaves.
     """
     eve = np.ones(1) if tables.te is None else np.array((tables.te, 1.0 - tables.te))
     # P(outcome 0) and P(outcome 1) on a new first axis: an outcome is 0 below its threshold
     home, alice, bob = (np.array((t, 1.0 - t)) for t in (tables.tc, tables.ta, tables.tb))
-    leaves = np.einsum("e,ce,x,aecx,becxa->cxab", eve, home, (config.p, 1.0 - config.p), alice, bob)
+    basis = np.array([(config.p, 1.0 - config.p) for config in configs])
+    leaves = np.einsum("e,ce,px,aecx,becxa->pcxab", eve, home, basis, alice, bob)
+    d = np.array([config.d for config in configs])
+    cells = np.empty((len(configs), 3 + eve.size))
     bit = np.array([False, True])
-    rules = _apply_rules(np.True_, bit[:, None, None], bit[:, None, None, None], bit[:, None], bit,
-                         config.checker_mode)
-    caught = config.d * leaves[functools.reduce(operator.or_, (broken for _, broken in rules.values()))].sum()
-    home0 = ((1.0 - config.d) * eve * tables.tc).tolist()
-    return np.array([caught, config.d - caught, *home0, 1.0 - config.d - sum(home0)])
+    for mode in {config.checker_mode for config in configs}:
+        rules = _apply_rules(np.True_, bit[:, None, None], bit[:, None, None, None], bit[:, None], bit, mode)
+        flagged = functools.reduce(operator.or_, (broken for _, broken in rules.values()))
+        rows = [i for i, config in enumerate(configs) if config.checker_mode is mode]
+        cells[rows, 0] = leaves[rows][:, flagged].sum(axis=1)
+    cells[:, 0] *= d
+    cells[:, 1] = d - cells[:, 0]
+    cells[:, 2:-1] = (1.0 - d)[:, None] * eve * tables.tc
+    cells[:, -1] = 1.0 - d - cells[:, 2:-1].sum(axis=1)
+    return cells
 
 
 def _draw_counts(tables: RoundTables, cells: np.ndarray, n: int, rand, trials: int) -> tuple:
@@ -521,36 +542,79 @@ def _draw_counts(tables: RoundTables, cells: np.ndarray, n: int, rand, trials: i
     return aborted, surviving, pairs, first
 
 
-def run_trials(config: ProtocolConfig, attack: AttackModel, trials: int, rand: "np.random.Generator") -> TrialStats:
-    """Run ``trials`` independent protocol runs from one stream, in blocks.
+def _batches(models: list[int], trials: int):
+    """Every point's (point, trials) blocks, point by point, in batches of at
+    most :data:`_BLOCK_TRIALS` trials from at most :data:`_BATCH_MODELS`
+    attack models; ``models[i]`` is point i's model."""
+    batch, size, held = [], 0, set()
+    for index, model in enumerate(models):
+        for start in range(0, trials, _BLOCK_TRIALS):
+            block = min(_BLOCK_TRIALS, trials - start)
+            if size + block > _BLOCK_TRIALS or (model not in held and len(held) == _BATCH_MODELS):
+                yield batch
+                batch, size, held = [], 0, set()
+            batch.append((index, block))
+            size += block
+            held.add(model)
+    if batch:
+        yield batch
 
-    Each block of :data:`_BLOCK_TRIALS` trials (the last one ragged) draws
-    its trials' counts per round cell (:func:`_draw_counts`), then
-    teleports one fresh message over the first pair of each trial that has
-    one (:func:`~wshare.teleport.teleport_fresh`); a trial without a pair
-    draws nothing more.  ``trials`` must be a positive integer.  An ``n``
-    of 2^63 or more, past the counts numpy draws, raises MemoryError.
+
+def run_trials(points, trials: int) -> list[TrialStats]:
+    """Run ``trials`` independent protocol runs at each of a grid's points.
+
+    ``points`` are (config, attack, rand) triples.  Each point draws from
+    its own ``rand`` exactly what it would alone, in the module's stream
+    layout; only the arithmetic is shared: one :func:`_round_cells` call
+    per attack model, and per batch of blocks (:func:`_batches`) one
+    :func:`~wshare.teleport.teleport_batch` over its models' Bell kernels
+    side by side, each block reading its fidelities off its own slice.
+    Returns one :class:`TrialStats` per point, in order.  ``trials`` must
+    be a positive integer.  An ``n`` of 2^63 or more, past the counts numpy
+    draws, raises MemoryError.
     """
     trials = _check_length(trials, "trial count")
-    if config.n > np.iinfo(np.int64).max:
-        raise MemoryError(f"{config.n} rounds exceed the counts numpy can draw")
-    tables = _round_tables(attack)
-    cells = _round_cells(tables, config)
-    detections = yield_count = fidelity_count = 0
-    yield_sum = fidelity_sum = 0.0
-    for start in range(0, trials, _BLOCK_TRIALS):
-        aborted, surviving, pairs, first = _draw_counts(tables, cells, config.n, rand,
-                                                        min(_BLOCK_TRIALS, trials - start))
-        detections += int(np.count_nonzero(aborted))  # a plain int, which JSON writes as a number
-        counted = ~aborted & (surviving > 0)
-        yield_sum += float((pairs[counted] / surviving[counted]).sum())
-        yield_count += np.count_nonzero(counted)
-        if first.size:  # an empty teleport draws nothing
-            _, batch = teleport_fresh(tables.kernels, first, rand)
-            fidelity_sum += float(batch.fidelities.sum())
-            fidelity_count += first.size
-    return TrialStats(
-        detections=detections,
-        yield_mean=yield_sum / yield_count if yield_count else None,
-        fidelity_mean=fidelity_sum / fidelity_count if fidelity_count else None,
-    )
+    points = list(points)
+    for config, _, _ in points:
+        if config.n > np.iinfo(np.int64).max:
+            raise MemoryError(f"{config.n} rounds exceed the counts numpy can draw")
+    slots: dict[AttackModel, int] = {}
+    models = [slots.setdefault(attack, len(slots)) for _, attack, _ in points]
+    tables = list(map(_round_tables, slots))
+    members: list[list[int]] = [[] for _ in slots]
+    for index, model in enumerate(models):
+        members[model].append(index)
+    cells = [None] * len(points)
+    for model, indices in enumerate(members):
+        for index, row in zip(indices, _round_cells(tables[model], [points[i][0] for i in indices])):
+            cells[index] = row
+    totals = [[0, 0.0, 0, 0.0, 0] for _ in points]  # detections, yield sum and count, fidelity sum and count
+    for batch in _batches(models, trials):
+        # rest labels -> the batch's kernels of that layout, each model's node offset in them, and
+        # each block's teleports; a sweep has one layout
+        layouts: dict[tuple[str, ...], tuple[list, dict, list]] = {}
+        for index, block in batch:
+            (config, _, rand), model, total = points[index], models[index], totals[index]
+            aborted, surviving, pairs, first = _draw_counts(tables[model], cells[index], config.n, rand, block)
+            total[0] += int(np.count_nonzero(aborted))  # a plain int, which JSON writes as a number
+            counted = ~aborted & (surviving > 0)
+            total[1] += float((pairs[counted] / surviving[counted]).sum())
+            total[2] += int(np.count_nonzero(counted))
+            if first.size:  # an empty teleport draws nothing
+                kernel, labels = tables[model].kernels
+                kernels, offsets, rows = layouts.setdefault(labels, ([], {}, []))
+                if model not in offsets:
+                    offsets[model] = sum(k.shape[1] for k in kernels) // (4 << len(labels))
+                    kernels.append(kernel)
+                rows.append((index, offsets[model] + first.astype(np.intp),
+                             random_amplitudes(rand, first.size), rand.random(first.size)))
+        for labels, (kernels, _, rows) in layouts.items():
+            indices, which, messages, draws = zip(*rows)
+            fidelities = teleport_batch(np.concatenate(messages), (np.concatenate(kernels, axis=1), labels),
+                                        np.concatenate(which), np.concatenate(draws)).fidelities
+            for index, part in zip(indices, np.split(fidelities, np.cumsum([w.size for w in which[:-1]]))):
+                totals[index][3] += float(part.sum())
+                totals[index][4] += part.size
+    return [TrialStats(detections, yield_sum / yield_count if yield_count else None,
+                       fidelity_sum / fidelity_count if fidelity_count else None)
+            for detections, yield_sum, yield_count, fidelity_sum, fidelity_count in totals]

@@ -138,12 +138,10 @@ def _bell_kernel(*pairs: StateVector) -> tuple[np.ndarray, tuple[str, ...]]:
     alice, bob = pairs[0].axis("a"), pairs[0].axis("b")
     rest = pairs[0].labels[:alice] + pairs[0].labels[alice + 1:]
     bob -= bob > alice  # Bob's position in the rest
-    kernel = np.empty((2, len(pairs), 4, 1 << len(rest)), dtype=complex)
-    for e, pair in enumerate(pairs):
-        channel = pair._rows(alice)
-        for k, (correction, mat) in enumerate(zip(_corrections()[1], _BELL_MATRICES)):
-            collapsed = (mat.conj() @ channel).reshape(2, 1 << bob, 2, -1)
-            kernel[:, e, k] = np.einsum("cb,ixby->ixcy", correction, collapsed).reshape(2, -1)
+    channels = np.stack([pair._rows(alice) for pair in pairs]).reshape(len(pairs), 2, 1 << bob, 2, -1)
+    # Bell matrices and corrections have one nonzero entry per row, so each
+    # entry is one product, whatever order the sum over Alice and Bob takes
+    kernel = np.einsum("kma,eaxby,kcb->mekxcy", np.conj(_BELL_MATRICES), channels, _corrections()[1])
     kernel = kernel.reshape(2, -1)
     kernel.flags.writeable = False
     return kernel, rest

@@ -14,7 +14,7 @@ import numpy as np
 
 from wshare.analytic import closed_form_round_detection, round_detection_probability
 from wshare.attacks import AttackModel, eve_recover_attempt
-from wshare.cli import _sweep_point
+from wshare.cli import _sweep_rows
 from wshare.protocol import ProtocolConfig, run_protocol
 from wshare.statevec import (
     Basis,
@@ -94,8 +94,8 @@ def test_criterion_04_isra_analytic_match():
     n = 10
     start = time.perf_counter()
     failures = []
-    for index, (y, p, d) in enumerate(grid):
-        row = _sweep_point(("isra", "paper", y, p, d, n, trials, 20_04, index))
+    rows = _sweep_rows("isra", "paper", trials, 20_04, [(index, y, p, d, n) for index, (y, p, d) in enumerate(grid)])
+    for row, (y, p, d) in zip(rows, grid, strict=True):
         predicted = (1 - closed_form_round_detection(AttackModel("isra", y), "paper", p, d)) ** n
         stderr = np.sqrt(predicted * (1.0 - predicted) / trials)
         gap = abs(row["success_rate"] - predicted)

@@ -232,6 +232,22 @@ def test_sweep_across_blocks_is_identical_under_workers(tmp_path):
     assert all(float(row["yield_mean"]) == pytest.approx(2 / 3, abs=0.01) for row in rows)
 
 
+def test_sweep_pool_shares_match_one_call(tmp_path, monkeypatch):
+    # Three points over two workers: each worker makes one run_trials call
+    # over its contiguous share (one point, then two), and the rows are
+    # those of one call over the whole grid in this process.
+    trials = 2 * cli._TRIALS_PER_WORKER // 3 + 1
+    base = ["sweep", "--attack", "isra", "--y-values", "0,0.5,1", "--n", "3", "--trials", str(trials),
+            "--seed", "8", "--format", "csv"]
+    assert 3 * trials // cli._TRIALS_PER_WORKER == 2  # enough work for a 2-process pool
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
+    assert main([*base, "--out", str(serial)]) == 0
+    assert main([*base, "--workers", "2", "--out", str(parallel)]) == 0
+    assert serial.read_bytes() == parallel.read_bytes()
+    assert len(serial.read_text().splitlines()) == 4
+
+
 @pytest.mark.parametrize("flag,value", [("--y-values", "-0,0.5"), ("--p-values", "-0.5,1"),
                                         ("--d-values", "-0"), ("--n-values", "-2,3")])
 def test_grid_value_with_a_leading_minus_reads_as_joined(flag, value, tmp_path, capsys):

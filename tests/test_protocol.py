@@ -25,6 +25,7 @@ from wshare.protocol import (
     teleport_pairs,
 )
 from wshare.statevec import Basis, enumerate_qubit, make_w_state
+from wshare.teleport import teleport_batch
 
 RS2 = 1 / np.sqrt(2)
 
@@ -391,12 +392,59 @@ def test_isra_pairs_carry_stored_qubit():
 
 def test_run_trials_checks_its_inputs():
     config = ProtocolConfig(n=5, d=0.5, p=0.5)
-    honest = run_trials(config, AttackModel("none"), 50, np.random.default_rng(3))
+    [honest] = run_trials([(config, AttackModel("none"), np.random.default_rng(3))], 50)
     assert honest.detections == 0
     for trials in (0, -3, True, 2.0, "5", None):
         with pytest.raises(ValueError):
-            run_trials(config, AttackModel("none"), trials, np.random.default_rng(3))
-    assert run_trials(config, AttackModel("none"), np.int64(50), np.random.default_rng(3)) == honest
+            run_trials([(config, AttackModel("none"), np.random.default_rng(3))], trials)
+    assert run_trials([(config, AttackModel("none"), np.random.default_rng(3))], np.int64(50)) == [honest]
+
+
+GRIDS = {
+    # three isra models: one batch teleports through their three kernels side by side
+    "isra-y-grid": ([(ProtocolConfig(n=10, d=0.5, p=0.5), AttackModel("isra", y)) for y in (0.0, 0.5, 1.0)], 600),
+    # the d = 1 points select every round, so they have no pairs and no teleport rows
+    "imra-grid-with-d1": ([(ProtocolConfig(n=n, d=d, p=p, checker_mode="strict"), AttackModel("imra"))
+                           for p in (0.0, 0.5) for d in (0.5, 1.0) for n in (1, 2, 4)], 400),
+    # with 256-trial blocks, 600 trials are two full blocks and a ragged one at every point;
+    # at d = 0 and n = 40 every trial has a pair, so a full block is a full teleport
+    "past-one-block": ([(ProtocolConfig(n=40, d=0.0, p=0.5), AttackModel("ema")),
+                        (ProtocolConfig(n=5, d=0.2, p=0.5), AttackModel("imra")),
+                        (ProtocolConfig(n=40, d=0.0, p=0.5), AttackModel("none"))], 600),
+}
+
+
+@pytest.mark.parametrize("case", GRIDS)
+def test_grid_call_matches_one_point_calls(case, monkeypatch):
+    # One call over a grid shares the arithmetic of its points, never their
+    # draws: each point's stats and its stream's next draw are those of a
+    # call with that point alone, and no teleport takes more rows than a
+    # block holds trials.
+    if case == "past-one-block":
+        monkeypatch.setattr(protocol, "_BLOCK_TRIALS", 256)
+    grid, trials = GRIDS[case]
+    calls = []
+
+    def recorded(messages, kernels, which, draws):
+        calls.append((len(draws), kernels[0].shape[1] // (4 << len(kernels[1]))))
+        return teleport_batch(messages, kernels, which, draws)
+
+    monkeypatch.setattr(protocol, "teleport_batch", recorded)
+    rands = [np.random.default_rng((11, index)) for index in range(len(grid))]
+    together = run_trials([(config, attack, rand) for (config, attack), rand in zip(grid, rands)], trials)
+    batched = calls[:]
+    for index, (config, attack) in enumerate(grid):
+        alone = np.random.default_rng((11, index))
+        assert run_trials([(config, attack, alone)], trials) == [together[index]], index
+        assert rands[index].random() == alone.random(), index
+    assert len(together) == len(grid) and all(rows <= protocol._BLOCK_TRIALS for rows, _ in calls)
+    if case == "isra-y-grid":
+        assert batched == [(batched[0][0], 3)]  # one teleport, through three stacked nodes
+    elif case == "imra-grid-with-d1":
+        assert len(batched) == 1
+        assert [stats.fidelity_mean is None for stats in together] == [config.d == 1.0 for config, _ in grid]
+    else:
+        assert max(rows for rows, _ in batched) == 256
 
 
 def _agree(counted, drawn):
@@ -421,7 +469,7 @@ def test_count_sampler_matches_round_draws(attack, mode):
     for n, p, d in [(1, 0.5, 0.0), (4, 0.5, 0.4), (30, 0.3, 0.1), (200, 0.9, 0.01)]:
         config = ProtocolConfig(n=n, d=d, p=p, checker_mode=mode)
         aborted, surviving, pairs, first = protocol._draw_counts(
-            tables, protocol._round_cells(tables, config), n, np.random.default_rng(n), trials)
+            tables, protocol._round_cells(tables, [config])[0], n, np.random.default_rng(n), trials)
         run = run_protocol(ProtocolConfig(n=trials * n, d=d, p=p, checker_mode=mode), attack,
                            np.random.default_rng(n + 1))
         eve, selected, home, violated = (a.reshape(trials, n) for a in
@@ -453,19 +501,19 @@ def test_trial_cost_does_not_grow_with_n(attack):
     # A sweep draws counts, not rounds: a trillion rounds a trial cost what
     # ten do, and n past the int64 range numpy's counts take is refused.
     config = ProtocolConfig(n=10 ** 12, d=0.5, p=0.5)
-    run_trials(config, attack, 10, np.random.default_rng(0))  # compiles the round tables
+    run_trials([(config, attack, np.random.default_rng(0))], 10)  # compiles the round tables
     tracemalloc.start()
     try:
-        stats = run_trials(config, attack, 1000, np.random.default_rng(1))
+        [stats] = run_trials([(config, attack, np.random.default_rng(1))], 1000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
     assert stats.yield_mean is None or abs(stats.yield_mean - 2 / 3) < 1e-3
     largest = ProtocolConfig(n=2 ** 63 - 1, d=0.5, p=0.5)
-    assert run_trials(largest, attack, 100, np.random.default_rng(2)).detections in (0, 100)
+    assert run_trials([(largest, attack, np.random.default_rng(2))], 100)[0].detections in (0, 100)
     with pytest.raises(MemoryError):
-        run_trials(ProtocolConfig(n=2 ** 63, d=0.5, p=0.5), attack, 100, np.random.default_rng(2))
+        run_trials([(ProtocolConfig(n=2 ** 63, d=0.5, p=0.5), attack, np.random.default_rng(2))], 100)
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +633,7 @@ def test_violated_cell_is_q_by_three_routes(attack, mode):
     # exactly 2/3 under every attack.
     tables = protocol._round_tables(attack)
     for p, d in [(0.5, 0.5), (0.3, 0.7), (1.0, 1.0), (0.0, 0.25), (0.9, 0.05)]:
-        cells = protocol._round_cells(tables, ProtocolConfig(n=10, d=d, p=p, checker_mode=mode))
+        [cells] = protocol._round_cells(tables, [ProtocolConfig(n=10, d=d, p=p, checker_mode=mode)])
         assert cells.size == 4 + (attack.kind == "imra") and (cells >= 0).all()
         assert abs(cells.sum() - 1.0) <= 1e-15
         for q in (closed_form_round_detection(attack, mode, p, d), round_detection_probability(attack, mode, p, d)):
@@ -609,8 +657,8 @@ def test_sampled_yield_mean_is_exact(attack, mode):
     home0 = sum(w * enumerate_qubit(root, "c", Basis.Z)[0].probability for w, root in zip(weights, roots))
     assert abs(home0 - 2 / 3) <= 1e-12
     n, d, trials = 20, 0.3, 20_000
-    stats = run_trials(ProtocolConfig(n=n, d=d, p=0.5, checker_mode=mode), attack, trials,
-                       np.random.default_rng(7))
+    [stats] = run_trials([(ProtocolConfig(n=n, d=d, p=0.5, checker_mode=mode), attack, np.random.default_rng(7))],
+                         trials)
     s = np.arange(1, n + 1)
     weight = np.array([math.comb(n, k) for k in s.tolist()]) * (1 - d) ** s * d ** (n - s)  # P(s), s ~ Bin(n, 1 - d)
     sigma = np.sqrt(2 / 9 * (weight / s).sum() / weight.sum() / (trials - stats.detections))
@@ -624,8 +672,8 @@ def test_sampled_bob_fidelity_mean_is_exact(attack, mode):
     # its one round is a pair, and yield_mean is the share of such trials.
     # Fidelities lie in [0, 1], so 1/(2 sqrt(N)) bounds the mean's spread.
     trials = 20_000
-    stats = run_trials(ProtocolConfig(n=1, d=0.0, p=0.5, checker_mode=mode), attack, trials,
-                       np.random.default_rng(7))
+    [stats] = run_trials([(ProtocolConfig(n=1, d=0.0, p=0.5, checker_mode=mode), attack, np.random.default_rng(7))],
+                         trials)
     teleported = round(stats.yield_mean * trials)
     assert stats.detections == 0 and teleported > trials // 2
     assert abs(stats.fidelity_mean - BOB_MEAN[attack.kind]) <= 4 / (2 * np.sqrt(teleported))
