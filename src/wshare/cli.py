@@ -64,7 +64,7 @@ from .attacks import ATTACK_KINDS, AttackModel
 from .protocol import (CheckerMode, ProtocolConfig, _check_addressable, _round_tables, run_protocol, run_trials,
                        teleport_pairs)
 from .statevec import BELL_NAMES
-from .teleport import build_correction_table, teleport_fresh
+from .teleport import build_correction_table, teleport_batch, teleport_draws
 
 
 class UsageError(Exception):
@@ -532,8 +532,8 @@ def cmd_teleport_demo(cfg: argparse.Namespace) -> int:
             for name, correction in table.items()]
     kernels = _round_tables(AttackModel(cfg.attack)).kernels
     _check_addressable(cfg.trials, 64)  # the widest row of a message batch: an ema residual
-    messages, batch = teleport_fresh(kernels, np.zeros(cfg.trials, dtype=np.intp),
-                                     np.random.default_rng(cfg.seed))
+    messages, draws = teleport_draws(np.random.default_rng(cfg.seed), cfg.trials)
+    batch = teleport_batch(messages, kernels, np.zeros(cfg.trials, dtype=np.intp), draws)
     for (a, b), k, fidelity in zip(messages.tolist(), batch.outcomes.tolist(), batch.fidelities.tolist()):
         expected = 1.0 if cfg.attack == "none" else abs(a) ** 4 + abs(b) ** 4
         rows.append(dict(zip(DEMO_COLUMNS, ("trial", BELL_NAMES[k], table[BELL_NAMES[k]], a, b,

@@ -73,9 +73,9 @@ Eve (n uniforms), for imra only; selection (n); basis (n); round uniforms
 (n, 3): home, Alice, Bob.  Each home qubit is measured once, so a round
 reads its home result from column 0, selected or not.  Every array is
 drawn whole, whatever ``d`` and ``p`` are; the run keeps its rounds on
-its outcome.  Its teleport phase (:func:`teleport_pairs`) goes through
-:func:`~wshare.teleport.teleport_fresh`: all message normals, then one
-uniform per pair.
+its outcome.  Its teleport phase (:func:`teleport_pairs`) draws in
+:func:`~wshare.teleport.teleport_draws`' layout: all message normals, then
+one uniform per pair.
 
 :func:`run_trials`, the Monte Carlo view, draws no rounds.  Rounds are
 i.i.d., so everything a sweep row reads follows from a trial's counts
@@ -88,13 +88,14 @@ draws from its own generator, in this order, the counts
 (``multinomial(n, cells)``, one row per trial); under imra, one uniform
 per teleported trial for its first pair's Eve branch (:func:`_draw_counts`);
 then the message normals and one uniform per trial with a pair, in
-:func:`~wshare.teleport.teleport_fresh`'s layout.  Only the arithmetic
-is batched: one :func:`_round_cells` call per attack model gives the
-cells of all its points, and a batch of blocks from several points
-teleports all its rows through one :func:`~wshare.teleport.teleport_batch`.
-A batch holds at most :data:`_BLOCK_TRIALS` trials, so memory stays
-bounded; a sweep's cost does not grow with n, and the bytes never depend
-on how grid points are batched or spread over processes.
+:func:`~wshare.teleport.teleport_draws`' layout.  Only the arithmetic is
+batched, one attack model at a time: one :func:`_round_cells` call gives
+the cells of all its points, and its points' blocks teleport in batches
+through one :func:`~wshare.teleport.teleport_batch` over that model's
+kernel.  One attack model per batch, at most 2^16 trials
+(:data:`_BLOCK_TRIALS`), so memory stays bounded; a sweep's cost does not
+grow with n, and the bytes never depend on how grid points are batched or
+spread over processes.
 """
 
 import enum
@@ -107,19 +108,16 @@ import numpy as np
 from .attacks import AttackModel, _check_unit, eve_recover_batch
 from .statevec import (Basis, StateVector, _branch_weights, _clamped, _Record, discard_qubit, enumerate_qubit,
                        make_w_state)
-from .teleport import TeleportBatch, _bell_kernel, random_amplitudes, teleport_batch, teleport_fresh
+from .teleport import TeleportBatch, _bell_kernel, teleport_batch, teleport_draws
 
 RULE_KEYS = ("z_rc0", "z_rc1", "x_rc0")
 
-# Trials in one block of counts: it bounds a sweep's arrays whatever n is.
+# Trials in one block of counts, and in one batch of teleports: it bounds a
+# sweep's arrays whatever n is.
 _BLOCK_TRIALS = 1 << 16
-# Attack models in one batch of trials: each teleport row computes the Bell maps
-# of all of them, so this bounds that work and the chunk arrays.  On 2 vCPUs,
-# 9-y isra sweeps took 0.90x the one-model time at 200 trials a point with 4,
-# and 1.02x at 10,000 (1.06x with 9).
-_BATCH_MODELS = 4
-# Bound on the memoized round tables (one per attack model).
-_TABLE_CACHE_SIZE = 64
+# Bound on the memoized round tables (one per attack model, about 2.8 KB each):
+# a 100-point y-grid compiles each of its models once, however often it runs.
+_TABLE_CACHE_SIZE = 1024
 
 
 class CheckerMode(enum.Enum):
@@ -461,7 +459,7 @@ def teleport_pairs(outcome: RunOutcome, rand: "np.random.Generator"
     """Teleport one fresh random message over every distilled pair of a run.
 
     ``outcome`` is what :func:`run_protocol` returned, and ``rand``
-    continues its stream through :func:`~wshare.teleport.teleport_fresh`:
+    continues its stream through :func:`~wshare.teleport.teleport_draws`:
     all the message normals, then one uniform per pair.  Each pair goes
     through its Eve branch's block of the round tables' kernel, read off
     the run's ``eve`` array: Eve's bit on its round under imra, 0
@@ -469,7 +467,8 @@ def teleport_pairs(outcome: RunOutcome, rand: "np.random.Generator"
     when an attack was active (else ``None``).
     """
     attack, which = outcome.attack, outcome.eve[outcome._pair_mask]
-    messages, batch = teleport_fresh(_round_tables(attack).kernels, which, rand)
+    messages, draws = teleport_draws(rand, which.size)
+    batch = teleport_batch(messages, _round_tables(attack).kernels, which, draws)
     if attack.kind == "none":
         return batch, None
     return batch, eve_recover_batch(attack, which, batch, messages)
@@ -542,20 +541,18 @@ def _draw_counts(tables: RoundTables, cells: np.ndarray, n: int, rand, trials: i
     return aborted, surviving, pairs, first
 
 
-def _batches(models: list[int], trials: int):
-    """Every point's (point, trials) blocks, point by point, in batches of at
-    most :data:`_BLOCK_TRIALS` trials from at most :data:`_BATCH_MODELS`
-    attack models; ``models[i]`` is point i's model."""
-    batch, size, held = [], 0, set()
-    for index, model in enumerate(models):
+def _batches(indices: list[int], trials: int):
+    """The (point, trials) blocks of points ``indices``, point by point, in
+    batches of at most :data:`_BLOCK_TRIALS` trials."""
+    batch, size = [], 0
+    for index in indices:
         for start in range(0, trials, _BLOCK_TRIALS):
             block = min(_BLOCK_TRIALS, trials - start)
-            if size + block > _BLOCK_TRIALS or (model not in held and len(held) == _BATCH_MODELS):
+            if size + block > _BLOCK_TRIALS:
                 yield batch
-                batch, size, held = [], 0, set()
+                batch, size = [], 0
             batch.append((index, block))
             size += block
-            held.add(model)
     if batch:
         yield batch
 
@@ -565,56 +562,44 @@ def run_trials(points, trials: int) -> list[TrialStats]:
 
     ``points`` are (config, attack, rand) triples.  Each point draws from
     its own ``rand`` exactly what it would alone, in the module's stream
-    layout; only the arithmetic is shared: one :func:`_round_cells` call
-    per attack model, and per batch of blocks (:func:`_batches`) one
-    :func:`~wshare.teleport.teleport_batch` over its models' Bell kernels
-    side by side, each block reading its fidelities off its own slice.
+    layout; only the arithmetic is shared, one attack model at a time: one
+    :func:`_round_cells` call over the model's points, and per batch of
+    their blocks (:func:`_batches`: one attack model per batch, at most
+    2^16 trials) one :func:`~wshare.teleport.teleport_batch` over the
+    model's kernel, each block reading its fidelities off its own slice.
     Returns one :class:`TrialStats` per point, in order.  ``trials`` must
     be a positive integer.  An ``n`` of 2^63 or more, past the counts numpy
     draws, raises MemoryError.
     """
     trials = _check_length(trials, "trial count")
     points = list(points)
-    for config, _, _ in points:
+    members: dict[AttackModel, list[int]] = {}
+    for index, (config, attack, _) in enumerate(points):
         if config.n > np.iinfo(np.int64).max:
             raise MemoryError(f"{config.n} rounds exceed the counts numpy can draw")
-    slots: dict[AttackModel, int] = {}
-    models = [slots.setdefault(attack, len(slots)) for _, attack, _ in points]
-    tables = list(map(_round_tables, slots))
-    members: list[list[int]] = [[] for _ in slots]
-    for index, model in enumerate(models):
-        members[model].append(index)
-    cells = [None] * len(points)
-    for model, indices in enumerate(members):
-        for index, row in zip(indices, _round_cells(tables[model], [points[i][0] for i in indices])):
-            cells[index] = row
+        members.setdefault(attack, []).append(index)
     totals = [[0, 0.0, 0, 0.0, 0] for _ in points]  # detections, yield sum and count, fidelity sum and count
-    for batch in _batches(models, trials):
-        # rest labels -> the batch's kernels of that layout, each model's node offset in them, and
-        # each block's teleports; a sweep has one layout
-        layouts: dict[tuple[str, ...], tuple[list, dict, list]] = {}
-        for index, block in batch:
-            (config, _, rand), model, total = points[index], models[index], totals[index]
-            aborted, surviving, pairs, first = _draw_counts(tables[model], cells[index], config.n, rand, block)
-            total[0] += int(np.count_nonzero(aborted))  # a plain int, which JSON writes as a number
-            counted = ~aborted & (surviving > 0)
-            total[1] += float((pairs[counted] / surviving[counted]).sum())
-            total[2] += int(np.count_nonzero(counted))
-            if first.size:  # an empty teleport draws nothing
-                kernel, labels = tables[model].kernels
-                kernels, offsets, rows = layouts.setdefault(labels, ([], {}, []))
-                if model not in offsets:
-                    offsets[model] = sum(k.shape[1] for k in kernels) // (4 << len(labels))
-                    kernels.append(kernel)
-                rows.append((index, offsets[model] + first.astype(np.intp),
-                             random_amplitudes(rand, first.size), rand.random(first.size)))
-        for labels, (kernels, _, rows) in layouts.items():
-            indices, which, messages, draws = zip(*rows)
-            fidelities = teleport_batch(np.concatenate(messages), (np.concatenate(kernels, axis=1), labels),
-                                        np.concatenate(which), np.concatenate(draws)).fidelities
-            for index, part in zip(indices, np.split(fidelities, np.cumsum([w.size for w in which[:-1]]))):
-                totals[index][3] += float(part.sum())
-                totals[index][4] += part.size
+    for attack, indices in members.items():
+        tables = _round_tables(attack)
+        cells = dict(zip(indices, _round_cells(tables, [points[index][0] for index in indices])))
+        for batch in _batches(indices, trials):
+            blocks = []  # each teleporting block's point, its pairs' Eve branches and its draws
+            for index, block in batch:
+                (config, _, rand), total = points[index], totals[index]
+                aborted, surviving, pairs, first = _draw_counts(tables, cells[index], config.n, rand, block)
+                total[0] += int(np.count_nonzero(aborted))  # a plain int, which JSON writes as a number
+                counted = ~aborted & (surviving > 0)
+                total[1] += float((pairs[counted] / surviving[counted]).sum())
+                total[2] += int(np.count_nonzero(counted))
+                if first.size:  # an empty teleport draws nothing
+                    blocks.append((index, first, *teleport_draws(rand, first.size)))
+            if blocks:
+                owners, which, messages, draws = zip(*blocks)
+                fidelities = teleport_batch(np.concatenate(messages), tables.kernels, np.concatenate(which),
+                                            np.concatenate(draws)).fidelities
+                for index, part in zip(owners, np.split(fidelities, np.cumsum([w.size for w in which[:-1]]))):
+                    totals[index][3] += float(part.sum())
+                    totals[index][4] += part.size
     return [TrialStats(detections, yield_sum / yield_count if yield_count else None,
                        fidelity_sum / fidelity_count if fidelity_count else None)
             for detections, yield_sum, yield_count, fidelity_sum, fidelity_count in totals]

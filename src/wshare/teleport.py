@@ -13,10 +13,11 @@ A correction's one form is its read-only real 2x2 matrix in ``CORRECTIONS``.
 message amplitudes to the rest of the register with Bob's correction
 already applied, so an attempt is one matrix product and never builds the
 joint register.  The protocol's round tables hold one kernel array per
-attack, its pairs side by side, and a block of rows is one ``matmul``.
-:func:`teleport` is one row of a batch, and :func:`teleport_fresh` draws
-every other teleport.  :func:`teleport_branches` stays the scalar
-four-branch oracle, built from :func:`~wshare.statevec.enumerate_bell`.
+attack, its pairs side by side, and a block of rows is one ``matmul``; a
+sweep teleports one attack model per batch, at most 2^16 trials.
+:func:`teleport` is one row of a batch; :func:`teleport_draws` draws the
+messages and uniforms of every other.  :func:`teleport_branches` stays the
+scalar four-branch oracle, built from :func:`~wshare.statevec.enumerate_bell`.
 In every pair register Alice's qubit is ``"a"`` and Bob's ``"b"``.
 
 The module also provides the exact four-branch decomposition of a
@@ -225,12 +226,10 @@ def teleport_batch(
                          qubit_fidelities(residuals, labels, "b", messages))
 
 
-def teleport_fresh(kernels, which: np.ndarray, rand: "np.random.Generator") -> tuple[np.ndarray, TeleportBatch]:
-    """A fresh random message through pair ``which[t]`` of ``kernels`` per row: the one
-    teleport draw layout, all message normals (:func:`random_amplitudes`),
-    then one uniform per row.  Returns the (T, 2) messages and the batch."""
-    messages = random_amplitudes(rand, len(which))
-    return messages, teleport_batch(messages, kernels, which, rand.random(len(which)))
+def teleport_draws(rand: "np.random.Generator", count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (count, 2) messages and ``count`` uniforms of :func:`teleport_batch`,
+    in the one teleport draw layout: all message normals, then one uniform per row."""
+    return random_amplitudes(rand, count), rand.random(count)
 
 
 def qubit_fidelities(amplitudes: np.ndarray, labels: tuple[str, ...], q: str,

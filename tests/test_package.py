@@ -94,17 +94,26 @@ def test_only_the_attack_model_takes_an_attack_apart():
     assert taking == {"attacks.py: AttackModel.__init__"}
 
 
+def defined_in(node) -> set[str]:
+    """The names a top-level statement defines: a function's or class's, or
+    the plain name an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return {node.name}
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target] if isinstance(node, ast.AnnAssign) else []
+    return {target.id for target in targets if isinstance(target, ast.Name)}
+
+
 def test_every_private_helper_is_used():
-    # A private top-level function or class of src/wshare counts as used when
-    # code in src/ names it outside its own definition; tests do not count.
+    # A private top-level function, class or module constant of src/wshare
+    # counts as used when code in src/ names it outside its own definition;
+    # tests do not count.
     private, named = {}, set()
     for path in sorted((ROOT / "src" / "wshare").glob("*.py")):
         for node in ast.parse(path.read_text()).body:
-            own = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else ""
-            if own.startswith("_"):
-                private[own] = path.name
-            named |= named_in(node) - {own}
-    assert len(private) >= 30  # the walk sees the helpers
+            own = defined_in(node)
+            private |= {name: path.name for name in own if name.startswith("_") and not name.endswith("__")}
+            named |= named_in(node) - own
+    assert len(private) >= 45 and {"_BLOCK_TRIALS", "_BATCH_ROWS"} <= set(private)  # the walk sees both kinds
     assert not set(private) - named, {name: private[name] for name in set(private) - named}
 
 

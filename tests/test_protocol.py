@@ -401,7 +401,7 @@ def test_run_trials_checks_its_inputs():
 
 
 GRIDS = {
-    # three isra models: one batch teleports through their three kernels side by side
+    # three isra models: three teleports, each through its own model's one node
     "isra-y-grid": ([(ProtocolConfig(n=10, d=0.5, p=0.5), AttackModel("isra", y)) for y in (0.0, 0.5, 1.0)], 600),
     # the d = 1 points select every round, so they have no pairs and no teleport rows
     "imra-grid-with-d1": ([(ProtocolConfig(n=n, d=d, p=p, checker_mode="strict"), AttackModel("imra"))
@@ -411,6 +411,11 @@ GRIDS = {
     "past-one-block": ([(ProtocolConfig(n=40, d=0.0, p=0.5), AttackModel("ema")),
                         (ProtocolConfig(n=5, d=0.2, p=0.5), AttackModel("imra")),
                         (ProtocolConfig(n=40, d=0.0, p=0.5), AttackModel("none"))], 600),
+    # models interleave across two rest layouts: the points run model by model, not in grid order
+    "interleaved-models": ([(ProtocolConfig(n=10, d=0.3, p=0.5), AttackModel("isra", 0.5)),
+                            (ProtocolConfig(n=10, d=0.3, p=0.5), AttackModel("ema")),
+                            (ProtocolConfig(n=20, d=0.1, p=1.0, checker_mode="strict"), AttackModel("isra", 0.5)),
+                            (ProtocolConfig(n=10, d=0.3, p=0.5), AttackModel("none"))], 300),
 }
 
 
@@ -418,15 +423,17 @@ GRIDS = {
 def test_grid_call_matches_one_point_calls(case, monkeypatch):
     # One call over a grid shares the arithmetic of its points, never their
     # draws: each point's stats and its stream's next draw are those of a
-    # call with that point alone, and no teleport takes more rows than a
-    # block holds trials.
+    # call with that point alone, no teleport takes more rows than a block
+    # holds trials, and each teleport goes through one attack model's kernel.
     if case == "past-one-block":
         monkeypatch.setattr(protocol, "_BLOCK_TRIALS", 256)
     grid, trials = GRIDS[case]
+    kernels_of = {attack: protocol._round_tables(attack).kernels for _, attack in grid}
     calls = []
 
     def recorded(messages, kernels, which, draws):
-        calls.append((len(draws), kernels[0].shape[1] // (4 << len(kernels[1]))))
+        [owner] = [attack for attack, own in kernels_of.items() if own is kernels]
+        calls.append((len(draws), owner, kernels[0].shape[1] // (4 << len(kernels[1]))))
         return teleport_batch(messages, kernels, which, draws)
 
     monkeypatch.setattr(protocol, "teleport_batch", recorded)
@@ -437,14 +444,35 @@ def test_grid_call_matches_one_point_calls(case, monkeypatch):
         alone = np.random.default_rng((11, index))
         assert run_trials([(config, attack, alone)], trials) == [together[index]], index
         assert rands[index].random() == alone.random(), index
-    assert len(together) == len(grid) and all(rows <= protocol._BLOCK_TRIALS for rows, _ in calls)
+    assert len(together) == len(grid) and all(rows <= protocol._BLOCK_TRIALS for rows, _, _ in calls)
     if case == "isra-y-grid":
-        assert batched == [(batched[0][0], 3)]  # one teleport, through three stacked nodes
+        assert [(owner, nodes) for _, owner, nodes in batched] == [(attack, 1) for _, attack in grid]
     elif case == "imra-grid-with-d1":
         assert len(batched) == 1
         assert [stats.fidelity_mean is None for stats in together] == [config.d == 1.0 for config, _ in grid]
+    elif case == "interleaved-models":
+        assert [owner for _, owner, _ in batched] == [AttackModel("isra", 0.5), AttackModel("ema"), AttackModel("none")]
     else:
-        assert max(rows for rows, _ in batched) == 256
+        assert max(rows for rows, _, _ in batched) == 256
+
+
+def test_a_second_y_grid_call_compiles_no_table(monkeypatch):
+    # The round-table cache holds every model of a 100-point y-grid, so an
+    # identical second call compiles none of them again.
+    compiled = []
+
+    def counted(*branches):
+        compiled.append(branches)
+        return compile_tables(*branches)
+
+    compile_tables = protocol._compile_tables
+    monkeypatch.setattr(protocol, "_compile_tables", counted)
+    protocol._round_tables.cache_clear()
+    config = ProtocolConfig(n=10, d=0.5, p=0.5)
+    for want in (100, 0):
+        compiled.clear()
+        run_trials([(config, AttackModel("isra", y / 99), np.random.default_rng(y)) for y in range(100)], 10)
+        assert len(compiled) == want
 
 
 def _agree(counted, drawn):

@@ -159,9 +159,10 @@ def test_branch_caches_stay_bounded():
     # The round tables are the engine's one cache, keyed by attack model.
     cache = protocol._round_tables
     cache.cache_clear()
-    for i in range(100):  # 100 distinct fake qubits, each its own tree
+    models = protocol._TABLE_CACHE_SIZE + 1
+    for i in range(models):  # one more distinct fake qubit than the bound, each its own tree
         config = ProtocolConfig(n=8, d=1.0 if i % 2 else 0.0, p=0.5)
-        run_protocol(config, AttackModel("isra", (i + 1) / 101), np.random.default_rng(i))
+        run_protocol(config, AttackModel("isra", (i + 1) / (models + 1)), np.random.default_rng(i))
     info = cache.cache_info()
     assert info.maxsize is not None
     assert info.misses > info.maxsize  # the bound was actually exercised

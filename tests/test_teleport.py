@@ -36,7 +36,7 @@ from wshare.teleport import (
     teleport,
     teleport_batch,
     teleport_branches,
-    teleport_fresh,
+    teleport_draws,
 )
 
 from helpers import reorder
@@ -517,18 +517,13 @@ def test_teleport_batch_chunking_leaves_every_array_unchanged(monkeypatch):
 
 
 def test_fresh_teleports_draw_all_messages_then_one_uniform_per_row():
-    kernels = _round_tables(AttackModel("imra")).kernels
-    which = np.array([1, 0, 1, 1], dtype=np.uint8)
     rand, twin = np.random.default_rng(4), np.random.default_rng(4)
-    messages, batch = teleport_fresh(kernels, which, rand)
-    want_messages = random_amplitudes(twin, which.size)
-    want = teleport_batch(want_messages, kernels, which, twin.random(which.size))
-    assert np.array_equal(messages, want_messages)
-    assert np.array_equal(batch.outcomes, want.outcomes)
-    assert np.array_equal(batch.residuals, want.residuals)
+    messages, draws = teleport_draws(rand, 4)
+    assert np.array_equal(messages, random_amplitudes(twin, 4))
+    assert np.array_equal(draws, twin.random(4))
     assert rand.random() == twin.random()
-    empty_messages, empty = teleport_fresh(kernels, which[:0], rand)
-    assert empty_messages.shape == (0, 2) and empty.fidelities.shape == (0,)
+    empty_messages, empty_draws = teleport_draws(rand, 0)
+    assert empty_messages.shape == (0, 2) and empty_draws.shape == (0,)
     assert rand.random() == twin.random()  # nothing to teleport draws nothing
 
 
