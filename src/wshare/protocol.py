@@ -89,17 +89,18 @@ draws from its own generator, in this order, the counts
 per teleported trial for its first pair's Eve branch (:func:`_draw_counts`);
 then the message normals and one uniform per trial with a pair, in
 :func:`~wshare.teleport.teleport_draws`' layout.  Only the arithmetic is
-batched, one attack model at a time: one :func:`_round_cells` call gives
-the cells of all its points, and its points' blocks teleport in batches
-through one :func:`~wshare.teleport.teleport_batch` over that model's
-kernel.  One attack model per batch, at most 2^16 trials
-(:data:`_BLOCK_TRIALS`), so memory stays bounded; a sweep's cost does not
-grow with n, and the bytes never depend on how grid points are batched or
-spread over processes.
+batched, in grid order: each run of consecutive points of one attack
+model makes one :func:`_round_cells` call, and its blocks teleport in
+batches through one :func:`~wshare.teleport.teleport_batch` over that
+model's kernel.  A batch holds consecutive points of one attack model, at
+most 2^16 trials (:data:`_BLOCK_TRIALS`), so memory stays bounded; a
+sweep's cost does not grow with n, and the bytes never depend on how grid
+points are batched or spread over processes.
 """
 
 import enum
 import functools
+import itertools
 import operator
 from typing import NamedTuple
 
@@ -541,65 +542,57 @@ def _draw_counts(tables: RoundTables, cells: np.ndarray, n: int, rand, trials: i
     return aborted, surviving, pairs, first
 
 
-def _batches(indices: list[int], trials: int):
-    """The (point, trials) blocks of points ``indices``, point by point, in
-    batches of at most :data:`_BLOCK_TRIALS` trials."""
-    batch, size = [], 0
-    for index in indices:
-        for start in range(0, trials, _BLOCK_TRIALS):
-            block = min(_BLOCK_TRIALS, trials - start)
-            if size + block > _BLOCK_TRIALS:
-                yield batch
-                batch, size = [], 0
-            batch.append((index, block))
-            size += block
-    if batch:
-        yield batch
+def _teleport_blocks(kernels, blocks: list) -> None:
+    """Teleport ``blocks`` of (totals, Eve branches, messages, draws) through one
+    :func:`~wshare.teleport.teleport_batch` over ``kernels``, adding each
+    block's fidelity sum and count to its point's totals."""
+    if blocks:
+        totals, which, messages, draws = zip(*blocks)
+        fidelities = teleport_batch(np.concatenate(messages), kernels, np.concatenate(which),
+                                    np.concatenate(draws)).fidelities
+        for total, part in zip(totals, np.split(fidelities, np.cumsum([w.size for w in which[:-1]]))):
+            total[3] += float(part.sum())
+            total[4] += part.size
 
 
 def run_trials(points, trials: int) -> list[TrialStats]:
     """Run ``trials`` independent protocol runs at each of a grid's points.
 
-    ``points`` are (config, attack, rand) triples.  Each point draws from
-    its own ``rand`` exactly what it would alone, in the module's stream
-    layout; only the arithmetic is shared, one attack model at a time: one
-    :func:`_round_cells` call over the model's points, and per batch of
-    their blocks (:func:`_batches`: one attack model per batch, at most
-    2^16 trials) one :func:`~wshare.teleport.teleport_batch` over the
-    model's kernel, each block reading its fidelities off its own slice.
-    Returns one :class:`TrialStats` per point, in order.  ``trials`` must
-    be a positive integer.  An ``n`` of 2^63 or more, past the counts numpy
-    draws, raises MemoryError.
+    ``points`` are (config, attack, rand) triples, run in grid order.  Each
+    point draws from its own ``rand`` exactly what it would alone, in the
+    module's stream layout; only the arithmetic is shared: one
+    :func:`_round_cells` call per run of consecutive points of one attack
+    model, and one :func:`~wshare.teleport.teleport_batch` over that
+    model's kernel per batch of their blocks (a batch holds consecutive
+    points of one attack model, at most 2^16 trials), each block reading
+    its fidelities off its own slice.  Returns one :class:`TrialStats` per
+    point, in order.  ``trials`` must be a positive integer.  An ``n`` of
+    2^63 or more, past the counts numpy draws, raises MemoryError.
     """
     trials = _check_length(trials, "trial count")
     points = list(points)
-    members: dict[AttackModel, list[int]] = {}
-    for index, (config, attack, _) in enumerate(points):
+    for config, _, _ in points:
         if config.n > np.iinfo(np.int64).max:
             raise MemoryError(f"{config.n} rounds exceed the counts numpy can draw")
-        members.setdefault(attack, []).append(index)
     totals = [[0, 0.0, 0, 0.0, 0] for _ in points]  # detections, yield sum and count, fidelity sum and count
-    for attack, indices in members.items():
-        tables = _round_tables(attack)
-        cells = dict(zip(indices, _round_cells(tables, [points[index][0] for index in indices])))
-        for batch in _batches(indices, trials):
-            blocks = []  # each teleporting block's point, its pairs' Eve branches and its draws
-            for index, block in batch:
-                (config, _, rand), total = points[index], totals[index]
-                aborted, surviving, pairs, first = _draw_counts(tables, cells[index], config.n, rand, block)
+    for attack, run in itertools.groupby(zip(points, totals), key=lambda row: row[0][1]):
+        run, tables = list(run), _round_tables(attack)
+        blocks, size = [], 0  # the pending teleport blocks and the trials of their batch
+        for ((config, _, rand), total), cells in zip(run, _round_cells(tables, [point[0] for point, _ in run])):
+            for start in range(0, trials, _BLOCK_TRIALS):
+                block = min(_BLOCK_TRIALS, trials - start)
+                if size + block > _BLOCK_TRIALS:
+                    _teleport_blocks(tables.kernels, blocks)
+                    blocks, size = [], 0
+                size += block
+                aborted, surviving, pairs, first = _draw_counts(tables, cells, config.n, rand, block)
                 total[0] += int(np.count_nonzero(aborted))  # a plain int, which JSON writes as a number
                 counted = ~aborted & (surviving > 0)
                 total[1] += float((pairs[counted] / surviving[counted]).sum())
                 total[2] += int(np.count_nonzero(counted))
                 if first.size:  # an empty teleport draws nothing
-                    blocks.append((index, first, *teleport_draws(rand, first.size)))
-            if blocks:
-                owners, which, messages, draws = zip(*blocks)
-                fidelities = teleport_batch(np.concatenate(messages), tables.kernels, np.concatenate(which),
-                                            np.concatenate(draws)).fidelities
-                for index, part in zip(owners, np.split(fidelities, np.cumsum([w.size for w in which[:-1]]))):
-                    totals[index][3] += float(part.sum())
-                    totals[index][4] += part.size
+                    blocks.append((total, first, *teleport_draws(rand, first.size)))
+        _teleport_blocks(tables.kernels, blocks)
     return [TrialStats(detections, yield_sum / yield_count if yield_count else None,
                        fidelity_sum / fidelity_count if fidelity_count else None)
             for detections, yield_sum, yield_count, fidelity_sum, fidelity_count in totals]

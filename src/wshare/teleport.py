@@ -14,7 +14,8 @@ message amplitudes to the rest of the register with Bob's correction
 already applied, so an attempt is one matrix product and never builds the
 joint register.  The protocol's round tables hold one kernel array per
 attack, its pairs side by side, and a block of rows is one ``matmul``; a
-sweep teleports one attack model per batch, at most 2^16 trials.
+sweep runs its grid in order, and a batch holds consecutive points of one
+attack model, at most 2^16 trials.
 :func:`teleport` is one row of a batch; :func:`teleport_draws` draws the
 messages and uniforms of every other.  :func:`teleport_branches` stays the
 scalar four-branch oracle, built from :func:`~wshare.statevec.enumerate_bell`.

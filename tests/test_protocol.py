@@ -411,11 +411,15 @@ GRIDS = {
     "past-one-block": ([(ProtocolConfig(n=40, d=0.0, p=0.5), AttackModel("ema")),
                         (ProtocolConfig(n=5, d=0.2, p=0.5), AttackModel("imra")),
                         (ProtocolConfig(n=40, d=0.0, p=0.5), AttackModel("none"))], 600),
-    # models interleave across two rest layouts: the points run model by model, not in grid order
+    # models interleave across two rest layouts: the points run in grid order, so the two
+    # isra points, apart in the grid, teleport in two batches
     "interleaved-models": ([(ProtocolConfig(n=10, d=0.3, p=0.5), AttackModel("isra", 0.5)),
                             (ProtocolConfig(n=10, d=0.3, p=0.5), AttackModel("ema")),
                             (ProtocolConfig(n=20, d=0.1, p=1.0, checker_mode="strict"), AttackModel("isra", 0.5)),
                             (ProtocolConfig(n=10, d=0.3, p=0.5), AttackModel("none"))], 300),
+    # with 256-trial blocks, three 128-trial points of one model fill one batch and start the
+    # next: every trial has a pair at d = 0 and n = 40, so the teleports take 256 and 128 rows
+    "packed-points": ([(ProtocolConfig(n=40, d=0.0, p=0.5), AttackModel("ema"))] * 3, 128),
 }
 
 
@@ -425,7 +429,7 @@ def test_grid_call_matches_one_point_calls(case, monkeypatch):
     # draws: each point's stats and its stream's next draw are those of a
     # call with that point alone, no teleport takes more rows than a block
     # holds trials, and each teleport goes through one attack model's kernel.
-    if case == "past-one-block":
+    if case in ("past-one-block", "packed-points"):
         monkeypatch.setattr(protocol, "_BLOCK_TRIALS", 256)
     grid, trials = GRIDS[case]
     kernels_of = {attack: protocol._round_tables(attack).kernels for _, attack in grid}
@@ -451,7 +455,10 @@ def test_grid_call_matches_one_point_calls(case, monkeypatch):
         assert len(batched) == 1
         assert [stats.fidelity_mean is None for stats in together] == [config.d == 1.0 for config, _ in grid]
     elif case == "interleaved-models":
-        assert [owner for _, owner, _ in batched] == [AttackModel("isra", 0.5), AttackModel("ema"), AttackModel("none")]
+        assert [owner for _, owner, _ in batched] == [AttackModel("isra", 0.5), AttackModel("ema"),
+                                                      AttackModel("isra", 0.5), AttackModel("none")]
+    elif case == "packed-points":
+        assert [rows for rows, _, _ in batched] == [256, 128]
     else:
         assert max(rows for rows, _, _ in batched) == 256
 
