@@ -31,12 +31,12 @@ Every random draw descends from ``--seed``: ``run`` draws its rounds from
 per round cell from ``default_rng((seed, grid_index))``, in fixed blocks
 of trials (see :mod:`wshare.protocol` for the layout), so identical
 invocations produce byte-identical output files whatever ``--workers`` is
-and a sweep's cost does not grow with n.  The draws stay per point, but
-a sweep computes the arithmetic of its whole grid in one
-:func:`~wshare.protocol.run_trials` call in the calling process, or in
-one call per worker over a contiguous share of the grid.  A sweep starts
-worker processes only for grids big enough to pay for them (at most one
-per :data:`_TRIALS_PER_WORKER` trials); smaller grids run in the calling
+and a sweep's cost does not grow with n.  The calling process builds
+every grid point and every row, and runs the points through one
+:func:`~wshare.protocol.run_trials` call, or maps ``run_trials`` over
+contiguous shares of them, one per worker.  A sweep starts workers only
+for grids big enough to pay for them (at most one per
+:data:`_TRIALS_PER_WORKER` trials); smaller grids run in the calling
 process, and the pool machinery is imported only when a sweep starts
 workers.  A grid flag takes a following value that starts with ``-`` and
 a digit (``--y-values -0,0.5``) as its own.  Exit status: 0 success,
@@ -427,23 +427,6 @@ SWEEP_COLUMNS = [
 ]
 
 
-def _sweep_rows(kind: str, mode_name: str, trials: int, seed: int, grid: list[tuple]) -> list[dict]:
-    """The rows of grid points ``grid``, (grid_index, y, p, d, n) tuples, from one
-    :func:`~wshare.protocol.run_trials` call; deterministic given its arguments."""
-    points = [(ProtocolConfig(n=n, d=d, p=p, checker_mode=mode_name), AttackModel(kind, y),  # y is None unless isra
-               np.random.default_rng((seed, grid_index))) for grid_index, y, p, d, n in grid]
-    rows = []
-    for (config, attack, _), (_, y, p, d, n), stats in zip(points, grid, run_trials(points, trials)):
-        detection_rate = stats.detections / trials
-        success_rate = 1.0 - detection_rate
-        analytic = (1.0 - closed_form_round_detection(attack, config.checker_mode, p, d)) ** n
-        rows.append(dict(zip(SWEEP_COLUMNS, (
-            kind, mode_name, y, p, d, n, trials, stats.detections, detection_rate, success_rate,
-            float(np.sqrt(success_rate * (1.0 - success_rate) / trials)),
-            stats.yield_mean, stats.fidelity_mean, analytic), strict=True)))
-    return rows
-
-
 # A worker process pays for its start only past this many trials (summed over
 # the grid; a trial's cost does not depend on n): two workers on a two-point
 # grid break even with one process at about 2^17 trials in all.
@@ -458,20 +441,31 @@ def _usable_cpus() -> int:
 
 
 def cmd_sweep(cfg: argparse.Namespace) -> int:
-    """Emit one row per grid point, in grid order: one :func:`_sweep_rows` call
-    over the grid, or one per worker over a contiguous share of it."""
-    grid = [(grid_index, *point) for grid_index, point in
-            enumerate(itertools.product(cfg.y_values, cfg.p_values, cfg.d_values, cfg.n_values))]
-    sweep = functools.partial(_sweep_rows, cfg.attack, cfg.mode, cfg.trials, cfg.seed)
-    workers = min(cfg.workers, len(grid), _usable_cpus(), cfg.trials * len(grid) // _TRIALS_PER_WORKER)
+    """Emit one row per grid point, in grid order, from one
+    :func:`~wshare.protocol.run_trials` call over the grid, or one per worker
+    over a contiguous share of it."""
+    grid = itertools.product(cfg.y_values, cfg.p_values, cfg.d_values, cfg.n_values)
+    points = [(ProtocolConfig(n=n, d=d, p=p, checker_mode=cfg.mode), AttackModel(cfg.attack, y),  # y: None unless isra
+               np.random.default_rng((cfg.seed, grid_index))) for grid_index, (y, p, d, n) in enumerate(grid)]
+    workers = min(cfg.workers, len(points), _usable_cpus(), cfg.trials * len(points) // _TRIALS_PER_WORKER)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: only when a pool starts
 
-        shares = [grid[len(grid) * k // workers:len(grid) * (k + 1) // workers] for k in range(workers)]
+        shares = [points[len(points) * k // workers:len(points) * (k + 1) // workers] for k in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = [row for share in pool.map(sweep, shares) for row in share]
+            stats = [one for share in pool.map(functools.partial(run_trials, trials=cfg.trials), shares)
+                     for one in share]
     else:
-        rows = sweep(grid)
+        stats = run_trials(points, cfg.trials)
+    rows = []
+    for (config, attack, _), one in zip(points, stats, strict=True):
+        detection_rate = one.detections / cfg.trials
+        success_rate = 1.0 - detection_rate
+        analytic = (1.0 - closed_form_round_detection(attack, cfg.mode, config.p, config.d)) ** config.n
+        rows.append(dict(zip(SWEEP_COLUMNS, (
+            cfg.attack, cfg.mode, attack.y, config.p, config.d, config.n, cfg.trials, one.detections,
+            detection_rate, success_rate, float(np.sqrt(success_rate * (1.0 - success_rate) / cfg.trials)),
+            one.yield_mean, one.fidelity_mean, analytic), strict=True)))
     _emit_rows(SWEEP_COLUMNS, rows, cfg)
     return 0
 

@@ -60,7 +60,10 @@ P(outcome 0) alone, each threshold clamped as
 * ``pairs[e]``: the pair register a home-0 round leaves, home qubit
   dropped, and ``kernels``: one Bell kernel array of every ``pairs[e]``
   and their rest labels (:func:`~wshare.teleport._bell_kernel`), which
-  every teleport goes through.
+  every teleport goes through;
+* ``violation[mode]``: P(some rule of ``mode`` flags a selected round)
+  under a Z directive, then under an X one: the leaves that
+  :func:`_apply_rules` flags, summed over Eve's branches.
 
 An outcome is 0 exactly when its uniform draw falls below its threshold,
 which is :func:`~wshare.statevec.measure_qubit`'s rule, clamp of
@@ -79,23 +82,23 @@ one uniform per pair.
 
 :func:`run_trials`, the Monte Carlo view, draws no rounds.  Rounds are
 i.i.d., so everything a sweep row reads follows from a trial's counts
-per round cell (:func:`_round_cells`, compiled from the round tables per
-call): selected and violated, selected and passing, unselected with home
-0 (one cell per Eve branch), unselected with home 1.  It takes a whole
-grid of (config, attack, generator) points, and the draws stay per
-point: per fixed block of :data:`_BLOCK_TRIALS` of its trials, a point
-draws from its own generator, in this order, the counts
-(``multinomial(n, cells)``, one row per trial); under imra, one uniform
-per teleported trial for its first pair's Eve branch (:func:`_draw_counts`);
-then the message normals and one uniform per trial with a pair, in
-:func:`~wshare.teleport.teleport_draws`' layout.  Only the arithmetic is
-batched, in grid order: each run of consecutive points of one attack
-model makes one :func:`_round_cells` call, and its blocks teleport in
-batches through one :func:`~wshare.teleport.teleport_batch` over that
-model's kernel.  A batch holds consecutive points of one attack model, at
-most 2^16 trials (:data:`_BLOCK_TRIALS`), so memory stays bounded; a
-sweep's cost does not grow with n, and the bytes never depend on how grid
-points are batched or spread over processes.
+per round cell (:func:`_round_cells`): selected and violated, selected
+and passing, unselected with home 0 (one cell per Eve branch), unselected
+with home 1.  The violated cell is d (p z + (1 - p) x) for the tables'
+``violation`` (z, x) under the point's checker.  It takes a whole grid of
+(config, attack, generator) points, and the draws stay per point: per
+fixed block of :data:`_BLOCK_TRIALS` of its trials, a point draws from
+its own generator, in this order, the counts (``multinomial(n, cells)``,
+one row per trial); under imra, one uniform per teleported trial for its
+first pair's Eve branch (:func:`_draw_counts`); then the message normals
+and one uniform per trial with a pair, in
+:func:`~wshare.teleport.teleport_draws`' layout.  Only the teleports are
+batched, in grid order: the blocks of consecutive points of one attack
+model teleport in batches of at most 2^16 trials (:data:`_BLOCK_TRIALS`)
+through one :func:`~wshare.teleport.teleport_batch` over that model's
+kernel, so memory stays bounded; a sweep's cost does not grow with n, and
+the bytes never depend on how grid points are batched or spread over
+processes.
 """
 
 import enum
@@ -362,8 +365,9 @@ def _apply_rules(selected, x_basis, home, alice, bob, mode: CheckerMode) -> dict
 
 
 class RoundTables(NamedTuple):
-    """The compiled round tree of one attack (see the module docstring); tables
-    compare and hash by identity."""
+    """The compiled round tree of one attack and, per checker mode, its (Z, X)
+    violation probabilities (see the module docstring); tables compare and
+    hash by identity."""
 
     te: float | None
     tc: np.ndarray
@@ -371,6 +375,7 @@ class RoundTables(NamedTuple):
     tb: np.ndarray
     pairs: tuple[StateVector | None, ...]
     kernels: tuple[np.ndarray, tuple[str, ...]]
+    violation: dict[CheckerMode, np.ndarray]
 
     # tuple's own ==, != and hash would compare or hash the arrays, and raise
     __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
@@ -401,9 +406,18 @@ def _compile_tables(te: float | None, roots: tuple[StateVector, ...]) -> RoundTa
                     leaf = alice.post_state  # Bob's threshold alone: no register below it is kept
                     if leaf is not None:
                         tb[e, c, x, a] = _clamped(_branch_weights(leaf._split(leaf.axis("b")), basis)[0])
-    for table in (tc, ta, tb):
+    eve = np.ones(1) if te is None else np.array((te, 1.0 - te))
+    # P(outcome 0) and P(outcome 1) on a new first axis: an outcome is 0 below its threshold
+    home, alice, bob = (np.array((t, 1.0 - t)) for t in (tc, ta, tb))
+    leaves = np.einsum("e,ce,aecx,becxa->xcab", eve, home, alice, bob)
+    bit, violation = np.array([False, True]), {}
+    for mode in CheckerMode:
+        rules = _apply_rules(np.True_, bit[:, None, None, None], bit[:, None, None], bit[:, None], bit, mode)
+        flagged = functools.reduce(operator.or_, (broken for _, broken in rules.values()))
+        violation[mode] = np.where(flagged, leaves, 0.0).sum(axis=(1, 2, 3))
+    for table in (tc, ta, tb, *violation.values()):
         table.flags.writeable = False
-    return RoundTables(te, tc, ta, tb, tuple(pairs), _bell_kernel(*blocks))
+    return RoundTables(te, tc, ta, tb, tuple(pairs), _bell_kernel(*blocks), violation)
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
@@ -489,35 +503,20 @@ class TrialStats(NamedTuple):
     fidelity_mean: float | None
 
 
-def _round_cells(tables: RoundTables, configs: list[ProtocolConfig]) -> np.ndarray:
-    """P(round cell) of one round at each config, one row per config:
-    selected and violated, selected and passing, unselected with home 0 per
-    Eve branch, unselected with home 1.
+def _round_cells(tables: RoundTables, config: ProtocolConfig) -> np.ndarray:
+    """P(round cell) of one round at ``config``: selected and violated,
+    selected and passing, unselected with home 0 per Eve branch, unselected
+    with home 1.
 
-    The violated cell sums the detection leaves (home, basis, Alice, Bob)
-    of the round tables, over Eve's branches, that :func:`_apply_rules`
-    flags; the passing cell is the rest of d, and the home-1 cell the rest
-    of 1 (the draw takes the last cell as the remainder).  One ``einsum``
-    with a leading config axis gives every config's leaves.
+    The violated cell is d (p z + (1 - p) x) for the round tables' per-basis
+    violation probabilities (z, x) under the config's checker; the passing
+    cell is the rest of d, and the home-1 cell the rest of 1 (the draw takes
+    the last cell as the remainder).
     """
     eve = np.ones(1) if tables.te is None else np.array((tables.te, 1.0 - tables.te))
-    # P(outcome 0) and P(outcome 1) on a new first axis: an outcome is 0 below its threshold
-    home, alice, bob = (np.array((t, 1.0 - t)) for t in (tables.tc, tables.ta, tables.tb))
-    basis = np.array([(config.p, 1.0 - config.p) for config in configs])
-    leaves = np.einsum("e,ce,px,aecx,becxa->pcxab", eve, home, basis, alice, bob)
-    d = np.array([config.d for config in configs])
-    cells = np.empty((len(configs), 3 + eve.size))
-    bit = np.array([False, True])
-    for mode in {config.checker_mode for config in configs}:
-        rules = _apply_rules(np.True_, bit[:, None, None], bit[:, None, None, None], bit[:, None], bit, mode)
-        flagged = functools.reduce(operator.or_, (broken for _, broken in rules.values()))
-        rows = [i for i, config in enumerate(configs) if config.checker_mode is mode]
-        cells[rows, 0] = leaves[rows][:, flagged].sum(axis=1)
-    cells[:, 0] *= d
-    cells[:, 1] = d - cells[:, 0]
-    cells[:, 2:-1] = (1.0 - d)[:, None] * eve * tables.tc
-    cells[:, -1] = 1.0 - d - cells[:, 2:-1].sum(axis=1)
-    return cells
+    (z, x), d, p = tables.violation[config.checker_mode], config.d, config.p
+    violated, home0 = d * (p * z + (1.0 - p) * x), (1.0 - d) * eve * tables.tc
+    return np.array((violated, d - violated, *home0, 1.0 - d - home0.sum()))
 
 
 def _draw_counts(tables: RoundTables, cells: np.ndarray, n: int, rand, trials: int) -> tuple:
@@ -560,14 +559,13 @@ def run_trials(points, trials: int) -> list[TrialStats]:
 
     ``points`` are (config, attack, rand) triples, run in grid order.  Each
     point draws from its own ``rand`` exactly what it would alone, in the
-    module's stream layout; only the arithmetic is shared: one
-    :func:`_round_cells` call per run of consecutive points of one attack
-    model, and one :func:`~wshare.teleport.teleport_batch` over that
-    model's kernel per batch of their blocks (a batch holds consecutive
-    points of one attack model, at most 2^16 trials), each block reading
-    its fidelities off its own slice.  Returns one :class:`TrialStats` per
-    point, in order.  ``trials`` must be a positive integer.  An ``n`` of
-    2^63 or more, past the counts numpy draws, raises MemoryError.
+    module's stream layout, from its own :func:`_round_cells`; only the
+    teleports are shared: one :func:`~wshare.teleport.teleport_batch` over
+    an attack model's kernel per batch of the blocks of its consecutive
+    points (at most 2^16 trials), each block reading its fidelities off its
+    own slice.  Returns one :class:`TrialStats` per point, in order.
+    ``trials`` must be a positive integer.  An ``n`` of 2^63 or more, past
+    the counts numpy draws, raises MemoryError.
     """
     trials = _check_length(trials, "trial count")
     points = list(points)
@@ -576,9 +574,10 @@ def run_trials(points, trials: int) -> list[TrialStats]:
             raise MemoryError(f"{config.n} rounds exceed the counts numpy can draw")
     totals = [[0, 0.0, 0, 0.0, 0] for _ in points]  # detections, yield sum and count, fidelity sum and count
     for attack, run in itertools.groupby(zip(points, totals), key=lambda row: row[0][1]):
-        run, tables = list(run), _round_tables(attack)
+        tables = _round_tables(attack)
         blocks, size = [], 0  # the pending teleport blocks and the trials of their batch
-        for ((config, _, rand), total), cells in zip(run, _round_cells(tables, [point[0] for point, _ in run])):
+        for (config, _, rand), total in run:
+            cells = _round_cells(tables, config)
             for start in range(0, trials, _BLOCK_TRIALS):
                 block = min(_BLOCK_TRIALS, trials - start)
                 if size + block > _BLOCK_TRIALS:

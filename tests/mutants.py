@@ -59,7 +59,11 @@ MUTANTS = [
             "tests/test_protocol.py::test_count_sampler_matches_round_draws[imra-strict]")),
     Mutant("imra-first-branch-from-the-other-cell", PROTOCOL,
            "counts[teleported, 2] / pairs[teleported]", "counts[teleported, 3] / pairs[teleported]",
-           ("tests/test_golden.py::test_cli_output_matches_golden_hash[sweep-imra-strict]",)),
+           ("tests/test_protocol.py::test_imra_first_pair_branch_follows_unequal_home0_cells[one-round]",
+            "tests/test_golden.py::test_cli_output_matches_golden_hash[sweep-imra-strict]")),
+    Mutant("bases-swapped-in-the-violated-cell", PROTOCOL,
+           "d * (p * z + (1.0 - p) * x)", "d * (p * x + (1.0 - p) * z)",
+           ("tests/test_protocol.py::test_violated_cell_is_q_by_three_routes[isra-0.5-paper]",)),
     Mutant("z-rule-home-0-flipped", PROTOCOL,
            '"z_rc0": (z_round & ~home, alice == bob)', '"z_rc0": (z_round & ~home, alice != bob)',
            ("tests/test_acceptance.py::test_criterion_02_honest_soundness",
@@ -77,7 +81,8 @@ MUTANTS = [
            ("tests/test_teleport.py::test_kernel_matches_oracle_on_every_draw[0]",
             "tests/test_protocol.py::test_sampled_bob_fidelity_mean_is_exact[none-strict]")),
     Mutant("pool-shares-reversed", CLI,
-           "for share in pool.map(sweep, shares)", "for share in reversed(list(pool.map(sweep, shares)))",
+           "for share in pool.map(functools.partial(run_trials, trials=cfg.trials), shares)",
+           "for share in reversed(list(pool.map(functools.partial(run_trials, trials=cfg.trials), shares)))",
            ("tests/test_cli.py::test_sweep_pool_shares_match_one_call",)),
 ]
 

@@ -14,8 +14,7 @@ import numpy as np
 
 from wshare.analytic import closed_form_round_detection, round_detection_probability
 from wshare.attacks import AttackModel, eve_recover_attempt
-from wshare.cli import _sweep_rows
-from wshare.protocol import ProtocolConfig, run_protocol
+from wshare.protocol import ProtocolConfig, run_protocol, run_trials
 from wshare.statevec import (
     Basis,
     discard_qubit,
@@ -94,13 +93,15 @@ def test_criterion_04_isra_analytic_match():
     n = 10
     start = time.perf_counter()
     failures = []
-    rows = _sweep_rows("isra", "paper", trials, 20_04, [(index, y, p, d, n) for index, (y, p, d) in enumerate(grid)])
-    for row, (y, p, d) in zip(rows, grid, strict=True):
+    points = [(ProtocolConfig(n=n, d=d, p=p, checker_mode="paper"), AttackModel("isra", y),
+               np.random.default_rng((20_04, index))) for index, (y, p, d) in enumerate(grid)]
+    for stats, (y, p, d) in zip(run_trials(points, trials), grid, strict=True):
+        success_rate = 1.0 - stats.detections / trials
         predicted = (1 - closed_form_round_detection(AttackModel("isra", y), "paper", p, d)) ** n
         stderr = np.sqrt(predicted * (1.0 - predicted) / trials)
-        gap = abs(row["success_rate"] - predicted)
+        gap = abs(success_rate - predicted)
         if gap > 3.0 * stderr:
-            failures.append(f"y={y} p={p} d={d}: |{row['success_rate']:.4f}-{predicted:.4f}|>{3 * stderr:.4f}")
+            failures.append(f"y={y} p={p} d={d}: |{success_rate:.4f}-{predicted:.4f}|>{3 * stderr:.4f}")
     elapsed = time.perf_counter() - start
     ok = not failures and elapsed < 120.0
     _report(4, "empirical success within 3 stderr of the closed form on 9 points",

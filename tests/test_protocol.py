@@ -504,7 +504,7 @@ def test_count_sampler_matches_round_draws(attack, mode):
     for n, p, d in [(1, 0.5, 0.0), (4, 0.5, 0.4), (30, 0.3, 0.1), (200, 0.9, 0.01)]:
         config = ProtocolConfig(n=n, d=d, p=p, checker_mode=mode)
         aborted, surviving, pairs, first = protocol._draw_counts(
-            tables, protocol._round_cells(tables, [config])[0], n, np.random.default_rng(n), trials)
+            tables, protocol._round_cells(tables, config), n, np.random.default_rng(n), trials)
         run = run_protocol(ProtocolConfig(n=trials * n, d=d, p=p, checker_mode=mode), attack,
                            np.random.default_rng(n + 1))
         eve, selected, home, violated = (a.reshape(trials, n) for a in
@@ -521,6 +521,21 @@ def test_count_sampler_matches_round_draws(attack, mode):
             assert 0 < first.mean() < 1  # both branches drawn
         else:
             assert not first.any()
+
+
+@pytest.mark.parametrize("cells,n,expected", [((0, 0, 0.9, 0.1, 0), 1, 0.9), ((0, 0.1, 0.5, 0.2, 0.2), 5, 5 / 7)],
+                         ids=["one-round", "five-rounds"])
+def test_imra_first_pair_branch_follows_unequal_home0_cells(cells, n, expected):
+    # imra's two home-0 cells are equal at every config, so no sweep tells the
+    # first pair's branch rule from its mirror image; hand-made unequal cells
+    # do.  Rounds are exchangeable, so the first home-0 survivor is of branch
+    # 0 with probability c_2 / (c_2 + c_3), whatever else the trial drew.
+    trials = 20_000
+    _, _, pairs, first = protocol._draw_counts(protocol._round_tables(AttackModel("imra")),
+                                               np.array(cells, dtype=float), n, np.random.default_rng(n), trials)
+    assert first.size == np.count_nonzero(pairs) > trials // 2
+    share = 1.0 - first.mean()  # first is the branch index: 0 or 1
+    assert abs(share - expected) <= 4 * np.sqrt(expected * (1 - expected) / first.size), share
 
 
 DERIVED = ("directives", "report", "pairs", "transcript")
@@ -668,7 +683,7 @@ def test_violated_cell_is_q_by_three_routes(attack, mode):
     # exactly 2/3 under every attack.
     tables = protocol._round_tables(attack)
     for p, d in [(0.5, 0.5), (0.3, 0.7), (1.0, 1.0), (0.0, 0.25), (0.9, 0.05)]:
-        [cells] = protocol._round_cells(tables, [ProtocolConfig(n=10, d=d, p=p, checker_mode=mode)])
+        cells = protocol._round_cells(tables, ProtocolConfig(n=10, d=d, p=p, checker_mode=mode))
         assert cells.size == 4 + (attack.kind == "imra") and (cells >= 0).all()
         assert abs(cells.sum() - 1.0) <= 1e-15
         for q in (closed_form_round_detection(attack, mode, p, d), round_detection_probability(attack, mode, p, d)):
