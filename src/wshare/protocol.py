@@ -57,6 +57,9 @@ P(outcome 0) alone, each threshold clamped as
 * ``tc[e]``: P(home reads 0);
 * ``ta[e, c, basis]`` and ``tb[e, c, basis, a]``: P(Alice reads 0) and
   P(Bob reads 0) below home result ``c`` (and Alice's result ``a``);
+* ``home0``: P(home reads 0), summed over Eve's branches, and ``tp``:
+  P(Eve reads 0 | home reads 0), the Eve branch of a pair, for imra only
+  (clamped like ``te``);
 * ``pairs[e]``: the pair register a home-0 round leaves, home qubit
   dropped, and ``kernels``: one Bell kernel array of every ``pairs[e]``
   and their rest labels (:func:`~wshare.teleport._bell_kernel`), which
@@ -82,28 +85,23 @@ one uniform per pair.
 
 :func:`run_trials`, the Monte Carlo view, draws no rounds.  Rounds are
 i.i.d., so everything a sweep row reads follows from a trial's counts
-per round cell (:func:`_round_cells`): selected and violated, selected
-and passing, unselected with home 0 (one cell per Eve branch), unselected
-with home 1.  The violated cell is d (p z + (1 - p) x) for the tables'
-``violation`` (z, x) under the point's checker.  It takes a whole grid of
-(config, attack, generator) points, and the draws stay per point: per
-fixed block of :data:`_BLOCK_TRIALS` of its trials, a point draws from
-its own generator, in this order, the counts (``multinomial(n, cells)``,
-one row per trial); under imra, one uniform per teleported trial for its
-first pair's Eve branch (:func:`_draw_counts`); then the message normals
-and one uniform per trial with a pair, in
-:func:`~wshare.teleport.teleport_draws`' layout.  Only the teleports are
-batched, in grid order: the blocks of consecutive points of one attack
-model teleport in batches of at most 2^16 trials (:data:`_BLOCK_TRIALS`)
-through one :func:`~wshare.teleport.teleport_batch` over that model's
-kernel, so memory stays bounded; a sweep's cost does not grow with n, and
-the bytes never depend on how grid points are batched or spread over
-processes.
+per round cell (:func:`_round_cells`): selected and violated, d (p z +
+(1 - p) x) for the tables' ``violation`` (z, x) under the point's
+checker; selected and passing; unselected with home 0, (1 - d)
+``home0``; unselected with home 1.  It runs a grid of (config, attack,
+generator) points one after another.  Per block of at most
+:data:`_BLOCK_TRIALS` trials, a point draws from its own generator, in
+this order, the counts (``multinomial(n, cells)``, one row per trial);
+under imra, one uniform per trial with a pair, its first pair's Eve
+branch against ``tp`` (:func:`_draw_counts`); then the block's teleport,
+in :func:`~wshare.teleport.teleport_draws`' layout, through one
+:func:`~wshare.teleport.teleport_batch` over the point's kernel.  So
+memory stays bounded, a sweep's cost does not grow with n, and the bytes
+never depend on how grid points are spread over processes.
 """
 
 import enum
 import functools
-import itertools
 import operator
 from typing import NamedTuple
 
@@ -116,8 +114,8 @@ from .teleport import TeleportBatch, _bell_kernel, teleport_batch, teleport_draw
 
 RULE_KEYS = ("z_rc0", "z_rc1", "x_rc0")
 
-# Trials in one block of counts, and in one batch of teleports: it bounds a
-# sweep's arrays whatever n is.
+# Trials in one block of counts and its one teleport: it bounds a sweep's
+# arrays whatever n is.
 _BLOCK_TRIALS = 1 << 16
 # Bound on the memoized round tables (one per attack model, about 2.8 KB each):
 # a 100-point y-grid compiles each of its models once, however often it runs.
@@ -365,14 +363,16 @@ def _apply_rules(selected, x_basis, home, alice, bob, mode: CheckerMode) -> dict
 
 
 class RoundTables(NamedTuple):
-    """The compiled round tree of one attack and, per checker mode, its (Z, X)
-    violation probabilities (see the module docstring); tables compare and
-    hash by identity."""
+    """The compiled round tree of one attack, its P(home 0) and pair-branch
+    threshold, and per checker mode its (Z, X) violation probabilities (see
+    the module docstring); tables compare and hash by identity."""
 
     te: float | None
     tc: np.ndarray
     ta: np.ndarray
     tb: np.ndarray
+    home0: float
+    tp: float | None
     pairs: tuple[StateVector | None, ...]
     kernels: tuple[np.ndarray, tuple[str, ...]]
     violation: dict[CheckerMode, np.ndarray]
@@ -407,6 +407,9 @@ def _compile_tables(te: float | None, roots: tuple[StateVector, ...]) -> RoundTa
                     if leaf is not None:
                         tb[e, c, x, a] = _clamped(_branch_weights(leaf._split(leaf.axis("b")), basis)[0])
     eve = np.ones(1) if te is None else np.array((te, 1.0 - te))
+    joint = eve * tc  # P(Eve reads e and home reads 0)
+    home0 = float(joint.sum())
+    tp = None if te is None else _clamped(float(joint[0]) / home0)
     # P(outcome 0) and P(outcome 1) on a new first axis: an outcome is 0 below its threshold
     home, alice, bob = (np.array((t, 1.0 - t)) for t in (tc, ta, tb))
     leaves = np.einsum("e,ce,aecx,becxa->xcab", eve, home, alice, bob)
@@ -417,7 +420,7 @@ def _compile_tables(te: float | None, roots: tuple[StateVector, ...]) -> RoundTa
         violation[mode] = np.where(flagged, leaves, 0.0).sum(axis=(1, 2, 3))
     for table in (tc, ta, tb, *violation.values()):
         table.flags.writeable = False
-    return RoundTables(te, tc, ta, tb, tuple(pairs), _bell_kernel(*blocks), violation)
+    return RoundTables(te, tc, ta, tb, home0, tp, tuple(pairs), _bell_kernel(*blocks), violation)
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
@@ -505,18 +508,16 @@ class TrialStats(NamedTuple):
 
 def _round_cells(tables: RoundTables, config: ProtocolConfig) -> np.ndarray:
     """P(round cell) of one round at ``config``: selected and violated,
-    selected and passing, unselected with home 0 per Eve branch, unselected
-    with home 1.
+    selected and passing, unselected with home 0, unselected with home 1.
 
     The violated cell is d (p z + (1 - p) x) for the round tables' per-basis
     violation probabilities (z, x) under the config's checker; the passing
-    cell is the rest of d, and the home-1 cell the rest of 1 (the draw takes
-    the last cell as the remainder).
+    cell is the rest of d, the home-0 cell (1 - d) P(home 0), and the home-1
+    cell the rest of 1 (the draw takes the last cell as the remainder).
     """
-    eve = np.ones(1) if tables.te is None else np.array((tables.te, 1.0 - tables.te))
     (z, x), d, p = tables.violation[config.checker_mode], config.d, config.p
-    violated, home0 = d * (p * z + (1.0 - p) * x), (1.0 - d) * eve * tables.tc
-    return np.array((violated, d - violated, *home0, 1.0 - d - home0.sum()))
+    violated, home0 = d * (p * z + (1.0 - p) * x), (1.0 - d) * tables.home0
+    return np.array((violated, d - violated, home0, 1.0 - d - home0))
 
 
 def _draw_counts(tables: RoundTables, cells: np.ndarray, n: int, rand, trials: int) -> tuple:
@@ -526,72 +527,53 @@ def _draw_counts(tables: RoundTables, cells: np.ndarray, n: int, rand, trials: i
     Returns, per trial, ``aborted``, ``surviving`` (the unselected rounds)
     and ``pairs`` (the home-0 survivors of a passing trial); and ``first``,
     the Eve branch of the first pair of each trial that has one, in trial
-    order.  Under imra that is branch e with probability k_e / (k_0 + k_1)
-    for k_e home-0 survivors of branch e, one uniform per such trial.
+    order.  Rounds are exchangeable, so under imra that is branch 0 with
+    probability ``tp`` = P(Eve reads 0 | home reads 0) whatever the counts
+    are: one uniform per such trial.
     """
     counts = rand.multinomial(n, cells, size=trials)
     aborted = counts[:, 0] > 0
     surviving = n - counts[:, 0] - counts[:, 1]  # not a row sum: numpy sums short rows slowly
-    pairs = surviving - counts[:, -1]
+    pairs = surviving - counts[:, 3]
     pairs[aborted] = 0
-    teleported = pairs.nonzero()[0]
-    first = np.zeros(teleported.size, dtype=np.uint8)
-    if tables.te is not None:
-        first = (rand.random(teleported.size) >= counts[teleported, 2] / pairs[teleported]).view(np.uint8)
-    return aborted, surviving, pairs, first
-
-
-def _teleport_blocks(kernels, blocks: list) -> None:
-    """Teleport ``blocks`` of (totals, Eve branches, messages, draws) through one
-    :func:`~wshare.teleport.teleport_batch` over ``kernels``, adding each
-    block's fidelity sum and count to its point's totals."""
-    if blocks:
-        totals, which, messages, draws = zip(*blocks)
-        fidelities = teleport_batch(np.concatenate(messages), kernels, np.concatenate(which),
-                                    np.concatenate(draws)).fidelities
-        for total, part in zip(totals, np.split(fidelities, np.cumsum([w.size for w in which[:-1]]))):
-            total[3] += float(part.sum())
-            total[4] += part.size
+    teleported = np.count_nonzero(pairs)
+    if tables.tp is None:
+        return aborted, surviving, pairs, np.zeros(teleported, dtype=np.uint8)
+    return aborted, surviving, pairs, (rand.random(teleported) >= tables.tp).view(np.uint8)
 
 
 def run_trials(points, trials: int) -> list[TrialStats]:
     """Run ``trials`` independent protocol runs at each of a grid's points.
 
-    ``points`` are (config, attack, rand) triples, run in grid order.  Each
-    point draws from its own ``rand`` exactly what it would alone, in the
-    module's stream layout, from its own :func:`_round_cells`; only the
-    teleports are shared: one :func:`~wshare.teleport.teleport_batch` over
-    an attack model's kernel per batch of the blocks of its consecutive
-    points (at most 2^16 trials), each block reading its fidelities off its
-    own slice.  Returns one :class:`TrialStats` per point, in order.
-    ``trials`` must be a positive integer.  An ``n`` of 2^63 or more, past
-    the counts numpy draws, raises MemoryError.
+    ``points`` are (config, attack, rand) triples, run one after another in
+    grid order; each draws from its own ``rand``, in the module's stream
+    layout, and its row is what a call with that point alone gives.  Returns
+    one :class:`TrialStats` per point, in order.  ``trials`` must be a
+    positive integer.  An ``n`` of 2^63 or more, past the counts numpy
+    draws, raises MemoryError.
     """
     trials = _check_length(trials, "trial count")
     points = list(points)
     for config, _, _ in points:
         if config.n > np.iinfo(np.int64).max:
             raise MemoryError(f"{config.n} rounds exceed the counts numpy can draw")
-    totals = [[0, 0.0, 0, 0.0, 0] for _ in points]  # detections, yield sum and count, fidelity sum and count
-    for attack, run in itertools.groupby(zip(points, totals), key=lambda row: row[0][1]):
+    stats = []
+    for config, attack, rand in points:
         tables = _round_tables(attack)
-        blocks, size = [], 0  # the pending teleport blocks and the trials of their batch
-        for (config, _, rand), total in run:
-            cells = _round_cells(tables, config)
-            for start in range(0, trials, _BLOCK_TRIALS):
-                block = min(_BLOCK_TRIALS, trials - start)
-                if size + block > _BLOCK_TRIALS:
-                    _teleport_blocks(tables.kernels, blocks)
-                    blocks, size = [], 0
-                size += block
-                aborted, surviving, pairs, first = _draw_counts(tables, cells, config.n, rand, block)
-                total[0] += int(np.count_nonzero(aborted))  # a plain int, which JSON writes as a number
-                counted = ~aborted & (surviving > 0)
-                total[1] += float((pairs[counted] / surviving[counted]).sum())
-                total[2] += int(np.count_nonzero(counted))
-                if first.size:  # an empty teleport draws nothing
-                    blocks.append((total, first, *teleport_draws(rand, first.size)))
-        _teleport_blocks(tables.kernels, blocks)
-    return [TrialStats(detections, yield_sum / yield_count if yield_count else None,
-                       fidelity_sum / fidelity_count if fidelity_count else None)
-            for detections, yield_sum, yield_count, fidelity_sum, fidelity_count in totals]
+        cells = _round_cells(tables, config)
+        detections, yield_sum, yield_count, fidelity_sum, fidelity_count = 0, 0.0, 0, 0.0, 0
+        for start in range(0, trials, _BLOCK_TRIALS):
+            aborted, surviving, pairs, first = _draw_counts(tables, cells, config.n, rand,
+                                                            min(_BLOCK_TRIALS, trials - start))
+            detections += int(np.count_nonzero(aborted))  # a plain int, which JSON writes as a number
+            counted = ~aborted & (surviving > 0)
+            yield_sum += float((pairs[counted] / surviving[counted]).sum())
+            yield_count += int(np.count_nonzero(counted))
+            if first.size:  # an empty teleport draws nothing
+                messages, draws = teleport_draws(rand, first.size)
+                fidelities = teleport_batch(messages, tables.kernels, first, draws).fidelities
+                fidelity_sum += float(fidelities.sum())
+                fidelity_count += fidelities.size
+        stats.append(TrialStats(detections, yield_sum / yield_count if yield_count else None,
+                                fidelity_sum / fidelity_count if fidelity_count else None))
+    return stats

@@ -39,16 +39,9 @@ class Mutant(NamedTuple):
 
 
 PROTOCOL, STATEVEC, TELEPORT, CLI = (f"src/wshare/{name}.py" for name in ("protocol", "statevec", "teleport", "cli"))
-GRID = "tests/test_protocol.py::test_grid_call_matches_one_point_calls"
+LAW = "tests/test_protocol.py::test_trial_rows_follow_the_exact_law"
 
 MUTANTS = [
-    Mutant("flush-at-the-cap", PROTOCOL,
-           "if size + block > _BLOCK_TRIALS:", "if size + block >= _BLOCK_TRIALS:",
-           (f"{GRID}[packed-points]",)),
-    Mutant("fidelity-parts-shifted", PROTOCOL,
-           "np.cumsum([w.size for w in which[:-1]])", "np.cumsum([w.size for w in which[1:]])",
-           (f"{GRID}[imra-grid-with-d1]",
-            "tests/test_golden.py::test_cli_output_matches_golden_hash[sweep-imra-strict]")),
     Mutant("yield-on-aborted-trials", PROTOCOL,
            "counted = ~aborted & (surviving > 0)", "counted = surviving > 0",
            ("tests/test_protocol.py::test_sampled_yield_mean_is_exact[isra-0.5-strict]",
@@ -56,11 +49,28 @@ MUTANTS = [
     Mutant("pairs-on-aborted-trials", PROTOCOL,
            "    pairs[aborted] = 0\n", "",
            ("tests/test_protocol.py::test_count_sampler_matches_round_draws[isra-strict]",
-            "tests/test_protocol.py::test_count_sampler_matches_round_draws[imra-strict]")),
-    Mutant("imra-first-branch-from-the-other-cell", PROTOCOL,
-           "counts[teleported, 2] / pairs[teleported]", "counts[teleported, 3] / pairs[teleported]",
-           ("tests/test_protocol.py::test_imra_first_pair_branch_follows_unequal_home0_cells[one-round]",
-            "tests/test_golden.py::test_cli_output_matches_golden_hash[sweep-imra-strict]")),
+            "tests/test_protocol.py::test_count_sampler_matches_round_draws[imra-strict]",
+            f"{LAW}[isra-strict-counts]")),
+    Mutant("pair-branch-threshold-unconditioned", PROTOCOL,
+           "_clamped(float(joint[0]) / home0)", "_clamped(te)",
+           ("tests/test_protocol.py::test_pair_branch_threshold_is_enumerated[imra]",
+            "tests/test_protocol.py::test_count_sampler_matches_round_draws[imra-strict]",
+            f"{LAW}[imra-strict-counts]")),
+    Mutant("first-branch-mirrored", PROTOCOL,
+           "rand.random(teleported) >= tables.tp", "rand.random(teleported) < tables.tp",
+           ("tests/test_protocol.py::test_imra_first_pair_branch_follows_its_threshold[1]",)),
+    Mutant("first-branch-read-off-te", PROTOCOL,
+           "rand.random(teleported) >= tables.tp", "rand.random(teleported) >= tables.te",
+           (f"{LAW}[imra-paper-counts]",)),
+    Mutant("passing-and-home0-cells-swapped", PROTOCOL,
+           "(violated, d - violated, home0, 1.0 - d - home0)", "(violated, home0, d - violated, 1.0 - d - home0)",
+           (f"{LAW}[none-paper-counts]",)),
+    Mutant("fidelity-count-every-trial", PROTOCOL,
+           "fidelity_count += fidelities.size", "fidelity_count += pairs.size",
+           ("tests/test_protocol.py::test_sampled_bob_fidelity_mean_is_exact[none-strict]",)),
+    Mutant("home-threshold-inclusive", PROTOCOL,
+           "home = uniforms[..., 0] >= tables.tc[eve]", "home = uniforms[..., 0] > tables.tc[eve]",
+           ("tests/test_round_tree.py::test_table_thresholds_match_measure_qubit[none-None]",)),
     Mutant("bases-swapped-in-the-violated-cell", PROTOCOL,
            "d * (p * z + (1.0 - p) * x)", "d * (p * x + (1.0 - p) * z)",
            ("tests/test_protocol.py::test_violated_cell_is_q_by_three_routes[isra-0.5-paper]",)),
@@ -80,6 +90,13 @@ MUTANTS = [
            'np.einsum("tbja,tj->tba", rows, references.conj())', 'np.einsum("tbja,tj->tba", rows, references)',
            ("tests/test_teleport.py::test_kernel_matches_oracle_on_every_draw[0]",
             "tests/test_protocol.py::test_sampled_bob_fidelity_mean_is_exact[none-strict]")),
+    Mutant("bell-corrections-reversed", TELEPORT,
+           "_corrections()[1])", "_corrections()[1][::-1])",
+           ("tests/test_teleport.py::test_kernel_matches_oracle_on_every_draw[0]",)),
+    Mutant("bell-draw-boundary-exclusive", STATEVEC,
+           "(draws[:, None] >= cumulative)", "(draws[:, None] > cumulative)",
+           ("tests/test_teleport.py::test_sample_bell_rows_is_the_scalar_walk",
+            "tests/test_teleport.py::test_kernel_matches_oracle_on_every_draw[1]")),
     Mutant("pool-shares-reversed", CLI,
            "for share in pool.map(functools.partial(run_trials, trials=cfg.trials), shares)",
            "for share in reversed(list(pool.map(functools.partial(run_trials, trials=cfg.trials), shares)))",

@@ -1,9 +1,12 @@
 """Golden outputs: SHA-256 of small CLI invocations at fixed seeds.
 
 The hashes pin the random-stream layouts documented in :mod:`wshare.protocol`
-and every printed digit.  ``sweep-ema-strict`` was last recaptured when
-its records came to write ``detections`` as a JSON number, not a string;
-no other byte moved.  The three sweep hashes were last recaptured when
+and every printed digit.  ``sweep-imra-strict`` was last recaptured when
+the count draw went to four round cells (one home-0 cell, no longer one
+per Eve branch); no other hash moved.  ``sweep-ema-strict`` was last
+recaptured when its records came to write ``detections`` as a JSON
+number, not a string; no other byte moved.  The three sweep hashes were
+recaptured before that, when
 sweeps came to draw each trial's counts per round cell instead of its
 rounds (``multinomial(n, cells)`` per block of trials, then one imra
 uniform per teleported trial, then the teleport); ``run``,
@@ -65,7 +68,7 @@ GOLDEN = {
     "sweep-imra-strict": (
         ["sweep", "--attack", "imra", "--mode", "strict", "--n-values", "1,2",
          "--d-values", "0.5,1", "--p-values", "0,0.5", "--trials", "100", "--seed", "9"],
-        0, "582b9e9af5b649d1cf68ca40d706bbe74da0d3a88c46cabaa95bdead6f37ee08"),
+        0, "2f840628d2fc245ce166b68260d45755b7fa52f5d7f4cb516ed1e3ee5cbdc1e2"),
     "sweep-ema-strict": (
         ["sweep", "--attack", "ema", "--mode", "strict", "--n", "5", "--trials", "100",
          "--seed", "10", "--format", "records"],

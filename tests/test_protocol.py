@@ -1,7 +1,9 @@
 """Protocol state machine: detection sampling, checking rules, distillation."""
 
 import collections
+import itertools
 import math
+import statistics
 import tracemalloc
 
 import numpy as np
@@ -403,7 +405,7 @@ def test_run_trials_checks_its_inputs():
 GRIDS = {
     # three isra models: three teleports, each through its own model's one node
     "isra-y-grid": ([(ProtocolConfig(n=10, d=0.5, p=0.5), AttackModel("isra", y)) for y in (0.0, 0.5, 1.0)], 600),
-    # the d = 1 points select every round, so they have no pairs and no teleport rows
+    # the d = 1 points select every round, so they have no pairs and no teleport
     "imra-grid-with-d1": ([(ProtocolConfig(n=n, d=d, p=p, checker_mode="strict"), AttackModel("imra"))
                            for p in (0.0, 0.5) for d in (0.5, 1.0) for n in (1, 2, 4)], 400),
     # with 256-trial blocks, 600 trials are two full blocks and a ragged one at every point;
@@ -411,25 +413,24 @@ GRIDS = {
     "past-one-block": ([(ProtocolConfig(n=40, d=0.0, p=0.5), AttackModel("ema")),
                         (ProtocolConfig(n=5, d=0.2, p=0.5), AttackModel("imra")),
                         (ProtocolConfig(n=40, d=0.0, p=0.5), AttackModel("none"))], 600),
-    # models interleave across two rest layouts: the points run in grid order, so the two
-    # isra points, apart in the grid, teleport in two batches
+    # models interleave across two rest layouts: each point teleports through its own model
     "interleaved-models": ([(ProtocolConfig(n=10, d=0.3, p=0.5), AttackModel("isra", 0.5)),
                             (ProtocolConfig(n=10, d=0.3, p=0.5), AttackModel("ema")),
                             (ProtocolConfig(n=20, d=0.1, p=1.0, checker_mode="strict"), AttackModel("isra", 0.5)),
                             (ProtocolConfig(n=10, d=0.3, p=0.5), AttackModel("none"))], 300),
-    # with 256-trial blocks, three 128-trial points of one model fill one batch and start the
-    # next: every trial has a pair at d = 0 and n = 40, so the teleports take 256 and 128 rows
+    # three 128-trial points of one model: every trial has a pair at d = 0 and n = 40, and
+    # each point teleports its own 128 rows, never sharing a teleport with the next
     "packed-points": ([(ProtocolConfig(n=40, d=0.0, p=0.5), AttackModel("ema"))] * 3, 128),
 }
 
 
 @pytest.mark.parametrize("case", GRIDS)
 def test_grid_call_matches_one_point_calls(case, monkeypatch):
-    # One call over a grid shares the arithmetic of its points, never their
-    # draws: each point's stats and its stream's next draw are those of a
-    # call with that point alone, no teleport takes more rows than a block
-    # holds trials, and each teleport goes through one attack model's kernel.
-    if case in ("past-one-block", "packed-points"):
+    # One call over a grid runs its points one after another: each point's
+    # stats, its stream's next draw and its teleports are those of a call
+    # with that point alone.  Each block that has a pair teleports once,
+    # through its own point's model, never more rows than a block holds.
+    if case == "past-one-block":
         monkeypatch.setattr(protocol, "_BLOCK_TRIALS", 256)
     grid, trials = GRIDS[case]
     kernels_of = {attack: protocol._round_tables(attack).kernels for _, attack in grid}
@@ -449,16 +450,17 @@ def test_grid_call_matches_one_point_calls(case, monkeypatch):
         assert run_trials([(config, attack, alone)], trials) == [together[index]], index
         assert rands[index].random() == alone.random(), index
     assert len(together) == len(grid) and all(rows <= protocol._BLOCK_TRIALS for rows, _, _ in calls)
+    assert calls[len(batched):] == batched  # the one-point calls, in grid order
     if case == "isra-y-grid":
         assert [(owner, nodes) for _, owner, nodes in batched] == [(attack, 1) for _, attack in grid]
     elif case == "imra-grid-with-d1":
-        assert len(batched) == 1
+        assert len(batched) == sum(config.d < 1 for config, _ in grid) == 6
         assert [stats.fidelity_mean is None for stats in together] == [config.d == 1.0 for config, _ in grid]
     elif case == "interleaved-models":
         assert [owner for _, owner, _ in batched] == [AttackModel("isra", 0.5), AttackModel("ema"),
                                                       AttackModel("isra", 0.5), AttackModel("none")]
     elif case == "packed-points":
-        assert [rows for rows, _, _ in batched] == [256, 128]
+        assert [rows for rows, _, _ in batched] == [128, 128, 128]
     else:
         assert max(rows for rows, _, _ in batched) == 256
 
@@ -491,6 +493,19 @@ def _agree(counted, drawn):
     return abs(gap) <= 4 * spread
 
 
+def _rows_of_rounds(attack: AttackModel, config: ProtocolConfig, trials: int, rand) -> tuple:
+    """(aborted, survivors, pairs, first pair's Eve branch) of ``trials``
+    trials at ``config``, drawn as one run's rounds, a trial being each n
+    rounds of it; the branches are those of the trials with a pair, in order."""
+    run = run_protocol(ProtocolConfig(trials * config.n, config.d, config.p, config.checker_mode), attack, rand)
+    eve, selected, home, violated = (a.reshape(trials, config.n) for a in
+                                     (run.eve, run.selected, run.home, run._violated))
+    aborted = violated.any(axis=1)  # a trial aborts on any violated round
+    pairs = ~selected & ~home & ~aborted[:, None]  # its home-0 survivors, if it passed
+    paired = np.flatnonzero(pairs.any(axis=1))
+    return aborted, (~selected).sum(axis=1), pairs.sum(axis=1), eve[paired, pairs[paired].argmax(axis=1)]
+
+
 @pytest.mark.parametrize("mode", ["paper", "strict"])
 @pytest.mark.parametrize("attack", [AttackModel("none"), AttackModel("imra"),
                                     AttackModel("isra", 0.6), AttackModel("ema")],
@@ -505,37 +520,15 @@ def test_count_sampler_matches_round_draws(attack, mode):
         config = ProtocolConfig(n=n, d=d, p=p, checker_mode=mode)
         aborted, surviving, pairs, first = protocol._draw_counts(
             tables, protocol._round_cells(tables, config), n, np.random.default_rng(n), trials)
-        run = run_protocol(ProtocolConfig(n=trials * n, d=d, p=p, checker_mode=mode), attack,
-                           np.random.default_rng(n + 1))
-        eve, selected, home, violated = (a.reshape(trials, n) for a in
-                                         (run.eve, run.selected, run.home, run._violated))
-        drawn_aborted = violated.any(axis=1)  # a trial aborts on any violated round
-        drawn_pairs = ~selected & ~home & ~drawn_aborted[:, None]  # its home-0 survivors, if it passed
-        paired = np.flatnonzero(drawn_pairs.any(axis=1))
-        drawn_first = eve[paired, drawn_pairs[paired].argmax(axis=1)]
-        for name, a, b in [("detections", aborted, drawn_aborted), ("survivors", surviving, (~selected).sum(axis=1)),
-                           ("pairs", pairs, drawn_pairs.sum(axis=1)), ("first-pair branch", first, drawn_first)]:
+        drawn = _rows_of_rounds(attack, config, trials, np.random.default_rng(n + 1))
+        for name, a, b in zip(("detections", "survivors", "pairs", "first-pair branch"),
+                              (aborted, surviving, pairs, first), drawn):
             assert _agree(a, b), (name, n, p, d, np.mean(a), np.mean(b))
         assert first.size == np.count_nonzero(pairs)
         if attack.kind == "imra":
             assert 0 < first.mean() < 1  # both branches drawn
         else:
             assert not first.any()
-
-
-@pytest.mark.parametrize("cells,n,expected", [((0, 0, 0.9, 0.1, 0), 1, 0.9), ((0, 0.1, 0.5, 0.2, 0.2), 5, 5 / 7)],
-                         ids=["one-round", "five-rounds"])
-def test_imra_first_pair_branch_follows_unequal_home0_cells(cells, n, expected):
-    # imra's two home-0 cells are equal at every config, so no sweep tells the
-    # first pair's branch rule from its mirror image; hand-made unequal cells
-    # do.  Rounds are exchangeable, so the first home-0 survivor is of branch
-    # 0 with probability c_2 / (c_2 + c_3), whatever else the trial drew.
-    trials = 20_000
-    _, _, pairs, first = protocol._draw_counts(protocol._round_tables(AttackModel("imra")),
-                                               np.array(cells, dtype=float), n, np.random.default_rng(n), trials)
-    assert first.size == np.count_nonzero(pairs) > trials // 2
-    share = 1.0 - first.mean()  # first is the branch index: 0 or 1
-    assert abs(share - expected) <= 4 * np.sqrt(expected * (1 - expected) / first.size), share
 
 
 DERIVED = ("directives", "report", "pairs", "transcript")
@@ -684,12 +677,121 @@ def test_violated_cell_is_q_by_three_routes(attack, mode):
     tables = protocol._round_tables(attack)
     for p, d in [(0.5, 0.5), (0.3, 0.7), (1.0, 1.0), (0.0, 0.25), (0.9, 0.05)]:
         cells = protocol._round_cells(tables, ProtocolConfig(n=10, d=d, p=p, checker_mode=mode))
-        assert cells.size == 4 + (attack.kind == "imra") and (cells >= 0).all()
+        assert cells.size == 4 and (cells >= 0).all()
         assert abs(cells.sum() - 1.0) <= 1e-15
         for q in (closed_form_round_detection(attack, mode, p, d), round_detection_probability(attack, mode, p, d)):
             assert abs(cells[0] - q) <= 1e-15, (p, d, cells[0], q)
         if d < 1:
-            assert abs(cells[2:-1].sum() / cells[2:].sum() - 2 / 3) <= 1e-15
+            assert abs(cells[2] / cells[2:].sum() - 2 / 3) <= 1e-15
+
+
+def _home0_law(attack: AttackModel) -> tuple[float, float | None]:
+    """P(home reads 0) and, under imra, P(Eve read 0 | home reads 0) (else
+    None), enumerated from the attack's branches without the round tables."""
+    te, roots = attack.branches(make_w_state())
+    weights = (1.0,) if te is None else (te, 1.0 - te)
+    joint = [w * enumerate_qubit(root, "c", Basis.Z)[0].probability for w, root in zip(weights, roots)]
+    return sum(joint), None if te is None else joint[0] / sum(joint)
+
+
+@pytest.mark.parametrize("attack", FIDELITY_ATTACKS, ids=_attack_id)
+def test_pair_branch_threshold_is_enumerated(attack):
+    # Every pair is a home-0 survivor, so its Eve branch is 0 with
+    # probability P(Eve 0 | home 0): 1/2 under imra (P(Eve 0) itself is 2/3).
+    tables = protocol._round_tables(attack)
+    home0, threshold = _home0_law(attack)
+    assert abs(tables.home0 - home0) <= 1e-15
+    if attack.kind == "imra":
+        assert abs(tables.tp - threshold) <= 1e-15 and abs(threshold - 0.5) <= 1e-15
+    else:
+        assert tables.tp is None and threshold is None
+
+
+@pytest.mark.parametrize("n", [1, 5])
+def test_imra_first_pair_branch_follows_its_threshold(n):
+    # imra's threshold is 1/2, so no real table tells the first-branch rule
+    # from its mirror image; a threshold of 0.9 does.  Rounds are
+    # exchangeable, so the first pair is of branch 0 with probability tp,
+    # whatever else the trial drew.
+    tables, trials = protocol._round_tables(AttackModel("imra")), 20_000
+    cells = protocol._round_cells(tables, ProtocolConfig(n=n, d=0.0, p=0.5, checker_mode="strict"))
+    _, _, pairs, first = protocol._draw_counts(tables._replace(tp=0.9), cells, n, np.random.default_rng(n), trials)
+    assert first.size == np.count_nonzero(pairs) > trials // 2
+    share = 1.0 - first.mean()  # first is the branch index: 0 or 1
+    assert abs(share - 0.9) <= 4 * np.sqrt(0.9 * 0.1 / first.size), share
+
+
+def _row_law(attack: AttackModel, mode: str, n: int, p: float, d: float) -> dict:
+    """The exact law of a trial's row (aborted, survivors, pairs, first
+    pair's Eve branch, or -1 without a pair) at ``n`` rounds: the multinomial
+    pmf of its four round cells times the branch draw.  The cells come
+    without the round tables: q from the enumeration oracle, P(home 0) and
+    the branch threshold from the attack's branches."""
+    q = round_detection_probability(attack, mode, p, d)
+    home0, threshold = _home0_law(attack)
+    cells = (q, d - q, (1 - d) * home0, (1 - d) * (1 - home0))
+    branches = (1.0,) if threshold is None else (threshold, 1.0 - threshold)
+    law = collections.defaultdict(float)
+    for counts in itertools.product(range(n + 1), repeat=4):
+        if sum(counts) == n:
+            weight = math.factorial(n) * math.prod(c ** k / math.factorial(k) for c, k in zip(cells, counts))
+            aborted, survivors = counts[0] > 0, counts[2] + counts[3]
+            pairs = 0 if aborted else counts[2]
+            for e, share in enumerate(branches if pairs else (1.0,)):
+                law[aborted, survivors, pairs, e if pairs else -1] += weight * share
+    return law
+
+
+def _chi2_critical(df: int) -> float:
+    """Wilson and Hilferty's cube-root approximation to the chi-squared
+    quantile that df degrees of freedom exceed with probability 1e-6."""
+    z = statistics.NormalDist().inv_cdf(1 - 1e-6)
+    return df * (1 - 2 / (9 * df) + z * math.sqrt(2 / (9 * df))) ** 3
+
+
+@pytest.mark.parametrize("sampler", ["counts", "rounds"])
+@pytest.mark.parametrize("mode", ["paper", "strict"])
+@pytest.mark.parametrize("attack", [AttackModel("none"), AttackModel("imra"),
+                                    AttackModel("isra", 0.6), AttackModel("ema")],
+                         ids=lambda attack: attack.kind)
+def test_trial_rows_follow_the_exact_law(attack, mode, sampler):
+    # At n <= 4 a trial's four counts take at most 35 values, so the law of
+    # its whole row is a finite table.  A sampler can keep every mean right
+    # and still get this joint law wrong (a first branch that follows the
+    # survivors, pairs miscounted on some trials), so seeded rows of both
+    # samplers go through a Pearson chi-squared test against the table, the
+    # cells expected below 5 pooled.  The bound is a p-value of 1e-6: the 16
+    # cases x 4 points make 64 tests per suite run, so a sound sampler fails
+    # one about once in 10^4 reseedings, while every broken sampler tried
+    # against it scored in the hundreds or more.  The critical value is Wilson and
+    # Hilferty's, as the test extras hold no chi-squared quantile; for
+    # 1 <= df <= 40 it lies at most 15 % above the exact one, never below.
+    tables, trials = protocol._round_tables(attack), 20_000
+    for n, p, d in [(1, 0.5, 0.0), (2, 0.3, 0.25), (3, 1.0, 0.5), (4, 0.6, 0.2)]:
+        law = _row_law(attack, mode, n, p, d)
+        assert abs(sum(law.values()) - 1.0) <= 1e-12
+        q = closed_form_round_detection(attack, mode, p, d)
+        assert abs(sum(weight for row, weight in law.items() if row[0]) - (1 - (1 - q) ** n)) <= 1e-12
+        config, rand = ProtocolConfig(n=n, d=d, p=p, checker_mode=mode), np.random.default_rng(n)
+        if sampler == "counts":
+            aborted, survivors, pairs, first = protocol._draw_counts(
+                tables, protocol._round_cells(tables, config), n, rand, trials)
+        else:
+            aborted, survivors, pairs, first = _rows_of_rounds(attack, config, trials, rand)
+        branch = np.full(trials, -1)
+        branch[pairs > 0] = first
+        rows = collections.Counter(zip(aborted.tolist(), survivors.tolist(), pairs.tolist(), branch.tolist()))
+        assert all(law.get(row, 0.0) > 0 for row in rows), (n, p, d, set(rows) - set(law))
+        ranked = sorted(law, key=law.get)  # the least likely first, so they pool together
+        expected, observed = trials * np.array([law[row] for row in ranked]), np.array([rows[row] for row in ranked])
+        pooled = int(np.count_nonzero(expected < 5))
+        while 0 < pooled < expected.size and expected[:pooled].sum() < 5:
+            pooled += 1
+        if pooled:
+            expected = np.r_[expected[:pooled].sum(), expected[pooled:]]
+            observed = np.r_[observed[:pooled].sum(), observed[pooled:]]
+        statistic, df = ((observed - expected) ** 2 / expected).sum(), expected.size - 1
+        assert df >= 1 and statistic <= _chi2_critical(df), (n, p, d, statistic, df)
 
 
 @pytest.mark.parametrize("mode", ["paper", "strict"])
@@ -702,10 +804,7 @@ def test_sampled_yield_mean_is_exact(attack, mode):
     # yield has mean 2/3 and variance (2/9)/s.  Averaging 1/s over every
     # trial with s >= 1 is exact on the honest channel and an upper bound
     # under attack, where passing favours trials with fewer selected rounds.
-    te, roots = attack.branches(make_w_state())
-    weights = (1.0,) if te is None else (te, 1.0 - te)
-    home0 = sum(w * enumerate_qubit(root, "c", Basis.Z)[0].probability for w, root in zip(weights, roots))
-    assert abs(home0 - 2 / 3) <= 1e-12
+    assert abs(_home0_law(attack)[0] - 2 / 3) <= 1e-12
     n, d, trials = 20, 0.3, 20_000
     [stats] = run_trials([(ProtocolConfig(n=n, d=d, p=0.5, checker_mode=mode), attack, np.random.default_rng(7))],
                          trials)
