@@ -534,8 +534,7 @@ def _draw_counts(tables: RoundTables, cells: np.ndarray, n: int, rand, trials: i
     counts = rand.multinomial(n, cells, size=trials)
     aborted = counts[:, 0] > 0
     surviving = n - counts[:, 0] - counts[:, 1]  # not a row sum: numpy sums short rows slowly
-    pairs = surviving - counts[:, 3]
-    pairs[aborted] = 0
+    pairs = np.where(aborted, 0, counts[:, 2])
     teleported = np.count_nonzero(pairs)
     if tables.tp is None:
         return aborted, surviving, pairs, np.zeros(teleported, dtype=np.uint8)
@@ -549,16 +548,14 @@ def run_trials(points, trials: int) -> list[TrialStats]:
     grid order; each draws from its own ``rand``, in the module's stream
     layout, and its row is what a call with that point alone gives.  Returns
     one :class:`TrialStats` per point, in order.  ``trials`` must be a
-    positive integer.  An ``n`` of 2^63 or more, past the counts numpy
-    draws, raises MemoryError.
+    positive integer.  A point whose ``n`` is 2^63 or more, past the counts
+    numpy draws, raises MemoryError when its turn comes.
     """
     trials = _check_length(trials, "trial count")
-    points = list(points)
-    for config, _, _ in points:
-        if config.n > np.iinfo(np.int64).max:
-            raise MemoryError(f"{config.n} rounds exceed the counts numpy can draw")
     stats = []
     for config, attack, rand in points:
+        if config.n > np.iinfo(np.int64).max:
+            raise MemoryError(f"{config.n} rounds exceed the counts numpy can draw")
         tables = _round_tables(attack)
         cells = _round_cells(tables, config)
         detections, yield_sum, yield_count, fidelity_sum, fidelity_count = 0, 0.0, 0, 0.0, 0

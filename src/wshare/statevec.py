@@ -131,9 +131,6 @@ class StateVector(_Record):
         except ValueError:
             raise ValueError(f"no qubit labeled {label!r} in register {self.labels}") from None
 
-    def _tensor_view(self) -> np.ndarray:
-        return self.amplitudes.reshape((2,) * self.num_qubits)
-
     def _split(self, ax: int) -> np.ndarray:
         """View shaped (before, 2, after) with the middle axis = qubit ``ax``."""
         return self.amplitudes.reshape(1 << ax, 2, -1)
@@ -176,11 +173,6 @@ _BELL_MATRICES = (
     np.array([[_RSQRT2, 0.0], [0.0, _RSQRT2]], dtype=complex),
     np.array([[_RSQRT2, 0.0], [0.0, -_RSQRT2]], dtype=complex),
 )
-
-# Two classical bits per outcome: (family, sign) with family 0 = psi, 1 = phi
-# and sign 0 = +, 1 = -.
-_BELL_BITS = ((0, 0), (0, 1), (1, 0), (1, 1))
-
 
 class BellOutcome(NamedTuple):
     """One branch of a two-qubit Bell measurement.
@@ -385,10 +377,11 @@ def enumerate_bell(s: StateVector, q1: str, q2: str) -> list[BellOutcome]:
     if q1 == q2:
         raise ValueError("Bell measurement needs two distinct qubits")
     axes = (s.axis(q1), s.axis(q2))
-    t = np.moveaxis(s._tensor_view(), axes, (0, 1))
+    t = np.moveaxis(s.amplitudes.reshape((2,) * s.num_qubits), axes, (0, 1))
     rest_labels = tuple(l for i, l in enumerate(s.labels) if i not in axes)
     outcomes = []
-    for name, bits, mat in zip(BELL_NAMES, _BELL_BITS, _BELL_MATRICES):
+    for k, (name, mat) in enumerate(zip(BELL_NAMES, _BELL_MATRICES)):
+        bits = divmod(k, 2)  # (family, sign): family 0 = psi, 1 = phi; sign 0 = +, 1 = -
         res = np.einsum("ij,ij...->...", mat.conj(), t)
         probability = float(np.sum(np.abs(res) ** 2))
         if probability <= _ZERO_PROB:

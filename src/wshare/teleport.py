@@ -20,8 +20,7 @@ messages and uniforms of every other.  :func:`teleport_branches` stays the
 scalar four-branch oracle, built from :func:`~wshare.statevec.enumerate_bell`.
 In every pair register Alice's qubit is ``"a"`` and Bob's ``"b"``.
 
-The module also provides the exact four-branch decomposition of a
-teleportation attempted over the corrupted three-qubit channel
+:func:`corrupted_channel` is the three-qubit channel
 (|100>+|011>)_abe/sqrt(2) that an entangling interceptor leaves behind.
 """
 
@@ -31,14 +30,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .statevec import (
-    _BELL_BITS,
     _BELL_MATRICES,
     BELL_NAMES,
     BellOutcome,
     StateVector,
     _sample_bell_rows,
     enumerate_bell,
-    make_message_state,
     reduced_fidelity,
     tensor,
 )
@@ -164,7 +161,7 @@ def teleport(message: StateVector, pair: StateVector, rand: "np.random.Generator
                            np.array([rand.random()]))
     k = int(batch.outcomes[0])
     name = BELL_NAMES[k]
-    return TeleportResult(name, _BELL_BITS[k], float(batch.probabilities[0]), build_correction_table()[name],
+    return TeleportResult(name, divmod(k, 2), float(batch.probabilities[0]), build_correction_table()[name],
                           StateVector._trusted(batch.residuals[0], batch.labels), float(batch.fidelities[0]))
 
 
@@ -271,18 +268,6 @@ def corrupted_channel() -> StateVector:
     amps = np.zeros(8, dtype=complex)
     amps[[0b100, 0b011]] = 1.0 / np.sqrt(2.0)
     return StateVector(amps, ("a", "b", "e"))
-
-
-def ema_decomposition(a: complex, b: complex) -> list[tuple[BellOutcome, StateVector]]:
-    """Exact Bell-branch decomposition of teleporting over the corrupted channel.
-
-    Returns the four (Bell outcome on (m, a), residual state of (b, e))
-    branches.  Each has weight 1/4; the residuals are a|00>±b|11> for the
-    psi± outcomes and a|11>±b|00> for the phi± outcomes (normalized).
-    """
-    message = make_message_state(a, b)
-    joint = tensor(message, corrupted_channel())
-    return [(o, o.residual) for o in enumerate_bell(joint, "m", "a")]
 
 
 def random_amplitudes(rand: "np.random.Generator", count: int) -> np.ndarray:

@@ -36,7 +36,7 @@ def reorder(s: StateVector, labels) -> StateVector:
     if sorted(labels) != sorted(s.labels):
         raise ValueError(f"reorder needs a permutation of {s.labels}, got {labels}")
     perm = tuple(s.axis(l) for l in labels)
-    amps = s._tensor_view().transpose(perm).reshape(-1)
+    amps = s.amplitudes.reshape((2,) * s.num_qubits).transpose(perm).reshape(-1)
     return StateVector(amps, labels)
 
 
@@ -53,7 +53,7 @@ def z_marginal(s: StateVector, labels) -> np.ndarray:
     """Z-basis outcome probabilities of a subset of qubits, in label order."""
     labels = tuple(labels)
     keep = tuple(s.axis(l) for l in labels)
-    t = np.abs(s._tensor_view()) ** 2
+    t = np.abs(s.amplitudes.reshape((2,) * s.num_qubits)) ** 2
     t = np.moveaxis(t, keep, range(len(keep)))
     if s.num_qubits > len(keep):
         t = t.sum(axis=tuple(range(len(keep), s.num_qubits)))

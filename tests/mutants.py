@@ -47,10 +47,14 @@ MUTANTS = [
            ("tests/test_protocol.py::test_sampled_yield_mean_is_exact[isra-0.5-strict]",
             "tests/test_protocol.py::test_sampled_yield_mean_is_exact[imra-strict]")),
     Mutant("pairs-on-aborted-trials", PROTOCOL,
-           "    pairs[aborted] = 0\n", "",
+           "np.where(aborted, 0, counts[:, 2])", "counts[:, 2]",
            ("tests/test_protocol.py::test_count_sampler_matches_round_draws[isra-strict]",
             "tests/test_protocol.py::test_count_sampler_matches_round_draws[imra-strict]",
             f"{LAW}[isra-strict-counts]")),
+    Mutant("trial-n-unchecked", PROTOCOL,
+           "        if config.n > np.iinfo(np.int64).max:\n"
+           "            raise MemoryError(f\"{config.n} rounds exceed the counts numpy can draw\")\n", "",
+           ("tests/test_protocol.py::test_trial_cost_does_not_grow_with_n[honest]",)),
     Mutant("pair-branch-threshold-unconditioned", PROTOCOL,
            "_clamped(float(joint[0]) / home0)", "_clamped(te)",
            ("tests/test_protocol.py::test_pair_branch_threshold_is_enumerated[imra]",
@@ -93,6 +97,12 @@ MUTANTS = [
     Mutant("bell-corrections-reversed", TELEPORT,
            "_corrections()[1])", "_corrections()[1][::-1])",
            ("tests/test_teleport.py::test_kernel_matches_oracle_on_every_draw[0]",)),
+    Mutant("bell-bits-reversed-in-teleport", TELEPORT,
+           "divmod(k, 2)", "divmod(k, 2)[::-1]",
+           ("tests/test_teleport.py::test_kernel_matches_oracle_on_every_draw[0]",)),
+    Mutant("bell-bits-reversed-in-enumerate-bell", STATEVEC,
+           "bits = divmod(k, 2)", "bits = divmod(k, 2)[::-1]",
+           ("tests/test_statevec.py::test_bell_bits_encoding",)),
     Mutant("bell-draw-boundary-exclusive", STATEVEC,
            "(draws[:, None] >= cumulative)", "(draws[:, None] > cumulative)",
            ("tests/test_teleport.py::test_sample_bell_rows_is_the_scalar_walk",

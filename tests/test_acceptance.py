@@ -18,6 +18,7 @@ from wshare.protocol import ProtocolConfig, run_protocol, run_trials
 from wshare.statevec import (
     Basis,
     discard_qubit,
+    enumerate_bell,
     make_message_state,
     make_w_state,
     measure_qubit,
@@ -25,7 +26,6 @@ from wshare.statevec import (
 )
 from wshare.teleport import (
     corrupted_channel,
-    ema_decomposition,
     random_message,
     teleport,
     teleport_branches,
@@ -190,10 +190,10 @@ def test_criterion_08_ema_decomposition():
         a, b = (complex(x) for x in message.amplitudes)
         joint = tensor(make_message_state(a, b), corrupted_channel())
         rebuilt = np.zeros_like(joint.amplitudes)
-        for outcome, residual in ema_decomposition(a, b):
+        for outcome in enumerate_bell(joint, "m", "a"):
             worst_weight = max(worst_weight, abs(outcome.probability - 0.25))
             rebuilt = rebuilt + np.sqrt(outcome.probability) * np.kron(
-                bell_vectors[outcome.name], residual.amplitudes
+                bell_vectors[outcome.name], outcome.residual.amplitudes
             )
         worst_rebuild = max(worst_rebuild, float(np.max(np.abs(rebuilt - joint.amplitudes))))
     ok = worst_weight <= 1e-12 and worst_rebuild <= 1e-12

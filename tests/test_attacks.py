@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from wshare.attacks import AttackModel, eve_recover_attempt
+from wshare.attacks import AttackModel, eve_recover_attempt, eve_recover_batch
 from wshare.protocol import ProtocolConfig, run_protocol
 from wshare.statevec import (
     Basis,
@@ -205,6 +205,8 @@ def test_recover_requires_attack_and_result():
     msg = make_message_state(0.6, 0.8)
     with pytest.raises(ValueError):
         eve_recover_attempt(AttackModel("none"), None, None, msg)
+    with pytest.raises(ValueError, match="no attack was active"):
+        eve_recover_batch(AttackModel("none"), None, None, np.array([[0.6, 0.8]]))
     attack = AttackModel("imra")
     _, bit = attack.intercept(make_w_state(), np.random.default_rng(0))
     with pytest.raises(RuntimeError):

@@ -310,6 +310,14 @@ def test_scenario_file_rejects_unknown_keys(tmp_path, capsys):
     assert "frobnicate" in proc.stderr
 
 
+def test_scenario_file_must_hold_an_object(tmp_path, capsys):
+    scenario = tmp_path / "scen.json"
+    scenario.write_text("[1, 2]")
+    proc = call(capsys, "run", "--scenario", str(scenario))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: scenario file must hold a flat JSON object\n"
+
+
 def test_curves_row_count_and_schema(capsys):
     proc = call(
         capsys, "curves", "--y-values", "0,1", "--d-values", "0.5",

@@ -38,10 +38,10 @@ def test_root_import_loads_no_submodule_and_binds_only_the_version():
 
 
 # Public functions that nothing in src/, demos/ or README.md calls: the
-# test-only oracles that guard a fast path.
+# test-only oracles that guard a fast path.  A composition of public calls
+# that only tests use belongs in those tests, not here.
 UNREFERENCED_ORACLES = {
     "x_round_detection_given_home0",  # the strict X rule's 1/2, per attack
-    "ema_decomposition",  # criterion 8's four-branch rebuild
     "eve_recover_attempt",  # the scalar oracle of eve_recover_batch
 }
 

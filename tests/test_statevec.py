@@ -64,6 +64,8 @@ def test_basis_state_from_string():
 def test_basis_state_length_mismatch():
     with pytest.raises(ValueError):
         make_basis_state([0, 1], ["a"])
+    with pytest.raises(ValueError, match="bits must be 0 or 1"):
+        make_basis_state([0, 2], ["a", "b"])
 
 
 def test_message_state():
@@ -92,6 +94,8 @@ def test_w_state_amplitudes():
 
 
 def test_statevector_validation():
+    with pytest.raises(ValueError, match="at least one qubit"):
+        StateVector(np.array([1.0]), ())  # no labels
     with pytest.raises(ValueError):
         StateVector(np.array([1.0, 0.0, 0.0]), ("a",))  # wrong length
     with pytest.raises(ValueError):
@@ -216,6 +220,13 @@ def test_relabel_and_reorder():
     # amplitude multiset survives, and a round trip is exact.
     assert_allclose(reorder(flipped, ("a", "b", "c")).amplitudes, w.amplitudes)
     assert state_fidelity(flipped, w) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_relabel_refuses_unknown_and_colliding_labels():
+    with pytest.raises(ValueError, match=r"cannot relabel unknown qubits: \['x'\]"):
+        relabel(make_w_state(), {"x": "e"})
+    with pytest.raises(ValueError, match="relabeling collides"):
+        relabel(make_w_state(), {"a": "b"})
 
 
 def test_reorder_rejects_non_permutation():
@@ -417,6 +428,11 @@ def test_bell_bits_encoding():
     assert [o.bits for o in outcomes] == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
+def test_enumerate_bell_refuses_one_qubit_twice():
+    with pytest.raises(ValueError, match="two distinct qubits"):
+        enumerate_bell(make_w_state(), "a", "a")
+
+
 # ---------------------------------------------------------------------------
 # reduced states
 
@@ -424,6 +440,11 @@ def test_bell_bits_encoding():
 def test_reduced_fidelity_basis_case():
     s = make_basis_state([0], ["q"])
     assert reduced_fidelity(s, "q", make_basis_state([0], ["r"])) == pytest.approx(1.0)
+
+
+def test_reduced_fidelity_refuses_a_multi_qubit_reference():
+    with pytest.raises(ValueError, match="single-qubit"):
+        reduced_fidelity(make_w_state(), "a", make_basis_state([0, 0], ["r", "s"]))
 
 
 def test_reduced_fidelity_bell_is_half():
@@ -450,6 +471,8 @@ def test_z_marginal_of_w():
 def test_discard_requires_collapse():
     with pytest.raises(ValueError):
         discard_qubit(make_w_state(), "c")  # still in superposition
+    with pytest.raises(ValueError, match="cannot discard the last qubit"):
+        discard_qubit(make_basis_state([0], ["c"]), "c")
 
 
 def test_unknown_label_raises():

@@ -29,7 +29,6 @@ from wshare.teleport import (
     apply_correction,
     build_correction_table,
     corrupted_channel,
-    ema_decomposition,
     psi_plus_pair,
     random_amplitudes,
     random_message,
@@ -183,6 +182,12 @@ def test_correction_table_refuses_all_but_one_fit(corrections, refusal, monkeypa
 
 # ---------------------------------------------------------------------------
 # corrupted-channel decomposition
+
+
+def ema_decomposition(a, b):
+    """(Bell outcome on (m, a), residual on (b, e)) of a|0> + b|1> over the corrupted channel."""
+    joint = tensor(make_message_state(a, b), corrupted_channel())
+    return [(o, o.residual) for o in enumerate_bell(joint, "m", "a")]
 
 
 def test_decomposition_weights_and_branches():
@@ -651,3 +656,5 @@ def test_teleport_rejects_bad_labels():
         teleport(make_message_state(0.6, 0.8, label="a"), psi_plus(), rng)
     with pytest.raises(ValueError):
         teleport(tensor(message, make_basis_state([0], ["x"])), psi_plus(), rng)
+    with pytest.raises(ValueError, match="message must be a single qubit"):
+        teleport_branches(tensor(message, make_basis_state([0], ["x"])), psi_plus())
