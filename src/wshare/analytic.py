@@ -34,7 +34,7 @@ forwards to Bob.)
 
 from .attacks import AttackModel, _check_unit
 from .protocol import CheckerMode, DetectionDirective, evaluate_checks
-from .statevec import _ZERO_PROB, Basis, StateVector, enumerate_qubit, make_w_state
+from .statevec import Basis, StateVector, enumerate_qubit, make_w_state
 
 
 def closed_form_round_detection(attack: AttackModel, mode: CheckerMode | str, p: float, d: float) -> float:
@@ -80,13 +80,13 @@ def _violation_probability(state: StateVector, basis: Basis, mode: CheckerMode) 
     directive = [DetectionDirective(1, basis)]
     total = 0.0
     for bc in enumerate_qubit(state, "c", Basis.Z):
-        if bc.probability <= _ZERO_PROB:
+        if bc.post_state is None:
             continue
         for ba in enumerate_qubit(bc.post_state, "a", basis):
-            if ba.probability <= _ZERO_PROB:
+            if ba.post_state is None:
                 continue
             for bb in enumerate_qubit(ba.post_state, "b", basis):
-                if bb.probability <= _ZERO_PROB:
+                if bb.post_state is None:
                     continue
                 report = evaluate_checks(directive, [bc.outcome], [ba.outcome], [bb.outcome], mode)
                 if report.verdict == "detected":

@@ -61,8 +61,7 @@ import numpy as np
 from . import __version__
 from .analytic import closed_form_round_detection
 from .attacks import ATTACK_KINDS, AttackModel
-from .protocol import (CheckerMode, ProtocolConfig, _check_addressable, _round_tables, run_protocol, run_trials,
-                       teleport_pairs)
+from .protocol import CheckerMode, ProtocolConfig, _round_tables, run_protocol, run_trials, teleport_pairs
 from .statevec import BELL_NAMES
 from .teleport import build_correction_table, teleport_batch, teleport_draws
 
@@ -410,7 +409,7 @@ def cmd_run(cfg: argparse.Namespace) -> int:
             events.append(("runner", "teleport-fidelity-mean", round(fidelity, 12)))
             if recoveries is not None:
                 events.append(("runner", "eve-recovery-mean", round(float(recoveries.mean()), 12)))
-    rows = [dict(zip(RUN_COLUMNS, (i, speaker, event, json.dumps(payload, default=_cell)), strict=True))
+    rows = [dict(zip(RUN_COLUMNS, (i, speaker, event, json.dumps(payload)), strict=True))
             for i, (speaker, event, payload) in enumerate(events)]
     _emit_rows(RUN_COLUMNS, rows, cfg, header=cfg.format != "text")
     return 2 if outcome.aborted else 0
@@ -525,7 +524,6 @@ def cmd_teleport_demo(cfg: argparse.Namespace) -> int:
     rows = [dict(zip(DEMO_COLUMNS, ("correction", name, correction, None, None, None, None), strict=True))
             for name, correction in table.items()]
     kernels = _round_tables(AttackModel(cfg.attack)).kernels
-    _check_addressable(cfg.trials, 64)  # the widest row of a message batch: an ema residual
     messages, draws = teleport_draws(np.random.default_rng(cfg.seed), cfg.trials)
     batch = teleport_batch(messages, kernels, np.zeros(cfg.trials, dtype=np.intp), draws)
     for (a, b), k, fidelity in zip(messages.tolist(), batch.outcomes.tolist(), batch.fidelities.tolist()):

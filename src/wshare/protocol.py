@@ -65,8 +65,8 @@ P(outcome 0) alone, each threshold clamped as
   and their rest labels (:func:`~wshare.teleport._bell_kernel`), which
   every teleport goes through;
 * ``violation[mode]``: P(some rule of ``mode`` flags a selected round)
-  under a Z directive, then under an X one: the leaves that
-  :func:`_apply_rules` flags, summed over Eve's branches.
+  under a Z directive, then under an X one: the leaves that ``mode``'s
+  mask in :data:`_LEAF_MASKS` flags, summed over Eve's branches.
 
 An outcome is 0 exactly when its uniform draw falls below its threshold,
 which is :func:`~wshare.statevec.measure_qubit`'s rule, clamp of
@@ -110,7 +110,7 @@ import numpy as np
 from .attacks import AttackModel, _check_unit, eve_recover_batch
 from .statevec import (Basis, StateVector, _branch_weights, _clamped, _Record, discard_qubit, enumerate_qubit,
                        make_w_state)
-from .teleport import TeleportBatch, _bell_kernel, teleport_batch, teleport_draws
+from .teleport import TeleportBatch, _bell_kernel, _check_addressable, teleport_batch, teleport_draws
 
 RULE_KEYS = ("z_rc0", "z_rc1", "x_rc0")
 
@@ -233,12 +233,12 @@ class RunOutcome(_Record):
         self._set(config, attack, *rounds)  # the six arrays, in ``_fields`` order
 
     @functools.cached_property
-    def _rules(self) -> dict:
+    def _rules(self) -> tuple[dict, np.ndarray]:
         return _apply_rules(self.selected, self.x_basis, self.home, self.alice, self.bob, self.config.checker_mode)
 
-    @functools.cached_property
+    @property
     def _violated(self) -> np.ndarray:
-        return functools.reduce(operator.or_, (broken for _, broken in self._rules.values()))
+        return self._rules[1]
 
     @functools.cached_property
     def aborted(self) -> bool:
@@ -271,7 +271,7 @@ class RunOutcome(_Record):
     @functools.cached_property
     def report(self) -> CheckReport:
         tallies = {key: RuleTally(int(np.count_nonzero(applied)), int(np.count_nonzero(violated)))
-                   for key, (applied, violated) in self._rules.items()}
+                   for key, (applied, violated) in self._rules[0].items()}
         return CheckReport(tuple((np.flatnonzero(self._violated) + 1).tolist()), tallies)
 
     @functools.cached_property
@@ -346,16 +346,21 @@ def evaluate_checks(directives, rc_results, ra_results, rb_results,
     return CheckReport(tuple(offending), {key: RuleTally(applied[key], violations[key]) for key in RULE_KEYS})
 
 
-def _apply_rules(selected, x_basis, home, alice, bob, mode: CheckerMode) -> dict:
-    """The rule table as masks: rule key -> (applied, violated) arrays."""
+def _apply_rules(selected, x_basis, home, alice, bob, mode: CheckerMode) -> tuple[dict, np.ndarray]:
+    """The rule table as masks: rule key -> (applied, violated) arrays, and where some rule broke."""
     z_round = selected & ~x_basis
     x_applied = selected & x_basis & ~home if mode is CheckerMode.STRICT else np.zeros_like(selected)
-    rules = {
+    checks = {
         "z_rc0": (z_round & ~home, alice == bob),
         "z_rc1": (z_round & home, alice | bob),
         "x_rc0": (x_applied, alice != bob),
     }
-    return {key: (applied, applied & broken) for key, (applied, broken) in rules.items()}
+    rules = {key: (applied, applied & broken) for key, (applied, broken) in checks.items()}
+    return rules, functools.reduce(operator.or_, (broken for _, broken in rules.values()))
+
+
+# Each checker's leaf mask, indexed [x_basis, home, Alice, Bob]: where some rule flags a selected round.
+_LEAF_MASKS = {mode: _apply_rules(np.True_, *np.indices((2,) * 4, dtype=bool), mode)[1] for mode in CheckerMode}
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +389,8 @@ class RoundTables(NamedTuple):
 def _compile_tables(te: float | None, roots: tuple[StateVector, ...]) -> RoundTables:
     """Threshold tables of the round tree below each root (one per Eve branch).
 
-    Entries below a branch that is never drawn stay at 1.0 and are never read.
+    Entries below a branch that is never drawn stay at 1.0 and are never read; each checker's
+    ``violation`` pair weighs the leaves by its mask in :data:`_LEAF_MASKS`, built once at import.
     """
     count = len(roots)
     tc, ta, tb = np.ones(count), np.ones((count, 2, 2)), np.ones((count, 2, 2, 2))
@@ -413,11 +419,7 @@ def _compile_tables(te: float | None, roots: tuple[StateVector, ...]) -> RoundTa
     # P(outcome 0) and P(outcome 1) on a new first axis: an outcome is 0 below its threshold
     home, alice, bob = (np.array((t, 1.0 - t)) for t in (tc, ta, tb))
     leaves = np.einsum("e,ce,aecx,becxa->xcab", eve, home, alice, bob)
-    bit, violation = np.array([False, True]), {}
-    for mode in CheckerMode:
-        rules = _apply_rules(np.True_, bit[:, None, None, None], bit[:, None, None], bit[:, None], bit, mode)
-        flagged = functools.reduce(operator.or_, (broken for _, broken in rules.values()))
-        violation[mode] = np.where(flagged, leaves, 0.0).sum(axis=(1, 2, 3))
+    violation = {mode: np.where(flagged, leaves, 0.0).sum(axis=(1, 2, 3)) for mode, flagged in _LEAF_MASKS.items()}
     for table in (tc, ta, tb, *violation.values()):
         table.flags.writeable = False
     return RoundTables(te, tc, ta, tb, home0, tp, tuple(pairs), _bell_kernel(*blocks), violation)
@@ -431,13 +433,6 @@ def _round_tables(attack: AttackModel) -> RoundTables:
 
 # ---------------------------------------------------------------------------
 # the engine
-
-
-def _check_addressable(rows: int, row_bytes: int) -> None:
-    """Raise MemoryError, before anything is allocated, for ``rows`` rows of
-    ``row_bytes`` bytes that no array could address (numpy raises ValueError)."""
-    if rows * row_bytes > np.iinfo(np.intp).max:
-        raise MemoryError(f"{rows} rows of {row_bytes} bytes exceed the address space")
 
 
 def _draw_rounds(tables: RoundTables, config: ProtocolConfig, rand) -> tuple[np.ndarray, ...]:

@@ -197,10 +197,8 @@ class BellOutcome(NamedTuple):
 def make_basis_state(bits, labels) -> StateVector:
     """Computational basis ket |bits> over the given labels.
 
-    ``bits`` may be a sequence of 0/1 ints or a string like ``"010"``.
+    ``bits`` is a sequence of 0/1 ints; anything else, a string included, raises ValueError.
     """
-    if isinstance(bits, str):
-        bits = [int(ch) for ch in bits]
     bits = list(bits)
     labels = tuple(labels)
     if len(bits) != len(labels):

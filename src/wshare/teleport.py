@@ -223,9 +223,18 @@ def teleport_batch(
                          qubit_fidelities(residuals, labels, "b", messages))
 
 
+def _check_addressable(rows: int, row_bytes: int) -> None:
+    """Raise MemoryError, before anything is allocated, for ``rows`` rows of
+    ``row_bytes`` bytes that no array could address (numpy raises ValueError)."""
+    if rows * row_bytes > np.iinfo(np.intp).max:
+        raise MemoryError(f"{rows} rows of {row_bytes} bytes exceed the address space")
+
+
 def teleport_draws(rand: "np.random.Generator", count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (count, 2) messages and ``count`` uniforms of :func:`teleport_batch`,
-    in the one teleport draw layout: all message normals, then one uniform per row."""
+    """The (count, 2) messages and ``count`` uniforms of :func:`teleport_batch`, in the one
+    teleport draw layout: all message normals, then one uniform per row.  A ``count`` whose
+    batch no array could address raises MemoryError before anything is drawn or allocated."""
+    _check_addressable(count, 64)  # the widest row of a batch: an ema residual, four complex amplitudes
     return random_amplitudes(rand, count), rand.random(count)
 
 

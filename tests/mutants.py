@@ -38,7 +38,8 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]  # pytest ids, at least one of which must fail
 
 
-PROTOCOL, STATEVEC, TELEPORT, CLI = (f"src/wshare/{name}.py" for name in ("protocol", "statevec", "teleport", "cli"))
+PROTOCOL, STATEVEC, TELEPORT, ANALYTIC, CLI = (f"src/wshare/{name}.py"
+                                               for name in ("protocol", "statevec", "teleport", "analytic", "cli"))
 LAW = "tests/test_protocol.py::test_trial_rows_follow_the_exact_law"
 
 MUTANTS = [
@@ -86,6 +87,22 @@ MUTANTS = [
            '"z_rc1": (z_round & home, alice | bob)', '"z_rc1": (z_round & home, alice & bob)',
            ("tests/test_protocol.py::test_violated_cell_is_q_by_three_routes[isra-0.5-paper]",
             "tests/test_acceptance.py::test_criterion_04_isra_analytic_match")),
+    Mutant("strict-leaf-mask-from-paper-rules", PROTOCOL,
+           "*np.indices((2,) * 4, dtype=bool), mode)[1]", "*np.indices((2,) * 4, dtype=bool), CheckerMode.PAPER)[1]",
+           ("tests/test_protocol.py::test_violated_cell_is_q_by_three_routes[ema-strict]",
+            "tests/test_protocol.py::test_compile_applies_no_rule_and_keeps_its_violation_bits[ema]")),
+    Mutant("rule-union-made-intersection", PROTOCOL,
+           "functools.reduce(operator.or_, (broken for _, broken in rules.values()))",
+           "functools.reduce(operator.and_, (broken for _, broken in rules.values()))",
+           ("tests/test_protocol.py::test_violated_cell_is_q_by_three_routes[isra-0.5-paper]",
+            "tests/test_round_tree.py::test_run_protocol_matches_scalar_replay[isra-0.5-paper_analytic]")),
+    Mutant("oracle-walks-impossible-branches", ANALYTIC,
+           "            if ba.post_state is None:\n                continue\n", "",
+           ("tests/test_protocol.py::test_violated_cell_is_q_by_three_routes[none-strict]",)),
+    Mutant("teleport-draw-guard-row-too-narrow", TELEPORT,
+           "_check_addressable(count, 64)", "_check_addressable(count, 2)",
+           ("tests/test_teleport.py::test_teleport_draws_refuse_an_unaddressable_batch_before_drawing",
+            "tests/test_cli.py::test_unaddressable_sizes_exit_one_before_allocating[demo-trials-2^61]")),
     Mutant("no-clamp", STATEVEC,
            "    if p0 <= _ZERO_PROB:\n        return 0.0\n    if 1.0 - p0 <= _ZERO_PROB:\n        return 1.0\n", "",
            ("tests/test_round_tree.py::test_table_thresholds_clamp_near_certain_branches[near-certain-home-0]",

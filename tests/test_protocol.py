@@ -1,8 +1,10 @@
 """Protocol state machine: detection sampling, checking rules, distillation."""
 
 import collections
+import functools
 import itertools
 import math
+import operator
 import statistics
 import tracemalloc
 
@@ -683,6 +685,26 @@ def test_violated_cell_is_q_by_three_routes(attack, mode):
             assert abs(cells[0] - q) <= 1e-15, (p, d, cells[0], q)
         if d < 1:
             assert abs(cells[2] / cells[2:].sum() - 2 / 3) <= 1e-15
+
+
+@pytest.mark.parametrize("attack", FIDELITY_ATTACKS, ids=_attack_id)
+def test_compile_applies_no_rule_and_keeps_its_violation_bits(attack, monkeypatch):
+    # The checkers' leaf masks are built once, at import: a compile calls
+    # _apply_rules zero times, and each violation pair is, bit for bit, the
+    # leaves that _apply_rules flags on the broadcast leaf bits, summed.
+    apply_rules, calls = protocol._apply_rules, []
+    monkeypatch.setattr(protocol, "_apply_rules", lambda *args: calls.append(args) or apply_rules(*args))
+    tables = protocol._compile_tables(*attack.branches(make_w_state()))
+    assert calls == []
+    eve = np.ones(1) if tables.te is None else np.array((tables.te, 1.0 - tables.te))
+    home, alice, bob = (np.array((t, 1.0 - t)) for t in (tables.tc, tables.ta, tables.tb))
+    leaves = np.einsum("e,ce,aecx,becxa->xcab", eve, home, alice, bob)
+    bit = np.array([False, True])
+    for mode in CheckerMode:
+        rules, _ = apply_rules(np.True_, bit[:, None, None, None], bit[:, None, None], bit[:, None], bit, mode)
+        flagged = functools.reduce(operator.or_, (broken for _, broken in rules.values()))
+        want = np.where(flagged, leaves, 0.0).sum(axis=(1, 2, 3))
+        assert list(map(float.hex, tables.violation[mode].tolist())) == list(map(float.hex, want.tolist())), mode
 
 
 def _home0_law(attack: AttackModel) -> tuple[float, float | None]:

@@ -56,7 +56,7 @@ def test_basis_state_three_qubits():
 
 
 def test_basis_state_from_string():
-    s = make_basis_state("1000", ["a", "b", "c", "e"])
+    s = make_basis_state([1, 0, 0, 0], ["a", "b", "c", "e"])
     assert s.amplitudes[0b1000] == 1
     assert np.sum(np.abs(s.amplitudes)) == 1
 
@@ -64,8 +64,9 @@ def test_basis_state_from_string():
 def test_basis_state_length_mismatch():
     with pytest.raises(ValueError):
         make_basis_state([0, 1], ["a"])
-    with pytest.raises(ValueError, match="bits must be 0 or 1"):
-        make_basis_state([0, 2], ["a", "b"])
+    for bits in ([0, 2], "10"):  # a string is not a sequence of 0/1 ints
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            make_basis_state(bits, ["a", "b"])
 
 
 def test_message_state():

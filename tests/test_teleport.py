@@ -1,5 +1,7 @@
 """Teleportation over the psi+ channel and the corrupted-channel decomposition."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -530,6 +532,21 @@ def test_fresh_teleports_draw_all_messages_then_one_uniform_per_row():
     empty_messages, empty_draws = teleport_draws(rand, 0)
     assert empty_messages.shape == (0, 2) and empty_draws.shape == (0,)
     assert rand.random() == twin.random()  # nothing to teleport draws nothing
+
+
+def test_teleport_draws_refuse_an_unaddressable_batch_before_drawing():
+    # 2^61 rows of 64-byte ema residuals pass the address space: MemoryError,
+    # not numpy's ValueError, with nothing allocated and nothing drawn.
+    rand, twin = np.random.default_rng(4), np.random.default_rng(4)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError):
+            teleport_draws(rand, 2 ** 61)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert rand.random() == twin.random()
 
 
 @pytest.mark.parametrize("kind,channel", [("none", psi_plus_pair()), ("ema", corrupted_channel())])
