@@ -33,6 +33,7 @@ from .statevec import (
     StateVector,
     _clamped,
     _Record,
+    _row_sums,
     apply_cnot,
     enumerate_qubit,
     make_basis_state,
@@ -164,6 +165,6 @@ def eve_recover_batch(
     corrections = _corrections()[1][batch.outcomes]
     if attack.kind == "imra":
         held = corrections[np.arange(len(bits)), :, bits]
-        return np.abs((messages.conj() * held).sum(axis=1)) ** 2
+        return np.abs(_row_sums(messages.conj() * held)) ** 2
     pulled_back = (messages[:, None, :] @ corrections)[:, 0]
     return qubit_fidelities(batch.residuals, batch.labels, EVE_LABEL, pulled_back)

@@ -428,8 +428,8 @@ SWEEP_COLUMNS = [
 
 # A worker process pays for its start only past this many trials (summed over
 # the grid; a trial's cost does not depend on n): two workers on a two-point
-# grid break even with one process at about 2^17 trials in all.
-_TRIALS_PER_WORKER = 1 << 16
+# grid lost to one process at 2^15 trials in all and won at 2^16 (2 vCPUs).
+_TRIALS_PER_WORKER = 1 << 15
 
 
 def _usable_cpus() -> int:

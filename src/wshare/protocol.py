@@ -528,7 +528,7 @@ def _draw_counts(tables: RoundTables, cells: np.ndarray, n: int, rand, trials: i
     """
     counts = rand.multinomial(n, cells, size=trials)
     aborted = counts[:, 0] > 0
-    surviving = n - counts[:, 0] - counts[:, 1]  # not a row sum: numpy sums short rows slowly
+    surviving = n - counts[:, 0] - counts[:, 1]  # not a row sum: see statevec's rule on short axes
     pairs = np.where(aborted, 0, counts[:, 2])
     teleported = np.count_nonzero(pairs)
     if tables.tp is None:

@@ -16,6 +16,10 @@ Conventions used throughout the package:
   strings, so that importing the package does not load ``numpy.random``.
 * A branch of probability at or below ``_ZERO_PROB`` is never sampled: a
   draw that lands on one takes the other branch instead.
+* A sum along an axis of two to four entries (a Bell row's weights, a
+  residual's squares) is written as column adds in numpy's own left-to-right
+  order (:func:`_row_sums`), which keeps numpy's bits: numpy's reductions
+  pay microseconds per call, several times the adds on so short an axis.
 * Records are immutable: the plain ones are named tuples, and the five
   that validate, derive or cache are plain classes on :class:`_Record`.
   No module imports ``dataclasses``, whose import and generated methods
@@ -392,6 +396,14 @@ def enumerate_bell(s: StateVector, q1: str, q2: str) -> list[BellOutcome]:
     return outcomes
 
 
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """``x.sum(axis=-1)`` bit for bit: the last axis's columns added left to right, as numpy adds them."""
+    total = x[..., 0]
+    for column in range(1, x.shape[-1]):
+        total = total + x[..., column]
+    return total
+
+
 def _sample_bell_rows(probabilities: np.ndarray, draws: np.ndarray) -> np.ndarray:
     """Index of the Bell outcome that ``draws[t]`` selects from row t of
     ``probabilities`` (shape (T, 4), psi+, psi-, phi+, phi- order).
@@ -401,14 +413,19 @@ def _sample_bell_rows(probabilities: np.ndarray, draws: np.ndarray) -> np.ndarra
     takes the last possible branch.
     """
     possible = probabilities > _ZERO_PROB
-    if not possible.any(axis=1).all():
+    _, second, third, fourth = possible.T
+    later = (second | third | fourth, third | fourth, fourth)  # later[k]: a branch after k is possible
+    if not (possible[:, 0] | later[0]).all():
         raise RuntimeError("no Bell branch has positive probability")
-    cumulative = np.cumsum(np.where(possible, probabilities, 0.0), axis=1)
-    last = possible.shape[1] - 1 - np.argmax(possible[:, ::-1], axis=1)
-    # cumulative is non-decreasing and flat across impossible branches, so
-    # the boundaries a draw >= 0 has passed count up to the first possible
-    # branch it falls below
-    return np.minimum((draws[:, None] >= cumulative).sum(axis=1), last)
+    # the cumulative distribution, added in np.cumsum's order, is flat across impossible
+    # branches: a draw moves past boundary k when it is at or above it and a later branch is possible
+    weights = np.where(possible, probabilities, 0.0)
+    cumulative = weights[:, 0]
+    passed = ((draws >= cumulative) & later[0]).astype(np.intp)
+    for column in (1, 2):
+        cumulative = cumulative + weights[:, column]
+        passed += (draws >= cumulative) & later[column]
+    return passed
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from .statevec import (
     BELL_NAMES,
     BellOutcome,
     StateVector,
+    _row_sums,
     _sample_bell_rows,
     enumerate_bell,
     reduced_fidelity,
@@ -194,12 +195,12 @@ def teleport_batch(
     """Teleport message ``messages[t]`` through pair ``which[t]`` of ``kernels`` on draw ``draws[t]``.
 
     ``messages`` holds (T, 2) message amplitudes, and ``kernels`` is the
-    :func:`_bell_kernel` of the pairs.  Each ``_BATCH_ROWS`` rows cost one
-    ``matmul`` over every pair's Bell maps, and each row keeps its own
-    pair's four.  One uniform draw per row walks the Bell outcomes'
-    cumulative distribution in ``BELL_NAMES`` order, skipping impossible
-    ones (:func:`~wshare.statevec._sample_bell_rows`); only the drawn
-    residual is normalized.  A row of a pair not in ``kernels`` raises ValueError.
+    :func:`_bell_kernel` of the pairs.  Per ``_BATCH_ROWS`` rows: one ``matmul`` over every
+    pair's Bell maps, each row keeping its own pair's four (no gather for one pair); the
+    Bell weights as column adds (see :mod:`~wshare.statevec`); and one uniform draw per row
+    that walks their cumulative distribution in ``BELL_NAMES`` order, skipping impossible
+    ones (:func:`~wshare.statevec._sample_bell_rows`).  Only the drawn residual is normalized,
+    and Bob's fidelities are scored once for all rows.  A row of a pair not in ``kernels`` raises ValueError.
     """
     kernel, labels = kernels
     width = 1 << len(labels)  # R, the amplitudes of one residual
@@ -213,8 +214,9 @@ def teleport_batch(
     for start in range(0, count, _BATCH_ROWS):
         part = slice(start, min(start + _BATCH_ROWS, count))
         rows = np.arange(part.stop - start)
-        branches = (messages[part] @ kernel).reshape(rows.size, nodes, 4, width)[rows, which[part]]
-        probabilities = (np.abs(branches) ** 2).sum(axis=2)
+        branches = (messages[part] @ kernel).reshape(rows.size, nodes, 4, width)
+        branches = branches[:, 0] if nodes == 1 else branches[rows, which[part]]
+        probabilities = _row_sums(np.abs(branches) ** 2)
         chosen = _sample_bell_rows(probabilities, draws[part])
         weights[part] = probabilities[rows, chosen]
         residuals[part] = branches[rows, chosen] / np.sqrt(weights[part])[:, None]
@@ -250,7 +252,7 @@ def qubit_fidelities(amplitudes: np.ndarray, labels: tuple[str, ...], q: str,
     # not a matmul: BLAS fuses these complex products, which moves the last
     # bit of a fidelity, and the batched (1, 2) @ (2, A) products were slower
     overlaps = np.einsum("tbja,tj->tba", rows, references.conj())
-    return (np.abs(overlaps) ** 2).sum(axis=(1, 2))
+    return _row_sums(np.abs(overlaps.reshape(-1, 1 << len(labels) - 1)) ** 2)
 
 
 def teleport_branches(message: StateVector, pair: StateVector) -> list[TeleportResult]:
@@ -284,11 +286,11 @@ def random_amplitudes(rand: "np.random.Generator", count: int) -> np.ndarray:
     sphere) as (count, 2) amplitudes.
 
     Each state takes four normal draws, the two real parts then the two
-    imaginary parts, and is divided by its norm once.
+    imaginary parts, and is divided once by its norm, as ``np.linalg.norm`` squares and sums it.
     """
     normals = rand.normal(size=(count, 2, 2))
     amplitudes = normals[:, 0] + 1j * normals[:, 1]
-    return amplitudes / np.linalg.norm(amplitudes, axis=1, keepdims=True)
+    return amplitudes / np.sqrt(_row_sums((amplitudes.conj() * amplitudes).real))[:, None]
 
 
 def random_message(rand: "np.random.Generator") -> StateVector:

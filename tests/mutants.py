@@ -121,9 +121,19 @@ MUTANTS = [
            "bits = divmod(k, 2)", "bits = divmod(k, 2)[::-1]",
            ("tests/test_statevec.py::test_bell_bits_encoding",)),
     Mutant("bell-draw-boundary-exclusive", STATEVEC,
-           "(draws[:, None] >= cumulative)", "(draws[:, None] > cumulative)",
+           "passed = ((draws >= cumulative) & later[0]).astype(np.intp)\n"
+           "    for column in (1, 2):\n"
+           "        cumulative = cumulative + weights[:, column]\n"
+           "        passed += (draws >= cumulative) & later[column]\n",
+           "passed = ((draws > cumulative) & later[0]).astype(np.intp)\n"
+           "    for column in (1, 2):\n"
+           "        cumulative = cumulative + weights[:, column]\n"
+           "        passed += (draws > cumulative) & later[column]\n",
            ("tests/test_teleport.py::test_sample_bell_rows_is_the_scalar_walk",
             "tests/test_teleport.py::test_kernel_matches_oracle_on_every_draw[1]")),
+    Mutant("bell-weights-drop-last-column", TELEPORT,
+           "_row_sums(np.abs(branches) ** 2)", "_row_sums((np.abs(branches) ** 2)[..., :-1])",
+           ("tests/test_teleport.py::test_short_axis_sums_keep_numpy_bits[ema]",)),
     Mutant("pool-shares-reversed", CLI,
            "for share in pool.map(functools.partial(run_trials, trials=cfg.trials), shares)",
            "for share in reversed(list(pool.map(functools.partial(run_trials, trials=cfg.trials), shares)))",

@@ -523,6 +523,58 @@ def test_teleport_batch_chunking_leaves_every_array_unchanged(monkeypatch):
             assert got.dtype == want.dtype and np.array_equal(got, want), rows
 
 
+def numpy_reduced_teleport(messages, kernels, which, draws, attack):
+    """(outcomes, probabilities, residuals, fidelities, Eve's fidelities) of a
+    batch, written with numpy's own reductions along the short axes."""
+    kernel, labels = kernels
+    rows, width = np.arange(len(draws)), 1 << len(labels)
+    branches = (messages @ kernel).reshape(len(draws), kernel.shape[1] // (4 * width), 4, width)[rows, which]
+    probabilities = (np.abs(branches) ** 2).sum(axis=2)
+    possible = probabilities > 1e-15
+    cumulative = np.cumsum(np.where(possible, probabilities, 0.0), axis=1)
+    last = 3 - np.argmax(possible[:, ::-1], axis=1)
+    chosen = np.minimum((draws[:, None] >= cumulative).sum(axis=1), last)
+    residuals = branches[rows, chosen] / np.sqrt(probabilities[rows, chosen])[:, None]
+
+    def fidelities(q, references):
+        split = residuals.reshape(len(draws), 1 << labels.index(q), 2, width >> labels.index(q) + 1)
+        return (np.abs(np.einsum("tbja,tj->tba", split, references.conj())) ** 2).sum(axis=(1, 2))
+
+    corrections = _corrections()[1][chosen]
+    if attack.kind == "imra":
+        eve = np.abs((messages.conj() * corrections[rows, :, which]).sum(axis=1)) ** 2
+    elif attack.kind != "none":
+        eve = fidelities("e", (messages[:, None, :] @ corrections)[:, 0])
+    else:
+        eve = None
+    return chosen, probabilities[rows, chosen], residuals, fidelities("b", messages), eve
+
+
+@pytest.mark.parametrize("attack", [AttackModel("none"), AttackModel("imra"), AttackModel("ema")]
+                         + [AttackModel("isra", y) for y in (0.0, 0.3, 1.0)],
+                         ids=["none", "imra", "ema", "isra-0", "isra-0.3", "isra-1"])
+def test_short_axis_sums_keep_numpy_bits(attack):
+    # The teleport row path adds short rows column by column instead of
+    # calling numpy's reductions; every array keeps numpy's bits, at row
+    # counts on either side of a chunk edge, with imra's rows on both nodes.
+    tables = _round_tables(attack)
+    for count in (0, 1, 255, 256, 257, 2667):
+        rand, twin = np.random.default_rng(count), np.random.default_rng(count)
+        messages, draws = teleport_draws(rand, count)
+        normals = twin.normal(size=(count, 2, 2))
+        amplitudes = normals[:, 0] + 1j * normals[:, 1]
+        want_messages = amplitudes / np.linalg.norm(amplitudes, axis=1, keepdims=True)
+        which = rand.integers(0, len(tables.pairs), count)
+        batch = teleport_batch(messages, tables.kernels, which, draws)
+        got = [messages, batch.outcomes, batch.probabilities, batch.residuals, batch.fidelities]
+        want = [want_messages, *numpy_reduced_teleport(messages, tables.kernels, which, draws, attack)]
+        if attack.kind != "none":
+            got.append(eve_recover_batch(attack, which if attack.kind == "imra" else None, batch, messages))
+        names = ("messages", "outcomes", "probabilities", "residuals", "fidelities", "eve")
+        for name, one, reference in zip(names, got, want):
+            assert one.dtype == reference.dtype and np.array_equal(one, reference), (name, count)
+
+
 def test_fresh_teleports_draw_all_messages_then_one_uniform_per_row():
     rand, twin = np.random.default_rng(4), np.random.default_rng(4)
     messages, draws = teleport_draws(rand, 4)
