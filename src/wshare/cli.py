@@ -119,6 +119,12 @@ class _Flag(NamedTuple):
         return self.per_verb.get(verb, (self.default, self.domain))
 
 
+# A worker process pays for its start only past this many trials (summed over
+# the grid; a trial's cost does not depend on n): two workers on a two-point
+# grid lost to one process at 2^15 trials in all and won at 2^16 (2 vCPUs).
+_TRIALS_PER_WORKER = 1 << 15
+
+
 _ALL = "run sweep curves teleport-demo"
 _UNIT = (0.0, 1.0)
 _COUNT = (1, math.inf)
@@ -141,7 +147,7 @@ _FLAGS = {
     "out": _Flag("string", None, None, _ALL, "write output here instead of stdout"),
     "workers": _Flag("integer", 1, _COUNT, "sweep",
                      "parallel processes over grid points (at most one per point, per usable CPU and "
-                     "per 2^16 trials; smaller grids run in-process)"),
+                     f"per 2^{_TRIALS_PER_WORKER.bit_length() - 1} trials; smaller grids run in-process)"),
     "y_values": _Flag("numbers", None, _UNIT, "sweep curves", "comma-separated fake-qubit amplitudes"),
     "p_values": _Flag("numbers", None, _UNIT, "sweep curves", "comma-separated Z-basis probabilities"),
     "d_values": _Flag("numbers", None, _UNIT, "sweep curves", "comma-separated detection probabilities"),
@@ -424,12 +430,6 @@ SWEEP_COLUMNS = [
     "detections", "detection_rate", "success_rate", "success_stderr",
     "yield_mean", "teleport_fidelity_mean", "analytic_success",
 ]
-
-
-# A worker process pays for its start only past this many trials (summed over
-# the grid; a trial's cost does not depend on n): two workers on a two-point
-# grid lost to one process at 2^15 trials in all and won at 2^16 (2 vCPUs).
-_TRIALS_PER_WORKER = 1 << 15
 
 
 def _usable_cpus() -> int:

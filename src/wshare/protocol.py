@@ -168,19 +168,10 @@ class RuleTally(NamedTuple):
 
 
 class CheckReport(NamedTuple):
-    """The rounds the checking algorithm caught, plus per-rule diagnostics;
-    reports compare and hash by ``offending_rounds`` alone."""
+    """The rounds the checking algorithm caught, plus per-rule diagnostics."""
 
     offending_rounds: tuple[int, ...]
     tallies: dict[str, RuleTally]
-
-    def __eq__(self, other):
-        return self.offending_rounds == other.offending_rounds if type(other) is CheckReport else NotImplemented
-
-    __ne__ = object.__ne__  # the negation of __eq__, not tuple's field-by-field !=
-
-    def __hash__(self) -> int:
-        return hash(self.offending_rounds)
 
     @property
     def verdict(self) -> str:
@@ -236,13 +227,9 @@ class RunOutcome(_Record):
     def _rules(self) -> tuple[dict, np.ndarray]:
         return _apply_rules(self.selected, self.x_basis, self.home, self.alice, self.bob, self.config.checker_mode)
 
-    @property
-    def _violated(self) -> np.ndarray:
-        return self._rules[1]
-
     @functools.cached_property
     def aborted(self) -> bool:
-        return bool(self._violated.any())
+        return bool(self._rules[1].any())
 
     @functools.cached_property
     def _pair_mask(self) -> np.ndarray:
@@ -272,7 +259,7 @@ class RunOutcome(_Record):
     def report(self) -> CheckReport:
         tallies = {key: RuleTally(int(np.count_nonzero(applied)), int(np.count_nonzero(violated)))
                    for key, (applied, violated) in self._rules[0].items()}
-        return CheckReport(tuple((np.flatnonzero(self._violated) + 1).tolist()), tallies)
+        return CheckReport(tuple((np.flatnonzero(self._rules[1]) + 1).tolist()), tallies)
 
     @functools.cached_property
     def pairs(self) -> DistilledPairSet:
@@ -303,7 +290,7 @@ class RunOutcome(_Record):
             # Confirmation: the 0 positions among the surviving home results.
             kept = tuple((np.flatnonzero(self._pair_mask[~selected]) + 1).tolist())
             transcript += [("charlie", "mode", "confirmation"), ("charlie", "distill-positions", kept),
-                           ("charlie", "pair-count", len(self.pairs))]
+                           ("charlie", "pair-count", len(kept))]
         return tuple(transcript)
 
 

@@ -262,13 +262,11 @@ def discard_qubit(s: StateVector, q: str) -> StateVector:
     """
     if s.num_qubits == 1:
         raise ValueError("cannot discard the last qubit of a register")
-    ax = s.axis(q)
-    t = s._split(ax)
-    w0 = float(np.sum(np.abs(t[:, 0, :]) ** 2))
+    w0, zero, one = _branch_weights(s._split(s.axis(q)), Basis.Z)
     w1 = 1.0 - w0
     if min(w0, w1) > 1e-12:
         raise ValueError(f"qubit {q!r} is not collapsed to a basis state (weights {w0:.3g}/{w1:.3g})")
-    kept = t[:, 0, :] if w0 >= w1 else t[:, 1, :]
+    kept = zero if w0 >= w1 else one
     amps = kept.reshape(-1) / np.sqrt(max(w0, w1))
     labels = tuple(l for l in s.labels if l != q)
     return StateVector._trusted(amps, labels)

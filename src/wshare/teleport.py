@@ -13,8 +13,8 @@ A correction's one form is its read-only real 2x2 matrix in ``CORRECTIONS``.
 message amplitudes to the rest of the register with Bob's correction
 already applied, so an attempt is one matrix product and never builds the
 joint register.  The protocol's round tables hold one kernel array per
-attack, its pairs side by side, and a block of rows is one ``matmul``; a
-sweep teleports each block of a point's trials, at most 2^16, in one batch.
+attack, its pairs side by side, and a block of rows is one ``matmul``; one
+batch teleports a sweep's block (:data:`~wshare.protocol._BLOCK_TRIALS`).
 :func:`teleport` is one row of a batch; :func:`teleport_draws` draws the
 messages and uniforms of every other.  :func:`teleport_branches` stays the
 scalar four-branch oracle, built from :func:`~wshare.statevec.enumerate_bell`.

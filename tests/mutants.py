@@ -87,6 +87,10 @@ MUTANTS = [
            '"z_rc1": (z_round & home, alice | bob)', '"z_rc1": (z_round & home, alice & bob)',
            ("tests/test_protocol.py::test_violated_cell_is_q_by_three_routes[isra-0.5-paper]",
             "tests/test_acceptance.py::test_criterion_04_isra_analytic_match")),
+    Mutant("z-rule-home-0-applied-on-every-z-round", PROTOCOL,
+           "rules = {key: (applied, applied & broken)",
+           'rules = {key: (z_round if key == "z_rc0" else applied, applied & broken)',
+           ("tests/test_protocol.py::test_run_report_is_the_scalar_checker_on_its_published_results[none-paper]",)),
     Mutant("strict-leaf-mask-from-paper-rules", PROTOCOL,
            "*np.indices((2,) * 4, dtype=bool), mode)[1]", "*np.indices((2,) * 4, dtype=bool), CheckerMode.PAPER)[1]",
            ("tests/test_protocol.py::test_violated_cell_is_q_by_three_routes[ema-strict]",
@@ -96,6 +100,10 @@ MUTANTS = [
            "functools.reduce(operator.and_, (broken for _, broken in rules.values()))",
            ("tests/test_protocol.py::test_violated_cell_is_q_by_three_routes[isra-0.5-paper]",
             "tests/test_round_tree.py::test_run_protocol_matches_scalar_replay[isra-0.5-paper_analytic]")),
+    Mutant("pair-count-of-the-survivors", PROTOCOL,
+           '("charlie", "pair-count", len(kept))', '("charlie", "pair-count", self.surviving_count)',
+           ("tests/test_protocol.py::test_round_flags_after_run",
+            "tests/test_round_tree.py::test_run_protocol_matches_scalar_replay[none-None-paper_analytic]")),
     Mutant("oracle-walks-impossible-branches", ANALYTIC,
            "            if ba.post_state is None:\n                continue\n", "",
            ("tests/test_protocol.py::test_violated_cell_is_q_by_three_routes[none-strict]",)),
@@ -117,6 +125,10 @@ MUTANTS = [
     Mutant("bell-bits-reversed-in-teleport", TELEPORT,
            "divmod(k, 2)", "divmod(k, 2)[::-1]",
            ("tests/test_teleport.py::test_kernel_matches_oracle_on_every_draw[0]",)),
+    Mutant("discard-keeps-the-empty-slice", STATEVEC,
+           "kept = zero if w0 >= w1 else one", "kept = one if w0 >= w1 else zero",
+           ("tests/test_statevec.py::test_w_home_zero_leaves_bell_pair",
+            "tests/test_protocol.py::test_honest_pairs_are_bell_pairs")),
     Mutant("bell-bits-reversed-in-enumerate-bell", STATEVEC,
            "bits = divmod(k, 2)", "bits = divmod(k, 2)[::-1]",
            ("tests/test_statevec.py::test_bell_bits_encoding",)),

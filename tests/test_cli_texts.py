@@ -76,7 +76,7 @@ options:
                         output format
   --out OUT             write output here instead of stdout
   --workers WORKERS     parallel processes over grid points (at most one per point, per usable CPU
-                        and per 2^16 trials; smaller grids run in-process)
+                        and per 2^15 trials; smaller grids run in-process)
   --y-values Y_VALUES   comma-separated fake-qubit amplitudes
   --p-values P_VALUES   comma-separated Z-basis probabilities
   --d-values D_VALUES   comma-separated detection probabilities

@@ -1,12 +1,15 @@
 """Smoke test: every script in demos/, the README's library quick start and
-its command-line examples run to completion and print something."""
+its command-line examples run to completion and print something; and the
+README's ``--workers`` paragraph names the sweep's own worker threshold."""
 
+import re
 import shlex
 import subprocess
 import sys
 
 import pytest
 
+from wshare import cli
 from wshare.cli import SWEEP_COLUMNS, main
 
 from helpers import ROOT, child_env
@@ -62,3 +65,11 @@ def test_readme_scenario_example_runs(tmp_path):
     scenario.write_text(_readme_block("### Scenario files", "json"))
     assert main(["sweep", "--scenario", str(scenario), "--out", str(out)]) == 0
     assert out.read_text().splitlines()[0] == ",".join(SWEEP_COLUMNS)
+
+
+def test_readme_workers_paragraph_names_the_worker_threshold():
+    # The --workers help prints the same power of two from the constant itself.
+    power = cli._TRIALS_PER_WORKER.bit_length() - 1
+    assert cli._TRIALS_PER_WORKER == 1 << power
+    paragraph = README.split("`--workers K`", 1)[1].split("\n- ", 1)[0]
+    assert re.findall(r"2\^(\d+)", paragraph) == [str(power)]

@@ -228,9 +228,12 @@ def test_checks_validate_inputs():
 def test_check_report_verdict_follows_offending_rounds():
     assert CheckReport((3,), {}).verdict == "detected"
     assert CheckReport((), {}).verdict == "pass"
+    # reports compare by value, tallies included; a report holds a dict, so it has no hash
     caught, tallied = CheckReport((3,), {}), CheckReport((3,), {"z_rc0": RuleTally(1, 1)})
-    assert caught == tallied and not caught != tallied and len({caught, tallied}) == 1
+    assert caught != tallied and not caught == tallied and caught == CheckReport((3,), {})
     assert caught != CheckReport((), {}) and caught != (3,)
+    with pytest.raises(TypeError):
+        hash(tallied)
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +504,7 @@ def _rows_of_rounds(attack: AttackModel, config: ProtocolConfig, trials: int, ra
     rounds of it; the branches are those of the trials with a pair, in order."""
     run = run_protocol(ProtocolConfig(trials * config.n, config.d, config.p, config.checker_mode), attack, rand)
     eve, selected, home, violated = (a.reshape(trials, config.n) for a in
-                                     (run.eve, run.selected, run.home, run._violated))
+                                     (run.eve, run.selected, run.home, run._rules[1]))
     aborted = violated.any(axis=1)  # a trial aborts on any violated round
     pairs = ~selected & ~home & ~aborted[:, None]  # its home-0 survivors, if it passed
     paired = np.flatnonzero(pairs.any(axis=1))
@@ -598,6 +601,7 @@ def test_transcript_builds_each_derived_view_once(monkeypatch):
     outcome = run_protocol(ProtocolConfig(n=40, d=0.3, p=0.5), AttackModel("none"), np.random.default_rng(5))
     assert not built
     transcript = outcome.transcript
+    assert built["DistilledPairSet"] == 0  # its pair count is read off the distill positions
     views = [getattr(outcome, name) for name in DERIVED]
     once = {"DetectionDirective": len(outcome.directives), "CheckReport": 1, "DistilledPairSet": 1}
     assert once["DetectionDirective"] > 0 and len(outcome.pairs) > 0
@@ -667,6 +671,19 @@ FIDELITY_ATTACKS = [AttackModel("none"), AttackModel("imra"), AttackModel("isra"
 
 def _attack_id(attack: AttackModel) -> str:
     return attack.kind if attack.y is None else f"{attack.kind}-{attack.y:g}"
+
+
+@pytest.mark.parametrize("mode", ["paper", "strict"])
+@pytest.mark.parametrize("attack", FIDELITY_ATTACKS, ids=_attack_id)
+def test_run_report_is_the_scalar_checker_on_its_published_results(attack, mode):
+    # The masks and the scalar oracle state one rule table: on a run's own
+    # directives and published results they give one report, tallies included.
+    config = ProtocolConfig(n=60, d=0.5, p=0.5, checker_mode=mode)
+    rand = np.random.default_rng(17)
+    for _ in range(50):
+        run = run_protocol(config, attack, rand)
+        published_results = (results[run.selected] for results in (run.home, run.alice, run.bob))
+        assert run.report == evaluate_checks(run.directives, *published_results, mode)
 
 
 @pytest.mark.parametrize("mode", ["paper", "strict"])
