@@ -363,32 +363,31 @@ def _write_failures(to_stdout: bool):
         raise UsageError(f"cannot write output: {exc.strerror or exc}")
 
 
-def _emit_rows(columns: list[str], rows: list[dict], cfg: argparse.Namespace,
+def _emit_rows(columns: list[str], rows: list[tuple], cfg: argparse.Namespace,
                header: bool = True, notes: list[str] | None = None) -> None:
-    """Write rows in the selected format, to --out or stdout; each row holds every column."""
+    """Write rows, one value per column in column order (else ``ValueError``), to --out or stdout."""
     try:
         sink = contextlib.nullcontext(sys.stdout) if cfg.out is None else open(cfg.out, "w", newline="")
     except OSError as exc:
         raise UsageError(f"cannot write output file {cfg.out!r}: {exc.strerror}")
+    named = (zip(columns, row, strict=True) for row in rows)
     with _write_failures(to_stdout=cfg.out is None), sink as stream:
-        if cfg.format == "csv":
-            writer = csv.writer(stream, lineterminator="\n")
-            writer.writerow(columns)
-            for row in rows:
-                writer.writerow([_cell(row[c]) for c in columns])
-        elif cfg.format == "records":
-            for row in rows:
-                stream.write(json.dumps({c: row[c] for c in columns}, default=_cell) + "\n")
+        if cfg.format == "records":
+            for row in named:
+                stream.write(json.dumps(dict(row), default=_cell) + "\n")
         else:
-            for note in notes or []:
-                stream.write(f"# {note}\n")
-            table = [[_cell(row[c]) for c in columns] for row in rows]
-            if header:
-                table.insert(0, list(columns))
-            widths = [max(len(line[i]) for line in table) for i in range(len(columns))]
-            for line in table:
-                rendered = "  ".join(cell.ljust(w) for cell, w in zip(line, widths))
-                stream.write(rendered.rstrip() + "\n")
+            table = [[_cell(value) for _, value in row] for row in named]
+            if cfg.format == "csv":
+                csv.writer(stream, lineterminator="\n").writerows([columns, *table])
+            else:
+                for note in notes or []:
+                    stream.write(f"# {note}\n")
+                if header:
+                    table.insert(0, list(columns))
+                widths = [max(len(line[i]) for line in table) for i in range(len(columns))]
+                for line in table:
+                    rendered = "  ".join(cell.ljust(w) for cell, w in zip(line, widths))
+                    stream.write(rendered.rstrip() + "\n")
         stream.flush()
 
 
@@ -415,8 +414,7 @@ def cmd_run(cfg: argparse.Namespace) -> int:
             events.append(("runner", "teleport-fidelity-mean", round(fidelity, 12)))
             if recoveries is not None:
                 events.append(("runner", "eve-recovery-mean", round(float(recoveries.mean()), 12)))
-    rows = [dict(zip(RUN_COLUMNS, (i, speaker, event, json.dumps(payload)), strict=True))
-            for i, (speaker, event, payload) in enumerate(events)]
+    rows = [(i, speaker, event, json.dumps(payload)) for i, (speaker, event, payload) in enumerate(events)]
     _emit_rows(RUN_COLUMNS, rows, cfg, header=cfg.format != "text")
     return 2 if outcome.aborted else 0
 
@@ -461,10 +459,9 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
         detection_rate = one.detections / cfg.trials
         success_rate = 1.0 - detection_rate
         analytic = (1.0 - closed_form_round_detection(attack, cfg.mode, config.p, config.d)) ** config.n
-        rows.append(dict(zip(SWEEP_COLUMNS, (
-            cfg.attack, cfg.mode, attack.y, config.p, config.d, config.n, cfg.trials, one.detections,
-            detection_rate, success_rate, float(np.sqrt(success_rate * (1.0 - success_rate) / cfg.trials)),
-            one.yield_mean, one.fidelity_mean, analytic), strict=True)))
+        rows.append((cfg.attack, cfg.mode, attack.y, config.p, config.d, config.n, cfg.trials, one.detections,
+                     detection_rate, success_rate, float(np.sqrt(success_rate * (1.0 - success_rate) / cfg.trials)),
+                     one.yield_mean, one.fidelity_mean, analytic))
     _emit_rows(SWEEP_COLUMNS, rows, cfg)
     return 0
 
@@ -498,7 +495,7 @@ def cmd_curves(cfg: argparse.Namespace) -> int:
     rows = []
     for panel, y, p, d in curves:
         q = closed_form_round_detection(AttackModel(cfg.attack, y), cfg.mode, p, d)
-        rows += [dict(zip(CURVE_COLUMNS, (panel, y, p, d, n, (1.0 - q) ** n), strict=True)) for n in n_values]
+        rows += [(panel, y, p, d, n, (1.0 - q) ** n) for n in n_values]
     notes = ["illustrative default ranges; not a reproduction of any published figure"] if defaults_used else None
     _emit_rows(CURVE_COLUMNS, rows, cfg, notes=notes)
     return 0
@@ -521,15 +518,13 @@ def cmd_teleport_demo(cfg: argparse.Namespace) -> int:
     this verb does not take, and imra's on Eve's bit (two pair nodes).
     """
     table = build_correction_table()
-    rows = [dict(zip(DEMO_COLUMNS, ("correction", name, correction, None, None, None, None), strict=True))
-            for name, correction in table.items()]
+    rows = [("correction", name, correction, None, None, None, None) for name, correction in table.items()]
     kernels = _round_tables(AttackModel(cfg.attack)).kernels
     messages, draws = teleport_draws(np.random.default_rng(cfg.seed), cfg.trials)
     batch = teleport_batch(messages, kernels, np.zeros(cfg.trials, dtype=np.intp), draws)
     for (a, b), k, fidelity in zip(messages.tolist(), batch.outcomes.tolist(), batch.fidelities.tolist()):
         expected = 1.0 if cfg.attack == "none" else abs(a) ** 4 + abs(b) ** 4
-        rows.append(dict(zip(DEMO_COLUMNS, ("trial", BELL_NAMES[k], table[BELL_NAMES[k]], a, b,
-                                            fidelity, expected), strict=True)))
+        rows.append(("trial", BELL_NAMES[k], table[BELL_NAMES[k]], a, b, fidelity, expected))
     _emit_rows(DEMO_COLUMNS, rows, cfg)
     return 0
 

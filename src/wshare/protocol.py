@@ -85,19 +85,16 @@ one uniform per pair.
 
 :func:`run_trials`, the Monte Carlo view, draws no rounds.  Rounds are
 i.i.d., so everything a sweep row reads follows from a trial's counts
-per round cell (:func:`_round_cells`): selected and violated, d (p z +
-(1 - p) x) for the tables' ``violation`` (z, x) under the point's
-checker; selected and passing; unselected with home 0, (1 - d)
-``home0``; unselected with home 1.  It runs a grid of (config, attack,
-generator) points one after another.  Per block of at most
-:data:`_BLOCK_TRIALS` trials, a point draws from its own generator, in
-this order, the counts (``multinomial(n, cells)``, one row per trial);
-under imra, one uniform per trial with a pair, its first pair's Eve
-branch against ``tp`` (:func:`_draw_counts`); then the block's teleport,
-in :func:`~wshare.teleport.teleport_draws`' layout, through one
-:func:`~wshare.teleport.teleport_batch` over the point's kernel.  So
-memory stays bounded, a sweep's cost does not grow with n, and the bytes
-never depend on how grid points are spread over processes.
+per round cell, the four that :func:`_round_cells` defines with their
+probabilities.  It runs a grid of (config, attack, generator) points one
+after another.  Per block of at most :data:`_BLOCK_TRIALS` trials, a
+point draws from its own generator, in this order, the counts
+(``multinomial(n, cells)``, one row per trial); under imra, one uniform
+per trial with a pair, read as :func:`_draw_counts` says; then the
+block's teleport, in :func:`~wshare.teleport.teleport_draws`' layout,
+through one :func:`~wshare.teleport.teleport_batch` over the point's
+kernel.  So memory stays bounded, a sweep's cost does not grow with n,
+and the bytes never depend on how grid points are spread over processes.
 """
 
 import enum

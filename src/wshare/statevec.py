@@ -307,13 +307,13 @@ def _branch_weights(t: np.ndarray, basis: Basis) -> tuple[float, np.ndarray | No
     return p0, proj_plus, proj_minus
 
 
-def _collapsed(s: StateVector, ax: int, basis: Basis, outcome: int,
-               projection: np.ndarray, probability: float) -> StateVector:
-    """Rebuild the register with qubit ``ax`` collapsed onto ``outcome``.
-
-    ``probability`` is above ``_ZERO_PROB``: callers never pick an
-    impossible branch.
-    """
+def _branch(s: StateVector, basis: Basis, outcome: int, p0: float, projection: np.ndarray) -> MeasurementBranch:
+    """Branch ``outcome`` of a measurement in ``basis`` with P(outcome 0) = ``p0``, from its slice
+    ``projection`` (see :func:`_branch_weights`): impossible at or below ``_ZERO_PROB`` (no
+    post-state, probability floored at 0.0), else the register with the qubit collapsed onto it."""
+    probability = p0 if outcome == 0 else 1.0 - p0
+    if probability <= _ZERO_PROB:
+        return MeasurementBranch(outcome, max(probability, 0.0), None)
     post = np.zeros((projection.shape[0], 2, projection.shape[1]), dtype=complex)
     scaled = projection / np.sqrt(probability)
     if basis is Basis.Z:
@@ -322,7 +322,7 @@ def _collapsed(s: StateVector, ax: int, basis: Basis, outcome: int,
         sign = 1.0 if outcome == 0 else -1.0
         post[:, 0, :] = scaled * _RSQRT2
         post[:, 1, :] = sign * scaled * _RSQRT2
-    return StateVector._trusted(post.reshape(-1), s.labels)
+    return MeasurementBranch(outcome, probability, StateVector._trusted(post.reshape(-1), s.labels))
 
 
 def _clamped(p0: float) -> float:
@@ -342,13 +342,10 @@ def measure_qubit(s: StateVector, q: str, basis: Basis | str, rand: "np.random.G
     same qubit in the same basis is then deterministic.  ``basis`` may be a
     :class:`Basis` or its value; anything else raises ``ValueError``.
     """
-    basis, ax = Basis(basis), s.axis(q)
-    p0, proj0, proj1 = _branch_weights(s._split(ax), basis)
+    basis = Basis(basis)
+    p0, *projections = _branch_weights(s._split(s.axis(q)), basis)
     outcome = 0 if rand.random() < _clamped(p0) else 1
-    probability = p0 if outcome == 0 else 1.0 - p0
-    projection = proj0 if outcome == 0 else proj1
-    post = _collapsed(s, ax, basis, outcome, projection, probability)
-    return MeasurementBranch(outcome, probability, post)
+    return _branch(s, basis, outcome, p0, projections[outcome])
 
 
 def enumerate_qubit(s: StateVector, q: str, basis: Basis | str) -> list[MeasurementBranch]:
@@ -357,16 +354,9 @@ def enumerate_qubit(s: StateVector, q: str, basis: Basis | str) -> list[Measurem
     Zero-probability branches are reported with ``post_state=None``, and
     ``basis`` is taken as in :func:`measure_qubit`.
     """
-    basis, ax = Basis(basis), s.axis(q)
-    p0, proj0, proj1 = _branch_weights(s._split(ax), basis)
-    branches = []
-    for outcome, probability, projection in ((0, p0, proj0), (1, 1.0 - p0, proj1)):
-        if probability <= _ZERO_PROB:
-            branches.append(MeasurementBranch(outcome, max(probability, 0.0), None))
-        else:
-            branches.append(MeasurementBranch(outcome, probability,
-                                              _collapsed(s, ax, basis, outcome, projection, probability)))
-    return branches
+    basis = Basis(basis)
+    p0, *projections = _branch_weights(s._split(s.axis(q)), basis)
+    return [_branch(s, basis, outcome, p0, projection) for outcome, projection in enumerate(projections)]
 
 
 def enumerate_bell(s: StateVector, q1: str, q2: str) -> list[BellOutcome]:

@@ -129,6 +129,17 @@ MUTANTS = [
            "kept = zero if w0 >= w1 else one", "kept = one if w0 >= w1 else zero",
            ("tests/test_statevec.py::test_w_home_zero_leaves_bell_pair",
             "tests/test_protocol.py::test_honest_pairs_are_bell_pairs")),
+    Mutant("impossible-branch-probability-unfloored", STATEVEC,
+           "MeasurementBranch(outcome, max(probability, 0.0), None)", "MeasurementBranch(outcome, probability, None)",
+           ("tests/test_statevec.py::test_measurement_idempotent",)),
+    Mutant("x-collapse-drops-the-minus-sign", STATEVEC,
+           "sign = 1.0 if outcome == 0 else -1.0", "sign = 1.0",
+           ("tests/test_statevec.py::test_measurement_idempotent",)),
+    Mutant("measure-collapses-onto-outcome-0", STATEVEC,
+           "_branch(s, basis, outcome, p0, projections[outcome])", "_branch(s, basis, outcome, p0, projections[0])",
+           ("tests/test_statevec.py::test_near_impossible_first_branch_is_never_drawn",
+            "tests/test_statevec.py::test_operations_preserve_norm",
+            "tests/test_round_tree.py::test_run_protocol_matches_scalar_replay[none-None-paper_analytic]")),
     Mutant("bell-bits-reversed-in-enumerate-bell", STATEVEC,
            "bits = divmod(k, 2)", "bits = divmod(k, 2)[::-1]",
            ("tests/test_statevec.py::test_bell_bits_encoding",)),
@@ -150,6 +161,11 @@ MUTANTS = [
            "for share in pool.map(functools.partial(run_trials, trials=cfg.trials), shares)",
            "for share in reversed(list(pool.map(functools.partial(run_trials, trials=cfg.trials), shares)))",
            ("tests/test_cli.py::test_sweep_pool_shares_match_one_call",)),
+    Mutant("row-width-unchecked", CLI,
+           "zip(columns, row, strict=True)", "zip(columns, row)",
+           ("tests/test_cli.py::test_emitter_refuses_a_row_one_value_short[text]",
+            "tests/test_cli.py::test_emitter_refuses_a_row_one_value_short[csv]",
+            "tests/test_cli.py::test_emitter_refuses_a_row_one_value_short[records]")),
 ]
 
 

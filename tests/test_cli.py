@@ -3,6 +3,7 @@ through a subprocess where the process itself is under test (the
 ``python -m wshare`` entry point, failed and closed stdout, the real pool,
 cross-process byte determinism)."""
 
+import argparse
 import csv
 import io
 import json
@@ -121,6 +122,13 @@ def test_run_records_format_is_parseable_jsonl(capsys):
     assert [r["seq"] for r in rows] == list(range(len(rows)))
     speakers = {r["speaker"] for r in rows}
     assert speakers <= {"charlie", "alice", "bob", "runner"}
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "records"])
+def test_emitter_refuses_a_row_one_value_short(fmt):
+    cfg = argparse.Namespace(format=fmt, out=None)
+    with pytest.raises(ValueError):
+        cli._emit_rows(["a", "b", "c"], [(1, 2, 3), (1, 2)], cfg)
 
 
 def _read_csv(text):

@@ -11,6 +11,7 @@ from wshare.teleport import apply_correction
 from wshare.statevec import (
     Basis,
     StateVector,
+    _clamped,
     apply_cnot,
     discard_qubit,
     enumerate_bell,
@@ -301,12 +302,25 @@ def test_bell_pair_z_outcomes_anticorrelated():
 
 
 def test_measurement_idempotent():
+    # Re-measuring every branch of every qubit in its own basis gives that
+    # outcome again; the other branch is impossible, with no post-state and a
+    # probability in [0, 1e-15].  Rounding often puts the kept weight above 1,
+    # and there the other branch's 1 - p0 is negative: it must read 0.0.
     rng = np.random.default_rng(11)
-    for basis in (Basis.Z, Basis.X):
-        s = random_state(rng, ("a", "b", "c"))
-        first = measure_qubit(s, "b", basis, rng)
-        again = enumerate_qubit(first.post_state, "b", basis)
-        assert again[first.outcome].probability == pytest.approx(1.0, abs=1e-12)
+    above_one = 0
+    for labels in (("a",), ("a", "b"), ("a", "b", "c")) * 100:
+        s = random_state(rng, labels)
+        for q in labels:
+            for basis in (Basis.Z, Basis.X):
+                for first in enumerate_qubit(s, q, basis):
+                    again = enumerate_qubit(first.post_state, q, basis)
+                    kept, other = again[first.outcome], again[1 - first.outcome]
+                    assert kept.probability == pytest.approx(1.0, abs=1e-12)
+                    assert 0.0 <= other.probability <= 1e-15 and other.post_state is None
+                    if kept.probability >= 1.0:
+                        assert other.probability == 0.0
+                    above_one += kept.probability > 1.0
+    assert above_one > 0  # the floor binds
 
 
 def test_measured_qubit_stays_in_register():
@@ -347,9 +361,14 @@ def test_enumeration_probabilities_complete(seed, basis):
     s = random_state(rng, ("a", "b", "c"))
     branches = enumerate_qubit(s, "b", basis)
     assert sum(b.probability for b in branches) == pytest.approx(1.0, abs=1e-12)
-    for b in branches:
+    threshold = _clamped(branches[0].probability)
+    # one ulp below the threshold draws outcome 0, the threshold itself outcome 1
+    for b, u in zip(branches, (float(np.nextafter(threshold, -1.0)), threshold)):
         if b.post_state is not None:
             assert_allclose(np.sum(np.abs(b.post_state.amplitudes) ** 2), 1, atol=1e-12)
+            drawn = measure_qubit(s, "b", basis, FixedDraw(u))
+            assert drawn.outcome == b.outcome and drawn.probability == b.probability
+            assert np.array_equal(drawn.post_state.amplitudes, b.post_state.amplitudes)
 
 
 @settings(max_examples=25, deadline=None)
