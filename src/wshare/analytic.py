@@ -18,7 +18,7 @@ themselves.  Every function here takes the attack as an
 :class:`~wshare.attacks.AttackModel`, which has checked its kind and y.
 
 Everything else here is an *enumeration oracle*: it starts from the
-registers the attack leaves (:meth:`~wshare.attacks.AttackModel.branches`),
+weighted registers the attack leaves (:meth:`~wshare.attacks.AttackModel.branches`),
 walks every measurement branch of a round once (probabilities multiplied
 along the way, nothing sampled) and scores it with the same rule table the
 protocol uses.  The oracles never call the closed form (they confirm it)
@@ -55,19 +55,6 @@ def closed_form_round_detection(attack: AttackModel, mode: CheckerMode | str, p:
 
 # ---------------------------------------------------------------------------
 # enumeration oracles
-
-
-def _attacked_round_branches(attack: AttackModel) -> list[tuple[float, StateVector]]:
-    """The registers Eve leaves behind, as (weight, register) branches.
-
-    The registers are :meth:`~wshare.attacks.AttackModel.branches`; the
-    weights are its threshold and the threshold's complement (the Born
-    weights of Eve's Z result: the clamp never binds on the W state), or 1
-    for an attack that leaves one register.  An impossible branch is dropped.
-    """
-    threshold, registers = attack.branches(make_w_state())
-    weights = (1.0,) if threshold is None else (threshold, 1.0 - threshold)
-    return [(weight, state) for weight, state in zip(weights, registers, strict=True) if state is not None]
 
 
 def _violation_probability(state: StateVector, basis: Basis, mode: CheckerMode) -> float:
@@ -109,7 +96,7 @@ def round_detection_probability(attack: AttackModel, mode: CheckerMode | str, p:
     _check_unit("p", p)
     _check_unit("d", d)
     detect = 0.0
-    for weight, state in _attacked_round_branches(attack):
+    for weight, state in attack.branches(make_w_state()):
         vz = _violation_probability(state, Basis.Z, mode)
         vx = _violation_probability(state, Basis.X, mode)
         detect += weight * (p * vz + (1.0 - p) * vx)
@@ -125,5 +112,5 @@ def x_round_detection_given_home0(attack: AttackModel) -> float:
     independent of (x, y).
     """
     home0 = sum(weight * enumerate_qubit(state, "c", Basis.Z)[0].probability
-                for weight, state in _attacked_round_branches(attack))
+                for weight, state in attack.branches(make_w_state()))
     return round_detection_probability(attack, CheckerMode.STRICT, 0.0, 1.0) / home0

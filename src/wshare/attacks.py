@@ -11,10 +11,10 @@ each round's register, described by a frozen :class:`AttackModel`:
 * ``ema`` — entangle-measure: Eve CNOTs the in-flight qubit onto a fresh
   |0> ancilla ``e`` and forwards the original untouched.
 
-:meth:`AttackModel.branches` is how an attack splits a round: imra's two
-Z results with the threshold Eve's bit is drawn against, or the other
-kinds' one register.  The protocol's round tables and the analytic oracle
-both start from it, and a run draws Eve's bits from the tables.
+:meth:`AttackModel.branches` splits a round into (weight, register) pairs:
+imra's two Z results, weighed by the threshold Eve's bit is drawn against
+and its complement, or the other kinds' one register, of weight 1.  The
+protocol's round tables (a run draws from them) and the oracle start there.
 :meth:`AttackModel.intercept` samples one round instead, the scalar
 reference the tests replay: imra draws one uniform from ``rand`` for its
 bit, and the other kinds draw nothing and return ``None``.  No run calls
@@ -88,17 +88,18 @@ class AttackModel(_Record):
         y = _check_unit("fake-qubit amplitude y", y)
         self._set(kind, y, float(np.sqrt(1.0 - y * y)))
 
-    def branches(self, state: StateVector) -> tuple[float | None, tuple[StateVector | None, ...]]:
-        """How this attack splits one round's register: (threshold, registers).
+    def branches(self, state: StateVector) -> tuple[tuple[float, StateVector | None], ...]:
+        """How this attack splits one round's register: ((weight, register), ...).
 
-        imra gives P(Eve reads 0), clamped as :meth:`intercept` samples it,
-        and each Z result's register (``None`` if impossible); the other
-        kinds give ``None`` and their one register.
+        imra gives each Z result's register (``None`` if impossible), weighed
+        by P(Eve reads 0), clamped as :meth:`intercept` samples it, and its
+        complement; the other kinds give their one register with weight 1.
         """
         if self.kind == "imra":
-            eve = enumerate_qubit(state, "b", Basis.Z)
-            return _clamped(eve[0].probability), tuple(branch.post_state for branch in eve)
-        return None, (self.intercept(state, None)[0],)
+            zero, one = enumerate_qubit(state, "b", Basis.Z)
+            threshold = _clamped(zero.probability)
+            return (threshold, zero.post_state), (1.0 - threshold, one.post_state)
+        return ((1.0, self.intercept(state, None)[0]),)
 
     def intercept(
         self, state: StateVector, rand: "np.random.Generator | None"
@@ -108,7 +109,7 @@ class AttackModel(_Record):
         Only imra draws (one uniform from ``rand``) and only imra has a bit;
         the other kinds return ``None`` and accept ``rand=None``.  A sampled
         imra round is one of :meth:`branches`: bit 0 exactly when the
-        uniform falls below its threshold.
+        uniform falls below the first branch's weight.
         """
         if self.kind == "imra":
             branch = measure_qubit(state, "b", Basis.Z, rand)

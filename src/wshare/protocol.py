@@ -52,14 +52,14 @@ collapses the register for the next node, and Bob's leaves from their
 P(outcome 0) alone, each threshold clamped as
 :func:`~wshare.statevec.measure_qubit` samples it:
 
-* ``te``: P(Eve reads 0), for imra only; for the other kinds ``e`` is
-  always 0 and nothing is drawn for it;
+* ``te``: P(Eve reads 0), imra's first branch weight, or ``None`` for the
+  other kinds, whose ``e`` is 0; :func:`_eve_branches` draws ``e`` from it;
 * ``tc[e]``: P(home reads 0);
 * ``ta[e, c, basis]`` and ``tb[e, c, basis, a]``: P(Alice reads 0) and
   P(Bob reads 0) below home result ``c`` (and Alice's result ``a``);
 * ``home0``: P(home reads 0), summed over Eve's branches, and ``tp``:
   P(Eve reads 0 | home reads 0), the Eve branch of a pair, for imra only
-  (clamped like ``te``);
+  (clamped like ``te``, and drawn from by :func:`_eve_branches` too);
 * ``pairs[e]``: the pair register a home-0 round leaves, home qubit
   dropped, and ``kernels``: one Bell kernel array of every ``pairs[e]``
   and their rest labels (:func:`~wshare.teleport._bell_kernel`), which
@@ -370,12 +370,13 @@ class RoundTables(NamedTuple):
     __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
 
-def _compile_tables(te: float | None, roots: tuple[StateVector, ...]) -> RoundTables:
-    """Threshold tables of the round tree below each root (one per Eve branch).
+def _compile_tables(branches: tuple[tuple[float, StateVector], ...]) -> RoundTables:
+    """Threshold tables of the round tree below each (weight, root) Eve branch.
 
     Entries below a branch that is never drawn stay at 1.0 and are never read; each checker's
     ``violation`` pair weighs the leaves by its mask in :data:`_LEAF_MASKS`, built once at import.
     """
+    weights, roots = zip(*branches)
     count = len(roots)
     tc, ta, tb = np.ones(count), np.ones((count, 2, 2)), np.ones((count, 2, 2, 2))
     pairs, blocks = [], []
@@ -396,10 +397,10 @@ def _compile_tables(te: float | None, roots: tuple[StateVector, ...]) -> RoundTa
                     leaf = alice.post_state  # Bob's threshold alone: no register below it is kept
                     if leaf is not None:
                         tb[e, c, x, a] = _clamped(_branch_weights(leaf._split(leaf.axis("b")), basis)[0])
-    eve = np.ones(1) if te is None else np.array((te, 1.0 - te))
+    eve = np.array(weights)
     joint = eve * tc  # P(Eve reads e and home reads 0)
     home0 = float(joint.sum())
-    tp = None if te is None else _clamped(float(joint[0]) / home0)
+    te, tp = (weights[0], _clamped(float(joint[0]) / home0)) if count > 1 else (None, None)
     # P(outcome 0) and P(outcome 1) on a new first axis: an outcome is 0 below its threshold
     home, alice, bob = (np.array((t, 1.0 - t)) for t in (tc, ta, tb))
     leaves = np.einsum("e,ce,aecx,becxa->xcab", eve, home, alice, bob)
@@ -412,11 +413,19 @@ def _compile_tables(te: float | None, roots: tuple[StateVector, ...]) -> RoundTa
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _round_tables(attack: AttackModel) -> RoundTables:
     """The round tables of an attack, compiled on first use."""
-    return _compile_tables(*attack.branches(make_w_state()))
+    return _compile_tables(attack.branches(make_w_state()))
 
 
 # ---------------------------------------------------------------------------
 # the engine
+
+
+def _eve_branches(rand, threshold: float | None, count: int) -> np.ndarray:
+    """Eve's branch index for ``count`` rounds or pairs: 1 where a uniform is
+    at or above ``threshold``, and 0 everywhere, nothing drawn, without one."""
+    if threshold is None:
+        return np.zeros(count, dtype=np.uint8)
+    return (rand.random(count) >= threshold).view(np.uint8)
 
 
 def _draw_rounds(tables: RoundTables, config: ProtocolConfig, rand) -> tuple[np.ndarray, ...]:
@@ -425,10 +434,7 @@ def _draw_rounds(tables: RoundTables, config: ProtocolConfig, rand) -> tuple[np.
     :class:`RunOutcome`."""
     n = config.n
     _check_addressable(n, 24)  # the round uniforms, its widest array
-    if tables.te is None:
-        eve = np.zeros(n, dtype=np.uint8)
-    else:
-        eve = (rand.random(n) >= tables.te).view(np.uint8)
+    eve = _eve_branches(rand, tables.te, n)
     selected = rand.random(n) < config.d
     x_basis = rand.random(n) >= config.p
     uniforms = rand.random((n, 3))  # home, Alice, Bob
@@ -514,10 +520,7 @@ def _draw_counts(tables: RoundTables, cells: np.ndarray, n: int, rand, trials: i
     aborted = counts[:, 0] > 0
     surviving = n - counts[:, 0] - counts[:, 1]  # not a row sum: see statevec's rule on short axes
     pairs = np.where(aborted, 0, counts[:, 2])
-    teleported = np.count_nonzero(pairs)
-    if tables.tp is None:
-        return aborted, surviving, pairs, np.zeros(teleported, dtype=np.uint8)
-    return aborted, surviving, pairs, (rand.random(teleported) >= tables.tp).view(np.uint8)
+    return aborted, surviving, pairs, _eve_branches(rand, tables.tp, np.count_nonzero(pairs))
 
 
 def run_trials(points, trials: int) -> list[TrialStats]:

@@ -4,7 +4,7 @@ Each entry replaces one exact snippet of a ``src/`` file and names the tests
 that must then fail.  Run::
 
     python tests/mutants.py            # every mutant
-    python tests/mutants.py --only NAME
+    python tests/mutants.py --only NAME [--only NAME ...]
 
 Each mutant is applied alone to a temporary copy of the whole checkout (a
 copy of ``src/`` alone would not do: pyproject's ``pythonpath = ["src"]``
@@ -38,8 +38,8 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]  # pytest ids, at least one of which must fail
 
 
-PROTOCOL, STATEVEC, TELEPORT, ANALYTIC, CLI = (f"src/wshare/{name}.py"
-                                               for name in ("protocol", "statevec", "teleport", "analytic", "cli"))
+PROTOCOL, STATEVEC, TELEPORT, ANALYTIC, ATTACKS, CLI = (
+    f"src/wshare/{name}.py" for name in ("protocol", "statevec", "teleport", "analytic", "attacks", "cli"))
 LAW = "tests/test_protocol.py::test_trial_rows_follow_the_exact_law"
 
 MUTANTS = [
@@ -57,16 +57,24 @@ MUTANTS = [
            "            raise MemoryError(f\"{config.n} rounds exceed the counts numpy can draw\")\n", "",
            ("tests/test_protocol.py::test_trial_cost_does_not_grow_with_n[honest]",)),
     Mutant("pair-branch-threshold-unconditioned", PROTOCOL,
-           "_clamped(float(joint[0]) / home0)", "_clamped(te)",
+           "_clamped(float(joint[0]) / home0)", "_clamped(weights[0])",
            ("tests/test_protocol.py::test_pair_branch_threshold_is_enumerated[imra]",
             "tests/test_protocol.py::test_count_sampler_matches_round_draws[imra-strict]",
             f"{LAW}[imra-strict-counts]")),
     Mutant("first-branch-mirrored", PROTOCOL,
-           "rand.random(teleported) >= tables.tp", "rand.random(teleported) < tables.tp",
+           "(rand.random(count) >= threshold)", "(rand.random(count) < threshold)",
            ("tests/test_protocol.py::test_imra_first_pair_branch_follows_its_threshold[1]",)),
     Mutant("first-branch-read-off-te", PROTOCOL,
-           "rand.random(teleported) >= tables.tp", "rand.random(teleported) >= tables.te",
+           "_eve_branches(rand, tables.tp,", "_eve_branches(rand, tables.te,",
            (f"{LAW}[imra-paper-counts]",)),
+    Mutant("no-eve-bit-still-draws", PROTOCOL,
+           "        return np.zeros(count, dtype=np.uint8)\n",
+           "        return (rand.random(count) < 0.0).view(np.uint8)\n",
+           ("tests/test_round_tree.py::test_run_protocol_matches_scalar_replay[none-None-strict]",
+            "tests/test_golden.py::test_cli_output_matches_golden_hash[sweep-ema-strict]")),
+    Mutant("eve-branch-1-weighs-the-threshold", ATTACKS,
+           "(1.0 - threshold, one.post_state)", "(threshold, one.post_state)",
+           ("tests/test_protocol.py::test_violated_cell_is_q_by_three_routes[imra-strict]",)),
     Mutant("passing-and-home0-cells-swapped", PROTOCOL,
            "(violated, d - violated, home0, 1.0 - d - home0)", "(violated, home0, d - violated, 1.0 - d - home0)",
            (f"{LAW}[none-paper-counts]",)),
@@ -196,12 +204,12 @@ def run(mutant: Mutant) -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Apply each kept mutant alone and run the tests that must catch it.")
-    parser.add_argument("--only", metavar="NAME", choices=[mutant.name for mutant in MUTANTS],
-                        help="run this mutant alone")
+    parser.add_argument("--only", metavar="NAME", action="append", choices=[mutant.name for mutant in MUTANTS],
+                        help="run this mutant alone; give it again to run several")
     args = parser.parse_args(argv)
     outcomes = {}
     for mutant in MUTANTS:
-        if args.only in (None, mutant.name):
+        if args.only is None or mutant.name in args.only:
             start = time.perf_counter()
             outcomes[mutant.name] = run(mutant)
             print(f"{outcomes[mutant.name]:>8}  {mutant.name}  ({time.perf_counter() - start:.1f} s)", flush=True)

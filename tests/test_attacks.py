@@ -55,13 +55,13 @@ def test_imra_branches_and_probabilities():
                                     ("ema", None)])
 def test_branches_split_the_round_as_the_oracles_do(kind, y):
     attack, w = AttackModel(kind, y), make_w_state()
-    threshold, registers = attack.branches(w)
+    weights, registers = zip(*attack.branches(w))
     if kind == "imra":
         zero, one = enumerate_qubit(w, "b", Basis.Z)
-        assert threshold == zero.probability  # the clamp never binds on the W state
+        assert weights == (zero.probability, 1.0 - zero.probability)  # the clamp never binds on the W state
         want = (zero.post_state, one.post_state)
     else:
-        assert threshold is None
+        assert weights == (1.0,)
         want = (attack.intercept(w, None)[0],)
     assert len(registers) == len(want)
     for got, expected in zip(registers, want):
@@ -71,11 +71,12 @@ def test_branches_split_the_round_as_the_oracles_do(kind, y):
 
 def test_sampled_imra_intercept_reads_its_branches_threshold():
     attack, w = AttackModel("imra"), make_w_state()
-    threshold, registers = attack.branches(w)
+    branches = attack.branches(w)
+    threshold = branches[0][0]
     for u in (float(np.nextafter(threshold, 0.0)), float(np.nextafter(threshold, 1.0))):
         post, bit = attack.intercept(w, FixedDraw(u))
         assert bit == int(u >= threshold)
-        assert np.array_equal(post.amplitudes, registers[bit].amplitudes)
+        assert np.array_equal(post.amplitudes, branches[bit][1].amplitudes)
 
 
 def test_imra_forwarded_qubit_is_unentangled():

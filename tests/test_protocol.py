@@ -711,9 +711,10 @@ def test_compile_applies_no_rule_and_keeps_its_violation_bits(attack, monkeypatc
     # leaves that _apply_rules flags on the broadcast leaf bits, summed.
     apply_rules, calls = protocol._apply_rules, []
     monkeypatch.setattr(protocol, "_apply_rules", lambda *args: calls.append(args) or apply_rules(*args))
-    tables = protocol._compile_tables(*attack.branches(make_w_state()))
+    branches = attack.branches(make_w_state())
+    tables = protocol._compile_tables(branches)
     assert calls == []
-    eve = np.ones(1) if tables.te is None else np.array((tables.te, 1.0 - tables.te))
+    eve = np.array([weight for weight, _ in branches])
     home, alice, bob = (np.array((t, 1.0 - t)) for t in (tables.tc, tables.ta, tables.tb))
     leaves = np.einsum("e,ce,aecx,becxa->xcab", eve, home, alice, bob)
     bit = np.array([False, True])
@@ -724,13 +725,11 @@ def test_compile_applies_no_rule_and_keeps_its_violation_bits(attack, monkeypatc
         assert list(map(float.hex, tables.violation[mode].tolist())) == list(map(float.hex, want.tolist())), mode
 
 
-def _home0_law(attack: AttackModel) -> tuple[float, float | None]:
-    """P(home reads 0) and, under imra, P(Eve read 0 | home reads 0) (else
-    None), enumerated from the attack's branches without the round tables."""
-    te, roots = attack.branches(make_w_state())
-    weights = (1.0,) if te is None else (te, 1.0 - te)
-    joint = [w * enumerate_qubit(root, "c", Basis.Z)[0].probability for w, root in zip(weights, roots)]
-    return sum(joint), None if te is None else joint[0] / sum(joint)
+def _home0_law(attack: AttackModel) -> tuple[float, tuple[float, ...]]:
+    """P(home reads 0) and P(Eve's branch e | home reads 0) for each e,
+    enumerated from the attack's branches without the round tables."""
+    joint = [w * enumerate_qubit(root, "c", Basis.Z)[0].probability for w, root in attack.branches(make_w_state())]
+    return sum(joint), tuple(share / sum(joint) for share in joint)
 
 
 @pytest.mark.parametrize("attack", FIDELITY_ATTACKS, ids=_attack_id)
@@ -738,12 +737,12 @@ def test_pair_branch_threshold_is_enumerated(attack):
     # Every pair is a home-0 survivor, so its Eve branch is 0 with
     # probability P(Eve 0 | home 0): 1/2 under imra (P(Eve 0) itself is 2/3).
     tables = protocol._round_tables(attack)
-    home0, threshold = _home0_law(attack)
+    home0, shares = _home0_law(attack)
     assert abs(tables.home0 - home0) <= 1e-15
     if attack.kind == "imra":
-        assert abs(tables.tp - threshold) <= 1e-15 and abs(threshold - 0.5) <= 1e-15
+        assert abs(tables.tp - shares[0]) <= 1e-15 and abs(shares[0] - 0.5) <= 1e-15
     else:
-        assert tables.tp is None and threshold is None
+        assert tables.tp is None and shares == (1.0,)
 
 
 @pytest.mark.parametrize("n", [1, 5])
@@ -765,11 +764,10 @@ def _row_law(attack: AttackModel, mode: str, n: int, p: float, d: float) -> dict
     pair's Eve branch, or -1 without a pair) at ``n`` rounds: the multinomial
     pmf of its four round cells times the branch draw.  The cells come
     without the round tables: q from the enumeration oracle, P(home 0) and
-    the branch threshold from the attack's branches."""
+    the pair's branch shares from the attack's branches."""
     q = round_detection_probability(attack, mode, p, d)
-    home0, threshold = _home0_law(attack)
+    home0, branches = _home0_law(attack)
     cells = (q, d - q, (1 - d) * home0, (1 - d) * (1 - home0))
-    branches = (1.0,) if threshold is None else (threshold, 1.0 - threshold)
     law = collections.defaultdict(float)
     for counts in itertools.product(range(n + 1), repeat=4):
         if sum(counts) == n:

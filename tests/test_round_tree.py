@@ -271,7 +271,7 @@ def test_table_thresholds_clamp_near_certain_branches(amplitudes):
     for index, value in amplitudes.items():
         amps[index] = value
     root = StateVector(amps, ("a", "b", "c"))
-    tables = protocol._compile_tables(None, (root,))
+    tables = protocol._compile_tables(((1.0, root),))
     assert tables.tc[0] in (0.0, 1.0)  # clamped
     assert_engine_follows_thresholds(tables, None, root)
 
@@ -285,7 +285,7 @@ def random_root(rng):
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
 def test_table_thresholds_match_measure_qubit_on_random_roots(seed):
     root = random_root(np.random.default_rng(seed))
-    assert_engine_follows_thresholds(protocol._compile_tables(None, (root,)), None, root)
+    assert_engine_follows_thresholds(protocol._compile_tables(((1.0, root),)), None, root)
 
 
 # ---------------------------------------------------------------------------
