@@ -1,20 +1,10 @@
 """Closed-form detection/success expressions plus exact enumeration oracles.
 
 One per-round closed form covers every attack under both checkers
-(:func:`closed_form_round_detection`).  A round is a detection round with
-probability d, a Z round within it with probability p:
-
-* store-and-resend trips the two Z rules with probabilities p*d*y^2/3
-  (fake qubit read as 1 while the home qubit read 1) and p*d/3
-  (anticorrelation broken while the home qubit read 0); measure-resend
-  and entangle-measure leave the Z statistics untouched;
-* the strict checker's X rule catches any of the three attacks with
-  probability (1 - p)*d/3: the home qubit reads 0 with probability 2/3,
-  and then the attack is caught with probability exactly 1/2.
-
-Rounds are independent, so an n-round sequence escapes with S = (1 - q)^n
-for the per-round detection probability q; callers form that power
-themselves.  Every function here takes the attack as an
+(:func:`closed_form_round_detection`, which states its terms).  Rounds are
+independent, so an n-round sequence escapes with S = (1 - q)^n for the
+per-round detection probability q; callers form that power themselves.
+Every function here takes the attack as an
 :class:`~wshare.attacks.AttackModel`, which has checked its kind and y.
 
 Everything else here is an *enumeration oracle*: it starts from the
@@ -22,14 +12,7 @@ weighted registers the attack leaves (:meth:`~wshare.attacks.AttackModel.branche
 walks every measurement branch of a round once (probabilities multiplied
 along the way, nothing sampled) and scores it with the same rule table the
 protocol uses.  The oracles never call the closed form (they confirm it)
-and never read the protocol's round tables.  Notably the strict checker's
-X-basis rule catches the measure-resend, store-resend, and entangle attacks
-each in an applicable X round (home outcome 0) with probability exactly
-1/2, independent of the fake-qubit amplitudes.  (A naive interference
-argument suggests the store-resend X-round rate should depend on x - y; the
-enumeration shows it does not: Alice's travel qubit is maximally mixed
-given home outcome 0, so her X result is a fair coin regardless of what Eve
-forwards to Bob.)
+and never read the protocol's round tables.
 """
 
 from .attacks import AttackModel, _check_unit
@@ -40,10 +23,14 @@ from .statevec import Basis, StateVector, enumerate_qubit, make_w_state
 def closed_form_round_detection(attack: AttackModel, mode: CheckerMode | str, p: float, d: float) -> float:
     """Per-round detection probability of an attack under one checker, in closed form.
 
-    The Z rules catch only store-resend, in two ways: home 1 while Bob reads
-    the fake qubit as 1 (p*d*y^2/3), and home 0 with the Z anticorrelation
-    broken (p*d/3).  The strict X rule catches any attack with probability
-    (1 - p)*d/3.
+    A round is a detection round with probability d, a Z round within it
+    with probability p.  The Z rules catch only store-resend, in two ways:
+    home 1 while Bob reads the fake qubit as 1 (p*d*y^2/3), and home 0 with
+    the Z anticorrelation broken (p*d/3); measure-resend and entangle-measure
+    leave the Z statistics untouched.  The strict X rule catches any attack
+    with probability (1 - p)*d/3: home reads 0 with probability 2/3, and
+    then the attack is caught with probability 1/2
+    (:func:`x_round_detection_given_home0`).
     """
     mode = CheckerMode(mode)
     _check_unit("p", p)
@@ -86,11 +73,7 @@ def round_detection_probability(attack: AttackModel, mode: CheckerMode | str, p:
 
     Branch enumeration over Eve's outcome (if any), the detection draw
     (weight d), the basis draw (Z with weight p), and all measurement
-    outcomes.  No sampling is involved.
-
-    Under the paper checker the measure-resend and entangle-measure attacks
-    come out exactly 0: both leave the Z statistics untouched, so only the
-    strict X rule ever catches them.  Each call enumerates afresh.
+    outcomes.  No sampling is involved, and each call enumerates afresh.
     """
     mode = CheckerMode(mode)
     _check_unit("p", p)
@@ -108,8 +91,11 @@ def x_round_detection_given_home0(attack: AttackModel) -> float:
 
     Enumerated, not assumed: the X rule applies only on home 0, so this is
     the strict checker's X-round detection probability over P(home 0).
-    Comes out exactly 1/2 for all three attacks — for the store-resend case
-    independent of (x, y).
+    Comes out exactly 1/2 for all three attacks, for store-resend
+    independent of (x, y).  A naive interference argument suggests the
+    store-resend rate should depend on x - y; it does not, because Alice's
+    travel qubit is maximally mixed given home 0, so her X result is a fair
+    coin whatever Eve forwards to Bob.
     """
     home0 = sum(weight * enumerate_qubit(state, "c", Basis.Z)[0].probability
                 for weight, state in attack.branches(make_w_state()))

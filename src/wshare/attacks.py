@@ -11,14 +11,10 @@ each round's register, described by a frozen :class:`AttackModel`:
 * ``ema`` — entangle-measure: Eve CNOTs the in-flight qubit onto a fresh
   |0> ancilla ``e`` and forwards the original untouched.
 
-:meth:`AttackModel.branches` splits a round into (weight, register) pairs:
-imra's two Z results, weighed by the threshold Eve's bit is drawn against
-and its complement, or the other kinds' one register, of weight 1.  The
-protocol's round tables (a run draws from them) and the oracle start there.
-:meth:`AttackModel.intercept` samples one round instead, the scalar
-reference the tests replay: imra draws one uniform from ``rand`` for its
-bit, and the other kinds draw nothing and return ``None``.  No run calls
-it.  Her post-protocol attempt to read Alice's teleported
+:meth:`AttackModel.branches` splits a round into weighted registers, where
+the protocol's round tables and the enumeration oracles start, and
+:meth:`AttackModel.intercept` samples one round, the scalar reference the
+tests replay.  Eve's post-protocol attempt to read Alice's teleported
 message out of her bit or her qubit ``e`` is :func:`eve_recover_attempt`,
 and :func:`eve_recover_batch` is that recovery for a whole
 :class:`~wshare.teleport.TeleportBatch` at once.
@@ -109,7 +105,7 @@ class AttackModel(_Record):
         Only imra draws (one uniform from ``rand``) and only imra has a bit;
         the other kinds return ``None`` and accept ``rand=None``.  A sampled
         imra round is one of :meth:`branches`: bit 0 exactly when the
-        uniform falls below the first branch's weight.
+        uniform falls below the first branch's weight.  No run calls it.
         """
         if self.kind == "imra":
             branch = measure_qubit(state, "b", Basis.Z, rand)

@@ -5,8 +5,7 @@ Verbs
 ``run``
     One protocol execution with an optional attack; prints the ordered
     classical transcript plus teleportation and eavesdropper-recovery
-    summaries.  Exit status 0 when the run passed checking, 2 when it
-    aborted.
+    summaries.
 ``sweep``
     Monte Carlo trials over a parameter grid; one result row per grid
     point with empirical detection/success rates, distillation yield,
@@ -18,29 +17,12 @@ Verbs
     The derived correction table and a batch of random teleportations,
     over the honest channel or the entangler-corrupted one.
 
-The verb comes first, and a call builds that verb's parser alone.  Each
-flag is one row of :data:`_FLAGS`, which names the verbs that take it and
-its type, default and range for each (curves' lengths must convert to a
-float); ``wshare VERB --help`` lists exactly that verb's flags.  Every verb
-also reads its flags from a flat JSON scenario file (``--scenario``, whose
-grids are JSON lists; explicit flags win; an empty path is refused),
-refuses any flag or scenario key it does not take, and emits text, CSV, or
-JSON-records output.
-Every random draw descends from ``--seed``: ``run`` draws its rounds from
-``default_rng(seed)``, and each sweep grid point draws its trials' counts
-per round cell from ``default_rng((seed, grid_index))``, in fixed blocks
-of trials (see :mod:`wshare.protocol` for the layout), so identical
-invocations produce byte-identical output files whatever ``--workers`` is
-and a sweep's cost does not grow with n.  The calling process builds
-every grid point and every row, and runs the points through one
-:func:`~wshare.protocol.run_trials` call, or maps ``run_trials`` over
-contiguous shares of them, one per worker.  A sweep starts workers only
-for grids big enough to pay for them (at most one per
-:data:`_TRIALS_PER_WORKER` trials); smaller grids run in the calling
-process, and the pool machinery is imported only when a sweep starts
-workers.  A grid flag takes a following value that starts with ``-`` and
-a digit (``--y-values -0,0.5``) as its own.  Exit status: 0 success,
-1 usage error or unwritable output, 2 protocol aborted (run verb only).
+A call's verb and flags, from argv and a ``--scenario`` file, are read
+against the flag table :data:`_FLAGS` by :func:`_parse` and :func:`_resolve`.
+Every random draw descends from ``--seed`` (:func:`cmd_run`,
+:func:`cmd_sweep`, :func:`cmd_teleport_demo`), so identical invocations
+produce byte-identical output.  Exit status: 0 success, 1 usage error or
+unwritable output, 2 protocol aborted (run verb only).
 """
 
 import argparse
@@ -123,6 +105,9 @@ class _Flag(NamedTuple):
 # the grid; a trial's cost does not depend on n): two workers on a two-point
 # grid lost to one process at 2^15 trials in all and won at 2^16 (2 vCPUs).
 _TRIALS_PER_WORKER = 1 << 15
+# A sweep's work bound, checked before any point is built, so every sweep ends: a point
+# costs 21-30 us and 1.2 KB to build, and a trial 0.44-0.66 us in one process (2 vCPUs).
+_SWEEP_BUDGET = {"grid points": 1 << 16, "trials over the grid": 1 << 30}
 
 
 _ALL = "run sweep curves teleport-demo"
@@ -244,12 +229,7 @@ def _load_scenario(path: str) -> dict:
 
 
 def _scenario_value(name: str, value):
-    """One scenario-file value, typed exactly as its flag's JSON type says.
-
-    An integer is never a boolean or a float, a number never a boolean,
-    and a grid is a JSON list.  ``null`` is taken only where the default
-    is unset.
-    """
+    """One scenario-file value, typed exactly as its flag's JSON type says (:data:`_KINDS`)."""
     flag = _FLAGS[name]
     _, entry, valid, text = _KINDS[flag.kind]
     if value is None and flag.default is None:
@@ -292,7 +272,9 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     given with its grid), and where every value it does take is
     range-checked, so later steps cannot fail on them.  It also settles
     what the verbs read: ``isra_y`` is None unless the attack is isra, and
-    a sweep's scalar given without its grid is a one-point grid.
+    a sweep's scalar given without its grid is a one-point grid.  A sweep
+    past :data:`_SWEEP_BUDGET` is refused before any point is built.  An empty
+    ``--scenario`` path is refused as any unreadable one is.
     """
     given = {}
     if args.scenario is not None:
@@ -324,6 +306,10 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
         for one, grid in _GRIDS.items():
             if getattr(cfg, grid) is None:
                 setattr(cfg, grid, (getattr(cfg, one),))
+        points = math.prod(len(getattr(cfg, grid)) for grid in _GRIDS.values())
+        for (what, limit), amount in zip(_SWEEP_BUDGET.items(), (points, points * cfg.trials)):
+            if amount > limit:
+                raise UsageError(f"sweep takes at most {limit:,} {what}, got {amount:,}")
     return cfg
 
 
@@ -399,6 +385,8 @@ RUN_COLUMNS = ["seq", "speaker", "event", "detail"]
 
 
 def cmd_run(cfg: argparse.Namespace) -> int:
+    """Emit one run's transcript, drawn from ``default_rng(seed)``, then teleport over its pairs on the
+    same stream; exit 2 when the run aborted."""
     config = ProtocolConfig(n=cfg.n, d=cfg.d, p=cfg.p, checker_mode=cfg.mode)
     attack = AttackModel(cfg.attack, cfg.isra_y)
     rand = np.random.default_rng(cfg.seed)
@@ -438,9 +426,14 @@ def _usable_cpus() -> int:
 
 
 def cmd_sweep(cfg: argparse.Namespace) -> int:
-    """Emit one row per grid point, in grid order, from one
-    :func:`~wshare.protocol.run_trials` call over the grid, or one per worker
-    over a contiguous share of it."""
+    """Emit one row per grid point, in grid order.
+
+    Point ``grid_index`` draws from ``default_rng((seed, grid_index))`` as
+    :func:`~wshare.protocol.run_trials` says, so no byte depends on
+    ``--workers``.  The calling process builds every point and every row,
+    and runs the points through one ``run_trials`` call, or maps it over one
+    contiguous share per worker, at most one per :data:`_TRIALS_PER_WORKER`.
+    """
     grid = itertools.product(cfg.y_values, cfg.p_values, cfg.d_values, cfg.n_values)
     points = [(ProtocolConfig(n=n, d=d, p=p, checker_mode=cfg.mode), AttackModel(cfg.attack, y),  # y: None unless isra
                np.random.default_rng((cfg.seed, grid_index))) for grid_index, (y, p, d, n) in enumerate(grid)]
@@ -478,11 +471,9 @@ _DEFAULT_CURVE_NS = tuple(range(1, 61))
 def cmd_curves(cfg: argparse.Namespace) -> int:
     """Emit S(y, p, d, n) against n in three panels (vary y / vary d / vary p).
 
-    The built-in value sets are illustrative defaults, not a reproduction of
-    any particular figure; pass --y-values/--d-values/--p-values/--n-values
-    to choose your own.  S is (1 - q)^n, q the closed form for --attack
-    (default isra) under --mode; any other attack has no y, so its vary-y
-    panel holds one curve.
+    A grid not given takes an illustrative default, and the output says so.
+    S is (1 - q)^n, q the closed form for --attack under --mode; any other
+    attack than isra has no y, so its vary-y panel holds one curve.
     """
     defaults_used = all(v is None for v in (cfg.y_values, cfg.d_values, cfg.p_values, cfg.n_values))
     y_values = (cfg.y_values or (0.0, 0.5, 1.0)) if cfg.isra_y is not None else (None,)
@@ -509,13 +500,11 @@ DEMO_COLUMNS = ["section", "outcome", "correction", "a", "b", "fidelity", "expec
 
 
 def cmd_teleport_demo(cfg: argparse.Namespace) -> int:
-    """Show the correction table, then teleport a batch of random messages.
+    """Show the correction table, then teleport ``default_rng(seed)``'s batch of random messages.
 
     The channel is the attack's pair node in the round tables: with
     ``--attack ema``, the corrupted three-qubit channel the entangling
-    interceptor leaves behind.  The other attacks distill pairs too, but
-    have no single demo channel here: isra's depends on ``--isra-y``, which
-    this verb does not take, and imra's on Eve's bit (two pair nodes).
+    interceptor leaves behind (:data:`_FLAGS` says why no other attack).
     """
     table = build_correction_table()
     rows = [("correction", name, correction, None, None, None, None) for name, correction in table.items()]

@@ -14,9 +14,7 @@ One run goes through two phases:
   publishes which came out 0 — exactly those positions leave Alice and Bob
   sharing a (|01>+|10>)/sqrt(2) Bell pair, ready for teleportation.
 
-A run is one :class:`RunOutcome`: the arrays it drew, one entry per round
-(see the round tables below), from which the directives, report, pairs and
-transcript are derived on first read.
+A run is one :class:`RunOutcome`.
 
 Two checking semantics ship side by side.  ``strict`` enforces every
 physically valid correlation of the W state:
@@ -39,62 +37,21 @@ seeds are comparable round for round.
 Detection never yields false positives in either mode: every honest
 measurement branch of the W state satisfies all four rules.
 
-**The round tables.**  Every round starts from the same registers, the W
-state as the attack splits it (:meth:`~wshare.attacks.AttackModel.branches`),
-and goes through the same fixed measurements: home ``c`` in Z, then ``a``
-and ``b`` in the directive basis, or ``c`` alone in confirmation.  The
-states a round can reach therefore form a small finite tree that depends
-only on the attack and on Eve's measure-resend bit ``e``, never on the
-round.  On first use per attack, :func:`_round_tables` compiles that tree
-into threshold tables, the one cache of the engine: the home and Alice
-nodes through :func:`~wshare.statevec.enumerate_qubit`, which also
-collapses the register for the next node, and Bob's leaves from their
-P(outcome 0) alone, each threshold clamped as
-:func:`~wshare.statevec.measure_qubit` samples it:
-
-* ``te``: P(Eve reads 0), imra's first branch weight, or ``None`` for the
-  other kinds, whose ``e`` is 0; :func:`_eve_branches` draws ``e`` from it;
-* ``tc[e]``: P(home reads 0);
-* ``ta[e, c, basis]`` and ``tb[e, c, basis, a]``: P(Alice reads 0) and
-  P(Bob reads 0) below home result ``c`` (and Alice's result ``a``);
-* ``home0``: P(home reads 0), summed over Eve's branches, and ``tp``:
-  P(Eve reads 0 | home reads 0), the Eve branch of a pair, for imra only
-  (clamped like ``te``, and drawn from by :func:`_eve_branches` too);
-* ``pairs[e]``: the pair register a home-0 round leaves, home qubit
-  dropped, and ``kernels``: one Bell kernel array of every ``pairs[e]``
-  and their rest labels (:func:`~wshare.teleport._bell_kernel`), which
-  every teleport goes through;
-* ``violation[mode]``: P(some rule of ``mode`` flags a selected round)
-  under a Z directive, then under an X one: the leaves that ``mode``'s
-  mask in :data:`_LEAF_MASKS` flags, summed over Eve's branches.
-
-An outcome is 0 exactly when its uniform draw falls below its threshold,
-which is :func:`~wshare.statevec.measure_qubit`'s rule, clamp of
-impossible branches included.  A run of n rounds is then a few numpy
-expressions over arrays of n entries, and the rule table is a set of
-boolean masks over them.
+**The round tables.**  The states a round can reach form a small finite
+tree that depends only on the attack and on Eve's measure-resend bit,
+never on the round.  :func:`_round_tables` compiles it once per attack
+into a :class:`RoundTables`, the one cache of the engine, and an outcome
+is 0 exactly when its uniform falls below its threshold.  A run of n
+rounds is then a few numpy expressions over arrays of n entries, and the
+rule table a set of boolean masks over them.
 
 **Stream layout.**  :func:`run_protocol` draws its rounds in this order:
 Eve (n uniforms), for imra only; selection (n); basis (n); round uniforms
 (n, 3): home, Alice, Bob.  Each home qubit is measured once, so a round
 reads its home result from column 0, selected or not.  Every array is
-drawn whole, whatever ``d`` and ``p`` are; the run keeps its rounds on
-its outcome.  Its teleport phase (:func:`teleport_pairs`) draws in
-:func:`~wshare.teleport.teleport_draws`' layout: all message normals, then
-one uniform per pair.
-
-:func:`run_trials`, the Monte Carlo view, draws no rounds.  Rounds are
-i.i.d., so everything a sweep row reads follows from a trial's counts
-per round cell, the four that :func:`_round_cells` defines with their
-probabilities.  It runs a grid of (config, attack, generator) points one
-after another.  Per block of at most :data:`_BLOCK_TRIALS` trials, a
-point draws from its own generator, in this order, the counts
-(``multinomial(n, cells)``, one row per trial); under imra, one uniform
-per trial with a pair, read as :func:`_draw_counts` says; then the
-block's teleport, in :func:`~wshare.teleport.teleport_draws`' layout,
-through one :func:`~wshare.teleport.teleport_batch` over the point's
-kernel.  So memory stays bounded, a sweep's cost does not grow with n,
-and the bytes never depend on how grid points are spread over processes.
+drawn whole, whatever ``d`` and ``p`` are.  The teleport phase
+(:func:`teleport_pairs`) then draws in :func:`~wshare.teleport.teleport_draws`'
+layout.  A sweep draws no rounds: :func:`run_trials` states its draws.
 """
 
 import enum
@@ -352,9 +309,28 @@ _LEAF_MASKS = {mode: _apply_rules(np.True_, *np.indices((2,) * 4, dtype=bool), m
 
 
 class RoundTables(NamedTuple):
-    """The compiled round tree of one attack, its P(home 0) and pair-branch
-    threshold, and per checker mode its (Z, X) violation probabilities (see
-    the module docstring); tables compare and hash by identity."""
+    """The compiled round tree of one attack; tables compare and hash by identity.
+
+    The tree starts from the W state as the attack splits it
+    (:meth:`~wshare.attacks.AttackModel.branches`), one root per Eve branch
+    ``e``; a round measures home ``c`` in Z, then ``a`` and ``b`` in the
+    directive basis, or ``c`` alone in confirmation.  Each threshold is a
+    P(outcome 0), clamped as :func:`~wshare.statevec.measure_qubit` samples it:
+
+    * ``te``: P(Eve reads 0), imra's first branch weight, or ``None`` for the
+      other kinds, whose ``e`` is 0; :func:`_eve_branches` draws ``e`` from it;
+    * ``tc[e]``: P(home reads 0);
+    * ``ta[e, c, basis]`` and ``tb[e, c, basis, a]``: P(Alice reads 0) and
+      P(Bob reads 0) below home result ``c`` (and Alice's result ``a``);
+    * ``home0``: P(home reads 0), summed over Eve's branches, and ``tp``:
+      P(Eve reads 0 | home reads 0), the Eve branch of a pair, for imra only
+      (drawn from like ``te``);
+    * ``pairs[e]``: the pair register a home-0 round leaves, home qubit
+      dropped, and ``kernels``: the Bell kernel of every ``pairs[e]``
+      (:func:`~wshare.teleport._bell_kernel`), which every teleport goes through;
+    * ``violation[mode]``: P(some rule of ``mode`` flags a selected round)
+      under a Z directive, then under an X one.
+    """
 
     te: float | None
     tc: np.ndarray
@@ -371,7 +347,7 @@ class RoundTables(NamedTuple):
 
 
 def _compile_tables(branches: tuple[tuple[float, StateVector], ...]) -> RoundTables:
-    """Threshold tables of the round tree below each (weight, root) Eve branch.
+    """The :class:`RoundTables` of the round tree below each (weight, root) Eve branch.
 
     Entries below a branch that is never drawn stay at 1.0 and are never read; each checker's
     ``violation`` pair weighs the leaves by its mask in :data:`_LEAF_MASKS`, built once at import.
@@ -462,11 +438,10 @@ def teleport_pairs(outcome: RunOutcome, rand: "np.random.Generator"
     """Teleport one fresh random message over every distilled pair of a run.
 
     ``outcome`` is what :func:`run_protocol` returned, and ``rand``
-    continues its stream through :func:`~wshare.teleport.teleport_draws`:
-    all the message normals, then one uniform per pair.  Each pair goes
-    through its Eve branch's block of the round tables' kernel, read off
-    the run's ``eve`` array: Eve's bit on its round under imra, 0
-    otherwise.  Returns the batch, and Eve's recovery fidelity per pair
+    continues its stream through :func:`~wshare.teleport.teleport_draws`.
+    Each pair goes through its Eve branch's block of the round tables'
+    kernel, read off the run's ``eve`` array: Eve's bit on its round under
+    imra, 0 otherwise.  Returns the batch, and Eve's recovery fidelity per pair
     when an attack was active (else ``None``).
     """
     attack, which = outcome.attack, outcome.eve[outcome._pair_mask]
@@ -506,8 +481,8 @@ def _round_cells(tables: RoundTables, config: ProtocolConfig) -> np.ndarray:
 
 
 def _draw_counts(tables: RoundTables, cells: np.ndarray, n: int, rand, trials: int) -> tuple:
-    """Draw one block of ``trials`` trials of ``n`` rounds as counts per round cell
-    (:func:`_round_cells`), in the module's stream layout.
+    """Draw one block of ``trials`` trials of ``n`` rounds: the counts per round cell
+    (:func:`_round_cells`), ``multinomial(n, cells)`` with one row per trial, then ``first``.
 
     Returns, per trial, ``aborted``, ``surviving`` (the unselected rounds)
     and ``pairs`` (the home-0 survivors of a passing trial); and ``first``,
@@ -518,7 +493,7 @@ def _draw_counts(tables: RoundTables, cells: np.ndarray, n: int, rand, trials: i
     """
     counts = rand.multinomial(n, cells, size=trials)
     aborted = counts[:, 0] > 0
-    surviving = n - counts[:, 0] - counts[:, 1]  # not a row sum: see statevec's rule on short axes
+    surviving = n - counts[:, 0] - counts[:, 1]  # not a row sum: see statevec._row_sums
     pairs = np.where(aborted, 0, counts[:, 2])
     return aborted, surviving, pairs, _eve_branches(rand, tables.tp, np.count_nonzero(pairs))
 
@@ -527,11 +502,17 @@ def run_trials(points, trials: int) -> list[TrialStats]:
     """Run ``trials`` independent protocol runs at each of a grid's points.
 
     ``points`` are (config, attack, rand) triples, run one after another in
-    grid order; each draws from its own ``rand``, in the module's stream
-    layout, and its row is what a call with that point alone gives.  Returns
-    one :class:`TrialStats` per point, in order.  ``trials`` must be a
-    positive integer.  A point whose ``n`` is 2^63 or more, past the counts
-    numpy draws, raises MemoryError when its turn comes.
+    grid order, each from its own ``rand``, so a point's row is what a call
+    with that point alone gives, however a grid is split over processes.
+    Rounds are i.i.d., so a trial's row follows from its counts per round
+    cell and no round is drawn.  Per block of at most :data:`_BLOCK_TRIALS`
+    trials, a point draws :func:`_draw_counts`, then one message per first
+    pair (:func:`~wshare.teleport.teleport_draws`), teleported through one
+    :func:`~wshare.teleport.teleport_batch` over the point's kernel: memory
+    stays bounded and the cost does not grow with n.
+    Returns one :class:`TrialStats` per point, in order.  ``trials`` must be
+    a positive integer.  A point whose ``n`` is 2^63 or more, past the
+    counts numpy draws, raises MemoryError when its turn comes.
     """
     trials = _check_length(trials, "trial count")
     stats = []

@@ -16,10 +16,7 @@ Conventions used throughout the package:
   strings, so that importing the package does not load ``numpy.random``.
 * A branch of probability at or below ``_ZERO_PROB`` is never sampled: a
   draw that lands on one takes the other branch instead.
-* A sum along an axis of two to four entries (a Bell row's weights, a
-  residual's squares) is written as column adds in numpy's own left-to-right
-  order (:func:`_row_sums`), which keeps numpy's bits: numpy's reductions
-  pay microseconds per call, several times the adds on so short an axis.
+* A sum along an axis of two to four entries is :func:`_row_sums`.
 * Records are immutable: the plain ones are named tuples, and the five
   that validate, derive or cache are plain classes on :class:`_Record`.
   No module imports ``dataclasses``, whose import and generated methods
@@ -158,9 +155,9 @@ class StateVector(_Record):
 class MeasurementBranch(NamedTuple):
     """One branch of a single-qubit measurement.
 
-    ``outcome`` is 0 for the first basis eigenstate and 1 for the second;
-    ``post_state`` keeps the measured qubit in the register, collapsed and
-    renormalized.  A zero-probability branch carries ``post_state=None``.
+    ``outcome`` is the module's outcome bit; ``post_state`` keeps the measured
+    qubit in the register, collapsed and renormalized, or is ``None`` on a
+    zero-probability branch.
     """
 
     outcome: int
@@ -349,11 +346,8 @@ def measure_qubit(s: StateVector, q: str, basis: Basis | str, rand: "np.random.G
 
 
 def enumerate_qubit(s: StateVector, q: str, basis: Basis | str) -> list[MeasurementBranch]:
-    """Both branches of a single-qubit measurement with exact probabilities.
-
-    Zero-probability branches are reported with ``post_state=None``, and
-    ``basis`` is taken as in :func:`measure_qubit`.
-    """
+    """Both branches of a single-qubit measurement with exact probabilities; ``basis`` is taken as
+    in :func:`measure_qubit`."""
     basis = Basis(basis)
     p0, *projections = _branch_weights(s._split(s.axis(q)), basis)
     return [_branch(s, basis, outcome, p0, projection) for outcome, projection in enumerate(projections)]
@@ -385,7 +379,11 @@ def enumerate_bell(s: StateVector, q1: str, q2: str) -> list[BellOutcome]:
 
 
 def _row_sums(x: np.ndarray) -> np.ndarray:
-    """``x.sum(axis=-1)`` bit for bit: the last axis's columns added left to right, as numpy adds them."""
+    """``x.sum(axis=-1)`` bit for bit: the last axis's columns added left to right, as numpy adds them.
+
+    The package sums every axis of two to four entries (a Bell row's weights, a residual's squares)
+    this way: numpy's reductions pay microseconds per call, several times the adds on so short an axis.
+    """
     total = x[..., 0]
     for column in range(1, x.shape[-1]):
         total = total + x[..., column]

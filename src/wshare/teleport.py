@@ -3,25 +3,16 @@
 Alice Bell-measures (message, her pair qubit), broadcasts two classical
 bits, and Bob repairs his qubit with a Pauli correction.  Because the
 channel here is the psi+ pair rather than the textbook phi+ pair, the
-correction table differs from the usual one; rather than hard-coding it,
-:func:`build_correction_table` reads it once off the Bell matrices (each
-outcome leaves Bob the message through a 2x2 map that one Pauli undoes).
-A correction's one form is its read-only real 2x2 matrix in ``CORRECTIONS``.
+correction table differs from the usual one: :func:`build_correction_table`
+derives it instead of hard-coding it.  A correction's one form is its
+read-only real 2x2 matrix in ``CORRECTIONS``.
 
 :func:`teleport_batch` runs many attempts at once through Bell kernels
-(:func:`_bell_kernel`): for each Bell outcome, the linear map from the
-message amplitudes to the rest of the register with Bob's correction
-already applied, so an attempt is one matrix product and never builds the
-joint register.  The protocol's round tables hold one kernel array per
-attack, its pairs side by side, and a block of rows is one ``matmul``; one
-batch teleports a sweep's block (:data:`~wshare.protocol._BLOCK_TRIALS`).
+(:func:`_bell_kernel`), so an attempt never builds the joint register.
 :func:`teleport` is one row of a batch; :func:`teleport_draws` draws the
 messages and uniforms of every other.  :func:`teleport_branches` stays the
 scalar four-branch oracle, built from :func:`~wshare.statevec.enumerate_bell`.
 In every pair register Alice's qubit is ``"a"`` and Bob's ``"b"``.
-
-:func:`corrupted_channel` is the three-qubit channel
-(|100>+|011>)_abe/sqrt(2) that an entangling interceptor leaves behind.
 """
 
 import functools
@@ -132,7 +123,8 @@ def _bell_kernel(*pairs: StateVector) -> tuple[np.ndarray, tuple[str, ...]]:
     A read-only (2, E * 4R) array for E pairs: its (2, R) block 4e + k maps
     message amplitudes to the unnormalized state of the other R amplitudes
     (pair e minus Alice's qubit, in register order) on Bell outcome ``k``
-    (BELL_NAMES order), with Bob's correction for that outcome applied.
+    (BELL_NAMES order), with Bob's correction for that outcome applied, so
+    an attempt is one matrix product.
     """
     alice, bob = pairs[0].axis("a"), pairs[0].axis("b")
     rest = pairs[0].labels[:alice] + pairs[0].labels[alice + 1:]
@@ -147,13 +139,8 @@ def _bell_kernel(*pairs: StateVector) -> tuple[np.ndarray, tuple[str, ...]]:
 
 
 def teleport(message: StateVector, pair: StateVector, rand: "np.random.Generator") -> TeleportResult:
-    """Teleport a single-qubit message over a pair register.
-
-    The pair register may hold qubits besides ``"a"`` and ``"b"``; they
-    stay in the returned residual.  This is one row of
-    :func:`teleport_batch` on the pair's kernel and one uniform draw from
-    ``rand``.
-    """
+    """Teleport a single-qubit message over a pair register, which may hold qubits besides ``"a"``
+    and ``"b"``: one row of :func:`teleport_batch` on the pair's kernel, on one uniform from ``rand``."""
     if message.num_qubits != 1:
         raise ValueError("message must be a single qubit")
     if message.labels[0] in pair.labels:
@@ -197,9 +184,8 @@ def teleport_batch(
     ``messages`` holds (T, 2) message amplitudes, and ``kernels`` is the
     :func:`_bell_kernel` of the pairs.  Per ``_BATCH_ROWS`` rows: one ``matmul`` over every
     pair's Bell maps, each row keeping its own pair's four (no gather for one pair); the
-    Bell weights as column adds (see :mod:`~wshare.statevec`); and one uniform draw per row
-    that walks their cumulative distribution in ``BELL_NAMES`` order, skipping impossible
-    ones (:func:`~wshare.statevec._sample_bell_rows`).  Only the drawn residual is normalized,
+    Bell weights as column adds (:func:`~wshare.statevec._row_sums`); and one uniform draw per row
+    (:func:`~wshare.statevec._sample_bell_rows`).  Only the drawn residual is normalized,
     and Bob's fidelities are scored once for all rows.  A row of a pair not in ``kernels`` raises ValueError.
     """
     kernel, labels = kernels

@@ -169,6 +169,9 @@ MUTANTS = [
            "for share in pool.map(functools.partial(run_trials, trials=cfg.trials), shares)",
            "for share in reversed(list(pool.map(functools.partial(run_trials, trials=cfg.trials), shares)))",
            ("tests/test_cli.py::test_sweep_pool_shares_match_one_call",)),
+    Mutant("sweep-budget-counts-trials-per-point", CLI,
+           "(points, points * cfg.trials)", "(points, cfg.trials)",
+           ("tests/test_cli.py::test_sweep_past_its_budget_exits_one_before_building_a_point[points-times-trials]",)),
     Mutant("row-width-unchecked", CLI,
            "zip(columns, row, strict=True)", "zip(columns, row)",
            ("tests/test_cli.py::test_emitter_refuses_a_row_one_value_short[text]",

@@ -213,6 +213,42 @@ def test_sweep_output_file_is_byte_deterministic(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+POINT_BUDGET, TRIAL_BUDGET = cli._SWEEP_BUDGET.values()
+
+
+@pytest.mark.parametrize("argv,refusal", [
+    (["--n-values", ",".join(map(str, range(1, POINT_BUDGET + 2)))],
+     f"at most {POINT_BUDGET:,} grid points, got {POINT_BUDGET + 1:,}"),
+    (["--trials", str(TRIAL_BUDGET + 1)], f"at most {TRIAL_BUDGET:,} trials over the grid, got {TRIAL_BUDGET + 1:,}"),
+    (["--n", "1", "--trials", str(10 ** 20)], f"at most {TRIAL_BUDGET:,} trials over the grid, got {10 ** 20:,}"),
+    (["--d-values", "0,1", "--trials", str(TRIAL_BUDGET // 2 + 1)],
+     f"at most {TRIAL_BUDGET:,} trials over the grid, got {TRIAL_BUDGET + 2:,}"),
+], ids=["points", "trials", "trials-10^20", "points-times-trials"])
+def test_sweep_past_its_budget_exits_one_before_building_a_point(argv, refusal, monkeypatch, capsys):
+    def no_point(*args, **kwargs):
+        raise AssertionError("a grid point was built")
+
+    monkeypatch.setattr(cli.np.random, "default_rng", no_point)
+    monkeypatch.setattr(cli, "ProtocolConfig", no_point)
+    assert main(["sweep", *argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: sweep takes {refusal}\n"
+
+
+def test_sweep_at_its_budget_is_resolved():
+    # Both limits at once, through the resolver alone: a run this size is
+    # refused by no check, and is not run here.
+    side = math.isqrt(POINT_BUDGET)
+    assert side * side == POINT_BUDGET and TRIAL_BUDGET % POINT_BUDGET == 0
+    values = ",".join(str(k / side) for k in range(side))
+    cfg = cli._resolve(cli._parse(["sweep", "--attack", "isra", "--y-values", values, "--p-values", values,
+                                   "--trials", str(TRIAL_BUDGET // POINT_BUDGET)]))
+    assert len(cfg.y_values) * len(cfg.p_values) * len(cfg.d_values) * len(cfg.n_values) == POINT_BUDGET
+    assert cfg.trials * POINT_BUDGET == TRIAL_BUDGET
+    assert cli._resolve(cli._parse(["sweep", "--trials", str(TRIAL_BUDGET)])).trials == TRIAL_BUDGET
+
+
 def test_sweep_workers_do_not_change_output(tmp_path, capsys):
     base = (
         "sweep", "--attack", "isra", "--y-values", "0,0.5,1",

@@ -1,6 +1,6 @@
 """Smoke test: every script in demos/, the README's library quick start and
 its command-line examples run to completion and print something; and the
-README's ``--workers`` paragraph names the sweep's own worker threshold."""
+README's ``--workers`` paragraph and sweep budget name the sweep's own constants."""
 
 import re
 import shlex
@@ -73,3 +73,9 @@ def test_readme_workers_paragraph_names_the_worker_threshold():
     assert cli._TRIALS_PER_WORKER == 1 << power
     paragraph = README.split("`--workers K`", 1)[1].split("\n- ", 1)[0]
     assert re.findall(r"2\^(\d+)", paragraph) == [str(power)]
+
+
+def test_readme_states_the_sweep_budget():
+    points, trials = cli._SWEEP_BUDGET.values()
+    assert trials == 1 << trials.bit_length() - 1
+    assert f"at most {points:,} grid points and 2^{trials.bit_length() - 1}\ntrials over its grid" in README

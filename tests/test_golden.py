@@ -1,28 +1,8 @@
 """Golden outputs: SHA-256 of small CLI invocations at fixed seeds.
 
 The hashes pin the random-stream layouts documented in :mod:`wshare.protocol`
-and every printed digit.  ``sweep-imra-strict`` was last recaptured when
-the count draw went to four round cells (one home-0 cell, no longer one
-per Eve branch); no other hash moved.  ``sweep-ema-strict`` was last
-recaptured when its records came to write ``detections`` as a JSON
-number, not a string; no other byte moved.  The three sweep hashes were
-recaptured before that, when
-sweeps came to draw each trial's counts per round cell instead of its
-rounds (``multinomial(n, cells)`` per block of trials, then one imra
-uniform per teleported trial, then the teleport); ``run``,
-``teleport-demo`` and ``curves`` bytes did not move.  Before that, every
-run, sweep and teleport-demo hash was recaptured, all at once, when every
-random fact came to take exactly one draw: one home uniform per round (no
-separate confirmation array) and one teleport layout (all message normals,
-then one uniform per teleported pair).  That change moved every byte but
-``run-isra-abort``'s (at d = 1 every home result comes from detection,
-and a caught run teleports nothing); ``curves`` draws nothing.  Before
-that, they were recaptured when sweeps and runs moved onto the batched
-round engine.  The scalar replay in ``tests/test_round_tree.py`` checks
-the run layout itself independently of the engine, and
-``tests/test_protocol.py`` holds the count sampler to the round draws'
-law.  A change that moves any byte here must say why in CHANGES.md and
-recapture the hashes.
+and every printed digit.  A change that moves any byte here must say why in
+CHANGES.md and recapture the hashes; CHANGES.md holds each past recapture.
 """
 
 import hashlib

@@ -2,6 +2,7 @@
 importing the CLI loads only what its calls use."""
 
 import ast
+import functools
 import importlib
 import inspect
 import json
@@ -13,6 +14,7 @@ import wshare
 from wshare import cli
 
 from helpers import ROOT, child_env
+from src_lines import KINDS, count
 
 MODULES = ("statevec", "protocol", "attacks", "teleport", "analytic", "cli")
 
@@ -166,3 +168,56 @@ def test_set_up_generates_no_record_code():
                 future += [f"{path.name}: {alias.name}" for alias in node.names]
     assert dataclasses == []
     assert future == []
+
+
+# A cross-reference in a docstring: :func:`name`, :class:`~wshare.module.Name` and so on.
+CROSS_REFERENCE = re.compile(r":(?:func|meth|class|data|attr|mod):`~?([\w.]+)`")
+
+
+def _found(owner, parts: list[str]) -> bool:
+    try:
+        functools.reduce(getattr, parts, owner)
+        return True
+    except AttributeError:
+        return False
+
+
+def _resolves(module, owner, target: str) -> bool:
+    """Whether ``target`` names a live object: relative to the module, then to the class
+    whose docstring (or method's) names it, then as a dotted path from an importable module."""
+    parts = target.split(".")
+    if _found(module, parts) or owner is not None and _found(owner, parts):
+        return True
+    for cut in range(len(parts), 0, -1):
+        try:
+            return _found(importlib.import_module(".".join(parts[:cut])), parts[cut:])
+        except ImportError:
+            continue
+    return False
+
+
+def test_every_docstring_cross_reference_resolves():
+    # A pointer that states where a fact lives must not dangle once the
+    # fact's owner is renamed or deleted.
+    dangling, seen = [], 0
+    for path in sorted((ROOT / "src" / "wshare").glob("*.py")):
+        module = importlib.import_module(f"wshare.{path.stem}")
+        nodes = [(ast.parse(path.read_text()), None)]
+        while nodes:
+            node, owner = nodes.pop()
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+                for target in CROSS_REFERENCE.findall(ast.get_docstring(node, clean=False) or ""):
+                    seen += 1
+                    if not _resolves(module, owner, target):
+                        dangling.append(f"{path.name}: {target}")
+            for child in ast.iter_child_nodes(node):
+                nodes.append((child, getattr(module, child.name, None) if isinstance(child, ast.ClassDef) else owner))
+    assert seen >= 60  # the walk reads every module's docstrings
+    assert dangling == []
+
+
+def test_src_line_kinds_add_up_to_each_file():
+    for path in sorted((ROOT / "src" / "wshare").glob("*.py")):
+        counts = count(path)
+        assert tuple(counts) == KINDS
+        assert sum(counts.values()) == len(path.read_text().splitlines()), path.name
